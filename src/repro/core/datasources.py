@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.errors import ConfigurationError, DuplicateError, NotFoundError
+from repro.gateway.generations import engine_keys, table_key
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.engine import SearchOptions
@@ -122,6 +123,13 @@ class DataSource(ABC):
     def search(self, query: SourceQuery) -> SourceResult:
         """Execute ``query`` and return ranked items."""
 
+    def generation_keys(self) -> tuple:
+        """The data generations (see :mod:`repro.gateway.generations`)
+        results from this source depend on; caches stamp entries with
+        them. The default is a key private to the source, which nothing
+        bumps."""
+        return (f"source:{self.source_id}",)
+
     def describe(self) -> dict:
         return {
             "source_id": self.source_id,
@@ -147,9 +155,10 @@ class ProprietaryTableSource(DataSource):
     """
 
     def __init__(self, source_id: str, name: str, table,
-                 search_fields: tuple) -> None:
+                 search_fields: tuple, *, tenant_id: str = "") -> None:
         super().__init__(source_id, name, SourceKind.PROPRIETARY)
         self._table = table
+        self.tenant_id = tenant_id
         for field_name in search_fields:
             if not table.schema.has_field(field_name):
                 raise ConfigurationError(
@@ -171,6 +180,9 @@ class ProprietaryTableSource(DataSource):
     @property
     def table(self):
         return self._table
+
+    def generation_keys(self) -> tuple:
+        return (table_key(self.tenant_id, self._table.name),)
 
     def _fingerprint(self) -> tuple:
         return (
@@ -200,7 +212,7 @@ class ProprietaryTableSource(DataSource):
             "type": "proprietary",
             "source_id": self.source_id,
             "name": self.name,
-            "tenant_id": getattr(self, "tenant_id", ""),
+            "tenant_id": self.tenant_id,
             "table_name": self._table.name,
             "search_fields": list(self.search_fields),
         }
@@ -287,6 +299,9 @@ class WebSearchSource(DataSource):
 
     def fields(self) -> list[str]:
         return ["title", "url", "snippet", "site"]
+
+    def generation_keys(self) -> tuple:
+        return engine_keys(self._engine)
 
     def export_config(self) -> dict:
         return {

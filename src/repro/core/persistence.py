@@ -88,8 +88,8 @@ def _restore_source(symphony, config: dict):
             name=config["name"],
             table=tenant.table(config["table_name"]),
             search_fields=tuple(config["search_fields"]),
+            tenant_id=config["tenant_id"],
         )
-        source.tenant_id = config["tenant_id"]
         return source
     if kind == "web":
         return WebSearchSource(

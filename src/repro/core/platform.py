@@ -37,9 +37,10 @@ from repro.core.runtime import (
     ApplicationRegistry,
     ApplicationResponse,
     QueryRequest,
+    ResultCache,
     SymphonyRuntime,
 )
-from repro.gateway.generations import GenerationRegistry, table_key
+from repro.gateway.generations import GenerationRegistry
 from repro.ingest.crawler import Crawler, CrawlPolicy
 from repro.ingest.pipeline import DatasetIngestor, IngestReport
 from repro.ingest.refresh import RefreshScheduler
@@ -169,12 +170,18 @@ class Symphony:
         self.sources = SourceRegistry()
         self.apps = ApplicationRegistry()
         self.renderer = HtmlRenderer(self.themes)
+        # Data generations: ingest/refresh bump a table's generation
+        # and reshard cutover the topology's; the runtime's per-source
+        # cache and the gateway's response cache both stamp entries
+        # with them and miss on the next read after a bump.
+        self.generations = GenerationRegistry(self.telemetry.events)
         self.runtime = SymphonyRuntime(
             registry=self.sources,
             apps=self.apps,
             renderer=self.renderer,
             clock=self.clock,
             log=self.engine.log,
+            cache=ResultCache(generations=self.generations),
             cache_enabled=cache_enabled,
             telemetry=self.telemetry,
             resilience=self.resilience,
@@ -191,14 +198,6 @@ class Symphony:
         self.feeds = FeedPublisher(self.web)
         from repro.core.frontend import HostingFrontend
         self.frontend = HostingFrontend(self.router, self.runtime)
-        # Data generations: ingest/refresh bump a table's generation,
-        # which (a) kills matching runtime result-cache entries now and
-        # (b) invalidates gateway query-cache entries on their next read.
-        self.generations = GenerationRegistry(
-            events=(self.telemetry.events if self.telemetry.enabled
-                    else None),
-        )
-        self.generations.subscribe(self._on_generation_bump)
         # The platform-owned refresh calendar: feeds registered here
         # bump generations on change, emit refresh events, and keep
         # contracted tables' freshness SLAs judged every pass.
@@ -288,27 +287,6 @@ class Symphony:
         # Opt-in federation: built lazily by enable_federation().
         self.federation = None
         self._designers: dict[str, DesignerAccount] = {}
-
-    def _on_generation_bump(self, key: str, generation: int) -> None:
-        """Stale-cache fix: when a backend's data changes, drop the
-        runtime's per-source cache entries for every source over it —
-        tenant tables on re-ingest, federated sources when any backend
-        they touch moves (corpus, topology, or a federated table)."""
-        for source_id in self.sources.ids():
-            source = self.sources.get(source_id)
-            generation_keys = getattr(source, "generation_keys", None)
-            if callable(generation_keys):
-                if key in generation_keys():
-                    self.runtime.cache.invalidate_source(source_id)
-                continue
-            if not key.startswith("tenant:"):
-                continue
-            table = getattr(source, "table", None)
-            tenant_id = getattr(source, "tenant_id", None)
-            if table is None or tenant_id is None:
-                continue
-            if table_key(tenant_id, table.name) == key:
-                self.runtime.cache.invalidate_source(source_id)
 
     # -- federation (ROADMAP item 4) --------------------------------------------
 
@@ -519,8 +497,8 @@ class Symphony:
             name=name or f"{account.display_name}'s {table_name}",
             table=tenant.table(table_name),
             search_fields=tuple(search_fields),
+            tenant_id=tenant.tenant_id,
         )
-        source.tenant_id = tenant.tenant_id  # for export/import
         if self.contracts.enabled:
             source.contract_status = (
                 lambda tid=tenant.tenant_id, tbl=table_name:

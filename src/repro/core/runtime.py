@@ -28,11 +28,8 @@ from repro.errors import (
 # ResultCache, CircuitBreaker, and RateLimiter grew up in this module;
 # they now live with the serving tier but keep their historical import
 # path (``repro.core.runtime.ResultCache`` etc.) through this re-export.
-from repro.gateway.primitives import (
-    CircuitBreaker,
-    RateLimiter,
-    ResultCache,
-)
+from repro.gateway.cache import ResultCache
+from repro.gateway.primitives import CircuitBreaker, RateLimiter
 from repro.resilience import Deadline, Retrier
 from repro.searchengine.logs import QueryEvent
 from repro.slo import NULL_SLO
@@ -271,19 +268,17 @@ class SymphonyRuntime:
         # reported to the engine; the null object keeps this one
         # attribute read on the unjudged path.
         self._slo = slo or NULL_SLO
-        self.cache = cache or ResultCache()
+        # Identity, not truth: an empty cache has length 0.
+        self.cache = cache if cache is not None else ResultCache()
         self.cache_enabled = cache_enabled
-        if self.telemetry.enabled:
-            self.telemetry.bind_result_cache(self.cache)
+        self.telemetry.bind_result_cache(self.cache)
         # DESIGN.md §6 ablation: derive one focused query per primary
         # result (the paper's flow) vs one disjunctive query per
         # supplemental binding, fanned back out to the results.
         self.supplemental_mode = supplemental_mode
         self.rate_limiter = rate_limiter
         self.circuit_breaker = circuit_breaker or CircuitBreaker(
-            self.clock,
-            events=(self.telemetry.events if self.telemetry.enabled
-                    else None),
+            self.clock, events=self.telemetry.events,
         )
         # Social search (future work item 3): when attached, community
         # votes re-rank each application's primary results.
@@ -295,10 +290,7 @@ class SymphonyRuntime:
         if resilience is not None:
             self._retrier = Retrier(
                 self.clock, resilience.retry,
-                events=(self.telemetry.events if self.telemetry.enabled
-                        else None),
-                metrics=(self._metrics if self.telemetry.enabled
-                         else None),
+                events=self.telemetry.events, metrics=self._metrics,
             )
 
     # -- entry point ----------------------------------------------------------
@@ -877,7 +869,8 @@ class SymphonyRuntime:
         if self.cache_enabled and cacheable and not result.degraded:
             # Partial results must not satisfy repeat queries for a
             # whole TTL after the incident clears.
-            self.cache.put(cache_key, result, self.clock.now_ms)
+            self.cache.put(cache_key, result, self.clock.now_ms,
+                           source.generation_keys())
         return result
 
     def _attempt_failed(self, source_id: str):

@@ -103,10 +103,8 @@ class FederationExecutor:
         self._retrier = (
             Retrier(
                 clock, self.policy.retry,
-                events=(self.telemetry.events
-                        if self.telemetry.enabled else None),
-                metrics=(self.telemetry.metrics
-                         if self.telemetry.enabled else None),
+                events=self.telemetry.events,
+                metrics=self.telemetry.metrics,
             )
             if clock is not None else None
         )

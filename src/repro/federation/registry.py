@@ -17,7 +17,7 @@ from repro.core.capability import BackendDescriptor
 from repro.core.datasources import SourceQuery
 from repro.errors import ConfigurationError, DuplicateError, NotFoundError
 from repro.federation.fusion import FederatedItem, normalize_item
-from repro.gateway.generations import CORPUS_KEY, TOPOLOGY_KEY, table_key
+from repro.gateway.generations import engine_keys
 from repro.searchengine.engine import SearchOptions
 
 __all__ = [
@@ -58,7 +58,6 @@ class EngineBackend(Backend):
     def __init__(self, backend_id: str, engine, vertical: str = "web",
                  sites: tuple = (), augment_terms: tuple = ()) -> None:
         clustered = bool(getattr(engine, "accepts_deadline", False))
-        keys = (CORPUS_KEY, TOPOLOGY_KEY) if clustered else (CORPUS_KEY,)
         super().__init__(BackendDescriptor(
             backend_id=backend_id,
             system="Symphony",
@@ -71,7 +70,7 @@ class EngineBackend(Backend):
             supports_fielded=True,
             supports_entity=True,
             cost_per_query=1.0,
-            generation_keys=keys,
+            generation_keys=engine_keys(engine),
         ))
         self._engine = engine
         self._clustered = clustered
@@ -92,18 +91,11 @@ class EngineBackend(Backend):
 
 
 class SourceBackend(Backend):
-    """Any core :class:`DataSource` exposed as a federation backend.
-
-    Generation keys are inferred where the source shape gives them away
-    (a proprietary table depends on its own ``table_key``; an engine
-    vertical on the corpus) and can be overridden explicitly.
-    """
+    """Any core :class:`DataSource` exposed as a federation backend,
+    depending on whatever the source's ``generation_keys()`` names."""
 
     def __init__(self, source, backend_id: str = "",
-                 generation_keys: tuple | None = None,
                  cost_per_query: float = 1.0) -> None:
-        keys = tuple(generation_keys) if generation_keys is not None \
-            else self._infer_keys(source)
         super().__init__(BackendDescriptor(
             backend_id=backend_id or source.source_id,
             system="Symphony",
@@ -111,22 +103,9 @@ class SourceBackend(Backend):
             verticals=(source.kind.value,),
             supports_sites=False,
             cost_per_query=cost_per_query,
-            generation_keys=keys,
+            generation_keys=source.generation_keys(),
         ))
         self._source = source
-
-    @staticmethod
-    def _infer_keys(source) -> tuple:
-        table = getattr(source, "table", None)
-        if table is not None:
-            tenant_id = getattr(source, "tenant_id", "")
-            return (table_key(tenant_id, table.name),)
-        engine = getattr(source, "_engine", None)
-        if engine is not None:
-            if getattr(engine, "accepts_deadline", False):
-                return (CORPUS_KEY, TOPOLOGY_KEY)
-            return (CORPUS_KEY,)
-        return ()
 
     def search(self, text: str, count: int = 10, deadline=None,
                context: dict | None = None) -> list:

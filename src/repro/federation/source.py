@@ -6,9 +6,10 @@ meta-search to an application exactly like any single-engine vertical.
 The runtime's deadline rides in through ``query.context`` and the
 ``degraded`` flag propagates partial fusion to the response trace.
 
-``generation_keys`` is what the gateway's query cache calls to stamp a
-cached federated response with the corpus generation of *every* backend
-the query touched — re-ingest on any one of them invalidates mid-TTL.
+``generation_keys`` is what the runtime's and the gateway's caches call
+to stamp a cached federated result with the generation of *every*
+backend the query can touch — re-ingest on any one of them invalidates
+mid-TTL.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class FederatedSearchSource(DataSource):
 
     def generation_keys(self) -> tuple:
         """Union of generation keys across every backend this source
-        can touch (the gateway stamps cached entries with these)."""
+        can touch."""
         ids = self.backend_ids or None
         return self._executor.registry.generation_keys(ids)
 

@@ -13,19 +13,19 @@ serving safe:
   fair queueing so one hot tenant cannot starve the rest.
 * :class:`~repro.gateway.coalesce.SingleFlightTable` — concurrent
   identical requests collapse onto one execution.
-* :class:`~repro.gateway.cache.QueryCache` — shared response cache whose
-  entries are stamped with data generations
-  (:class:`~repro.gateway.generations.GenerationRegistry`); re-ingest
-  bumps the generation, so stale hits are impossible.
+* :class:`~repro.gateway.cache.ResultCache` — the platform's one cache
+  class (the runtime keeps per-source results in one instance, the
+  gateway whole responses in another); entries are stamped with data
+  generations (:class:`~repro.gateway.generations.GenerationRegistry`)
+  and re-ingest bumps the generation, so stale hits are impossible.
 
 Enable it with ``Symphony(gateway=True)`` (or a tuned
 :class:`GatewayConfig`) and serve through
 :meth:`Symphony.query_via_gateway`.
 
 :mod:`repro.gateway.primitives` additionally hosts the serving
-primitives (:class:`ResultCache`, :class:`CircuitBreaker`,
-:class:`RateLimiter`) that historically lived in ``core.runtime`` and
-are still re-exported there.
+primitives (:class:`CircuitBreaker`, :class:`RateLimiter`) that
+historically lived in ``core.runtime`` and are still re-exported there.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.gateway.admission import (
     TenantPolicy,
     TokenBucket,
 )
-from repro.gateway.cache import QueryCache, normalize_query
+from repro.gateway.cache import ResultCache, normalize_query
 from repro.gateway.coalesce import FlightEntry, SingleFlightTable, Ticket
 from repro.gateway.fairqueue import DeficitRoundRobinQueue
 from repro.gateway.gateway import Gateway, GatewayConfig
@@ -44,11 +44,7 @@ from repro.gateway.generations import (
     GenerationRegistry,
     table_key,
 )
-from repro.gateway.primitives import (
-    CircuitBreaker,
-    RateLimiter,
-    ResultCache,
-)
+from repro.gateway.primitives import CircuitBreaker, RateLimiter
 
 __all__ = [
     "Gateway",
@@ -60,7 +56,6 @@ __all__ = [
     "SingleFlightTable",
     "FlightEntry",
     "Ticket",
-    "QueryCache",
     "normalize_query",
     "GenerationRegistry",
     "table_key",

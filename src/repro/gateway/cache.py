@@ -1,16 +1,19 @@
-"""The gateway's shared, generation-stamped query cache.
+"""The platform's one cache: LRU + TTL + generation stamps.
 
-Unlike the runtime's per-source :class:`~repro.gateway.primitives.
-ResultCache`, this caches whole :class:`~repro.core.runtime.
-ApplicationResponse` objects keyed by ``(app_id, app version,
-normalized query, page, customer)`` — one hit skips the entire pipeline.
-Every entry is stamped with the generations (see
-:mod:`repro.gateway.generations`) of the data the response was computed
-from; a designer re-ingesting her table bumps the generation and every
-stamped entry becomes invisible on its next read.  Stale hits are
-therefore *impossible*, not merely bounded by TTL.
+Two instances serve a query.  The runtime keeps per-source
+:class:`~repro.core.datasources.SourceResult` objects keyed by
+``(source, query, count, offset)``; the gateway keeps whole
+:class:`~repro.core.runtime.ApplicationResponse` objects keyed by
+``(app_id, app version, normalized query, page, customer)`` — one hit
+there skips the entire pipeline.  Every entry is stamped with the
+generations (see :mod:`repro.gateway.generations`) of the data it was
+computed from, as named by
+:meth:`~repro.core.datasources.DataSource.generation_keys`; a designer
+re-ingesting her table bumps the generation and every stamped entry
+becomes a miss on its next read.  Stale hits are therefore *impossible*,
+not merely bounded by TTL, and nobody has to be told about a bump.
 
-Stampede protection is the gateway's single-flight table: a miss here
+Stampede protection is the gateway's single-flight table: a miss there
 enters the flight table before executing, so concurrent misses for one
 key cost one execution.
 """
@@ -20,7 +23,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-__all__ = ["QueryCache", "normalize_query"]
+from repro.gateway.generations import GenerationRegistry
+
+__all__ = ["ResultCache", "normalize_query"]
 
 
 def normalize_query(text: str) -> str:
@@ -32,22 +37,38 @@ def normalize_query(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-class QueryCache:
-    """LRU + TTL response cache validated against a generation registry."""
+class ResultCache:
+    """LRU + TTL cache validated against a generation registry.
 
-    def __init__(self, generations, max_entries: int = 1024,
-                 ttl_ms: int = 30_000) -> None:
+    TTL is judged against the simulated clock so tests can age entries
+    deterministically. Expired entries are swept on every ``put`` (not
+    just when their key is re-read), so an app issuing many distinct
+    queries cannot hold dead entries up to the LRU cap; that sweep is
+    TTL-only — an entry whose generation moved dies when it is read or
+    when the cache reaches its LRU cap, where the entries a bump
+    killed go before any live one (one scan per bump at most).
+    Thread-safe: cluster worker threads, gateway dispatchers and
+    concurrent app queries share these caches.
+
+    Without ``generations`` the cache owns a private registry nobody
+    bumps, i.e. plain LRU + TTL.
+    """
+
+    def __init__(self, max_entries: int = 512,
+                 ttl_ms: int = 5 * 60 * 1000,
+                 generations: GenerationRegistry | None = None) -> None:
         if max_entries <= 0 or ttl_ms <= 0:
-            raise ValueError("query cache parameters must be positive")
-        self._generations = generations
+            raise ValueError("cache parameters must be positive")
+        self._generations = generations or GenerationRegistry()
         self.max_entries = max_entries
         self.ttl_ms = ttl_ms
-        #: key -> (stored_ms, stamp dict, response)
+        #: key -> (stored_ms, stamp dict, value)
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
-        self._stale_hits = 0
+        self._stale = 0
+        self._swept_bumps = 0
         self._ttl_evictions = 0
         self._lru_evictions = 0
 
@@ -57,47 +78,62 @@ class QueryCache:
             if entry is None:
                 self._misses += 1
                 return None
-            stored_ms, stamp, response = entry
+            stored_ms, stamp, value = entry
             if now_ms - stored_ms > self.ttl_ms:
-                del self._entries[key]
                 self._ttl_evictions += 1
-                self._misses += 1
-                return None
-            if not self._generations.valid(stamp):
-                # The data this response was computed from has been
+            elif not self._generations.valid(stamp):
+                # The data this value was computed from has been
                 # re-ingested; the entry is dead regardless of TTL.
-                del self._entries[key]
-                self._stale_hits += 1
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return response
+                self._stale += 1
+            else:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return value
+            del self._entries[key]
+            self._misses += 1
+            return None
 
-    def put(self, key, response, generation_keys, now_ms: int) -> None:
+    def put(self, key, value, now_ms: int, generation_keys=()) -> None:
         stamp = self._generations.snapshot(generation_keys)
         with self._lock:
-            self._entries[key] = (now_ms, stamp, response)
+            self._entries[key] = (now_ms, stamp, value)
             self._entries.move_to_end(key)
+            # Sweep TTL-dead entries first; only then apply the LRU cap.
             expired = [
-                k for k, (stored, __, ___) in self._entries.items()
-                if now_ms - stored > self.ttl_ms
+                k for k, (stored_ms, __, ___) in self._entries.items()
+                if now_ms - stored_ms > self.ttl_ms
             ]
             for k in expired:
                 del self._entries[k]
             self._ttl_evictions += len(expired)
+            if len(self._entries) > self.max_entries:
+                self._drop_stale()
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self._lru_evictions += 1
 
+    def _drop_stale(self) -> None:
+        # A table that is re-ingested every few seconds would otherwise
+        # fill the cache with dead entries and push live ones out.
+        bumps = self._generations.bumps()
+        if bumps == self._swept_bumps:
+            return
+        self._swept_bumps = bumps
+        stale = [k for k, (__, stamp, ___) in self._entries.items()
+                 if not self._generations.valid(stamp)]
+        for k in stale:
+            del self._entries[k]
+        self._stale += len(stale)
+
     def stats(self) -> dict:
+        """Lifetime cache statistics (feeds the metrics registry)."""
         with self._lock:
             total = self._hits + self._misses
             return {
                 "hits": self._hits,
                 "misses": self._misses,
                 "hit_ratio": (self._hits / total) if total else 0.0,
-                "stale_invalidations": self._stale_hits,
+                "stale_invalidations": self._stale,
                 "ttl_evictions": self._ttl_evictions,
                 "lru_evictions": self._lru_evictions,
                 "entries": len(self._entries),

@@ -33,14 +33,9 @@ from dataclasses import dataclass, field, replace as dataclass_replace
 
 from repro.errors import AdmissionRejectedError, ReproError
 from repro.gateway.admission import AdmissionController, TenantPolicy
-from repro.gateway.cache import QueryCache, normalize_query
+from repro.gateway.cache import ResultCache, normalize_query
 from repro.gateway.coalesce import FlightEntry, SingleFlightTable, Ticket
 from repro.gateway.fairqueue import DeficitRoundRobinQueue
-from repro.gateway.generations import (
-    CORPUS_KEY,
-    TOPOLOGY_KEY,
-    table_key,
-)
 from repro.resilience import Deadline
 from repro.telemetry import Telemetry
 
@@ -85,7 +80,6 @@ class Gateway:
         self._apps = apps
         self._sources = sources
         self._clock = clock
-        self._generations = generations
         self.config = config or GatewayConfig()
         if self.config.workers <= 0:
             raise ValueError("gateway worker count must be positive")
@@ -106,10 +100,10 @@ class Gateway:
             weight_of=lambda p: self.admission.policy(p).weight,
         )
         self._flights = SingleFlightTable()
-        self.cache = (QueryCache(
-            generations,
+        self.cache = (ResultCache(
             max_entries=self.config.cache_max_entries,
             ttl_ms=self.config.cache_ttl_ms,
+            generations=generations,
         ) if self.config.cache else None)
         self._service_ms = self.config.expected_service_ms
         self._lock = threading.RLock()
@@ -270,9 +264,8 @@ class Gateway:
         if self.cache is not None and not response.degraded:
             # Degraded responses must not satisfy repeat queries for a
             # whole TTL after the incident clears.
-            self.cache.put(entry.key, response,
-                           self._generation_keys(request.app_id),
-                           self._clock.now_ms)
+            self.cache.put(entry.key, response, self._clock.now_ms,
+                           self._generation_keys(request.app_id))
         self._finish(entry, response=response)
 
     def _finish(self, entry: FlightEntry, response=None,
@@ -320,33 +313,11 @@ class Gateway:
 
     def _generation_keys(self, app_id: str) -> list:
         """The generation stamps a cached response for ``app_id``
-        depends on: one per proprietary table, the shared corpus plus
-        the cluster's shard layout for web-backed sources (the control
-        plane bumps the topology generation at every reshard cutover),
-        and a per-source fallback otherwise. Sources that know their own
-        dependencies — a federated source spans *every* backend it can
-        touch — publish them via a ``generation_keys`` callable, which
-        takes precedence so re-ingest on any one backend invalidates
-        the cached fusion mid-TTL."""
-        app = self._apps.get(app_id)
+        depends on: the union over every source bound to the app."""
         keys = set()
-        for binding in app.bindings:
-            source = self._sources.get(binding.source_id)
-            generation_keys = getattr(source, "generation_keys", None)
-            if callable(generation_keys):
-                keys.update(generation_keys())
-                continue
-            table = getattr(source, "table", None)
-            tenant_id = getattr(source, "tenant_id", None)
-            engine = (getattr(source, "engine", None)
-                      or getattr(source, "_engine", None))
-            if table is not None and tenant_id is not None:
-                keys.add(table_key(tenant_id, table.name))
-            elif engine is not None:
-                keys.add(CORPUS_KEY)
-                keys.add(TOPOLOGY_KEY)
-            else:
-                keys.add(f"source:{binding.source_id}")
+        for binding in self._apps.get(app_id).bindings:
+            keys.update(
+                self._sources.get(binding.source_id).generation_keys())
         return sorted(keys)
 
     def _shed_now(self, reason: str, principal: str,

@@ -7,17 +7,20 @@ increasing integer generation.  Ingest and refresh bump the generation of
 whatever they rewrote; caches stamp entries with the generations they
 were computed against and treat any mismatch as a miss, so a designer
 re-uploading her inventory can never be served results computed over the
-old rows.  Subscribers (the platform wires one that drops per-source
-:class:`~repro.gateway.primitives.ResultCache` entries) get a callback on
-every bump.
+old rows.  Nothing is pushed on a bump: a cache finds out when it next
+reads a stamped entry.  Which keys a source's results depend on is the
+source's own answer — :meth:`~repro.core.datasources.DataSource.
+generation_keys` — built from the helpers here.
 """
 
 from __future__ import annotations
 
 import threading
 
-__all__ = ["GenerationRegistry", "table_key", "CORPUS_KEY",
-           "TOPOLOGY_KEY"]
+from repro.telemetry import NULL_EVENTS
+
+__all__ = ["GenerationRegistry", "table_key", "engine_keys",
+           "CORPUS_KEY", "TOPOLOGY_KEY"]
 
 #: Generation key for the shared synthetic-web corpus.
 CORPUS_KEY = "corpus"
@@ -33,6 +36,14 @@ def table_key(tenant_id: str, table_name: str) -> str:
     return f"tenant:{tenant_id}:{table_name}"
 
 
+def engine_keys(engine) -> tuple:
+    """The generation keys of anything served by ``engine``: the corpus,
+    plus the shard layout when the engine is a cluster."""
+    if getattr(engine, "accepts_deadline", False):
+        return (CORPUS_KEY, TOPOLOGY_KEY)
+    return (CORPUS_KEY,)
+
+
 class GenerationRegistry:
     """Monotonic generation counters keyed by data dependency.
 
@@ -40,11 +51,17 @@ class GenerationRegistry:
     entries before the first ingest without special-casing.
     """
 
-    def __init__(self, events=None) -> None:
+    def __init__(self, events=NULL_EVENTS) -> None:
         self._generations: dict[str, int] = {}
-        self._listeners: list = []
+        self._bumps = 0
         self._lock = threading.Lock()
         self._events = events
+
+    def bumps(self) -> int:
+        """Bumps so far, over all keys: unchanged means every stamp
+        that was valid still is."""
+        with self._lock:
+            return self._bumps
 
     def current(self, key: str) -> int:
         with self._lock:
@@ -62,22 +79,14 @@ class GenerationRegistry:
                        for key, generation in stamp.items())
 
     def bump(self, key: str) -> int:
-        """Advance ``key`` to a new generation; notifies subscribers."""
+        """Advance ``key`` to a new generation."""
         with self._lock:
             generation = self._generations.get(key, 0) + 1
             self._generations[key] = generation
-            listeners = list(self._listeners)
-        if self._events is not None:
-            self._events.emit("generation.bump", key=key,
-                              generation=generation)
-        for listener in listeners:
-            listener(key, generation)
+            self._bumps += 1
+        self._events.emit("generation.bump", key=key,
+                          generation=generation)
         return generation
-
-    def subscribe(self, listener) -> None:
-        """Register ``listener(key, generation)`` to run on every bump."""
-        with self._lock:
-            self._listeners.append(listener)
 
     def keys(self) -> list[str]:
         with self._lock:

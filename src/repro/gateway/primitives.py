@@ -1,9 +1,9 @@
-"""Shared serving primitives: result cache, circuit breaker, rate limiter.
+"""Shared serving primitives: circuit breaker and rate limiter.
 
 These classes grew up inside :mod:`repro.core.runtime`; the gateway, the
 cluster, and the runtime all use them, so they live here now.  The
 runtime re-exports them under their historical names
-(``repro.core.runtime.ResultCache`` etc.) for backward compatibility.
+(``repro.core.runtime.CircuitBreaker`` etc.) for backward compatibility.
 
 Everything is judged against :class:`repro.util.SimClock` and guarded by
 locks: cluster worker threads, gateway dispatchers, and concurrent app
@@ -13,114 +13,12 @@ queries share these objects.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 
 from repro.errors import QuotaExceededError
+from repro.telemetry import NULL_EVENTS
 
-__all__ = ["ResultCache", "CircuitBreaker", "RateLimiter"]
-
-
-class ResultCache:
-    """LRU cache of :class:`SourceResult` keyed by (source, query, count).
-
-    TTL is judged against the simulated clock so tests can age entries
-    deterministically. Expired entries are swept on every ``put`` (not
-    just when their key is re-read), so an app issuing many distinct
-    queries cannot hold dead entries up to the LRU cap. Thread-safe:
-    cluster worker threads and concurrent app queries share one cache.
-
-    Keys are tuples whose first element is the owning source id, which
-    :meth:`invalidate_source` relies on to drop a source's entries when
-    its backing data changes (re-ingest, refresh).
-    """
-
-    def __init__(self, max_entries: int = 512,
-                 ttl_ms: int = 5 * 60 * 1000) -> None:
-        self.max_entries = max_entries
-        self.ttl_ms = ttl_ms
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-        self._ttl_evictions = 0
-        self._lru_evictions = 0
-        self._invalidations = 0
-
-    def _prune(self, now_ms: int) -> None:
-        # Sweep TTL-dead entries first; only then apply the LRU cap.
-        expired = [
-            key for key, (stored_ms, __) in self._entries.items()
-            if now_ms - stored_ms > self.ttl_ms
-        ]
-        for key in expired:
-            del self._entries[key]
-        self._ttl_evictions += len(expired)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self._lru_evictions += 1
-
-    def get(self, key, now_ms: int):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            stored_ms, value = entry
-            if now_ms - stored_ms > self.ttl_ms:
-                del self._entries[key]
-                self._ttl_evictions += 1
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return value
-
-    def stats(self) -> dict:
-        """Lifetime cache statistics (feeds the metrics registry)."""
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "ttl_evictions": self._ttl_evictions,
-                "lru_evictions": self._lru_evictions,
-                "invalidations": self._invalidations,
-                "entries": len(self._entries),
-            }
-
-    def put(self, key, value, now_ms: int) -> None:
-        with self._lock:
-            self._entries[key] = (now_ms, value)
-            self._entries.move_to_end(key)
-            self._prune(now_ms)
-
-    def invalidate_where(self, predicate) -> int:
-        """Drop every entry whose key satisfies ``predicate``; returns
-        how many were dropped."""
-        with self._lock:
-            doomed = [key for key in self._entries if predicate(key)]
-            for key in doomed:
-                del self._entries[key]
-            self._invalidations += len(doomed)
-            return len(doomed)
-
-    def invalidate_source(self, source_id: str) -> int:
-        """Drop every entry cached for ``source_id``.
-
-        This is the stale-cache fix for designer re-ingest: when a
-        proprietary table is reloaded, results computed against the old
-        rows must not survive for the rest of their TTL.
-        """
-        return self.invalidate_where(
-            lambda key: key and key[0] == source_id
-        )
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+__all__ = ["CircuitBreaker", "RateLimiter"]
 
 
 class CircuitBreaker:
@@ -135,7 +33,7 @@ class CircuitBreaker:
     """
 
     def __init__(self, clock, failure_threshold: int = 3,
-                 cooldown_ms: int = 60_000, events=None) -> None:
+                 cooldown_ms: int = 60_000, events=NULL_EVENTS) -> None:
         if failure_threshold <= 0 or cooldown_ms <= 0:
             raise ValueError(
                 "circuit breaker parameters must be positive"
@@ -150,8 +48,7 @@ class CircuitBreaker:
         self._lock = threading.RLock()
 
     def _emit(self, kind: str, source_id: str, **fields) -> None:
-        if self._events is not None:
-            self._events.emit(kind, source=source_id, **fields)
+        self._events.emit(kind, source=source_id, **fields)
 
     def is_open(self, source_id: str) -> bool:
         with self._lock:
@@ -218,7 +115,7 @@ class RateLimiter:
     """
 
     def __init__(self, clock, max_requests: int = 600,
-                 window_ms: int = 60_000, events=None) -> None:
+                 window_ms: int = 60_000, events=NULL_EVENTS) -> None:
         if max_requests <= 0 or window_ms <= 0:
             raise ValueError("rate limit parameters must be positive")
         self._clock = clock
@@ -244,12 +141,10 @@ class RateLimiter:
             events = self._events.setdefault(app_id, deque())
             self._evict(events, horizon)
             if len(events) >= self.max_requests:
-                if self._sink is not None:
-                    self._sink.emit(
-                        "ratelimit.rejected", app_id=app_id,
-                        limit=self.max_requests,
-                        window_ms=self.window_ms,
-                    )
+                self._sink.emit(
+                    "ratelimit.rejected", app_id=app_id,
+                    limit=self.max_requests, window_ms=self.window_ms,
+                )
                 raise QuotaExceededError(
                     f"application {app_id} exceeded "
                     f"{self.max_requests} requests per "

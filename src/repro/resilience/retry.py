@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ReproError, RetryExhaustedError, retryable
+from repro.telemetry import NULL_EVENTS, NULL_METRICS
 
 __all__ = ["RetryPolicy", "Retrier"]
 
@@ -56,19 +57,11 @@ class Retrier:
     """Run callables under a :class:`RetryPolicy` against the sim clock."""
 
     def __init__(self, clock, policy: RetryPolicy | None = None,
-                 events=None, metrics=None) -> None:
+                 events=NULL_EVENTS, metrics=NULL_METRICS) -> None:
         self.clock = clock
         self.policy = policy or RetryPolicy()
         self.events = events
         self.metrics = metrics
-
-    def _emit(self, kind: str, **fields) -> None:
-        if self.events is not None and self.events.enabled:
-            self.events.emit(kind, **fields)
-
-    def _count(self, name: str, **labels) -> None:
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.counter(name, **labels).inc()
 
     def call(self, fn: Callable[[], object], key: object,
              deadline=None,
@@ -91,19 +84,21 @@ class Retrier:
                 if not classify(exc):
                     raise
                 if attempt >= policy.max_attempts:
-                    self._emit("retry.exhausted", key=str(key),
-                               attempts=attempt, error=str(exc))
-                    self._count("retry_exhausted_total")
+                    self.events.emit("retry.exhausted", key=str(key),
+                                     attempts=attempt, error=str(exc))
+                    self.metrics.counter("retry_exhausted_total").inc()
                     raise RetryExhaustedError(attempt, exc) from exc
                 backoff = policy.backoff_ms(key, attempt)
                 if deadline is not None \
                         and deadline.remaining_ms() <= backoff:
-                    self._emit("retry.deadline_abort", key=str(key),
-                               attempts=attempt, backoff_ms=backoff)
-                    self._count("retry_exhausted_total")
+                    self.events.emit(
+                        "retry.deadline_abort", key=str(key),
+                        attempts=attempt, backoff_ms=backoff)
+                    self.metrics.counter("retry_exhausted_total").inc()
                     raise RetryExhaustedError(attempt, exc) from exc
-                self._emit("retry.backoff", key=str(key), attempt=attempt,
-                           backoff_ms=backoff, error=str(exc))
-                self._count("retries_total")
+                self.events.emit(
+                    "retry.backoff", key=str(key), attempt=attempt,
+                    backoff_ms=backoff, error=str(exc))
+                self.metrics.counter("retries_total").inc()
                 self.clock.advance(backoff)
                 attempt += 1

@@ -100,7 +100,7 @@ class Telemetry:
     # -- convenience wiring ---------------------------------------------------
 
     def bind_result_cache(self, cache) -> None:
-        """Expose a :class:`~repro.core.runtime.ResultCache`'s stats as
+        """Expose a :class:`~repro.gateway.cache.ResultCache`'s stats as
         callback gauges, so exports always see current values."""
         for stat in ("hits", "misses", "ttl_evictions",
                      "lru_evictions", "entries"):
@@ -141,9 +141,6 @@ class _DisabledTelemetry(Telemetry):
         self.tracer = NULL_TRACER
         self.metrics = NULL_METRICS
         self.events = NULL_EVENTS
-
-    def bind_result_cache(self, cache) -> None:
-        pass
 
 
 _DISABLED = _DisabledTelemetry()

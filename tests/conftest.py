@@ -69,6 +69,12 @@ def designer_account(symphony):
     return symphony.register_designer("Ann")
 
 
+#: What a ``ResultCache.put`` is stamped with: nothing (bare use), or the
+#: generation keys the runtime / gateway pass for a table-plus-web app.
+#: The cache's unit tests run every LRU/TTL/stats behaviour both ways.
+CACHE_STAMPS = ((), ("corpus", "tenant:t1:inventory"))
+
+
 def make_inventory_csv(entities, with_urls: bool = True) -> bytes:
     """Build a game-store CSV over the given entity names."""
     if with_urls:

@@ -434,3 +434,36 @@ class TestPlatformIntegration:
         # Cached results stamped under the old topology are now stale.
         assert symphony.generations.current(TOPOLOGY_KEY) == before + 1
         assert not symphony.generations.valid(stamp)
+
+    def test_cutover_invalidates_runtime_cached_web_results(
+            self, small_web):
+        """Regression: with no gateway in front, the runtime's cached
+        web results used to survive a reshard cutover — the platform's
+        bump subscriber only understood ``tenant:`` keys."""
+        from repro.core.platform import Symphony
+
+        symphony = Symphony(
+            web=small_web, use_authority=False,
+            cluster=ClusterConfig(num_shards=2, replicas_per_shard=1),
+            controlplane=True,
+        )
+        source = symphony.add_web_source("Reviews", "web")
+        account = symphony.register_designer("Ann")
+        session = symphony.designer().new_application(
+            "Reviews", account.tenant.tenant_id)
+        slot = session.drag_source_onto_app(source.source_id)
+        session.add_text(slot, "title")
+        app_id = symphony.host(session)
+        query = symphony.web.entities["video_games"][0]
+
+        first = symphony.query(app_id, query)
+        assert first.views
+        assert symphony.query(app_id, query).trace.cache_hits == 1
+
+        symphony.controlplane.begin_split(0)
+        symphony.controlplane.run()
+
+        after = symphony.query(app_id, query)
+        assert after.trace.cache_hits == 0
+        assert [view.item.url for view in after.views] \
+            == [view.item.url for view in first.views]

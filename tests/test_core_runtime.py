@@ -1,5 +1,8 @@
 """Tests for the query-execution runtime (Fig. 2)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.datasources import (
@@ -27,8 +30,11 @@ from repro.core.runtime import (
     SymphonyRuntime,
 )
 from repro.errors import NotFoundError, ServiceError
+from repro.gateway import GenerationRegistry
 from repro.searchengine.logs import QueryLog
 from repro.util import SimClock
+
+from .conftest import CACHE_STAMPS
 
 
 class StubSource(DataSource):
@@ -270,37 +276,123 @@ class TestCaching:
         assert len(primary.queries) == 2
 
     def test_lru_eviction(self):
-        cache = ResultCache(max_entries=2)
-        cache.put("a", 1, now_ms=0)
-        cache.put("b", 2, now_ms=0)
-        cache.get("a", now_ms=0)   # refresh a
-        cache.put("c", 3, now_ms=0)  # evicts b
-        assert cache.get("b", now_ms=0) is None
-        assert cache.get("a", now_ms=0) == 1
-        assert len(cache) == 2
+        for stamp in CACHE_STAMPS:
+            cache = ResultCache(max_entries=2)
+            cache.put("a", 1, 0, stamp)
+            cache.put("b", 2, 0, stamp)
+            cache.get("a", now_ms=0)   # refresh a
+            cache.put("c", 3, 0, stamp)  # evicts b
+            assert cache.get("b", now_ms=0) is None
+            assert cache.get("a", now_ms=0) == 1
+            assert len(cache) == 2
 
     def test_put_sweeps_expired_entries(self):
         # Expired entries must not linger just because their keys are
         # never re-read: any put prunes them.
-        cache = ResultCache(max_entries=10, ttl_ms=100)
-        cache.put("old-1", 1, now_ms=0)
-        cache.put("old-2", 2, now_ms=0)
-        cache.put("fresh", 3, now_ms=200)
-        assert len(cache) == 1
-        assert cache.get("fresh", now_ms=200) == 3
+        for stamp in CACHE_STAMPS:
+            cache = ResultCache(max_entries=10, ttl_ms=100)
+            cache.put("old-1", 1, 0, stamp)
+            cache.put("old-2", 2, 0, stamp)
+            cache.put("fresh", 3, 200, stamp)
+            assert len(cache) == 1
+            assert cache.get("fresh", now_ms=200) == 3
 
     def test_ttl_sweep_protects_live_entries_from_lru(self):
         # TTL-dead entries are swept *before* the LRU cap is applied,
         # so stale junk can never push a live entry out.
-        cache = ResultCache(max_entries=2, ttl_ms=100)
-        cache.put("dead", 1, now_ms=0)
-        cache.put("live", 2, now_ms=150)
-        cache.put("newer", 3, now_ms=200)
-        # Without the sweep, the cap would have evicted "live" (oldest
-        # by insertion) while the expired "dead" still counted.
-        assert cache.get("live", now_ms=200) == 2
-        assert cache.get("newer", now_ms=200) == 3
-        assert cache.get("dead", now_ms=200) is None
+        for stamp in CACHE_STAMPS:
+            cache = ResultCache(max_entries=2, ttl_ms=100)
+            cache.put("dead", 1, 0, stamp)
+            cache.put("live", 2, 150, stamp)
+            cache.put("newer", 3, 200, stamp)
+            # Without the sweep, the cap would have evicted "live"
+            # (oldest by insertion) while the expired "dead" still
+            # counted.
+            assert cache.get("live", now_ms=200) == 2
+            assert cache.get("newer", now_ms=200) == 3
+            assert cache.get("dead", now_ms=200) is None
+
+    def test_put_does_not_sweep_generation_stale_entries(self):
+        # The put-time sweep is TTL-only: an entry whose generation
+        # moved stays resident until it is read (or the LRU cap
+        # reaches it), so a put never validates the whole cache.
+        registry = GenerationRegistry()
+        cache = ResultCache(max_entries=10, generations=registry)
+        cache.put("stale", 1, 0, ("corpus",))
+        registry.bump("corpus")
+        cache.put("fresh", 2, 0, ("corpus",))
+        assert len(cache) == 2
+        assert cache.get("stale", now_ms=0) is None
+        assert cache.get("fresh", now_ms=0) == 2
+        assert len(cache) == 1
+        assert cache.stats()["stale_invalidations"] == 1
+
+    def test_lru_cap_takes_stale_entries_before_live_ones(self):
+        # A table re-ingested every few seconds must not fill the
+        # cache with dead entries that push live ones out — and the
+        # scan that finds them runs once per bump, not once per put.
+        class CountingRegistry(GenerationRegistry):
+            validations = 0
+
+            def valid(self, stamp):
+                self.validations += 1
+                return super().valid(stamp)
+
+        registry = CountingRegistry()
+        cache = ResultCache(max_entries=3, generations=registry)
+        cache.put("live", 1, 0, ("corpus",))
+        cache.put("stale-1", 2, 0, ("tenant:t1:inventory",))
+        cache.put("stale-2", 3, 0, ("tenant:t1:inventory",))
+        registry.bump("tenant:t1:inventory")
+        cache.put("new", 4, 0, ("corpus",))
+        stats = cache.stats()
+        assert stats["lru_evictions"] == 0
+        assert stats["stale_invalidations"] == 2
+        assert cache.get("live", now_ms=0) == 1
+        # Full of live entries and nothing bumped since: plain LRU.
+        cache.put("newer", 5, 0, ("corpus",))
+        scanned = registry.validations
+        cache.put("newest", 6, 0, ("corpus",))
+        assert registry.validations == scanned
+        assert cache.stats()["lru_evictions"] == 1
+
+    def test_concurrent_put_get_bump_keeps_counts_consistent(self):
+        registry = GenerationRegistry()
+        cache = ResultCache(max_entries=8, generations=registry)
+        rounds, workers = 400, 8
+        errors = []
+
+        def worker(seed):
+            try:
+                for i in range(rounds):
+                    key = (seed + i) % 16
+                    value = cache.get(key, now_ms=i)
+                    assert value is None or value == key
+                    cache.put(key, key, i, ("corpus",))
+                    if i % 50 == 0:
+                        registry.bump("corpus")
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,))
+                       for n in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        stats = cache.stats()
+        # A lost update would drop a get from the hit/miss ledger or
+        # let the cache outgrow its cap.
+        assert stats["hits"] + stats["misses"] == rounds * workers
+        assert len(cache) <= 8
+        assert stats["entries"] == len(cache)
 
 
 class TestLoggingIntegration:

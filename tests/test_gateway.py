@@ -18,7 +18,7 @@ from repro.gateway import (
     DeficitRoundRobinQueue,
     GatewayConfig,
     GenerationRegistry,
-    QueryCache,
+    ResultCache,
     TenantPolicy,
     TokenBucket,
     table_key,
@@ -120,19 +120,12 @@ class TestGenerations:
         assert not registry.valid(stamp)
         assert registry.current(key) == 1
 
-    def test_listeners_fire_on_bump(self):
-        registry = GenerationRegistry()
-        seen = []
-        registry.subscribe(lambda key, gen: seen.append((key, gen)))
-        registry.bump("corpus")
-        registry.bump("corpus")
-        assert seen == [("corpus", 1), ("corpus", 2)]
-
     def test_query_cache_generation_invalidation(self):
         clock = SimClock()
         registry = GenerationRegistry()
-        cache = QueryCache(registry, max_entries=4, ttl_ms=60_000)
-        cache.put("k", "value", ["corpus"], clock.now_ms)
+        cache = ResultCache(max_entries=4, ttl_ms=60_000,
+                            generations=registry)
+        cache.put("k", "value", clock.now_ms, ["corpus"])
         assert cache.get("k", clock.now_ms) == "value"
         registry.bump("corpus")
         assert cache.get("k", clock.now_ms) is None
@@ -141,8 +134,8 @@ class TestGenerations:
     def test_query_cache_ttl(self):
         clock = SimClock()
         registry = GenerationRegistry()
-        cache = QueryCache(registry, ttl_ms=1_000)
-        cache.put("k", "value", [], clock.now_ms)
+        cache = ResultCache(ttl_ms=1_000, generations=registry)
+        cache.put("k", "value", clock.now_ms, ["corpus"])
         clock.advance(1_001)
         assert cache.get("k", clock.now_ms) is None
 
@@ -588,20 +581,10 @@ class TestGatewayTelemetry:
 class TestPrimitivesExtraction:
     def test_runtime_re_exports_primitives(self):
         from repro.core import runtime
-        from repro.gateway import primitives
-        assert runtime.ResultCache is primitives.ResultCache
+        from repro.gateway import cache, primitives
+        assert runtime.ResultCache is cache.ResultCache
         assert runtime.CircuitBreaker is primitives.CircuitBreaker
         assert runtime.RateLimiter is primitives.RateLimiter
-
-    def test_result_cache_invalidate_source(self):
-        from repro.gateway.primitives import ResultCache
-        cache = ResultCache()
-        cache.put(("src-1", "halo", 3, 0), "a", 0)
-        cache.put(("src-1", "myst", 3, 0), "b", 0)
-        cache.put(("src-2", "halo", 3, 0), "c", 0)
-        assert cache.invalidate_source("src-1") == 2
-        assert cache.get(("src-2", "halo", 3, 0), 0) == "c"
-        assert cache.stats()["invalidations"] == 2
 
 
 class TestFederatedSourceInvalidation:
@@ -657,3 +640,65 @@ class TestFederatedSourceInvalidation:
         sym.query_via_gateway(app_id, games[0])
         assert sym.gateway.cache.stats()["stale_invalidations"] == 1
         assert sym.gateway.stats()["dispatched"] == 2
+
+
+class TestGenerationKeyAgreement:
+    """One derivation: for every kind of source, the keys the gateway
+    stamps on a response of an app bound to it, the keys the runtime
+    stamps on its cached result, and the federation descriptor over it
+    are ``source.generation_keys()`` — the same set."""
+
+    @pytest.mark.parametrize("cluster", [None, 2])
+    def test_gateway_runtime_and_federation_agree(
+            self, tiny_web, cluster, monkeypatch):
+        from repro.core.platform import Symphony
+        from repro.federation import SourceBackend
+        from repro.services.samples import PricingService
+
+        sym = Symphony(web=tiny_web, use_authority=False,
+                       cluster=cluster, gateway=True)
+        account = sym.register_designer("Ann")
+        games = sym.web.entities["video_games"][:4]
+        sym.upload_http(account, "inventory.csv",
+                        make_inventory_csv(games), "inventory",
+                        content_type="text/csv")
+        proprietary = sym.add_proprietary_source(
+            account, "inventory", search_fields=("title",))
+        web = sym.add_web_source("Reviews", "web")
+        sym.bus.register(PricingService(seed=2))
+        service = sym.add_service_source(
+            "Pricing", "pricing", "GET /prices/{sku}", "sku",
+            item_fields=("sku", "price"))
+        sym.enable_federation().registry.add(
+            SourceBackend(proprietary, backend_id="inventory"))
+        federated = sym.add_federated_source("Meta")
+
+        table = table_key(account.tenant.tenant_id, "inventory")
+        engine = {"corpus", "cluster-topology"} if cluster \
+            else {"corpus"}
+        expected = {
+            proprietary: {table},
+            web: engine,
+            service: {f"source:{service.source_id}"},
+            federated: engine | {table},
+        }
+
+        runtime_stamps = {}
+        put = sym.runtime.cache.put
+
+        def recording_put(key, value, now_ms, generation_keys=()):
+            runtime_stamps[key[0]] = set(generation_keys)
+            put(key, value, now_ms, generation_keys)
+
+        monkeypatch.setattr(sym.runtime.cache, "put", recording_put)
+        for source, keys in expected.items():
+            session = sym.designer().new_application(
+                source.name, account.tenant.tenant_id)
+            slot = session.drag_source_onto_app(source.source_id)
+            session.add_text(slot, source.fields()[0])
+            app_id = sym.host(session)
+            sym.query(app_id, games[0])
+            assert set(sym.gateway._generation_keys(app_id)) == keys
+            assert runtime_stamps[source.source_id] == keys
+            assert set(SourceBackend(source).descriptor
+                       .generation_keys) == keys

@@ -24,6 +24,8 @@ from repro.services.ads import AdService
 from repro.storage.records import RecordTable, infer_schema
 from repro.util import deterministic_rng
 
+from .conftest import CACHE_STAMPS
+
 # -- strategies ----------------------------------------------------------------
 
 _WORDS = ["halo", "zelda", "game", "review", "wine", "travel", "combat",
@@ -214,18 +216,19 @@ class TestCacheProperties:
     @given(st.lists(
         st.tuples(st.sampled_from("abcdef"), st.integers(0, 100)),
         min_size=1, max_size=40,
-    ), st.integers(1, 5))
-    def test_lru_never_exceeds_capacity(self, operations, capacity):
+    ), st.integers(1, 5), st.sampled_from(CACHE_STAMPS))
+    def test_lru_never_exceeds_capacity(self, operations, capacity,
+                                        stamp):
         cache = ResultCache(max_entries=capacity, ttl_ms=10_000)
         for key, now in operations:
-            cache.put(key, key.upper(), now_ms=now)
+            cache.put(key, key.upper(), now, stamp)
             assert len(cache) <= capacity
 
     @given(st.sampled_from("abc"), st.integers(0, 100),
-           st.integers(1, 200))
-    def test_ttl_monotone(self, key, stored_at, age):
+           st.integers(1, 200), st.sampled_from(CACHE_STAMPS))
+    def test_ttl_monotone(self, key, stored_at, age, stamp):
         cache = ResultCache(ttl_ms=100)
-        cache.put(key, "value", now_ms=stored_at)
+        cache.put(key, "value", stored_at, stamp)
         result = cache.get(key, now_ms=stored_at + age)
         if age <= 100:
             assert result == "value"

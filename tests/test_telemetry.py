@@ -39,7 +39,7 @@ from repro.telemetry import (
 )
 from repro.util import SimClock
 
-from tests.conftest import make_inventory_csv
+from tests.conftest import CACHE_STAMPS, make_inventory_csv
 
 
 # -- helpers ------------------------------------------------------------------
@@ -437,20 +437,23 @@ class TestPipelineTelemetry:
 
 class TestInstrumentWiring:
     def test_result_cache_stats(self):
-        cache = ResultCache(max_entries=2, ttl_ms=100)
-        assert cache.get("a", now_ms=0) is None           # miss
-        cache.put("a", "va", now_ms=0)
-        assert cache.get("a", now_ms=10) == "va"          # hit
-        assert cache.get("a", now_ms=200) is None         # ttl eviction
-        cache.put("b", "vb", now_ms=300)
-        cache.put("c", "vc", now_ms=300)
-        cache.put("d", "vd", now_ms=300)                  # lru eviction
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2
-        assert stats["ttl_evictions"] == 1
-        assert stats["lru_evictions"] == 1
-        assert stats["entries"] == 2
+        for stamp in CACHE_STAMPS:
+            cache = ResultCache(max_entries=2, ttl_ms=100)
+            assert cache.get("a", now_ms=0) is None         # miss
+            cache.put("a", "va", 0, stamp)
+            assert cache.get("a", now_ms=10) == "va"        # hit
+            assert cache.get("a", now_ms=200) is None       # ttl eviction
+            cache.put("b", "vb", 300, stamp)
+            cache.put("c", "vc", 300, stamp)
+            cache.put("d", "vd", 300, stamp)                # lru eviction
+            stats = cache.stats()
+            assert stats["hits"] == 1
+            assert stats["misses"] == 2
+            assert stats["hit_ratio"] == pytest.approx(1 / 3)
+            assert stats["stale_invalidations"] == 0
+            assert stats["ttl_evictions"] == 1
+            assert stats["lru_evictions"] == 1
+            assert stats["entries"] == 2
 
     def test_circuit_breaker_emits_state_transitions(self):
         clock = SimClock()
