@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
+from repro.gateway.generations import CORPUS_KEY, TOPOLOGY_KEY
 from repro.searchengine.engine import (
     SearchOptions,
     SearchResponse,
@@ -75,7 +76,6 @@ class ClusterConfig:
 class ClusterSearchResponse(SearchResponse):
     """A :class:`SearchResponse` plus cluster health annotations."""
 
-    degraded: bool = False
     shards_total: int = 0
     shards_ok: int = 0
     failed_shards: tuple = ()
@@ -392,9 +392,10 @@ class ClusteredSearchEngine:
                 return runner(fn)
         return task
 
-    #: The runtime checks this before passing ``deadline=`` — the
-    #: single-node :class:`SearchEngine` keeps its original signature.
-    accepts_deadline = True
+    def generation_keys(self) -> tuple:
+        """The corpus plus the shard layout: a reshard cutover changes
+        what every shard holds."""
+        return (CORPUS_KEY, TOPOLOGY_KEY)
 
     def search(self, vertical, query_text: str,
                options: SearchOptions | None = None,

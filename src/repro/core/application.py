@@ -14,7 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.errors import ConfigurationError, ValidationError
+from repro.errors import (
+    ConfigurationError,
+    NotFoundError,
+    ValidationError,
+)
 
 __all__ = [
     "SourceRole",
@@ -171,6 +175,34 @@ class SourceBinding:
                 "drive_fields"
             )
 
+    def derive_query(self, item, with_suffix: bool = True) -> str:
+        """Build this supplemental binding's query from the drive
+        fields of one parent-slot ``item``; "" when they are all empty."""
+        parts = []
+        raw_values = []
+        for field_name in self.drive_fields:
+            value = item.get(field_name)
+            if value:
+                raw_values.append(value)
+                parts.append(f'"{value}"' if " " in value else value)
+        if not parts:
+            return ""
+        if self.query_strategy:
+            # Lazy import: bindings without a strategy (the default)
+            # never pay for loading the federation lab.
+            from repro.federation.querygen import get_generator
+            suffix_terms = tuple(self.query_suffix.split()) \
+                if with_suffix and self.query_suffix else ()
+            return get_generator(self.query_strategy).generate(
+                " ".join(raw_values),
+                context={"entity": raw_values[0],
+                         "context_terms": suffix_terms},
+            )
+        query = " ".join(parts)
+        if with_suffix and self.query_suffix:
+            query = f"{query} {self.query_suffix}"
+        return query
+
     def to_dict(self) -> dict:
         return {
             "binding_id": self.binding_id,
@@ -226,6 +258,12 @@ class ApplicationDefinition:
     def all_slots(self):
         for slot in self.slots:
             yield from slot.walk()
+
+    def slot(self, binding_id: str) -> SourceSlot:
+        for candidate in self.all_slots():
+            if candidate.binding_id == binding_id:
+                return candidate
+        raise NotFoundError(f"no slot for binding {binding_id!r}")
 
     def validate(self) -> None:
         """Structural validation; raises :class:`ConfigurationError`."""

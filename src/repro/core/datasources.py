@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.errors import ConfigurationError, DuplicateError, NotFoundError
-from repro.gateway.generations import engine_keys, table_key
+from repro.gateway.generations import table_key
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.engine import SearchOptions
@@ -301,7 +301,7 @@ class WebSearchSource(DataSource):
         return ["title", "url", "snippet", "site"]
 
     def generation_keys(self) -> tuple:
-        return engine_keys(self._engine)
+        return self._engine.generation_keys()
 
     def export_config(self) -> dict:
         return {
@@ -322,16 +322,11 @@ class WebSearchSource(DataSource):
             augment_terms=self.augment_terms,
             freshness_days=self.freshness_days,
         )
-        engine_kwargs = {}
-        deadline = query.context.get("deadline")
-        if deadline is not None and getattr(self._engine,
-                                            "accepts_deadline", False):
-            engine_kwargs["deadline"] = deadline
         response = self._engine.search(
             self.vertical, query.text, options,
             app_id=query.context.get("app_id"),
             session_id=query.context.get("session_id"),
-            **engine_kwargs,
+            deadline=query.context.get("deadline"),
         )
         items = tuple(
             SourceItem(
@@ -346,8 +341,7 @@ class WebSearchSource(DataSource):
         )
         return SourceResult(
             self.source_id, items, response.total_matches,
-            response.elapsed_ms,
-            degraded=getattr(response, "degraded", False),
+            response.elapsed_ms, degraded=response.degraded,
         )
 
 

@@ -163,8 +163,7 @@ class Symphony:
         self.catalog = StorageCatalog(ids=self.ids)
         self.bus = ServiceBus(clock=self.clock)
         self.ads = AdService(ids=self.ids)
-        if self.telemetry.enabled:
-            self.ads.attach_telemetry(self.telemetry)
+        self.ads.attach_telemetry(self.telemetry)
         self.bus.register(self.ads)
         self.themes = ThemeRegistry()
         self.sources = SourceRegistry()
@@ -204,10 +203,8 @@ class Symphony:
         self.refresh = RefreshScheduler(
             self.clock,
             generations=self.generations,
-            telemetry=(self.telemetry if self.telemetry.enabled
-                       else None),
-            contracts=(self.contracts if self.contracts.enabled
-                       else None),
+            telemetry=self.telemetry,
+            contracts=self.contracts,
         )
         # Opt-in serving gateway: pass a GatewayConfig or True for the
         # defaults — admission control, weighted fair queueing, request
@@ -230,8 +227,7 @@ class Symphony:
                     self.resilience.deadline_ms
                     if self.resilience is not None else 0.0
                 ),
-                contracts=(self.contracts if self.contracts.enabled
-                           else None),
+                contracts=self.contracts,
             )
         # Opt-in control plane: online resharding and telemetry-driven
         # autoscaling over a clustered engine. Pass True for default
@@ -260,7 +256,7 @@ class Symphony:
             self.autoscaler = Autoscaler(
                 self.engine, self.controlplane,
                 telemetry=self.telemetry, policy=policy,
-                slo=(self.slo if self.slo.enabled else None),
+                slo=self.slo,
             )
         # Opt-in durability: per-shard write-ahead log, checkpoints, and
         # crash/recovery for the clustered engine. Pass True for the
@@ -365,10 +361,9 @@ class Symphony:
     def _ingestor(self, tenant: Tenant) -> DatasetIngestor:
         return DatasetIngestor(
             tenant,
-            telemetry=self.telemetry if self.telemetry.enabled else None,
+            telemetry=self.telemetry,
             generations=self.generations,
-            contracts=(self.contracts if self.contracts.enabled
-                       else None),
+            contracts=self.contracts,
         )
 
     def upload_http(self, account: DesignerAccount, filename: str,
@@ -475,13 +470,12 @@ class Symphony:
                     entry.violations, now, source="replay",
                 )
             raise
-        if self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "contract.replay", tenant=tenant.tenant_id,
-                table=table_name, replayed=len(rows),
-                loaded=report.inserted + report.updated,
-                requarantined=report.quarantined,
-            )
+        self.telemetry.events.emit(
+            "contract.replay", tenant=tenant.tenant_id,
+            table=table_name, replayed=len(rows),
+            loaded=report.inserted + report.updated,
+            requarantined=report.quarantined,
+        )
         return report
 
     # -- data sources (§II-A Built-in Services / Data Integration) ----------------

@@ -4,13 +4,16 @@ A customer query arrives from the embedded JavaScript shim, is processed by
 the primary content source(s) (optionally rewritten using customer data),
 fans out to supplemental sources driven by fields of each primary result,
 merges with ads, renders to HTML per the configured layout, and returns to
-the shim for injection into the host page. Every stage is timed into a
-:class:`PipelineTrace`, supplemental failures are isolated into warnings,
-and a per-(source, query) cache with TTL flattens repeat-query cost.
+the shim for injection into the host page. That sequence is an ordered
+tuple of stage methods, each handed the query's one :class:`QueryContext`.
+Every stage is timed into a :class:`PipelineTrace`, supplemental failures
+are isolated into warnings, and a per-(source, query) cache with TTL
+flattens repeat-query cost.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dataclass_replace
 
 from repro.core.application import SourceRole
@@ -42,6 +45,7 @@ __all__ = [
     "PipelineTrace",
     "PrimaryResultView",
     "ApplicationResponse",
+    "QueryContext",
     "ResultCache",
     "CircuitBreaker",
     "RateLimiter",
@@ -174,6 +178,28 @@ class ApplicationResponse:
     degraded: bool = False
 
 
+@dataclass
+class QueryContext:
+    """The one record every stage of a query takes, created once by
+    :meth:`SymphonyRuntime.handle_query`: first the query's constraints
+    (on the gateway path ``deadline`` and ``queue_wait_ms`` are the
+    gateway's own, never re-derived), then what earlier stages leave
+    for later ones."""
+
+    request: QueryRequest
+    deadline: Deadline | None
+    queue_wait_ms: float
+    started_ms: int
+    trace: PipelineTrace = field(default_factory=PipelineTrace)
+    app: object = None           # resolved by the receive stage
+    query_text: str = ""         # the primary query, after customer rewrite
+    now_ms: int = 0              # ``now_ms`` of the source-facing context
+    views: list = field(default_factory=list)
+    ads: tuple = ()
+    html: str = ""
+    response: ApplicationResponse | None = None
+
+
 class ApplicationRegistry:
     """Hosted applications by id (the paper's Hosting capability).
 
@@ -252,10 +278,27 @@ class SymphonyRuntime:
                  telemetry: Telemetry | None = None,
                  resilience=None,
                  slo=None) -> None:
-        if supplemental_mode not in ("per_result", "batched"):
+        # DESIGN.md §6 ablation: derive one focused query per primary
+        # result (the paper's flow) vs one disjunctive query per
+        # supplemental binding, fanned back out to the results.
+        supplemental = {"per_result": self._supplemental_per_result,
+                        "batched": self._supplemental_batched}
+        if supplemental_mode not in supplemental:
             raise ValueError(
                 f"unknown supplemental mode {supplemental_mode!r}"
             )
+        self.supplemental_mode = supplemental_mode
+        #: Fig. 2 as data: every query runs these in order, each taking
+        #: the query's :class:`QueryContext`.
+        self._stages = (
+            self._receive,
+            self._customer_rewrite,
+            self._primary,
+            supplemental[supplemental_mode],
+            self._ads,
+            self._merge_render,
+            self._respond,
+        )
         self._registry = registry
         self._apps = apps
         self._renderer = renderer or HtmlRenderer()
@@ -272,10 +315,6 @@ class SymphonyRuntime:
         self.cache = cache if cache is not None else ResultCache()
         self.cache_enabled = cache_enabled
         self.telemetry.bind_result_cache(self.cache)
-        # DESIGN.md §6 ablation: derive one focused query per primary
-        # result (the paper's flow) vs one disjunctive query per
-        # supplemental binding, fanned back out to the results.
-        self.supplemental_mode = supplemental_mode
         self.rate_limiter = rate_limiter
         self.circuit_breaker = circuit_breaker or CircuitBreaker(
             self.clock, events=self.telemetry.events,
@@ -295,54 +334,30 @@ class SymphonyRuntime:
 
     # -- entry point ----------------------------------------------------------
 
-    def handle_query(self, request: QueryRequest) -> ApplicationResponse:
-        slo = self._slo
-        queue_wait_ms = 0.0
-        started_ms = 0
-        trace_id = ""
-        if slo.enabled:
-            # On the gateway path the query span nests under the
-            # gateway span, whose queue wait happened *before* it
-            # opened — fold it into the tenant-visible latency.
-            parent = self._tracer.current()
-            if parent is not None \
-                    and getattr(parent, "name", "") == "gateway":
-                queue_wait_ms = float(
-                    parent.attrs.get("queue_wait_ms", 0.0))
-            started_ms = self.clock.now_ms
+    def handle_query(self, request: QueryRequest, *, deadline=None,
+                     queue_wait_ms: float = 0.0) -> ApplicationResponse:
+        """Run ``request`` through the Fig. 2 stages. The keywords are
+        the gateway's hand-off: the ``deadline`` it minted at submit
+        (else the runtime mints its own here) and the queue wait it
+        measured, which counts toward the latency the SLO layer judges."""
+        ctx = QueryContext(request,
+                           deadline or self._make_deadline(request),
+                           queue_wait_ms, self.clock.now_ms)
         try:
             with self._tracer.span("query") as root:
                 if root:
                     root.set("app_id", request.app_id)
                     root.set("query", request.query_text)
-                    trace_id = root.trace_id
-                response = self._handle_query_traced(request,
-                                                     root or None)
+                    ctx.trace.span = root
+                for stage in self._stages:
+                    stage(ctx)
         except ReproError:
             # The query path raised (quota, unknown app, ...): still an
             # observed outcome for the tenant's availability budget.
-            if slo.enabled:
-                slo.observe(
-                    tenant=request.app_id,
-                    latency_ms=(self.clock.now_ms - started_ms
-                                + queue_wait_ms),
-                    degraded=True, errored=True, completeness=0.0,
-                    trace_id=trace_id, start_ms=started_ms,
-                    end_ms=self.clock.now_ms,
-                )
+            self._observe(ctx)
             raise
-        if slo.enabled:
-            slo.observe(
-                tenant=request.app_id,
-                latency_ms=(self.clock.now_ms - started_ms
-                            + queue_wait_ms),
-                degraded=response.degraded,
-                errored=False,
-                completeness=response.trace.completeness(),
-                trace_id=trace_id,
-                start_ms=started_ms,
-                end_ms=self.clock.now_ms,
-            )
+        self._observe(ctx)
+        response = ctx.response
         if self._metrics.enabled:
             self._metrics.counter("queries_total").inc()
             for stage in response.trace.stages:
@@ -362,6 +377,24 @@ class SymphonyRuntime:
                 ).inc()
         return response
 
+    def _observe(self, ctx: QueryContext) -> None:
+        """Report the finished query — or, with no response, the failed
+        one — to the SLO layer."""
+        if not self._slo.enabled:
+            return
+        response, now_ms = ctx.response, self.clock.now_ms
+        self._slo.observe(
+            tenant=ctx.request.app_id,
+            latency_ms=now_ms - ctx.started_ms + ctx.queue_wait_ms,
+            degraded=response is None or response.degraded,
+            errored=response is None,
+            completeness=(response.trace.completeness()
+                          if response is not None else 0.0),
+            trace_id=ctx.trace.span.trace_id if ctx.trace.span else "",
+            start_ms=ctx.started_ms,
+            end_ms=now_ms,
+        )
+
     def _make_deadline(self, request: QueryRequest) -> Deadline | None:
         """The per-query budget: request override, else configured
         default, else none (deadlines are opt-in)."""
@@ -372,10 +405,11 @@ class SymphonyRuntime:
             return None
         return Deadline(self.clock, budget)
 
-    def _note_deadline(self, trace, deadline, detail: str) -> None:
+    def _note_deadline(self, ctx: QueryContext, detail: str) -> None:
         """Surface a deadline-driven degradation exactly once per event
         source: warning + degraded flag always, telemetry event and
         counter only for the first note of this query."""
+        trace, deadline = ctx.trace, ctx.deadline
         trace.degraded = True
         trace.warnings.append(
             f"deadline exceeded "
@@ -390,187 +424,122 @@ class SymphonyRuntime:
             )
             self._metrics.counter("deadline_exceeded_total").inc()
 
-    def _handle_query_traced(self, request: QueryRequest,
-                             root) -> ApplicationResponse:
-        trace = PipelineTrace(span=root)
-        app = self._apps.get(request.app_id)
-        if self.rate_limiter is not None:
-            self.rate_limiter.check(app.app_id)
-        deadline = self._make_deadline(request)
-        if root and deadline is not None:
-            root.set("deadline_budget_ms", deadline.budget_ms)
-
-        # Stage: JS shim forwards the query to Symphony.
-        with self._tracer.span("stage:receive"):
-            self.clock.advance(self._SHIM_FORWARD_MS)
-        trace.add_stage("receive", self._SHIM_FORWARD_MS,
-                        f"query {request.query_text!r} from "
-                        f"app {app.app_id}")
-
-        query_text = self._rewrite_with_customer_data(
-            app, request, trace
-        )
-
-        views, ads = self._execute_sources(app, request, query_text,
-                                           trace, deadline)
-
-        # Stage: merge + format to HTML.
+    @contextmanager
+    def _stage(self, ctx: QueryContext, name: str):
+        """The bookkeeping every stage shares: a ``stage:<name>`` span
+        around the body and, once it closes, a :class:`StageTiming` row
+        for the simulated time the body charged. The body calls the
+        yielded ``note`` with that row's detail and the span's attrs."""
         start_ms = self.clock.now_ms
-        with self._tracer.span("stage:merge+render") as sp:
-            html = self._renderer.render_app(app, views, ads)
-            self.clock.advance(1.0 + 0.02 * len(html) / 100.0)
-            if sp:
-                sp.set("views", len(views))
-                sp.set("ads", len(ads))
-                sp.set("bytes", len(html))
-        trace.add_stage(
-            "merge+render", self.clock.now_ms - start_ms,
-            f"{len(views)} primary views, {len(ads)} ads, "
-            f"{len(html)} bytes",
-        )
+        detail = []
+        with self._tracer.span(f"stage:{name}") as span:
+            def note(text: str, **attrs) -> None:
+                detail.append(text)
+                for key, value in attrs.items():
+                    span.set(key, value)
+            yield note
+        ctx.trace.add_stage(name, self.clock.now_ms - start_ms, *detail)
 
-        # Stage: respond to the shim, which injects into the page.
-        with self._tracer.span("stage:respond"):
-            self.clock.advance(self._RESPOND_MS)
-        trace.add_stage("respond", self._RESPOND_MS, "HTML to JS shim")
-
-        if self._log is not None:
-            self._log.log_query(QueryEvent(
-                timestamp_ms=self.clock.now_ms,
-                query=request.query_text,
-                vertical="app",
-                app_id=app.app_id,
-                session_id=request.session_id or None,
-                result_urls=tuple(
-                    view.item.url for view in views if view.item.url
-                ),
-            ))
-        if (deadline is not None and deadline.expired
-                and not deadline.reported):
-            # The budget ran out after the last source call (e.g. during
-            # render) — still surface the overrun in the metadata.
-            self._note_deadline(trace, deadline, "query overran budget")
-        if root and trace.degraded:
-            root.set("degraded", True)
-        return ApplicationResponse(
-            app_id=app.app_id,
-            query_text=request.query_text,
-            html=html,
-            views=tuple(views),
-            ads=tuple(ads),
-            trace=trace,
-            degraded=trace.degraded,
-        )
+    def _source_context(self, ctx: QueryContext, search_fields=()) -> dict:
+        """The ``SourceQuery.context`` of one source call."""
+        context = {
+            "app_id": ctx.app.app_id,
+            "session_id": ctx.request.session_id,
+            "now_ms": ctx.now_ms,
+        }
+        if ctx.deadline is not None:
+            # Sources pick this up from the query context and propagate
+            # it into scatter-gather / bus / auction calls.
+            context["deadline"] = ctx.deadline
+        if search_fields:
+            context["search_fields"] = list(search_fields)
+        return context
 
     # -- stages -----------------------------------------------------------------
 
-    def _rewrite_with_customer_data(self, app, request,
-                                    trace) -> str:
+    def _receive(self, ctx: QueryContext) -> None:
+        """The JS shim forwards the query to Symphony."""
+        request = ctx.request
+        ctx.app = app = self._apps.get(request.app_id)
+        ctx.query_text = request.query_text
+        if self.rate_limiter is not None:
+            self.rate_limiter.check(app.app_id)
+        if ctx.trace.span and ctx.deadline is not None:
+            # What is left now: gateway queueing is already charged.
+            ctx.trace.span.set("deadline_budget_ms",
+                               ctx.deadline.remaining_ms())
+        with self._stage(ctx, "receive") as note:
+            self.clock.advance(self._SHIM_FORWARD_MS)
+            note(f"query {request.query_text!r} from app {app.app_id}")
+
+    def _customer_rewrite(self, ctx: QueryContext) -> None:
+        """Customer data alters the primary query, when attached."""
+        bindings = ctx.app.bindings_by_role(SourceRole.CUSTOMER)
+        if not bindings:
+            return
+        request = ctx.request
         query_text = request.query_text
-        customer_bindings = app.bindings_by_role(SourceRole.CUSTOMER)
-        if not customer_bindings:
-            return query_text
-        start = self.clock.now_ms
-        with self._tracer.span("stage:customer-rewrite") as sp:
-            for binding in customer_bindings:
+        with self._stage(ctx, "customer-rewrite") as note:
+            for binding in bindings:
                 source = self._registry.get(binding.source_id)
                 if isinstance(source, CustomerProfileSource):
                     query_text = source.rewrite(
                         query_text, request.customer_id or None
                     )
             self.clock.advance(0.5)
-            if sp:
-                sp.set("rewritten", query_text != request.query_text)
-        trace.add_stage(
-            "customer-rewrite", self.clock.now_ms - start,
-            (f"rewritten to {query_text!r}"
-             if query_text != request.query_text else "no profile match"),
-        )
-        return query_text
+            rewritten = query_text != request.query_text
+            note(f"rewritten to {query_text!r}" if rewritten
+                 else "no profile match", rewritten=rewritten)
+        ctx.query_text = query_text
 
-    def _execute_sources(self, app, request, query_text, trace,
-                         deadline=None):
-        views: list[PrimaryResultView] = []
-        ads: tuple = ()
-        context = {
-            "app_id": app.app_id,
-            "session_id": request.session_id,
-            "now_ms": self.clock.now_ms,
-        }
-        if deadline is not None:
-            # Sources pick this up from the query context and propagate
-            # it into scatter-gather / bus / auction calls.
-            context["deadline"] = deadline
-
-        # Stage: primary content sources.
-        primary_start = self.clock.now_ms
-        primary_count = 0
-        page = max(0, request.page)
-        with self._tracer.span("stage:primary") as stage_span:
+    def _primary(self, ctx: QueryContext) -> None:
+        """Primary content sources, one per top-level slot."""
+        app = ctx.app
+        page = max(0, ctx.request.page)
+        ctx.now_ms = self.clock.now_ms
+        with self._stage(ctx, "primary") as note:
             for slot in app.slots:
                 binding = app.binding(slot.binding_id)
-                if binding.role == SourceRole.PRIMARY:
-                    result = self._query_source(
-                        binding, query_text, context, trace,
-                        search_fields=binding.search_fields,
-                        offset=page * binding.max_results,
+                if binding.role != SourceRole.PRIMARY:
+                    continue
+                items = list(self._query_source(
+                    ctx, binding, ctx.query_text,
+                    search_fields=binding.search_fields,
+                    offset=page * binding.max_results,
+                ).items)
+                if self.community_feedback is not None:
+                    items = self.community_feedback.rerank(
+                        app.app_id, items
                     )
-                    items = list(result.items)
-                    if self.community_feedback is not None:
-                        items = self.community_feedback.rerank(
-                            app.app_id, items
-                        )
-                    primary_count += len(items)
-                    for item in items:
-                        views.append(PrimaryResultView(
-                            slot_binding_id=slot.binding_id,
-                            item=item,
-                            supplemental={},
-                        ))
-            if stage_span:
-                stage_span.set("items", primary_count)
-        trace.add_stage(
-            "primary", self.clock.now_ms - primary_start,
-            f"{primary_count} items",
-        )
-
-        # Stage: supplemental fan-out, driven by primary-result fields.
-        supplemental_start = self.clock.now_ms
-        if self.supplemental_mode == "batched":
-            with self._tracer.span("stage:supplemental") as stage_span:
-                views, supplemental_queries = self._supplemental_batched(
-                    app, views, context, trace
+                ctx.views.extend(
+                    PrimaryResultView(slot.binding_id, item, {})
+                    for item in items
                 )
-                if stage_span:
-                    stage_span.set("mode", "batched")
-                    stage_span.set("queries", supplemental_queries)
-            trace.add_stage(
-                "supplemental", self.clock.now_ms - supplemental_start,
-                f"{supplemental_queries} batched queries",
-            )
-            return self._finish_sources(app, request, views, trace,
-                                        deadline)
-        supplemental_queries = 0
-        enriched: list[PrimaryResultView] = []
-        with self._tracer.span("stage:supplemental") as stage_span:
+            note(f"{len(ctx.views)} items", items=len(ctx.views))
+
+    def _supplemental_per_result(self, ctx: QueryContext) -> None:
+        """Supplemental fan-out driven by primary-result fields: one
+        focused query per (primary result, supplemental binding)."""
+        app, deadline, views = ctx.app, ctx.deadline, ctx.views
+        queries = 0
+        with self._stage(ctx, "supplemental") as note:
             for view_index, view in enumerate(views):
                 if deadline is not None and deadline.expired:
                     # Out of budget: ship the remaining primary results
                     # unenriched instead of fanning out further.
                     self._note_deadline(
-                        trace, deadline,
+                        ctx,
                         f"supplemental fan-out stopped, "
                         f"{len(views) - view_index} views unenriched",
                     )
-                    enriched.extend(views[view_index:])
                     break
-                slot = self._slot_by_binding(app, view.slot_binding_id)
-                supplemental: dict[str, SourceResult] = {}
+                slot = app.slot(view.slot_binding_id)
+                supplemental = view.supplemental
                 for child in slot.children:
                     child_binding = app.binding(child.binding_id)
-                    derived = self._derive_query(child_binding, view.item)
+                    derived = child_binding.derive_query(view.item)
                     if not derived:
-                        trace.warnings.append(
+                        ctx.trace.warnings.append(
                             f"binding {child.binding_id}: drive fields "
                             f"{child_binding.drive_fields} empty on item "
                             f"{view.item.item_id!r}"
@@ -578,71 +547,22 @@ class SymphonyRuntime:
                         supplemental[child.binding_id] = \
                             SourceResult.empty(child_binding.source_id)
                         continue
-                    supplemental_queries += 1
-                    result = self._query_source(
-                        child_binding, derived, context, trace,
-                    )
+                    queries += 1
+                    result = self._query_source(ctx, child_binding,
+                                                derived)
                     if not result.items and child_binding.query_suffix:
                         # Focused query too narrow: retry on drive
                         # values only.
-                        relaxed = self._derive_query(
-                            child_binding, view.item, with_suffix=False
-                        )
-                        supplemental_queries += 1
-                        result = self._query_source(
-                            child_binding, relaxed, context, trace,
-                        )
+                        relaxed = child_binding.derive_query(
+                            view.item, with_suffix=False)
+                        queries += 1
+                        result = self._query_source(ctx, child_binding,
+                                                    relaxed)
                     supplemental[child.binding_id] = result
-                enriched.append(PrimaryResultView(
-                    slot_binding_id=view.slot_binding_id,
-                    item=view.item,
-                    supplemental=supplemental,
-                ))
-            if stage_span:
-                stage_span.set("mode", "per_result")
-                stage_span.set("queries", supplemental_queries)
-        views = enriched
-        trace.add_stage(
-            "supplemental", self.clock.now_ms - supplemental_start,
-            f"{supplemental_queries} focused queries",
-        )
-        return self._finish_sources(app, request, views, trace, deadline)
+            note(f"{queries} focused queries", mode="per_result",
+                 queries=queries)
 
-    def _finish_sources(self, app, request, views, trace, deadline=None):
-        """The ads stage (only when the designer opted in — monetization
-        is voluntary, per Table I)."""
-        context = {
-            "app_id": app.app_id,
-            "session_id": request.session_id,
-            "now_ms": self.clock.now_ms,
-        }
-        if deadline is not None:
-            context["deadline"] = deadline
-        ads_start = self.clock.now_ms
-        ad_bindings = app.bindings_by_role(SourceRole.ADS)
-        ad_items: list = []
-        if ad_bindings:
-            if deadline is not None and deadline.expired:
-                # Ads are best-effort: an overrun query ships its
-                # organic results without waiting on monetization.
-                self._note_deadline(trace, deadline, "ads stage skipped")
-                return views, ()
-            with self._tracer.span("stage:ads") as stage_span:
-                for binding in ad_bindings:
-                    result = self._query_source(
-                        binding, request.query_text, context, trace,
-                        cacheable=False,
-                    )
-                    ad_items.extend(result.items)
-                if stage_span:
-                    stage_span.set("ads", len(ad_items))
-            trace.add_stage(
-                "ads", self.clock.now_ms - ads_start,
-                f"{len(ad_items)} ads",
-            )
-        return views, tuple(ad_items)
-
-    def _supplemental_batched(self, app, views, context, trace):
+    def _supplemental_batched(self, ctx: QueryContext) -> None:
         """One disjunctive query per supplemental binding.
 
         Saves queries when many primary results share a supplemental
@@ -650,72 +570,131 @@ class SymphonyRuntime:
         misattribute results — exactly the trade-off the ablation
         measures.
         """
+        app, deadline, views = ctx.app, ctx.deadline, ctx.views
         derived_by_view: dict[int, dict[str, str]] = {}
         batch: dict[str, list[tuple[int, str]]] = {}
-        for i, view in enumerate(views):
-            slot = self._slot_by_binding(app, view.slot_binding_id)
-            derived_by_view[i] = {}
-            for child in slot.children:
-                child_binding = app.binding(child.binding_id)
-                derived = self._derive_query(child_binding, view.item,
-                                             with_suffix=False)
-                if not derived:
-                    continue
-                derived_by_view[i][child.binding_id] = derived
-                batch.setdefault(child.binding_id, []).append(
-                    (i, derived)
-                )
-
-        deadline = context.get("deadline")
-        queries_issued = 0
         results_by_binding: dict[str, object] = {}
-        for binding_id, pairs in batch.items():
-            if deadline is not None and deadline.expired:
-                # Remaining bindings fan back out as empty results.
-                self._note_deadline(
-                    trace, deadline,
-                    f"batched supplemental stopped, "
-                    f"{len(batch) - len(results_by_binding)} bindings "
-                    f"unqueried",
-                )
-                break
-            child_binding = app.binding(binding_id)
-            unique_terms = list(dict.fromkeys(q for __, q in pairs))
-            disjunction = " OR ".join(f"({q})" for q in unique_terms)
-            if child_binding.query_suffix:
-                disjunction = (f"({disjunction}) "
-                               f"{child_binding.query_suffix}")
-            big_binding_count = child_binding.max_results * max(
-                1, len(unique_terms)
-            )
-            request_binding = dataclass_replace(
-                child_binding, max_results=big_binding_count
-            )
-            queries_issued += 1
-            results_by_binding[binding_id] = self._query_source(
-                request_binding, disjunction, context, trace,
-            )
+        with self._stage(ctx, "supplemental") as note:
+            for i, view in enumerate(views):
+                slot = app.slot(view.slot_binding_id)
+                derived_by_view[i] = {}
+                for child in slot.children:
+                    child_binding = app.binding(child.binding_id)
+                    derived = child_binding.derive_query(
+                        view.item, with_suffix=False)
+                    if not derived:
+                        continue
+                    derived_by_view[i][child.binding_id] = derived
+                    batch.setdefault(child.binding_id, []).append(
+                        (i, derived)
+                    )
 
-        enriched = []
-        for i, view in enumerate(views):
-            supplemental: dict[str, SourceResult] = {}
-            for binding_id, derived in derived_by_view[i].items():
+            for binding_id, pairs in batch.items():
+                if deadline is not None and deadline.expired:
+                    # Remaining bindings fan back out as empty results.
+                    self._note_deadline(
+                        ctx,
+                        f"batched supplemental stopped, "
+                        f"{len(batch) - len(results_by_binding)} "
+                        f"bindings unqueried",
+                    )
+                    break
                 child_binding = app.binding(binding_id)
-                pooled = results_by_binding.get(binding_id)
-                assigned = self._assign_batched(
-                    pooled, derived, child_binding.max_results
-                ) if pooled is not None else ()
-                supplemental[binding_id] = SourceResult(
-                    source_id=child_binding.source_id,
-                    items=tuple(assigned),
-                    total_matches=len(assigned),
+                unique_terms = list(dict.fromkeys(q for __, q in pairs))
+                disjunction = " OR ".join(f"({q})" for q in unique_terms)
+                if child_binding.query_suffix:
+                    disjunction = (f"({disjunction}) "
+                                   f"{child_binding.query_suffix}")
+                big_binding_count = child_binding.max_results * max(
+                    1, len(unique_terms)
                 )
-            enriched.append(PrimaryResultView(
-                slot_binding_id=view.slot_binding_id,
-                item=view.item,
-                supplemental=supplemental,
+                request_binding = dataclass_replace(
+                    child_binding, max_results=big_binding_count
+                )
+                results_by_binding[binding_id] = self._query_source(
+                    ctx, request_binding, disjunction,
+                )
+
+            for i, view in enumerate(views):
+                for binding_id, derived in derived_by_view[i].items():
+                    child_binding = app.binding(binding_id)
+                    pooled = results_by_binding.get(binding_id)
+                    assigned = self._assign_batched(
+                        pooled, derived, child_binding.max_results
+                    ) if pooled is not None else ()
+                    view.supplemental[binding_id] = SourceResult(
+                        source_id=child_binding.source_id,
+                        items=tuple(assigned),
+                        total_matches=len(assigned),
+                    )
+            note(f"{len(results_by_binding)} batched queries",
+                 mode="batched", queries=len(results_by_binding))
+
+    def _ads(self, ctx: QueryContext) -> None:
+        """Ads, when the designer opted in (voluntary, per Table I)."""
+        bindings = ctx.app.bindings_by_role(SourceRole.ADS)
+        if not bindings:
+            return
+        if ctx.deadline is not None and ctx.deadline.expired:
+            # Ads are best-effort: an overrun query ships its
+            # organic results without waiting on monetization.
+            self._note_deadline(ctx, "ads stage skipped")
+            return
+        ctx.now_ms = self.clock.now_ms
+        with self._stage(ctx, "ads") as note:
+            items: list = []
+            for binding in bindings:
+                items.extend(self._query_source(
+                    ctx, binding, ctx.request.query_text,
+                    cacheable=False,
+                ).items)
+            ctx.ads = tuple(items)
+            note(f"{len(items)} ads", ads=len(items))
+
+    def _merge_render(self, ctx: QueryContext) -> None:
+        """Merge + format to HTML."""
+        views, ads = ctx.views, ctx.ads
+        with self._stage(ctx, "merge+render") as note:
+            html = self._renderer.render_app(ctx.app, views, ads)
+            self.clock.advance(1.0 + 0.02 * len(html) / 100.0)
+            note(f"{len(views)} primary views, {len(ads)} ads, "
+                 f"{len(html)} bytes",
+                 views=len(views), ads=len(ads), bytes=len(html))
+        ctx.html = html
+
+    def _respond(self, ctx: QueryContext) -> None:
+        """Respond to the shim, which injects into the page."""
+        request, trace, deadline = ctx.request, ctx.trace, ctx.deadline
+        with self._stage(ctx, "respond") as note:
+            self.clock.advance(self._RESPOND_MS)
+            note("HTML to JS shim")
+        if self._log is not None:
+            self._log.log_query(QueryEvent(
+                timestamp_ms=self.clock.now_ms,
+                query=request.query_text,
+                vertical="app",
+                app_id=ctx.app.app_id,
+                session_id=request.session_id or None,
+                result_urls=tuple(
+                    view.item.url for view in ctx.views if view.item.url
+                ),
             ))
-        return enriched, queries_issued
+        if (deadline is not None and deadline.expired
+                and not deadline.reported):
+            # The budget ran out after the last source call (e.g. during
+            # render) — still surface the overrun in the metadata.
+            self._note_deadline(ctx, "query overran budget")
+        if trace.span and trace.degraded:
+            trace.span.set("degraded", True)
+        ctx.response = ApplicationResponse(
+            app_id=ctx.app.app_id,
+            query_text=request.query_text,
+            html=ctx.html,
+            views=tuple(ctx.views),
+            ads=ctx.ads,
+            trace=trace,
+            degraded=trace.degraded,
+        )
 
     @staticmethod
     def _assign_batched(pooled, derived_query: str, max_results: int):
@@ -740,79 +719,39 @@ class SymphonyRuntime:
 
     # -- helpers ------------------------------------------------------------------
 
-    @staticmethod
-    def _slot_by_binding(app, binding_id: str):
-        for slot in app.all_slots():
-            if slot.binding_id == binding_id:
-                return slot
-        raise NotFoundError(f"no slot for binding {binding_id!r}")
-
-    @staticmethod
-    def _derive_query(binding, item, with_suffix: bool = True) -> str:
-        """Build the supplemental query from the configured drive fields."""
-        parts = []
-        raw_values = []
-        for field_name in binding.drive_fields:
-            value = item.get(field_name)
-            if value:
-                raw_values.append(value)
-                parts.append(f'"{value}"' if " " in value else value)
-        if not parts:
-            return ""
-        if binding.query_strategy:
-            # Lazy import: bindings without a strategy (the default)
-            # never pay for loading the federation lab.
-            from repro.federation.querygen import get_generator
-            suffix_terms = tuple(binding.query_suffix.split()) \
-                if with_suffix and binding.query_suffix else ()
-            return get_generator(binding.query_strategy).generate(
-                " ".join(raw_values),
-                context={"entity": raw_values[0],
-                         "context_terms": suffix_terms},
-            )
-        query = " ".join(parts)
-        if with_suffix and binding.query_suffix:
-            query = f"{query} {binding.query_suffix}"
-        return query
-
-    def _query_source(self, binding, query_text, context, trace,
+    def _query_source(self, ctx: QueryContext, binding, query_text,
                       search_fields=(), cacheable: bool = True,
                       offset: int = 0):
         source = self._registry.get(binding.source_id)
-        query_context = dict(context)
-        if search_fields:
-            query_context["search_fields"] = list(search_fields)
+        trace, deadline = ctx.trace, ctx.deadline
+        cacheable = cacheable and self.cache_enabled
         cache_key = (binding.source_id, query_text, binding.max_results,
                      offset)
-        if self.cache_enabled and cacheable:
+        if cacheable:
             cached = self.cache.get(cache_key, self.clock.now_ms)
             if cached is not None:
                 trace.record_cache(True)
                 trace.sources_ok += 1
                 return cached
             trace.record_cache(False)
-        deadline = context.get("deadline")
         with self._tracer.span("source") as span:
-            if span:
-                span.set("source_id", binding.source_id)
-                span.set("query", query_text)
+            span.set("source_id", binding.source_id)
+            span.set("query", query_text)
+            skipped = ""
             if deadline is not None and deadline.expired:
-                if span:
-                    span.set("skipped", "deadline")
+                skipped = "deadline"
                 self._note_deadline(
-                    trace, deadline,
-                    f"source {binding.source_id} skipped",
+                    ctx, f"source {binding.source_id} skipped",
                 )
-                trace.sources_failed += 1
-                return SourceResult.empty(binding.source_id)
-            if self.circuit_breaker.is_open(binding.source_id):
-                if span:
-                    span.set("skipped", "circuit_open")
+            elif self.circuit_breaker.is_open(binding.source_id):
+                skipped = "circuit_open"
                 trace.degraded = True
                 trace.warnings.append(
                     f"source {binding.source_id} skipped: circuit open "
                     "after repeated failures"
                 )
+            if skipped:
+                span.set("skipped", skipped)
                 trace.sources_failed += 1
                 return SourceResult.empty(binding.source_id)
             self.clock.advance(self._DISPATCH_MS)
@@ -820,8 +759,12 @@ class SymphonyRuntime:
                 text=query_text,
                 count=binding.max_results,
                 offset=offset,
-                context=query_context,
+                context=self._source_context(ctx, search_fields),
             )
+            # Stamped before the source reads its data: a re-ingest
+            # landing while it computes must leave the entry stale.
+            stamp = (self.cache.stamp(source.generation_keys())
+                     if cacheable else None)
             try:
                 if self._retrier is not None:
                     result = self._retrier.call(
@@ -843,7 +786,7 @@ class SymphonyRuntime:
                 if (isinstance(exc, DeadlineExceededError)
                         and deadline is not None):
                     self._note_deadline(
-                        trace, deadline,
+                        ctx,
                         f"source {binding.source_id} abandoned "
                         f"mid-flight",
                     )
@@ -851,8 +794,7 @@ class SymphonyRuntime:
                     trace.warnings.append(
                         f"source {binding.source_id} failed: {exc}"
                     )
-                if span:
-                    span.set("error", str(exc))
+                span.set("error", str(exc))
                 self._metrics.counter("source_failures_total").inc()
                 trace.sources_failed += 1
                 return SourceResult.empty(binding.source_id)
@@ -864,13 +806,11 @@ class SymphonyRuntime:
                     f"source {binding.source_id} returned degraded "
                     f"(partial) results"
                 )
-            if span:
-                span.set("items", len(result.items))
-        if self.cache_enabled and cacheable and not result.degraded:
+            span.set("items", len(result.items))
+        if cacheable and not result.degraded:
             # Partial results must not satisfy repeat queries for a
             # whole TTL after the incident clears.
-            self.cache.put(cache_key, result, self.clock.now_ms,
-                           source.generation_keys())
+            self.cache.put(cache_key, result, self.clock.now_ms, stamp)
         return result
 
     def _attempt_failed(self, source_id: str):

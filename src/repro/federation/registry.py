@@ -17,7 +17,7 @@ from repro.core.capability import BackendDescriptor
 from repro.core.datasources import SourceQuery
 from repro.errors import ConfigurationError, DuplicateError, NotFoundError
 from repro.federation.fusion import FederatedItem, normalize_item
-from repro.gateway.generations import engine_keys
+from repro.gateway.generations import TOPOLOGY_KEY
 from repro.searchengine.engine import SearchOptions
 
 __all__ = [
@@ -57,12 +57,12 @@ class EngineBackend(Backend):
 
     def __init__(self, backend_id: str, engine, vertical: str = "web",
                  sites: tuple = (), augment_terms: tuple = ()) -> None:
-        clustered = bool(getattr(engine, "accepts_deadline", False))
+        keys = engine.generation_keys()
         super().__init__(BackendDescriptor(
             backend_id=backend_id,
             system="Symphony",
             search_api="local engine"
-                       + (" (clustered)" if clustered else ""),
+                       + (" (clustered)" if TOPOLOGY_KEY in keys else ""),
             verticals=(vertical,),
             supports_sites=True,
             # The local query language takes field:value predicates and
@@ -70,10 +70,9 @@ class EngineBackend(Backend):
             supports_fielded=True,
             supports_entity=True,
             cost_per_query=1.0,
-            generation_keys=engine_keys(engine),
+            generation_keys=keys,
         ))
         self._engine = engine
-        self._clustered = clustered
         self.vertical = vertical
         self.sites = tuple(sites)
         self.augment_terms = tuple(augment_terms)
@@ -82,11 +81,8 @@ class EngineBackend(Backend):
                context: dict | None = None) -> list:
         options = SearchOptions(count=count, sites=self.sites,
                                 augment_terms=self.augment_terms)
-        kwargs = {}
-        if deadline is not None and self._clustered:
-            kwargs["deadline"] = deadline
         response = self._engine.search(self.vertical, text, options,
-                                       **kwargs)
+                                       deadline=deadline)
         return self._normalize(response.results)
 
 

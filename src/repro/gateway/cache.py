@@ -93,10 +93,17 @@ class ResultCache:
             self._misses += 1
             return None
 
-    def put(self, key, value, now_ms: int, generation_keys=()) -> None:
-        stamp = self._generations.snapshot(generation_keys)
+    def stamp(self, generation_keys) -> dict:
+        """The current generation of each key. Take it *before* reading
+        the data a value is computed from and hand it to :meth:`put`: a
+        re-ingest that lands in between then leaves the entry stale
+        instead of stored under the generation that replaced it."""
+        return self._generations.snapshot(generation_keys)
+
+    def put(self, key, value, now_ms: int, stamp=None) -> None:
+        """Store ``value`` under a :meth:`stamp` (none: plain LRU+TTL)."""
         with self._lock:
-            self._entries[key] = (now_ms, stamp, value)
+            self._entries[key] = (now_ms, stamp or {}, value)
             self._entries.move_to_end(key)
             # Sweep TTL-dead entries first; only then apply the LRU cap.
             expired = [

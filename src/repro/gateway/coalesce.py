@@ -61,7 +61,7 @@ class FlightEntry:
     """One queued/executing request plus every ticket riding on it."""
 
     __slots__ = ("key", "principal", "request", "deadline", "context",
-                 "enqueued_ms", "cost", "tickets", "executing")
+                 "enqueued_ms", "cost", "tickets")
 
     def __init__(self, key, principal: str, request, deadline,
                  context, enqueued_ms: int, cost: float = 1.0) -> None:
@@ -75,20 +75,9 @@ class FlightEntry:
         self.enqueued_ms = enqueued_ms
         self.cost = cost
         self.tickets: list[Ticket] = []
-        self.executing = False
 
     def attach(self, ticket: Ticket) -> None:
         self.tickets.append(ticket)
-
-    def resolve_all(self, response) -> int:
-        for ticket in self.tickets:
-            ticket.resolve(response)
-        return len(self.tickets)
-
-    def fail_all(self, error: BaseException) -> int:
-        for ticket in self.tickets:
-            ticket.fail(error)
-        return len(self.tickets)
 
 
 class SingleFlightTable:

@@ -21,16 +21,18 @@ Dispatch runs in whichever thread asks for work (a synchronous
 use ``pump()``), which keeps execution deterministic under
 :class:`~repro.util.SimClock` while remaining safe under real threads.
 Deadlines and telemetry trace context propagate across the queue
-boundary: the deadline is minted at submit so queue wait burns budget,
-and each entry carries a ``contextvars`` snapshot from its submitter.
+boundary: the deadline is minted at submit so queue wait burns budget
+(the runtime is handed that same object, and the measured wait), and
+each entry carries a ``contextvars`` snapshot from its submitter.
 """
 
 from __future__ import annotations
 
 import contextvars
 import threading
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, field
 
+from repro.contracts import NULL_CONTRACTS
 from repro.errors import AdmissionRejectedError, ReproError
 from repro.gateway.admission import AdmissionController, TenantPolicy
 from repro.gateway.cache import ResultCache, normalize_query
@@ -41,6 +43,19 @@ from repro.telemetry import Telemetry
 
 __all__ = ["GatewayConfig", "Gateway"]
 
+# Values no deployment has needed to tune (all judged on the sim clock).
+#: Queue-boundary overhead charged per dispatched request.
+DISPATCH_MS = 0.5
+#: Seed for the per-request service-time estimate, and the weight a new
+#: observation gets in its moving average.
+EXPECTED_SERVICE_MS = 40.0
+SERVICE_EWMA_ALPHA = 0.2
+#: Shed when projected wait exceeds this fraction of the budget.
+SHED_HEADROOM = 0.9
+#: Whole-response cache bounds.
+CACHE_MAX_ENTRIES = 1024
+CACHE_TTL_MS = 30_000
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -50,22 +65,11 @@ class GatewayConfig:
     #: used for deadline-aware shedding (execution itself is serialized
     #: on the sim clock, so fairness and latency replay exactly).
     workers: int = 4
-    #: DRR quantum in cost units (every request costs 1.0).
-    quantum: float = 1.0
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
     #: Per-application policy overrides, by app id.
     policies: dict = field(default_factory=dict)
-    #: Queue-boundary overhead charged per dispatched request.
-    dispatch_ms: float = 0.5
-    #: Seed for the per-request service-time estimate (EWMA-updated).
-    expected_service_ms: float = 40.0
-    service_ewma_alpha: float = 0.2
-    #: Shed when projected wait exceeds this fraction of the budget.
-    shed_headroom: float = 0.9
-    coalesce: bool = True
+    #: Keep whole responses in a generation-stamped cache.
     cache: bool = True
-    cache_max_entries: int = 1024
-    cache_ttl_ms: int = 30_000
 
 
 class Gateway:
@@ -75,7 +79,7 @@ class Gateway:
                  generations, telemetry: Telemetry | None = None,
                  config: GatewayConfig | None = None,
                  default_deadline_ms: float = 0.0,
-                 contracts=None) -> None:
+                 contracts=NULL_CONTRACTS) -> None:
         self._runtime = runtime
         self._apps = apps
         self._sources = sources
@@ -88,24 +92,22 @@ class Gateway:
         self._metrics = self.telemetry.metrics
         self._events = self.telemetry.events
         self._default_deadline_ms = default_deadline_ms
-        #: A :class:`~repro.contracts.ContractManager` (or ``None``):
-        #: lets API consumers pull the per-tenant governance report
-        #: from the same front door they query through.
+        #: A :class:`~repro.contracts.ContractManager` (or its null
+        #: twin): lets API consumers pull the per-tenant governance
+        #: report from the same front door they query through.
         self._contracts = contracts
         self.admission = AdmissionController(
             clock, self.config.default_policy, self.config.policies
         )
         self._queue = DeficitRoundRobinQueue(
-            quantum=self.config.quantum,
             weight_of=lambda p: self.admission.policy(p).weight,
         )
         self._flights = SingleFlightTable()
         self.cache = (ResultCache(
-            max_entries=self.config.cache_max_entries,
-            ttl_ms=self.config.cache_ttl_ms,
+            max_entries=CACHE_MAX_ENTRIES, ttl_ms=CACHE_TTL_MS,
             generations=generations,
         ) if self.config.cache else None)
-        self._service_ms = self.config.expected_service_ms
+        self._service_ms = EXPECTED_SERVICE_MS
         self._lock = threading.RLock()
         self._submitted = 0
         self._admitted = 0
@@ -137,16 +139,15 @@ class Gateway:
                     ticket.resolve(cached)
                     return ticket
                 self._metrics.counter("gateway_cache_misses_total").inc()
-            if self.config.coalesce:
-                entry = self._flights.lookup(key)
-                if entry is not None:
-                    # Ride the in-flight execution; costs no queue slot
-                    # and no bucket token because it adds no work.
-                    ticket = Ticket(key, principal, now, coalesced=True)
-                    entry.attach(ticket)
-                    self._coalesced += 1
-                    self._metrics.counter("gateway_coalesced_total").inc()
-                    return ticket
+            entry = self._flights.lookup(key)
+            if entry is not None:
+                # Ride the in-flight execution; costs no queue slot
+                # and no bucket token because it adds no work.
+                ticket = Ticket(key, principal, now, coalesced=True)
+                entry.attach(ticket)
+                self._coalesced += 1
+                self._metrics.counter("gateway_coalesced_total").inc()
+                return ticket
             policy = self.admission.policy(principal)
             if not self.admission.admit(principal):
                 raise self._shed_now(
@@ -159,8 +160,7 @@ class Gateway:
                     f"{policy.max_queue_depth} requests already queued",
                 )
             projected = self._projected_wait_ms()
-            if (budget_ms > 0
-                    and projected >= self.config.shed_headroom * budget_ms):
+            if budget_ms > 0 and projected >= SHED_HEADROOM * budget_ms:
                 raise self._shed_now(
                     "deadline", principal,
                     f"projected wait {projected:.0f}ms would consume "
@@ -211,16 +211,13 @@ class Gateway:
 
     def _next_entry(self):
         with self._lock:
-            entry = self._queue.pop()
-            if entry is not None:
-                entry.executing = True
-            return entry
+            return self._queue.pop()
 
     def _execute(self, entry: FlightEntry) -> None:
         entry.context.run(self._execute_in_context, entry)
 
     def _execute_in_context(self, entry: FlightEntry) -> None:
-        self._clock.advance(self.config.dispatch_ms)
+        self._clock.advance(DISPATCH_MS)
         queue_wait_ms = self._clock.now_ms - entry.enqueued_ms
         self._metrics.histogram("gateway_queue_wait_ms").observe(
             queue_wait_ms
@@ -238,12 +235,6 @@ class Gateway:
             self._finish(entry, error=error)
             return
         request = entry.request
-        if entry.deadline is not None:
-            # Re-quote the budget across the queue boundary: the
-            # pipeline gets whatever queueing left behind.
-            request = dataclass_replace(
-                request, deadline_ms=entry.deadline.remaining_ms()
-            )
         with self._tracer.span("gateway") as span:
             if span:
                 span.set("principal", entry.principal)
@@ -251,21 +242,28 @@ class Gateway:
                 span.set("waiters", len(entry.tickets))
             started_ms = self._clock.now_ms
             try:
-                response = self._runtime.handle_query(request)
+                # Stamped before the pipeline reads anything: a re-ingest
+                # that lands mid-query must leave the response stale.
+                stamp = (self.cache.stamp(
+                    self._generation_keys(request.app_id))
+                    if self.cache is not None else None)
+                response = self._runtime.handle_query(
+                    request, deadline=entry.deadline,
+                    queue_wait_ms=queue_wait_ms,
+                )
             except ReproError as exc:
                 if span:
                     span.set("error", str(exc))
                 self._finish(entry, error=exc)
                 return
         service_ms = self._clock.now_ms - started_ms
-        alpha = self.config.service_ewma_alpha
-        self._service_ms = ((1 - alpha) * self._service_ms
-                            + alpha * service_ms)
+        self._service_ms = ((1 - SERVICE_EWMA_ALPHA) * self._service_ms
+                            + SERVICE_EWMA_ALPHA * service_ms)
         if self.cache is not None and not response.degraded:
             # Degraded responses must not satisfy repeat queries for a
             # whole TTL after the incident clears.
             self.cache.put(entry.key, response, self._clock.now_ms,
-                           self._generation_keys(request.app_id))
+                           stamp)
         self._finish(entry, response=response)
 
     def _finish(self, entry: FlightEntry, response=None,
@@ -308,8 +306,7 @@ class Gateway:
         """Expected queueing delay for a new arrival, from the live
         backlog and the EWMA of observed service time."""
         backlog = self._queue.depth()
-        return (self.config.dispatch_ms
-                + backlog * self._service_ms / self.config.workers)
+        return DISPATCH_MS + backlog * self._service_ms / self.config.workers
 
     def _generation_keys(self, app_id: str) -> list:
         """The generation stamps a cached response for ``app_id``
@@ -358,9 +355,6 @@ class Gateway:
         """Per-tenant data-governance report: violations, drift,
         quarantine depth, and freshness for every contracted table.
         Empty when contracts are not enabled on the platform."""
-        if self._contracts is None:
-            return {"tables": [], "freshness_budget": {},
-                    "freshness_alerting": False, "stale_feeds": []}
         return self._contracts.status(tenant_id)
 
     def describe(self) -> str:

@@ -10,7 +10,9 @@ re-uploading her inventory can never be served results computed over the
 old rows.  Nothing is pushed on a bump: a cache finds out when it next
 reads a stamped entry.  Which keys a source's results depend on is the
 source's own answer — :meth:`~repro.core.datasources.DataSource.
-generation_keys` — built from the helpers here.
+generation_keys` — and, for anything an engine serves, the engine's
+(``SearchEngine.generation_keys`` / ``ClusteredSearchEngine.
+generation_keys``), built from the names here.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import threading
 
 from repro.telemetry import NULL_EVENTS
 
-__all__ = ["GenerationRegistry", "table_key", "engine_keys",
-           "CORPUS_KEY", "TOPOLOGY_KEY"]
+__all__ = ["GenerationRegistry", "table_key", "CORPUS_KEY",
+           "TOPOLOGY_KEY"]
 
 #: Generation key for the shared synthetic-web corpus.
 CORPUS_KEY = "corpus"
@@ -34,14 +36,6 @@ TOPOLOGY_KEY = "cluster-topology"
 def table_key(tenant_id: str, table_name: str) -> str:
     """The generation key of one tenant's table."""
     return f"tenant:{tenant_id}:{table_name}"
-
-
-def engine_keys(engine) -> tuple:
-    """The generation keys of anything served by ``engine``: the corpus,
-    plus the shard layout when the engine is a cluster."""
-    if getattr(engine, "accepts_deadline", False):
-        return (CORPUS_KEY, TOPOLOGY_KEY)
-    return (CORPUS_KEY,)
 
 
 class GenerationRegistry:

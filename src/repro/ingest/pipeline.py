@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.contracts import NULL_CONTRACTS
 from repro.errors import IngestError
 from repro.ingest.readers import (
     parse_delimited,
@@ -21,6 +22,7 @@ from repro.ingest.readers import (
 from repro.ingest.rss import parse_rss
 from repro.ingest.workbook import parse_workbook
 from repro.storage.records import Schema, infer_schema
+from repro.telemetry import Telemetry
 
 __all__ = ["IngestReport", "DatasetIngestor"]
 
@@ -119,27 +121,17 @@ class DatasetIngestor:
     """
 
     def __init__(self, tenant, telemetry=None, generations=None,
-                 contracts=None) -> None:
+                 contracts=NULL_CONTRACTS) -> None:
         self._tenant = tenant
-        self._telemetry = telemetry
+        self._telemetry = telemetry or Telemetry.disabled()
         self._generations = generations
-        #: A :class:`~repro.contracts.ContractManager` (or the null
-        #: twin / ``None``): every batch for a contracted table is
-        #: enforced before it touches storage.
+        #: A :class:`~repro.contracts.ContractManager` (or its null
+        #: twin): every batch for a contracted table is enforced
+        #: before it touches storage.
         self._contracts = contracts
 
-    def _enforce(self, rows, table_name: str, source: str):
-        """Contract-check one batch; ``None`` means ungoverned."""
-        if self._contracts is None:
-            return None
-        return self._contracts.apply(
-            self._tenant.tenant_id, table_name, rows, source=source,
-        )
-
     def _mark_refreshed(self, table_name: str) -> None:
-        if self._contracts is not None:
-            self._contracts.mark_refreshed(
-                self._tenant.tenant_id, table_name)
+        self._contracts.mark_refreshed(self._tenant.tenant_id, table_name)
 
     def _evolve_table(self, table_name: str, contract) -> None:
         """Widen an existing table to its (re-declared) contract.
@@ -161,8 +153,6 @@ class DatasetIngestor:
 
     @staticmethod
     def _note_enforcement(report: IngestReport, result) -> None:
-        if result is None:
-            return
         report.violations = len(result.violations)
         report.quarantined = len(result.quarantined)
         report.coerced = result.coerced
@@ -181,8 +171,6 @@ class DatasetIngestor:
     def _record(self, report: IngestReport, source: str) -> None:
         """Emit completion telemetry for one ingestion run."""
         telemetry = self._telemetry
-        if telemetry is None or not telemetry.enabled:
-            return
         telemetry.events.emit(
             "ingest.complete", table=report.table_name,
             source=source, format=report.format,
@@ -212,23 +200,15 @@ class DatasetIngestor:
         * Identical payload bytes (by blob hash): short-circuits as
           ``unchanged``.
         """
-        tracer = (self._telemetry.tracer if self._telemetry is not None
-                  else None)
-        if tracer is not None and tracer.enabled:
-            with tracer.span("ingest") as span:
-                span.set("table", table_name)
-                span.set("filename", payload.filename)
-                report = self._ingest_payload(
-                    payload, table_name, schema, fmt, sheet,
-                    key_field, indexed_fields,
-                )
-                span.set("format", report.format or "unchanged")
-                span.set("inserted", report.inserted)
-        else:
+        with self._telemetry.tracer.span("ingest") as span:
+            span.set("table", table_name)
+            span.set("filename", payload.filename)
             report = self._ingest_payload(
                 payload, table_name, schema, fmt, sheet, key_field,
                 indexed_fields,
             )
+            span.set("format", report.format or "unchanged")
+            span.set("inserted", report.inserted)
         self._bump_generation(report)
         self._record(report, source="upload")
         self._mark_refreshed(table_name)
@@ -247,11 +227,28 @@ class DatasetIngestor:
         rows, detected = rows_from_payload(payload, fmt=fmt, sheet=sheet)
         report = IngestReport(table_name=table_name, format=detected)
 
-        enforcement = self._enforce(rows, table_name, source="upload")
-        contract = (None if self._contracts is None
-                    else self._contracts.contract_for(
-                        self._tenant.tenant_id, table_name))
-        if enforcement is not None:
+        self._load(rows, report, "upload", schema, key_field,
+                   indexed_fields)
+        self._tenant.put_blob(
+            blob_key, payload.data, payload.content_type,
+            created_ms=payload.received_ms,
+        )
+        return report
+
+    def _load(self, rows: list[dict], report: IngestReport,
+              source: str, schema: Schema | None,
+              key_field: str | None, indexed_fields: tuple) -> None:
+        """Enforce the table's contract on ``rows`` (adopting its schema
+        and key), then create, upsert into, or append to the table;
+        the counts land on ``report``."""
+        table_name = report.table_name
+        # ``None`` from the manager means the table is ungoverned.
+        enforcement = self._contracts.apply(
+            self._tenant.tenant_id, table_name, rows, source=source)
+        validated = enforcement is not None
+        if validated:
+            contract = self._contracts.contract_for(
+                self._tenant.tenant_id, table_name)
             rows = enforcement.rows
             self._note_enforcement(report, enforcement)
             if schema is None:
@@ -260,15 +257,12 @@ class DatasetIngestor:
                 key_field = contract.key_field
             self._evolve_table(table_name, contract)
 
-        validated = enforcement is not None
-        if not self._tenant.has_table(table_name):
-            table_schema = schema or infer_schema(rows)
+        created = not self._tenant.has_table(table_name)
+        if created:
             self._tenant.create_table(
-                table_name, table_schema, indexed_fields
+                table_name, schema or infer_schema(rows), indexed_fields
             )
-            report.inserted = self._tenant.insert_rows(
-                table_name, rows, validated=validated)
-        elif key_field is not None:
+        if key_field is not None and not created:
             table = self._tenant.table(table_name)
             upsert = (table.upsert_validated_by if validated
                       else table.upsert_by)
@@ -282,12 +276,6 @@ class DatasetIngestor:
         else:
             report.inserted = self._tenant.insert_rows(
                 table_name, rows, validated=validated)
-
-        self._tenant.put_blob(
-            blob_key, payload.data, payload.content_type,
-            created_ms=payload.received_ms,
-        )
-        return report
 
     def ingest_rows(self, rows: list[dict], table_name: str,
                     schema: Schema | None = None,
@@ -303,40 +291,8 @@ class DatasetIngestor:
             raise IngestError("no rows to ingest")
         report = IngestReport(table_name=table_name, format="rows")
 
-        enforcement = self._enforce(rows, table_name, source="rows")
-        if enforcement is not None:
-            contract = self._contracts.contract_for(
-                self._tenant.tenant_id, table_name)
-            rows = enforcement.rows
-            self._note_enforcement(report, enforcement)
-            if schema is None:
-                schema = contract.schema()
-            if key_field is None and contract.key_field:
-                key_field = contract.key_field
-            self._evolve_table(table_name, contract)
-
-        validated = enforcement is not None
-        created = False
-        if not self._tenant.has_table(table_name):
-            table_schema = schema or infer_schema(rows)
-            self._tenant.create_table(
-                table_name, table_schema, indexed_fields
-            )
-            created = True
-        if key_field is not None and not created:
-            table = self._tenant.table(table_name)
-            upsert = (table.upsert_validated_by if validated
-                      else table.upsert_by)
-            for row in rows:
-                before = len(table)
-                upsert(key_field, row)
-                if len(table) > before:
-                    report.inserted += 1
-                else:
-                    report.updated += 1
-        else:
-            report.inserted = self._tenant.insert_rows(
-                table_name, rows, validated=validated)
+        self._load(rows, report, "rows", schema, key_field,
+                   indexed_fields)
         self._bump_generation(report)
         self._record(report, source="rows")
         self._mark_refreshed(table_name)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.contracts import NULL_CONTRACTS
 from repro.errors import DuplicateError, NotFoundError
+from repro.telemetry import Telemetry
 
 __all__ = ["RefreshOutcome", "ScheduledFeed", "RefreshScheduler"]
 
@@ -46,12 +48,12 @@ class RefreshScheduler:
     """Owns the refresh calendar for one tenant's feeds."""
 
     def __init__(self, clock, generations=None, telemetry=None,
-                 contracts=None) -> None:
+                 contracts=NULL_CONTRACTS) -> None:
         self._clock = clock
         self._feeds: dict[str, ScheduledFeed] = {}
         self._generations = generations
-        self._telemetry = telemetry
-        #: A :class:`~repro.contracts.ContractManager` (or ``None``):
+        self._telemetry = telemetry or Telemetry.disabled()
+        #: A :class:`~repro.contracts.ContractManager` (or its null twin):
         #: freshness SLAs are judged after every scheduler pass, so a
         #: feed that stops (or keeps failing) goes stale on the same
         #: clock that drives its refreshes.
@@ -130,13 +132,10 @@ class RefreshScheduler:
                        inserted=outcome.inserted,
                        updated=outcome.updated)
             outcomes.append(outcome)
-        if self._contracts is not None:
-            self._contracts.check_freshness()
+        self._contracts.check_freshness()
         return outcomes
 
     def _emit(self, kind: str, feed: ScheduledFeed, **fields) -> None:
-        if self._telemetry is None or not self._telemetry.enabled:
-            return
         self._telemetry.events.emit(kind, feed=feed.feed_id, **fields)
 
     def run_all_for(self, duration_ms: int,

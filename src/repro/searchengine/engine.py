@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from repro.gateway.generations import CORPUS_KEY
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument, FieldMode
 from repro.searchengine.index import InvertedIndex
@@ -99,6 +100,9 @@ class SearchResponse:
     total_matches: int
     elapsed_ms: float
     suggestion: str | None = None  # "did you mean", set on zero hits
+    #: Partial results; only a cluster (shard loss, deadline overrun
+    #: inside the scatter-gather) ever sets it.
+    degraded: bool = False
 
     def urls(self) -> list[str]:
         return [r.url for r in self.results]
@@ -245,8 +249,14 @@ class SearchEngine:
     def search(self, vertical: Vertical | str, query_text: str,
                options: SearchOptions | None = None,
                app_id: str | None = None,
-               session_id: str | None = None) -> SearchResponse:
-        """Run ``query_text`` against one vertical and log the event."""
+               session_id: str | None = None,
+               deadline=None) -> SearchResponse:
+        """Run ``query_text`` against one vertical and log the event.
+
+        ``deadline`` is accepted so both engines share one signature;
+        a single-node search is one non-preemptible step, so nothing
+        acts on it here.
+        """
         options = options or SearchOptions()
         vindex = self.vertical(vertical)
         node = parse_query(query_text)
@@ -287,6 +297,11 @@ class SearchEngine:
             result_urls=tuple(response.urls()),
         ))
         return response
+
+    def generation_keys(self) -> tuple:
+        """The data generations (see :mod:`repro.gateway.generations`)
+        anything this engine serves depends on: the corpus."""
+        return (CORPUS_KEY,)
 
     def facets(self, vertical: Vertical | str, query_text: str,
                facet_fields=("site", "topic")) -> dict:

@@ -91,7 +91,8 @@ def build_app(children_bindings=(), customer=False, ads=False):
     )
 
 
-def make_runtime(sources, app, log=None, cache_enabled=True):
+def make_runtime(sources, app, log=None, cache_enabled=True,
+                 **options):
     registry = SourceRegistry()
     for source in sources:
         registry.add(source)
@@ -99,7 +100,7 @@ def make_runtime(sources, app, log=None, cache_enabled=True):
     apps.register(app)
     return SymphonyRuntime(
         registry=registry, apps=apps, clock=SimClock(start_ms=0),
-        log=log, cache_enabled=cache_enabled,
+        log=log, cache_enabled=cache_enabled, **options,
     )
 
 
@@ -107,11 +108,14 @@ class TestPipelineStages:
     def test_stage_sequence_matches_fig2(self):
         primary = StubSource("primary",
                              {"halo": [make_item("Halo")]})
-        runtime = make_runtime([primary], build_app())
-        response = runtime.handle_query(QueryRequest("app-1", "halo"))
-        names = [stage.name for stage in response.trace.stages]
-        assert names == ["receive", "primary", "supplemental",
-                         "merge+render", "respond"]
+        for mode in ("per_result", "batched"):
+            runtime = make_runtime([primary], build_app(),
+                                   supplemental_mode=mode)
+            response = runtime.handle_query(
+                QueryRequest("app-1", "halo"))
+            names = [stage.name for stage in response.trace.stages]
+            assert names == ["receive", "primary", "supplemental",
+                             "merge+render", "respond"]
 
     def test_primary_results_become_views(self):
         primary = StubSource("primary", {
@@ -278,10 +282,10 @@ class TestCaching:
     def test_lru_eviction(self):
         for stamp in CACHE_STAMPS:
             cache = ResultCache(max_entries=2)
-            cache.put("a", 1, 0, stamp)
-            cache.put("b", 2, 0, stamp)
+            cache.put("a", 1, 0, cache.stamp(stamp))
+            cache.put("b", 2, 0, cache.stamp(stamp))
             cache.get("a", now_ms=0)   # refresh a
-            cache.put("c", 3, 0, stamp)  # evicts b
+            cache.put("c", 3, 0, cache.stamp(stamp))  # evicts b
             assert cache.get("b", now_ms=0) is None
             assert cache.get("a", now_ms=0) == 1
             assert len(cache) == 2
@@ -291,9 +295,9 @@ class TestCaching:
         # never re-read: any put prunes them.
         for stamp in CACHE_STAMPS:
             cache = ResultCache(max_entries=10, ttl_ms=100)
-            cache.put("old-1", 1, 0, stamp)
-            cache.put("old-2", 2, 0, stamp)
-            cache.put("fresh", 3, 200, stamp)
+            cache.put("old-1", 1, 0, cache.stamp(stamp))
+            cache.put("old-2", 2, 0, cache.stamp(stamp))
+            cache.put("fresh", 3, 200, cache.stamp(stamp))
             assert len(cache) == 1
             assert cache.get("fresh", now_ms=200) == 3
 
@@ -302,9 +306,9 @@ class TestCaching:
         # so stale junk can never push a live entry out.
         for stamp in CACHE_STAMPS:
             cache = ResultCache(max_entries=2, ttl_ms=100)
-            cache.put("dead", 1, 0, stamp)
-            cache.put("live", 2, 150, stamp)
-            cache.put("newer", 3, 200, stamp)
+            cache.put("dead", 1, 0, cache.stamp(stamp))
+            cache.put("live", 2, 150, cache.stamp(stamp))
+            cache.put("newer", 3, 200, cache.stamp(stamp))
             # Without the sweep, the cap would have evicted "live"
             # (oldest by insertion) while the expired "dead" still
             # counted.
@@ -318,9 +322,9 @@ class TestCaching:
         # reaches it), so a put never validates the whole cache.
         registry = GenerationRegistry()
         cache = ResultCache(max_entries=10, generations=registry)
-        cache.put("stale", 1, 0, ("corpus",))
+        cache.put("stale", 1, 0, cache.stamp(("corpus",)))
         registry.bump("corpus")
-        cache.put("fresh", 2, 0, ("corpus",))
+        cache.put("fresh", 2, 0, cache.stamp(("corpus",)))
         assert len(cache) == 2
         assert cache.get("stale", now_ms=0) is None
         assert cache.get("fresh", now_ms=0) == 2
@@ -340,19 +344,19 @@ class TestCaching:
 
         registry = CountingRegistry()
         cache = ResultCache(max_entries=3, generations=registry)
-        cache.put("live", 1, 0, ("corpus",))
-        cache.put("stale-1", 2, 0, ("tenant:t1:inventory",))
-        cache.put("stale-2", 3, 0, ("tenant:t1:inventory",))
+        cache.put("live", 1, 0, cache.stamp(("corpus",)))
+        cache.put("stale-1", 2, 0, cache.stamp(("tenant:t1:inventory",)))
+        cache.put("stale-2", 3, 0, cache.stamp(("tenant:t1:inventory",)))
         registry.bump("tenant:t1:inventory")
-        cache.put("new", 4, 0, ("corpus",))
+        cache.put("new", 4, 0, cache.stamp(("corpus",)))
         stats = cache.stats()
         assert stats["lru_evictions"] == 0
         assert stats["stale_invalidations"] == 2
         assert cache.get("live", now_ms=0) == 1
         # Full of live entries and nothing bumped since: plain LRU.
-        cache.put("newer", 5, 0, ("corpus",))
+        cache.put("newer", 5, 0, cache.stamp(("corpus",)))
         scanned = registry.validations
-        cache.put("newest", 6, 0, ("corpus",))
+        cache.put("newest", 6, 0, cache.stamp(("corpus",)))
         assert registry.validations == scanned
         assert cache.stats()["lru_evictions"] == 1
 
@@ -368,7 +372,7 @@ class TestCaching:
                     key = (seed + i) % 16
                     value = cache.get(key, now_ms=i)
                     assert value is None or value == key
-                    cache.put(key, key, i, ("corpus",))
+                    cache.put(key, key, i, cache.stamp(("corpus",)))
                     if i % 50 == 0:
                         registry.bump("corpus")
             except Exception as exc:  # surfaced below

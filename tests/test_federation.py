@@ -504,7 +504,6 @@ class TestRuntimeQueryStrategy:
         assert response.views
 
     def test_derive_query_applies_strategy(self):
-        from repro.core.runtime import SymphonyRuntime
         from repro.core.datasources import SourceItem
         item = SourceItem(item_id="1", title="Halo Odyssey",
                           fields={"title": "Halo Odyssey"})
@@ -513,17 +512,15 @@ class TestRuntimeQueryStrategy:
             role=SourceRole.SUPPLEMENTAL, drive_fields=("title",),
             query_suffix="review",
         )
-        assert SymphonyRuntime._derive_query(plain, item) \
-            == '"Halo Odyssey" review'
+        assert plain.derive_query(item) == '"Halo Odyssey" review'
         entity = SourceBinding(
             binding_id="b", source_id="s",
             role=SourceRole.SUPPLEMENTAL, drive_fields=("title",),
             query_suffix="review", query_strategy="entity",
         )
-        assert SymphonyRuntime._derive_query(entity, item) \
-            == '"halo odyssey" review'
-        assert SymphonyRuntime._derive_query(
-            entity, item, with_suffix=False) == '"halo odyssey"'
+        assert entity.derive_query(item) == '"halo odyssey" review'
+        assert entity.derive_query(item, with_suffix=False) \
+            == '"halo odyssey"'
 
 
 class TestCli:

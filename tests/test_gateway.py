@@ -125,7 +125,7 @@ class TestGenerations:
         registry = GenerationRegistry()
         cache = ResultCache(max_entries=4, ttl_ms=60_000,
                             generations=registry)
-        cache.put("k", "value", clock.now_ms, ["corpus"])
+        cache.put("k", "value", clock.now_ms, cache.stamp(["corpus"]))
         assert cache.get("k", clock.now_ms) == "value"
         registry.bump("corpus")
         assert cache.get("k", clock.now_ms) is None
@@ -135,7 +135,7 @@ class TestGenerations:
         clock = SimClock()
         registry = GenerationRegistry()
         cache = ResultCache(ttl_ms=1_000, generations=registry)
-        cache.put("k", "value", clock.now_ms, ["corpus"])
+        cache.put("k", "value", clock.now_ms, cache.stamp(["corpus"]))
         clock.advance(1_001)
         assert cache.get("k", clock.now_ms) is None
 
@@ -480,6 +480,61 @@ class TestGenerationInvalidation:
         assert after.trace.cache_hits == 0
         assert after.views[0].item.get("producer") == "Reissue 0"
 
+    @staticmethod
+    def _reingest_mid_read(sym, account, app_id, games, monkeypatch):
+        """Make the app's first live inventory search race a re-ingest:
+        the new rows land after the source has read the old ones but
+        before its caller can cache what it read."""
+        source = sym.sources.get(
+            sym.apps.get(app_id).bindings[0].source_id)
+        search = source.search
+        fresh = make_inventory_csv(games).replace(b"Studio", b"Reissue")
+
+        def racing_search(query):
+            result = search(query)
+            monkeypatch.setattr(source, "search", search)
+            sym.upload_http(account, "inventory2.csv", fresh,
+                            "inventory", content_type="text/csv",
+                            key_field="title")
+            return result
+
+        monkeypatch.setattr(source, "search", racing_search)
+
+    def test_reingest_during_source_read_is_not_cached_as_current(
+            self, symphony, monkeypatch):
+        """Regression: the runtime cache stamped an entry with the
+        generations current at ``put`` — after the data was read — so
+        rows replaced mid-read were served for the whole TTL."""
+        sym = symphony
+        account = sym.register_designer("Ann")
+        games = sym.web.entities["video_games"][:4]
+        app_id = build_app(sym, account, "GamerQueen", "inventory",
+                           games)
+        self._reingest_mid_read(sym, account, app_id, games, monkeypatch)
+        raced = sym.query(app_id, games[0])
+        assert raced.views[0].item.get("producer") == "Studio 0"
+        after = sym.query(app_id, games[0])
+        assert after.trace.cache_hits == 0
+        assert after.views[0].item.get("producer") == "Reissue 0"
+
+    def test_reingest_during_query_is_not_cached_as_current(
+            self, tiny_web, monkeypatch):
+        """The same race one level up: the gateway's response cache
+        (runtime cache off, so only the gateway's stamp is on trial)."""
+        from repro.core.platform import Symphony
+        sym = Symphony(web=tiny_web, use_authority=False,
+                       cache_enabled=False, gateway=True)
+        account = sym.register_designer("Ann")
+        games = sym.web.entities["video_games"][:4]
+        app_id = build_app(sym, account, "GamerQueen", "inventory",
+                           games)
+        self._reingest_mid_read(sym, account, app_id, games, monkeypatch)
+        raced = sym.query_via_gateway(app_id, games[0])
+        assert raced.views[0].item.get("producer") == "Studio 0"
+        after = sym.query_via_gateway(app_id, games[0])
+        assert sym.gateway.cache.stats()["hits"] == 0
+        assert after.views[0].item.get("producer") == "Reissue 0"
+
     def test_unchanged_upload_does_not_bump(self, gateway_app):
         sym, account, app_id, games = gateway_app
         sym.query_via_gateway(app_id, games[0])
@@ -574,6 +629,66 @@ class TestGatewayTelemetry:
         assert len(gateway_spans) == 1
         query_spans = [s for s in spans if s.name == "query"]
         assert query_spans[0].parent_id == gateway_spans[0].span_id
+
+
+# -- integration: gateway -> runtime hand-off -----------------------------------
+
+class TestRuntimeHandOff:
+    """The runtime is handed the gateway's own ``Deadline`` and the
+    queue wait it measured; neither is re-derived on the other side."""
+
+    @staticmethod
+    def _two_queued(tiny_web, second_deadline_ms=0.0, **layers):
+        """Submit two requests, then pump: the second waits out the
+        first's service time. Returns ``(sym, submit_ms)``."""
+        from repro.core.platform import Symphony
+        sym = Symphony(web=tiny_web, use_authority=False, gateway=True,
+                       **layers)
+        account = sym.register_designer("Ann")
+        games = sym.web.entities["video_games"][:4]
+        app_id = build_app(sym, account, "GamerQueen", "inventory",
+                           games)
+        sym.gateway.submit(QueryRequest(app_id=app_id,
+                                        query_text=games[0]))
+        sym.gateway.submit(QueryRequest(
+            app_id=app_id, query_text=games[1],
+            deadline_ms=second_deadline_ms))
+        return sym, sym.clock.now_ms
+
+    def test_queue_wait_counts_toward_observed_latency(
+            self, tiny_web, monkeypatch):
+        sym, submit_ms = self._two_queued(tiny_web, slo=True)
+        observed = []
+        observe = sym.slo.observe
+
+        def recording_observe(**outcome):
+            observed.append(outcome)
+            return observe(**outcome)
+
+        monkeypatch.setattr(sym.slo, "observe", recording_observe)
+        sym.gateway.pump()
+        first, second = observed
+        assert first["latency_ms"] == first["end_ms"] - first["start_ms"]
+        waited = second["start_ms"] - submit_ms
+        assert waited > 0
+        assert second["latency_ms"] == \
+            second["end_ms"] - second["start_ms"] + waited
+
+    def test_overrun_emits_one_event_quoting_the_full_budget(
+            self, tiny_web):
+        # 20ms clears admission, but the first request's service time
+        # eats most of it in the queue and the pipeline overruns.
+        sym, __ = self._two_queued(tiny_web, second_deadline_ms=20.0,
+                                   telemetry=True)
+        sym.gateway.pump()
+        exceeded = [e for e in sym.telemetry.events.events
+                    if e.kind == "deadline.exceeded"]
+        assert len(exceeded) == 1
+        assert exceeded[0].fields["budget_ms"] == 20.0
+        query_spans = [s for s in sym.telemetry.tracer.spans
+                       if s.name == "query"]
+        # The root span still quotes what queueing left behind.
+        assert 0 < query_spans[1].attrs["deadline_budget_ms"] < 20.0
 
 
 # -- backward compatibility ----------------------------------------------------
@@ -686,9 +801,9 @@ class TestGenerationKeyAgreement:
         runtime_stamps = {}
         put = sym.runtime.cache.put
 
-        def recording_put(key, value, now_ms, generation_keys=()):
-            runtime_stamps[key[0]] = set(generation_keys)
-            put(key, value, now_ms, generation_keys)
+        def recording_put(key, value, now_ms, stamp=None):
+            runtime_stamps[key[0]] = set(stamp)
+            put(key, value, now_ms, stamp)
 
         monkeypatch.setattr(sym.runtime.cache, "put", recording_put)
         for source, keys in expected.items():

@@ -221,14 +221,14 @@ class TestCacheProperties:
                                         stamp):
         cache = ResultCache(max_entries=capacity, ttl_ms=10_000)
         for key, now in operations:
-            cache.put(key, key.upper(), now, stamp)
+            cache.put(key, key.upper(), now, cache.stamp(stamp))
             assert len(cache) <= capacity
 
     @given(st.sampled_from("abc"), st.integers(0, 100),
            st.integers(1, 200), st.sampled_from(CACHE_STAMPS))
     def test_ttl_monotone(self, key, stored_at, age, stamp):
         cache = ResultCache(ttl_ms=100)
-        cache.put(key, "value", stored_at, stamp)
+        cache.put(key, "value", stored_at, cache.stamp(stamp))
         result = cache.get(key, now_ms=stored_at + age)
         if age <= 100:
             assert result == "value"

@@ -440,12 +440,12 @@ class TestInstrumentWiring:
         for stamp in CACHE_STAMPS:
             cache = ResultCache(max_entries=2, ttl_ms=100)
             assert cache.get("a", now_ms=0) is None         # miss
-            cache.put("a", "va", 0, stamp)
+            cache.put("a", "va", 0, cache.stamp(stamp))
             assert cache.get("a", now_ms=10) == "va"        # hit
             assert cache.get("a", now_ms=200) is None       # ttl eviction
-            cache.put("b", "vb", 300, stamp)
-            cache.put("c", "vc", 300, stamp)
-            cache.put("d", "vd", 300, stamp)                # lru eviction
+            cache.put("b", "vb", 300, cache.stamp(stamp))
+            cache.put("c", "vc", 300, cache.stamp(stamp))
+            cache.put("d", "vd", 300, cache.stamp(stamp))  # lru eviction
             stats = cache.stats()
             assert stats["hits"] == 1
             assert stats["misses"] == 2
