@@ -28,15 +28,12 @@ def workload(web):
 
 @pytest.fixture(scope="module")
 def clusters(bench_web):
-    built = {
+    return {
         n: build_clustered_engine(
             bench_web, ClusterConfig(num_shards=n, replicas_per_shard=1)
         )
         for n in SHARD_COUNTS
     }
-    yield built
-    for engine in built.values():
-        engine.close()
 
 
 def test_latency_vs_shard_count(benchmark, bench_web, clusters):
@@ -81,45 +78,42 @@ def test_replica_kill_degrades_gracefully(bench_web):
     cluster = build_clustered_engine(
         bench_web, ClusterConfig(num_shards=4, replicas_per_shard=2)
     )
-    try:
-        queries = workload(bench_web)
-        healthy_totals = {
-            q: cluster.search("web", q).total_matches for q in queries
-        }
+    queries = workload(bench_web)
+    healthy_totals = {
+        q: cluster.search("web", q).total_matches for q in queries
+    }
 
-        lines = ["Replica-kill fault run (4 shards x 2 replicas)"]
+    lines = ["Replica-kill fault run (4 shards x 2 replicas)"]
 
-        # One replica down: failover inside the group, full results.
-        cluster.kill_replica(0, 0)
-        one_down = [cluster.search("web", q) for q in queries]
-        assert all(not r.degraded for r in one_down)
-        assert [r.total_matches for r in one_down] == \
-            [healthy_totals[q] for q in queries]
-        lines.append("kill shard-0/replica-0     -> degraded=False, "
-                     "failover served full results")
+    # One replica down: failover inside the group, full results.
+    cluster.kill_replica(0, 0)
+    one_down = [cluster.search("web", q) for q in queries]
+    assert all(not r.degraded for r in one_down)
+    assert [r.total_matches for r in one_down] == \
+        [healthy_totals[q] for q in queries]
+    lines.append("kill shard-0/replica-0     -> degraded=False, "
+                 "failover served full results")
 
-        # The whole shard down: partial results, flagged, no exception.
-        cluster.kill_replica(0, 1)
-        for query in queries:
-            response = cluster.search("web", query)
-            assert response.degraded
-            assert response.failed_shards == (0,)
-            assert response.shards_ok == 3
-            assert response.total_matches <= healthy_totals[query]
-            lines.append(
-                f"kill shard-0 entirely      -> degraded=True  "
-                f"{response.total_matches:>3}/{healthy_totals[query]:>3}"
-                f" matches  {query!r}"
-            )
+    # The whole shard down: partial results, flagged, no exception.
+    cluster.kill_replica(0, 1)
+    for query in queries:
+        response = cluster.search("web", query)
+        assert response.degraded
+        assert response.failed_shards == (0,)
+        assert response.shards_ok == 3
+        assert response.total_matches <= healthy_totals[query]
+        lines.append(
+            f"kill shard-0 entirely      -> degraded=True  "
+            f"{response.total_matches:>3}/{healthy_totals[query]:>3}"
+            f" matches  {query!r}"
+        )
 
-        # Revive one replica: service is whole again.
-        cluster.revive_replica(0, 1)
-        revived = cluster.search("web", queries[0])
-        assert not revived.degraded
-        assert revived.total_matches == healthy_totals[queries[0]]
-        lines.append("revive shard-0/replica-1   -> degraded=False, "
-                     "full results restored")
+    # Revive one replica: service is whole again.
+    cluster.revive_replica(0, 1)
+    revived = cluster.search("web", queries[0])
+    assert not revived.degraded
+    assert revived.total_matches == healthy_totals[queries[0]]
+    lines.append("revive shard-0/replica-1   -> degraded=False, "
+                 "full results restored")
 
-        record_artifact("x3_cluster_replica_kill", "\n".join(lines))
-    finally:
-        cluster.close()
+    record_artifact("x3_cluster_replica_kill", "\n".join(lines))

@@ -10,14 +10,16 @@ document-partitioned, replicated index cluster:
   the merged :class:`CorpusStats` make BM25 idf on any shard identical
   to single-node scoring.
 * **Phase 2 (execution scatter):** every shard evaluates and ranks its
-  own partition in parallel under the global statistics; the gatherer
-  heap-merges the sorted shard lists into the global top-k.
+  own partition under the global statistics; the gatherer heap-merges
+  the sorted shard lists into the global top-k.
 
-Simulated latency is the *max* over shards (plus the fixed overhead)
-instead of the single-node sum — the whole point of partitioning.
+Shard tasks run one after another on the calling thread; shards are
+parallel in the cost model only — simulated latency is the *max* over
+shards (plus the fixed overhead) instead of the single-node sum, the
+whole point of partitioning.
 
-When every replica of a shard is down (killed, faulted out, or timed
-out), the query degrades instead of failing: the response carries the
+When every replica of a shard is down (killed or faulted out), the
+query degrades instead of failing: the response carries the
 surviving shards' results with ``degraded=True`` and the failed shard
 ids, so applications keep rendering.
 """
@@ -57,12 +59,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Opt-in cluster shape: shard count, redundancy, dispatch limits."""
+    """Opt-in cluster shape: shard count, redundancy, failover limit."""
 
     num_shards: int = 4
     replicas_per_shard: int = 1
-    max_workers: int | None = None     # default: one thread per shard
-    shard_timeout_s: float = 5.0       # shared wall budget per scatter
     failure_threshold: int = 3         # consecutive errors -> replica out
 
     def __post_init__(self) -> None:
@@ -185,16 +185,8 @@ class ClusteredSearchEngine:
         self._metrics = self.telemetry.metrics
         self.hedge_policy = hedge
         for group in self.groups:
-            group.tracer = self._tracer
-            if self.telemetry.enabled:
-                group.events = self.telemetry.events
-                group.metrics = self._metrics
-            if hedge is not None:
-                group.enable_hedging(hedge)
-        self.executor = ScatterGatherExecutor(
-            max_workers=self.config.max_workers or len(groups),
-            shard_timeout_s=self.config.shard_timeout_s,
-        )
+            self._adopt(group)
+        self.executor = ScatterGatherExecutor()
         # Installed by repro.controlplane during a live migration: maps
         # a doc_id to the extra shard(s) that must also see its writes
         # (dual-write window). None on the clean path.
@@ -232,6 +224,14 @@ class ClusteredSearchEngine:
     def group_for(self, doc_id: str) -> ReplicaGroup:
         return self.groups[self.router.shard_of(doc_id)]
 
+    def _adopt(self, group: ReplicaGroup) -> None:
+        """Hand a replica group this engine's instruments and hedging."""
+        group.tracer = self._tracer
+        group.events = self.telemetry.events
+        group.metrics = self._metrics
+        if self.hedge_policy is not None:
+            group.enable_hedging(self.hedge_policy)
+
     def register_shard(self, group: ReplicaGroup) -> None:
         """Attach a new (initially unrouted) replica group.
 
@@ -244,14 +244,8 @@ class ClusteredSearchEngine:
                 f"new shard id must be {len(self.groups)}, "
                 f"got {group.shard_id}"
             )
-        group.tracer = self._tracer
-        if self.telemetry.enabled:
-            group.events = self.telemetry.events
-            group.metrics = self._metrics
-        if self.hedge_policy is not None:
-            group.enable_hedging(self.hedge_policy)
+        self._adopt(group)
         self.groups.append(group)
-        self.executor.resize(len(self.groups))
 
     def apply_route(self, route_map) -> None:
         """Atomically flip the cluster to a successor route map."""
@@ -272,9 +266,6 @@ class ClusteredSearchEngine:
         replica = self.groups[shard_id].primary()
         return sum(replica.doc_count(vertical)
                    for vertical in replica.verticals)
-
-    def close(self) -> None:
-        self.executor.close()
 
     # -- ops hooks ------------------------------------------------------------
 
@@ -371,11 +362,9 @@ class ClusteredSearchEngine:
     def _shard_task(self, group, phase: str, fn, annotated: bool = False):
         """Wrap ``group.run(fn)`` in a per-shard span.
 
-        The span opens on the worker thread, under the context the
-        executor copied at scatter time, so it parents beneath the
-        phase span. Names are unique per shard (``exec:shard-3``) —
-        the tracer's content-derived ids stay deterministic however
-        the OS interleaves the workers.
+        The executor runs the task on the scattering thread, so the
+        span parents beneath the phase span that is current there.
+        Names are unique per shard (``exec:shard-3``).
 
         With ``annotated=True`` the task returns the group's
         ``(result, meta)`` pair, carrying per-attempt latency and
@@ -431,10 +420,6 @@ class ClusteredSearchEngine:
         if root:
             root.set("topology_version", route.version)
 
-        def wall_budget():
-            return (deadline.remaining_wall_s()
-                    if deadline is not None else None)
-
         # Phase 1: gather global statistics (skipped for pure-filter
         # queries, which BM25 never scores).
         if terms:
@@ -445,7 +430,7 @@ class ClusteredSearchEngine:
                         lambda r: r.collect_stats(vkey, terms),
                     )
                     for group in groups
-                }, wall_budget_s=wall_budget())
+                })
             failed |= {sid for sid, out in outcomes.items()
                        if not out.ok}
             stats = CorpusStats.merge(
@@ -454,7 +439,7 @@ class ClusteredSearchEngine:
         else:
             stats = CorpusStats.empty()
 
-        # Phase 2: parallel per-shard evaluate + rank under the global
+        # Phase 2: per-shard evaluate + rank under the global
         # statistics; remember which replica served each shard so the
         # gather phase can materialize results from it. Skipped
         # entirely when the query's deadline already ran out — the
@@ -477,7 +462,7 @@ class ClusteredSearchEngine:
                         group, "exec", run_shard, annotated=True)
                     for group in groups
                     if group.shard_id not in failed
-                }, wall_budget_s=wall_budget())
+                })
         shard_lists: dict[int, list] = {}
         candidate_counts: dict[int, int] = {}
         extra_latency: dict[int, float] = {}

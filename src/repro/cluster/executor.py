@@ -1,17 +1,17 @@
-"""Parallel scatter-gather over shards.
+"""Scatter-gather over shards.
 
-Dispatches one task per shard onto a shared thread pool, enforces one
-shared wall-clock budget across the gather, and merges the shards'
-already-sorted result lists with a heap so gathering top-k costs
-O(k log num_shards), not a global re-sort.
+Runs one task per shard, in task order, on the calling thread —
+isolating each shard's failure into its outcome — and merges the
+shards' already-sorted result lists with a heap so gathering top-k
+costs O(k log num_shards), not a global re-sort.  Shards are parallel
+only in the *simulated* cost model (the engine charges the slowest
+shard to the sim clock); nothing here starts a thread or reads real
+time.
 """
 
 from __future__ import annotations
 
-import contextvars
 import heapq
-import time
-from concurrent.futures import ThreadPoolExecutor, TimeoutError as _Timeout
 from dataclasses import dataclass
 
 __all__ = ["ShardOutcome", "ScatterGatherExecutor", "merge_ranked"]
@@ -31,103 +31,23 @@ class ShardOutcome:
 
 
 class ScatterGatherExecutor:
-    """A reusable thread pool with per-shard timeout semantics."""
+    """Runs shard tasks one after another, isolating failures."""
 
-    def __init__(self, max_workers: int | None = None,
-                 shard_timeout_s: float = 5.0) -> None:
-        if shard_timeout_s <= 0:
-            raise ValueError("shard_timeout_s must be positive")
-        self._max_workers = max_workers
-        self.shard_timeout_s = shard_timeout_s
-        self._pool: ThreadPoolExecutor | None = None
+    def scatter(self, tasks: dict) -> dict:
+        """Run ``{shard_id: thunk}`` in dict order on the calling thread.
 
-    def _ensure_pool(self, task_count: int) -> ThreadPoolExecutor:
-        if self._pool is None:
-            workers = self._max_workers or min(16, max(1, task_count))
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="scatter-gather",
-            )
-        return self._pool
-
-    def scatter(self, tasks: dict,
-                wall_budget_s: float | None = None) -> dict:
-        """Run ``{shard_id: thunk}`` in parallel under one wall budget.
-
-        Returns ``{shard_id: ShardOutcome}``; a thunk that raises or is
-        still running when the budget expires yields a failed outcome
-        instead of propagating, so one slow or dead shard cannot fail
-        the query.
-
-        The gather waits against a *shared* deadline of ``wall_budget_s``
-        (default: ``shard_timeout_s``) real seconds from scatter time:
-        each sequential ``future.result`` wait only gets the budget that
-        earlier shards left behind, so the total gather can never
-        overshoot the budget the way independent per-shard timeouts
-        stacked up to ``N * shard_timeout_s`` could.  Shards that
-        already finished are still collected after expiry (a zero
-        timeout only fails futures that are genuinely unfinished).
-
-        Each task runs under a copy of the caller's ``contextvars``
-        context, so ambient state — in particular the current telemetry
-        span — propagates onto the worker threads and spans opened
-        inside a shard task parent under the span that scattered it.
+        Returns ``{shard_id: ShardOutcome}``; a thunk that raises yields
+        a failed outcome instead of propagating, so one dead shard
+        cannot fail the query and later shards still run.  Spans opened
+        inside a thunk parent under the caller's current span.
         """
-        if not tasks:
-            return {}
-        budget_s = (wall_budget_s if wall_budget_s is not None
-                    else self.shard_timeout_s)
-        pool = self._ensure_pool(len(tasks))
-        wall_deadline = time.monotonic() + budget_s
-        futures = {
-            shard_id: pool.submit(contextvars.copy_context().run, thunk)
-            for shard_id, thunk in tasks.items()
-        }
         outcomes: dict[int, ShardOutcome] = {}
-        for shard_id, future in futures.items():
-            remaining = max(0.0, wall_deadline - time.monotonic())
+        for shard_id, thunk in tasks.items():
             try:
-                value = future.result(timeout=remaining)
-            except _Timeout:
-                future.cancel()
-                outcomes[shard_id] = ShardOutcome(
-                    shard_id,
-                    error=TimeoutError(
-                        f"shard {shard_id} unfinished after the "
-                        f"{budget_s:.1f}s scatter budget"
-                    ),
-                )
+                outcomes[shard_id] = ShardOutcome(shard_id, value=thunk())
             except Exception as exc:  # noqa: BLE001 — isolated per shard
                 outcomes[shard_id] = ShardOutcome(shard_id, error=exc)
-            else:
-                outcomes[shard_id] = ShardOutcome(shard_id, value=value)
         return outcomes
-
-    def resize(self, max_workers: int) -> None:
-        """Grow the dispatch width (e.g. after a shard split).
-
-        A shrink request is ignored — fewer shards simply leave pool
-        threads idle. The current pool is retired and rebuilt lazily at
-        the new width on the next scatter.
-        """
-        if max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        if (self._max_workers is not None
-                and max_workers <= self._max_workers):
-            return
-        self.close()
-        self._max_workers = max_workers
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ScatterGatherExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def merge_ranked(shard_lists: dict):

@@ -37,6 +37,8 @@ from repro.searchengine.engine import (
 from repro.searchengine.ranking import BM25Scorer
 from repro.searchengine.spelling import collect_term_frequencies
 from repro.searchengine.stats import CorpusStats, StatsOverlayIndex
+from repro.telemetry.events import NULL_EVENTS
+from repro.telemetry.metrics import NULL_METRICS
 from repro.telemetry.trace import NULL_TRACER
 
 __all__ = ["ShardReplica", "ReplicaGroup"]
@@ -173,7 +175,7 @@ class ShardReplica:
     def doc_count(self, vertical) -> int:
         return len(self.vertical(vertical).index)
 
-    # -- query plane (runs on scatter-gather worker threads) ------------------
+    # -- query plane (runs inside scatter-gather shard tasks) -----------------
 
     def collect_stats(self, vertical, terms) -> CorpusStats:
         """Phase 1: this shard's contribution to the global statistics."""
@@ -237,11 +239,11 @@ class ReplicaGroup:
         self.replicas = list(replicas)
         self.failure_threshold = failure_threshold
         # Telemetry hooks, installed by the owning cluster engine. The
-        # tracer parents attempt spans under whatever span scattered
-        # the request onto this group's worker thread.
+        # tracer parents attempt spans under the shard-task span that
+        # is current when the request reaches this group.
         self.tracer = NULL_TRACER
-        self.events = None
-        self.metrics = None
+        self.events = NULL_EVENTS
+        self.metrics = NULL_METRICS
         # Hedging, installed via enable_hedging by the cluster engine.
         self.hedge_policy = None
         self.latency_histogram = None
@@ -338,12 +340,11 @@ class ReplicaGroup:
         for replica in self.replicas:
             if replica.crashed:
                 replica.writes_missed += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "replica_writes_missed_total",
-                        shard=str(self.shard_id),
-                        replica=replica.replica_id,
-                    ).inc()
+                self.metrics.counter(
+                    "replica_writes_missed_total",
+                    shard=str(self.shard_id),
+                    replica=replica.replica_id,
+                ).inc()
                 continue
             fn(replica)
 
@@ -365,8 +366,7 @@ class ReplicaGroup:
             )
 
     def _emit(self, kind: str, **fields) -> None:
-        if self.events is not None:
-            self.events.emit(kind, shard=self.shard_id, **fields)
+        self.events.emit(kind, shard=self.shard_id, **fields)
 
     def _attempt(self, fn, index: int, replica, errors: list):
         """One read attempt on ``replica``; ``(ok, result, latency_ms)``.

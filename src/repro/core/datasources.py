@@ -167,7 +167,7 @@ class ProprietaryTableSource(DataSource):
                 )
         self.search_fields = tuple(search_fields)
         self._index: InvertedIndex | None = None
-        self._index_fingerprint: tuple | None = None
+        self._indexed_mutations = -1   # table.mutations at last build
         #: Zero-arg callable returning contract metadata for this
         #: table ({} when ungoverned); set by the platform when
         #: contracts are enabled so stale feeds are flagged on every
@@ -184,15 +184,9 @@ class ProprietaryTableSource(DataSource):
     def generation_keys(self) -> tuple:
         return (table_key(self.tenant_id, self._table.name),)
 
-    def _fingerprint(self) -> tuple:
-        return (
-            len(self._table),
-            sum(r.version for r in self._table.all_records()),
-        )
-
     def _ensure_index(self) -> InvertedIndex:
-        fingerprint = self._fingerprint()
-        if self._index is None or self._index_fingerprint != fingerprint:
+        mutations = self._table.mutations
+        if self._indexed_mutations != mutations:
             index = InvertedIndex(Analyzer())
             for record in self._table.all_records():
                 index.add(FieldedDocument(
@@ -204,7 +198,7 @@ class ProprietaryTableSource(DataSource):
                     payload=record,
                 ))
             self._index = index
-            self._index_fingerprint = fingerprint
+            self._indexed_mutations = mutations
         return self._index
 
     def export_config(self) -> dict:

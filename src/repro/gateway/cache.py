@@ -47,8 +47,8 @@ class ResultCache:
     TTL-only — an entry whose generation moved dies when it is read or
     when the cache reaches its LRU cap, where the entries a bump
     killed go before any live one (one scan per bump at most).
-    Thread-safe: cluster worker threads, gateway dispatchers and
-    concurrent app queries share these caches.
+    Thread-safe: gateway dispatchers and concurrent app queries share
+    these caches.
 
     Without ``generations`` the cache owns a private registry nobody
     bumps, i.e. plain LRU + TTL.

@@ -6,8 +6,8 @@ runtime re-exports them under their historical names
 (``repro.core.runtime.CircuitBreaker`` etc.) for backward compatibility.
 
 Everything is judged against :class:`repro.util.SimClock` and guarded by
-locks: cluster worker threads, gateway dispatchers, and concurrent app
-queries share these objects.
+locks: gateway dispatchers and concurrent app queries share these
+objects.
 """
 
 from __future__ import annotations

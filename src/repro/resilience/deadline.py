@@ -7,15 +7,11 @@ scatter-gather, REST/SOAP invocation, the ad auction.  Each stage asks
 runs out of budget stops fanning out and degrades to partial results
 instead of failing.
 
-The budget is judged against :class:`repro.util.SimClock`, keeping every
-deadline decision deterministic.  An optional *wall* budget additionally
-caps real elapsed time, which the scatter-gather executor uses to bound
-its sequential ``future.result`` waits by one shared wall-clock budget.
+The budget is judged against :class:`repro.util.SimClock` and nothing
+else, so every deadline decision is deterministic.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.errors import DeadlineExceededError
 
@@ -23,22 +19,16 @@ __all__ = ["Deadline"]
 
 
 class Deadline:
-    """A wall-clock budget for one query, charged against the sim clock."""
+    """A latency budget for one query, charged against the sim clock."""
 
-    __slots__ = ("clock", "budget_ms", "deadline_ms", "_wall_deadline",
-                 "reported")
+    __slots__ = ("clock", "budget_ms", "deadline_ms", "reported")
 
-    def __init__(self, clock, budget_ms: float,
-                 wall_budget_s: float | None = None) -> None:
+    def __init__(self, clock, budget_ms: float) -> None:
         if budget_ms <= 0:
             raise ValueError("deadline budget must be positive")
         self.clock = clock
         self.budget_ms = float(budget_ms)
         self.deadline_ms = clock.now_ms + float(budget_ms)
-        self._wall_deadline = (
-            time.monotonic() + wall_budget_s
-            if wall_budget_s is not None else None
-        )
         # Set by the first caller that surfaces the expiry to telemetry,
         # so one query emits one ``deadline.exceeded`` event, not one per
         # skipped source.
@@ -48,18 +38,9 @@ class Deadline:
         """Simulated milliseconds left; negative once overrun."""
         return self.deadline_ms - self.clock.now_ms
 
-    def remaining_wall_s(self) -> float | None:
-        """Real seconds left, or ``None`` when no wall budget was set."""
-        if self._wall_deadline is None:
-            return None
-        return max(0.0, self._wall_deadline - time.monotonic())
-
     @property
     def expired(self) -> bool:
-        if self.remaining_ms() <= 0:
-            return True
-        wall = self.remaining_wall_s()
-        return wall is not None and wall <= 0.0
+        return self.remaining_ms() <= 0
 
     def overshoot_ms(self) -> float:
         """How far past the budget the sim clock has run (0 if within)."""

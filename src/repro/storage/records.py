@@ -263,6 +263,10 @@ class RecordTable:
         self._records: dict[str, Record] = {}
         self._indexes: dict[str, dict] = {f: {} for f in self.indexed_fields}
         self._next_serial = 1
+        #: Bumped whenever a record enters or leaves the table (an
+        #: update does both), so derived indexes can tell cheaply and
+        #: exactly whether they are current.
+        self.mutations = 0
 
     # -- CRUD ------------------------------------------------------------------
 
@@ -440,13 +444,13 @@ class RecordTable:
         return str(value).lower() if value is not None else None
 
     def _index_record(self, record: Record) -> None:
-        if not self._indexes:
-            return
+        self.mutations += 1
         for field_name, index in self._indexes.items():
             key = self._key(record.values.get(field_name))
             index.setdefault(key, set()).add(record.record_id)
 
     def _unindex_record(self, record: Record) -> None:
+        self.mutations += 1
         for field_name, index in self._indexes.items():
             key = self._key(record.values.get(field_name))
             bucket = index.get(key)

@@ -2,7 +2,7 @@
 
 Instruments are created lazily (``registry.counter("cache_hits")``) and
 identified by (name, labels); the registry is thread-safe because
-cluster worker threads and concurrent app queries record into the same
+gateway dispatchers and concurrent app queries record into the same
 instance. :class:`Histogram` keeps an exact sample list up to a cap and
 then compacts deterministically (sort, keep every other sample), so
 p50/p95/p99 stay accurate at small counts, bounded in memory at large

@@ -4,17 +4,17 @@ A :class:`Tracer` produces a tree of :class:`Span` objects per query —
 query → stage → per-source → cluster phase → per-shard → per-replica —
 timed off :class:`~repro.util.SimClock` so the same seeded run always
 yields the same span tree. The *current* span lives in a
-:class:`contextvars.ContextVar`; because
-:class:`~repro.cluster.executor.ScatterGatherExecutor` submits every
-shard task under a copy of the caller's context, spans opened on worker
-threads parent correctly under the span that scattered them.
+:class:`contextvars.ContextVar`, so concurrent callers each see their
+own; :class:`~repro.cluster.executor.ScatterGatherExecutor` runs shard
+tasks on the scattering thread, so their spans parent under the span
+that scattered them with no hand-off at all.
 
 Span ids are content-derived (``stable_hash(parent, name, occurrence)``)
 rather than random, which is what makes traces reproducible: two runs
 that perform the same operations produce byte-identical span trees.
-Concurrent siblings must therefore use distinct span names (the cluster
-instrumentation names spans ``exec:shard-3``, never a bare ``exec``);
-same-named siblings are only deterministic when opened sequentially.
+Same-named siblings are therefore only deterministic when opened
+sequentially; siblings opened from different threads need distinct
+names.
 
 The default tracer is :data:`NULL_TRACER`, whose ``span()`` returns one
 shared no-op object — the uninstrumented hot path allocates nothing.
@@ -179,8 +179,8 @@ class Tracer:
 
     @property
     def spans(self) -> list[Span]:
-        """Finished spans in a deterministic order (not completion order:
-        worker threads finish in whatever order the OS schedules)."""
+        """Finished spans in a deterministic order (not completion
+        order, which depends on how concurrent callers interleave)."""
         with self._lock:
             return sorted(
                 self._finished,

@@ -1,6 +1,6 @@
 """Unit and integration tests for the ``repro.cluster`` subsystem."""
 
-import time
+import threading
 
 import pytest
 
@@ -34,8 +34,7 @@ def cluster(small_web):
         ClusterConfig(num_shards=4, replicas_per_shard=2),
         use_authority=False,
     )
-    yield engine
-    engine.close()
+    return engine
 
 
 @pytest.fixture(scope="module")
@@ -122,34 +121,36 @@ class TestReplicaGroup:
 
 
 class TestScatterGatherExecutor:
-    def test_parallel_dispatch_collects_all(self):
-        with ScatterGatherExecutor(max_workers=4) as executor:
-            outcomes = executor.scatter(
-                {i: (lambda i=i: i * i) for i in range(8)}
-            )
+    def test_dispatch_collects_all(self):
+        outcomes = ScatterGatherExecutor().scatter(
+            {i: (lambda i=i: i * i) for i in range(8)}
+        )
         assert all(out.ok for out in outcomes.values())
         assert {i: out.value for i, out in outcomes.items()} == \
             {i: i * i for i in range(8)}
 
+    def test_runs_on_calling_thread_in_task_order(self):
+        ran = []
+
+        def thunk(shard_id):
+            return lambda: ran.append((shard_id, threading.get_ident()))
+        ScatterGatherExecutor().scatter(
+            {shard_id: thunk(shard_id) for shard_id in (3, 0, 2, 1)}
+        )
+        here = threading.get_ident()
+        assert ran == [(3, here), (0, here), (2, here), (1, here)]
+
     def test_exception_is_isolated_per_shard(self):
         def boom():
             raise ReplicaFaultError("nope")
-        with ScatterGatherExecutor(max_workers=2) as executor:
-            outcomes = executor.scatter({0: boom, 1: lambda: "fine"})
-        assert not outcomes[0].ok
-        assert isinstance(outcomes[0].error, ReplicaFaultError)
-        assert outcomes[1].ok and outcomes[1].value == "fine"
-
-    def test_per_shard_timeout(self):
-        with ScatterGatherExecutor(max_workers=2,
-                                   shard_timeout_s=0.05) as executor:
-            outcomes = executor.scatter({
-                0: lambda: time.sleep(0.5) or "late",
-                1: lambda: "quick",
-            })
-        assert not outcomes[0].ok
-        assert isinstance(outcomes[0].error, TimeoutError)
-        assert outcomes[1].ok
+        outcomes = ScatterGatherExecutor().scatter(
+            {0: lambda: "early", 1: boom, 2: lambda: "fine"}
+        )
+        assert outcomes[0].ok and outcomes[0].value == "early"
+        assert not outcomes[1].ok
+        assert isinstance(outcomes[1].error, ReplicaFaultError)
+        # The shard after the failed one still ran.
+        assert outcomes[2].ok and outcomes[2].value == "fine"
 
     def test_merge_ranked_orders_and_tags(self):
         merged = list(merge_ranked({
@@ -317,4 +318,3 @@ class TestSymphonyClusterIntegration:
         # The app keeps answering with a whole shard dark.
         symphony.engine.kill_replica(0, 0)
         assert symphony.query(app_id, games[1]).views
-        symphony.engine.close()

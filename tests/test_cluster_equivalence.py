@@ -9,9 +9,12 @@ for every vertical, over several generated webs.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.cluster import ClusterConfig, build_clustered_engine
+from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.engine import SearchOptions, build_engine
 from repro.simweb.generator import WebGenerator, WebSpec
 
@@ -64,23 +67,20 @@ def test_cluster_matches_single_node(seed, num_shards):
         web, ClusterConfig(num_shards=num_shards,
                            replicas_per_shard=1),
     )
-    try:
-        options = SearchOptions(count=10)
-        for vertical in ("web", "image", "video", "news"):
-            for query in sample_queries(web):
-                align_clocks(single, cluster)
-                a = single.search(vertical, query, options)
-                b = cluster.search(vertical, query, options)
-                label = f"{vertical!r} {query!r} shards={num_shards}"
-                assert b.urls() == a.urls(), label
-                assert b.total_matches == a.total_matches, label
-                assert b.suggestion == a.suggestion, label
-                assert not b.degraded
-                for ours, theirs in zip(b.results, a.results):
-                    assert ours.score == pytest.approx(
-                        theirs.score, abs=1e-9), label
-    finally:
-        cluster.close()
+    options = SearchOptions(count=10)
+    for vertical in ("web", "image", "video", "news"):
+        for query in sample_queries(web):
+            align_clocks(single, cluster)
+            a = single.search(vertical, query, options)
+            b = cluster.search(vertical, query, options)
+            label = f"{vertical!r} {query!r} shards={num_shards}"
+            assert b.urls() == a.urls(), label
+            assert b.total_matches == a.total_matches, label
+            assert b.suggestion == a.suggestion, label
+            assert not b.degraded
+            for ours, theirs in zip(b.results, a.results):
+                assert ours.score == pytest.approx(
+                    theirs.score, abs=1e-9), label
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -90,9 +90,57 @@ def test_facets_match_single_node(seed):
     cluster = build_clustered_engine(
         web, ClusterConfig(num_shards=4, replicas_per_shard=1),
     )
-    try:
+    align_clocks(single, cluster)
+    assert cluster.facets("web", "wine", ("site", "topic")) == \
+        single.facets("web", "wine", ("site", "topic"))
+
+
+def test_writes_right_after_a_failed_scatter_match_single_node():
+    """ROADMAP 4(c), closed by construction: a search leaves no thread
+    behind — not even one whose shard task raised — so a write storm on
+    that shard straight afterwards races nothing and the cluster still
+    answers like a single node."""
+    web = make_web(2010)
+    single = build_engine(web)
+    cluster = build_clustered_engine(
+        web, ClusterConfig(num_shards=4, replicas_per_shard=1),
+    )
+    storm = [
+        FieldedDocument(
+            doc_id=f"http://storm.example/{n}",
+            fields={"url": f"http://storm.example/{n}",
+                    "title": f"stormterm report {n}",
+                    "body": "stormterm " * (1 + n % 3),
+                    "site": "storm.example", "topic": "wine"},
+        )
+        for n in range(200)
+    ]
+    shard_id = cluster.router.shard_of(storm[0].doc_id)
+    storm = [doc for doc in storm
+             if cluster.router.shard_of(doc.doc_id) == shard_id]
+    assert len(storm) >= 20
+
+    threads_before = threading.active_count()
+    assert not cluster.search("web", "wine tasting").degraded
+    cluster.groups[shard_id].replicas[0].inject_fault()
+    failed = cluster.search("web", "wine tasting")
+    assert failed.degraded and failed.failed_shards == (shard_id,)
+    assert threading.active_count() == threads_before
+
+    for doc in storm:
+        cluster.add_document("web", doc)
+        single.vertical("web").add(doc)
+    for doc in storm[::2]:
+        cluster.remove_document("web", doc.doc_id)
+        single.vertical("web").index.remove(doc.doc_id)
+
+    options = SearchOptions(count=10)
+    for query in ("stormterm", "stormterm report", "wine tasting"):
         align_clocks(single, cluster)
-        assert cluster.facets("web", "wine", ("site", "topic")) == \
-            single.facets("web", "wine", ("site", "topic"))
-    finally:
-        cluster.close()
+        a = single.search("web", query, options)
+        b = cluster.search("web", query, options)
+        assert not b.degraded
+        assert b.urls() == a.urls(), query
+        assert b.total_matches == a.total_matches, query
+        for ours, theirs in zip(b.results, a.results):
+            assert ours.score == pytest.approx(theirs.score, abs=1e-9)

@@ -34,21 +34,15 @@ DOC_IDS = [f"http://site-{i}.example/page-{i}" for i in range(2000)]
 @pytest.fixture()
 def make_cluster(small_web):
     """Factory for fresh clusters (tests mutate topology)."""
-    engines = []
-
     def _make(num_shards=2, replicas=1, **kwargs):
-        engine = build_clustered_engine(
+        return build_clustered_engine(
             small_web,
             ClusterConfig(num_shards=num_shards,
                           replicas_per_shard=replicas),
             use_authority=False, **kwargs,
         )
-        engines.append(engine)
-        return engine
 
-    yield _make
-    for engine in engines:
-        engine.close()
+    return _make
 
 
 def snap(engine, query="news"):
@@ -137,12 +131,12 @@ class TestRouteFlipIsolation:
         real_scatter = engine.executor.scatter
         flipped = []
 
-        def spying_scatter(tasks, wall_budget_s=None):
+        def spying_scatter(tasks):
             scattered.append(frozenset(tasks))
             if not flipped:
                 engine.apply_route(merged)
                 flipped.append(True)
-            return real_scatter(tasks, wall_budget_s=wall_budget_s)
+            return real_scatter(tasks)
 
         engine.executor.scatter = spying_scatter
         during = snap(engine)

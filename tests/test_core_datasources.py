@@ -99,11 +99,31 @@ class TestProprietarySource:
 
     def test_index_refreshes_after_update(self, inventory_table):
         source = self.make(inventory_table)
+        assert source.search(SourceQuery("braid")).total_matches == 1
         record = inventory_table.find("title", "Braid Arena")[0]
         inventory_table.update(record.record_id,
                                {"title": "Renamed Gem"})
         assert source.search(SourceQuery("braid")).total_matches == 0
         assert source.search(SourceQuery("renamed")).total_matches == 1
+        inventory_table.upsert_by("title", {"title": "Renamed Gem",
+                                            "producer": "Upserted"})
+        assert source.search(SourceQuery("upserted")).total_matches == 1
+
+    def test_index_refreshes_after_delete_then_insert(self):
+        """Row count and version sum are both unchanged by a delete
+        followed by an insert; the index must be rebuilt all the same."""
+        table = RecordTable(
+            "games", Schema((FieldSpec("title", FieldType.STRING),)))
+        table.insert({"title": "alpha game"})
+        bravo = table.insert({"title": "bravo game"})
+        source = self.make(table, fields=("title",))
+        assert source.search(SourceQuery("game")).total_matches == 2
+        table.delete(bravo.record_id)
+        table.insert({"title": "charlie game"})
+        titles = {item.get("title")
+                  for item in source.search(SourceQuery("game")).items}
+        assert titles == {"alpha game", "charlie game"}
+        assert source.search(SourceQuery("charlie")).total_matches == 1
 
     def test_items_carry_full_record_fields(self, inventory_table):
         source = self.make(inventory_table)

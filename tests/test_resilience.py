@@ -57,11 +57,15 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline(SimClock(), -5)
 
-    def test_wall_budget_optional(self):
-        deadline = Deadline(SimClock(), 100)
-        assert deadline.remaining_wall_s() is None
-        walled = Deadline(SimClock(), 100, wall_budget_s=60.0)
-        assert walled.remaining_wall_s() > 0
+    def test_expiry_depends_only_on_the_sim_clock(self):
+        clock = SimClock(start_ms=0)
+        with pytest.raises(TypeError):
+            Deadline(clock, 100, wall_budget_s=0.0)
+        deadline = Deadline(clock, 100)
+        clock.advance(99)
+        assert not deadline.expired
+        clock.advance(1)
+        assert deadline.expired
 
 
 class TestRetryableClassification:

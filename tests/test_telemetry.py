@@ -1,7 +1,7 @@
 """Tests for repro.telemetry: tracing, metrics, events, exports.
 
 Covers the determinism contract (identical seeded runs produce
-identical span trees, even across scatter-gather worker threads),
+identical span trees, across both scatter-gather phases),
 histogram quantile edge cases, instrument wiring (cache stats, breaker
 and limiter events), and the JSONL round-trip through the exporter.
 """
@@ -274,8 +274,7 @@ def traced_cluster(tiny_web):
         use_authority=False,
         telemetry=telemetry,
     )
-    yield engine, telemetry
-    engine.close()
+    return engine, telemetry
 
 
 class TestClusterTracing:
@@ -353,11 +352,8 @@ class TestClusterTracing:
                 use_authority=False,
                 telemetry=telemetry,
             )
-            try:
-                engine.search("web", "video game")
-                engine.search("web", "strategy guide")
-            finally:
-                engine.close()
+            engine.search("web", "video game")
+            engine.search("web", "strategy guide")
             return render_span_tree(telemetry.tracer.spans,
                                     include_ids=True)
 
