@@ -2,14 +2,26 @@
 
 The analyzer is the single normalization point shared by indexing and query
 parsing, so a term always stems the same way on both sides.
+
+Stemming is a pure function of the word and by far the most expensive
+step, so the process keeps one bounded memo of it (:data:`stem_memo`):
+index builds, re-indexes, replica builds, query parsing and the ads
+matcher stem each distinct word once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-__all__ = ["tokenize", "STOPWORDS", "PorterStemmer", "Analyzer"]
+__all__ = ["tokenize", "STOPWORDS", "PorterStemmer", "Analyzer",
+           "STEM_MEMO_SIZE", "stem_memo"]
+
+#: Most distinct words :data:`stem_memo` holds; the least recently
+#: stemmed word leaves first. A few MB at worst, and larger than the
+#: working vocabulary of an English corpus.
+STEM_MEMO_SIZE = 65_536
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)?")
 
@@ -40,6 +52,11 @@ class PorterStemmer:
     _VOWELS = "aeiou"
 
     def stem(self, word: str) -> str:
+        """The stem of ``word``, from :data:`stem_memo` when seen before."""
+        return stem_memo(word)
+
+    def stem_uncached(self, word: str) -> str:
+        """The five steps themselves; what :data:`stem_memo` remembers."""
         if len(word) <= 2:
             return word
         word = self._step1a(word)
@@ -129,7 +146,11 @@ class PorterStemmer:
             return word[:-1] + "i"
         return word
 
-    _STEP2_SUFFIXES = (
+    # Suffix tables are matched longest first; they are sorted once,
+    # here, and ``sorted`` is stable, so equal lengths keep the order
+    # they are written in.
+
+    _STEP2_SUFFIXES = tuple(sorted((
         ("ational", "ate"), ("tional", "tion"), ("enci", "ence"),
         ("anci", "ance"), ("izer", "ize"), ("abli", "able"),
         ("alli", "al"), ("entli", "ent"), ("eli", "e"), ("ousli", "ous"),
@@ -137,26 +158,26 @@ class PorterStemmer:
         ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
         ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"),
         ("biliti", "ble"),
-    )
+    ), key=lambda pair: len(pair[0]), reverse=True))
 
     def _step2(self, word: str) -> str:
         return self._replace_longest(word, self._STEP2_SUFFIXES, 0)
 
-    _STEP3_SUFFIXES = (
+    _STEP3_SUFFIXES = tuple(sorted((
         ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
         ("ical", "ic"), ("ful", ""), ("ness", ""),
-    )
+    ), key=lambda pair: len(pair[0]), reverse=True))
 
     def _step3(self, word: str) -> str:
         return self._replace_longest(word, self._STEP3_SUFFIXES, 0)
 
-    _STEP4_SUFFIXES = (
+    _STEP4_SUFFIXES = tuple(sorted((
         "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
         "ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-    )
+    ), key=len, reverse=True))
 
     def _step4(self, word: str) -> str:
-        for suffix in sorted(self._STEP4_SUFFIXES, key=len, reverse=True):
+        for suffix in self._STEP4_SUFFIXES:
             if word.endswith(suffix):
                 stem = word[: -len(suffix)]
                 if self._measure(stem) > 1:
@@ -186,15 +207,20 @@ class PorterStemmer:
         return word
 
     def _replace_longest(self, word, suffixes, min_measure) -> str:
-        for suffix, replacement in sorted(
-            suffixes, key=lambda pair: len(pair[0]), reverse=True
-        ):
+        for suffix, replacement in suffixes:
             if word.endswith(suffix):
                 stem = word[: -len(suffix)]
                 if self._measure(stem) > min_measure:
                     return stem + replacement
                 return word
         return word
+
+
+#: ``stem_memo(word)`` is ``PorterStemmer().stem_uncached(word)``,
+#: remembered for the last :data:`STEM_MEMO_SIZE` distinct words. One per
+#: process, safe to call from any thread (``lru_cache`` locks its own
+#: bookkeeping); ``stem_memo.cache_info()`` reads hits, misses and size.
+stem_memo = lru_cache(maxsize=STEM_MEMO_SIZE)(PorterStemmer().stem_uncached)
 
 
 @dataclass

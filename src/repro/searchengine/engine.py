@@ -210,8 +210,17 @@ def rank_candidates(vindex: VerticalIndex, candidates, terms,
 
 def materialize_result(vindex: VerticalIndex, doc_id: str, score: float,
                        terms) -> SearchResult:
-    """Build the captioned :class:`SearchResult` for one ranked doc."""
+    """Build the captioned :class:`SearchResult` for one ranked doc.
+
+    The caption window is picked from where the index already recorded
+    the query terms in the body, so nothing is analyzed per result.
+    """
     doc = vindex.index.document(doc_id)
+    hit_positions = []
+    for term in terms:
+        posting = vindex.index.postings("body", term).get(doc_id)
+        if posting is not None:
+            hit_positions.extend(posting.positions)
     extras = {
         k: v for k, v in doc.fields.items()
         if not k.startswith("_") and k not in
@@ -220,8 +229,7 @@ def materialize_result(vindex: VerticalIndex, doc_id: str, score: float,
     return SearchResult(
         url=doc.get("url") or doc_id,
         title=doc.get("title"),
-        snippet=best_window(doc.get("body"), terms,
-                            vindex.index.analyzer, width=28),
+        snippet=best_window(doc.get("body"), hit_positions, width=28),
         site=doc.get("site"),
         score=round(score, 6),
         vertical=vindex.vertical.value,

@@ -2,40 +2,48 @@
 
 Real search APIs return captions centred on the query terms; Symphony's
 result layouts bind to that ``snippet`` field. This module picks the
-window of the document body containing the most (distinct, then total)
-query-term matches and optionally highlights them.
+window of the document body holding the most words that match a query
+term (a word counts once however many of its tokens match; the earliest
+such window wins) and optionally highlights them.
 """
 
 from __future__ import annotations
 
 import re
 
+from repro.searchengine.analysis import tokenize
+
 __all__ = ["best_window", "highlight"]
 
 _WORD_RE = re.compile(r"\S+")
 
 
-def best_window(text: str, terms, analyzer, width: int = 30) -> str:
-    """The ``width``-word window of ``text`` best covering ``terms``.
+def best_window(text: str, hit_positions, width: int = 30) -> str:
+    """The ``width``-word window of ``text`` holding the most hit words.
 
-    ``terms`` are analyzed terms; each word of ``text`` is analyzed the
-    same way before matching, so stemmed variants count. Falls back to
+    ``hit_positions`` are positions in ``tokenize(text)`` — what
+    ``Posting.positions`` records for the indexed field — of the tokens
+    that match the query; nothing is analyzed here. A whitespace-
+    separated word is a hit when any of its tokens is (a word may hold
+    none, like ``--``, or several, like ``half-life``). Falls back to
     the leading window when nothing matches. An ellipsis marks a window
     that does not start at the beginning.
     """
     words = _WORD_RE.findall(text)
     if not words:
         return ""
-    if not terms:
+    hits = set(hit_positions)
+    if not hits:
         return _render(words, 0, width)
-    term_set = set(terms)
     matches = []
-    for i, word in enumerate(words):
-        analyzed = analyzer.analyze(word)
-        matches.append(bool(term_set.intersection(analyzed)))
-    best_start, best_key = 0, (-1, -1)
+    position = 0
+    for word in words:
+        end = position + len(tokenize(word))
+        matches.append(not hits.isdisjoint(range(position, end)))
+        position = end
+    best_start = 0
     window_hits = sum(matches[:width])
-    # Slide the window; score = (distinct-ish via hits, earlier wins).
+    # Slide the window; most hit words wins, the earlier window on a tie.
     best_key = (window_hits, 0)
     for start in range(1, max(1, len(words) - width + 1)):
         window_hits += matches[start + width - 1] \

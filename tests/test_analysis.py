@@ -1,11 +1,16 @@
 """Tests for tokenization, stopwords, and the Porter stemmer."""
 
+import sys
+import threading
+
 from hypothesis import given, strategies as st
 
 from repro.searchengine.analysis import (
     Analyzer,
     PorterStemmer,
+    STEM_MEMO_SIZE,
     STOPWORDS,
+    stem_memo,
     tokenize,
 )
 
@@ -107,6 +112,72 @@ class TestPorterStemmer:
         stemmed = stemmer.stem(word)
         assert len(stemmed) <= len(word)
         assert stemmed  # never empties a word
+
+
+class TestStemMemo:
+    """``PorterStemmer.stem`` answers from one bounded process-wide memo;
+    ``stem_uncached`` is the algorithm itself and the reference here."""
+
+    # Endings Porter's steps act on, so every corpus word is also seen
+    # in forms the memo has to get right the first time.
+    ENDINGS = ("", "s", "es", "ed", "ing", "ly", "er", "ness", "ful",
+               "ation", "ational", "izer", "ization", "ousness", "ement",
+               "ibility", "ical", "ism")
+
+    def words(self, web):
+        texts = [page.title + " " + page.body for page in web.pages.values()]
+        texts += [article.body for article in web.news.values()]
+        vocabulary = {token for text in texts for token in tokenize(text)}
+        vocabulary.update(TestPorterStemmer.CASES)
+        return sorted({word + ending for word in vocabulary
+                       for ending in self.ENDINGS})
+
+    def test_memoized_equals_unmemoized(self, small_web):
+        words = self.words(small_web)
+        assert len(words) >= 2000
+        stemmer = PorterStemmer()
+        stem_memo.cache_clear()
+        for attempt in ("miss", "hit"):
+            wrong = {w: (stemmer.stem(w), stemmer.stem_uncached(w))
+                     for w in words
+                     if stemmer.stem(w) != stemmer.stem_uncached(w)}
+            assert not wrong, attempt
+        assert stem_memo.cache_info().hits >= len(words)
+
+    def test_memo_never_exceeds_its_bound(self):
+        stemmer = PorterStemmer()
+        for n in range(STEM_MEMO_SIZE + 1):
+            stemmer.stem(f"word{n}")
+        info = stem_memo.cache_info()
+        assert info.maxsize == STEM_MEMO_SIZE
+        assert info.currsize == STEM_MEMO_SIZE
+        # The evicted word is simply stemmed again.
+        assert stemmer.stem("word0") == stemmer.stem_uncached("word0")
+
+    def test_two_threads_agree(self, small_web):
+        words = self.words(small_web)[:3000]
+        expected = [PorterStemmer().stem_uncached(w) for w in words]
+        stem_memo.cache_clear()
+        results = {}
+
+        def work(name):
+            stemmer = PorterStemmer()
+            results[name] = [stemmer.stem(w) for w in words]
+
+        threads = [threading.Thread(target=work, args=(n,))
+                   for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(results[n] == expected for n in range(4))
+        assert stem_memo.cache_info().currsize <= STEM_MEMO_SIZE
 
 
 class TestAnalyzer:

@@ -1,0 +1,170 @@
+"""Captions picked from postings positions equal captions picked by
+re-analyzing every word of the body.
+
+``reference_window`` is the per-word algorithm the engine used before
+it read ``Posting.positions``: analyze each whitespace-separated word,
+mark it when one of its stems is a query term, slide the window. It is
+the specification; ``materialize_result`` must reproduce it byte for
+byte on any body — punctuation-only words (no tokens), hyphenated and
+dotted words (several tokens), apostrophes, stop-words, mixed case,
+``İ`` (lowercases to two code points) and every kind of Unicode
+whitespace — single-node and on a sharded cluster.
+"""
+
+import re
+
+from hypothesis import given, settings, strategies as st
+
+from repro.cluster import ClusterConfig, build_clustered_engine
+from repro.searchengine.analysis import Analyzer
+from repro.searchengine.documents import FieldedDocument
+from repro.searchengine.engine import (
+    SearchOptions,
+    build_engine,
+    materialize_result,
+)
+from repro.searchengine.query import extract_terms, parse_query
+from repro.simweb.model import SyntheticWeb
+
+WIDTH = 28  # what materialize_result asks for
+
+_WORD_RE = re.compile(r"\S+")
+
+
+def reference_window(text, terms, analyzer, width):
+    words = _WORD_RE.findall(text)
+    if not words:
+        return ""
+    term_set = set(terms)
+    matches = [bool(term_set.intersection(analyzer.analyze(word)))
+               for word in words]
+    best_start, best_hits = 0, sum(matches[:width])
+    for start in range(1, len(words) - width + 1):
+        hits = sum(matches[start:start + width])
+        if hits > best_hits:
+            best_start, best_hits = start, hits
+    window = words[best_start:best_start + width]
+    prefix = "… " if best_start > 0 else ""
+    suffix = " …" if best_start + width < len(words) else ""
+    return f"{prefix}{' '.join(window)}{suffix}"
+
+
+WORDS = (
+    # query words in the forms a stemmer folds together
+    "halo", "Halo", "HALO", "halos", "review", "Reviews", "reviewing",
+    "zelda", "Zelda's", "game", "Games",
+    # no tokens at all
+    "--", "…", "!!!", "(", "'", "—", "*",
+    # several tokens in one word
+    "half-life", "halo-review", "e.g.", "www.halo.com", "3.5/5",
+    "rock'n'roll", "re-reviewed", "(halo)", "zelda/halo",
+    # apostrophes
+    "don't", "halo's", "'tis", "reviewer's", "games'",
+    # stop-words, which positions count but the index does not store
+    "the", "The", "of", "and", "is", "IT", "the-halo",
+    # case folding that changes length or leaves ASCII behind
+    "İstanbul", "İ", "HALOİ", "ﬁnal", "straße", "ΣΊΣΥΦΟΣ", "Kelvin",
+    "pad", "filler", "lorem",
+)
+
+SEPARATORS = (" ", " ", " ", "  ", "\t", "\n", "\r\n", "\u00a0",
+              "\u2003", "\u3000", "\u2028", "\x1f", "\x85")
+
+QUERIES = (
+    "halo", "reviews", "Zelda", '"halo review"', '"the halo"',
+    "halo OR zelda", '"halo review" OR games', "halo NOT review",
+    "NOT review", "game (halo OR zelda)", "the halo", "half-life",
+    "don't", "İstanbul", "www.halo.com", "nosuchword",
+)
+
+pieces = st.one_of(st.sampled_from(WORDS), st.sampled_from(WORDS),
+                   st.text(min_size=1, max_size=6))
+
+
+@st.composite
+def bodies(draw):
+    parts = draw(st.lists(pieces, max_size=90))
+    seps = draw(st.lists(st.sampled_from(SEPARATORS),
+                         min_size=len(parts) + 1, max_size=len(parts) + 1))
+    return "".join(sep + part for sep, part in zip(seps, parts)) + seps[-1]
+
+
+def documents(texts):
+    return [
+        FieldedDocument(
+            doc_id=f"http://eq.example/{n}",
+            fields={"url": f"http://eq.example/{n}", "title": f"doc {n}",
+                    "body": text, "site": "eq.example", "topic": "wine"},
+        )
+        for n, text in enumerate(texts)
+    ]
+
+
+def single_node(docs):
+    engine = build_engine(SyntheticWeb(), use_authority=False)
+    for doc in docs:
+        engine.vertical("web").add(doc)
+    return engine
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(bodies(), min_size=1, max_size=4),
+       st.sampled_from(QUERIES))
+def test_materialized_snippet_equals_per_word_reference(texts, query):
+    engine = single_node(documents(texts))
+    vindex = engine.vertical("web")
+    analyzer = vindex.index.analyzer
+    terms = extract_terms(parse_query(query), analyzer)
+    for doc in documents(texts):
+        got = materialize_result(vindex, doc.doc_id, 1.0, terms).snippet
+        assert got == reference_window(doc.get("body"), terms, analyzer,
+                                       WIDTH), (query, doc.get("body"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(bodies(), min_size=1, max_size=8),
+       st.sampled_from(QUERIES))
+def test_cluster_snippets_equal_single_node_and_reference(texts, query):
+    docs = documents(texts)
+    single = single_node(docs)
+    cluster = build_clustered_engine(
+        SyntheticWeb(), ClusterConfig(num_shards=4, replicas_per_shard=1),
+        use_authority=False,
+    )
+    for doc in docs:
+        cluster.add_document("web", doc)
+    options = SearchOptions(count=10)
+    a = single.search("web", query, options)
+    b = cluster.search("web", query, options)
+    assert [(r.url, r.snippet) for r in b.results] == \
+        [(r.url, r.snippet) for r in a.results]
+    analyzer = Analyzer()
+    terms = extract_terms(parse_query(query), analyzer)
+    body_of = {doc.doc_id: doc.get("body") for doc in docs}
+    for result in a.results:
+        assert result.snippet == reference_window(
+            body_of[result.url], terms, analyzer, WIDTH)
+
+
+def test_analyze_calls_do_not_depend_on_what_is_returned(engine, small_web,
+                                                         monkeypatch):
+    """Captioning analyzes nothing: one search costs the same number of
+    ``Analyzer.analyze`` calls whether it returns one body or ten."""
+    calls = []
+    analyze = Analyzer.analyze
+
+    def spy(self, text):
+        calls.append(text)
+        return analyze(self, text)
+
+    monkeypatch.setattr(Analyzer, "analyze", spy)
+    entity = small_web.entities["video_games"][0]
+    counts = {}
+    for count in (1, 10):
+        del calls[:]
+        response = engine.search("web", f'"{entity}" review',
+                                 SearchOptions(count=count))
+        assert len(response.results) == min(count, response.total_matches)
+        counts[count] = len(calls)
+    assert len(response.results) > 1
+    assert counts[10] == counts[1]
