@@ -3,13 +3,19 @@
 Each experiment regenerates a paper artifact (Table I, Fig. 1's canvas,
 Fig. 2's pipeline trace, plus the ablations in DESIGN.md §6). Artifacts
 are written to ``benchmarks/artifacts/`` and echoed into the terminal
-summary so ``pytest benchmarks/ --benchmark-only`` shows the regenerated
-tables alongside pytest-benchmark's timing tables.
+summary. Every artifact line is a count or simulated-clock time, so the
+directory is a pure function of the code; the one supported invocation
+is the one CI runs and then diffs::
+
+    PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/e2e \
+        -q -p no:cacheprovider
+    git diff --exit-code -- benchmarks/artifacts
+
+Wall-clock measurement lives in ``benchmarks/e2e/`` only.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
@@ -22,23 +28,11 @@ ARTIFACT_DIR = pathlib.Path(__file__).parent / "artifacts"
 _ARTIFACTS: dict[str, str] = {}
 
 
-def record_artifact(name: str, text: str, data=None,
-                    json_name: str = "") -> None:
-    """Persist a regenerated paper artifact and queue it for the summary.
-
-    When ``data`` is given, a machine-readable JSON twin is written next
-    to the text artifact (as ``json_name`` or ``<name>.json``) so CI and
-    downstream tooling can consume the numbers without parsing prose.
-    """
+def record_artifact(name: str, text: str) -> None:
+    """Persist a regenerated paper artifact and queue it for the summary."""
     ARTIFACT_DIR.mkdir(exist_ok=True)
     (ARTIFACT_DIR / f"{name}.txt").write_text(text + "\n",
                                               encoding="utf-8")
-    if data is not None:
-        json_path = ARTIFACT_DIR / (json_name or f"{name}.json")
-        json_path.write_text(
-            json.dumps(data, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
     _ARTIFACTS[name] = text
 
 

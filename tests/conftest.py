@@ -93,20 +93,18 @@ def make_inventory_csv(entities, with_urls: bool = True) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-@pytest.fixture()
-def gamerqueen(symphony, designer_account):
-    """The §II-B application, built through the designer API.
+def build_gamerqueen(sym, account):
+    """Host the §II-B application on ``sym`` through the designer API.
 
-    Returns ``(symphony, app_id, games)``.
+    Returns ``(app_id, games)``.
     """
-    sym = symphony
     games = sym.web.entities["video_games"][:6]
     sym.upload_http(
-        designer_account, "inventory.csv", make_inventory_csv(games),
+        account, "inventory.csv", make_inventory_csv(games),
         "inventory", content_type="text/csv",
     )
     inventory = sym.add_proprietary_source(
-        designer_account, "inventory",
+        account, "inventory",
         search_fields=("title", "producer", "description"),
     )
     reviews = sym.add_web_source(
@@ -115,7 +113,7 @@ def gamerqueen(symphony, designer_account):
     )
     designer = sym.designer()
     session = designer.new_application(
-        "GamerQueen", designer_account.tenant.tenant_id
+        "GamerQueen", account.tenant.tenant_id
     )
     slot = session.drag_source_onto_app(
         inventory.source_id, heading="Games", max_results=4,
@@ -128,5 +126,23 @@ def gamerqueen(symphony, designer_account):
         slot, reviews.source_id, drive_fields=("title",),
         heading="Reviews", max_results=2, query_suffix="review",
     )
-    app_id = sym.host(session)
-    return sym, app_id, games
+    return sym.host(session), games
+
+
+def query_gamerqueen(web, **layers):
+    """The §II-B application on ``Symphony(web, **layers)``, queried for
+    its first four games; returns ``(symphony, responses)``."""
+    sym = Symphony(web=web, use_authority=False, **layers)
+    app_id, games = build_gamerqueen(sym, sym.register_designer("Ann"))
+    return sym, [sym.query(app_id, game, session_id="s")
+                 for game in games[:4]]
+
+
+@pytest.fixture()
+def gamerqueen(symphony, designer_account):
+    """The §II-B application on the default platform.
+
+    Returns ``(symphony, app_id, games)``.
+    """
+    app_id, games = build_gamerqueen(symphony, designer_account)
+    return symphony, app_id, games

@@ -431,6 +431,26 @@ class TestDeadlineDegradedPipeline:
         assert counter.value == 1
 
 
+class TestCleanPath:
+    def test_no_faults_means_no_recovery_work(self, tiny_web):
+        """On the fault-free Fig. 2 app the resilient platform retries,
+        hedges and abandons nothing, and serves the same page."""
+        from tests.conftest import query_gamerqueen
+
+        __, plain = query_gamerqueen(tiny_web, telemetry=True)
+        symphony, resilient = query_gamerqueen(
+            tiny_web, telemetry=True, resilience=True)
+        metrics = symphony.telemetry.metrics
+        for name in ("retries_total", "hedges_total",
+                     "deadline_exceeded_total"):
+            assert metrics.counter(name).value == 0, name
+        for before, after in zip(plain, resilient):
+            assert after.html == before.html
+            assert after.views == before.views
+            assert ([stage.name for stage in after.trace.stages]
+                    == [stage.name for stage in before.trace.stages])
+
+
 class TestChaosHarness:
     def test_committed_plan_holds_invariants(self):
         from repro.resilience.chaos import load_fault_plan, run_chaos

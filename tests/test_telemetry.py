@@ -39,7 +39,11 @@ from repro.telemetry import (
 )
 from repro.util import SimClock
 
-from tests.conftest import CACHE_STAMPS, make_inventory_csv
+from tests.conftest import (
+    CACHE_STAMPS,
+    make_inventory_csv,
+    query_gamerqueen,
+)
 
 
 # -- helpers ------------------------------------------------------------------
@@ -420,6 +424,16 @@ class TestPipelineTelemetry:
         assert response.trace.span is None
         # The flat trace still works exactly as before.
         assert response.trace.total_ms() > 0
+
+    def test_tracing_changes_nothing_the_customer_sees(self, tiny_web):
+        """Same page, same simulated time; the spans are the only
+        difference between a traced and an untraced Fig. 2 query."""
+        __, plain = query_gamerqueen(tiny_web)
+        sym, traced = query_gamerqueen(tiny_web, telemetry=True)
+        assert len(sym.telemetry.tracer.spans) > 0
+        for before, after in zip(plain, traced):
+            assert after.html == before.html
+            assert after.trace.total_ms() == before.trace.total_ms()
 
     def test_pipeline_trace_default_has_no_span(self):
         trace = PipelineTrace()
