@@ -204,12 +204,9 @@ def test_query_latency_scaling(benchmark, size):
 
     def run_query():
         candidates = evaluator.candidates(node)
-        scorer = BM25Scorer(index, ["title", "body"])
-        return sorted(
-            ((d, scorer.score(d, ["game", "review", "combo"]))
-             for d in candidates),
-            key=lambda pair: -pair[1],
-        )[:10]
+        scorer = BM25Scorer(index, ["title", "body"], None,
+                            ["game", "review", "combo"])
+        return scorer.rank(candidates)[:10]
 
     top = benchmark(run_query)
     assert top

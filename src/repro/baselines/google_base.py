@@ -85,12 +85,8 @@ class GoogleBasePlatform(BaselinePlatform):
             evaluator = QueryEvaluator(self._index, fields)
             candidates = evaluator.candidates(node)
             terms = extract_terms(node, self._index.analyzer)
-            scorer = BM25Scorer(self._index, fields)
-            ranked = sorted(
-                ((doc_id, scorer.score(doc_id, terms))
-                 for doc_id in candidates),
-                key=lambda pair: (-pair[1], pair[0]),
-            )
+            ranked = BM25Scorer(self._index, fields, None,
+                                terms).rank(candidates)
             base_items = [
                 self._index.document(doc_id).payload
                 for doc_id, __ in ranked[:3]

@@ -9,9 +9,12 @@ document-partitioned, replicated index cluster:
   document counts, field lengths, and per-term document frequencies;
   the merged :class:`CorpusStats` make BM25 idf on any shard identical
   to single-node scoring.
-* **Phase 2 (execution scatter):** every shard evaluates and ranks its
-  own partition under the global statistics; the gatherer heap-merges
-  the sorted shard lists into the global top-k.
+* **Phase 2 (execution scatter):** every shard runs the single-node
+  engine's per-index search
+  (:func:`~repro.searchengine.engine.execute_query`) on its own
+  partition, handing the scorer the merged statistics in place of the
+  shard's own; the gatherer heap-merges the sorted shard lists into the
+  global top-k.
 
 Shard tasks run one after another on the calling thread; shards are
 parallel in the cost model only — simulated latency is the *max* over

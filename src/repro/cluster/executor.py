@@ -14,6 +14,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from repro.searchengine.ranking import by_score_then_id
+
 __all__ = ["ShardOutcome", "ScatterGatherExecutor", "merge_ranked"]
 
 
@@ -65,5 +67,5 @@ def merge_ranked(shard_lists: dict):
     return heapq.merge(
         *(tag(scored, shard_id)
           for shard_id, scored in shard_lists.items()),
-        key=lambda entry: (-entry[1], entry[0]),
+        key=by_score_then_id,
     )

@@ -1,9 +1,9 @@
 """Shard replicas: redundant copies of one document partition.
 
 A :class:`ShardReplica` holds a full set of vertical indexes over its
-shard's documents and executes the same per-index search core as the
-single-node engine. A :class:`ReplicaGroup` fronts the N replicas of one
-shard with health tracking, fault-injection hooks, and automatic
+shard's documents and runs the single-node engine's per-index search
+(:func:`~repro.searchengine.engine.execute_query`) on them.
+A :class:`ReplicaGroup` fronts the N replicas of one shard with health tracking, fault-injection hooks, and automatic
 failover: a request rotates across healthy replicas and falls through to
 the next one when a replica errors; a replica that keeps failing is
 taken out of rotation.
@@ -30,13 +30,11 @@ from repro.errors import (
 )
 from repro.searchengine.engine import (
     Vertical,
-    evaluate_candidates,
+    execute_query,
     materialize_result,
-    rank_candidates,
 )
-from repro.searchengine.ranking import BM25Scorer
 from repro.searchengine.spelling import collect_term_frequencies
-from repro.searchengine.stats import CorpusStats, StatsOverlayIndex
+from repro.searchengine.stats import CorpusStats
 from repro.telemetry.events import NULL_EVENTS
 from repro.telemetry.metrics import NULL_METRICS
 from repro.telemetry.trace import NULL_TRACER
@@ -195,13 +193,8 @@ class ShardReplica:
         """
         self.reads_served += 1
         self._check_fault()
-        vindex = self.vertical(vertical)
-        candidates = evaluate_candidates(vindex, node, options, now_ms)
-        scorer = BM25Scorer(StatsOverlayIndex(vindex.index, stats),
-                            vindex.text_fields, vindex.params)
-        scored = rank_candidates(vindex, candidates, terms, scorer,
-                                 now_ms)
-        return scored, len(candidates)
+        return execute_query(self.vertical(vertical), node, options,
+                             terms, now_ms, stats)
 
     def materialize(self, vertical, doc_id: str, score: float, terms):
         return materialize_result(self.vertical(vertical), doc_id,

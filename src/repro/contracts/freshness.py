@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.telemetry import Telemetry
+
 from .contract import FreshnessSLA
 
 __all__ = ["FeedFreshness", "FreshnessTracker"]
@@ -54,7 +56,7 @@ class FreshnessTracker:
     def __init__(self, clock, telemetry=None, budget=None,
                  alerter=None) -> None:
         self.clock = clock
-        self.telemetry = telemetry
+        self.telemetry = telemetry or Telemetry.disabled()
         #: Platform-wide freshness :class:`~repro.slo.ErrorBudget`
         #: (one good/bad observation per feed per check) and its
         #: burn-rate alerter; both optional.
@@ -69,15 +71,14 @@ class FreshnessTracker:
         feed = FeedFreshness(tenant_id, table, sla,
                              last_refresh_ms=self.clock.now_ms)
         self._feeds[key] = feed
-        if self.telemetry is not None and self.telemetry.enabled:
-            # The callback indirects through the feed map so
-            # re-registering a contract rebinds the gauge too.
-            self.telemetry.metrics.gauge(
-                "contract_staleness_ms",
-                fn=lambda key=key: float(
-                    self._feeds[key].staleness_ms(self.clock.now_ms)
-                ) if key in self._feeds else 0.0,
-                tenant=tenant_id, table=table)
+        # The callback indirects through the feed map so
+        # re-registering a contract rebinds the gauge too.
+        self.telemetry.metrics.gauge(
+            "contract_staleness_ms",
+            fn=lambda key=key: float(
+                self._feeds[key].staleness_ms(self.clock.now_ms)
+            ) if key in self._feeds else 0.0,
+            tenant=tenant_id, table=table)
         return feed
 
     def feed(self, tenant_id: str, table: str) -> FeedFreshness | None:
@@ -125,8 +126,6 @@ class FreshnessTracker:
 
     def _emit(self, kind: str, feed: FeedFreshness,
               now_ms: int) -> None:
-        if self.telemetry is None or not self.telemetry.enabled:
-            return
         self.telemetry.events.emit(
             kind,
             tenant=feed.tenant_id,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError, ContractViolationError
 from repro.slo.burnrate import BurnRateAlerter
 from repro.slo.objectives import ErrorBudget, SLODefinition
+from repro.telemetry import Telemetry
 
 from .contract import DataContract
 from .enforcer import ContractEnforcer, EnforcementResult
@@ -75,13 +76,12 @@ class ContractManager:
     def __init__(self, clock, telemetry=None,
                  config: ContractsConfig | None = None) -> None:
         self.clock = clock
-        self.telemetry = telemetry
+        self.telemetry = telemetry = telemetry or Telemetry.disabled()
         self.config = config or ContractsConfig()
         self._contracts: dict[tuple, DataContract] = {}
         self._enforcers: dict[tuple, ContractEnforcer] = {}
         self._stats: dict[tuple, _TableStats] = {}
         self.quarantine = QuarantineStore(self.config.quarantine_capacity)
-        live = telemetry is not None and telemetry.enabled
         slo = SLODefinition(
             name="freshness", kind="freshness",
             objective=self.config.freshness_objective,
@@ -94,8 +94,7 @@ class ContractManager:
         self.freshness_budget = ErrorBudget(slo)
         self.freshness_alerter = BurnRateAlerter(
             slo, self.freshness_budget,
-            events=telemetry.events if live else None,
-            metrics=telemetry.metrics if live else None,
+            events=telemetry.events, metrics=telemetry.metrics,
         )
         self.freshness = FreshnessTracker(
             clock, telemetry=telemetry,
@@ -128,12 +127,11 @@ class ContractManager:
         if contract.freshness is not None:
             self.freshness.bind(tenant_id, contract.table,
                                 contract.freshness)
-        if self.telemetry is not None and self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "contract.registered", tenant=tenant_id,
-                table=contract.table, version=contract.version,
-                policy=contract.policy,
-            )
+        self.telemetry.events.emit(
+            "contract.registered", tenant=tenant_id,
+            table=contract.table, version=contract.version,
+            policy=contract.policy,
+        )
         return contract
 
     def contract_for(self, tenant_id: str,
@@ -167,46 +165,41 @@ class ContractManager:
         stats = self._stats[key]
         stats.batches += 1
         now = self.clock.now_ms
-        live = self.telemetry is not None and self.telemetry.enabled
+        events, metrics = self.telemetry.events, self.telemetry.metrics
         if result.drift.drifted:
             stats.drift_batches += 1
             stats.last_drift = result.drift.to_dict()
             stats.last_drift_ms = now
-            if live:
-                self.telemetry.events.emit(
-                    "contract.drift", tenant=tenant_id, table=table,
-                    source=source, version=contract.version,
-                    **result.drift.to_dict(),
-                )
-                self.telemetry.metrics.counter(
-                    "contract_drift_total", table=table).inc()
+            events.emit(
+                "contract.drift", tenant=tenant_id, table=table,
+                source=source, version=contract.version,
+                **stats.last_drift,
+            )
+            metrics.counter("contract_drift_total", table=table).inc()
         if result.violations:
             stats.violations += len(result.violations)
-            if live:
-                sample = result.violations[0]
-                self.telemetry.events.emit(
-                    "contract.violation", tenant=tenant_id,
-                    table=table, source=source,
-                    policy=contract.policy,
-                    count=len(result.violations),
-                    rows=len(result.quarantined),
-                    sample=sample.message,
-                )
-                self.telemetry.metrics.counter(
-                    "contract_violations_total", table=table,
-                ).inc(len(result.violations))
+            events.emit(
+                "contract.violation", tenant=tenant_id,
+                table=table, source=source,
+                policy=contract.policy,
+                count=len(result.violations),
+                rows=len(result.quarantined),
+                sample=result.violations[0].message,
+            )
+            metrics.counter(
+                "contract_violations_total", table=table,
+            ).inc(len(result.violations))
             if contract.policy == "reject":
                 raise ContractViolationError(table, result.violations)
             for raw, row_violations in result.quarantined:
                 self.quarantine.add(tenant_id, table, raw,
                                     row_violations, now, source=source)
             stats.quarantined += len(result.quarantined)
-            if live:
-                self.telemetry.metrics.counter(
-                    "contract_quarantined_total", table=table,
-                ).inc(len(result.quarantined))
-        if result.coerced and live:
-            self.telemetry.metrics.counter(
+            metrics.counter(
+                "contract_quarantined_total", table=table,
+            ).inc(len(result.quarantined))
+        if result.coerced:
+            metrics.counter(
                 "contract_coerced_total", table=table,
             ).inc(result.coerced)
         stats.coerced += result.coerced

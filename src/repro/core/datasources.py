@@ -238,11 +238,8 @@ class ProprietaryTableSource(DataSource):
             field_boosts={name: 2.0 if name == search_fields[0] else 1.0
                           for name in search_fields}
         )
-        scorer = BM25Scorer(index, list(search_fields), params)
-        scored = sorted(
-            ((doc_id, scorer.score(doc_id, terms)) for doc_id in candidates),
-            key=lambda pair: (-pair[1], pair[0]),
-        )
+        scored = BM25Scorer(index, list(search_fields), params,
+                            terms).rank(candidates)
         window = scored[query.offset:query.offset + query.count]
         items = []
         for doc_id, score in window:

@@ -47,6 +47,7 @@ __all__ = [
     "apply_options_to_ast",
     "evaluate_candidates",
     "rank_candidates",
+    "execute_query",
     "materialize_result",
     "simulated_latency_ms",
     "compute_authority",
@@ -186,26 +187,49 @@ def evaluate_candidates(vindex: VerticalIndex, node,
 
 def rank_candidates(vindex: VerticalIndex, candidates, terms,
                     scorer: BM25Scorer, now_ms: int) -> list:
-    """Score and order candidates of one index (score desc, then id)."""
-    scored = []
-    for doc_id in candidates:
-        relevance = scorer.score(doc_id, terms) if terms else 1.0
-        if vindex.vertical == Vertical.WEB:
-            prior = vindex.authority.get(doc_id, 0.0)
-            total = blend_scores(relevance, prior, prior_weight=0.3)
-        elif vindex.vertical == Vertical.NEWS:
-            doc = vindex.index.document(doc_id)
-            published = int(doc.fields.get("_published_ms", 0))
-            total = blend_scores(
+    """Score and order candidates of one index (score desc, then id).
+
+    Web blends relevance with link authority, news with recency; a
+    query with nothing to score (filters only) ranks on the prior alone.
+    """
+    if vindex.vertical == Vertical.WEB:
+        authority = vindex.authority
+
+        def blend(doc_id, relevance):
+            return blend_scores(relevance, authority.get(doc_id, 0.0),
+                                prior_weight=0.3)
+    elif vindex.vertical == Vertical.NEWS:
+        document = vindex.index.document
+
+        def blend(doc_id, relevance):
+            published = int(document(doc_id).fields.get("_published_ms", 0))
+            return blend_scores(
                 relevance, recency_boost(published, now_ms),
                 prior_weight=0.5,
             )
-        else:
-            total = relevance
-        scored.append((doc_id, total))
-    # Deterministic ordering: score desc, then doc id.
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored
+    else:
+        def blend(doc_id, relevance):
+            return relevance
+    if terms:
+        return scorer.rank(candidates, blend)
+    return scorer.rank(candidates, lambda doc_id, _: blend(doc_id, 1.0))
+
+
+def execute_query(vindex: VerticalIndex, node, options: SearchOptions,
+                  terms, now_ms: int, stats=None) -> tuple:
+    """The whole per-index search: evaluate, score, order.
+
+    :class:`SearchEngine` runs it on its one index and every cluster
+    shard replica on its partition, the latter passing the merged
+    corpus-wide ``stats`` (see :mod:`repro.searchengine.stats`).
+    Returns ``(scored, candidate_count)``: the full ``(doc_id, score)``
+    list, score desc then id, and how many documents matched.
+    """
+    candidates = evaluate_candidates(vindex, node, options, now_ms)
+    scorer = BM25Scorer(vindex.index, vindex.text_fields, vindex.params,
+                        terms, stats)
+    scored = rank_candidates(vindex, candidates, terms, scorer, now_ms)
+    return scored, len(candidates)
 
 
 def materialize_result(vindex: VerticalIndex, doc_id: str, score: float,
@@ -248,7 +272,8 @@ class SearchEngine:
         self._verticals = dict(verticals)
         self.clock = clock or SimClock()
         self.log = log or QueryLog()
-        self._correctors: dict = {}  # vertical -> SpellingCorrector
+        # vertical -> (index.mutations when built, SpellingCorrector)
+        self._correctors: dict = {}
 
     def vertical(self, vertical: Vertical | str) -> VerticalIndex:
         key = Vertical(vertical)
@@ -270,14 +295,11 @@ class SearchEngine:
         node = parse_query(query_text)
         node = apply_options_to_ast(node, options)
 
-        candidates = evaluate_candidates(vindex, node, options,
-                                         self.clock.now_ms)
         terms = extract_terms(node, vindex.index.analyzer)
-        scorer = BM25Scorer(vindex.index, vindex.text_fields, vindex.params)
-        scored = rank_candidates(vindex, candidates, terms, scorer,
-                                 self.clock.now_ms)
+        scored, candidate_count = execute_query(
+            vindex, node, options, terms, self.clock.now_ms)
 
-        elapsed = simulated_latency_ms(len(candidates))
+        elapsed = simulated_latency_ms(candidate_count)
         self.clock.advance(elapsed)
 
         window = scored[options.offset:options.offset + options.count]
@@ -323,12 +345,18 @@ class SearchEngine:
     # -- internals ------------------------------------------------------------
 
     def _suggest(self, vindex, terms) -> str | None:
-        """'Did you mean' over the vertical's vocabulary (lazy, cached)."""
-        corrector = self._correctors.get(vindex.vertical)
-        if corrector is None:
+        """'Did you mean' over the vertical's vocabulary.
+
+        The corrector snapshots term frequencies, so the cached one is
+        kept only until the index's next write.
+        """
+        mutations = vindex.index.mutations
+        built_at, corrector = self._correctors.get(vindex.vertical,
+                                                   (None, None))
+        if built_at != mutations:
             corrector = SpellingCorrector(vindex.index,
                                           vindex.text_fields)
-            self._correctors[vindex.vertical] = corrector
+            self._correctors[vindex.vertical] = (mutations, corrector)
         corrected = corrector.suggest_query(terms)
         if corrected is None:
             return None

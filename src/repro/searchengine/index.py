@@ -48,6 +48,9 @@ class InvertedIndex:
         self._docs: dict[str, FieldedDocument] = {}
         self._field_lengths: dict[str, dict[str, int]] = {}
         self._total_field_length: dict[str, int] = {}
+        #: Bumped by every add / remove; whatever is derived from the
+        #: index's contents compares it to know it went stale.
+        self.mutations = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -63,6 +66,7 @@ class InvertedIndex:
             raise DuplicateError(f"document already indexed: "
                                  f"{document.doc_id}")
         self._docs[document.doc_id] = document
+        self.mutations += 1
         for name, value in document.fields.items():
             if value is None:
                 continue
@@ -82,6 +86,7 @@ class InvertedIndex:
         if doc_id not in self._docs:
             raise NotFoundError(f"document not indexed: {doc_id}")
         del self._docs[doc_id]
+        self.mutations += 1
         for term_map in self._postings.values():
             empty_terms = []
             for term, by_doc in term_map.items():
@@ -140,8 +145,12 @@ class InvertedIndex:
     def document_frequency(self, name: str, term: str) -> int:
         return len(self.postings(name, term))
 
+    def field_lengths(self, name: str) -> dict[str, int]:
+        """Analyzed token count per doc id of one text field (live view)."""
+        return self._field_lengths.get(name, {})
+
     def field_length(self, name: str, doc_id: str) -> int:
-        return self._field_lengths.get(name, {}).get(doc_id, 0)
+        return self.field_lengths(name).get(doc_id, 0)
 
     def average_field_length(self, name: str) -> float:
         lengths = self._field_lengths.get(name)

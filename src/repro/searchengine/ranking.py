@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["BM25Parameters", "BM25Scorer", "pagerank", "recency_boost",
-           "blend_scores"]
+from repro.searchengine.stats import CorpusStats
+
+__all__ = ["BM25Parameters", "BM25Scorer", "by_score_then_id", "pagerank",
+           "recency_boost", "blend_scores"]
 
 
 @dataclass(frozen=True)
@@ -26,53 +28,88 @@ class BM25Parameters:
         return self.field_boosts.get(field_name, 1.0)
 
 
-class BM25Scorer:
-    """Scores documents for a bag of query terms against one index.
+def by_score_then_id(entry) -> tuple:
+    """Sort key of every ranked list: score descending, then doc id.
 
-    The scorer is constructed per query so it can cache idf values; the
-    index supplies df/tf/length statistics.
+    Works on any ``(doc_id, score, ...)`` tuple, so the cluster's heap
+    merge orders shard lists by the same key that sorted them.
+    """
+    return (-entry[1], entry[0])
+
+
+class BM25Scorer:
+    """Scores documents of one index for one query's bag of terms.
+
+    Constructed per query. BM25 mixes corpus-wide statistics (document
+    count, document frequency, average field length) with per-document
+    ones (term frequency, field length): the first come from ``stats``
+    — the index's own :class:`CorpusStats` when omitted, the merged
+    ones when the index is a shard of a cluster — the second always
+    from ``index``. Everything that does not depend on the document is
+    resolved here, once; :meth:`score` only looks the document up.
     """
 
     def __init__(self, index, fields: list[str],
-                 params: BM25Parameters | None = None) -> None:
-        self._index = index
-        self._fields = list(fields)
-        self._params = params or BM25Parameters()
-        self._idf_cache: dict[tuple[str, str], float] = {}
-
-    def _idf(self, field_name: str, term: str) -> float:
-        key = (field_name, term)
-        if key not in self._idf_cache:
-            n = len(self._index)
-            df = self._index.document_frequency(field_name, term)
-            # BM25+ style floor keeps idf positive for very common terms.
-            self._idf_cache[key] = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        return self._idf_cache[key]
-
-    def score(self, doc_id: str, terms: list[str]) -> float:
-        params = self._params
-        total = 0.0
-        for field_name in self._fields:
-            avg_len = self._index.average_field_length(field_name)
+                 params: BM25Parameters | None, terms,
+                 stats: CorpusStats | None = None) -> None:
+        params = params or BM25Parameters()
+        if stats is None:
+            stats = CorpusStats.collect(index, fields, terms)
+        self._k1 = params.k1
+        self._b = params.b
+        # Per scored field: (doc -> length, average length,
+        # [(boost * idf, doc -> Posting)] per query term it holds).
+        self._plan = []
+        n = stats.doc_count
+        for field_name in fields:
+            avg_len = stats.average_field_length(field_name)
             if avg_len == 0:
                 continue
-            doc_len = self._index.field_length(field_name, doc_id)
-            norm = params.k1 * (
-                1.0 - params.b + params.b * doc_len / avg_len
-            )
             boost = params.boost(field_name)
+            weighted = []
             for term in terms:
-                posting = self._index.postings(field_name, term).get(doc_id)
+                by_doc = index.postings(field_name, term)
+                if not by_doc:
+                    continue
+                df = stats.doc_frequency.get((field_name, term), 0)
+                # BM25+ style floor keeps idf positive for common terms.
+                idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+                weighted.append((boost * idf, by_doc))
+            if weighted:
+                self._plan.append(
+                    (index.field_lengths(field_name), avg_len, weighted)
+                )
+
+    def score(self, doc_id: str) -> float:
+        k1 = self._k1
+        b = self._b
+        total = 0.0
+        for lengths, avg_len, weighted in self._plan:
+            doc_len = lengths.get(doc_id, 0)
+            norm = k1 * (1.0 - b + b * doc_len / avg_len)
+            for weight, by_doc in weighted:
+                posting = by_doc.get(doc_id)
                 if posting is None:
                     continue
                 tf = posting.term_frequency
-                total += boost * self._idf(field_name, term) * (
-                    tf * (params.k1 + 1.0) / (tf + norm)
-                )
+                total += weight * (tf * (k1 + 1.0) / (tf + norm))
         return total
 
-    def score_many(self, doc_ids, terms: list[str]) -> dict[str, float]:
-        return {doc_id: self.score(doc_id, terms) for doc_id in doc_ids}
+    def rank(self, candidates, adjust=None) -> list:
+        """``[(doc_id, score)]`` for ``candidates``, best first.
+
+        ``adjust(doc_id, relevance)``, when given, maps each BM25 score
+        to the one ranked on (an authority or freshness blend). Equal
+        scores order by doc id, so the list is deterministic.
+        """
+        score = self.score
+        if adjust is None:
+            scored = [(doc_id, score(doc_id)) for doc_id in candidates]
+        else:
+            scored = [(doc_id, adjust(doc_id, score(doc_id)))
+                      for doc_id in candidates]
+        scored.sort(key=by_score_then_id)
+        return scored
 
 
 def pagerank(graph: dict, damping: float = 0.85,

@@ -6,20 +6,20 @@ frequency, average field length) with *local* per-document statistics
 object; on a document-partitioned cluster the global half must be
 gathered across shards first, or idf drifts and shard scores stop being
 comparable. This module makes that split explicit:
-
-* :class:`CorpusStats` — the global half, collectable per shard and
-  mergeable by summation;
-* :class:`StatsOverlayIndex` — a shard-local index with the merged
-  global statistics substituted in, so a stock
-  :class:`~repro.searchengine.ranking.BM25Scorer` over one shard scores
-  exactly as it would over the union of all shards.
+:class:`CorpusStats` is the global half as a plain value, collectable
+per index and mergeable by summation.
+:class:`~repro.searchengine.ranking.BM25Scorer` takes one beside the
+index it scores and collects the index's own when none is given, so a
+single node and a shard run the same code on the same kind of input,
+and a shard under the merged statistics scores exactly as the union of
+all shards would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FieldStats", "CorpusStats", "StatsOverlayIndex"]
+__all__ = ["FieldStats", "CorpusStats"]
 
 
 @dataclass(frozen=True)
@@ -82,38 +82,3 @@ class CorpusStats:
         # Same integer operands as InvertedIndex.average_field_length on
         # the union index, hence bit-identical float results.
         return stats.total_length / stats.doc_count
-
-
-class StatsOverlayIndex:
-    """A shard's index scored under corpus-wide statistics.
-
-    Implements exactly the surface :class:`BM25Scorer` consumes: the
-    global methods answer from :class:`CorpusStats`, the per-document
-    ones delegate to the wrapped shard index.
-    """
-
-    def __init__(self, local_index, stats: CorpusStats) -> None:
-        self._local = local_index
-        self._stats = stats
-
-    def __len__(self) -> int:
-        return self._stats.doc_count
-
-    def document_frequency(self, name: str, term: str) -> int:
-        return self._stats.doc_frequency.get((name, term), 0)
-
-    def average_field_length(self, name: str) -> float:
-        return self._stats.average_field_length(name)
-
-    def field_length(self, name: str, doc_id: str) -> int:
-        return self._local.field_length(name, doc_id)
-
-    def postings(self, name: str, term: str):
-        return self._local.postings(name, term)
-
-    def document(self, doc_id: str):
-        return self._local.document(doc_id)
-
-    @property
-    def analyzer(self):
-        return self._local.analyzer

@@ -15,6 +15,8 @@ state queryable in between (the autoscaler reads it every tick).
 from __future__ import annotations
 
 from repro.slo.objectives import ErrorBudget, SLODefinition
+from repro.telemetry.events import NULL_EVENTS
+from repro.telemetry.metrics import NULL_METRICS
 
 __all__ = ["BurnRateAlerter"]
 
@@ -26,7 +28,7 @@ class BurnRateAlerter:
                  "alerts")
 
     def __init__(self, slo: SLODefinition, budget: ErrorBudget,
-                 events=None, metrics=None) -> None:
+                 events=NULL_EVENTS, metrics=NULL_METRICS) -> None:
         self.slo = slo
         self.budget = budget
         self._events = events
@@ -61,18 +63,15 @@ class BurnRateAlerter:
             "fast_burn": round(fast_burn, 4),
             "slow_burn": round(slow_burn, 4),
         })
-        if self._events is not None:
-            event_kind = ("slo.burn" if kind == "fire"
-                          else "slo.burn_cleared")
-            self._events.emit(
-                event_kind,
-                slo=self.slo.name,
-                tenant=self.slo.tenant,
-                fast_burn=round(fast_burn, 4),
-                slow_burn=round(slow_burn, 4),
-                budget_remaining=status["budget_remaining"],
-            )
-        if self._metrics is not None and kind == "fire":
+        self._events.emit(
+            "slo.burn" if kind == "fire" else "slo.burn_cleared",
+            slo=self.slo.name,
+            tenant=self.slo.tenant,
+            fast_burn=round(fast_burn, 4),
+            slow_burn=round(slow_burn, 4),
+            budget_remaining=status["budget_remaining"],
+        )
+        if kind == "fire":
             self._metrics.counter("slo_burn_alerts_total",
                                   slo=self.slo.name).inc()
 

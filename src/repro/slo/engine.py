@@ -40,12 +40,10 @@ class SLOEngine:
         self.config = config or SLOConfig()
         self.clock = telemetry.clock
         self.slos = self.config.build_slos()
-        live = telemetry.enabled
         self._trackers = [
             (slo, budget := ErrorBudget(slo), BurnRateAlerter(
                 slo, budget,
-                events=telemetry.events if live else None,
-                metrics=telemetry.metrics if live else None,
+                events=telemetry.events, metrics=telemetry.metrics,
             ))
             for slo in self.slos
         ]

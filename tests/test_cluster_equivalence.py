@@ -144,3 +144,33 @@ def test_writes_right_after_a_failed_scatter_match_single_node():
         assert b.total_matches == a.total_matches, query
         for ours, theirs in zip(b.results, a.results):
             assert ours.score == pytest.approx(theirs.score, abs=1e-9)
+
+
+def test_did_you_mean_follows_writes_on_both_engines():
+    """A corrector snapshots the vocabulary, so a cached one must not
+    outlive a write: the single node used to keep answering from the
+    vocabulary of its first zero-hit query."""
+    web = make_web(2010)
+    single = build_engine(web)
+    cluster = build_clustered_engine(
+        web, ClusterConfig(num_shards=4, replicas_per_shard=1),
+    )
+    assert single.search("web", "stormtemr").suggestion is None
+    assert cluster.search("web", "stormtemr").suggestion is None
+
+    for n in range(2):
+        doc = FieldedDocument(
+            doc_id=f"http://storm.example/{n}",
+            fields={"url": f"http://storm.example/{n}",
+                    "title": f"stormterm report {n}",
+                    "body": "stormterm", "site": "storm.example",
+                    "topic": "wine"},
+        )
+        cluster.add_document("web", doc)
+        single.vertical("web").add(doc)
+
+    a = single.search("web", "stormtemr")
+    b = cluster.search("web", "stormtemr")
+    assert a.total_matches == b.total_matches == 0
+    assert b.suggestion is not None
+    assert a.suggestion == b.suggestion

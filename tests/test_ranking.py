@@ -30,60 +30,51 @@ def index():
     return idx
 
 
+def score(index, doc_id, terms, params=None):
+    """BM25 of one ``body`` for one query (the scorer is per query)."""
+    return BM25Scorer(index, ["body"], params, terms).score(doc_id)
+
+
 class TestBM25:
     def test_matching_beats_nonmatching(self, index):
-        scorer = BM25Scorer(index, ["body"])
-        assert scorer.score("short", ["halo"]) > 0
-        assert scorer.score("other", ["halo"]) == 0
+        assert score(index, "short", ["halo"]) > 0
+        assert score(index, "other", ["halo"]) == 0
 
     def test_term_frequency_saturates(self, index):
         """More occurrences help, but sub-linearly (k1 saturation)."""
-        scorer = BM25Scorer(index, ["body"])
-        single = scorer.score("short", ["halo"])
-        triple = scorer.score("repeat", ["halo"])
+        single = score(index, "short", ["halo"])
+        triple = score(index, "repeat", ["halo"])
         assert triple > single
         assert triple < 3 * single
 
     def test_length_normalization_prefers_short(self, index):
-        scorer = BM25Scorer(index, ["body"])
-        assert scorer.score("short", ["halo"]) > \
-            scorer.score("long", ["halo"])
+        assert score(index, "short", ["halo"]) > \
+            score(index, "long", ["halo"])
 
     def test_rare_terms_weigh_more(self, index):
         """idf: 'zelda' (df=1) outweighs 'halo' (df=3) in its own doc."""
-        scorer = BM25Scorer(index, ["body"])
-        zelda = scorer.score("other", ["zelda"])
-        halo = scorer.score("short", ["halo"])
+        zelda = score(index, "other", ["zelda"])
+        halo = score(index, "short", ["halo"])
         assert zelda > halo
 
     def test_field_boost_scales(self, index):
-        plain = BM25Scorer(index, ["body"], BM25Parameters())
-        boosted = BM25Scorer(
-            index, ["body"], BM25Parameters(field_boosts={"body": 2.0})
-        )
-        assert boosted.score("short", ["halo"]) == pytest.approx(
-            2.0 * plain.score("short", ["halo"])
-        )
+        plain = score(index, "short", ["halo"], BM25Parameters())
+        boosted = score(index, "short", ["halo"],
+                        BM25Parameters(field_boosts={"body": 2.0}))
+        assert boosted == pytest.approx(2.0 * plain)
 
     def test_multi_term_additive(self, index):
-        scorer = BM25Scorer(index, ["body"])
-        both = scorer.score("short", ["halo", "review"])
+        both = score(index, "short", ["halo", "review"])
         assert both == pytest.approx(
-            scorer.score("short", ["halo"])
-            + scorer.score("short", ["review"])
+            score(index, "short", ["halo"])
+            + score(index, "short", ["review"])
         )
-
-    def test_score_many(self, index):
-        scorer = BM25Scorer(index, ["body"])
-        scores = scorer.score_many(["short", "other"], ["halo"])
-        assert scores["short"] > 0 and scores["other"] == 0
 
     def test_idf_positive_even_for_ubiquitous_term(self):
         idx = InvertedIndex(Analyzer())
         for i in range(5):
             idx.add(FieldedDocument(f"d{i}", {"body": "halo everywhere"}))
-        scorer = BM25Scorer(idx, ["body"])
-        assert scorer.score("d0", ["halo"]) > 0
+        assert score(idx, "d0", ["halo"]) > 0
 
 
 class TestPageRank:

@@ -1,0 +1,210 @@
+"""Every ranked list comes from one scorer, and its floats did not move.
+
+:class:`BM25Scorer` resolves per query what it used to re-derive per
+(document, field, term). Only lookups were hoisted — the float
+expression keeps its operand order — so scores must be ``==`` to the old
+per-call scorer, kept here as :func:`reference_score`; a shard scored
+under merged statistics must be ``==`` to the union index; and a
+cluster must return the single node's ids, scores and match counts
+exactly. The last test pins the ``(-score, doc_id)`` order for the three
+kinds of index that rank through :meth:`BM25Scorer.rank`.
+"""
+
+from __future__ import annotations
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from repro.baselines.google_base import GoogleBasePlatform
+from repro.cluster import ClusterConfig, build_clustered_engine
+from repro.core.datasources import ProprietaryTableSource, SourceQuery
+from repro.searchengine.analysis import Analyzer
+from repro.searchengine.documents import FieldedDocument
+from repro.searchengine.engine import SearchOptions, build_engine
+from repro.searchengine.index import InvertedIndex
+from repro.searchengine.ranking import BM25Parameters, BM25Scorer
+from repro.searchengine.stats import CorpusStats
+from repro.simweb.model import SyntheticWeb
+from repro.storage.records import FieldSpec, FieldType, RecordTable, Schema
+from tests.test_cluster_equivalence import (
+    align_clocks,
+    make_web,
+    sample_queries,
+)
+
+
+def reference_score(index, fields, params, doc_id, terms) -> float:
+    """The scorer as it was before statistics became a value: every
+    statistic read from the index per (document, field, term)."""
+    total = 0.0
+    for field_name in fields:
+        avg_len = index.average_field_length(field_name)
+        if avg_len == 0:
+            continue
+        doc_len = index.field_length(field_name, doc_id)
+        norm = params.k1 * (
+            1.0 - params.b + params.b * doc_len / avg_len
+        )
+        boost = params.boost(field_name)
+        for term in terms:
+            posting = index.postings(field_name, term).get(doc_id)
+            if posting is None:
+                continue
+            n = len(index)
+            df = index.document_frequency(field_name, term)
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            tf = posting.term_frequency
+            total += boost * idf * (
+                tf * (params.k1 + 1.0) / (tf + norm)
+            )
+    return total
+
+
+ANALYZER = Analyzer()
+WORDS = ("halo", "zelda", "review", "game", "wine", "guide", "arena",
+         "quest", "vintage", "tasting")
+FIELDS = ("title", "body", "notes")
+# What the index stores for each word, plus one term no document has.
+TERMS = tuple(ANALYZER.analyze(word)[0] for word in WORDS) + ("zzabsent",)
+
+# A field is missing, empty, or a run of words (repeats included).
+field_values = st.one_of(
+    st.none(), st.just(""),
+    st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join),
+)
+corpora = st.lists(
+    st.fixed_dictionaries({name: field_values for name in FIELDS}),
+    min_size=1, max_size=40,
+)
+scored_fields = st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3,
+                         unique=True)
+parameters = st.builds(
+    BM25Parameters,
+    k1=st.sampled_from((0.9, 1.2, 2.0)),
+    b=st.sampled_from((0.0, 0.75, 1.0)),
+    field_boosts=st.dictionaries(st.sampled_from(FIELDS),
+                                 st.sampled_from((0.5, 2.0, 3.5))),
+)
+term_lists = st.lists(st.sampled_from(TERMS), max_size=5)
+
+
+def documents(corpus):
+    return [FieldedDocument(f"d{n:02d}", fields)
+            for n, fields in enumerate(corpus)]
+
+
+def index_of(docs):
+    index = InvertedIndex(Analyzer())
+    for doc in docs:
+        index.add(doc)
+    return index
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora, scored_fields, parameters, term_lists)
+def test_scores_equal_the_per_call_reference(corpus, fields, params, terms):
+    docs = documents(corpus)
+    index = index_of(docs)
+    scorer = BM25Scorer(index, fields, params, terms)
+    expected = {
+        doc.doc_id: reference_score(index, fields, params, doc.doc_id,
+                                    terms)
+        for doc in docs
+    }
+    assert {doc.doc_id: scorer.score(doc.doc_id) for doc in docs} == \
+        expected
+    assert scorer.rank(set(expected)) == sorted(
+        expected.items(), key=lambda pair: (-pair[1], pair[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora, scored_fields, parameters, term_lists)
+def test_a_shard_under_merged_stats_scores_like_the_union(
+        corpus, fields, params, terms):
+    docs = documents(corpus)
+    union = index_of(docs)
+    shards = [index_of(docs[n::4]) for n in range(4)]
+    stats = CorpusStats.merge(
+        CorpusStats.collect(shard, fields, terms) for shard in shards)
+    for n, shard in enumerate(shards):
+        scorer = BM25Scorer(shard, fields, params, terms, stats)
+        for doc in docs[n::4]:
+            assert scorer.score(doc.doc_id) == reference_score(
+                union, fields, params, doc.doc_id, terms)
+
+
+def assert_same_answers(single, cluster, vertical, query):
+    align_clocks(single, cluster)
+    options = SearchOptions(count=10)
+    a = single.search(vertical, query, options)
+    b = cluster.search(vertical, query, options)
+    label = f"{vertical!r} {query!r}"
+    assert not b.degraded, label
+    assert [(r.url, r.score) for r in b.results] == \
+        [(r.url, r.score) for r in a.results], label
+    assert b.total_matches == a.total_matches, label
+
+
+def test_cluster_returns_the_single_nodes_scores_exactly():
+    """All four verticals (authority and recency blends included),
+    then again after adds and removes have moved every statistic."""
+    web = make_web(2010)
+    single = build_engine(web)
+    cluster = build_clustered_engine(
+        web, ClusterConfig(num_shards=4, replicas_per_shard=1))
+    for vertical in ("web", "image", "video", "news"):
+        for query in sample_queries(web):
+            assert_same_answers(single, cluster, vertical, query)
+
+    storm = [
+        FieldedDocument(
+            doc_id=f"http://storm.example/{n}",
+            fields={"url": f"http://storm.example/{n}",
+                    "title": f"stormterm review {n}",
+                    "body": "wine stormterm " * (1 + n % 3),
+                    "site": "storm.example", "topic": "wine"},
+        )
+        for n in range(60)
+    ]
+    for doc in storm:
+        cluster.add_document("web", doc)
+        single.vertical("web").add(doc)
+    for doc in storm[::2]:
+        cluster.remove_document("web", doc.doc_id)
+        single.vertical("web").index.remove(doc.doc_id)
+    for query in ("stormterm", "stormterm review", "wine tasting",
+                  *sample_queries(web)):
+        assert_same_answers(single, cluster, "web", query)
+
+
+def test_equal_scores_order_by_id_on_every_kind_of_index():
+    # Twelve identical rows each; ids that sort differently as strings
+    # ("…:10" < "…:2") than in insertion order.
+    table = RecordTable("inv", Schema((
+        FieldSpec("title", FieldType.STRING),)), ("title",))
+    for n in reversed(range(1, 13)):
+        table.insert({"title": "vintage crate"}, record_id=f"inv:{n}")
+    source = ProprietaryTableSource("src", "Inventory", table, ("title",))
+    items = source.search(SourceQuery("vintage crate", count=12)).items
+    assert len({item.score for item in items}) == 1
+    assert [item.item_id for item in items] == \
+        sorted(f"inv:{n}" for n in range(1, 13))
+
+    engine = build_engine(SyntheticWeb(), use_authority=False)
+    base = GoogleBasePlatform(engine)
+    base.upload_structured_data(
+        [{"title": "vintage crate", "sku": str(n)} for n in range(1, 13)])
+    skus = [item["sku"] for item in base.search("vintage crate")
+            ["base_items"]]
+    assert skus == ["1", "10", "11"]    # base:items:1, :10, :11
+
+    urls = [f"http://tie.example/{n}" for n in range(1, 13)]
+    for url in reversed(urls):
+        engine.vertical("web").add(FieldedDocument(url, {
+            "url": url, "title": "vintage crate", "body": "vintage crate",
+            "site": "tie.example", "topic": "wine"}))
+    response = engine.search("web", "vintage crate",
+                             SearchOptions(count=12))
+    assert len({r.score for r in response.results}) == 1
+    assert response.urls() == sorted(urls)
