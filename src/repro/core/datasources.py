@@ -150,8 +150,11 @@ class ProprietaryTableSource(DataSource):
 
     ``search_fields`` are the fields queries run against ("search by
     title, producer, and description" in §II-B); all schema fields remain
-    available for layout binding. The index rebuilds lazily whenever the
-    table's contents change.
+    available for layout binding. The index is brought up to date at
+    the next search after the table changed, at the cost of the rows
+    that changed: the table's change tail names them and only they are
+    re-indexed. Every row is indexed only on first use, or when more
+    changed between two searches than the tail holds.
     """
 
     def __init__(self, source_id: str, name: str, table,
@@ -167,7 +170,9 @@ class ProprietaryTableSource(DataSource):
                 )
         self.search_fields = tuple(search_fields)
         self._index: InvertedIndex | None = None
-        self._indexed_mutations = -1   # table.mutations at last build
+        # table.mutations the index is current with: the cursor into
+        # the table's change tail (-1, which no table holds: not built).
+        self._indexed_mutations = -1
         #: Zero-arg callable returning contract metadata for this
         #: table ({} when ungoverned); set by the platform when
         #: contracts are enabled so stale feeds are flagged on every
@@ -185,21 +190,39 @@ class ProprietaryTableSource(DataSource):
         return (table_key(self.tenant_id, self._table.name),)
 
     def _ensure_index(self) -> InvertedIndex:
-        mutations = self._table.mutations
-        if self._indexed_mutations != mutations:
-            index = InvertedIndex(Analyzer())
-            for record in self._table.all_records():
-                index.add(FieldedDocument(
-                    doc_id=record.record_id,
-                    fields={
-                        name: "" if value is None else str(value)
-                        for name, value in record.values.items()
-                    },
-                    payload=record,
-                ))
-            self._index = index
-            self._indexed_mutations = mutations
-        return self._index
+        table = self._table
+        mutations = table.mutations
+        if self._indexed_mutations == mutations:
+            return self._index
+        changed = table.changes_since(self._indexed_mutations)
+        if changed is None:
+            index = self._index = InvertedIndex(Analyzer())
+            for record in table.all_records():
+                index.add(self._document(record))
+        else:
+            index = self._index
+            for record_id in dict.fromkeys(changed):
+                try:
+                    current = table.get(record_id)
+                except NotFoundError:   # deleted since
+                    current = None
+                if record_id in index:
+                    if index.document(record_id).payload is current:
+                        continue
+                    index.remove(record_id)
+                if current is not None:
+                    index.add(self._document(current))
+        self._indexed_mutations = mutations
+        return index
+
+    @staticmethod
+    def _document(record) -> FieldedDocument:
+        return FieldedDocument(
+            doc_id=record.record_id,
+            fields={name: "" if value is None else str(value)
+                    for name, value in record.values.items()},
+            payload=record,
+        )
 
     def export_config(self) -> dict:
         return {
@@ -241,6 +264,7 @@ class ProprietaryTableSource(DataSource):
         scored = BM25Scorer(index, list(search_fields), params,
                             terms).rank(candidates)
         window = scored[query.offset:query.offset + query.count]
+        title_field = self.fields()[0]
         items = []
         for doc_id, score in window:
             record = index.document(doc_id).payload
@@ -252,7 +276,7 @@ class ProprietaryTableSource(DataSource):
             )
             items.append(SourceItem(
                 item_id=doc_id,
-                title=str(record.values.get(self.fields()[0], doc_id)),
+                title=str(record.values.get(title_field, doc_id)),
                 url=url,
                 snippet="",
                 score=round(score, 6),

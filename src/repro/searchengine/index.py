@@ -35,6 +35,11 @@ class InvertedIndex:
     fields not listed default to TEXT. All structures are plain dicts so
     behaviour is easy to audit and deterministic to iterate (insertion
     order).
+
+    Precondition: a :class:`FieldedDocument`'s ``fields`` are not mutated
+    after :meth:`add`. :meth:`remove` keeps no per-document term list; it
+    re-analyzes the stored field values to find the document's postings,
+    so they must still be the values that were indexed.
     """
 
     def __init__(self, analyzer: Analyzer | None = None,
@@ -62,19 +67,25 @@ class InvertedIndex:
 
     def add(self, document: FieldedDocument) -> None:
         """Index ``document``; raises :class:`DuplicateError` on id reuse."""
-        if document.doc_id in self._docs:
-            raise DuplicateError(f"document already indexed: "
-                                 f"{document.doc_id}")
-        self._docs[document.doc_id] = document
+        doc_id = document.doc_id
+        if doc_id in self._docs:
+            raise DuplicateError(f"document already indexed: {doc_id}")
+        self._docs[doc_id] = document
         self.mutations += 1
-        for name, value in document.fields.items():
-            if value is None:
-                continue
-            mode = self.field_modes.get(name, FieldMode.TEXT)
-            if mode == FieldMode.KEYWORD:
-                self._add_keyword(name, str(value), document.doc_id)
-            else:
-                self._add_text(name, str(value), document.doc_id)
+        keywords, texts = self._entries(document)
+        for name, value in keywords:
+            value_map = self._keyword.setdefault(name, {})
+            value_map.setdefault(value, set()).add(doc_id)
+        for name, by_term, length in texts:
+            term_map = self._postings.setdefault(name, {})
+            for term, positions in by_term.items():
+                term_map.setdefault(term, {})[doc_id] = Posting(
+                    doc_id, tuple(positions)
+                )
+            self._field_lengths.setdefault(name, {})[doc_id] = length
+            self._total_field_length[name] = (
+                self._total_field_length.get(name, 0) + length
+            )
 
     def upsert(self, document: FieldedDocument) -> None:
         """Replace any existing document with the same id, then add."""
@@ -83,46 +94,65 @@ class InvertedIndex:
         self.add(document)
 
     def remove(self, doc_id: str) -> None:
-        if doc_id not in self._docs:
+        """Take ``doc_id`` out; raises :class:`NotFoundError` if absent.
+
+        O(terms of the removed document): the stored document is
+        re-analyzed and only the buckets it is filed under are touched.
+        A term, keyword value or field whose last document leaves is
+        deleted, so the index is a function of the documents in it.
+        """
+        document = self._docs.pop(doc_id, None)
+        if document is None:
             raise NotFoundError(f"document not indexed: {doc_id}")
-        del self._docs[doc_id]
         self.mutations += 1
-        for term_map in self._postings.values():
-            empty_terms = []
-            for term, by_doc in term_map.items():
-                by_doc.pop(doc_id, None)
+        keywords, texts = self._entries(document)
+        for name, value in keywords:
+            value_map = self._keyword[name]
+            docs = value_map[value]
+            docs.remove(doc_id)
+            if not docs:
+                del value_map[value]
+                if not value_map:
+                    del self._keyword[name]
+        for name, by_term, length in texts:
+            term_map = self._postings[name]
+            for term in by_term:
+                by_doc = term_map[term]
+                del by_doc[doc_id]
                 if not by_doc:
-                    empty_terms.append(term)
-            for term in empty_terms:
-                del term_map[term]
-        for value_map in self._keyword.values():
-            for docs in value_map.values():
-                docs.discard(doc_id)
-        for name, lengths in self._field_lengths.items():
-            length = lengths.pop(doc_id, 0)
+                    del term_map[term]
+            lengths = self._field_lengths[name]
+            del lengths[doc_id]
             self._total_field_length[name] -= length
+            if not lengths:
+                del self._postings[name]
+                del self._field_lengths[name]
+                del self._total_field_length[name]
 
     # -- ingestion internals --------------------------------------------------
 
-    def _add_text(self, name: str, value: str, doc_id: str) -> None:
-        tokens = self.analyzer.analyze_with_positions(value)
-        by_term: dict[str, list[int]] = {}
-        for term, position in tokens:
-            by_term.setdefault(term, []).append(position)
-        term_map = self._postings.setdefault(name, {})
-        for term, positions in by_term.items():
-            term_map.setdefault(term, {})[doc_id] = Posting(
-                doc_id, tuple(positions)
-            )
-        lengths = self._field_lengths.setdefault(name, {})
-        lengths[doc_id] = len(tokens)
-        self._total_field_length[name] = (
-            self._total_field_length.get(name, 0) + len(tokens)
-        )
+    def _entries(self, document: FieldedDocument) -> tuple[list, list]:
+        """What ``document`` is filed under: ``(keywords, texts)``.
 
-    def _add_keyword(self, name: str, value: str, doc_id: str) -> None:
-        value_map = self._keyword.setdefault(name, {})
-        value_map.setdefault(value.lower(), set()).add(doc_id)
+        ``keywords`` holds ``(field, lowered value)`` and ``texts``
+        ``(field, {term: [positions]}, token count)``, one per non-null
+        field. ``add`` files exactly these and ``remove`` takes exactly
+        these out again, so the two cannot disagree about a document.
+        """
+        keywords, texts = [], []
+        for name, value in document.fields.items():
+            if value is None:
+                continue
+            mode = self.field_modes.get(name, FieldMode.TEXT)
+            if mode == FieldMode.KEYWORD:
+                keywords.append((name, str(value).lower()))
+                continue
+            tokens = self.analyzer.analyze_with_positions(str(value))
+            by_term: dict[str, list[int]] = {}
+            for term, position in tokens:
+                by_term.setdefault(term, []).append(position)
+            texts.append((name, by_term, len(tokens)))
+        return keywords, texts
 
     # -- lookups ---------------------------------------------------------------
 

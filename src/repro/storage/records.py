@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 
 from repro.errors import (
     DuplicateError,
@@ -27,7 +29,14 @@ __all__ = [
     "infer_schema",
     "Record",
     "RecordTable",
+    "CHANGE_TAIL",
 ]
+
+#: How many of a table's latest mutations :meth:`RecordTable.changes_since`
+#: can still name. An upsert of an existing row is two (out, then in), so
+#: this covers a 512-row delta upload between two readers; a reader that
+#: falls further behind rebuilds from the table.
+CHANGE_TAIL = 1024
 
 _INT_RE = re.compile(r"[+-]?\d+$")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
@@ -265,8 +274,11 @@ class RecordTable:
         self._next_serial = 1
         #: Bumped whenever a record enters or leaves the table (an
         #: update does both), so derived indexes can tell cheaply and
-        #: exactly whether they are current.
+        #: exactly whether they are current; the cursor of
+        #: :meth:`changes_since`.
         self.mutations = 0
+        # Record id of each of the last CHANGE_TAIL mutations, oldest first.
+        self._change_tail: deque = deque(maxlen=CHANGE_TAIL)
 
     # -- CRUD ------------------------------------------------------------------
 
@@ -407,6 +419,21 @@ class RecordTable:
     def all_records(self) -> list:
         return list(self._records.values())
 
+    def changes_since(self, cursor: int) -> list | None:
+        """Record ids mutated after ``mutations`` read ``cursor``, in order.
+
+        One id per mutation, so an updated record appears twice and a
+        deleted one may no longer be in the table. ``None`` when the
+        answer is unknown: the bounded tail (:data:`CHANGE_TAIL`) no
+        longer reaches back to ``cursor``, or ``cursor`` is not a value
+        this table's ``mutations`` has held.
+        """
+        behind = self.mutations - cursor
+        held = len(self._change_tail)
+        if not 0 <= behind <= held:
+            return None
+        return list(islice(self._change_tail, held - behind, None))
+
     # -- persistence ----------------------------------------------------------------
 
     def to_json(self) -> str:
@@ -445,12 +472,14 @@ class RecordTable:
 
     def _index_record(self, record: Record) -> None:
         self.mutations += 1
+        self._change_tail.append(record.record_id)
         for field_name, index in self._indexes.items():
             key = self._key(record.values.get(field_name))
             index.setdefault(key, set()).add(record.record_id)
 
     def _unindex_record(self, record: Record) -> None:
         self.mutations += 1
+        self._change_tail.append(record.record_id)
         for field_name, index in self._indexes.items():
             key = self._key(record.values.get(field_name))
             bucket = index.get(key)

@@ -64,6 +64,76 @@ class TestLifecycle:
         assert index.postings("body", "real")
 
 
+def structures(index):
+    """Everything an index derives from its documents."""
+    return (index._postings, index._keyword, index._field_lengths,
+            index._total_field_length)
+
+
+class _NoWalk(dict):
+    """A term (or keyword value) map that may be probed but not walked."""
+
+    def _walked(self, *args):
+        raise AssertionError("remove walked a whole field's map")
+
+    __iter__ = items = values = keys = _walked
+
+
+class TestRemoveTouchesOnlyTheDocument:
+    DOCS = (
+        doc("d1", title="Halo Odyssey", body="combat evolved again",
+            site="a.example", topic="games"),
+        doc("d2", title="Halo Wars", body="strategy combat",
+            site="b.example", topic="games"),
+        doc("d3", title="Wine Guide", body="", site="a.example",
+            topic="wine", extra="only here"),
+    )
+
+    def build(self, docs=DOCS):
+        index = make_index(site=FieldMode.KEYWORD, topic=FieldMode.KEYWORD)
+        for document in docs:
+            index.add(document)
+        return index
+
+    def test_emptied_keyword_bucket_is_deleted(self):
+        index = self.build()
+        index.remove("d3")
+        assert "wine" not in index._keyword["topic"]
+        assert index._keyword["site"] == {"a.example": {"d1"},
+                                          "b.example": {"d2"}}
+
+    @pytest.mark.parametrize("victim", ["d1", "d2", "d3"])
+    def test_remove_equals_never_added(self, victim):
+        index = self.build()
+        index.remove(victim)
+        never = self.build([d for d in self.DOCS if d.doc_id != victim])
+        assert structures(index) == structures(never)
+
+    @pytest.mark.parametrize("victim", ["d1", "d2", "d3"])
+    def test_remove_then_readd_equals_never_removed(self, victim):
+        index = self.build()
+        index.remove(victim)
+        index.add(next(d for d in self.DOCS if d.doc_id == victim))
+        assert structures(index) == structures(self.build())
+
+    def test_remove_does_not_walk_a_field_map(self):
+        index = self.build()
+        for maps in (index._postings, index._keyword):
+            for name in maps:
+                maps[name] = _NoWalk(maps[name])
+        index.remove("d1")
+        assert "d1" not in index
+        assert list(index.postings("title", "halo")) == ["d2"]
+        assert not index.postings("title", "odyssey")
+        assert index.keyword_matches("site", "a.example") == {"d3"}
+        with pytest.raises(NotFoundError):
+            index.remove("d1")
+
+    def test_docstring_states_the_precondition(self):
+        text = " ".join(InvertedIndex.__doc__.split())
+        assert "``fields`` are not mutated after :meth:`add`" in text
+
+
 class TestTextPostings:
     def test_positions_recorded(self):
         index = make_index()

@@ -14,6 +14,7 @@ from repro.errors import (
 )
 from repro.storage.blobs import BlobStore
 from repro.storage.records import (
+    CHANGE_TAIL,
     FieldSpec,
     FieldType,
     RecordTable,
@@ -260,6 +261,55 @@ class TestRecordTable:
     def test_index_on_unknown_field_rejected(self):
         with pytest.raises(ValidationError):
             RecordTable("t", game_schema(), ("nope",))
+
+    def test_changes_since_is_empty_at_the_current_cursor(self):
+        table = self.make()
+        assert table.changes_since(table.mutations) == []
+        table.insert(self.row())
+        assert table.changes_since(table.mutations) == []
+
+    def test_changes_since_lists_one_id_per_mutation_in_order(self):
+        table = self.make()
+        halo = table.insert(self.row()).record_id
+        cursor = table.mutations
+        zelda = table.insert(self.row(title="Zelda")).record_id
+        table.update(halo, {"stock": "9"})
+        table.upsert_by("title", self.row(title="Zelda", stock="1"))
+        table.upsert_by("title", self.row(title="Myst"))
+        table.delete(halo)
+        assert table.mutations == cursor + 7
+        assert table.changes_since(cursor) == [
+            zelda, halo, halo, zelda, zelda, "games:3", halo]
+        assert table.changes_since(cursor + 5) == ["games:3", halo]
+        assert table.changes_since(0) == [halo] + table.changes_since(1)
+
+    def test_changes_since_unknown_for_trimmed_or_future_cursor(self):
+        table = self.make()
+        record = table.insert(self.row())
+        assert table.changes_since(table.mutations + 1) is None
+        assert table.changes_since(-1) is None
+        cursor = table.mutations
+        for stock in range(CHANGE_TAIL // 2):
+            table.update(record.record_id, {"stock": str(stock)})
+        assert table.changes_since(cursor) == \
+            [record.record_id] * CHANGE_TAIL
+        table.update(record.record_id, {"stock": "0"})
+        assert table.changes_since(cursor) is None
+        assert len(table.changes_since(cursor + 2)) == CHANGE_TAIL
+
+    def test_changes_since_after_json_roundtrip(self):
+        table = self.make()
+        table.insert(self.row())
+        table.insert(self.row(title="Zelda"))
+        table.update("games:1", {"stock": "9"})
+        restored = RecordTable.from_json(table.to_json())
+        # A restored table starts its own count: one entry per record.
+        assert restored.mutations == 2
+        assert restored.changes_since(0) == ["games:1", "games:2"]
+        assert restored.changes_since(table.mutations) is None
+        cursor = restored.mutations
+        restored.delete("games:2")
+        assert restored.changes_since(cursor) == ["games:2"]
 
 
 class TestBlobStore:
