@@ -7,8 +7,16 @@ a freshness SLA. The :class:`ContractManager` enforces it at load time
 (reject / quarantine / coerce), detects schema drift between producer
 and contract, tracks staleness against the refresh scheduler, and
 feeds a platform-wide freshness error budget into :mod:`repro.slo`.
-Opt-in via ``Symphony(contracts=True)``; ``NULL_CONTRACTS`` keeps the
-ungoverned hot path unchanged.
+Opt-in via ``Symphony(contracts=True)`` (on or off; the quarantine
+capacity, drift sample and freshness SLO shape are module constants);
+``NULL_CONTRACTS`` keeps the ungoverned hot path unchanged.
+
+A contract is read one way. ``ContractEnforcer._check_row`` is the one
+function that decides whether a row is clean, and each rule is written
+once: normalization in ``FieldContract.normalized``, type conversion in
+``repro.storage.records._COERCERS``, enum and range in
+``ContractEnforcer._constraints`` (the ``coerce`` policy re-judges a
+cast value through that same call).
 """
 
 from .contract import (
@@ -29,7 +37,6 @@ from .freshness import FeedFreshness, FreshnessTracker
 from .manager import (
     NULL_CONTRACTS,
     ContractManager,
-    ContractsConfig,
     NullContractManager,
 )
 from .quarantine import QuarantinedRow, QuarantineStore
@@ -49,7 +56,6 @@ __all__ = [
     "QuarantinedRow",
     "FreshnessTracker",
     "FeedFreshness",
-    "ContractsConfig",
     "ContractManager",
     "NullContractManager",
     "NULL_CONTRACTS",

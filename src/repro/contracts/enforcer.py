@@ -14,10 +14,11 @@ surfacing as corrupt query results weeks later.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.storage.records import _COERCERS, FieldType, _classify_value
 
-from .contract import NORMALIZE_RULES, DataContract, FieldContract
+from .contract import DataContract, FieldContract
 
 __all__ = [
     "Violation",
@@ -37,18 +38,11 @@ _COMPATIBLE = {
     FieldType.URL: {FieldType.URL},
 }
 
+#: Rows sampled per batch for drift detection.
+DRIFT_SAMPLE_LIMIT = 100
+
 #: Thousands separators a ``coerce``-policy cast may strip from numbers.
 _NUM_JUNK = str.maketrans("", "", ",_")
-
-
-class _CheckFail(Exception):
-    """Internal: a compiled field check hit a constraint violation."""
-
-    def __init__(self, rule: str, message: str, value=None) -> None:
-        super().__init__(message)
-        self.rule = rule
-        self.message = message
-        self.value = value
 
 
 @dataclass(frozen=True)
@@ -123,219 +117,26 @@ class EnforcementResult:
 
 
 class ContractEnforcer:
-    """Validates batches of raw rows against one :class:`DataContract`."""
+    """Validates batches of raw rows against one :class:`DataContract`.
 
-    def __init__(self, contract: DataContract,
-                 drift_sample_limit: int = 100) -> None:
+    :meth:`_check_row` is the one function that decides whether a row
+    is clean, and each rule is written once: normalization in
+    ``FieldContract.normalized``, type conversion in
+    ``storage.records._COERCERS``, enum and range in
+    :meth:`_constraints`.
+    """
+
+    def __init__(self, contract: DataContract) -> None:
         self.contract = contract
-        self.drift_sample_limit = drift_sample_limit
-        # The contract is frozen, so compile it once: per field, a
-        # normalizer (None when the field declares no rules) and ONE
-        # ``value -> typed`` check folding type conversion and
-        # constraints, plus the field-name set for the extra-column
-        # test. Bulk ingest runs these per cell; every spared function
-        # call and attribute lookup is the difference between "free"
-        # and a measurable ingest tax.
         self._field_names = frozenset(f.name for f in contract.fields)
+        # Per field: name, spec, converter, and whether it declares any
+        # constraint -- most columns do not, and skip that call.
         self._checks = tuple(
-            (spec.name, spec, self._compile_normalizer(spec),
-             self._compile_check(spec))
+            (spec.name, spec, _COERCERS[spec.type],
+             bool(spec.allowed) or spec.min_value is not None
+             or spec.max_value is not None)
             for spec in contract.fields
         )
-        # Code-generated accept-or-bail validator for the common case:
-        # a fully-populated, fully-clean row. Anything it cannot prove
-        # clean (a violation, a missing column, an exotic type) falls
-        # back to the interpreted path above, which stays the source
-        # of truth for *what* went wrong.
-        self._fast_row = self._compile_fast_row(contract)
-
-    @staticmethod
-    def _compile_normalizer(spec: FieldContract):
-        """The field's rule chain as one call, or ``None`` if rule-less."""
-        if spec.units:
-            return spec.normalized       # full path incl. unit scaling
-        if not spec.normalize:
-            return None
-        rules = tuple(NORMALIZE_RULES[r] for r in spec.normalize)
-        if len(rules) == 1:
-            rule = rules[0]
-            return lambda v: rule(v) if type(v) is str else v
-
-        def chain(value, rules=rules):
-            if type(value) is str:
-                for rule in rules:
-                    value = rule(value)
-            return value
-        return chain
-
-    @staticmethod
-    def _compile_check(spec: FieldContract):
-        """One ``value -> typed`` function, fast-pathed on exact type.
-
-        Type failures raise ``ValueError``/``TypeError`` exactly where
-        the generic ``_COERCERS`` would (``bool`` deliberately misses
-        the numeric fast paths so ``True`` never lands in a numeric
-        column); constraint failures raise :class:`_CheckFail` with
-        the violated rule.
-        """
-        coercer = _COERCERS[spec.type]
-        if spec.type in (FieldType.STRING, FieldType.TEXT):
-            def convert(v):
-                return v if type(v) is str else coercer(v)
-        elif spec.type is FieldType.FLOAT:
-            def convert(v):
-                t = type(v)
-                if t is float:
-                    return v
-                if t is int or t is str:
-                    return float(v)
-                return coercer(v)
-        elif spec.type is FieldType.INTEGER:
-            def convert(v):
-                return v if type(v) is int else coercer(v)
-        elif spec.type is FieldType.BOOLEAN:
-            def convert(v):
-                return v if type(v) is bool else coercer(v)
-        else:
-            convert = coercer
-        allowed = frozenset(spec.allowed)
-        low, high = spec.min_value, spec.max_value
-        if not allowed and low is None and high is None:
-            return convert
-
-        def check(value, convert=convert, name=spec.name,
-                  allowed=allowed, canonical=tuple(spec.allowed),
-                  low=low, high=high):
-            typed = convert(value)
-            if allowed and typed not in allowed:
-                raise _CheckFail(
-                    "enum", f"field {name!r}: {typed!r} not in "
-                    f"allowed set {list(canonical)}", typed)
-            if (low is not None or high is not None) \
-                    and isinstance(typed, (int, float)) \
-                    and not isinstance(typed, bool):
-                if low is not None and typed < low:
-                    raise _CheckFail(
-                        "range", f"field {name!r}: {typed!r} below "
-                        f"minimum {low}", typed)
-                if high is not None and typed > high:
-                    raise _CheckFail(
-                        "range", f"field {name!r}: {typed!r} above "
-                        f"maximum {high}", typed)
-            return typed
-        return check
-
-    #: Normalization rules the code generator can inline as str methods
-    #: (or a wrapping call for the regex-backed ones).
-    _INLINE_METHODS = {
-        "trim": ".strip()",
-        "lower": ".lower()",
-        "upper": ".upper()",
-        "title": ".title()",
-        "strip_currency": ".translate(_cur).strip()",
-    }
-
-    def _compile_fast_row(self, contract: DataContract):
-        """Generate ``raw -> clean | None`` source for this contract.
-
-        The generated function accepts a row only when it can prove it
-        clean without allocating a single Violation: all declared
-        columns present and no others, values normalized/converted with
-        the same semantics as the interpreted checks, constraints
-        satisfied. Everything else returns ``None`` (or raises
-        ``ValueError``/``TypeError`` out of a conversion), and the
-        caller re-runs the row through :meth:`_check_row` for the full
-        diagnosis — the fast path can only ever *accept*, never decide
-        a row is bad, so the two paths cannot disagree on outcomes.
-        """
-        from .contract import _CURRENCY_TABLE
-
-        space = {"_fields": self._field_names, "_cur": _CURRENCY_TABLE}
-        lines = [
-            "def _fast_row(raw):",
-            "    if raw.keys() != _fields:",
-            "        return None",
-        ]
-        emit = lines.append
-        for i, spec in enumerate(contract.fields):
-            v = f"v{i}"
-            emit(f"    {v} = raw[{spec.name!r}]")
-            if spec.units:
-                space[f"_n{i}"] = spec.normalized
-                emit(f"    {v} = _n{i}({v})")
-            elif spec.normalize:
-                expr = v
-                for rule in spec.normalize:
-                    suffix = self._INLINE_METHODS.get(rule)
-                    if suffix is not None:
-                        expr += suffix
-                    else:
-                        space[f"_r{i}_{rule}"] = NORMALIZE_RULES[rule]
-                        expr = f"_r{i}_{rule}({expr})"
-                emit(f"    if type({v}) is str:")
-                emit(f"        {v} = {expr}")
-            if spec.required or not spec.nullable:
-                emit(f"    if {v} is None or {v} == '':")
-                emit("        return None")
-                pad = "    "
-            else:
-                emit(f"    if {v} is None or {v} == '':")
-                emit(f"        {v} = None")
-                emit("    else:")
-                pad = "        "
-            for line in self._fast_value_lines(i, spec, space):
-                emit(pad + line)
-        items = ", ".join(
-            f"{spec.name!r}: v{i}"
-            for i, spec in enumerate(contract.fields)
-        )
-        emit(f"    return {{{items}}}")
-        try:
-            exec("\n".join(lines), space)  # noqa: S102 - own codegen
-        except SyntaxError:       # pragma: no cover - contract too exotic
-            return None
-        return space["_fast_row"]
-
-    def _fast_value_lines(self, i: int, spec: FieldContract,
-                          space: dict) -> list:
-        """Convert-and-constrain source lines for one non-empty value."""
-        v = f"v{i}"
-        out = []
-        if spec.type in (FieldType.STRING, FieldType.TEXT):
-            # Non-string values bail to the interpreted path (which
-            # stringifies them) rather than risking a semantics skew.
-            out.append(f"if type({v}) is not str:")
-            out.append("    return None")
-        elif spec.type is FieldType.FLOAT:
-            out.append(f"if type({v}) is not float:")
-            out.append(f"    if type({v}) is int or type({v}) is str:")
-            out.append(f"        {v} = float({v})")
-            out.append("    else:")
-            out.append("        return None")
-        elif spec.type is FieldType.INTEGER:
-            out.append(f"if type({v}) is not int:")
-            out.append(f"    if type({v}) is str:")
-            out.append(f"        {v} = int({v})")
-            out.append("    else:")
-            out.append("        return None")
-        elif spec.type is FieldType.BOOLEAN:
-            out.append(f"if type({v}) is not bool:")
-            out.append("    return None")
-        else:                     # DATE / URL: regex-checked coercers
-            space[f"_c{i}"] = _COERCERS[spec.type]
-            out.append(f"{v} = _c{i}({v})")
-        if spec.allowed:
-            space[f"_a{i}"] = frozenset(spec.allowed)
-            out.append(f"if {v} not in _a{i}:")
-            out.append("    return None")
-        if spec.type in (FieldType.INTEGER, FieldType.FLOAT):
-            if spec.min_value is not None:
-                out.append(f"if {v} < {spec.min_value!r}:")
-                out.append("    return None")
-            if spec.max_value is not None:
-                out.append(f"if {v} > {spec.max_value!r}:")
-                out.append("    return None")
-        return out
 
     # -- drift ---------------------------------------------------------------
 
@@ -350,9 +151,7 @@ class ContractEnforcer:
         """
         declared = {f.name: f.type for f in self.contract.fields}
         votes: dict[str, dict] = {}
-        for i, row in enumerate(rows):
-            if i >= self.drift_sample_limit:
-                break
+        for row in islice(rows, DRIFT_SAMPLE_LIMIT):
             normalized = self.contract.normalize_row(row)
             for name, value in normalized.items():
                 counts = votes.setdefault(name, {})
@@ -399,17 +198,7 @@ class ContractEnforcer:
         """
         result = EnforcementResult(drift=self.detect_drift(rows))
         coerce = self.contract.policy == "coerce"
-        fast = self._fast_row
-        out = result.rows.append
         for index, raw in enumerate(rows):
-            if fast is not None:
-                try:
-                    clean = fast(raw)
-                except (TypeError, ValueError):
-                    clean = None
-                if clean is not None:
-                    out(clean)
-                    continue
             clean, row_violations, casts = self._check_row(
                 index, raw, coerce=coerce)
             if row_violations:
@@ -421,15 +210,15 @@ class ContractEnforcer:
         return result
 
     def _check_row(self, index: int, raw: dict, coerce: bool):
-        """One row → (clean_row, violations, coercion_count)."""
+        """One row → (clean_row, violations, coercion_count).
+
+        ``clean_row`` is only meaningful when ``violations`` is empty.
+        """
         violations: list[Violation] = []
         clean: dict = {}
         casts = 0
-        get = raw.get
-        for name, spec, normalize, check in self._checks:
-            value = get(name)
-            if normalize is not None and value is not None:
-                value = normalize(value)
+        for name, spec, convert, constrained in self._checks:
+            value = spec.normalized(raw.get(name))
             if value is None or value == "":
                 if spec.required or not spec.nullable:
                     violations.append(Violation(
@@ -440,33 +229,29 @@ class ContractEnforcer:
                     clean[name] = None
                 continue
             try:
-                clean[name] = check(value)
-            except _CheckFail as fail:
-                if coerce:
-                    typed, ok = self._safe_cast(spec, value)
-                    if ok:
-                        casts += 1
-                        clean[name] = typed
-                        violations.extend(
-                            self._constraints(index, spec, typed))
-                        continue
-                violations.append(Violation(
-                    index, name, fail.rule, fail.message, fail.value,
-                ))
+                # ``bool`` stringifies to "True", so it never lands in
+                # a numeric column.
+                typed = convert(value)
             except (TypeError, ValueError):
-                if coerce:
-                    typed, ok = self._safe_cast(spec, value)
-                    if ok:
-                        casts += 1
-                        clean[name] = typed
-                        violations.extend(
-                            self._constraints(index, spec, typed))
-                        continue
-                violations.append(Violation(
+                typed = None
+                broken = [Violation(
                     index, name, "type",
                     f"field {name!r}: cannot interpret {value!r} "
                     f"as {spec.type.value}", value,
-                ))
+                )]
+            else:
+                # An uncast value reports its first broken constraint.
+                broken = (self._constraints(index, spec, typed)[:1]
+                          if constrained else ())
+            if broken:
+                if coerce:
+                    cast, ok = self._safe_cast(spec, value)
+                    if ok:
+                        casts += 1
+                        typed = cast
+                        broken = self._constraints(index, spec, cast)
+                violations.extend(broken)
+            clean[name] = typed
         if raw.keys() != self._field_names \
                 and not self.contract.allow_extra_fields:
             for name in raw:
@@ -476,8 +261,6 @@ class ContractEnforcer:
                         f"field {name!r} is not in the contract",
                         raw[name],
                     ))
-        # Constraint violations on otherwise-typed rows still disqualify
-        # the row; drop the partial clean dict in that case.
         return clean, violations, casts
 
     def _safe_cast(self, spec: FieldContract, value):
@@ -490,7 +273,7 @@ class ContractEnforcer:
                     return int(number), True
             elif spec.type is FieldType.FLOAT:
                 return float(text), True
-        except ValueError:
+        except (ValueError, OverflowError):   # "abc", "nan" / "inf"
             pass
         if spec.allowed:
             folded = str(value).strip().casefold()
@@ -500,7 +283,8 @@ class ContractEnforcer:
         return None, False
 
     @staticmethod
-    def _constraints(index: int, spec: FieldContract, typed):
+    def _constraints(index: int, spec: FieldContract, typed) -> list:
+        """Every constraint ``typed`` breaks: enum, then range."""
         violations = []
         if spec.allowed and typed not in spec.allowed:
             violations.append(Violation(

@@ -25,33 +25,23 @@ from .freshness import FreshnessTracker
 from .quarantine import QuarantineStore
 
 __all__ = [
-    "ContractsConfig",
     "ContractManager",
     "NullContractManager",
     "NULL_CONTRACTS",
 ]
 
 
-@dataclass(frozen=True)
-class ContractsConfig:
-    """Construction knobs for :class:`ContractManager`."""
+#: Max quarantined rows retained per (tenant, table); the oldest are
+#: evicted (and counted) beyond this.
+QUARANTINE_CAPACITY = 1000
 
-    #: Max quarantined rows retained per (tenant, table); oldest are
-    #: evicted (and counted) beyond this.
-    quarantine_capacity: int = 1000
-    #: Rows sampled per batch for drift detection.
-    drift_sample_limit: int = 100
-    #: Platform-wide freshness SLO: target fraction of freshness
-    #: checks that find a feed fresh, and the burn-alert shape.
-    freshness_objective: float = 0.99
-    freshness_fast_window_ms: int = 60_000
-    freshness_slow_window_ms: int = 600_000
-    freshness_burn_threshold: float = 3.0
-    freshness_min_events: int = 4
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ContractsConfig":
-        return cls(**data)
+#: The platform-wide freshness SLO: the target fraction of freshness
+#: checks that find a feed fresh, and the burn-alert shape.
+FRESHNESS_SLO = SLODefinition(
+    name="freshness", kind="freshness", objective=0.99,
+    fast_window_ms=60_000, slow_window_ms=600_000,
+    burn_threshold=3.0, min_events=4,
+)
 
 
 @dataclass
@@ -73,27 +63,16 @@ class ContractManager:
 
     enabled = True
 
-    def __init__(self, clock, telemetry=None,
-                 config: ContractsConfig | None = None) -> None:
+    def __init__(self, clock, telemetry=None) -> None:
         self.clock = clock
         self.telemetry = telemetry = telemetry or Telemetry.disabled()
-        self.config = config or ContractsConfig()
         self._contracts: dict[tuple, DataContract] = {}
         self._enforcers: dict[tuple, ContractEnforcer] = {}
         self._stats: dict[tuple, _TableStats] = {}
-        self.quarantine = QuarantineStore(self.config.quarantine_capacity)
-        slo = SLODefinition(
-            name="freshness", kind="freshness",
-            objective=self.config.freshness_objective,
-            fast_window_ms=self.config.freshness_fast_window_ms,
-            slow_window_ms=self.config.freshness_slow_window_ms,
-            burn_threshold=self.config.freshness_burn_threshold,
-            min_events=self.config.freshness_min_events,
-        )
-        self.freshness_slo = slo
-        self.freshness_budget = ErrorBudget(slo)
+        self.quarantine = QuarantineStore(QUARANTINE_CAPACITY)
+        self.freshness_budget = ErrorBudget(FRESHNESS_SLO)
         self.freshness_alerter = BurnRateAlerter(
-            slo, self.freshness_budget,
+            FRESHNESS_SLO, self.freshness_budget,
             events=telemetry.events, metrics=telemetry.metrics,
         )
         self.freshness = FreshnessTracker(
@@ -105,7 +84,7 @@ class ContractManager:
     def attach_slo(self, slo_engine) -> None:
         """Fold the freshness budget into the SLO engine's reporting."""
         slo_engine.adopt_tracker(
-            self.freshness_slo, self.freshness_budget,
+            FRESHNESS_SLO, self.freshness_budget,
             self.freshness_alerter,
         )
 
@@ -120,9 +99,7 @@ class ContractManager:
         """
         key = (tenant_id, contract.table)
         self._contracts[key] = contract
-        self._enforcers[key] = ContractEnforcer(
-            contract, drift_sample_limit=self.config.drift_sample_limit,
-        )
+        self._enforcers[key] = ContractEnforcer(contract)
         self._stats.setdefault(key, _TableStats())
         if contract.freshness is not None:
             self.freshness.bind(tenant_id, contract.table,

@@ -122,19 +122,13 @@ class Symphony:
             from repro.slo import NULL_SLO
             self.slo = NULL_SLO
         # Opt-in data contracts: governed ingest with typed validation,
-        # drift detection, quarantine, and freshness SLAs. Pass True
-        # for the defaults or a ContractsConfig to tune them.
+        # drift detection, quarantine, and freshness SLAs.
         from repro.contracts import NULL_CONTRACTS
         self.contracts = NULL_CONTRACTS
         if contracts:
-            from repro.contracts import ContractManager, ContractsConfig
+            from repro.contracts import ContractManager
             self.contracts = ContractManager(
-                self.clock,
-                telemetry=self.telemetry,
-                config=(contracts
-                        if isinstance(contracts, ContractsConfig)
-                        else None),
-            )
+                self.clock, telemetry=self.telemetry)
             if self.slo.enabled:
                 self.contracts.attach_slo(self.slo)
         self.web = web if web is not None else WebGenerator(

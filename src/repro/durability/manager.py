@@ -47,13 +47,11 @@ class DurabilityConfig:
     object implementing append/records/last_lsn/record_count/truncate.
     ``checkpoint_every`` is the auto-checkpoint cadence in WAL records
     per shard (0 disables automatic checkpoints — recovery then replays
-    from the attach-time baseline). ``verify_on_recovery`` controls the
-    post-replay digest comparison against a healthy peer.
+    from the attach-time baseline).
     """
 
     storage: object = "memory"
     checkpoint_every: int = 64
-    verify_on_recovery: bool = True
 
     def build_storage(self):
         if self.storage == "memory":
@@ -86,7 +84,6 @@ class DurabilityManager:
         self.recovery = RecoveryManager(
             engine, self.wal, self.checkpoints,
             clock=self.clock, telemetry=self.telemetry,
-            verify=self.config.verify_on_recovery,
         )
         self._since_checkpoint: dict[int, int] = {}
         engine.durability = self

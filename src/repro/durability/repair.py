@@ -82,14 +82,12 @@ class RecoveryManager:
 
     def __init__(self, engine, wal, checkpoints,
                  clock: SimClock | None = None,
-                 telemetry: Telemetry | None = None,
-                 verify: bool = True) -> None:
+                 telemetry: Telemetry | None = None) -> None:
         self.engine = engine
         self.wal = wal
         self.checkpoints = checkpoints
         self.clock = clock or SimClock()
         self.telemetry = telemetry or Telemetry.disabled()
-        self.verify = verify
 
     def _emit(self, kind: str, **fields) -> None:
         self.telemetry.events.emit(kind, **fields)
@@ -151,8 +149,7 @@ class RecoveryManager:
                    applied_lsn=replica.applied_lsn)
 
         report.digest = content_digest(replica)
-        if self.verify:
-            report.digest_match = self._verify(group, replica, report)
+        report.digest_match = self._verify(group, replica, report)
         replica.writes_missed = 0
         replica.rejoin()
         group.revive(replica_index)   # failure streak + hedge learning

@@ -196,7 +196,8 @@ class DatasetIngestor:
 
         * First load: creates the table (inferring the schema unless one is
           declared) and inserts every row.
-        * Subsequent loads with a ``key_field``: upserts row-by-row.
+        * With a ``key_field``: upserts row-by-row, so rows sharing a key
+          converge on one record (the last wins) from the first load on.
         * Identical payload bytes (by blob hash): short-circuits as
           ``unchanged``.
         """
@@ -262,8 +263,8 @@ class DatasetIngestor:
             self._tenant.create_table(
                 table_name, schema or infer_schema(rows), indexed_fields
             )
+        table = self._tenant.table(table_name)
         if key_field is not None and not created:
-            table = self._tenant.table(table_name)
             upsert = (table.upsert_validated_by if validated
                       else table.upsert_by)
             for row in rows:
@@ -274,6 +275,18 @@ class DatasetIngestor:
                 else:
                     report.updated += 1
         else:
+            if key_field is not None:
+                # A first load converges on one row per key, the last
+                # one winning, exactly as the upserts above would -- but
+                # the table is empty, so one pass over the batch finds
+                # the repeats without a ``find`` per row.
+                if not validated:
+                    rows = [table.schema.coerce_row(row) for row in rows]
+                    validated = True
+                latest = {table.match_key(key_field, row.get(key_field)): row
+                          for row in rows}
+                report.updated = len(rows) - len(latest)
+                rows = latest.values()
             report.inserted = self._tenant.insert_rows(
                 table_name, rows, validated=validated)
 

@@ -108,8 +108,8 @@ def _coerce_url(value):
 
 
 _COERCERS = {
-    FieldType.STRING: lambda v: str(v),
-    FieldType.TEXT: lambda v: str(v),
+    FieldType.STRING: str,
+    FieldType.TEXT: str,
     FieldType.INTEGER: lambda v: int(str(v).strip()),
     FieldType.FLOAT: lambda v: float(str(v).strip()),
     FieldType.BOOLEAN: _coerce_bool,
@@ -406,6 +406,13 @@ class RecordTable:
             return [self._records[i] for i in ids]
         return [r for r in self._records.values()
                 if r.values.get(field_name) == value]
+
+    def match_key(self, field_name: str, value):
+        """What :meth:`find` compares ``value`` by on ``field_name``: two
+        values with one match key find the same records."""
+        if field_name in self._indexes:
+            return self._key(value)
+        return value
 
     def scan(self, predicate=None, limit: int | None = None) -> list:
         out = []

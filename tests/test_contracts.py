@@ -1,8 +1,9 @@
 """Tests for repro.contracts: declarations, enforcement, governance.
 
 Covers the contract model (field constraints, normalization rules,
-serialization), the enforcer (policy handling, the code-generated fast
-path agreeing with the interpreted path, drift majority voting), the
+serialization), the enforcer (policy handling, the message text of each
+rule, agreement with a first-principles reference over generated
+contracts and rows, drift majority voting), the
 quarantine/replay loop through the platform facade (including additive
 schema evolution and the retype guard), freshness SLA wiring, and the
 null path staying inert on an ungoverned platform.
@@ -10,10 +11,16 @@ null path staying inert on an ungoverned platform.
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.contracts import (
+    NORMALIZE_RULES,
     NULL_CONTRACTS,
+    VIOLATION_POLICIES,
     ContractEnforcer,
     DataContract,
     FieldContract,
@@ -149,31 +156,52 @@ class TestEnforcer:
         assert not result.violations
         assert result.rows[0]["price"] is None
 
-    def test_fast_path_agrees_with_interpreted_path(self):
-        """The code-generated validator may only ever *accept* rows the
-        interpreted checks would accept, with identical output."""
-        enforcer = self.enforcer()
-        assert enforcer._fast_row is not None
-        samples = []
-        for sku in (" a ", "", None, 7):
-            for price in ("$5", "oops", -1, 3.5, None, True):
-                for platform in ("PC", "pc", None):
-                    samples.append({"sku": sku, "title": "t",
-                                    "price": price,
-                                    "platform": platform})
-        accepted = 0
-        for row in samples:
-            try:
-                fast = enforcer._fast_row(dict(row))
-            except (TypeError, ValueError):
-                fast = None
-            clean, violations, _ = enforcer._check_row(
-                0, row, coerce=False)
-            if fast is not None:
-                assert not violations, row
-                assert fast == clean, row
-                accepted += 1
-        assert accepted > 0
+    def test_each_rule_message_text(self):
+        """Quarantine reports and ``contract.violation`` events print
+        these, so the wording is part of the behaviour."""
+        rows = [
+            {"sku": "", "title": "A", "price": "$1", "platform": "PC"},
+            {"sku": "s1", "title": "B", "price": "free", "platform": "PC"},
+            {"sku": "s2", "title": "C", "price": "-4", "platform": "PC"},
+            {"sku": "s3", "title": "D", "price": "$1", "platform": "Wii"},
+            {"sku": "s4", "title": "E", "price": "$1", "platform": "PC",
+             "rating": 5},
+        ]
+        result = self.enforcer().enforce(rows)
+        assert [(v.row_index, v.field, v.rule, v.message, v.value)
+                for v in result.violations] == [
+            (0, "sku", "required", "field 'sku' is required but empty",
+             None),
+            (1, "price", "type",
+             "field 'price': cannot interpret 'free' as float", "free"),
+            (2, "price", "range",
+             "field 'price': -4.0 below minimum 0.0", -4.0),
+            (3, "platform", "enum",
+             "field 'platform': 'Wii' not in allowed set "
+             "['PC', 'Xbox', 'PS3']", "Wii"),
+            (4, "rating", "extra",
+             "field 'rating' is not in the contract", 5),
+        ]
+        stock = ContractEnforcer(DataContract(table="stock", fields=(
+            FieldContract("count", FieldType.INTEGER, max_value=9),)))
+        assert [v.message for v in stock.enforce(
+            [{"count": "12"}]).violations] == [
+            "field 'count': 12 above maximum 9"]
+
+    def test_bounds_are_inclusive(self):
+        stock = ContractEnforcer(DataContract(table="stock", fields=(
+            FieldContract("count", FieldType.INTEGER,
+                          min_value=0, max_value=9),)))
+        result = stock.enforce([{"count": n} for n in (-1, 0, 9, 10)])
+        assert [row["count"] for row in result.rows] == [0, 9]
+        assert [(v.row_index, v.rule) for v in result.violations] == [
+            (0, "range"), (3, "range")]
+
+    def test_bool_never_lands_in_a_numeric_column(self):
+        row = {"sku": "s", "title": "T", "price": True, "platform": "PC"}
+        result = self.enforcer().enforce([row])
+        assert [(v.field, v.rule) for v in result.violations] == [
+            ("price", "type")]
 
     def test_coerce_policy_counts_safe_casts(self):
         rows = [{"sku": "s", "title": "T", "price": "1,299",
@@ -205,6 +233,177 @@ class TestEnforcer:
         assert not result.violations
         assert not result.drift.drifted
         assert "rating" not in result.rows[0]
+
+
+# -- the enforcer against a first-principles reading of the contract --------
+
+_TRUTH = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
+_TIDY = {"trim": str.strip, "lower": str.lower, "upper": str.upper,
+         "title": str.title, "collapse_ws": lambda t: " ".join(t.split()),
+         "strip_currency": lambda t: re.sub("[$€£¥,]", "", t).strip()}
+_SHAPE = {FieldType.DATE: r"\d{4}-\d\d-\d\d", FieldType.URL: r"https?://\S+"}
+
+
+def reference_cell(f, v, coerce):
+    """One cell → (typed value, rules broken, casts), from the prose of
+    ``FieldContract`` and ``DataContract.policy`` alone."""
+    if isinstance(v, str):
+        for rule in f.normalize:
+            v = _TIDY[rule](v)
+        unit = re.fullmatch(r"([+-]?\d+(?:\.\d+)?)\s*([A-Za-z]+)", v.strip())
+        factor = unit and (f.units.get(unit[2])
+                           or f.units.get(unit[2].lower()))
+        if factor:
+            v = float(unit[1]) * factor
+            v = int(v) if v == int(v) else v
+    if v is None or v == "":
+        return None, ["required"] * (f.required or not f.nullable), 0
+
+    def judge(typed):
+        number = type(typed) in (int, float)
+        low = number and f.min_value is not None and typed < f.min_value
+        high = number and f.max_value is not None and typed > f.max_value
+        return (["enum"] * bool(f.allowed and typed not in f.allowed)
+                + ["range"] * (low + high))
+    text = str(v).strip()
+    try:
+        if f.type in _SHAPE:
+            typed = re.fullmatch(_SHAPE[f.type], text)[0]
+        elif f.type is FieldType.BOOLEAN:
+            typed = v if isinstance(v, bool) else _TRUTH[text.lower()]
+        else:   # a bool reads "True": never a number
+            typed = {FieldType.INTEGER: int, FieldType.FLOAT: float}.get(
+                f.type, lambda _: str(v))(text)
+        rules = judge(typed)[:1]    # an uncast value: the first one only
+    except (ValueError, TypeError, KeyError):
+        typed, rules = None, ["type"]
+    if rules and coerce:    # lossless casts: "1,299", "49.0", enum case
+        cast = [c for c in f.allowed if str(c).casefold() == text.casefold()]
+        try:
+            number = float(text.replace(",", "").replace("_", ""))
+            if f.type is FieldType.FLOAT:
+                cast = [number]
+            elif f.type is FieldType.INTEGER and number == int(number):
+                cast = [int(number)]
+        except (ValueError, OverflowError):
+            pass
+        if cast:
+            return cast[0], judge(cast[0]), 1
+    return typed, rules, 0
+
+
+_NAMES = ("a", "b", "c")
+_ABSENT = object()
+_ENUM = {
+    FieldType.STRING: ("PC", "Xbox", "x", "1"),
+    FieldType.TEXT: ("PC", "Xbox", 2),
+    FieldType.INTEGER: (1, 2, 3, "x"),
+    FieldType.FLOAT: (2.0, 3.5, 1, True),
+    FieldType.BOOLEAN: (True, "true"),
+    FieldType.DATE: ("2010-01-02", "PC"),
+    FieldType.URL: ("http://a.example/b", "x"),
+}
+_CELLS = st.one_of(
+    st.none(), st.booleans(), st.integers(-9, 9),
+    st.floats(-9, 9, allow_nan=False).map(lambda x: round(x, 2)),
+    st.sampled_from((
+        "", "  ", "PC", "pc", " xbox ", "X", "1", " 2 ", "3.5", "-4", "+7",
+        "1,299", "49.0", "49.5", "1_0", "$5", "£3.50", "free", "nan", "inf",
+        "1e3", "true", "No", "TRUE", "2010-01-02", "2010-1-2",
+        "http://a.example/b", "ftp://a.example", "1.2 kg", "3 g", "4k",
+        "2 K", "a  b\tc", "Mixed Case")),
+    st.text("aB1 $,.-", max_size=5),
+)
+
+
+_GOOD = {
+    FieldType.STRING: ("PC", " xbox ", "Mixed Case", "a  b", "1.2 kg", 7),
+    FieldType.TEXT: ("PC", "some longer  text", "£3.50", 2.5),
+    FieldType.INTEGER: (0, 3, -4, "7", " 2 ", "+1", "3 g"),
+    FieldType.FLOAT: (0, 2.5, -1.0, "3.5", "$5", "1.2 kg", "1e1"),
+    FieldType.BOOLEAN: (True, False, "yes", "0", "TRUE"),
+    FieldType.DATE: ("2010-01-02", " 1999-12-31 "),
+    FieldType.URL: ("http://a.example/b", "https://x.example"),
+}
+
+
+def _plausible(f):
+    """Cells that usually satisfy ``f``: its enum when it has one (in
+    either case), else values of its type."""
+    return st.sampled_from(
+        f.allowed + tuple(str(c).swapcase() for c in f.allowed)
+        or _GOOD[f.type])
+
+
+@st.composite
+def contracts_and_rows(draw):
+    bound = st.sampled_from((None, None, -4, 0, 3, 2.5))
+    kinds = draw(st.lists(st.sampled_from(list(FieldType)),
+                          min_size=1, max_size=3))
+    fields = tuple(
+        FieldContract(
+            name, kind,
+            required=draw(st.booleans()), nullable=draw(st.booleans()),
+            min_value=draw(bound), max_value=draw(bound),
+            allowed=tuple(draw(st.lists(st.sampled_from(_ENUM[kind]),
+                                        max_size=3, unique=True))),
+            normalize=tuple(draw(st.lists(
+                st.sampled_from(sorted(NORMALIZE_RULES)), max_size=2))),
+            units=draw(st.sampled_from(({}, {}, {"kg": 1000, "g": 1},
+                                        {"k": 0.5}))),
+        )
+        for name, kind in zip(_NAMES, kinds)
+    )
+    contract = DataContract(
+        table="t", fields=fields,
+        policy=draw(st.sampled_from(VIOLATION_POLICIES)),
+        allow_extra_fields=draw(st.booleans()))
+    rows = draw(st.lists(st.fixed_dictionaries({
+        **{f.name: st.one_of(_plausible(f), _plausible(f), _plausible(f),
+                             _CELLS, st.just(_ABSENT))
+           for f in fields},
+        "extra": st.one_of(st.just(_ABSENT), st.just(_ABSENT), _CELLS),
+    }), max_size=5))
+    rows = [{name: cell for name, cell in row.items()
+             if cell is not _ABSENT} for row in rows]
+    return contract, rows
+
+
+class TestEnforcerAgainstReference:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(contracts_and_rows())
+    def test_enforce_agrees_with_reference(self, case):
+        contract, rows = case
+        declared = contract.field_names()
+        clean, broken, coerced = [], [], 0
+        for index, raw in enumerate(rows):
+            cells = [reference_cell(f, raw.get(f.name),
+                                    contract.policy == "coerce")
+                     for f in contract.fields]
+            bad = [(index, name, rule)
+                   for name, (_, rules, _) in zip(declared, cells)
+                   for rule in rules]
+            if not contract.allow_extra_fields:
+                bad += [(index, name, "extra")
+                        for name in raw if name not in declared]
+            broken += bad
+            if not bad:
+                clean.append({name: typed for name, (typed, _, _)
+                              in zip(declared, cells)})
+                coerced += sum(casts for _, _, casts in cells)
+
+        result = ContractEnforcer(contract).enforce(rows)
+
+        def typed(batch):
+            return [[(k, type(v), v) for k, v in row.items()]
+                    for row in batch]
+        assert typed(result.rows) == typed(clean)
+        assert [(v.row_index, v.field, v.rule)
+                for v in result.violations] == broken
+        assert result.coerced == coerced
+        assert [raw for raw, _ in result.quarantined] == [
+            rows[index] for index in dict.fromkeys(b[0] for b in broken)]
 
 
 class TestDriftDetection:
@@ -318,6 +517,28 @@ class TestGovernedPlatform:
         # Pre-evolution rows read None for the new column.
         old = table.find("sku", "SKU-1")[0]
         assert old.values.get("rating") is None
+
+    def test_first_load_honours_key_field(self, governed):
+        """Two spellings of one key in a table's *first* upload are one
+        record (the last wins), so the next delta can upsert it."""
+        symphony, account = governed
+        symphony.register_contract(account, products_contract())
+        first = symphony.upload_http(
+            account, "products.csv",
+            b"sku,title,price,platform\n"
+            b" a ,First,$1,PC\nb,Bee,$2,PC\na,Second,$3,Xbox\n",
+            "products", content_type="text/csv")
+        assert (first.inserted, first.updated) == (2, 1)
+        table = account.tenant.table("products")
+        assert [(r.values["sku"], r.values["title"]) for r in table] == [
+            ("A", "Second"), ("B", "Bee")]
+        delta = symphony.upload_http(
+            account, "delta.csv",
+            b"sku,title,price,platform\nA,Third,$4,PS3\nc,Cee,$5,PC\n",
+            "products", content_type="text/csv")
+        assert (delta.inserted, delta.updated) == (1, 1)
+        assert [r.values["title"] for r in table] == [
+            "Third", "Bee", "Cee"]
 
     def test_retype_guard_fails_upfront(self, governed):
         symphony, account = governed

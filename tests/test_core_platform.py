@@ -37,6 +37,31 @@ class TestUploads:
         assert report.inserted == 3
         assert designer_account.tenant.has_table("inventory")
 
+    def test_first_upload_honours_explicit_key_field(
+            self, symphony, designer_account):
+        """Ungoverned tables too: one record per key from the first load
+        on, compared the way the table's ``find`` compares (an indexed
+        field matches case-insensitively)."""
+        first = symphony.upload_http(
+            designer_account, "stock.csv",
+            b"sku,count\nA1,1\nB2,2\nA1,3\n", "stock",
+            content_type="text/csv", key_field="sku")
+        assert (first.inserted, first.updated) == (2, 1)
+        delta = symphony.upload_http(
+            designer_account, "delta.csv", b"sku,count\nA1,4\n", "stock",
+            content_type="text/csv", key_field="sku")
+        assert (delta.inserted, delta.updated) == (0, 1)
+        stock = designer_account.tenant.table("stock")
+        assert [(r.values["sku"], r.values["count"]) for r in stock] == [
+            ("A1", 4), ("B2", 2)]
+
+        symphony.upload_http(
+            designer_account, "shelf.csv", b"sku,count\nA1,1\na1,2\n",
+            "shelf", content_type="text/csv", key_field="sku",
+            indexed_fields=("sku",))
+        shelf = designer_account.tenant.table("shelf")
+        assert [r.values["count"] for r in shelf.find("sku", "A1")] == [2]
+
     def test_ftp_upload(self, symphony, designer_account):
         games = symphony.web.entities["video_games"][:2]
         symphony.ftp.put("/drop/inv.csv", make_inventory_csv(games))
