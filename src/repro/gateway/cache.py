@@ -41,12 +41,14 @@ class ResultCache:
     """LRU + TTL cache validated against a generation registry.
 
     TTL is judged against the simulated clock so tests can age entries
-    deterministically. Expired entries are swept on every ``put`` (not
-    just when their key is re-read), so an app issuing many distinct
-    queries cannot hold dead entries up to the LRU cap; that sweep is
-    TTL-only — an entry whose generation moved dies when it is read or
-    when the cache reaches its LRU cap, where the entries a bump
-    killed go before any live one (one scan per bump at most).
+    deterministically. Expired entries are swept on a ``put`` when an
+    entry can have expired (not just when their key is re-read), so an
+    app issuing many distinct queries cannot hold dead entries up to the
+    LRU cap; a lower bound on the oldest entry's time tells when, so
+    other puts walk nothing. That sweep is TTL-only — an entry whose
+    generation moved dies when it is read or when the cache reaches its
+    LRU cap, where the entries a bump killed go before any live one
+    (one scan per bump at most).
     Thread-safe: gateway dispatchers and concurrent app queries share
     these caches.
 
@@ -64,6 +66,8 @@ class ResultCache:
         self.ttl_ms = ttl_ms
         #: key -> (stored_ms, stamp dict, value)
         self._entries: OrderedDict = OrderedDict()
+        #: At most the smallest ``stored_ms`` in ``_entries``.
+        self._oldest_ms = float("inf")
         self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
@@ -105,14 +109,19 @@ class ResultCache:
         with self._lock:
             self._entries[key] = (now_ms, stamp or {}, value)
             self._entries.move_to_end(key)
+            self._oldest_ms = min(self._oldest_ms, now_ms)
             # Sweep TTL-dead entries first; only then apply the LRU cap.
-            expired = [
-                k for k, (stored_ms, __, ___) in self._entries.items()
-                if now_ms - stored_ms > self.ttl_ms
-            ]
-            for k in expired:
-                del self._entries[k]
-            self._ttl_evictions += len(expired)
+            if now_ms - self._oldest_ms > self.ttl_ms:
+                expired = [
+                    k for k, (stored_ms, __, ___) in self._entries.items()
+                    if now_ms - stored_ms > self.ttl_ms
+                ]
+                for k in expired:
+                    del self._entries[k]
+                self._ttl_evictions += len(expired)
+                # Never empty: the entry just put has not expired.
+                self._oldest_ms = min(
+                    stored_ms for stored_ms, __, ___ in self._entries.values())
             if len(self._entries) > self.max_entries:
                 self._drop_stale()
             while len(self._entries) > self.max_entries:

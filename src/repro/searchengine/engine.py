@@ -168,11 +168,8 @@ def evaluate_candidates(vindex: VerticalIndex, node,
     """Candidate doc ids of one index after all option constraints."""
     evaluator = QueryEvaluator(vindex.index, vindex.text_fields)
     candidates = evaluator.candidates(node)
-    if options.exclude_sites:
-        excluded = set()
-        for site in options.exclude_sites:
-            excluded |= vindex.index.keyword_matches("site", site)
-        candidates = candidates - excluded
+    for site in options.exclude_sites:
+        candidates -= vindex.index.keyword_matches("site", site)
     if options.freshness_days is not None:
         horizon = now_ms - options.freshness_days * 86_400_000
         fresh = set()
@@ -240,11 +237,10 @@ def materialize_result(vindex: VerticalIndex, doc_id: str, score: float,
     the query terms in the body, so nothing is analyzed per result.
     """
     doc = vindex.index.document(doc_id)
+    postings = vindex.index.postings
     hit_positions = []
     for term in terms:
-        posting = vindex.index.postings("body", term).get(doc_id)
-        if posting is not None:
-            hit_positions.extend(posting.positions)
+        hit_positions.extend(postings("body", term).get(doc_id, ()))
     extras = {
         k: v for k, v in doc.fields.items()
         if not k.startswith("_") and k not in

@@ -7,25 +7,13 @@ and keyword fields (exact match), and exposes the statistics BM25 needs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import DuplicateError, NotFoundError
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument, FieldMode
 
-__all__ = ["InvertedIndex", "Posting"]
+__all__ = ["InvertedIndex"]
 
-
-@dataclass(frozen=True)
-class Posting:
-    """Occurrences of one term in one document's field."""
-
-    doc_id: str
-    positions: tuple[int, ...]
-
-    @property
-    def term_frequency(self) -> int:
-        return len(self.positions)
+_NO_DOCS: frozenset = frozenset()
 
 
 class InvertedIndex:
@@ -46,8 +34,9 @@ class InvertedIndex:
                  field_modes: dict | None = None) -> None:
         self.analyzer = analyzer or Analyzer()
         self.field_modes = dict(field_modes or {})
-        # postings[field][term] -> {doc_id: Posting}
-        self._postings: dict[str, dict[str, dict[str, Posting]]] = {}
+        # postings[field][term] -> {doc_id: sorted positions}; the term
+        # frequency is the tuple's length
+        self._postings: dict[str, dict[str, dict[str, tuple]]] = {}
         # keyword[field][value] -> set of doc ids
         self._keyword: dict[str, dict[str, set]] = {}
         self._docs: dict[str, FieldedDocument] = {}
@@ -79,9 +68,7 @@ class InvertedIndex:
         for name, by_term, length in texts:
             term_map = self._postings.setdefault(name, {})
             for term, positions in by_term.items():
-                term_map.setdefault(term, {})[doc_id] = Posting(
-                    doc_id, tuple(positions)
-                )
+                term_map.setdefault(term, {})[doc_id] = tuple(positions)
             self._field_lengths.setdefault(name, {})[doc_id] = length
             self._total_field_length[name] = (
                 self._total_field_length.get(name, 0) + length
@@ -165,12 +152,16 @@ class InvertedIndex:
     def all_doc_ids(self) -> set:
         return set(self._docs)
 
-    def postings(self, name: str, term: str) -> dict[str, Posting]:
-        """Postings for an *already analyzed* term in a text field."""
+    def postings(self, name: str, term: str) -> dict[str, tuple]:
+        """``{doc_id: positions}`` of an *already analyzed* term in a text
+        field: the sorted token positions, whose count is the term
+        frequency. A live view — read it, do not mutate it."""
         return self._postings.get(name, {}).get(term, {})
 
     def keyword_matches(self, name: str, value: str) -> set:
-        return set(self._keyword.get(name, {}).get(value.lower(), set()))
+        """Doc ids whose keyword field ``name`` equals ``value`` (case-
+        insensitively). A live view — read it, do not mutate it."""
+        return self._keyword.get(name, {}).get(value.lower(), _NO_DOCS)
 
     def document_frequency(self, name: str, term: str) -> int:
         return len(self.postings(name, term))
@@ -212,39 +203,48 @@ class InvertedIndex:
 
     # -- phrase support ----------------------------------------------------------
 
-    def phrase_matches(self, name: str, terms: list[str]) -> set:
-        """Doc ids where ``terms`` appear consecutively in field ``name``.
+    def phrase_matches(self, name: str, terms, offsets=None) -> set:
+        """Doc ids where ``terms`` appear in order in field ``name``.
 
-        Consecutive means adjacent positions in the analyzed stream, which
-        tolerates removed stopwords between the words of the original text.
+        ``offsets`` are the terms' positions in the phrase itself, as
+        :meth:`Analyzer.analyze_with_positions` reports them (consecutive
+        when omitted). Two consecutive terms match when the document holds
+        them at most one position further apart than the phrase does: the
+        stop-words the phrase has between them, plus one more.
         """
         if not terms:
             return set()
+        by_docs = [self.postings(name, term) for term in terms]
+        docs = by_docs[0].keys()
         if len(terms) == 1:
-            return set(self.postings(name, terms[0]))
-        candidate_postings = [self.postings(name, term) for term in terms]
-        if not all(candidate_postings):
-            return set()
-        docs = set(candidate_postings[0])
-        for by_doc in candidate_postings[1:]:
-            docs &= set(by_doc)
+            return set(docs)
+        for by_doc in by_docs[1:]:
+            docs = docs & by_doc.keys()
+        if offsets is None:
+            offsets = range(len(terms))
+        # Each later term's postings, with the steps it may stand after
+        # the term before it.
+        later = [(by_doc, range(1, b - a + 2))
+                 for by_doc, a, b in zip(by_docs[1:], offsets, offsets[1:])]
         matched = set()
         for doc_id in docs:
-            first_positions = set(candidate_postings[0][doc_id].positions)
-            for start in sorted(first_positions):
-                if self._phrase_at(candidate_postings, doc_id, start):
+            for start in by_docs[0][doc_id]:
+                if self._phrase_at(doc_id, start, later):
                     matched.add(doc_id)
                     break
         return matched
 
     @staticmethod
-    def _phrase_at(candidate_postings, doc_id, start) -> bool:
+    def _phrase_at(doc_id, start, later) -> bool:
+        """Whether the terms chain from ``start``, each step taking the
+        nearest next occurrence within its reach."""
         expected = start
-        for by_doc in candidate_postings[1:]:
-            positions = by_doc[doc_id].positions
-            following = [p for p in positions if p > expected]
-            if not following or min(following) > expected + 2:
-                # Allow one stopword-sized gap between consecutive terms.
+        for by_doc, steps in later:
+            following = by_doc[doc_id]
+            for step in steps:
+                if expected + step in following:
+                    expected += step
+                    break
+            else:
                 return False
-            expected = min(following)
         return True

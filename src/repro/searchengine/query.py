@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 
 from repro.errors import QueryError
+from repro.searchengine.documents import FieldMode
 
 __all__ = [
     "QueryNode", "TermNode", "PhraseNode", "FilterNode", "RangeNode",
@@ -247,6 +248,11 @@ class QueryEvaluator:
     ``text_fields`` are the fields searched for bare terms and phrases;
     filters address their named field directly (keyword fields match
     exactly, text fields match all analyzed terms of the value).
+
+    An AND narrows as it goes: each child is evaluated only within the
+    documents its earlier siblings left, and every leaf intersects with
+    that set from its smaller side, so a restriction costs what is left
+    to restrict rather than what it matches in the whole index.
     """
 
     def __init__(self, index, text_fields: list[str]) -> None:
@@ -254,54 +260,57 @@ class QueryEvaluator:
         self._text_fields = list(text_fields)
 
     def candidates(self, node: QueryNode) -> set:
-        return self._eval(node)
+        """The matching doc ids, as a new set the caller owns."""
+        return self._eval(node, None)
 
-    def _eval(self, node: QueryNode) -> set:
+    def _eval(self, node: QueryNode, within: set | None) -> set:
+        """Doc ids matching ``node`` among ``within`` (``None``: all)."""
         if isinstance(node, TermNode):
-            return self._eval_term(node.text)
+            return self._eval_term(node.text, within)
         if isinstance(node, PhraseNode):
-            return self._eval_phrase(node.text)
+            return self._eval_phrase(node.text, within)
         if isinstance(node, FilterNode):
-            return self._eval_filter(node.field, node.value)
+            return self._eval_filter(node.field, node.value, within)
         if isinstance(node, RangeNode):
-            return self._eval_range(node)
+            return self._eval_range(node, within)
         if isinstance(node, AndNode):
-            result: set | None = None
+            if not node.children:
+                return set()
             for child in node.children:
-                child_set = self._eval(child)
-                result = child_set if result is None else result & child_set
-                if not result:
+                within = self._eval(child, within)
+                if not within:
                     return set()
-            return result or set()
+            return within
         if isinstance(node, OrNode):
             result: set = set()
             for child in node.children:
-                result |= self._eval(child)
+                result |= self._eval(child, within)
             return result
         if isinstance(node, NotNode):
-            return self._index.all_doc_ids() - self._eval(node.child)
+            if within is None:
+                within = self._index.all_doc_ids()
+            return within - self._eval(node.child, within)
         raise QueryError(f"unknown query node: {node!r}")
 
-    def _eval_term(self, text: str) -> set:
-        terms = self._index.analyzer.analyze(text)
-        if not terms:
-            return set()
+    def _eval_term(self, text: str, within) -> set:
         matched: set = set()
-        for term in terms:
+        for term in self._index.analyzer.analyze(text):
             for field_name in self._text_fields:
-                matched |= set(self._index.postings(field_name, term))
+                matched |= _narrow(self._index.postings(field_name, term),
+                                   within)
         return matched
 
-    def _eval_phrase(self, text: str) -> set:
-        terms = self._index.analyzer.analyze(text)
-        if not terms:
+    def _eval_phrase(self, text: str, within) -> set:
+        analyzed = self._index.analyzer.analyze_with_positions(text)
+        if not analyzed:
             return set()
+        terms, offsets = zip(*analyzed)
         matched: set = set()
         for field_name in self._text_fields:
-            matched |= self._index.phrase_matches(field_name, terms)
-        return matched
+            matched |= self._index.phrase_matches(field_name, terms, offsets)
+        return _narrow(matched, within)
 
-    def _eval_range(self, node: RangeNode) -> set:
+    def _eval_range(self, node: RangeNode, within) -> set:
         """Inclusive range scan over stored field values.
 
         Ranges are evaluated against the raw document fields (not the
@@ -309,7 +318,8 @@ class QueryEvaluator:
         and date columns of proprietary data.
         """
         matched = set()
-        for doc_id in self._index.all_doc_ids():
+        for doc_id in (self._index.all_doc_ids() if within is None
+                       else within):
             raw = self._index.document(doc_id).fields.get(node.field)
             if raw is None or raw == "":
                 continue
@@ -330,14 +340,25 @@ class QueryEvaluator:
 
         return compare(low, True) and compare(high, False)
 
-    def _eval_filter(self, field_name: str, value: str) -> set:
-        if field_name in self._index.keyword_fields():
-            return self._index.keyword_matches(field_name, value)
+    def _eval_filter(self, field_name: str, value: str, within) -> set:
+        if self._index.field_modes.get(field_name) == FieldMode.KEYWORD:
+            return _narrow(self._index.keyword_matches(field_name, value),
+                           within)
         terms = self._index.analyzer.analyze(value)
         if not terms:
             return set()
-        result: set | None = None
         for term in terms:
-            term_docs = set(self._index.postings(field_name, term))
-            result = term_docs if result is None else result & term_docs
-        return result or set()
+            within = _narrow(self._index.postings(field_name, term), within)
+            if not within:
+                break
+        return within
+
+
+def _narrow(docs, within) -> set:
+    """``docs`` (a set, or a dict keyed by doc id) among ``within``
+    (``None``: all), as a new set; walks the smaller of the two."""
+    if within is None:
+        return set(docs)
+    if len(docs) < len(within):
+        return {doc_id for doc_id in docs if doc_id in within}
+    return {doc_id for doc_id in within if doc_id in docs}

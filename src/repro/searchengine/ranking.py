@@ -58,7 +58,7 @@ class BM25Scorer:
         self._k1 = params.k1
         self._b = params.b
         # Per scored field: (doc -> length, average length,
-        # [(boost * idf, doc -> Posting)] per query term it holds).
+        # [(boost * idf, doc -> positions)] per query term it holds).
         self._plan = []
         n = stats.doc_count
         for field_name in fields:
@@ -88,10 +88,10 @@ class BM25Scorer:
             doc_len = lengths.get(doc_id, 0)
             norm = k1 * (1.0 - b + b * doc_len / avg_len)
             for weight, by_doc in weighted:
-                posting = by_doc.get(doc_id)
-                if posting is None:
+                positions = by_doc.get(doc_id)
+                if positions is None:
                     continue
-                tf = posting.term_frequency
+                tf = len(positions)
                 total += weight * (tf * (k1 + 1.0) / (tf + norm))
         return total
 

@@ -10,6 +10,7 @@ such window wins) and optionally highlights them.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 
 from repro.searchengine.analysis import tokenize
 
@@ -22,8 +23,8 @@ def best_window(text: str, hit_positions, width: int = 30) -> str:
     """The ``width``-word window of ``text`` holding the most hit words.
 
     ``hit_positions`` are positions in ``tokenize(text)`` — what
-    ``Posting.positions`` records for the indexed field — of the tokens
-    that match the query; nothing is analyzed here. A whitespace-
+    ``InvertedIndex.postings`` records for the indexed field — of the
+    tokens that match the query; nothing is analyzed here. A whitespace-
     separated word is a hit when any of its tokens is (a word may hold
     none, like ``--``, or several, like ``half-life``). Falls back to
     the leading window when nothing matches. An ellipsis marks a window
@@ -35,24 +36,32 @@ def best_window(text: str, hit_positions, width: int = 30) -> str:
     hits = set(hit_positions)
     if not hits:
         return _render(words, 0, width)
-    matches = []
-    position = 0
-    for word in words:
-        end = position + len(tokenize(word))
-        matches.append(not hits.isdisjoint(range(position, end)))
+    # Indices of the hit words, counted up to the last hit position. An
+    # ASCII alphanumeric word is exactly one token; only the others are
+    # tokenized to learn how many positions they take.
+    hit_words = []
+    position, last = 0, max(hits)
+    for index, word in enumerate(words):
+        if word.isascii() and word.isalnum():
+            end = position + 1
+        else:
+            end = position + len(tokenize(word))
+        if not hits.isdisjoint(range(position, end)):
+            hit_words.append(index)
+        if end > last:
+            break
         position = end
-    best_start = 0
-    window_hits = sum(matches[:width])
-    # Slide the window; most hit words wins, the earlier window on a tie.
-    best_key = (window_hits, 0)
-    for start in range(1, max(1, len(words) - width + 1)):
-        window_hits += matches[start + width - 1] \
-            if start + width - 1 < len(words) else 0
-        window_hits -= matches[start - 1]
-        key = (window_hits, -start)
-        if key > best_key:
-            best_key = key
-            best_start = start
+    # Most hit words wins, the earlier window on a tie. A best start
+    # s > 0 beats s - 1 only if its last word, s + width - 1, is a hit,
+    # so the earliest best start is 0 or ``hit - width + 1``.
+    last_start = len(words) - width
+    best_start, best_hits = 0, bisect_left(hit_words, width)
+    for rank, hit in enumerate(hit_words):
+        start = hit - width + 1
+        if 0 < start <= last_start:
+            window_hits = rank + 1 - bisect_left(hit_words, start)
+            if window_hits > best_hits:
+                best_start, best_hits = start, window_hits
     return _render(words, best_start, width)
 
 

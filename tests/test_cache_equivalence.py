@@ -1,0 +1,71 @@
+"""A ``put`` that sweeps only when an entry can have expired evicts
+exactly what a sweep of every entry on every ``put`` evicted.
+
+:class:`FullScanCache` is :class:`ResultCache` with the ``put`` it had
+before the cache kept a lower bound on its oldest entry: walk all
+entries for TTL-dead ones, then apply the LRU cap. It is the
+specification. Random sequences of put / get / generation bump / clock
+step — the clock also steps backwards — must leave both caches with the
+same ``stats()``, the same keys in the same LRU order and the same
+answers to every ``get``.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.gateway.cache import ResultCache
+from repro.gateway.generations import GenerationRegistry
+
+TTL_MS = 50
+KEYS = ("a", "b", "c", "d", "e", "f", "g")
+GENERATION_KEYS = ("corpus", "tenant:t1:inventory")
+
+
+class FullScanCache(ResultCache):
+    def put(self, key, value, now_ms: int, stamp=None) -> None:
+        with self._lock:
+            self._entries[key] = (now_ms, stamp or {}, value)
+            self._entries.move_to_end(key)
+            expired = [
+                k for k, (stored_ms, __, ___) in self._entries.items()
+                if now_ms - stored_ms > self.ttl_ms
+            ]
+            for k in expired:
+                del self._entries[k]
+            self._ttl_evictions += len(expired)
+            if len(self._entries) > self.max_entries:
+                self._drop_stale()
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self._lru_evictions += 1
+
+
+operations = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(KEYS),
+              st.sampled_from(((), GENERATION_KEYS[:1], GENERATION_KEYS))),
+    st.tuples(st.just("get"), st.sampled_from(KEYS)),
+    st.tuples(st.just("bump"), st.sampled_from(GENERATION_KEYS)),
+    st.tuples(st.just("step"), st.integers(-2 * TTL_MS, 2 * TTL_MS)),
+), max_size=80)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(operations, st.integers(1, 6))
+def test_bounded_sweep_equals_full_scan(steps, capacity):
+    generations = GenerationRegistry()
+    cache = ResultCache(capacity, TTL_MS, generations)
+    reference = FullScanCache(capacity, TTL_MS, generations)
+    now = 1_000
+    for n, step in enumerate(steps):
+        kind = step[0]
+        if kind == "put":
+            stamp = cache.stamp(step[2])
+            cache.put(step[1], n, now, stamp)
+            reference.put(step[1], n, now, stamp)
+        elif kind == "get":
+            assert cache.get(step[1], now) == reference.get(step[1], now)
+        elif kind == "bump":
+            generations.bump(step[1])
+        else:
+            now += step[1]
+        assert cache.stats() == reference.stats(), (n, step)
+        assert list(cache._entries) == list(reference._entries), (n, step)

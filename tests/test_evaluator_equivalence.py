@@ -1,0 +1,278 @@
+"""An AND that narrows as it goes finds exactly what set algebra finds.
+
+:class:`ReferenceEvaluator` is the evaluator as it was before each AND
+child saw only what its earlier siblings left: every node evaluated over
+the whole index, children combined with ``&`` / ``|`` / ``-``, keyword
+sets copied, phrases checked with a list comprehension over all later
+positions. It is the specification (phrases in the form that allows, between
+two terms, the distance they have in the phrase plus one). Random nested
+ASTs — terms, phrases with and without stop-words, keyword and text
+filters, ranges, 30+-way ``site:`` ORs, NOT at any depth, empty
+AND / OR — over a random index that saw adds, removes and re-adds must
+give the same candidate set; and so must the three callers that take a
+query string: ``compute_facets``, ``ProprietaryTableSource.search`` and
+the Google Base baseline.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from repro.baselines.google_base import GoogleBasePlatform
+from repro.core.datasources import ProprietaryTableSource, SourceQuery
+from repro.searchengine.analysis import Analyzer
+from repro.searchengine.documents import FieldedDocument, FieldMode
+from repro.searchengine.engine import build_engine
+from repro.searchengine.facets import compute_facets
+from repro.searchengine.index import InvertedIndex
+from repro.searchengine.query import (
+    AndNode,
+    FilterNode,
+    NotNode,
+    OrNode,
+    PhraseNode,
+    QueryEvaluator,
+    RangeNode,
+    TermNode,
+)
+from repro.simweb.model import SyntheticWeb
+from repro.storage.records import FieldSpec, FieldType, RecordTable, Schema
+
+
+def reference_phrase(index, field_name, terms, offsets) -> set:
+    by_docs = [index.postings(field_name, term) for term in terms]
+    if len(terms) == 1:
+        return set(by_docs[0])
+    if not all(by_docs):
+        return set()
+    docs = set(by_docs[0])
+    for by_doc in by_docs[1:]:
+        docs &= set(by_doc)
+    matched = set()
+    for doc_id in docs:
+        for start in sorted(set(by_docs[0][doc_id])):
+            expected = start
+            for by_doc, a, b in zip(by_docs[1:], offsets, offsets[1:]):
+                following = [p for p in by_doc[doc_id] if p > expected]
+                if not following or min(following) > expected + b - a + 1:
+                    break
+                expected = min(following)
+            else:
+                matched.add(doc_id)
+                break
+    return matched
+
+
+class ReferenceEvaluator:
+    def __init__(self, index, text_fields) -> None:
+        self._index = index
+        self._text_fields = list(text_fields)
+
+    def candidates(self, node) -> set:
+        return self._eval(node)
+
+    def _eval(self, node) -> set:
+        index = self._index
+        if isinstance(node, TermNode):
+            matched = set()
+            for term in index.analyzer.analyze(node.text):
+                for field_name in self._text_fields:
+                    matched |= set(index.postings(field_name, term))
+            return matched
+        if isinstance(node, PhraseNode):
+            analyzed = index.analyzer.analyze_with_positions(node.text)
+            terms = [term for term, __ in analyzed]
+            offsets = [position for __, position in analyzed]
+            matched = set()
+            if terms:
+                for field_name in self._text_fields:
+                    matched |= reference_phrase(index, field_name, terms,
+                                                offsets)
+            return matched
+        if isinstance(node, FilterNode):
+            if node.field in index.keyword_fields():
+                return set(index.keyword_matches(node.field, node.value))
+            result = None
+            for term in index.analyzer.analyze(node.value):
+                term_docs = set(index.postings(node.field, term))
+                result = term_docs if result is None else result & term_docs
+            return result or set()
+        if isinstance(node, RangeNode):
+            return {
+                doc_id for doc_id in index.all_doc_ids()
+                if index.document(doc_id).fields.get(node.field)
+                not in (None, "")
+                and QueryEvaluator._in_range(
+                    str(index.document(doc_id).fields[node.field]),
+                    node.low, node.high)
+            }
+        if isinstance(node, AndNode):
+            result = None
+            for child in node.children:
+                child_set = self._eval(child)
+                result = child_set if result is None else result & child_set
+                if not result:
+                    return set()
+            return result or set()
+        if isinstance(node, OrNode):
+            result = set()
+            for child in node.children:
+                result |= self._eval(child)
+            return result
+        if isinstance(node, NotNode):
+            return index.all_doc_ids() - self._eval(node.child)
+        raise AssertionError(node)
+
+
+# Stop-words included, so phrases have internal gaps; "half-life" and
+# "lord-of-rings" are filter values that analyze to several terms.
+WORDS = ("halo", "zelda", "review", "game", "wine", "lord", "rings", "arena",
+         "the", "of", "and")
+FILTER_WORDS = WORDS + ("half-life", "lord-of-rings", "Halo")
+SITES = tuple(f"s{n}.example" for n in range(40))
+TOPICS = ("games", "wine", "travel")
+PRICES = ("", "3", "12.5", "40", "100", "abc")
+BOUNDS = ("*", "0", "10", "12.5", "50", "a", "zzz")
+
+doc_specs = st.fixed_dictionaries({
+    "title": st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join),
+    "body": st.lists(st.sampled_from(WORDS + ("half", "life")),
+                     max_size=14).map(" ".join),
+    "site": st.sampled_from(SITES[:8] + ("S1.Example",)),
+    "topic": st.sampled_from(TOPICS),
+    "price": st.sampled_from(PRICES),
+})
+
+site_ors = st.lists(st.sampled_from(SITES), min_size=30, max_size=40).map(
+    lambda sites: OrNode(tuple(FilterNode("site", s) for s in sites)))
+
+leaves = st.one_of(
+    st.builds(TermNode, st.sampled_from(WORDS)),
+    st.builds(PhraseNode, st.lists(st.sampled_from(WORDS), min_size=1,
+                                   max_size=4).map(" ".join)),
+    st.builds(FilterNode, st.just("site"),
+              st.sampled_from(SITES[:10] + ("S2.EXAMPLE",))),
+    st.builds(FilterNode, st.just("topic"), st.sampled_from(TOPICS)),
+    st.builds(FilterNode, st.sampled_from(("title", "body", "nosuch")),
+              st.sampled_from(FILTER_WORDS)),
+    st.builds(RangeNode, st.just("price"), st.sampled_from(BOUNDS),
+              st.sampled_from(BOUNDS)),
+    site_ors,
+)
+
+trees = st.recursive(leaves, lambda inner: st.one_of(
+    st.builds(AndNode, st.lists(inner, max_size=4).map(tuple)),
+    st.builds(OrNode, st.lists(inner, max_size=4).map(tuple)),
+    st.builds(NotNode, inner),
+), max_leaves=12)
+
+
+@st.composite
+def churned(draw):
+    """Doc specs, the ids removed after all were added, and the removed
+    ids added back."""
+    specs = draw(st.lists(doc_specs, min_size=1, max_size=25))
+    ids = [f"d{n:02d}" for n in range(len(specs))]
+    removed = draw(st.lists(st.sampled_from(ids), unique=True))
+    readded = draw(st.lists(st.sampled_from(removed), unique=True)
+                   if removed else st.just([]))
+    return specs, removed, readded
+
+
+def churned_index(specs, removed, readded):
+    index = InvertedIndex(Analyzer(), field_modes={
+        "site": FieldMode.KEYWORD, "topic": FieldMode.KEYWORD})
+    docs = {f"d{n:02d}": FieldedDocument(f"d{n:02d}", fields)
+            for n, fields in enumerate(specs)}
+    for doc in docs.values():
+        index.add(doc)
+    for doc_id in removed:
+        index.remove(doc_id)
+    for doc_id in readded:
+        index.add(docs[doc_id])
+    return index
+
+
+phrases = st.builds(PhraseNode, st.lists(
+    st.sampled_from(WORDS), min_size=2, max_size=4).map(" ".join))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(churned(), st.lists(trees, min_size=1, max_size=5),
+       st.lists(phrases, max_size=5))
+def test_narrowing_evaluator_equals_set_algebra(corpus, queries, bare):
+    index = churned_index(*corpus)
+    fields = ["title", "body"]
+    for node in queries + bare:
+        got = QueryEvaluator(index, fields).candidates(node)
+        assert got == ReferenceEvaluator(index, fields).candidates(node), \
+            node
+
+
+def render(node) -> str:
+    """Query text that parses to an AST with the same meaning (an empty
+    AND / OR, which has no text, becomes a word that matches nothing)."""
+    if isinstance(node, TermNode):
+        return node.text
+    if isinstance(node, PhraseNode):
+        return f'"{node.text}"'
+    if isinstance(node, FilterNode):
+        return f"{node.field}:{node.value}"
+    if isinstance(node, RangeNode):
+        return f"{node.field}:[{node.low} TO {node.high}]"
+    if isinstance(node, NotNode):
+        return f"NOT {render(node.child)}"
+    if not node.children:
+        return "zzabsent"
+    glue = " " if isinstance(node, AndNode) else " OR "
+    return "(" + glue.join(render(child) for child in node.children) + ")"
+
+
+def with_reference(module: str):
+    return mock.patch(f"{module}.QueryEvaluator", ReferenceEvaluator)
+
+
+def table_source(specs, removed, readded):
+    columns = ("title", "body", "site", "price")
+    table = RecordTable("inv", Schema(tuple(
+        FieldSpec(name, FieldType.STRING) for name in columns)))
+    rows = {f"d{n:02d}": {name: spec[name] for name in columns}
+            for n, spec in enumerate(specs)}
+    for record_id, row in rows.items():
+        table.insert(row, record_id=record_id)
+    source = ProprietaryTableSource("src", "Inventory", table,
+                                    ("title", "body"))
+    source.search(SourceQuery("halo"))  # indexed, then re-indexed by delta
+    for record_id in removed:
+        table.delete(record_id)
+    for record_id in readded:
+        table.insert(rows[record_id], record_id=record_id)
+    return source
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(churned(), trees)
+def test_every_caller_answers_as_with_the_reference(corpus, node):
+    text = render(node)
+    index = churned_index(*corpus)
+    facets = compute_facets(index, ["title", "body"], text,
+                            ("site", "topic"))
+    with with_reference("repro.searchengine.facets"):
+        assert facets == compute_facets(index, ["title", "body"], text,
+                                        ("site", "topic"))
+
+    source = table_source(*corpus)
+    query = SourceQuery(text, count=50)
+    result = source.search(query)
+    with with_reference("repro.core.datasources"):
+        expected = source.search(query)
+    assert [(i.item_id, i.score) for i in result.items] == \
+        [(i.item_id, i.score) for i in expected.items]
+    assert result.total_matches == expected.total_matches
+
+    base = GoogleBasePlatform(build_engine(SyntheticWeb(),
+                                           use_authority=False))
+    base.upload_structured_data(corpus[0])
+    items = base.search(text)["base_items"]
+    with with_reference("repro.baselines.google_base"):
+        assert items == base.search(text)["base_items"]

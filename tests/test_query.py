@@ -1,7 +1,9 @@
 """Tests for the query language: lexer, parser, evaluator."""
 
+import string
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import QueryError
 from repro.searchengine.analysis import Analyzer
@@ -187,3 +189,34 @@ class TestEvaluator:
         left = self.evaluate(search_index, "NOT (halo OR zelda)")
         right = self.evaluate(search_index, "NOT halo NOT zelda")
         assert left == right
+
+
+class TestPhraseStopWords:
+    """Between two phrase terms a document may hold the stop-words the
+    phrase holds there, plus one more."""
+
+    def evaluate(self, body, text):
+        index = InvertedIndex(Analyzer())
+        index.add(FieldedDocument("d1", {"body": body}))
+        return QueryEvaluator(index, ["body"]).candidates(parse_query(text))
+
+    def test_phrase_with_internal_stop_words_matches_verbatim(self):
+        body = "The Lord of the Rings returns"
+        assert self.evaluate(body, '"lord of the rings"') == {"d1"}
+        assert self.evaluate(body, '"lord of rings"') == {"d1"}
+        assert self.evaluate(body, '"lord rings"') == set()
+        assert self.evaluate(body, '"rings of the lord"') == set()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(("the", "of", "a", "and", "it", "lord", "rings",
+                         "halo", "Halo's", "x-ray", "e.g.", "--", "2001")),
+        st.text(string.ascii_letters + string.digits + "-'.,:()!",
+                min_size=1, max_size=8),
+    ), min_size=1, max_size=30), st.data())
+    def test_any_quoted_run_of_a_body_matches_it(self, words, data):
+        start = data.draw(st.integers(0, len(words) - 1))
+        end = data.draw(st.integers(start + 1, len(words)))
+        run = " ".join(words[start:end])
+        assume(Analyzer().analyze(run))
+        assert self.evaluate(" ".join(words), f'"{run}"') == {"d1"}

@@ -48,13 +48,13 @@ def reference_score(index, fields, params, doc_id, terms) -> float:
         )
         boost = params.boost(field_name)
         for term in terms:
-            posting = index.postings(field_name, term).get(doc_id)
-            if posting is None:
+            positions = index.postings(field_name, term).get(doc_id)
+            if positions is None:
                 continue
             n = len(index)
             df = index.document_frequency(field_name, term)
             idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-            tf = posting.term_frequency
+            tf = len(positions)
             total += boost * idf * (
                 tf * (params.k1 + 1.0) / (tf + norm)
             )

@@ -2,7 +2,7 @@
 re-analyzing every word of the body.
 
 ``reference_window`` is the per-word algorithm the engine used before
-it read ``Posting.positions``: analyze each whitespace-separated word,
+it read postings positions: analyze each whitespace-separated word,
 mark it when one of its stems is a query term, slide the window. It is
 the specification; ``materialize_result`` must reproduce it byte for
 byte on any body — punctuation-only words (no tokens), hyphenated and
@@ -64,8 +64,13 @@ WORDS = (
     "the", "The", "of", "and", "is", "IT", "the-halo",
     # case folding that changes length or leaves ASCII behind
     "İstanbul", "İ", "HALOİ", "ﬁnal", "straße", "ΣΊΣΥΦΟΣ", "Kelvin",
+    # ASCII alphanumeric, so one token without tokenizing
+    "Xbox360", "R2D2", "HALO2", "2001", "x",
+    # alphanumeric but not ASCII, so tokenized: one token, two, none
+    "café", "naïve", "ｈａｌｏ", "²", "halo²",
     "pad", "filler", "lorem",
 )
+FILLER = ("pad", "filler", "lorem", "--", "the")
 
 SEPARATORS = (" ", " ", " ", "  ", "\t", "\n", "\r\n", "\u00a0",
               "\u2003", "\u3000", "\u2028", "\x1f", "\x85")
@@ -74,7 +79,8 @@ QUERIES = (
     "halo", "reviews", "Zelda", '"halo review"', '"the halo"',
     "halo OR zelda", '"halo review" OR games', "halo NOT review",
     "NOT review", "game (halo OR zelda)", "the halo", "half-life",
-    "don't", "İstanbul", "www.halo.com", "nosuchword",
+    "don't", "İstanbul", "www.halo.com", "nosuchword", "xbox360 OR r2d2",
+    "halo2", "café", "naïve OR halo",
 )
 
 pieces = st.one_of(st.sampled_from(WORDS), st.sampled_from(WORDS),
@@ -87,6 +93,32 @@ def bodies(draw):
     seps = draw(st.lists(st.sampled_from(SEPARATORS),
                          min_size=len(parts) + 1, max_size=len(parts) + 1))
     return "".join(sep + part for sep, part in zip(seps, parts)) + seps[-1]
+
+
+@st.composite
+def late_hit_bodies(draw):
+    """Filler, then the only words that can hit, all in the last window."""
+    lead = draw(st.lists(st.sampled_from(FILLER), min_size=WIDTH,
+                         max_size=70))
+    tail = draw(st.lists(pieces, min_size=1, max_size=WIDTH))
+    return " ".join(lead + tail)
+
+
+@st.composite
+def sparse_bodies(draw):
+    """One word a few times among filler, often far enough apart for
+    two windows to tie."""
+    size = draw(st.integers(0, 90))
+    words = draw(st.lists(st.sampled_from(FILLER), min_size=size,
+                          max_size=size))
+    piece = draw(pieces)
+    for __ in range(draw(st.integers(1, 3))):
+        words.insert(draw(st.integers(0, len(words))), piece)
+    return " ".join(words)
+
+
+any_body = st.one_of(bodies(), late_hit_bodies(), sparse_bodies(),
+                     st.lists(pieces, max_size=WIDTH - 1).map(" ".join))
 
 
 def documents(texts):
@@ -108,7 +140,7 @@ def single_node(docs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(bodies(), min_size=1, max_size=4),
+@given(st.lists(any_body, min_size=1, max_size=4),
        st.sampled_from(QUERIES))
 def test_materialized_snippet_equals_per_word_reference(texts, query):
     engine = single_node(documents(texts))
