@@ -206,7 +206,7 @@ def test_query_latency_scaling(benchmark, size):
         candidates = evaluator.candidates(node)
         scorer = BM25Scorer(index, ["title", "body"], None,
                             ["game", "review", "combo"])
-        return scorer.rank(candidates)[:10]
+        return scorer.rank(candidates, limit=10)
 
     top = benchmark(run_query)
     assert top

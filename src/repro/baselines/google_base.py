@@ -86,10 +86,10 @@ class GoogleBasePlatform(BaselinePlatform):
             candidates = evaluator.candidates(node)
             terms = extract_terms(node, self._index.analyzer)
             ranked = BM25Scorer(self._index, fields, None,
-                                terms).rank(candidates)
+                                terms).rank(candidates, limit=3)
             base_items = [
                 self._index.document(doc_id).payload
-                for doc_id, __ in ranked[:3]
+                for doc_id, __ in ranked
             ]
         return {"web_results": web.results, "base_items": base_items}
 

@@ -203,10 +203,11 @@ class ClusteredSearchEngine:
         # health (identical to what every replica was built with).
         from repro.searchengine.engine import make_vertical_indexes
         self._reference = make_vertical_indexes(self.authority)
-        # Bumped on every add/remove; invalidates merged-vocabulary
+        # Bumped on every replicated write; invalidates merged-vocabulary
         # caches (spelling correctors).
         self._corpus_version = 0
-        self._correctors: dict = {}   # (vertical, version) -> corrector
+        # (vertical, corpus version, route-map version) -> corrector
+        self._correctors: dict = {}
 
     # -- topology ------------------------------------------------------------
 
@@ -331,6 +332,7 @@ class ClusteredSearchEngine:
             if lsn:
                 replica.applied_lsn = lsn
         self.groups[shard_id].broadcast(write)
+        self._corpus_version += 1
         if self.durability is not None:
             self.durability.after_write(shard_id)
 
@@ -347,7 +349,6 @@ class ClusteredSearchEngine:
         for extra in self._extra_write_shards(document.doc_id, shard_id):
             self.replicated_write(extra, "add", vertical,
                                   document=document, tolerant=True)
-        self._corpus_version += 1
         return shard_id
 
     def remove_document(self, vertical, doc_id: str) -> int:
@@ -357,7 +358,6 @@ class ClusteredSearchEngine:
         for extra in self._extra_write_shards(doc_id, shard_id):
             self.replicated_write(extra, "remove", vertical,
                                   doc_id=doc_id, tolerant=True)
-        self._corpus_version += 1
         return shard_id
 
     # -- the SearchEngine contract --------------------------------------------
@@ -450,12 +450,17 @@ class ClusteredSearchEngine:
         # starting work it cannot afford.
         served: dict[int, ShardReplica] = {}
         overrun = deadline is not None and deadline.expired
+        # A shard ships only the page it can win, except in a
+        # migration's dual-read window (fanout installed), where the
+        # deduplicated total needs every id.
+        dual_read = self.write_fanout is not None
+        limit = None if dual_read else options.offset + options.count
 
         def run_shard(replica):
-            scored, count = replica.execute(
-                vkey, node, options, terms, stats, now_ms
+            top, count = replica.execute(
+                vkey, node, options, terms, stats, now_ms, limit
             )
-            return replica, scored, count
+            return replica, top, count
 
         outcomes = {}
         if not overrun:
@@ -474,9 +479,9 @@ class ClusteredSearchEngine:
             if not outcome.ok:
                 failed.add(sid)
                 continue
-            (replica, scored, count), meta = outcome.value
+            (replica, top, count), meta = outcome.value
             served[sid] = replica
-            shard_lists[sid] = scored
+            shard_lists[sid] = top
             candidate_counts[sid] = count
             extra_latency[sid] = meta.get("latency_ms", 0.0)
             if meta.get("hedged"):
@@ -535,14 +540,13 @@ class ClusteredSearchEngine:
         # handoff; the first (highest-ranked) copy wins. Only while that
         # window is open (fanout installed) does the total need a full
         # deduplicated count — the clean path keeps the lazy heap merge.
-        if self.write_fanout is not None:
+        if dual_read:
             unique = list(_unique_by_doc(merge_ranked(shard_lists)))
             total_matches = len(unique)
             window = unique[options.offset:
                             options.offset + options.count]
         else:
-            total_matches = sum(len(lst)
-                                for lst in shard_lists.values())
+            total_matches = sum(candidate_counts.values())
             window = list(islice(
                 _unique_by_doc(merge_ranked(shard_lists)),
                 options.offset, options.offset + options.count,
@@ -628,7 +632,8 @@ class ClusteredSearchEngine:
 
     def _suggest(self, vkey: Vertical, terms) -> str | None:
         """'Did you mean' over the merged cross-shard vocabulary."""
-        cache_key = (vkey, self._corpus_version)
+        cache_key = (vkey, self._corpus_version,
+                     self.router.topology_version)
         corrector = self._correctors.get(cache_key)
         if corrector is None:
             frequencies: dict[str, int] = {}

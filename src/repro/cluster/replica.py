@@ -184,17 +184,19 @@ class ShardReplica:
                                    terms)
 
     def execute(self, vertical, node, options, terms,
-                stats: CorpusStats, now_ms: int) -> tuple:
+                stats: CorpusStats, now_ms: int,
+                limit: int | None = None) -> tuple:
         """Phase 2: evaluate + rank this shard under global statistics.
 
-        Returns ``(scored, candidate_count)`` where ``scored`` is the
-        shard's full ``(doc_id, score)`` list ordered by score desc then
-        id — ready for the gatherer's heap merge.
+        Returns ``(top, candidate_count)`` where ``top`` is the shard's
+        best ``limit`` (all when ``None``) ``(doc_id, score)`` pairs
+        ordered by score desc then id — ready for the gatherer's heap
+        merge.
         """
         self.reads_served += 1
         self._check_fault()
         return execute_query(self.vertical(vertical), node, options,
-                             terms, now_ms, stats)
+                             terms, now_ms, stats, limit)
 
     def materialize(self, vertical, doc_id: str, score: float, terms):
         return materialize_result(self.vertical(vertical), doc_id,

@@ -261,12 +261,12 @@ class ProprietaryTableSource(DataSource):
             field_boosts={name: 2.0 if name == search_fields[0] else 1.0
                           for name in search_fields}
         )
-        scored = BM25Scorer(index, list(search_fields), params,
-                            terms).rank(candidates)
-        window = scored[query.offset:query.offset + query.count]
+        top = BM25Scorer(index, list(search_fields), params,
+                         terms).rank(candidates,
+                                     limit=query.offset + query.count)
         title_field = self.fields()[0]
         items = []
-        for doc_id, score in window:
+        for doc_id, score in top[query.offset:]:
             record = index.document(doc_id).payload
             url = next(
                 (str(record.values[name])
@@ -279,12 +279,13 @@ class ProprietaryTableSource(DataSource):
                 title=str(record.values.get(title_field, doc_id)),
                 url=url,
                 snippet="",
-                score=round(score, 6),
+                # A filter-only match has no text relevance to report.
+                score=round(score, 6) if terms else 0.0,
                 fields=dict(record.values),
             ))
         metadata = (self.contract_status()
                     if self.contract_status is not None else {})
-        return SourceResult(self.source_id, tuple(items), len(scored),
+        return SourceResult(self.source_id, tuple(items), len(candidates),
                             metadata=metadata or {})
 
 

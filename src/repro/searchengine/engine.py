@@ -28,7 +28,6 @@ from repro.searchengine.query import (
 from repro.searchengine.ranking import (
     BM25Parameters,
     BM25Scorer,
-    blend_scores,
     pagerank,
     recency_boost,
 )
@@ -182,51 +181,46 @@ def evaluate_candidates(vindex: VerticalIndex, node,
     return candidates
 
 
-def rank_candidates(vindex: VerticalIndex, candidates, terms,
-                    scorer: BM25Scorer, now_ms: int) -> list:
-    """Score and order candidates of one index (score desc, then id).
+def rank_candidates(vindex: VerticalIndex, candidates,
+                    scorer: BM25Scorer, now_ms: int,
+                    limit: int | None = None) -> list:
+    """The best ``limit`` candidates of one index (all when ``None``),
+    score desc then id.
 
     Web blends relevance with link authority, news with recency; a
     query with nothing to score (filters only) ranks on the prior alone.
     """
     if vindex.vertical == Vertical.WEB:
-        authority = vindex.authority
-
-        def blend(doc_id, relevance):
-            return blend_scores(relevance, authority.get(doc_id, 0.0),
-                                prior_weight=0.3)
-    elif vindex.vertical == Vertical.NEWS:
+        return scorer.rank(candidates, vindex.authority, 0.3, limit)
+    if vindex.vertical == Vertical.NEWS:
         document = vindex.index.document
-
-        def blend(doc_id, relevance):
-            published = int(document(doc_id).fields.get("_published_ms", 0))
-            return blend_scores(
-                relevance, recency_boost(published, now_ms),
-                prior_weight=0.5,
-            )
-    else:
-        def blend(doc_id, relevance):
-            return relevance
-    if terms:
-        return scorer.rank(candidates, blend)
-    return scorer.rank(candidates, lambda doc_id, _: blend(doc_id, 1.0))
+        recency = {
+            doc_id: recency_boost(
+                int(document(doc_id).fields.get("_published_ms", 0)),
+                now_ms)
+            for doc_id in candidates
+        }
+        return scorer.rank(candidates, recency, 0.5, limit)
+    return scorer.rank(candidates, limit=limit)
 
 
 def execute_query(vindex: VerticalIndex, node, options: SearchOptions,
-                  terms, now_ms: int, stats=None) -> tuple:
-    """The whole per-index search: evaluate, score, order.
+                  terms, now_ms: int, stats=None,
+                  limit: int | None = None) -> tuple:
+    """The whole per-index search: evaluate, score, select.
 
     :class:`SearchEngine` runs it on its one index and every cluster
     shard replica on its partition, the latter passing the merged
     corpus-wide ``stats`` (see :mod:`repro.searchengine.stats`).
-    Returns ``(scored, candidate_count)``: the full ``(doc_id, score)``
-    list, score desc then id, and how many documents matched.
+    Returns ``(top, candidate_count)``: the best ``limit`` (all when
+    ``None``) ``(doc_id, score)`` pairs, score desc then id, and how
+    many documents matched.
     """
     candidates = evaluate_candidates(vindex, node, options, now_ms)
     scorer = BM25Scorer(vindex.index, vindex.text_fields, vindex.params,
                         terms, stats)
-    scored = rank_candidates(vindex, candidates, terms, scorer, now_ms)
-    return scored, len(candidates)
+    top = rank_candidates(vindex, candidates, scorer, now_ms, limit)
+    return top, len(candidates)
 
 
 def materialize_result(vindex: VerticalIndex, doc_id: str, score: float,
@@ -292,25 +286,25 @@ class SearchEngine:
         node = apply_options_to_ast(node, options)
 
         terms = extract_terms(node, vindex.index.analyzer)
-        scored, candidate_count = execute_query(
-            vindex, node, options, terms, self.clock.now_ms)
+        top, candidate_count = execute_query(
+            vindex, node, options, terms, self.clock.now_ms,
+            limit=options.offset + options.count)
 
         elapsed = simulated_latency_ms(candidate_count)
         self.clock.advance(elapsed)
 
-        window = scored[options.offset:options.offset + options.count]
         results = tuple(
             materialize_result(vindex, doc_id, score, terms)
-            for doc_id, score in window
+            for doc_id, score in top[options.offset:]
         )
         suggestion = None
-        if not scored and terms:
+        if not candidate_count and terms:
             suggestion = self._suggest(vindex, terms)
         response = SearchResponse(
             query=query_text,
             vertical=Vertical(vertical).value,
             results=results,
-            total_matches=len(scored),
+            total_matches=candidate_count,
             elapsed_ms=elapsed,
             suggestion=suggestion,
         )

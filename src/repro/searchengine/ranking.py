@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop
+from operator import itemgetter, neg
 
 from repro.searchengine.stats import CorpusStats
 
@@ -37,6 +39,9 @@ def by_score_then_id(entry) -> tuple:
     return (-entry[1], entry[0])
 
 
+_SCORE = itemgetter(1)
+
+
 class BM25Scorer:
     """Scores documents of one index for one query's bag of terms.
 
@@ -46,7 +51,7 @@ class BM25Scorer:
     — the index's own :class:`CorpusStats` when omitted, the merged
     ones when the index is a shard of a cluster — the second always
     from ``index``. Everything that does not depend on the document is
-    resolved here, once; :meth:`score` only looks the document up.
+    resolved here, once; :meth:`rank` only walks postings.
     """
 
     def __init__(self, index, fields: list[str],
@@ -55,8 +60,10 @@ class BM25Scorer:
         params = params or BM25Parameters()
         if stats is None:
             stats = CorpusStats.collect(index, fields, terms)
-        self._k1 = params.k1
-        self._b = params.b
+        self._k1, self._b = params.k1, params.b
+        # A query with nothing to score (filters only) gives every
+        # candidate relevance 1.0, so a blend ranks on the prior alone.
+        self._base = 0.0 if terms else 1.0
         # Per scored field: (doc -> length, average length,
         # [(boost * idf, doc -> positions)] per query term it holds).
         self._plan = []
@@ -80,36 +87,66 @@ class BM25Scorer:
                     (index.field_lengths(field_name), avg_len, weighted)
                 )
 
-    def score(self, doc_id: str) -> float:
-        k1 = self._k1
-        b = self._b
-        total = 0.0
-        for lengths, avg_len, weighted in self._plan:
-            doc_len = lengths.get(doc_id, 0)
-            norm = k1 * (1.0 - b + b * doc_len / avg_len)
-            for weight, by_doc in weighted:
-                positions = by_doc.get(doc_id)
-                if positions is None:
-                    continue
-                tf = len(positions)
-                total += weight * (tf * (k1 + 1.0) / (tf + norm))
-        return total
+    def rank(self, candidates, prior=None, weight: float = 0.0,
+             limit: int | None = None) -> list:
+        """The best ``limit`` (all when ``None``) of ``candidates`` as
+        ``[(doc_id, score)]``, score desc then doc id.
 
-    def rank(self, candidates, adjust=None) -> list:
-        """``[(doc_id, score)]`` for ``candidates``, best first.
-
-        ``adjust(doc_id, relevance)``, when given, maps each BM25 score
-        to the one ranked on (an authority or freshness blend). Equal
-        scores order by doc id, so the list is deterministic.
+        Term-at-a-time: each (field, term) adds its BM25 contribution to
+        one accumulator, fields outer and terms inner, so every document's
+        sum is added in one fixed order. ``prior`` maps ``doc_id`` to a
+        value in [0, 1] (absent ids read 0.0); with it the ranked score
+        is ``blend_scores(relevance, prior[doc_id], weight)``.
         """
-        score = self.score
-        if adjust is None:
-            scored = [(doc_id, score(doc_id)) for doc_id in candidates]
+        acc = dict.fromkeys(candidates, self._base)
+        size = len(acc)
+        if not size:
+            return []
+        k1, b = self._k1, self._b
+        k1_plus = k1 + 1.0
+        one_minus_b = 1.0 - b
+        for lengths, avg_len, weighted in self._plan:
+            for term_weight, by_doc in weighted:
+                # Walk the smaller side; a shared iterator would cost
+                # more than a three-candidate call spends in total.
+                if len(by_doc) < size:
+                    for doc_id, positions in by_doc.items():
+                        if doc_id in acc:
+                            tf = len(positions)
+                            norm = k1 * (one_minus_b
+                                         + b * lengths[doc_id] / avg_len)
+                            acc[doc_id] += term_weight * (
+                                tf * k1_plus / (tf + norm))
+                else:
+                    for doc_id in acc:
+                        if doc_id in by_doc:
+                            tf = len(by_doc[doc_id])
+                            norm = k1 * (one_minus_b
+                                         + b * lengths[doc_id] / avg_len)
+                            acc[doc_id] += term_weight * (
+                                tf * k1_plus / (tf + norm))
+        if limit is None or limit >= size:
+            if prior is not None:
+                get = prior.get
+                for doc_id, relevance in acc.items():
+                    acc[doc_id] = relevance * (
+                        1.0 + weight * get(doc_id, 0.0))
+            # Stable sorts by id, then by score desc: by_score_then_id.
+            ranked = sorted(acc.items())
+            ranked.sort(key=_SCORE, reverse=True)
+            return ranked
+        # Bounded: heapify (-score, doc_id), whose tuple order is
+        # by_score_then_id's, and pop ``limit``. Negation is exact, so
+        # the blend folds in bit for bit.
+        if prior is None:
+            keyed = list(zip(map(neg, acc.values()), acc))
         else:
-            scored = [(doc_id, adjust(doc_id, score(doc_id)))
-                      for doc_id in candidates]
-        scored.sort(key=by_score_then_id)
-        return scored
+            get = prior.get
+            keyed = [(-relevance * (1.0 + weight * get(doc_id, 0.0)), doc_id)
+                     for doc_id, relevance in acc.items()]
+        heapify(keyed)
+        return [(doc_id, -negated)
+                for negated, doc_id in map(heappop, [keyed] * limit)]
 
 
 def pagerank(graph: dict, damping: float = 0.85,

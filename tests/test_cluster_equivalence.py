@@ -14,9 +14,13 @@ import threading
 import pytest
 
 from repro.cluster import ClusterConfig, build_clustered_engine
+from repro.controlplane import CLEANUP, COMPLETE, ShardLifecycleManager
+from repro.core.datasources import ProprietaryTableSource, SourceQuery
+from repro.core.structured import StructuredQuery, execute_structured
 from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.engine import SearchOptions, build_engine
 from repro.simweb.generator import WebGenerator, WebSpec
+from repro.storage.records import FieldSpec, FieldType, RecordTable, Schema
 
 SEEDS = (2010, 7, 123)
 SHARD_COUNTS = (1, 2, 4, 5)
@@ -174,3 +178,116 @@ def test_did_you_mean_follows_writes_on_both_engines():
     assert a.total_matches == b.total_matches == 0
     assert b.suggestion is not None
     assert a.suggestion == b.suggestion
+
+
+def assert_same_page(single, cluster, vertical, query, offset, count):
+    align_clocks(single, cluster)
+    options = SearchOptions(count=count, offset=offset)
+    a = single.search(vertical, query, options)
+    b = cluster.search(vertical, query, options)
+    label = f"{vertical!r} {query!r} offset={offset} count={count}"
+    assert not b.degraded, label
+    assert b.urls() == a.urls(), label
+    assert b.total_matches == a.total_matches, label
+    for ours, theirs in zip(b.results, a.results):
+        assert ours.score == pytest.approx(theirs.score, abs=1e-6), label
+    return a
+
+
+def pages(total: int, num_shards: int) -> tuple:
+    """``(offset, count)``: a later page, a page reaching past what one
+    shard holds, the tail, and a count beyond the total."""
+    per_shard = total // num_shards
+    return ((3, 5), (1, per_shard + 3), (max(total - 2, 0), 10),
+            (0, total + 7))
+
+
+@pytest.mark.parametrize("num_shards", (1, 2, 4))
+def test_every_page_matches_single_node(num_shards):
+    """A shard ships only its top ``offset + count``; every page and
+    ``total_matches`` must still be the single node's."""
+    web = make_web(2010)
+    single = build_engine(web)
+    cluster = build_clustered_engine(
+        web, ClusterConfig(num_shards=num_shards, replicas_per_shard=1))
+    for vertical in ("web", "news"):
+        for query in ("review", "wine", *sample_queries(web)):
+            total = single.search(vertical, query).total_matches
+            for offset, count in pages(total, num_shards):
+                page = assert_same_page(single, cluster, vertical, query,
+                                        offset, count)
+                assert len(page.results) == \
+                    max(0, min(count, total - offset))
+
+
+def test_dual_read_window_counts_every_id_once():
+    """With ``write_fanout`` installed shards ship full lists, so the
+    deduplicated total counts each id once. Until cutover the routed
+    shards hold each document once and every page is the single
+    node's; after it, moved documents sit on both sides of the handoff
+    (and inflate the merged statistics, so scores drift), yet every id
+    is still listed and counted exactly once."""
+    web = make_web(2010)
+    single = build_engine(web)
+    cluster = build_clustered_engine(
+        web, ClusterConfig(num_shards=2, replicas_per_shard=1))
+    lifecycle = ShardLifecycleManager(cluster, batch_size=16)
+    lifecycle.begin_split(0)
+    state = None
+    doubled = False
+    while state != COMPLETE:
+        assert cluster.write_fanout is not None
+        for query in ("review", "wine tasting"):
+            total = single.search("web", query).total_matches
+            if state != CLEANUP:
+                for offset, count in pages(total, 2):
+                    assert_same_page(single, cluster, "web", query,
+                                     offset, count)
+                continue
+            doubled |= cluster.doc_count("web") > len(
+                single.vertical("web"))
+            everything = SearchOptions(count=total + 7)
+            a = single.search("web", query, everything)
+            b = cluster.search("web", query, everything)
+            assert b.total_matches == a.total_matches == total
+            assert len(b.urls()) == len(set(b.urls())) == total
+            assert set(b.urls()) == set(a.urls())
+        state = lifecycle.step()
+    assert doubled
+
+
+@pytest.fixture()
+def catalog():
+    table = RecordTable("games", Schema((
+        FieldSpec("title", FieldType.STRING),
+        FieldSpec("genre", FieldType.STRING),
+    )))
+    for n in range(23):
+        table.insert({"title": f"halo {'arena ' * (n % 4)}{n}",
+                      "genre": ("shooter", "arena")[n % 2]})
+    return ProprietaryTableSource("src", "Games", table,
+                                  ("title", "genre"))
+
+
+def test_proprietary_pages_tile_the_full_ranking(catalog):
+    everything = catalog.search(SourceQuery("halo arena", count=100))
+    assert everything.total_matches == len(everything.items) > 10
+    ranked = [(item.item_id, item.score) for item in everything.items]
+    for count in (1, 4, 10):
+        for offset in range(0, len(ranked) + count, count):
+            page = catalog.search(SourceQuery("halo arena", count=count,
+                                              offset=offset))
+            assert page.total_matches == everything.total_matches
+            assert [(item.item_id, item.score) for item in page.items] \
+                == ranked[offset:offset + count]
+
+
+def test_structured_text_query_sees_every_match(catalog):
+    """``execute_structured`` asks for ``count=len(table)``; a bounded
+    ranking must still hand it every match, in relevance order."""
+    everything = catalog.search(SourceQuery("arena", count=100))
+    result = execute_structured(
+        catalog, StructuredQuery(text="arena", limit=100))
+    assert [item.item_id for item in result.items] == \
+        [item.item_id for item in everything.items]
+    assert result.total_matches == everything.total_matches

@@ -271,6 +271,28 @@ class TestLiveResharding:
         assert response.urls() == [moving]
         assert engine.router.snapshot().shard_of(moving) == 2
 
+    def test_did_you_mean_does_not_outlive_a_reshard(self, make_cluster):
+        """Handoff and cleanup write through ``replicated_write``, not
+        ``add_document``: a corrector cached in the dual-read window
+        (moved documents counted on both sides) must not survive to
+        COMPLETE."""
+        def corrector_frequencies(engine):
+            assert engine.search("web", "zzmissing").total_matches == 0
+            [corrector] = engine._correctors.values()
+            return corrector._frequencies
+
+        engine = make_cluster(num_shards=2)
+        lifecycle = ShardLifecycleManager(engine)
+        lifecycle.begin_split(0)
+        while lifecycle.step() != CLEANUP:
+            pass
+        in_window = corrector_frequencies(engine)
+        lifecycle.run()
+
+        fresh = corrector_frequencies(make_cluster(num_shards=2))
+        assert in_window != fresh       # the window double-counts
+        assert corrector_frequencies(engine) == fresh
+
     def test_only_one_migration_at_a_time(self, make_cluster):
         engine = make_cluster(num_shards=2)
         lifecycle = ShardLifecycleManager(engine)

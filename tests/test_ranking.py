@@ -32,7 +32,9 @@ def index():
 
 def score(index, doc_id, terms, params=None):
     """BM25 of one ``body`` for one query (the scorer is per query)."""
-    return BM25Scorer(index, ["body"], params, terms).score(doc_id)
+    [(__, value)] = BM25Scorer(index, ["body"], params,
+                               terms).rank({doc_id})
+    return value
 
 
 class TestBM25:

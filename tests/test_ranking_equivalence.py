@@ -6,8 +6,12 @@ expression keeps its operand order — so scores must be ``==`` to the old
 per-call scorer, kept here as :func:`reference_score`; a shard scored
 under merged statistics must be ``==`` to the union index; and a
 cluster must return the single node's ids, scores and match counts
-exactly. The last test pins the ``(-score, doc_id)`` order for the three
-kinds of index that rank through :meth:`BM25Scorer.rank`.
+exactly. :meth:`BM25Scorer.rank` scores term-at-a-time into a bounded
+selection; the doc-at-a-time loop it replaced — per-document score, a
+blend closure, a full sort — is kept here as :func:`reference_rank`,
+and every bounded request must be its prefix, float for float. The
+last test pins the ``(-score, doc_id)`` order for the three kinds of
+index that rank through :meth:`BM25Scorer.rank`.
 """
 
 from __future__ import annotations
@@ -21,9 +25,22 @@ from repro.cluster import ClusterConfig, build_clustered_engine
 from repro.core.datasources import ProprietaryTableSource, SourceQuery
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument
-from repro.searchengine.engine import SearchOptions, build_engine
+from repro.searchengine.engine import (
+    SearchOptions,
+    Vertical,
+    build_engine,
+    evaluate_candidates,
+    rank_candidates,
+)
 from repro.searchengine.index import InvertedIndex
-from repro.searchengine.ranking import BM25Parameters, BM25Scorer
+from repro.searchengine.query import extract_terms, parse_query
+from repro.searchengine.ranking import (
+    BM25Parameters,
+    BM25Scorer,
+    blend_scores,
+    by_score_then_id,
+    recency_boost,
+)
 from repro.searchengine.stats import CorpusStats
 from repro.simweb.model import SyntheticWeb
 from repro.storage.records import FieldSpec, FieldType, RecordTable, Schema
@@ -59,6 +76,25 @@ def reference_score(index, fields, params, doc_id, terms) -> float:
                 tf * (params.k1 + 1.0) / (tf + norm)
             )
     return total
+
+
+def reference_rank(index, fields, params, terms, candidates,
+                   adjust=None) -> list:
+    """Ranking as it was before top-k: score each candidate on its own,
+    map it through ``adjust(doc_id, relevance)``, sort everything. A
+    query with no terms ranks every candidate at relevance 1.0."""
+    def score(doc_id):
+        if not terms:
+            return 1.0
+        return reference_score(index, fields, params, doc_id, terms)
+
+    if adjust is None:
+        scored = [(doc_id, score(doc_id)) for doc_id in candidates]
+    else:
+        scored = [(doc_id, adjust(doc_id, score(doc_id)))
+                  for doc_id in candidates]
+    scored.sort(key=by_score_then_id)
+    return scored
 
 
 ANALYZER = Analyzer()
@@ -107,15 +143,9 @@ def test_scores_equal_the_per_call_reference(corpus, fields, params, terms):
     docs = documents(corpus)
     index = index_of(docs)
     scorer = BM25Scorer(index, fields, params, terms)
-    expected = {
-        doc.doc_id: reference_score(index, fields, params, doc.doc_id,
-                                    terms)
-        for doc in docs
-    }
-    assert {doc.doc_id: scorer.score(doc.doc_id) for doc in docs} == \
-        expected
-    assert scorer.rank(set(expected)) == sorted(
-        expected.items(), key=lambda pair: (-pair[1], pair[0]))
+    ids = {doc.doc_id for doc in docs}
+    assert scorer.rank(ids) == reference_rank(index, fields, params,
+                                              terms, ids)
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,10 +158,120 @@ def test_a_shard_under_merged_stats_scores_like_the_union(
     stats = CorpusStats.merge(
         CorpusStats.collect(shard, fields, terms) for shard in shards)
     for n, shard in enumerate(shards):
+        ids = {doc.doc_id for doc in docs[n::4]}
         scorer = BM25Scorer(shard, fields, params, terms, stats)
-        for doc in docs[n::4]:
-            assert scorer.score(doc.doc_id) == reference_score(
-                union, fields, params, doc.doc_id, terms)
+        assert scorer.rank(ids) == reference_rank(union, fields, params,
+                                                  terms, ids)
+
+
+# (weight, prior values) per vertical kind: web blends link authority
+# (many ids absent), news blends recency, the others blend nothing. A
+# few repeated values force score ties.
+PRIOR_WEIGHTS = {"plain": 0.0, "web": 0.3, "news": 0.5}
+prior_values = st.one_of(st.sampled_from((0.0, 0.25, 1.0)),
+                         st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(corpora, corpora, scored_fields, parameters, term_lists,
+       st.sampled_from(sorted(PRIOR_WEIGHTS)), st.data())
+def test_bounded_rank_is_the_reference_prefix(
+        corpus, added, fields, params, terms, kind, data):
+    # Churn: index, remove some, add more (and copies, for ties).
+    docs = documents(corpus)
+    index = index_of(docs)
+    removed = data.draw(st.sets(st.sampled_from(
+        [doc.doc_id for doc in docs])), "removed")
+    for doc_id in sorted(removed):
+        index.remove(doc_id)
+    for n, fields_of in enumerate(added + corpus[:3]):
+        index.add(FieldedDocument(f"e{n:02d}", fields_of))
+    live = sorted(index.all_doc_ids())
+    # Candidates: any live subset, plus ids in no posting at all.
+    candidates = data.draw(st.sets(st.sampled_from(live)), "live") | \
+        data.draw(st.sets(st.sampled_from(
+            sorted(removed) + ["ghost"])), "ghosts")
+
+    weight = PRIOR_WEIGHTS[kind]
+    prior = None
+    if kind != "plain":
+        prior = data.draw(st.dictionaries(
+            st.sampled_from(sorted(candidates) or ["ghost"]),
+            prior_values), "prior")
+        if kind == "news":      # recency is known for every candidate
+            prior = {doc_id: prior.get(doc_id, 0.5)
+                     for doc_id in candidates}
+
+    def adjust(doc_id, relevance):
+        return blend_scores(relevance, prior.get(doc_id, 0.0), weight)
+
+    expected = reference_rank(index, fields, params, terms, candidates,
+                              adjust if prior is not None else None)
+    scorer = BM25Scorer(index, fields, params, terms)
+    n = len(candidates)
+    k = data.draw(st.integers(0, n + 2), "k")
+    for limit in sorted({0, 1, k, n, n + 3}):
+        assert scorer.rank(candidates, prior, weight, limit) == \
+            expected[:limit]
+    full = scorer.rank(candidates, prior, weight)
+    assert full == expected
+    for doc_id, score in full:
+        relevance = (reference_score(index, fields, params, doc_id,
+                                     terms) if terms else 1.0)
+        if prior is not None:
+            relevance = blend_scores(relevance, prior.get(doc_id, 0.0),
+                                     weight)
+        assert score == relevance
+
+
+def reference_rank_candidates(vindex, candidates, terms, now_ms):
+    """``rank_candidates`` before top-k: one blend closure per vertical
+    around the doc-at-a-time reference."""
+    adjust = None
+    if vindex.vertical == Vertical.WEB:
+        def adjust(doc_id, relevance):
+            return blend_scores(relevance,
+                                vindex.authority.get(doc_id, 0.0),
+                                prior_weight=0.3)
+    elif vindex.vertical == Vertical.NEWS:
+        def adjust(doc_id, relevance):
+            published = int(vindex.index.document(doc_id).fields.get(
+                "_published_ms", 0))
+            return blend_scores(relevance,
+                                recency_boost(published, now_ms),
+                                prior_weight=0.5)
+    return reference_rank(vindex.index, vindex.text_fields, vindex.params,
+                          terms, candidates, adjust)
+
+
+def test_every_vertical_ranks_like_the_blend_closures():
+    """Authority (with ids the link graph never saw), recency, no
+    prior, and a filter-only query, at several limits."""
+    web = make_web(2010)
+    engine = build_engine(web)
+    unlinked = "http://unlinked.example/1"
+    engine.vertical("web").add(FieldedDocument(unlinked, {
+        "url": unlinked, "title": "wine tasting review",
+        "body": "wine review", "site": "unlinked.example",
+        "topic": "wine"}))
+    assert unlinked not in engine.vertical("web").authority
+    now_ms = engine.clock.now_ms
+    queries = (*sample_queries(web), f"site:{sorted(web.sites)[0]}")
+    for vertical in Vertical:
+        vindex = engine.vertical(vertical)
+        for query in queries:
+            node = parse_query(query)
+            terms = extract_terms(node, vindex.index.analyzer)
+            candidates = evaluate_candidates(vindex, node,
+                                             SearchOptions(), now_ms)
+            expected = reference_rank_candidates(vindex, candidates,
+                                                 terms, now_ms)
+            scorer = BM25Scorer(vindex.index, vindex.text_fields,
+                                vindex.params, terms)
+            for limit in (0, 1, 3, 10, None):
+                assert rank_candidates(
+                    vindex, candidates, scorer, now_ms, limit) == \
+                    expected[:limit], (vertical, query, limit)
 
 
 def assert_same_answers(single, cluster, vertical, query):
