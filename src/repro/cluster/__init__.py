@@ -1,9 +1,11 @@
 """``repro.cluster`` — sharded, replicated search-index cluster.
 
 Document-partitioned shards, N-way replica groups with health tracking
-and failover, parallel scatter-gather query execution with a two-phase
-global-statistics exchange, and a facade that is a drop-in replacement
-for the single-node :class:`~repro.searchengine.engine.SearchEngine`.
+and failover, parallel scatter-gather query execution under
+corpus-wide statistics the coordinator caches per vertical (one
+round for a query whose terms it has seen), and a facade that is a
+drop-in replacement for the single-node
+:class:`~repro.searchengine.engine.SearchEngine`.
 """
 
 from repro.cluster.engine import (

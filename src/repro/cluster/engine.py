@@ -5,16 +5,22 @@
 options, logging, spelling suggestion, facets — over a
 document-partitioned, replicated index cluster:
 
-* **Phase 1 (statistics scatter):** every shard contributes its local
-  document counts, field lengths, and per-term document frequencies;
-  the merged :class:`CorpusStats` make BM25 idf on any shard identical
-  to single-node scoring.
-* **Phase 2 (execution scatter):** every shard runs the single-node
-  engine's per-index search
-  (:func:`~repro.searchengine.engine.execute_query`) on its own
-  partition, handing the scorer the merged statistics in place of the
-  shard's own; the gatherer heap-merges the sorted shard lists into the
-  global top-k.
+* **Statistics:** BM25 on a shard must see corpus-wide document
+  counts, field lengths and per-term document frequencies, or idf
+  drifts from single-node scoring. The coordinator keeps one merged
+  :class:`CorpusStats` per vertical, keyed on (writes applied to that
+  vertical, route-map version). A query whose terms are all in the
+  entry skips straight to execution; otherwise it first runs one
+  ``stats`` scatter round over all of its terms, and the entry takes
+  the merged result only when every routed shard answered. Every write
+  goes through :meth:`ClusteredSearchEngine.replicated_write`, which
+  bumps the vertical's counter, and every reshard cutover bumps the
+  route-map version, so a cached entry is never stale.
+* **Execution scatter:** every shard runs the single-node engine's
+  per-index search (:func:`~repro.searchengine.engine.execute_query`)
+  on its own partition, handing the scorer the merged statistics in
+  place of the shard's own; the gatherer heap-merges the sorted shard
+  lists into the global top-k.
 
 Shard tasks run one after another on the calling thread; shards are
 parallel in the cost model only — simulated latency is the *max* over
@@ -24,11 +30,15 @@ whole point of partitioning.
 When every replica of a shard is down (killed or faulted out), the
 query degrades instead of failing: the response carries the
 surviving shards' results with ``degraded=True`` and the failed shard
-ids, so applications keep rendering.
+ids, so applications keep rendering. The survivors are scored under
+the last complete statistics when the entry is warm, and under what
+the surviving shards reported when the shard was lost in the
+``stats`` round.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import islice
 
@@ -58,6 +68,10 @@ __all__ = [
     "ClusteredSearchEngine",
     "build_clustered_engine",
 ]
+
+#: Most distinct terms one vertical's cached statistics hold; a cold
+#: round that would pass it starts the entry over.
+STATS_CACHE_TERMS = 2048
 
 
 @dataclass(frozen=True)
@@ -203,10 +217,16 @@ class ClusteredSearchEngine:
         # health (identical to what every replica was built with).
         from repro.searchengine.engine import make_vertical_indexes
         self._reference = make_vertical_indexes(self.authority)
-        # Bumped on every replicated write; invalidates merged-vocabulary
-        # caches (spelling correctors).
-        self._corpus_version = 0
-        # (vertical, corpus version, route-map version) -> corrector
+        # Writes applied per vertical, bumped by every replicated write:
+        # whatever was merged from a vertical's shards (statistics,
+        # spelling vocabulary) is current only at the count it was
+        # merged at.
+        self._writes = dict.fromkeys(Vertical, 0)
+        self._writes_lock = threading.Lock()
+        # vertical -> ((writes, route-map version), merged CorpusStats,
+        # the terms its doc frequencies cover)
+        self._stats: dict = {}
+        # (vertical, writes, route-map version) -> corrector
         self._correctors: dict = {}
 
     # -- topology ------------------------------------------------------------
@@ -331,8 +351,13 @@ class ClusteredSearchEngine:
             mutate(replica)
             if lsn:
                 replica.applied_lsn = lsn
-        self.groups[shard_id].broadcast(write)
-        self._corpus_version += 1
+        try:
+            self.groups[shard_id].broadcast(write)
+        finally:
+            # Counted even when a replica raised part-way: some may
+            # have applied the write.
+            with self._writes_lock:
+                self._writes[Vertical(vertical)] += 1
         if self.durability is not None:
             self.durability.after_write(shard_id)
 
@@ -415,7 +440,7 @@ class ClusteredSearchEngine:
         terms = extract_terms(node, reference.index.analyzer)
         now_ms = self.clock.now_ms
         failed: set[int] = set()
-        # Pin one topology for the whole query: both scatter phases and
+        # Pin one topology for the whole query: every scatter round and
         # the gather see the same route map even if the control plane
         # flips it mid-flight, so a query can never mix shard layouts.
         route = self.router.snapshot()
@@ -423,26 +448,34 @@ class ClusteredSearchEngine:
         if root:
             root.set("topology_version", route.version)
 
-        # Phase 1: gather global statistics (skipped for pure-filter
-        # queries, which BM25 never scores).
+        # Global statistics: from the vertical's entry when it is
+        # current and covers every term, else one round over all of
+        # them (none for pure-filter queries, which BM25 never scores).
+        stats = CorpusStats.empty()
         if terms:
-            with self._tracer.span("phase:stats"):
-                outcomes = self.executor.scatter({
-                    group.shard_id: self._shard_task(
-                        group, "stats",
-                        lambda r: r.collect_stats(vkey, terms),
-                    )
-                    for group in groups
-                })
-            failed |= {sid for sid, out in outcomes.items()
-                       if not out.ok}
-            stats = CorpusStats.merge(
-                out.value for out in outcomes.values() if out.ok
-            )
-        else:
-            stats = CorpusStats.empty()
+            key = (self._writes[vkey], route.version)
+            entry = self._stats.get(vkey)
+            if (entry is not None and entry[0] == key
+                    and entry[2].issuperset(terms)):
+                stats = entry[1]
+            else:
+                with self._tracer.span("phase:stats"):
+                    outcomes = self.executor.scatter({
+                        group.shard_id: self._shard_task(
+                            group, "stats",
+                            lambda r: r.collect_stats(vkey, terms),
+                        )
+                        for group in groups
+                    })
+                failed |= {sid for sid, out in outcomes.items()
+                           if not out.ok}
+                stats = CorpusStats.merge(
+                    out.value for out in outcomes.values() if out.ok
+                )
+                if not failed:
+                    self._remember_stats(vkey, key, stats, terms)
 
-        # Phase 2: per-shard evaluate + rank under the global
+        # Execution: per-shard evaluate + rank under the global
         # statistics; remember which replica served each shard so the
         # gather phase can materialize results from it. Skipped
         # entirely when the query's deadline already ran out — the
@@ -630,9 +663,26 @@ class ClusteredSearchEngine:
 
     # -- internals ------------------------------------------------------------
 
+    def _remember_stats(self, vkey: Vertical, key: tuple,
+                        stats: CorpusStats, terms) -> None:
+        """Fold a complete round's statistics into the vertical's entry.
+
+        Under the same key the corpus is the same, so document count
+        and field lengths already agree and only the new document
+        frequencies are added; a new key, or passing
+        :data:`STATS_CACHE_TERMS`, starts the entry over from ``stats``.
+        """
+        entry = self._stats.get(vkey)
+        if (entry is None or entry[0] != key
+                or len(entry[2]) + len(terms) > STATS_CACHE_TERMS):
+            self._stats[vkey] = (key, stats, set(terms))
+            return
+        entry[1].doc_frequency.update(stats.doc_frequency)
+        entry[2].update(terms)
+
     def _suggest(self, vkey: Vertical, terms) -> str | None:
         """'Did you mean' over the merged cross-shard vocabulary."""
-        cache_key = (vkey, self._corpus_version,
+        cache_key = (vkey, self._writes[vkey],
                      self.router.topology_version)
         corrector = self._correctors.get(cache_key)
         if corrector is None:

@@ -252,7 +252,10 @@ class QueryEvaluator:
     An AND narrows as it goes: each child is evaluated only within the
     documents its earlier siblings left, and every leaf intersects with
     that set from its smaller side, so a restriction costs what is left
-    to restrict rather than what it matches in the whole index.
+    to restrict rather than what it matches in the whole index. An OR of
+    filters on one keyword field (a ``site:`` restriction) over fewer
+    documents than it has values is one membership pass over those
+    documents rather than one look-up per value.
     """
 
     def __init__(self, index, text_fields: list[str]) -> None:
@@ -282,6 +285,10 @@ class QueryEvaluator:
                     return set()
             return within
         if isinstance(node, OrNode):
+            if within is not None and len(within) < len(node.children):
+                keyword_or = self._keyword_or(node.children)
+                if keyword_or is not None:
+                    return self._scan_keyword(*keyword_or, within)
             result: set = set()
             for child in node.children:
                 result |= self._eval(child, within)
@@ -339,6 +346,33 @@ class QueryEvaluator:
                 return (value >= bound if is_low else value <= bound)
 
         return compare(low, True) and compare(high, False)
+
+    def _keyword_or(self, children) -> tuple | None:
+        """``(field, lowered values)`` when every child is a filter on
+        one keyword-mode field, else ``None``."""
+        first = children[0]
+        if not isinstance(first, FilterNode) or \
+                self._index.field_modes.get(first.field) != FieldMode.KEYWORD:
+            return None
+        values = set()
+        for child in children:
+            if not isinstance(child, FilterNode) or \
+                    child.field != first.field:
+                return None
+            values.add(child.value.lower())
+        return first.field, values
+
+    def _scan_keyword(self, field_name: str, values: set, within) -> set:
+        """The documents of ``within`` whose keyword field ``field_name``
+        is one of ``values``: one pass over what is left, comparing the
+        value as the index files it (``str(value).lower()``)."""
+        document = self._index.document
+        matched = set()
+        for doc_id in within:
+            value = document(doc_id).fields.get(field_name)
+            if value is not None and str(value).lower() in values:
+                matched.add(doc_id)
+        return matched
 
     def _eval_filter(self, field_name: str, value: str, within) -> set:
         if self._index.field_modes.get(field_name) == FieldMode.KEYWORD:

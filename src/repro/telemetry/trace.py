@@ -142,7 +142,9 @@ class Tracer:
 
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock or SimClock()
-        self._finished: list[Span] = []
+        # trace id -> its finished spans, in completion order; a
+        # trace's spans are read without touching any other trace's
+        self._finished: dict[str, list[Span]] = {}
         self._lock = threading.Lock()
         self._root_counts: dict[str, int] = {}
 
@@ -173,28 +175,29 @@ class Tracer:
     def _finish(self, span: Span) -> None:
         span.end_ms = self.clock.now_ms
         with self._lock:
-            self._finished.append(span)
+            self._finished.setdefault(span.trace_id, []).append(span)
 
     # -- accessors ------------------------------------------------------------
 
     @property
     def spans(self) -> list[Span]:
-        """Finished spans in a deterministic order (not completion
-        order, which depends on how concurrent callers interleave)."""
+        """Finished spans in a deterministic order — by trace id, then
+        start, then span id — not completion order, which depends on
+        how concurrent callers interleave."""
         with self._lock:
-            return sorted(
-                self._finished,
-                key=lambda s: (s.trace_id, s.start_ms, s.span_id),
-            )
+            return [span for trace_id in sorted(self._finished)
+                    for span in sorted(self._finished[trace_id],
+                                       key=_start_then_id)]
 
     def trace_spans(self, trace_id: str) -> list[Span]:
-        return [s for s in self.spans if s.trace_id == trace_id]
+        """One trace's finished spans, by start then span id."""
+        with self._lock:
+            return sorted(self._finished.get(trace_id, ()),
+                          key=_start_then_id)
 
     def trace_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for span in self.spans:
-            seen.setdefault(span.trace_id)
-        return list(seen)
+        with self._lock:
+            return sorted(self._finished)
 
     def reset(self) -> None:
         with self._lock:
@@ -229,6 +232,10 @@ NULL_TRACER = NullTracer()
 
 def _hex(value: int) -> str:
     return f"{value:016x}"
+
+
+def _start_then_id(span: Span) -> tuple:
+    return span.start_ms, span.span_id
 
 
 def _as_dict(span) -> dict:

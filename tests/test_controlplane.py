@@ -119,38 +119,54 @@ class TestRouteMap:
 
 
 class TestRouteFlipIsolation:
-    def test_mid_query_flip_does_not_mix_layouts(self, make_cluster):
-        """A query pins one route snapshot: flipping the topology
-        between its scatter phases must not change the shard set it
-        talks to."""
-        engine = make_cluster(num_shards=2)
+    @staticmethod
+    def flip_on_first_scatter(engine):
+        """Record each scatter round's shard set; the first round flips
+        the route to a merged layout before it runs."""
         merged, __ = engine.router.snapshot().merge(1, 0)
-        baseline = snap(engine)
-
         scattered = []
         real_scatter = engine.executor.scatter
-        flipped = []
 
         def spying_scatter(tasks):
-            scattered.append(frozenset(tasks))
-            if not flipped:
+            if not scattered:
                 engine.apply_route(merged)
-                flipped.append(True)
+            scattered.append(frozenset(tasks))
             return real_scatter(tasks)
 
         engine.executor.scatter = spying_scatter
+        return scattered
+
+    def test_mid_query_flip_does_not_mix_layouts(self, make_cluster):
+        """A query pins one route snapshot: flipping the topology
+        between its stats and execution rounds must not change the
+        shard set it talks to. A term the engine has not seen needs
+        both rounds."""
+        baseline = snap(make_cluster(num_shards=2))
+        engine = make_cluster(num_shards=2)
+        scattered = self.flip_on_first_scatter(engine)
         during = snap(engine)
         after_sets_start = len(scattered)
         snap(engine)
 
-        # Both phases of the in-flight query used the pinned two-shard
-        # layout even though the route flipped after phase 1 ...
-        assert scattered[0] == frozenset({0, 1})
-        assert scattered[1] == frozenset({0, 1})
+        # Both rounds of the in-flight query used the pinned two-shard
+        # layout even though the route flipped during the first ...
+        assert scattered[:after_sets_start] == [frozenset({0, 1})] * 2
         assert during == baseline
-        # ... and the next query consistently sees the new layout.
-        for shard_set in scattered[after_sets_start:]:
-            assert shard_set == frozenset({0})
+        # ... and the next query, whose cached statistics belong to the
+        # old layout, runs both rounds on the new one.
+        assert scattered[after_sets_start:] == [frozenset({0})] * 2
+
+    def test_warm_query_flip_does_not_mix_layouts(self, make_cluster):
+        """With the statistics cached a query is one execution round on
+        the pinned layout; the flip it saw invalidates the entry."""
+        engine = make_cluster(num_shards=2)
+        baseline = snap(engine)
+        scattered = self.flip_on_first_scatter(engine)
+        during = snap(engine)
+        assert scattered == [frozenset({0, 1})]
+        assert during == baseline
+        snap(engine)
+        assert scattered[1:] == [frozenset({0})] * 2
 
 
 class TestReplicaScaling:

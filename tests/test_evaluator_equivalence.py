@@ -276,3 +276,94 @@ def test_every_caller_answers_as_with_the_reference(corpus, node):
     items = base.search(text)["base_items"]
     with with_reference("repro.baselines.google_base"):
         assert items == base.search(text)["base_items"]
+
+
+# -- a keyword OR is one pass over what is left ---------------------------------
+#
+# A ``site:`` OR under an AND that left fewer documents than the OR has
+# values scans those documents once instead of looking each value up.
+# Documents here may lack the keyword field or hold it as ``None`` or in
+# mixed case; OR values repeat, differ in case, and include sites no
+# document holds.
+
+KEYWORD_VALUES = SITES[:10] + ("S1.EXAMPLE", "s2.Example", "nowhere.example")
+
+keyword_docs = st.fixed_dictionaries(
+    {"title": st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join),
+     "body": st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)},
+    optional={"site": st.sampled_from(SITES[:6] + ("S1.Example", None)),
+              "topic": st.sampled_from(TOPICS + (None,))},
+)
+
+
+def keyword_or(field_name, values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=14).map(
+        lambda picked: OrNode(tuple(FilterNode(field_name, v)
+                                    for v in picked)))
+
+
+# ORs the pass must leave to the general path: two keyword fields, a
+# keyword filter beside a term, a keyword filter beside a text filter.
+general_ors = st.lists(st.one_of(
+    st.builds(FilterNode, st.just("site"), st.sampled_from(KEYWORD_VALUES)),
+    st.builds(FilterNode, st.just("topic"), st.sampled_from(TOPICS)),
+    st.builds(TermNode, st.sampled_from(WORDS)),
+    st.builds(FilterNode, st.just("title"), st.sampled_from(WORDS)),
+), min_size=2, max_size=14).map(lambda children: OrNode(tuple(children)))
+
+narrowers = st.one_of(
+    st.builds(TermNode, st.sampled_from(WORDS)),
+    st.builds(NotNode, st.builds(TermNode, st.sampled_from(WORDS))),
+    st.builds(FilterNode, st.just("topic"), st.sampled_from(TOPICS)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(keyword_docs, min_size=1, max_size=25), narrowers,
+       st.one_of(keyword_or("site", KEYWORD_VALUES),
+                 keyword_or("topic", TOPICS + ("WINE", "none")),
+                 general_ors))
+def test_keyword_or_pass_equals_set_algebra(specs, narrower, or_node):
+    index = churned_index(specs, [], [])
+    fields = ["title", "body"]
+    for node in (AndNode((narrower, or_node)), or_node,
+                 AndNode((narrower, NotNode(or_node)))):
+        got = QueryEvaluator(index, fields).candidates(node)
+        assert got == ReferenceEvaluator(index, fields).candidates(node), \
+            node
+
+
+def test_keyword_or_pass_runs_only_below_the_threshold():
+    index = churned_index([
+        {"title": "halo", "body": "", "site": "s1.example"},
+        {"title": "halo", "body": "", "site": "S2.Example"},
+        {"title": "halo", "body": ""},
+        {"title": "zelda", "body": "", "site": "s3.example"},
+    ], [], [])
+    evaluator = QueryEvaluator(index, ["title", "body"])
+    scanned = []
+    real_scan = evaluator._scan_keyword
+
+    def spy(*args):
+        scanned.append(args[:2])
+        return real_scan(*args)
+
+    evaluator._scan_keyword = spy
+    sites = ("s1.example", "s2.example", "S2.EXAMPLE", "nowhere.example")
+    restricted = OrNode(tuple(FilterNode("site", s) for s in sites))
+    # Three halo documents, four values: one pass.
+    assert evaluator.candidates(AndNode((TermNode("halo"), restricted))) \
+        == {"d00", "d01"}
+    assert scanned == [("site", {"s1.example", "s2.example",
+                                 "nowhere.example"})]
+    # As many documents as values, no narrowing, or a mixed OR: the
+    # general path.
+    three = OrNode(restricted.children[:3])
+    mixed = OrNode((FilterNode("site", "s3.example"),
+                    FilterNode("topic", "wine"), TermNode("halo")))
+    assert evaluator.candidates(AndNode((TermNode("halo"), three))) == \
+        {"d00", "d01"}
+    assert evaluator.candidates(restricted) == {"d00", "d01"}
+    assert evaluator.candidates(AndNode((TermNode("zelda"), mixed))) == \
+        {"d03"}
+    assert len(scanned) == 1

@@ -14,6 +14,7 @@ import math
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterConfig, build_clustered_engine
 from repro.core.platform import Symphony
@@ -236,6 +237,27 @@ class TestMetricsRegistry:
 # -- tracer -------------------------------------------------------------------
 
 
+span_trees = st.recursive(
+    st.tuples(st.sampled_from(("query", "stage", "shard")),
+              st.integers(0, 2), st.just(())),
+    lambda inner: st.tuples(st.sampled_from(("query", "stage", "shard")),
+                            st.integers(0, 2),
+                            st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=10)
+
+
+def open_tree(tracer, clock, tree, opened) -> None:
+    """Open ``(name, ms, children)`` as nested spans, advancing the
+    clock ``ms`` before the span opens and again before it closes."""
+    name, advance, children = tree
+    clock.advance(advance)
+    with tracer.span(name) as span:
+        opened.append(span)
+        for child in children:
+            open_tree(tracer, clock, child, opened)
+        clock.advance(advance)
+
+
 class TestTracer:
     def test_null_tracer_returns_shared_falsy_span(self):
         span_a = NULL_TRACER.span("anything")
@@ -263,6 +285,27 @@ class TestTracer:
         (span,) = telemetry.tracer.spans
         assert span.status == "error"
         assert span.attrs["error"] == "kaput"
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(span_trees, max_size=6))
+    def test_a_trace_reads_as_the_filter_of_every_sorted_span(self, forest):
+        """``trace_spans`` sorts one trace; it must list exactly what
+        filtering every finished span, sorted by (trace, start, id),
+        lists — repeated names and equal start times included."""
+        clock = SimClock()
+        tracer = Telemetry(clock=clock).tracer
+        opened = []
+        for tree in forest:
+            open_tree(tracer, clock, tree, opened)
+        every = sorted(opened,
+                       key=lambda s: (s.trace_id, s.start_ms, s.span_id))
+        assert tracer.spans == every
+        assert tracer.trace_ids() == list(
+            dict.fromkeys(s.trace_id for s in every))
+        for trace_id in tracer.trace_ids() + ["no-such-trace"]:
+            assert tracer.trace_spans(trace_id) == \
+                [s for s in every if s.trace_id == trace_id]
+
 
 
 # -- cluster tracing ----------------------------------------------------------
