@@ -14,13 +14,14 @@ from repro.core.capability import CapabilityProfile
 from repro.errors import IngestError, UnsupportedCapabilityError
 from repro.ingest.readers import parse_delimited, parse_xml_records
 from repro.ingest.rss import parse_rss
-from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument
-from repro.searchengine.engine import SearchOptions
-from repro.searchengine.index import InvertedIndex
-from repro.searchengine.query import QueryEvaluator, extract_terms, \
-    parse_query
-from repro.searchengine.ranking import BM25Scorer
+from repro.searchengine.engine import (
+    SearchOptions,
+    VerticalIndex,
+    execute_query,
+)
+from repro.searchengine.query import extract_terms, parse_query
+from repro.searchengine.ranking import BM25Parameters
 
 __all__ = ["GoogleBasePlatform"]
 
@@ -36,7 +37,8 @@ class GoogleBasePlatform(BaselinePlatform):
 
     def __init__(self, engine) -> None:
         super().__init__(engine)
-        self._index = InvertedIndex(Analyzer())
+        # Every uploaded attribute is a searched text field.
+        self._items = VerticalIndex("base", [], BM25Parameters())
         self._item_count = 0
 
     # -- uploads (the one thing Google Base does) -----------------------------------
@@ -47,13 +49,14 @@ class GoogleBasePlatform(BaselinePlatform):
         for row in rows:
             self._item_count += 1
             doc_id = f"base:{table_name}:{self._item_count}"
-            self._index.add(FieldedDocument(
+            self._items.add(FieldedDocument(
                 doc_id=doc_id,
                 fields={k: "" if v is None else str(v)
                         for k, v in row.items()},
                 payload=dict(row),
             ))
             inserted += 1
+        self._items.text_fields = self._items.index.text_fields()
         return inserted
 
     def upload_feed(self, data: bytes, fmt: str,
@@ -79,18 +82,12 @@ class GoogleBasePlatform(BaselinePlatform):
             "web", query_text, SearchOptions(count=count)
         )
         node = parse_query(query_text)
-        fields = self._index.text_fields()
-        base_items = []
-        if fields:
-            evaluator = QueryEvaluator(self._index, fields)
-            candidates = evaluator.candidates(node)
-            terms = extract_terms(node, self._index.analyzer)
-            ranked = BM25Scorer(self._index, fields, None,
-                                terms).rank(candidates, limit=3)
-            base_items = [
-                self._index.document(doc_id).payload
-                for doc_id, __ in ranked
-            ]
+        items = self._items
+        top, __ = execute_query(items, node, SearchOptions(),
+                                extract_terms(node, items.index.analyzer),
+                                0, limit=3)
+        base_items = [items.index.document(doc_id).payload
+                      for doc_id, __ in top]
         return {"web_results": web.results, "base_items": base_items}
 
     # -- probe protocol ------------------------------------------------------------------

@@ -50,7 +50,7 @@ from repro.searchengine.engine import (
     apply_options_to_ast,
     simulated_latency_ms,
 )
-from repro.searchengine.facets import FacetCount, FacetResult
+from repro.searchengine.facets import FacetResult
 from repro.searchengine.logs import QueryEvent, QueryLog
 from repro.searchengine.query import extract_terms, parse_query
 from repro.searchengine.spelling import SpellingCorrector
@@ -651,15 +651,8 @@ class ClusteredSearchEngine:
                 target = merged[name]
                 for value, count in buckets.items():
                     target[value] = target.get(value, 0) + count
-        return {
-            name: FacetResult(name, tuple(
-                FacetCount(value, count)
-                for value, count in sorted(
-                    buckets.items(), key=lambda pair: (-pair[1], pair[0])
-                )
-            ))
-            for name, buckets in merged.items()
-        }
+        return {name: FacetResult.of(name, buckets)
+                for name, buckets in merged.items()}
 
     # -- internals ------------------------------------------------------------
 

@@ -208,9 +208,8 @@ class ShardReplica:
         from repro.searchengine.facets import compute_facets
         self.reads_served += 1
         self._check_fault()
-        vindex = self.vertical(vertical)
-        results = compute_facets(vindex.index, vindex.text_fields,
-                                 query_text, facet_fields)
+        results = compute_facets(self.vertical(vertical), query_text,
+                                 facet_fields)
         return {name: result.as_dict()
                 for name, result in results.items()}
 

@@ -15,18 +15,22 @@ from enum import Enum
 
 from repro.errors import ConfigurationError, DuplicateError, NotFoundError
 from repro.gateway.generations import table_key
-from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument
-from repro.searchengine.engine import SearchOptions
-from repro.searchengine.index import InvertedIndex
+from repro.searchengine.engine import (
+    SearchOptions,
+    VerticalIndex,
+    evaluate_candidates,
+    execute_query,
+)
 from repro.searchengine.query import (
+    AndNode,
+    NotNode,
     OrNode,
-    QueryEvaluator,
     TermNode,
     extract_terms,
     parse_query,
 )
-from repro.searchengine.ranking import BM25Parameters, BM25Scorer
+from repro.searchengine.ranking import BM25Parameters
 
 __all__ = [
     "SourceKind",
@@ -145,15 +149,36 @@ class DataSource(ABC):
         )
 
 
-class ProprietaryTableSource(DataSource):
-    """Searchable proprietary data: a tenant table + a private index.
+_PLAIN = SearchOptions()    # no site, freshness or augment terms
+_EVERYTHING = NotNode(OrNode(()))   # NOT of the OR of nothing
+_URL_FIELDS = ("url", "detail_url", "link", "homepage")
 
-    ``search_fields`` are the fields queries run against ("search by
-    title, producer, and description" in §II-B); all schema fields remain
-    available for layout binding. The index is brought up to date at
-    the next search after the table changed, at the cost of the rows
-    that changed: the table's change tail names them and only they are
-    re-indexed. Every row is indexed only on first use, or when more
+
+def _boosting(search_fields) -> BM25Parameters:
+    """The first search field counts double."""
+    return BM25Parameters(field_boosts=dict.fromkeys(search_fields[:1],
+                                                     2.0))
+
+
+def _conjunction(node, filters):
+    """``node`` (``None``: every document) ANDed with ``filters``."""
+    parts = (() if node is None else (node,)) + tuple(filters)
+    if len(parts) < 2:
+        return parts[0] if parts else _EVERYTHING
+    return AndNode(parts)
+
+
+class ProprietaryTableSource(DataSource):
+    """Searchable proprietary data: a tenant table as a search vertical.
+
+    A search is the engine's :func:`execute_query` over the table's
+    :class:`VerticalIndex`, then a tenant materializer. ``search_fields``
+    are the fields queries run against ("search by title, producer, and
+    description" in §II-B), the first boosted; all schema fields remain
+    available for layout binding and filters. The index is brought up to
+    date at the next search after the table changed, at the cost of the
+    rows that changed: the table's change tail names them and only they
+    are re-indexed. Every row is indexed only on first use, or when more
     changed between two searches than the tail holds.
     """
 
@@ -169,7 +194,7 @@ class ProprietaryTableSource(DataSource):
                     f"{table.name!r}"
                 )
         self.search_fields = tuple(search_fields)
-        self._index: InvertedIndex | None = None
+        self._vertical: VerticalIndex | None = None
         # table.mutations the index is current with: the cursor into
         # the table's change tail (-1, which no table holds: not built).
         self._indexed_mutations = -1
@@ -189,18 +214,18 @@ class ProprietaryTableSource(DataSource):
     def generation_keys(self) -> tuple:
         return (table_key(self.tenant_id, self._table.name),)
 
-    def _ensure_index(self) -> InvertedIndex:
+    def vertical(self, search_fields=()) -> VerticalIndex:
+        """The table's vertical, current with the table, searched by
+        ``search_fields`` (default: the source's), the first boosted."""
         table = self._table
-        mutations = table.mutations
-        if self._indexed_mutations == mutations:
-            return self._index
-        changed = table.changes_since(self._indexed_mutations)
-        if changed is None:
-            index = self._index = InvertedIndex(Analyzer())
-            for record in table.all_records():
-                index.add(self._document(record))
-        else:
-            index = self._index
+        if self._indexed_mutations != table.mutations:
+            changed = table.changes_since(self._indexed_mutations)
+            if changed is None:     # first use, or the tail fell short
+                self._vertical = VerticalIndex(
+                    f"table:{table.name}", self.search_fields,
+                    _boosting(self.search_fields))
+                changed = [record.record_id for record in table]
+            index = self._vertical.index
             for record_id in dict.fromkeys(changed):
                 try:
                     current = table.get(record_id)
@@ -211,18 +236,18 @@ class ProprietaryTableSource(DataSource):
                         continue
                     index.remove(record_id)
                 if current is not None:
-                    index.add(self._document(current))
-        self._indexed_mutations = mutations
-        return index
-
-    @staticmethod
-    def _document(record) -> FieldedDocument:
-        return FieldedDocument(
-            doc_id=record.record_id,
-            fields={name: "" if value is None else str(value)
-                    for name, value in record.values.items()},
-            payload=record,
-        )
+                    # Typed values, so predicates compare numbers as
+                    # numbers (the index files ``str(value)``); "" is a
+                    # missing value, which coercion never stores.
+                    index.add(FieldedDocument(record_id, {
+                        name: "" if value is None else value
+                        for name, value in current.values.items()},
+                        current))
+            self._indexed_mutations = table.mutations
+        fields = tuple(search_fields) or self.search_fields
+        if fields == self.search_fields:
+            return self._vertical
+        return self._vertical.searching(fields, _boosting(fields))
 
     def export_config(self) -> dict:
         return {
@@ -243,50 +268,53 @@ class ProprietaryTableSource(DataSource):
         from repro.core.structured import execute_structured
         return execute_structured(self, structured_query)
 
-    def search(self, query: SourceQuery) -> SourceResult:
-        index = self._ensure_index()
-        search_fields = tuple(
-            query.context.get("search_fields") or self.search_fields
-        )
-        node = parse_query(query.text)
-        evaluator = QueryEvaluator(index, list(search_fields))
-        candidates = evaluator.candidates(node)
-        terms = extract_terms(node, index.analyzer)
-        if not candidates and len(terms) > 1:
-            # Strict AND found nothing; relax to OR so a storefront search
-            # for "halo odyssey deluxe" still surfaces "Halo Odyssey".
-            relaxed = OrNode(tuple(TermNode(t) for t in terms))
-            candidates = evaluator.candidates(relaxed)
-        params = BM25Parameters(
-            field_boosts={name: 2.0 if name == search_fields[0] else 1.0
-                          for name in search_fields}
-        )
-        top = BM25Scorer(index, list(search_fields), params,
-                         terms).rank(candidates,
-                                     limit=query.offset + query.count)
+    def rank(self, node, terms, limit: int | None, *, search_fields=(),
+             filters=()) -> tuple:
+        """``(top, candidate_count)`` of ``node`` (``None``: every row)
+        ANDed with ``filters``, ``terms`` scored. If ``node`` matches
+        nothing, several terms relax to their OR, so "halo odyssey
+        deluxe" still surfaces "Halo Odyssey"; filters never relax."""
+        vertical = self.vertical(search_fields)
+        top, total = execute_query(vertical, _conjunction(node, filters),
+                                   _PLAIN, terms, 0, limit=limit)
+        if not total and len(terms) > 1 and not (
+                filters and evaluate_candidates(vertical, node, _PLAIN, 0)):
+            relaxed = OrNode(tuple(TermNode(term) for term in terms))
+            top, total = execute_query(vertical,
+                                       _conjunction(relaxed, filters),
+                                       _PLAIN, terms, 0, limit=limit)
+        return top, total
+
+    def materialize(self, ranked, scored: bool) -> tuple:
+        """One item per ``(record id, score)``; without ``scored`` terms
+        a match has no relevance to report, so its score is 0.0."""
+        document = self._vertical.index.document
         title_field = self.fields()[0]
         items = []
-        for doc_id, score in top[query.offset:]:
-            record = index.document(doc_id).payload
-            url = next(
-                (str(record.values[name])
-                 for name in ("url", "detail_url", "link", "homepage")
-                 if record.values.get(name)),
-                "",
-            )
+        for doc_id, score in ranked:
+            values = document(doc_id).payload.values
             items.append(SourceItem(
                 item_id=doc_id,
-                title=str(record.values.get(title_field, doc_id)),
-                url=url,
-                snippet="",
-                # A filter-only match has no text relevance to report.
-                score=round(score, 6) if terms else 0.0,
-                fields=dict(record.values),
+                title=str(values.get(title_field, doc_id)),
+                url=next((str(values[name]) for name in _URL_FIELDS
+                          if values.get(name)), ""),
+                score=round(score, 6) if scored else 0.0,
+                fields=dict(values),
             ))
+        return tuple(items)
+
+    def search(self, query: SourceQuery) -> SourceResult:
+        fields = query.context.get("search_fields") or ()
+        node = parse_query(query.text)
+        terms = extract_terms(node, self.vertical().index.analyzer)
+        top, total = self.rank(node, terms, query.offset + query.count,
+                               search_fields=fields)
         metadata = (self.contract_status()
                     if self.contract_status is not None else {})
-        return SourceResult(self.source_id, tuple(items), len(candidates),
-                            metadata=metadata or {})
+        return SourceResult(self.source_id,
+                            self.materialize(top[query.offset:],
+                                             bool(terms)),
+                            total, metadata=metadata or {})
 
 
 class WebSearchSource(DataSource):

@@ -3,16 +3,20 @@
 A :class:`StructuredQuery` combines free-text relevance search with typed
 field predicates, ordering, and paging over a proprietary source — the
 kind of faceted storefront query ("in-stock RPGs under $30, cheapest
-first") that plain keyword search can't express.
+first") that plain keyword search can't express. Predicates are query
+nodes: the source's vertical evaluates them with the text, so only the
+rows of the requested page are ever materialized.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from repro.core.datasources import SourceItem, SourceQuery, SourceResult
+from repro.core.datasources import SourceResult
 from repro.errors import ValidationError
+from repro.searchengine.query import ValueNode, extract_terms, parse_query
 
 __all__ = ["FieldPredicate", "StructuredQuery", "execute_structured"]
 
@@ -27,8 +31,11 @@ _OPERATORS = {
 
 
 @dataclass(frozen=True)
-class FieldPredicate:
-    """One typed predicate: ``price < 30``, ``producer contains 'studio'``."""
+class FieldPredicate(ValueNode):
+    """One typed predicate: ``price < 30``, ``producer contains 'studio'``.
+
+    A query node, decided per row from the stored value of ``field``.
+    """
 
     field: str
     op: str
@@ -42,8 +49,12 @@ class FieldPredicate:
             )
 
     def matches(self, record_values: dict) -> bool:
-        actual = record_values.get(self.field)
-        if actual is None:
+        return self.accepts(record_values.get(self.field))
+
+    def accepts(self, actual) -> bool:
+        # A missing value (None, or the "" an index stores for it)
+        # matches no predicate, not even "ne".
+        if actual is None or actual == "":
             return False
         if self.op == "contains":
             return str(self.value).lower() in str(actual).lower()
@@ -79,67 +90,49 @@ class StructuredQuery:
     def where(self, field_name: str, op: str,
               value) -> "StructuredQuery":
         """Return a copy with one more predicate (builder style)."""
-        return StructuredQuery(
-            text=self.text,
-            predicates=self.predicates + (
-                FieldPredicate(field_name, op, value),
-            ),
-            order_by=self.order_by,
-            descending=self.descending,
-            limit=self.limit,
-            offset=self.offset,
-        )
+        return replace(self, predicates=self.predicates + (
+            FieldPredicate(field_name, op, value),))
 
 
 def execute_structured(source, query: StructuredQuery) -> SourceResult:
     """Run a :class:`StructuredQuery` against a proprietary source.
 
-    With ``text``, candidates come from the relevance search (preserving
-    its ranking unless ``order_by`` overrides it); without, the whole
-    table is scanned. Predicates filter; ordering and paging apply last.
+    The predicates are ANDed with the text (with every row when there is
+    none) and evaluated by the source's vertical among the rows the text
+    left. Without ``order_by`` rows come in relevance order, which for a
+    query without text is record-id order. ``order_by`` selects the page
+    by that column with a bounded heap, missing values last in either
+    direction and ties in relevance order.
     """
     if query.limit <= 0:
         raise ValidationError("structured query limit must be positive")
-    table = source.table
-    if query.text:
-        relevance = source.search(SourceQuery(query.text,
-                                              count=len(table) or 1))
-        candidates = [(item, item.fields) for item in relevance.items]
-    else:
-        candidates = []
-        for record in table.all_records():
-            item = SourceItem(
-                item_id=record.record_id,
-                title=str(record.values.get(
-                    table.schema.field_names()[0], record.record_id
-                )),
-                fields=dict(record.values),
-            )
-            candidates.append((item, record.values))
-
-    filtered = [
-        item for item, values in candidates
-        if all(predicate.matches(values)
-               for predicate in query.predicates)
-    ]
-
+    if query.order_by and not source.table.schema.has_field(query.order_by):
+        raise ValidationError(
+            f"cannot order by unknown field {query.order_by!r}"
+        )
+    vertical = source.vertical()
+    node = parse_query(query.text) if query.text else None
+    terms = [] if node is None else extract_terms(node,
+                                                  vertical.index.analyzer)
+    window = query.offset + query.limit
+    top, total = source.rank(node, terms,
+                             None if query.order_by else window,
+                             filters=query.predicates)
     if query.order_by:
-        if not table.schema.has_field(query.order_by):
-            raise ValidationError(
-                f"cannot order by unknown field {query.order_by!r}"
-            )
+        document = vertical.index.document
+        name, descending = query.order_by, query.descending
 
-        def sort_key(item):
-            value = item.fields.get(query.order_by)
-            # None sorts last regardless of direction.
-            return (value is None,
-                    value if value is not None else 0)
+        def by_column(entry):
+            value = document(entry[0]).payload.values.get(name)
+            if value is None:       # last in either direction
+                return (not descending, 0)
+            return (descending, value)
 
-        filtered.sort(key=sort_key, reverse=query.descending)
-
-    window = filtered[query.offset:query.offset + query.limit]
+        # Both keep ties in relevance order, as a stable sort would.
+        pick = heapq.nlargest if descending else heapq.nsmallest
+        top = pick(window, top, key=by_column)
     return SourceResult(
         source_id=source.source_id,
-        items=tuple(window),
-        total_matches=len(filtered),
+        items=source.materialize(top[query.offset:], bool(terms)),
+        total_matches=total,
     )

@@ -9,6 +9,7 @@ freshness filtering. Every query is charged simulated latency and logged.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -109,20 +110,30 @@ class SearchResponse:
 
 
 class VerticalIndex:
-    """One vertical's index plus its ranking configuration."""
+    """One vertical's index plus its ranking configuration; ``vertical``
+    is a plain name for a corpus other than the engine's four (a tenant
+    table, the Google Base item store)."""
 
-    def __init__(self, vertical: Vertical, text_fields: list[str],
+    def __init__(self, vertical: Vertical | str, text_fields: list[str],
                  params: BM25Parameters,
-                 authority: dict | None = None) -> None:
+                 authority: dict | None = None,
+                 field_modes: dict | None = None) -> None:
         self.vertical = vertical
         self.text_fields = list(text_fields)
         self.params = params
         self.authority = authority or {}
-        modes = {"site": FieldMode.KEYWORD, "topic": FieldMode.KEYWORD}
-        self.index = InvertedIndex(Analyzer(), field_modes=modes)
+        self.index = InvertedIndex(Analyzer(), field_modes=field_modes)
 
     def add(self, document: FieldedDocument) -> None:
         self.index.add(document)
+
+    def searching(self, text_fields, params) -> "VerticalIndex":
+        """This vertical under other text fields and parameters; the
+        index is shared, not copied."""
+        view = copy.copy(self)
+        view.text_fields = list(text_fields)
+        view.params = params
+        return view
 
     def __len__(self) -> int:
         return len(self.index)
@@ -209,14 +220,17 @@ def execute_query(vindex: VerticalIndex, node, options: SearchOptions,
                   limit: int | None = None) -> tuple:
     """The whole per-index search: evaluate, score, select.
 
-    :class:`SearchEngine` runs it on its one index and every cluster
+    :class:`SearchEngine` runs it on its one index, every cluster
     shard replica on its partition, the latter passing the merged
-    corpus-wide ``stats`` (see :mod:`repro.searchengine.stats`).
+    corpus-wide ``stats`` (see :mod:`repro.searchengine.stats`), and a
+    tenant table or the Google Base item store on its own vertical.
     Returns ``(top, candidate_count)``: the best ``limit`` (all when
     ``None``) ``(doc_id, score)`` pairs, score desc then id, and how
     many documents matched.
     """
     candidates = evaluate_candidates(vindex, node, options, now_ms)
+    if not candidates:      # nothing to score: skip the scorer's set-up
+        return [], 0
     scorer = BM25Scorer(vindex.index, vindex.text_fields, vindex.params,
                         terms, stats)
     top = rank_candidates(vindex, candidates, scorer, now_ms, limit)
@@ -327,10 +341,9 @@ class SearchEngine:
                facet_fields=("site", "topic")) -> dict:
         """Facet counts over the query's full candidate set."""
         from repro.searchengine.facets import compute_facets
-        vindex = self.vertical(vertical)
         self.clock.advance(self._BASE_LATENCY_MS)
-        return compute_facets(vindex.index, vindex.text_fields,
-                              query_text, facet_fields)
+        return compute_facets(self.vertical(vertical), query_text,
+                              facet_fields)
 
     # -- internals ------------------------------------------------------------
 
@@ -372,18 +385,20 @@ def make_vertical_indexes(authority: dict | None = None) -> dict:
     media_params = BM25Parameters(field_boosts={"title": 2.0,
                                                 "caption": 2.0,
                                                 "body": 1.0})
+    modes = {"site": FieldMode.KEYWORD, "topic": FieldMode.KEYWORD}
     return {
         Vertical.WEB: VerticalIndex(
-            Vertical.WEB, ["title", "body"], web_params, authority
+            Vertical.WEB, ["title", "body"], web_params, authority, modes
         ),
         Vertical.IMAGE: VerticalIndex(
-            Vertical.IMAGE, ["caption"], media_params
+            Vertical.IMAGE, ["caption"], media_params, field_modes=modes
         ),
         Vertical.VIDEO: VerticalIndex(
-            Vertical.VIDEO, ["title", "body"], media_params
+            Vertical.VIDEO, ["title", "body"], media_params,
+            field_modes=modes
         ),
         Vertical.NEWS: VerticalIndex(
-            Vertical.NEWS, ["title", "body"], web_params
+            Vertical.NEWS, ["title", "body"], web_params, field_modes=modes
         ),
     }
 

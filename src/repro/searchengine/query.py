@@ -24,8 +24,8 @@ from repro.errors import QueryError
 from repro.searchengine.documents import FieldMode
 
 __all__ = [
-    "QueryNode", "TermNode", "PhraseNode", "FilterNode", "RangeNode",
-    "AndNode", "OrNode", "NotNode",
+    "QueryNode", "TermNode", "PhraseNode", "FilterNode", "ValueNode",
+    "RangeNode", "AndNode", "OrNode", "NotNode",
     "parse_query", "QueryEvaluator", "extract_terms",
 ]
 
@@ -50,18 +50,44 @@ class FilterNode(QueryNode):
     value: str
 
 
+class ValueNode(QueryNode):
+    """A node decided per document by ``accepts(value)`` of its stored
+    ``field`` (``None`` when absent): range filters, and the typed
+    predicates of :mod:`repro.core.structured`."""
+
+    def accepts(self, value) -> bool:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class RangeNode(QueryNode):
+class RangeNode(ValueNode):
     """Inclusive range filter: ``price:[10 TO 30]``.
 
     Either bound may be ``*`` (open). Bounds compare numerically when
     both the bound and the document value parse as numbers, otherwise
-    lexicographically (which covers ISO dates).
+    lexicographically (which covers ISO dates). A missing or empty
+    value is in no range.
     """
 
     field: str
     low: str
     high: str
+
+    def accepts(self, value) -> bool:
+        if value is None or value == "":
+            return False
+        value = str(value)
+
+        def compare(bound: str, is_low: bool) -> bool:
+            if bound == "*":
+                return True
+            try:
+                return (float(value) >= float(bound) if is_low
+                        else float(value) <= float(bound))
+            except ValueError:
+                return (value >= bound if is_low else value <= bound)
+
+        return compare(self.low, True) and compare(self.high, False)
 
 
 @dataclass(frozen=True)
@@ -274,8 +300,8 @@ class QueryEvaluator:
             return self._eval_phrase(node.text, within)
         if isinstance(node, FilterNode):
             return self._eval_filter(node.field, node.value, within)
-        if isinstance(node, RangeNode):
-            return self._eval_range(node, within)
+        if isinstance(node, ValueNode):
+            return self._scan_values(node, within)
         if isinstance(node, AndNode):
             if not node.children:
                 return set()
@@ -317,35 +343,16 @@ class QueryEvaluator:
             matched |= self._index.phrase_matches(field_name, terms, offsets)
         return _narrow(matched, within)
 
-    def _eval_range(self, node: RangeNode, within) -> set:
-        """Inclusive range scan over stored field values.
-
-        Ranges are evaluated against the raw document fields (not the
-        analyzed postings), which is what makes them work for numeric
-        and date columns of proprietary data.
-        """
-        matched = set()
-        for doc_id in (self._index.all_doc_ids() if within is None
-                       else within):
-            raw = self._index.document(doc_id).fields.get(node.field)
-            if raw is None or raw == "":
-                continue
-            if self._in_range(str(raw), node.low, node.high):
-                matched.add(doc_id)
-        return matched
-
-    @staticmethod
-    def _in_range(value: str, low: str, high: str) -> bool:
-        def compare(bound: str, is_low: bool) -> bool:
-            if bound == "*":
-                return True
-            try:
-                return (float(value) >= float(bound) if is_low
-                        else float(value) <= float(bound))
-            except ValueError:
-                return (value >= bound if is_low else value <= bound)
-
-        return compare(low, True) and compare(high, False)
+    def _scan_values(self, node: ValueNode, within) -> set:
+        """The documents of ``within`` whose stored ``node.field`` the
+        node accepts: raw document fields, not analyzed postings, which
+        is what makes ranges and predicates work for numeric and date
+        columns of proprietary data."""
+        document = self._index.document
+        name, accepts = node.field, node.accepts
+        return {doc_id for doc_id in (self._index.all_doc_ids()
+                                      if within is None else within)
+                if accepts(document(doc_id).fields.get(name))}
 
     def _keyword_or(self, children) -> tuple | None:
         """``(field, lowered values)`` when every child is a filter on

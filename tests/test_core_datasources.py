@@ -82,6 +82,20 @@ class TestProprietarySource:
         result = source.search(SourceQuery("halo zelda"))
         assert result.total_matches >= 3
 
+    def test_first_search_field_counts_double(self):
+        table = RecordTable("games", Schema((
+            FieldSpec("title", FieldType.STRING),
+            FieldSpec("description", FieldType.STRING))))
+        table.insert({"title": "arena", "description": "halo"},
+                     record_id="a")
+        table.insert({"title": "halo", "description": "arena"},
+                     record_id="b")
+        source = self.make(table, fields=("title", "description"))
+        # Equal lengths and frequencies: only the boost separates them.
+        first, second = source.search(SourceQuery("halo")).items
+        assert first.item_id == "b"
+        assert first.score > second.score
+
     def test_count_limits_items_not_total(self, inventory_table):
         source = self.make(inventory_table)
         result = source.search(SourceQuery("halo", count=1))

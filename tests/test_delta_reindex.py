@@ -35,7 +35,7 @@ def make_source(table):
 
 
 def index_state(source):
-    index = source._ensure_index()
+    index = source.vertical().index
     return {
         "docs": {doc_id: index.document(doc_id).payload
                  for doc_id in index.all_doc_ids()},

@@ -20,11 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.google_base import GoogleBasePlatform
 from repro.core.datasources import ProprietaryTableSource, SourceQuery
-from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument, FieldMode
-from repro.searchengine.engine import build_engine
+from repro.searchengine.engine import VerticalIndex, build_engine
 from repro.searchengine.facets import compute_facets
-from repro.searchengine.index import InvertedIndex
 from repro.searchengine.query import (
     AndNode,
     FilterNode,
@@ -35,6 +33,7 @@ from repro.searchengine.query import (
     RangeNode,
     TermNode,
 )
+from repro.searchengine.ranking import BM25Parameters
 from repro.simweb.model import SyntheticWeb
 from repro.storage.records import FieldSpec, FieldType, RecordTable, Schema
 
@@ -100,11 +99,8 @@ class ReferenceEvaluator:
         if isinstance(node, RangeNode):
             return {
                 doc_id for doc_id in index.all_doc_ids()
-                if index.document(doc_id).fields.get(node.field)
-                not in (None, "")
-                and QueryEvaluator._in_range(
-                    str(index.document(doc_id).fields[node.field]),
-                    node.low, node.high)
+                if node.accepts(index.document(doc_id).fields.get(
+                    node.field))
             }
         if isinstance(node, AndNode):
             result = None
@@ -179,9 +175,11 @@ def churned(draw):
     return specs, removed, readded
 
 
-def churned_index(specs, removed, readded):
-    index = InvertedIndex(Analyzer(), field_modes={
-        "site": FieldMode.KEYWORD, "topic": FieldMode.KEYWORD})
+def churned_vertical(specs, removed, readded):
+    vertical = VerticalIndex("test", ["title", "body"], BM25Parameters(),
+                             field_modes={"site": FieldMode.KEYWORD,
+                                          "topic": FieldMode.KEYWORD})
+    index = vertical.index
     docs = {f"d{n:02d}": FieldedDocument(f"d{n:02d}", fields)
             for n, fields in enumerate(specs)}
     for doc in docs.values():
@@ -190,7 +188,11 @@ def churned_index(specs, removed, readded):
         index.remove(doc_id)
     for doc_id in readded:
         index.add(docs[doc_id])
-    return index
+    return vertical
+
+
+def churned_index(specs, removed, readded):
+    return churned_vertical(specs, removed, readded).index
 
 
 phrases = st.builds(PhraseNode, st.lists(
@@ -254,17 +256,16 @@ def table_source(specs, removed, readded):
 @given(churned(), trees)
 def test_every_caller_answers_as_with_the_reference(corpus, node):
     text = render(node)
-    index = churned_index(*corpus)
-    facets = compute_facets(index, ["title", "body"], text,
-                            ("site", "topic"))
-    with with_reference("repro.searchengine.facets"):
-        assert facets == compute_facets(index, ["title", "body"], text,
-                                        ("site", "topic"))
+    # All three evaluate through the engine's evaluate_candidates.
+    vertical = churned_vertical(*corpus)
+    facets = compute_facets(vertical, text, ("site", "topic"))
+    with with_reference("repro.searchengine.engine"):
+        assert facets == compute_facets(vertical, text, ("site", "topic"))
 
     source = table_source(*corpus)
     query = SourceQuery(text, count=50)
     result = source.search(query)
-    with with_reference("repro.core.datasources"):
+    with with_reference("repro.searchengine.engine"):
         expected = source.search(query)
     assert [(i.item_id, i.score) for i in result.items] == \
         [(i.item_id, i.score) for i in expected.items]
@@ -274,7 +275,7 @@ def test_every_caller_answers_as_with_the_reference(corpus, node):
                                            use_authority=False))
     base.upload_structured_data(corpus[0])
     items = base.search(text)["base_items"]
-    with with_reference("repro.baselines.google_base"):
+    with with_reference("repro.searchengine.engine"):
         assert items == base.search(text)["base_items"]
 
 

@@ -56,9 +56,7 @@ class TestFacets:
         assert len(facets["site"].top(2)) == 2
 
     def test_direct_compute_facets(self, engine):
-        vindex = engine.vertical("web")
-        facets = compute_facets(vindex.index, vindex.text_fields,
-                                "game", ("site",))
+        facets = compute_facets(engine.vertical("web"), "game", ("site",))
         assert facets["site"].counts
 
 

@@ -95,6 +95,12 @@ class TestRangeEvaluation:
     def test_empty_range(self, store):
         assert self.search(store, "price:[1000 TO 2000]") == set()
 
+    def test_bounds_are_inclusive(self, store):
+        assert self.search(store, "price:[14.99 TO 24.99]") == \
+            {"Braid Arena", "Okami Zero"}
+        assert self.search(store, "released:[* TO 2008-08-08]") == \
+            {"Halo Tactics", "Braid Arena"}
+
 
 class TestPredicates:
     def test_operators(self):
