@@ -24,7 +24,6 @@ from repro.searchengine.engine import (
 )
 from repro.searchengine.query import (
     AndNode,
-    NotNode,
     OrNode,
     TermNode,
     extract_terms,
@@ -150,7 +149,6 @@ class DataSource(ABC):
 
 
 _PLAIN = SearchOptions()    # no site, freshness or augment terms
-_EVERYTHING = NotNode(OrNode(()))   # NOT of the OR of nothing
 _URL_FIELDS = ("url", "detail_url", "link", "homepage")
 
 
@@ -158,14 +156,6 @@ def _boosting(search_fields) -> BM25Parameters:
     """The first search field counts double."""
     return BM25Parameters(field_boosts=dict.fromkeys(search_fields[:1],
                                                      2.0))
-
-
-def _conjunction(node, filters):
-    """``node`` (``None``: every document) ANDed with ``filters``."""
-    parts = (() if node is None else (node,)) + tuple(filters)
-    if len(parts) < 2:
-        return parts[0] if parts else _EVERYTHING
-    return AndNode(parts)
 
 
 class ProprietaryTableSource(DataSource):
@@ -218,13 +208,18 @@ class ProprietaryTableSource(DataSource):
         """The table's vertical, current with the table, searched by
         ``search_fields`` (default: the source's), the first boosted."""
         table = self._table
-        if self._indexed_mutations != table.mutations:
+        # Read before the tail: a change landing while this applies
+        # lies past the cursor, so the next call applies it (applying
+        # a change twice is a no-op).
+        mutations = table.mutations
+        if self._indexed_mutations != mutations:
             changed = table.changes_since(self._indexed_mutations)
             if changed is None:     # first use, or the tail fell short
                 self._vertical = VerticalIndex(
                     f"table:{table.name}", self.search_fields,
                     _boosting(self.search_fields))
-                changed = [record.record_id for record in table]
+                changed = [record.record_id
+                           for record in table.all_records()]
             index = self._vertical.index
             for record_id in dict.fromkeys(changed):
                 try:
@@ -243,7 +238,7 @@ class ProprietaryTableSource(DataSource):
                         name: "" if value is None else value
                         for name, value in current.values.items()},
                         current))
-            self._indexed_mutations = table.mutations
+            self._indexed_mutations = mutations
         fields = tuple(search_fields) or self.search_fields
         if fields == self.search_fields:
             return self._vertical
@@ -270,18 +265,29 @@ class ProprietaryTableSource(DataSource):
 
     def rank(self, node, terms, limit: int | None, *, search_fields=(),
              filters=()) -> tuple:
-        """``(top, candidate_count)`` of ``node`` (``None``: every row)
-        ANDed with ``filters``, ``terms`` scored. If ``node`` matches
-        nothing, several terms relax to their OR, so "halo odyssey
-        deluxe" still surfaces "Halo Odyssey"; filters never relax."""
+        """``(top, match_count)``: the best ``limit`` rows matching
+        ``node`` ANDed with ``filters``, ``terms`` scored. If ``node``
+        matches nothing, several terms relax to their OR, so "halo
+        odyssey deluxe" still surfaces "Halo Odyssey"; filters never
+        relax. Without text (``node`` is ``None``) the rows the filters
+        accept come in table order, unscored."""
         vertical = self.vertical(search_fields)
-        top, total = execute_query(vertical, _conjunction(node, filters),
+        filters = tuple(filters)
+        if node is None:
+            accepted = (evaluate_candidates(vertical, AndNode(filters),
+                                            _PLAIN, 0)
+                        if filters else vertical.index)
+            rows = [(record.record_id, 0.0)
+                    for record in self._table.all_records()
+                    if record.record_id in accepted]
+            return rows[:limit], len(rows)
+        top, total = execute_query(vertical, AndNode((node, *filters)),
                                    _PLAIN, terms, 0, limit=limit)
         if not total and len(terms) > 1 and not (
                 filters and evaluate_candidates(vertical, node, _PLAIN, 0)):
             relaxed = OrNode(tuple(TermNode(term) for term in terms))
             top, total = execute_query(vertical,
-                                       _conjunction(relaxed, filters),
+                                       AndNode((relaxed, *filters)),
                                        _PLAIN, terms, 0, limit=limit)
         return top, total
 

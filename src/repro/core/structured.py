@@ -48,9 +48,6 @@ class FieldPredicate(ValueNode):
                 f"of {sorted(_OPERATORS)} or 'contains'"
             )
 
-    def matches(self, record_values: dict) -> bool:
-        return self.accepts(record_values.get(self.field))
-
     def accepts(self, actual) -> bool:
         # A missing value (None, or the "" an index stores for it)
         # matches no predicate, not even "ne".
@@ -97,12 +94,12 @@ class StructuredQuery:
 def execute_structured(source, query: StructuredQuery) -> SourceResult:
     """Run a :class:`StructuredQuery` against a proprietary source.
 
-    The predicates are ANDed with the text (with every row when there is
-    none) and evaluated by the source's vertical among the rows the text
-    left. Without ``order_by`` rows come in relevance order, which for a
-    query without text is record-id order. ``order_by`` selects the page
-    by that column with a bounded heap, missing values last in either
-    direction and ties in relevance order.
+    The predicates are ANDed with the text and evaluated by the source's
+    vertical among the rows the text left (every row when there is no
+    text). Without ``order_by`` rows come in relevance order, or in table
+    order for a query without text. ``order_by`` selects the page by that
+    column with a bounded heap, missing values last in either direction
+    and ties in the order they came.
     """
     if query.limit <= 0:
         raise ValidationError("structured query limit must be positive")
@@ -128,7 +125,7 @@ def execute_structured(source, query: StructuredQuery) -> SourceResult:
                 return (not descending, 0)
             return (descending, value)
 
-        # Both keep ties in relevance order, as a stable sort would.
+        # Both keep ties in the order they came, as a stable sort would.
         pick = heapq.nlargest if descending else heapq.nsmallest
         top = pick(window, top, key=by_column)
     return SourceResult(

@@ -166,6 +166,31 @@ class TestEquivalence:
         assert adds[0] == 2 * len(table)    # the source's and the fresh one's
         assert_same_as_fresh(source, table, queries)
 
+    def test_a_change_landing_while_the_tail_is_applied_is_not_lost(
+            self, monkeypatch):
+        table = make_table()
+        first = table.insert({"sku": "S1", "title": "halo"})
+        second = table.insert({"sku": "S2", "title": "braid"})
+        source = make_source(table)
+        source.search(SourceQuery("halo"))
+        table.update(first.record_id, {"title": "arena"})
+        real_get, landed = table.get, []
+
+        def get(record_id):
+            if not landed:      # an upload lands mid-apply, once
+                landed.append(record_id)
+                table.update(second.record_id, {"title": "racing"})
+            return real_get(record_id)
+
+        monkeypatch.setattr(table, "get", get)
+        assert source.search(SourceQuery("arena")).total_matches == 1
+        assert landed == [first.record_id]
+        assert [item.item_id for item in
+                source.search(SourceQuery("racing")).items] == \
+            [second.record_id]
+        assert_same_as_fresh(source, table, [SourceQuery("braid"),
+                                             SourceQuery("racing")])
+
 
 def count_calls(monkeypatch, method):
     """Count calls to ``InvertedIndex.<method>`` from here on."""

@@ -4,7 +4,7 @@
 before its predicates became query nodes: one relevance search for
 every matching row (or the whole table without text), a Python
 predicate loop over the materialized items, a full sort, then the page.
-It is kept here as the specification, with the three intended changes
+It is kept here as the specification, with the two intended changes
 marked ``intended``. Random tables that saw updates and deletes, random
 text (multi-word, to reach OR-relaxation) and random typed predicates
 of every operator over every column type must give the same ids,
@@ -70,9 +70,7 @@ def reference_execute_structured(source, query):
         candidates = [(item, item.fields) for item in relevance.items]
     else:
         candidates = []
-        # intended: record-id order (was table order).
-        for record in sorted(table.all_records(),
-                             key=lambda record: record.record_id):
+        for record in table.all_records():
             item = SourceItem(
                 item_id=record.record_id,
                 title=str(record.values.get(
@@ -201,7 +199,7 @@ def test_index_evaluated_query_equals_the_row_loop(row_list, churn, batch):
         assert result.total_matches == total, query
 
 
-# -- the three intended changes, and the work a query costs ------------------------
+# -- the intended changes, table order, and the work a query costs ------------------------
 
 def small_source():
     table = RecordTable("inv", Schema(COLUMNS))
@@ -236,12 +234,31 @@ def test_missing_values_sort_last_in_both_directions():
         assert result.items[-1].item_id == "r-arena"
 
 
-def test_filter_only_query_is_in_record_id_order_with_urls():
+def test_filter_only_query_is_in_table_order_with_urls():
     result = execute_structured(small_source(), StructuredQuery())
     assert [item.item_id for item in result.items] == \
-        ["r-arena", "r-odyssey", "r-zelda"]
-    assert result.items[1].url == "http://shop.example/o"
+        ["r-odyssey", "r-arena", "r-zelda"]
+    assert result.items[0].url == "http://shop.example/o"
     assert {item.score for item in result.items} == {0.0}
+
+
+def test_filter_only_pages_follow_upload_order_past_nine_rows():
+    # Generated ids are "inv:1" ... "inv:12": as strings, "inv:10" sorts
+    # before "inv:2"; a browse must still page in upload order.
+    table = RecordTable("inv", Schema(COLUMNS))
+    ids = [table.insert({"title": f"game {n}", "stock": n}).record_id
+           for n in range(12)]
+    table.update(ids[3], {"title": "repriced"})     # keeps its place
+    source = ProprietaryTableSource("src", "Inventory", table, ("title",))
+    pages = [execute_structured(source, StructuredQuery(
+        limit=5, offset=offset).where("stock", "ge", 1))
+        for offset in (0, 5, 10)]
+    assert [item.item_id for page in pages for item in page.items] == \
+        ids[1:]
+    assert {page.total_matches for page in pages} == {11}
+    by_stock = execute_structured(source, StructuredQuery(
+        order_by="used", limit=12))             # every value missing: ties
+    assert [item.item_id for item in by_stock.items] == ids
 
 
 def test_only_the_page_is_materialized_and_predicates_see_what_text_left():

@@ -104,26 +104,24 @@ class TestRangeEvaluation:
 
 class TestPredicates:
     def test_operators(self):
-        values = {"price": 25.0, "genre": "adventure", "stock": 2}
-        assert FieldPredicate("price", "lt", 30).matches(values)
-        assert FieldPredicate("price", "ge", "25").matches(values)
-        assert not FieldPredicate("price", "gt", 30).matches(values)
-        assert FieldPredicate("genre", "eq", "adventure").matches(
-            values)
-        assert FieldPredicate("genre", "contains", "VENT").matches(
-            values)
+        assert FieldPredicate("price", "lt", 30).accepts(25.0)
+        assert FieldPredicate("price", "ge", "25").accepts(25.0)
+        assert not FieldPredicate("price", "gt", 30).accepts(25.0)
+        assert FieldPredicate("genre", "eq", "adventure").accepts(
+            "adventure")
+        assert FieldPredicate("genre", "contains", "VENT").accepts(
+            "adventure")
 
     def test_missing_field_never_matches(self):
-        assert not FieldPredicate("nope", "eq", 1).matches({})
+        assert not FieldPredicate("nope", "eq", 1).accepts(None)
+        assert not FieldPredicate("nope", "ne", 1).accepts("")
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValidationError):
             FieldPredicate("price", "between", (1, 2))
 
     def test_string_value_coerced_for_numeric_field(self):
-        assert FieldPredicate("price", "le", "30").matches(
-            {"price": 25.0}
-        )
+        assert FieldPredicate("price", "le", "30").accepts(25.0)
 
 
 class TestStructuredQuery:
