@@ -26,7 +26,7 @@ def measure_governance() -> dict:
     )
     from repro.core.platform import Symphony
 
-    symphony = Symphony(contracts=True, slo=True)
+    symphony = Symphony(slo=True)
     report = run_drifted_feed(symphony)
     return {
         "scenario_ok": report.ok,

@@ -24,7 +24,7 @@ from repro.contracts.scenario import run_drifted_feed
 
 
 def main() -> int:
-    symphony = Symphony(contracts=True, slo=True)
+    symphony = Symphony(slo=True)
     report = run_drifted_feed(symphony)
     print(report.render())
     print()

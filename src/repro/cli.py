@@ -590,7 +590,7 @@ def _cmd_contracts(args) -> int:
     any governance invariant failed."""
     from repro.contracts.scenario import run_drifted_feed
 
-    symphony = _build_platform(args.seed, contracts=True, slo=True)
+    symphony = _build_platform(args.seed, slo=True)
     report = run_drifted_feed(symphony)
     print(report.render())
     print()

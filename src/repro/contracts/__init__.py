@@ -7,9 +7,10 @@ a freshness SLA. The :class:`ContractManager` enforces it at load time
 (reject / quarantine / coerce), detects schema drift between producer
 and contract, tracks staleness against the refresh scheduler, and
 feeds a platform-wide freshness error budget into :mod:`repro.slo`.
-Opt-in via ``Symphony(contracts=True)`` (on or off; the quarantine
-capacity, drift sample and freshness SLO shape are module constants);
-``NULL_CONTRACTS`` keeps the ungoverned hot path unchanged.
+Contracts are a core module, not an option: every ``Symphony`` owns one
+manager, and a table with no declared contract loads untouched. The
+quarantine capacity, drift sample and freshness SLO shape are module
+constants.
 
 A contract is read one way. ``ContractEnforcer._check_row`` is the one
 function that decides whether a row is clean, and each rule is written
@@ -34,11 +35,7 @@ from .enforcer import (
     Violation,
 )
 from .freshness import FeedFreshness, FreshnessTracker
-from .manager import (
-    NULL_CONTRACTS,
-    ContractManager,
-    NullContractManager,
-)
+from .manager import ContractManager
 from .quarantine import QuarantinedRow, QuarantineStore
 
 __all__ = [
@@ -57,6 +54,4 @@ __all__ = [
     "FreshnessTracker",
     "FeedFreshness",
     "ContractManager",
-    "NullContractManager",
-    "NULL_CONTRACTS",
 ]

@@ -81,6 +81,10 @@ class FreshnessTracker:
             tenant=tenant_id, table=table)
         return feed
 
+    def unbind(self, tenant_id: str, table: str) -> None:
+        """Stop tracking one feed (if tracked); its gauge reads 0."""
+        self._feeds.pop((tenant_id, table), None)
+
     def feed(self, tenant_id: str, table: str) -> FeedFreshness | None:
         return self._feeds.get((tenant_id, table))
 

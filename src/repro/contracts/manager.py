@@ -4,17 +4,18 @@
 quarantine store, and the freshness tracker, and is the single object
 the rest of the platform talks to: the ingestor calls
 :meth:`ContractManager.apply` on every batch, the refresh scheduler
-calls :meth:`ContractManager.check_freshness` every pass, the gateway
-and CLI read :meth:`ContractManager.status`. ``NULL_CONTRACTS`` is the
-no-op twin — ``Symphony()`` without ``contracts=`` keeps the ingest
-hot path exactly as it was.
+calls :meth:`ContractManager.check_freshness` every pass, the platform
+facade and CLI read :meth:`ContractManager.status`. Every ``Symphony``
+owns one; a table with no registered contract costs one dict miss per
+batch (:meth:`ContractManager.apply` returns ``None``) and loads
+untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, ContractViolationError
+from repro.errors import ContractViolationError
 from repro.slo.burnrate import BurnRateAlerter
 from repro.slo.objectives import ErrorBudget, SLODefinition
 from repro.telemetry import Telemetry
@@ -24,11 +25,7 @@ from .enforcer import ContractEnforcer, EnforcementResult
 from .freshness import FreshnessTracker
 from .quarantine import QuarantineStore
 
-__all__ = [
-    "ContractManager",
-    "NullContractManager",
-    "NULL_CONTRACTS",
-]
+__all__ = ["ContractManager"]
 
 
 #: Max quarantined rows retained per (tenant, table); the oldest are
@@ -61,6 +58,7 @@ class _TableStats:
 class ContractManager:
     """Registry + enforcement + freshness for every governed table."""
 
+    #: Always ``True``; the end-to-end benchmark still reads it.
     enabled = True
 
     def __init__(self, clock, telemetry=None) -> None:
@@ -95,13 +93,16 @@ class ContractManager:
         """Declare (or re-declare, bumping enforcement) a contract.
 
         Re-registering replaces the previous version in place — the
-        point of quarantine replay after a contract update.
+        point of quarantine replay after a contract update. A version
+        without a freshness SLA stops the feed's staleness tracking.
         """
         key = (tenant_id, contract.table)
         self._contracts[key] = contract
         self._enforcers[key] = ContractEnforcer(contract)
         self._stats.setdefault(key, _TableStats())
-        if contract.freshness is not None:
+        if contract.freshness is None:
+            self.freshness.unbind(tenant_id, contract.table)
+        else:
             self.freshness.bind(tenant_id, contract.table,
                                 contract.freshness)
         self.telemetry.events.emit(
@@ -311,57 +312,3 @@ class ContractManager:
             lines.append("Stale feeds: " + ", ".join(
                 status["stale_feeds"]))
         return "\n".join(lines)
-
-
-class NullContractManager:
-    """No-op twin: ungoverned ingest pays nothing (the default)."""
-
-    enabled = False
-
-    def register(self, tenant_id: str, contract) -> None:
-        raise ConfigurationError(
-            "contracts are disabled; construct "
-            "Symphony(contracts=True) to register data contracts"
-        )
-
-    def contract_for(self, tenant_id: str, table: str) -> None:
-        return None
-
-    def tables(self, tenant_id: str | None = None) -> list:
-        return []
-
-    def apply(self, tenant_id: str, table: str, rows: list,
-              source: str = "") -> None:
-        return None
-
-    def attach_slo(self, slo_engine) -> None:
-        return None
-
-    def mark_refreshed(self, tenant_id: str, table: str) -> None:
-        return None
-
-    def check_freshness(self) -> list:
-        return []
-
-    def is_stale(self, tenant_id: str, table: str) -> bool:
-        return False
-
-    def source_status(self, tenant_id: str, table: str) -> dict:
-        return {}
-
-    def quarantined_rows(self, tenant_id: str, table: str) -> list:
-        return []
-
-    def drain_quarantine(self, tenant_id: str, table: str) -> list:
-        return []
-
-    def status(self, tenant_id: str | None = None) -> dict:
-        return {"tables": [], "freshness_budget": {},
-                "freshness_alerting": False, "stale_feeds": []}
-
-    def report(self, tenant_id: str | None = None) -> str:
-        return ("contracts disabled "
-                "(construct Symphony(contracts=True))")
-
-
-NULL_CONTRACTS = NullContractManager()

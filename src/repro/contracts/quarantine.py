@@ -100,9 +100,3 @@ class QuarantineStore:
             key for key, bucket in self._tables.items()
             if bucket.rows and (tenant_id is None or key[0] == tenant_id)
         )
-
-    def total_depth(self, tenant_id: str | None = None) -> int:
-        return sum(
-            len(bucket.rows) for key, bucket in self._tables.items()
-            if tenant_id is None or key[0] == tenant_id
-        )

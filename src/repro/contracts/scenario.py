@@ -121,11 +121,12 @@ def _drifted_batch() -> list:
 
 
 def run_drifted_feed(symphony) -> ScenarioReport:
-    """Drive the scenario on a contracts-enabled platform.
+    """Drive the scenario on one platform.
 
-    ``symphony`` must be constructed with ``contracts=`` (and gains
-    telemetry implicitly); the scenario registers its own designer,
-    contract, and scheduled feed, then advances simulated time.
+    ``symphony`` must be constructed with telemetry or SLO on (SLO
+    implies telemetry): the checks read the contract events. The
+    scenario registers its own designer, contract, and scheduled feed,
+    then advances simulated time.
     """
     report = ScenarioReport()
     t0 = symphony.clock.now_ms

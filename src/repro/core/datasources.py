@@ -189,9 +189,8 @@ class ProprietaryTableSource(DataSource):
         # the table's change tail (-1, which no table holds: not built).
         self._indexed_mutations = -1
         #: Zero-arg callable returning contract metadata for this
-        #: table ({} when ungoverned); set by the platform when
-        #: contracts are enabled so stale feeds are flagged on every
-        #: result served from them.
+        #: table ({} when ungoverned); set by the platform so stale
+        #: feeds are flagged on every result served from them.
         self.contract_status = None
 
     def fields(self) -> list[str]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.contracts import ContractManager
 from repro.core.capability import CapabilityProfile
 from repro.errors import ConfigurationError, ContractViolationError
 from repro.core.datasources import (
@@ -74,7 +75,11 @@ class Symphony:
 
     Constructing a Symphony builds (or accepts) a synthetic web, indexes it
     into the search-engine substrate, and stands up storage, services,
-    ads, designer tooling, runtime, distribution, and monetization.
+    ads, data contracts, designer tooling, runtime, distribution, and
+    monetization.
+
+    Every platform governs its uploads (:mod:`repro.contracts`), so
+    ``contracts`` is accepted for older callers and ignored.
     """
 
     def __init__(self, web=None, web_spec: WebSpec | None = None,
@@ -100,10 +105,7 @@ class Symphony:
         if slo is True:
             from repro.slo import SLOConfig
             slo = SLOConfig()
-        # Contracts emit drift/violation/staleness events and drive a
-        # freshness budget, so they imply telemetry too.
-        if (slo is not None or contracts) \
-                and not (telemetry and telemetry.enabled):
+        if slo is not None and not (telemetry and telemetry.enabled):
             telemetry = Telemetry(clock=self.clock)
         self.telemetry = telemetry or Telemetry.disabled()
         # Opt-in resilience: pass a ResilienceConfig or True for the
@@ -121,16 +123,12 @@ class Symphony:
         else:
             from repro.slo import NULL_SLO
             self.slo = NULL_SLO
-        # Opt-in data contracts: governed ingest with typed validation,
-        # drift detection, quarantine, and freshness SLAs.
-        from repro.contracts import NULL_CONTRACTS
-        self.contracts = NULL_CONTRACTS
-        if contracts:
-            from repro.contracts import ContractManager
-            self.contracts = ContractManager(
-                self.clock, telemetry=self.telemetry)
-            if self.slo.enabled:
-                self.contracts.attach_slo(self.slo)
+        # Data contracts: governed ingest with typed validation, drift
+        # detection, quarantine, and freshness SLAs.
+        self.contracts = ContractManager(self.clock,
+                                         telemetry=self.telemetry)
+        if self.slo.enabled:
+            self.contracts.attach_slo(self.slo)
         self.web = web if web is not None else WebGenerator(
             web_spec or WebSpec()
         ).build()
@@ -221,7 +219,6 @@ class Symphony:
                     self.resilience.deadline_ms
                     if self.resilience is not None else 0.0
                 ),
-                contracts=self.contracts,
             )
         # Opt-in control plane: online resharding and telemetry-driven
         # autoscaling over a clustered engine. Pass True for default
@@ -403,7 +400,7 @@ class Symphony:
     def register_contract(self, account: DesignerAccount, contract):
         """Declare the :class:`~repro.contracts.DataContract` governing
         one of this designer's tables; every later load is enforced
-        against it. Requires ``Symphony(contracts=...)``.
+        against it.
 
         Re-declaring over an existing table may *add* columns (the
         table's schema evolves additively on the next load) but not
@@ -411,7 +408,7 @@ class Symphony:
         than mid-batch against the storage layer.
         """
         tenant = self._authorized_tenant(account)
-        if self.contracts.enabled and tenant.has_table(contract.table):
+        if tenant.has_table(contract.table):
             stored = tenant.table(contract.table).schema
             for spec in contract.schema().fields:
                 if stored.has_field(spec.name) \
@@ -487,11 +484,10 @@ class Symphony:
             search_fields=tuple(search_fields),
             tenant_id=tenant.tenant_id,
         )
-        if self.contracts.enabled:
-            source.contract_status = (
-                lambda tid=tenant.tenant_id, tbl=table_name:
-                self.contracts.source_status(tid, tbl)
-            )
+        source.contract_status = (
+            lambda tid=tenant.tenant_id, tbl=table_name:
+            self.contracts.source_status(tid, tbl)
+        )
         return self.sources.add(source)
 
     def add_web_source(self, name: str, vertical: str = "web",

@@ -92,11 +92,6 @@ class AdmissionController:
     def policy(self, principal: str) -> TenantPolicy:
         return self._policies.get(principal, self._default)
 
-    def set_policy(self, principal: str, policy: TenantPolicy) -> None:
-        with self._lock:
-            self._policies[principal] = policy
-            self._buckets.pop(principal, None)
-
     def admit(self, principal: str, cost: float = 1.0) -> bool:
         """Charge one request against the principal's bucket."""
         policy = self.policy(principal)

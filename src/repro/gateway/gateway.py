@@ -32,7 +32,6 @@ import contextvars
 import threading
 from dataclasses import dataclass, field
 
-from repro.contracts import NULL_CONTRACTS
 from repro.errors import AdmissionRejectedError, ReproError
 from repro.gateway.admission import AdmissionController, TenantPolicy
 from repro.gateway.cache import ResultCache, normalize_query
@@ -78,8 +77,7 @@ class Gateway:
     def __init__(self, runtime, apps, sources, clock,
                  generations, telemetry: Telemetry | None = None,
                  config: GatewayConfig | None = None,
-                 default_deadline_ms: float = 0.0,
-                 contracts=NULL_CONTRACTS) -> None:
+                 default_deadline_ms: float = 0.0) -> None:
         self._runtime = runtime
         self._apps = apps
         self._sources = sources
@@ -92,10 +90,6 @@ class Gateway:
         self._metrics = self.telemetry.metrics
         self._events = self.telemetry.events
         self._default_deadline_ms = default_deadline_ms
-        #: A :class:`~repro.contracts.ContractManager` (or its null
-        #: twin): lets API consumers pull the per-tenant governance
-        #: report from the same front door they query through.
-        self._contracts = contracts
         self.admission = AdmissionController(
             clock, self.config.default_policy, self.config.policies
         )
@@ -350,12 +344,6 @@ class Gateway:
         if self.cache is not None:
             stats["cache"] = self.cache.stats()
         return stats
-
-    def contract_status(self, tenant_id: str | None = None) -> dict:
-        """Per-tenant data-governance report: violations, drift,
-        quarantine depth, and freshness for every contracted table.
-        Empty when contracts are not enabled on the platform."""
-        return self._contracts.status(tenant_id)
 
     def describe(self) -> str:
         stats = self.stats()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.contracts import NULL_CONTRACTS
+from repro.contracts import ContractManager
 from repro.errors import IngestError
 from repro.ingest.readers import (
     parse_delimited,
@@ -23,6 +23,7 @@ from repro.ingest.rss import parse_rss
 from repro.ingest.workbook import parse_workbook
 from repro.storage.records import Schema, infer_schema
 from repro.telemetry import Telemetry
+from repro.util import SimClock
 
 __all__ = ["IngestReport", "DatasetIngestor"]
 
@@ -121,14 +122,15 @@ class DatasetIngestor:
     """
 
     def __init__(self, tenant, telemetry=None, generations=None,
-                 contracts=NULL_CONTRACTS) -> None:
+                 contracts: ContractManager | None = None) -> None:
         self._tenant = tenant
         self._telemetry = telemetry or Telemetry.disabled()
         self._generations = generations
-        #: A :class:`~repro.contracts.ContractManager` (or its null
-        #: twin): every batch for a contracted table is enforced
-        #: before it touches storage.
-        self._contracts = contracts
+        #: The :class:`~repro.contracts.ContractManager` (an empty one
+        #: of its own when none is given): every batch for a contracted
+        #: table is enforced before it touches storage.
+        self._contracts = contracts or ContractManager(
+            SimClock(), telemetry=self._telemetry)
 
     def _mark_refreshed(self, table_name: str) -> None:
         self._contracts.mark_refreshed(self._tenant.tenant_id, table_name)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.contracts import NULL_CONTRACTS
+from repro.contracts import ContractManager
 from repro.errors import DuplicateError, NotFoundError
 from repro.telemetry import Telemetry
 
@@ -48,16 +48,18 @@ class RefreshScheduler:
     """Owns the refresh calendar for one tenant's feeds."""
 
     def __init__(self, clock, generations=None, telemetry=None,
-                 contracts=NULL_CONTRACTS) -> None:
+                 contracts: ContractManager | None = None) -> None:
         self._clock = clock
         self._feeds: dict[str, ScheduledFeed] = {}
         self._generations = generations
         self._telemetry = telemetry or Telemetry.disabled()
-        #: A :class:`~repro.contracts.ContractManager` (or its null twin):
-        #: freshness SLAs are judged after every scheduler pass, so a
-        #: feed that stops (or keeps failing) goes stale on the same
-        #: clock that drives its refreshes.
-        self._contracts = contracts
+        #: The :class:`~repro.contracts.ContractManager` (an empty one
+        #: of its own when none is given): freshness SLAs are judged
+        #: after every scheduler pass, so a feed that stops (or keeps
+        #: failing) goes stale on the same clock that drives its
+        #: refreshes.
+        self._contracts = contracts or ContractManager(
+            clock, telemetry=self._telemetry)
 
     def register(self, feed_id: str, interval_ms: int, action,
                  generation_key: str = "") -> None:
@@ -82,9 +84,6 @@ class RefreshScheduler:
         if feed_id not in self._feeds:
             raise NotFoundError(f"no scheduled feed {feed_id!r}")
         del self._feeds[feed_id]
-
-    def feed_ids(self) -> list[str]:
-        return sorted(self._feeds)
 
     def due_feeds(self) -> list[str]:
         now = self._clock.now_ms

@@ -38,8 +38,3 @@ class FieldedDocument:
     def get(self, name: str, default: str = "") -> str:
         value = self.fields.get(name, default)
         return "" if value is None else str(value)
-
-    def with_field(self, name: str, value: str) -> "FieldedDocument":
-        fields = dict(self.fields)
-        fields[name] = value
-        return FieldedDocument(self.doc_id, fields, self.payload)

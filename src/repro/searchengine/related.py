@@ -54,9 +54,6 @@ class RelatedSearches:
                     q for q in queries if q != query
                 )
 
-    def known_queries(self) -> list[str]:
-        return sorted(self._term_sets)
-
     def related(self, query_text: str,
                 count: int = 5) -> list[RelatedSearch]:
         """Related past queries for ``query_text``, best first."""

@@ -37,10 +37,6 @@ class CallStats:
     failures: int = 0
     total_latency_ms: float = 0.0
 
-    @property
-    def mean_latency_ms(self) -> float:
-        return self.total_latency_ms / self.calls if self.calls else 0.0
-
 
 class ServiceBus:
     """Routes invocations to registered services."""

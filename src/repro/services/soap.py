@@ -158,13 +158,3 @@ class SoapClient:
 
     def call(self, operation: str, deadline=None, **parts) -> dict:
         return self._invoke(operation, parts, deadline=deadline)
-
-    def call_envelope(self, envelope: SoapEnvelope,
-                      deadline=None) -> SoapEnvelope:
-        body = self._invoke(envelope.operation, envelope.body,
-                            deadline=deadline)
-        return SoapEnvelope(
-            operation=f"{envelope.operation}Response",
-            body=body,
-            headers=dict(envelope.headers),
-        )

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util import deterministic_rng
-
 __all__ = ["TopicVocabulary", "topic_vocabulary", "TOPICS"]
 
 _GENERIC_WORDS = [
@@ -248,8 +246,3 @@ def all_known_sites() -> list[str]:
     for data in _TOPIC_DATA.values():
         seen.update(data["sites"])
     return sorted(seen)
-
-
-def example_rng(seed: object):
-    """Convenience used by doctests and examples."""
-    return deterministic_rng(seed)

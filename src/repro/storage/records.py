@@ -494,12 +494,3 @@ class RecordTable:
                 bucket.discard(record.record_id)
                 if not bucket:
                     del index[key]
-
-    def approximate_bytes(self) -> int:
-        """Rough storage footprint used for quota accounting."""
-        total = 0
-        for record in self._records.values():
-            for name, value in record.values.items():
-                total += len(name) + len(str(value)) if value is not None \
-                    else len(name)
-        return total

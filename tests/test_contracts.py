@@ -5,8 +5,9 @@ serialization), the enforcer (policy handling, the message text of each
 rule, agreement with a first-principles reference over generated
 contracts and rows, drift majority voting), the
 quarantine/replay loop through the platform facade (including additive
-schema evolution and the retype guard), freshness SLA wiring, and the
-null path staying inert on an ungoverned platform.
+schema evolution and the retype guard), freshness SLA wiring, and every
+platform governing its uploads while uncontracted tables load as
+before.
 """
 
 from __future__ import annotations
@@ -19,21 +20,23 @@ from hypothesis import strategies as st
 
 from repro.contracts import (
     NORMALIZE_RULES,
-    NULL_CONTRACTS,
     VIOLATION_POLICIES,
     ContractEnforcer,
+    ContractManager,
     DataContract,
     FieldContract,
     FreshnessSLA,
     normalize_value,
 )
 from repro.contracts.scenario import run_drifted_feed
+from repro.core.datasources import SourceQuery
 from repro.core.platform import Symphony
 from repro.errors import (
     ConfigurationError,
     ContractViolationError,
     ValidationError,
 )
+from repro.gateway import Gateway
 from repro.storage.records import FieldType
 from repro.telemetry import Telemetry
 from repro.util import SimClock
@@ -439,7 +442,7 @@ class TestDriftDetection:
 class TestGovernedPlatform:
     @pytest.fixture()
     def governed(self):
-        symphony = Symphony(contracts=True, telemetry=True)
+        symphony = Symphony(telemetry=True)
         account = symphony.register_designer("Dana")
         return symphony, account
 
@@ -577,7 +580,7 @@ class TestGovernedPlatform:
 
 class TestFreshnessIntegration:
     def test_drifted_feed_scenario_end_to_end(self):
-        symphony = Symphony(contracts=True, slo=True)
+        symphony = Symphony(slo=True)
         report = run_drifted_feed(symphony)
         failed = [c for c in report.checks if not c.ok]
         assert report.ok, failed
@@ -586,7 +589,6 @@ class TestFreshnessIntegration:
 
     def test_stale_feed_flagged_and_recovered(self):
         clock = SimClock()
-        from repro.contracts.manager import ContractManager
         manager = ContractManager(clock, telemetry=Telemetry(clock))
         manager.register("t1", products_contract(
             freshness=FreshnessSLA(5_000)))
@@ -604,28 +606,58 @@ class TestFreshnessIntegration:
         assert not manager.is_stale("t1", "products")
 
 
-class TestNullPath:
-    def test_default_platform_is_ungoverned(self):
-        symphony = Symphony()
-        assert symphony.contracts is NULL_CONTRACTS
-        assert not symphony.contracts.enabled
+    def test_dropping_the_sla_stops_judging_the_feed(self):
+        clock = SimClock()
+        telemetry = Telemetry(clock)
+        manager = ContractManager(clock, telemetry=telemetry)
+        manager.register("t1", products_contract(
+            freshness=FreshnessSLA(5_000)))
+        manager.register("t1", products_contract(version=2))
+        clock.advance(10_000)
+        assert manager.check_freshness() == []
+        assert "stale" not in manager.source_status("t1", "products")
+        gauge = telemetry.metrics.gauge(
+            "contract_staleness_ms", tenant="t1", table="products")
+        assert gauge.value == 0.0
 
-    def test_register_without_contracts_fails(self):
+
+class TestEveryPlatformGoverns:
+    def test_bare_platform_quarantines_violating_row(self):
         symphony = Symphony()
         account = symphony.register_designer("Ann")
-        with pytest.raises(ConfigurationError):
-            symphony.register_contract(account, products_contract())
+        symphony.register_contract(account, products_contract())
+        assert isinstance(symphony.contracts, ContractManager)
+        rows = clean_rows() + [{"sku": "sku-bad", "title": "B",
+                                "price": "call us", "platform": "PC"}]
+        report = symphony.upload_structured_data(
+            account, rows, table_name="products")
+        assert report.inserted == 4 and report.quarantined == 1
+        assert len(symphony.contracts.quarantined_rows(
+            account.tenant.tenant_id, "products")) == 1
 
-    def test_null_manager_is_inert(self):
-        assert NULL_CONTRACTS.apply("t", "x", [{"a": 1}]) is None
-        assert NULL_CONTRACTS.quarantined_rows("t", "x") == []
-        assert NULL_CONTRACTS.check_freshness() == []
-        assert "disabled" in NULL_CONTRACTS.report()
-
-    def test_uncontracted_table_on_governed_platform(self):
-        symphony = Symphony(contracts=True)
+    def test_uncontracted_table_loads_as_before(self):
+        symphony = Symphony()
         account = symphony.register_designer("Ann")
         report = symphony.upload_structured_data(
-            account, [{"a": "1"}, {"a": "2"}], table_name="plain")
-        assert report.inserted == 2
-        assert report.violations == 0
+            account, [{"a": "1", "b": " x "}, {"a": "2", "b": "y"}],
+            table_name="plain")
+        assert (report.inserted, report.updated) == (2, 0)
+        assert (report.violations, report.quarantined,
+                report.coerced, report.drift) == (0, 0, 0, False)
+        table = account.tenant.table("plain")
+        assert table.schema.spec("a").type is FieldType.INTEGER
+        assert [r.values for r in table] == [
+            {"a": 1, "b": " x "}, {"a": 2, "b": "y"}]
+        assert symphony.contract_status()["tables"] == []
+        source = symphony.add_proprietary_source(
+            account, "plain", search_fields=("b",))
+        result = source.search(SourceQuery(text="y"))
+        assert result.total_matches == 1 and result.metadata == {}
+
+    def test_gateway_builds_without_contracts(self):
+        symphony = Symphony()
+        gateway = Gateway(symphony.runtime, symphony.apps,
+                          symphony.sources, symphony.clock,
+                          symphony.generations)
+        assert gateway.stats()["submitted"] == 0
+        assert not hasattr(gateway, "contract_status")

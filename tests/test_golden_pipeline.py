@@ -40,7 +40,6 @@ CONFIGURATIONS = {
         "cluster": 2, "telemetry": True, "gateway": True,
         "resilience": ResilienceConfig(deadline_ms=400.0),
         "controlplane": True, "slo": True, "durability": True,
-        "contracts": True,
     },
 }
 
