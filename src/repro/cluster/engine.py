@@ -228,6 +228,9 @@ class ClusteredSearchEngine:
         self._stats: dict = {}
         # (vertical, writes, route-map version) -> corrector
         self._correctors: dict = {}
+        # (phase, shard id) -> its shard-task span name, built once: a
+        # tracer keeps every finished span, and with it the name
+        self._task_spans: dict[tuple, str] = {}
 
     # -- topology ------------------------------------------------------------
 
@@ -392,7 +395,8 @@ class ClusteredSearchEngine:
 
         The executor runs the task on the scattering thread, so the
         span parents beneath the phase span that is current there.
-        Names are unique per shard (``exec:shard-3``).
+        Names are unique per shard (``exec:shard-3``) and built once
+        per (phase, shard).
 
         With ``annotated=True`` the task returns the group's
         ``(result, meta)`` pair, carrying per-attempt latency and
@@ -402,7 +406,10 @@ class ClusteredSearchEngine:
         runner = group.run_annotated if annotated else group.run
         if not tracer.enabled:
             return lambda: runner(fn)
-        label = f"{phase}:shard-{group.shard_id}"
+        key = (phase, group.shard_id)
+        label = self._task_spans.get(key)
+        if label is None:
+            label = self._task_spans[key] = f"{phase}:shard-{group.shard_id}"
 
         def task():
             with tracer.span(label):

@@ -50,6 +50,9 @@ class ShardReplica:
         self.shard_id = shard_id
         self.replica_index = replica_index
         self.replica_id = f"shard-{shard_id}/replica-{replica_index}"
+        # The name of every read-attempt span on this replica, built
+        # once: a tracer keeps every finished span, and with it the name
+        self.attempt_span = f"attempt:{self.replica_id}"
         self.verticals = verticals
         self.healthy = True
         # Durability state (see repro.durability): a crashed replica has
@@ -369,7 +372,7 @@ class ReplicaGroup:
         histogram, and does the failure accounting (consecutive errors
         remove the replica from rotation).
         """
-        with self.tracer.span(f"attempt:{replica.replica_id}") as span:
+        with self.tracer.span(replica.attempt_span) as span:
             latency_ms = replica.take_latency_ms()
             if span and latency_ms:
                 span.set("injected_latency_ms", latency_ms)

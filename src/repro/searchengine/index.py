@@ -11,9 +11,32 @@ from repro.errors import DuplicateError, NotFoundError
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument, FieldMode
 
-__all__ = ["InvertedIndex"]
+__all__ = ["InvertedIndex", "POSITIONS_MEMO_SIZE"]
 
 _NO_DOCS: frozenset = frozenset()
+
+#: Most distinct position tuples :data:`_POSITIONS_MEMO` shares. Once it
+#: is full, new tuples are stored unshared; nothing is ever evicted, so a
+#: shared value never changes. A few MB at worst, and far more than the
+#: distinct position lists of a corpus, which are mostly short.
+POSITIONS_MEMO_SIZE = 65_536
+
+#: Each position tuple filed so far, mapped to itself: equal tuples
+#: become one object across terms, fields, documents, shards, replicas
+#: and tenant tables. One per process; never persisted.
+_POSITIONS_MEMO: dict[tuple, tuple] = {}
+
+
+def _shared(positions: tuple) -> tuple:
+    """The memo's copy of ``positions``, filing it there while there is
+    room. A lost race between two threads files an equal tuple twice,
+    which costs sharing, never correctness."""
+    shared = _POSITIONS_MEMO.get(positions)
+    if shared is not None:
+        return shared
+    if len(_POSITIONS_MEMO) < POSITIONS_MEMO_SIZE:
+        _POSITIONS_MEMO[positions] = positions
+    return positions
 
 
 class InvertedIndex:
@@ -68,7 +91,8 @@ class InvertedIndex:
         for name, by_term, length in texts:
             term_map = self._postings.setdefault(name, {})
             for term, positions in by_term.items():
-                term_map.setdefault(term, {})[doc_id] = tuple(positions)
+                term_map.setdefault(term, {})[doc_id] = _shared(
+                    tuple(positions))
             self._field_lengths.setdefault(name, {})[doc_id] = length
             self._total_field_length[name] = (
                 self._total_field_length.get(name, 0) + length

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 from contextvars import ContextVar
+from types import MappingProxyType
 
 from repro.util import SimClock, stable_hash
 
@@ -39,6 +40,11 @@ __all__ = [
 _CURRENT_SPAN: ContextVar = ContextVar("repro_current_span",
                                        default=None)
 
+#: The ``attrs`` of every span nothing has been ``set`` on: one shared,
+#: read-only empty mapping, so a stray direct write raises instead of
+#: landing in every other span.
+_NO_ATTRS = MappingProxyType({})
+
 
 class Span:
     """One timed operation; a context manager that tracks the tree.
@@ -46,6 +52,11 @@ class Span:
     Truthiness doubles as an "is tracing live?" check, so call sites can
     guard attribute work with ``if span: span.set(...)`` and pay nothing
     when the no-op tracer is installed.
+
+    A tracer keeps every finished span, and most never carry an
+    attribute or a child, so ``attrs`` stays the shared read-only empty
+    mapping until the first :meth:`set`, and ``_child_counts`` stays
+    ``None`` until the first child opens.
     """
 
     __slots__ = ("tracer", "trace_id", "span_id", "parent_id", "name",
@@ -63,14 +74,16 @@ class Span:
         self.start_ms = start_ms
         self.end_ms: int | None = None
         self.status = "ok"
-        self.attrs: dict = {}
-        self._child_counts: dict[str, int] = {}
+        self.attrs: dict | MappingProxyType = _NO_ATTRS
+        self._child_counts: dict[str, int] | None = None
         self._token = None
 
     def __bool__(self) -> bool:
         return True
 
     def set(self, key: str, value) -> None:
+        if self.attrs is _NO_ATTRS:
+            self.attrs = {}
         self.attrs[key] = value
 
     @property
@@ -86,7 +99,8 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None:
             self.status = "error"
-            self.attrs.setdefault("error", str(exc))
+            if "error" not in self.attrs:
+                self.set("error", str(exc))
         if self._token is not None:
             _CURRENT_SPAN.reset(self._token)
             self._token = None
@@ -161,8 +175,11 @@ class Tracer:
                 parent_id = None
                 span_id = _hex(stable_hash(trace_id, name, occurrence))
             else:
-                occurrence = parent._child_counts.get(name, 0)
-                parent._child_counts[name] = occurrence + 1
+                counts = parent._child_counts
+                if counts is None:
+                    counts = parent._child_counts = {}
+                occurrence = counts.get(name, 0)
+                counts[name] = occurrence + 1
                 trace_id = parent.trace_id
                 parent_id = parent.span_id
                 span_id = _hex(stable_hash(parent_id, name, occurrence))

@@ -109,8 +109,8 @@ class SimClock:
     def __init__(self, start_ms: int = 1_262_304_000_000) -> None:
         # Default epoch: 2010-01-01T00:00:00Z, the paper's era.
         self._now_ms = int(start_ms)
-        # Scatter-gather workers and concurrent app queries may share
-        # one clock; advancing must not lose increments.
+        # Concurrent ``Gateway.query`` callers may share one clock;
+        # advancing must not lose increments.
         self._lock = threading.Lock()
 
     @property

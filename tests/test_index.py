@@ -3,9 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cluster import ClusterConfig, build_clustered_engine
 from repro.errors import DuplicateError, NotFoundError
+from repro.searchengine import index as index_module
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument, FieldMode
+from repro.searchengine.engine import Vertical, build_engine
 from repro.searchengine.index import InvertedIndex
 
 
@@ -254,3 +257,72 @@ class TestPropertyBased:
             term = index.analyzer.analyze(word)[0]
             assert index.document_frequency("body", term) == 0
         assert index.average_field_length("body") == 0.0
+
+
+# -- shared position tuples ---------------------------------------------------
+
+
+def postings_entries(index):
+    """Every ``(field, term, doc_id, positions)`` postings entry."""
+    return [(name, term, doc_id, positions)
+            for name, term_map in index._postings.items()
+            for term, by_doc in term_map.items()
+            for doc_id, positions in by_doc.items()]
+
+
+def vertical_indexes(engine):
+    return [engine.vertical(vertical).index for vertical in Vertical]
+
+
+@pytest.fixture(scope="module")
+def replicated(tiny_web):
+    """A 2-shard x 2-replica cluster built against an empty memo."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(index_module, "_POSITIONS_MEMO", {})
+        yield build_clustered_engine(
+            tiny_web,
+            ClusterConfig(num_shards=2, replicas_per_shard=2),
+            use_authority=False,
+        )
+
+
+class TestSharedPositions:
+    def test_replicas_of_a_shard_hold_the_same_objects(self, replicated):
+        for group in replicated.groups:
+            first, second = group.replicas
+            for vertical in Vertical:
+                mine = postings_entries(first.vertical(vertical).index)
+                theirs = postings_entries(second.vertical(vertical).index)
+                assert [entry[:3] for entry in mine] == \
+                    [entry[:3] for entry in theirs]
+                assert all(a[3] is b[3] for a, b in zip(mine, theirs))
+
+    def test_distinct_position_objects_are_few(self, replicated):
+        """A deterministic stand-in for peak RSS: unshared, every entry
+        would be its own object."""
+        every = [entry[3] for group in replicated.groups
+                 for replica in group.replicas
+                 for vertical in Vertical
+                 for entry in postings_entries(
+                     replica.vertical(vertical).index)]
+        assert len({id(positions) for positions in every}) \
+            <= 0.15 * len(every)
+
+    def test_a_full_memo_stops_growing_and_changes_nothing(
+            self, tiny_web, monkeypatch):
+        monkeypatch.setattr(index_module, "_shared",
+                            lambda positions: positions)
+        reference = build_engine(tiny_web, use_authority=False)
+        monkeypatch.undo()
+        memo = {}
+        monkeypatch.setattr(index_module, "_POSITIONS_MEMO", memo)
+        monkeypatch.setattr(index_module, "POSITIONS_MEMO_SIZE", 64)
+        shared = build_engine(tiny_web, use_authority=False)
+        assert len(memo) == 64
+        for mine, plain in zip(vertical_indexes(shared),
+                               vertical_indexes(reference)):
+            assert mine._postings == plain._postings
+            # nothing filed is ever evicted or replaced
+            for *_, positions in postings_entries(mine):
+                if positions in memo:
+                    assert memo[positions] is positions

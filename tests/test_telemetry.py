@@ -307,6 +307,58 @@ class TestTracer:
                 [s for s in every if s.trace_id == trace_id]
 
 
+class TestLeanSpans:
+    """A finished span keeps no bookkeeping it never used: ``attrs`` is
+    one shared read-only empty mapping until the first ``set``."""
+
+    def test_a_span_with_no_set_has_empty_attrs(self):
+        tracer = Telemetry().tracer
+        with tracer.span("quiet"):
+            pass
+        (span,) = tracer.spans
+        assert span.attrs == {}
+        assert span.to_dict()["attrs"] == {}
+
+    def test_a_direct_write_to_unset_attrs_raises(self):
+        tracer = Telemetry().tracer
+        with tracer.span("quiet") as span:
+            with pytest.raises(TypeError):
+                span.attrs["k"] = "v"
+        assert span.to_dict()["attrs"] == {}
+
+    def test_set_on_one_span_never_shows_on_another(self):
+        tracer = Telemetry().tracer
+        with tracer.span("root") as root:
+            with tracer.span("a") as first:
+                first.set("k", 1)
+            with tracer.span("b") as second:
+                pass
+        assert first.to_dict()["attrs"] == {"k": 1}
+        assert second.attrs == {} and root.attrs == {}
+        second.set("k", 2)
+        assert first.attrs == {"k": 1}
+
+    def test_an_error_span_records_its_error(self):
+        tracer = Telemetry().tracer
+        with pytest.raises(RuntimeError):
+            with tracer.span("boom") as span:
+                span.set("before", True)
+                raise RuntimeError("kaput")
+        assert span.to_dict()["attrs"] == {"before": True, "error": "kaput"}
+        with pytest.raises(RuntimeError):
+            with tracer.span("bare") as bare:
+                raise RuntimeError("plain")
+        assert bare.attrs == {"error": "plain"}
+
+    def test_to_dict_copies_attrs(self):
+        tracer = Telemetry().tracer
+        with tracer.span("root") as root:
+            root.set("k", 1)
+        exported = root.to_dict()
+        exported["attrs"]["k"] = 2
+        assert root.attrs == {"k": 1}
+
+
 
 # -- cluster tracing ----------------------------------------------------------
 
