@@ -4,53 +4,68 @@ Real search APIs return captions centred on the query terms; Symphony's
 result layouts bind to that ``snippet`` field. This module picks the
 window of the document body holding the most words that match a query
 term (a word counts once however many of its tokens match; the earliest
-such window wins) and optionally highlights them.
+such window wins). A caption costs its hits, not its body: a body is
+tokenized at most once while its token-to-word table stays in a memo.
 """
 
 from __future__ import annotations
 
-import re
+from array import array
 from bisect import bisect_left
+from functools import lru_cache
+from itertools import repeat
 
 from repro.searchengine.analysis import tokenize
 
-__all__ = ["best_window", "highlight"]
+__all__ = ["best_window", "CAPTION_MEMO_SIZE"]
 
-_WORD_RE = re.compile(r"\S+")
+#: Most distinct bodies whose token-to-word table is remembered; the
+#: least recently captioned leaves first. An LRU, not a memo that stops
+#: adding when full: bodies keep being written and removed, and a full
+#: memo of removed bodies would stop helping. About 1.4 MB when full of
+#: 80-word bodies.
+CAPTION_MEMO_SIZE = 4096
+
+# Word indices take two bytes, four in a body of over 65 536 words.
+assert array("H").itemsize == 2 and array("I").itemsize == 4
+
+
+@lru_cache(maxsize=CAPTION_MEMO_SIZE)
+def _word_table(text: str) -> array:
+    """Entry *p* is the index of the whitespace word holding token *p*
+    of ``tokenize(text)``; never mutated. An ASCII alphanumeric word is
+    one token; only the others are tokenized to count theirs (none for
+    ``--``, two for ``half-life``)."""
+    words = text.split()
+    table = array("H" if len(words) <= 1 << 16 else "I")
+    for index, word in enumerate(words):
+        if word.isascii() and word.isalnum():
+            table.append(index)
+        else:
+            table.extend(repeat(index, len(tokenize(word))))
+    return table
 
 
 def best_window(text: str, hit_positions, width: int = 30) -> str:
     """The ``width``-word window of ``text`` holding the most hit words.
 
-    ``hit_positions`` are positions in ``tokenize(text)`` — what
-    ``InvertedIndex.postings`` records for the indexed field — of the
-    tokens that match the query; nothing is analyzed here. A whitespace-
-    separated word is a hit when any of its tokens is (a word may hold
-    none, like ``--``, or several, like ``half-life``). Falls back to
-    the leading window when nothing matches. An ellipsis marks a window
-    that does not start at the beginning.
+    ``hit_positions`` (any iterable) are positions in ``tokenize(text)``
+    — what ``InvertedIndex.postings`` records for the indexed field — of
+    the tokens that match the query; one outside the body is ignored. A
+    word is a hit when any of its tokens is; the body's table, built at
+    most once while it stays among the last :data:`CAPTION_MEMO_SIZE`
+    captioned, says which word holds each. Falls back to the leading
+    window when nothing matches; an ellipsis marks a later start.
     """
-    words = _WORD_RE.findall(text)
+    # Equals ``re.findall(r"\S+", text)``: ``re``'s ``\s`` and
+    # ``str.isspace`` agree on every code point.
+    words = text.split()
     if not words:
         return ""
-    hits = set(hit_positions)
-    if not hits:
-        return _render(words, 0, width)
-    # Indices of the hit words, counted up to the last hit position. An
-    # ASCII alphanumeric word is exactly one token; only the others are
-    # tokenized to learn how many positions they take.
-    hit_words = []
-    position, last = 0, max(hits)
-    for index, word in enumerate(words):
-        if word.isascii() and word.isalnum():
-            end = position + 1
-        else:
-            end = position + len(tokenize(word))
-        if not hits.isdisjoint(range(position, end)):
-            hit_words.append(index)
-        if end > last:
-            break
-        position = end
+    table = _word_table(text)
+    tokens = len(table)
+    hit_words = sorted({table[position] for position in hit_positions
+                        if 0 <= position < tokens})
     # Most hit words wins, the earlier window on a tie. A best start
     # s > 0 beats s - 1 only if its last word, s + width - 1, is a hit,
     # so the earliest best start is 0 or ``hit - width + 1``.
@@ -70,19 +85,3 @@ def _render(words, start: int, width: int) -> str:
     prefix = "… " if start > 0 else ""
     suffix = " …" if start + width < len(words) else ""
     return f"{prefix}{' '.join(window)}{suffix}"
-
-
-def highlight(snippet: str, terms, analyzer,
-              open_tag: str = "<b>", close_tag: str = "</b>") -> str:
-    """Wrap matching words of ``snippet`` in highlight tags."""
-    if not terms:
-        return snippet
-    term_set = set(terms)
-
-    def wrap(match):
-        word = match.group(0)
-        if term_set.intersection(analyzer.analyze(word)):
-            return f"{open_tag}{word}{close_tag}"
-        return word
-
-    return _WORD_RE.sub(wrap, snippet)

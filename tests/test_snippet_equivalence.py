@@ -1,5 +1,6 @@
 """Captions picked from postings positions equal captions picked by
-re-analyzing every word of the body.
+re-analyzing every word of the body, and captions picked through the
+memoized token-to-word table equal captions picked by walking the words.
 
 ``reference_window`` is the per-word algorithm the engine used before
 it read postings positions: analyze each whitespace-separated word,
@@ -9,14 +10,21 @@ byte on any body — punctuation-only words (no tokens), hyphenated and
 dotted words (several tokens), apostrophes, stop-words, mixed case,
 ``İ`` (lowercases to two code points) and every kind of Unicode
 whitespace — single-node and on a sharded cluster.
+
+``reference_walk`` is the position-level algorithm ``best_window`` used
+before it read the memoized table: walk the words up to the last hit,
+counting each word's tokens. ``best_window`` must reproduce it byte for
+byte for any positions, whether the memo is cold or warm.
 """
 
 import re
+from bisect import bisect_left
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterConfig, build_clustered_engine
-from repro.searchengine.analysis import Analyzer
+from repro.searchengine import snippets
+from repro.searchengine.analysis import Analyzer, tokenize
 from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.engine import (
     SearchOptions,
@@ -24,6 +32,7 @@ from repro.searchengine.engine import (
     materialize_result,
 )
 from repro.searchengine.query import extract_terms, parse_query
+from repro.searchengine.snippets import best_window
 from repro.simweb.model import SyntheticWeb
 
 WIDTH = 28  # what materialize_result asks for
@@ -43,6 +52,38 @@ def reference_window(text, terms, analyzer, width):
         hits = sum(matches[start:start + width])
         if hits > best_hits:
             best_start, best_hits = start, hits
+    window = words[best_start:best_start + width]
+    prefix = "… " if best_start > 0 else ""
+    suffix = " …" if best_start + width < len(words) else ""
+    return f"{prefix}{' '.join(window)}{suffix}"
+
+
+def reference_walk(text, hit_positions, width):
+    words = _WORD_RE.findall(text)
+    if not words:
+        return ""
+    hits = set(hit_positions)
+    hit_words = []
+    if hits:
+        position, last = 0, max(hits)
+        for index, word in enumerate(words):
+            if word.isascii() and word.isalnum():
+                end = position + 1
+            else:
+                end = position + len(tokenize(word))
+            if not hits.isdisjoint(range(position, end)):
+                hit_words.append(index)
+            if end > last:
+                break
+            position = end
+    last_start = len(words) - width
+    best_start, best_hits = 0, bisect_left(hit_words, width)
+    for rank, hit in enumerate(hit_words):
+        start = hit - width + 1
+        if 0 < start <= last_start:
+            window_hits = rank + 1 - bisect_left(hit_words, start)
+            if window_hits > best_hits:
+                best_start, best_hits = start, window_hits
     window = words[best_start:best_start + width]
     prefix = "… " if best_start > 0 else ""
     suffix = " …" if best_start + width < len(words) else ""
@@ -121,6 +162,19 @@ any_body = st.one_of(bodies(), late_hit_bodies(), sparse_bodies(),
                      st.lists(pieces, max_size=WIDTH - 1).map(" ".join))
 
 
+@st.composite
+def bodies_and_positions(draw):
+    """A body and any positions: in range, repeated, negative or past
+    its last token."""
+    text = draw(any_body)
+    tokens = len(tokenize(text))
+    positions = draw(st.lists(st.integers(-tokens - 3, tokens + 3),
+                              max_size=12))
+    repeats = draw(st.lists(st.sampled_from(positions), max_size=3)
+                   if positions else st.just([]))
+    return text, positions + repeats
+
+
 def documents(texts):
     return [
         FieldedDocument(
@@ -151,6 +205,16 @@ def test_materialized_snippet_equals_per_word_reference(texts, query):
         got = materialize_result(vindex, doc.doc_id, 1.0, terms).snippet
         assert got == reference_window(doc.get("body"), terms, analyzer,
                                        WIDTH), (query, doc.get("body"))
+
+
+@settings(derandomize=True, deadline=None)
+@given(bodies_and_positions(), st.sampled_from((1, 2, 5, WIDTH, 30)))
+def test_best_window_equals_reference_walk_cold_and_warm(body, width):
+    text, positions = body
+    expected = reference_walk(text, positions, width)
+    snippets._word_table.cache_clear()
+    assert best_window(text, positions, width) == expected
+    assert best_window(text, iter(positions), width) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.searchengine import snippets
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.index import InvertedIndex
-from repro.searchengine.snippets import best_window, highlight
+from repro.searchengine.snippets import CAPTION_MEMO_SIZE, best_window
 from repro.searchengine.spelling import SpellingCorrector, edit_distance
 
 
@@ -63,22 +64,55 @@ class TestBestWindow:
         assert core in text
 
 
-class TestHighlight:
-    def test_wraps_matches(self, analyzer):
-        out = highlight("great halo review", ["halo"], analyzer)
-        assert out == "great <b>halo</b> review"
+    def test_second_caption_of_a_body_tokenizes_nothing(self, monkeypatch):
+        text = "a half-life -- review of İstanbul's café, e.g. 3.5/5 " * 4
+        calls = []
+        tokenize = snippets.tokenize
 
-    def test_stemmed_match_highlighted(self, analyzer):
-        out = highlight("many reviews", ["review"], analyzer)
-        assert "<b>reviews</b>" in out
+        def spy(word):
+            calls.append(word)
+            return tokenize(word)
 
-    def test_no_terms_identity(self, analyzer):
-        assert highlight("text", [], analyzer) == "text"
+        monkeypatch.setattr(snippets, "tokenize", spy)
+        snippets._word_table.cache_clear()
+        first = best_window(text, [3, 40], width=5)
+        assert calls
+        del calls[:]
+        assert best_window(text, [3, 40], width=5) == first
+        assert best_window(text, [7], width=9) != first
+        assert calls == []
 
-    def test_custom_tags(self, analyzer):
-        out = highlight("halo", ["halo"], analyzer, "<em>", "</em>")
-        assert out == "<em>halo</em>"
+    def test_memo_keeps_the_most_recent_bodies(self):
+        snippets._word_table.cache_clear()
+        for n in range(CAPTION_MEMO_SIZE + 10):
+            best_window(f"body number {n}", [2], width=2)
+        info = snippets._word_table.cache_info()
+        assert info.currsize == CAPTION_MEMO_SIZE
+        assert info.misses == CAPTION_MEMO_SIZE + 10
+        best_window(f"body number {CAPTION_MEMO_SIZE + 9}", [0], width=2)
+        assert snippets._word_table.cache_info().hits == 1
 
+    def test_positions_outside_the_body_are_ignored(self):
+        text = "alpha beta gamma delta epsilon zeta"
+        lead = "alpha beta …"
+        assert best_window(text, [-1], width=2) == lead
+        assert best_window(text, [-6, -2], width=2) == lead
+        assert best_window(text, [6, 99], width=2) == lead
+        assert best_window(text, [-1, 5, 6], width=2) == "… epsilon zeta"
+
+    def test_hit_positions_may_be_a_generator(self):
+        text = "alpha beta gamma delta epsilon zeta"
+        hits = (position for position in (3, 4))
+        assert best_window(text, hits, width=2) == "… delta epsilon …"
+
+    def test_late_hit_in_a_body_past_two_byte_word_indices(self):
+        size = (1 << 16) + 50
+        words = [f"w{n}" for n in range(size)]
+        words[-10] = "half-life"    # two tokens: token p + 1 is word p after it
+        text = " ".join(words)
+        got = best_window(text, [size - 3], width=3)
+        assert got == f"… w{size - 6} w{size - 5} w{size - 4} …"
+        assert snippets._word_table(text).itemsize == 4
 
 class TestEditDistance:
     def test_identity(self):
