@@ -167,9 +167,10 @@ class ProprietaryTableSource(DataSource):
     description" in §II-B), the first boosted; all schema fields remain
     available for layout binding and filters. The index is brought up to
     date at the next search after the table changed, at the cost of the
-    rows that changed: the table's change tail names them and only they
-    are re-indexed. Every row is indexed only on first use, or when more
-    changed between two searches than the tail holds.
+    fields that changed: the table's change tail names the rows, and a
+    changed row's index upsert re-files only its changed fields. Every
+    row is indexed only on first use, or when more changed between two
+    searches than the tail holds.
     """
 
     def __init__(self, source_id: str, name: str, table,
@@ -224,19 +225,20 @@ class ProprietaryTableSource(DataSource):
                 try:
                     current = table.get(record_id)
                 except NotFoundError:   # deleted since
-                    current = None
-                if record_id in index:
-                    if index.document(record_id).payload is current:
-                        continue
-                    index.remove(record_id)
-                if current is not None:
-                    # Typed values, so predicates compare numbers as
-                    # numbers (the index files ``str(value)``); "" is a
-                    # missing value, which coercion never stores.
-                    index.add(FieldedDocument(record_id, {
-                        name: "" if value is None else value
-                        for name, value in current.values.items()},
-                        current))
+                    if record_id in index:
+                        index.remove(record_id)
+                    continue
+                if (record_id in index
+                        and index.document(record_id).payload is current):
+                    continue
+                # Typed values, so predicates compare numbers as numbers
+                # (the index files ``str(value)``); "" is a missing
+                # value, which coercion never stores. An upsert re-files
+                # only the fields that changed.
+                index.upsert(FieldedDocument(record_id, {
+                    name: "" if value is None else value
+                    for name, value in current.values.items()},
+                    current))
             self._indexed_mutations = mutations
         fields = tuple(search_fields) or self.search_fields
         if fields == self.search_fields:

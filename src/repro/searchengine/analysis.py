@@ -57,7 +57,10 @@ class PorterStemmer:
 
     def stem_uncached(self, word: str) -> str:
         """The five steps themselves; what :data:`stem_memo` remembers."""
-        if len(word) <= 2:
+        # Every rule strips or replaces a suffix ending in a letter, so
+        # a word ending in a digit (a SKU, a price, a year) is its own
+        # stem.
+        if len(word) <= 2 or word[-1].isdigit():
             return word
         word = self._step1a(word)
         word = self._step1b(word)

@@ -39,6 +39,19 @@ def _shared(positions: tuple) -> tuple:
     return positions
 
 
+def _filed(value):
+    """What the index files of a field value: its ``str``, or nothing
+    for ``None``."""
+    return None if value is None else str(value)
+
+
+def _changed(fields: dict, other: dict) -> dict:
+    """The entries of ``fields`` that ``other`` files differently; an
+    absent field files as ``None`` does."""
+    return {name: value for name, value in fields.items()
+            if _filed(value) != _filed(other.get(name))}
+
+
 class InvertedIndex:
     """A multi-field positional inverted index.
 
@@ -48,9 +61,10 @@ class InvertedIndex:
     order).
 
     Precondition: a :class:`FieldedDocument`'s ``fields`` are not mutated
-    after :meth:`add`. :meth:`remove` keeps no per-document term list; it
-    re-analyzes the stored field values to find the document's postings,
-    so they must still be the values that were indexed.
+    after :meth:`add`. :meth:`remove` and :meth:`upsert` keep no
+    per-document term list; they re-analyze the stored field values to
+    find the document's postings, so they must still be the values that
+    were indexed.
     """
 
     def __init__(self, analyzer: Analyzer | None = None,
@@ -65,8 +79,8 @@ class InvertedIndex:
         self._docs: dict[str, FieldedDocument] = {}
         self._field_lengths: dict[str, dict[str, int]] = {}
         self._total_field_length: dict[str, int] = {}
-        #: Bumped by every add / remove; whatever is derived from the
-        #: index's contents compares it to know it went stale.
+        #: Bumped by every add / upsert / remove; whatever is derived
+        #: from the index's contents compares it to know it went stale.
         self.mutations = 0
 
     # -- lifecycle -----------------------------------------------------------
@@ -84,25 +98,28 @@ class InvertedIndex:
             raise DuplicateError(f"document already indexed: {doc_id}")
         self._docs[doc_id] = document
         self.mutations += 1
-        keywords, texts = self._entries(document)
-        for name, value in keywords:
-            value_map = self._keyword.setdefault(name, {})
-            value_map.setdefault(value, set()).add(doc_id)
-        for name, by_term, length in texts:
-            term_map = self._postings.setdefault(name, {})
-            for term, positions in by_term.items():
-                term_map.setdefault(term, {})[doc_id] = _shared(
-                    tuple(positions))
-            self._field_lengths.setdefault(name, {})[doc_id] = length
-            self._total_field_length[name] = (
-                self._total_field_length.get(name, 0) + length
-            )
+        self._file(doc_id, document.fields)
 
     def upsert(self, document: FieldedDocument) -> None:
-        """Replace any existing document with the same id, then add."""
-        if document.doc_id in self._docs:
-            self.remove(document.doc_id)
-        self.add(document)
+        """Index ``document``, replacing any stored under its id.
+
+        A new id is an :meth:`add`. For a stored one only the fields
+        whose filed value changed are taken out and filed again: those
+        absent or ``None`` on exactly one side, or whose ``str`` differs
+        (``1``, ``1.0`` and ``True`` are equal but file differently).
+        The rest keep their postings, keyword entries and lengths. The
+        stored document is replaced and ``mutations`` bumped once.
+        """
+        doc_id = document.doc_id
+        stored = self._docs.get(doc_id)
+        if stored is None:
+            self.add(document)
+            return
+        self._docs[doc_id] = document
+        self.mutations += 1
+        before, after = stored.fields, document.fields
+        self._unfile(doc_id, _changed(before, after))
+        self._file(doc_id, _changed(after, before))
 
     def remove(self, doc_id: str) -> None:
         """Take ``doc_id`` out; raises :class:`NotFoundError` if absent.
@@ -116,7 +133,29 @@ class InvertedIndex:
         if document is None:
             raise NotFoundError(f"document not indexed: {doc_id}")
         self.mutations += 1
-        keywords, texts = self._entries(document)
+        self._unfile(doc_id, document.fields)
+
+    # -- ingestion internals --------------------------------------------------
+
+    def _file(self, doc_id: str, fields: dict) -> None:
+        """File ``doc_id`` under what ``fields`` holds."""
+        keywords, texts = self._entries(fields)
+        for name, value in keywords:
+            value_map = self._keyword.setdefault(name, {})
+            value_map.setdefault(value, set()).add(doc_id)
+        for name, by_term, length in texts:
+            term_map = self._postings.setdefault(name, {})
+            for term, positions in by_term.items():
+                term_map.setdefault(term, {})[doc_id] = _shared(
+                    tuple(positions))
+            self._field_lengths.setdefault(name, {})[doc_id] = length
+            self._total_field_length[name] = (
+                self._total_field_length.get(name, 0) + length
+            )
+
+    def _unfile(self, doc_id: str, fields: dict) -> None:
+        """Take ``doc_id`` out of what ``fields`` filed it under."""
+        keywords, texts = self._entries(fields)
         for name, value in keywords:
             value_map = self._keyword[name]
             docs = value_map[value]
@@ -140,18 +179,16 @@ class InvertedIndex:
                 del self._field_lengths[name]
                 del self._total_field_length[name]
 
-    # -- ingestion internals --------------------------------------------------
-
-    def _entries(self, document: FieldedDocument) -> tuple[list, list]:
-        """What ``document`` is filed under: ``(keywords, texts)``.
+    def _entries(self, fields: dict) -> tuple[list, list]:
+        """What ``fields`` are filed under: ``(keywords, texts)``.
 
         ``keywords`` holds ``(field, lowered value)`` and ``texts``
         ``(field, {term: [positions]}, token count)``, one per non-null
-        field. ``add`` files exactly these and ``remove`` takes exactly
-        these out again, so the two cannot disagree about a document.
+        field. ``_file`` files exactly these and ``_unfile`` takes
+        exactly these out again, so the two cannot disagree.
         """
         keywords, texts = [], []
-        for name, value in document.fields.items():
+        for name, value in fields.items():
             if value is None:
                 continue
             mode = self.field_modes.get(name, FieldMode.TEXT)

@@ -271,6 +271,9 @@ class RecordTable:
                 )
         self._records: dict[str, Record] = {}
         self._indexes: dict[str, dict] = {f: {} for f in self.indexed_fields}
+        # Exact-value maps of the unindexed fields :meth:`find` was asked
+        # about: field -> {value: {record id, ...}}, built on first use.
+        self._exact: dict[str, dict] = {}
         self._next_serial = 1
         #: Bumped whenever a record enters or leaves the table (an
         #: update does both), so derived indexes can tell cheaply and
@@ -400,9 +403,32 @@ class RecordTable:
     # -- queries -----------------------------------------------------------------
 
     def find(self, field_name: str, value) -> list:
-        """Exact match on an indexed or unindexed field."""
+        """Exact match on an indexed or unindexed field.
+
+        An unindexed field answers from an exact-value map, built on the
+        first call and kept current by every mutation. For the scalars
+        coercion stores (``str``, ``int``, ``float``, ``bool``, ``None``)
+        a dict lookup agrees with ``==``: ``1``, ``1.0`` and ``True``
+        share a bucket. NaN equals nothing, and an unhashable ``value``
+        is compared record by record. Several matches come in table
+        order.
+        """
         if field_name in self._indexes:
             ids = self._indexes[field_name].get(self._key(value), ())
+            return [self._records[i] for i in ids]
+        if value != value:      # NaN, which a dict would find by identity
+            return []
+        exact = self._exact.get(field_name)
+        if exact is None:
+            exact = self._exact[field_name] = {}
+            for record in self._records.values():
+                exact.setdefault(record.values.get(field_name),
+                                 set()).add(record.record_id)
+        try:
+            ids = exact.get(value, ())
+        except TypeError:       # unhashable
+            ids = None
+        if ids is not None and len(ids) < 2:
             return [self._records[i] for i in ids]
         return [r for r in self._records.values()
                 if r.values.get(field_name) == value]
@@ -483,14 +509,25 @@ class RecordTable:
         for field_name, index in self._indexes.items():
             key = self._key(record.values.get(field_name))
             index.setdefault(key, set()).add(record.record_id)
+        for field_name, exact in self._exact.items():
+            exact.setdefault(record.values.get(field_name),
+                             set()).add(record.record_id)
 
     def _unindex_record(self, record: Record) -> None:
         self.mutations += 1
         self._change_tail.append(record.record_id)
         for field_name, index in self._indexes.items():
-            key = self._key(record.values.get(field_name))
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(record.record_id)
-                if not bucket:
-                    del index[key]
+            _discard(index, self._key(record.values.get(field_name)),
+                     record.record_id)
+        for field_name, exact in self._exact.items():
+            _discard(exact, record.values.get(field_name),
+                     record.record_id)
+
+
+def _discard(index: dict, key, record_id: str) -> None:
+    """Take ``record_id`` out of ``index[key]``, dropping an empty bucket."""
+    bucket = index.get(key)
+    if bucket is not None:
+        bucket.discard(record_id)
+        if not bucket:
+            del index[key]

@@ -1,9 +1,11 @@
 """Tests for tokenization, stopwords, and the Porter stemmer."""
 
+import itertools
+import string
 import sys
 import threading
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.searchengine.analysis import (
     Analyzer,
@@ -178,6 +180,51 @@ class TestStemMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert all(results[n] == expected for n in range(4))
         assert stem_memo.cache_info().currsize <= STEM_MEMO_SIZE
+
+
+def step_chain(word):
+    """The five steps with no shortcut for words ending in a digit: the
+    reference :meth:`PorterStemmer.stem_uncached` must agree with."""
+    stemmer = PorterStemmer()
+    if len(word) <= 2:
+        return word
+    for step in (stemmer._step1a, stemmer._step1b, stemmer._step1c,
+                 stemmer._step2, stemmer._step3, stemmer._step4,
+                 stemmer._step5a, stemmer._step5b):
+        word = step(word)
+    return word
+
+
+_ALNUM = string.ascii_lowercase + string.digits
+
+
+class TestDigitEndingTokens:
+    """A token ending in a digit is its own stem, without the steps."""
+
+    def test_every_short_token_equals_the_step_chain(self):
+        stemmer = PorterStemmer()
+        words = ["".join(chars) + digit
+                 for size in range(3)
+                 for chars in itertools.product(_ALNUM, repeat=size)
+                 for digit in string.digits]
+        assert len(words) == 10 * (1 + 36 + 36 ** 2)
+        assert not [w for w in words
+                    if not stemmer.stem_uncached(w) == step_chain(w) == w]
+
+    @given(st.text(alphabet=_ALNUM + "'", min_size=2, max_size=24),
+           st.sampled_from(string.digits))
+    @settings(derandomize=True, deadline=None)
+    def test_longer_tokens_equal_the_step_chain(self, head, digit):
+        word = head + digit
+        assert PorterStemmer().stem_uncached(word) == step_chain(word) \
+            == word
+
+    def test_suffix_shapes_followed_by_a_digit(self):
+        stemmer = PorterStemmer()
+        for word in TestPorterStemmer.CASES:
+            for digit in "09":
+                assert stemmer.stem_uncached(word + digit) == \
+                    step_chain(word + digit) == word + digit
 
 
 class TestAnalyzer:

@@ -205,8 +205,25 @@ def count_calls(monkeypatch, method):
     return calls
 
 
+def spy_filing(monkeypatch):
+    """The field names each ``InvertedIndex._entries`` call reads from
+    here on: what filing and unfiling analyze."""
+    calls = []
+    original = InvertedIndex._entries
+
+    def spied(self, fields):
+        calls.append(tuple(fields))
+        return original(self, fields)
+
+    monkeypatch.setattr(InvertedIndex, "_entries", spied)
+    return calls
+
+
 class TestWorkCounts:
-    def test_a_delta_costs_the_rows_it_changed(self, monkeypatch):
+    """A delta costs the field values it changed: each changed value is
+    analyzed twice (the old one out, the new one in), and nothing else."""
+
+    def test_a_delta_costs_the_fields_it_changed(self, monkeypatch):
         table = make_table()
         for i in range(250):
             table.insert({"sku": f"S{i}", "title": f"game {_WORDS[i % 10]}",
@@ -215,16 +232,35 @@ class TestWorkCounts:
         assert source.search(SourceQuery("game")).total_matches == 250
         for i in range(5):
             table.upsert_by("sku", {"sku": f"S{i}", "title": "repriced",
-                                    "producer": "studio"})
-        for i in range(5):
-            table.upsert_by("sku", {"sku": f"NEW{i}", "title": "repriced",
-                                    "producer": "studio"})
+                                    "producer": "studio",
+                                    "description": f"row{i}"})
+        filed = spy_filing(monkeypatch)
+        assert source.search(SourceQuery("repriced")).total_matches == 5
+        assert [name for call in filed for name in call] == ["title"] * 10
+        filed.clear()
+        assert source.search(SourceQuery("game")).total_matches == 245
+        assert filed == []
+
+    def test_inserts_add_and_deletes_remove(self, monkeypatch):
+        table = make_table()
+        records = [table.insert({"sku": f"S{i}", "title": "halo"})
+                   for i in range(6)]
+        source = make_source(table)
+        source.search(SourceQuery("halo"))
+        for i in range(3):
+            table.insert({"sku": f"NEW{i}", "title": "halo arena"})
+        for record in records[:2]:
+            table.delete(record.record_id)
+        table.update(records[2].record_id, {"producer": "bungie"})
         adds = count_calls(monkeypatch, "add")
         removes = count_calls(monkeypatch, "remove")
-        assert source.search(SourceQuery("repriced")).total_matches == 10
-        assert (adds[0], removes[0]) == (10, 5)
-        assert source.search(SourceQuery("game")).total_matches == 245
-        assert (adds[0], removes[0]) == (10, 5)
+        upserts = count_calls(monkeypatch, "upsert")
+        filed = spy_filing(monkeypatch)
+        assert source.search(SourceQuery("halo")).total_matches == 7
+        # A new row is an upsert that adds; a changed one re-files in place.
+        assert (adds[0], removes[0], upserts[0]) == (3, 2, 4)
+        assert filed.count(("producer",)) == 2     # "" out, "bungie" in
+        assert len(filed) == 3 + 2 + 2
 
     def test_a_row_changed_many_times_is_indexed_once(self, monkeypatch):
         table = make_table()
@@ -237,6 +273,9 @@ class TestWorkCounts:
         table.delete(gone.record_id)
         adds = count_calls(monkeypatch, "add")
         removes = count_calls(monkeypatch, "remove")
+        upserts = count_calls(monkeypatch, "upsert")
+        filed = spy_filing(monkeypatch)
         result = source.search(SourceQuery("racing"))
         assert [item.item_id for item in result.items] == [record.record_id]
-        assert (adds[0], removes[0]) == (1, 1)
+        assert (adds[0], removes[0], upserts[0]) == (0, 0, 1)
+        assert filed == [("title",), ("title",)]
