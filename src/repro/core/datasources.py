@@ -117,6 +117,10 @@ class DataSource(ABC):
         self.source_id = source_id
         self.name = name
         self.kind = kind
+        #: What the runtime's result cache keys this source's entries
+        #: on: two sources with equal identities answer every query
+        #: alike and share entries. By default the source is its own.
+        self.cache_identity = source_id
 
     @abstractmethod
     def fields(self) -> list[str]:
@@ -347,6 +351,10 @@ class WebSearchSource(DataSource):
         self.sites = tuple(sites)
         self.augment_terms = tuple(augment_terms)
         self.freshness_days = freshness_days
+        # Everything a search reads besides the query: tenants whose
+        # sources are configured alike share one cached look-up.
+        self.cache_identity = (engine, vertical, self.sites,
+                               self.augment_terms, freshness_days)
 
     def fields(self) -> list[str]:
         return ["title", "url", "snippet", "site"]

@@ -725,13 +725,17 @@ class SymphonyRuntime:
         source = self._registry.get(binding.source_id)
         trace, deadline = ctx.trace, ctx.deadline
         cacheable = cacheable and self.cache_enabled
-        cache_key = (binding.source_id, query_text, binding.max_results,
-                     offset)
+        cache_key = (source.cache_identity, query_text,
+                     binding.max_results, offset, tuple(search_fields))
         if cacheable:
             cached = self.cache.get(cache_key, self.clock.now_ms)
             if cached is not None:
                 trace.record_cache(True)
                 trace.sources_ok += 1
+                if cached.source_id != binding.source_id:
+                    # Stored by a source that searches alike.
+                    cached = dataclass_replace(cached,
+                                               source_id=binding.source_id)
                 return cached
             trace.record_cache(False)
         with self._tracer.span("source") as span:

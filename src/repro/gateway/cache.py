@@ -1,9 +1,10 @@
-"""The platform's one cache: LRU + TTL + generation stamps.
+"""The platform's one cache: segmented LRU + TTL + generation stamps.
 
 Two instances serve a query.  The runtime keeps per-source
 :class:`~repro.core.datasources.SourceResult` objects keyed by
-``(source, query, count, offset)``; the gateway keeps whole
-:class:`~repro.core.runtime.ApplicationResponse` objects keyed by
+``(source's cache identity, query, count, offset, search fields)``, so
+tenants' web sources that search alike share entries; the gateway keeps
+whole :class:`~repro.core.runtime.ApplicationResponse` objects keyed by
 ``(app_id, app version, normalized query, page, customer)`` — one hit
 there skips the entire pipeline.  Every entry is stamped with the
 generations (see :mod:`repro.gateway.generations`) of the data it was
@@ -12,6 +13,14 @@ computed from, as named by
 re-ingesting her table bumps the generation and every stamped entry
 becomes a miss on its next read.  Stale hits are therefore *impossible*,
 not merely bounded by TTL, and nobody has to be told about a bump.
+
+Each instance splits its entries into two LRU segments, *unread* and
+*read*, each bounded by ``max_entries``.  A Fig. 2 query stores an
+entry per source call and reads most of them never again, while the
+supplemental look-ups its results derive (a franchise, a category) come
+round on every query; in one LRU the first kind pushed the second out.
+Only the unread segment evicts, so a scan of one-hit entries cannot
+displace an entry that has been served.
 
 Stampede protection is the gateway's single-flight table: a miss there
 enters the flight table before executing, so concurrent misses for one
@@ -38,22 +47,37 @@ def normalize_query(text: str) -> str:
 
 
 class ResultCache:
-    """LRU + TTL cache validated against a generation registry.
+    """Segmented LRU + TTL cache validated against a generation registry.
+
+    Entries live in one of two LRU segments, each bounded by
+    ``max_entries`` (so the cache holds at most twice that):
+
+    * *unread* — stored and not read since; every ``put`` lands here;
+    * *read* — served at least once; a hit in *unread* moves the entry
+      here, and when *read* overflows its least recently used entry
+      drops back to *unread*.
+
+    Only *unread* evicts. A stream of values nobody reads again (each
+    query's own primary result) can therefore push out only other
+    unread entries, never a look-up that is served on every query: an
+    entry that was read leaves only by TTL, by a generation bump, or by
+    ``max_entries`` more recently read entries (scan resistance).
 
     TTL is judged against the simulated clock so tests can age entries
     deterministically. Expired entries are swept on a ``put`` when an
     entry can have expired (not just when their key is re-read), so an
     app issuing many distinct queries cannot hold dead entries up to the
-    LRU cap; a lower bound on the oldest entry's time tells when, so
-    other puts walk nothing. That sweep is TTL-only — an entry whose
-    generation moved dies when it is read or when the cache reaches its
-    LRU cap, where the entries a bump killed go before any live one
-    (one scan per bump at most).
+    cap; a lower bound on the oldest entry's time tells when, so other
+    puts walk nothing. That sweep is TTL-only — an entry whose
+    generation moved dies when it is read or when *unread* reaches its
+    cap, where the entries a bump killed go before any live one (one
+    scan per bump at most). An entry keeps its store time as it moves
+    between segments.
     Thread-safe: gateway dispatchers and concurrent app queries share
     these caches.
 
     Without ``generations`` the cache owns a private registry nobody
-    bumps, i.e. plain LRU + TTL.
+    bumps, i.e. plain segmented LRU + TTL.
     """
 
     def __init__(self, max_entries: int = 512,
@@ -64,9 +88,12 @@ class ResultCache:
         self._generations = generations or GenerationRegistry()
         self.max_entries = max_entries
         self.ttl_ms = ttl_ms
-        #: key -> (stored_ms, stamp dict, value)
-        self._entries: OrderedDict = OrderedDict()
-        #: At most the smallest ``stored_ms`` in ``_entries``.
+        #: key -> (stored_ms, stamp dict, value), least recent first:
+        #: entries not read since they were stored ...
+        self._unread: OrderedDict = OrderedDict()
+        #: ... and entries served at least once.
+        self._read: OrderedDict = OrderedDict()
+        #: At most the smallest ``stored_ms`` in either segment.
         self._oldest_ms = float("inf")
         self._lock = threading.RLock()
         self._hits = 0
@@ -78,10 +105,14 @@ class ResultCache:
 
     def get(self, key, now_ms: int):
         with self._lock:
-            entry = self._entries.get(key)
+            segment = self._read
+            entry = segment.get(key)
             if entry is None:
-                self._misses += 1
-                return None
+                segment = self._unread
+                entry = segment.get(key)
+                if entry is None:
+                    self._misses += 1
+                    return None
             stored_ms, stamp, value = entry
             if now_ms - stored_ms > self.ttl_ms:
                 self._ttl_evictions += 1
@@ -90,10 +121,15 @@ class ResultCache:
                 # re-ingested; the entry is dead regardless of TTL.
                 self._stale += 1
             else:
-                self._entries.move_to_end(key)
                 self._hits += 1
+                if segment is self._read:
+                    segment.move_to_end(key)
+                else:
+                    del segment[key]
+                    self._read[key] = entry
+                    self._fit()
                 return value
-            del self._entries[key]
+            del segment[key]
             self._misses += 1
             return None
 
@@ -107,26 +143,38 @@ class ResultCache:
     def put(self, key, value, now_ms: int, stamp=None) -> None:
         """Store ``value`` under a :meth:`stamp` (none: plain LRU+TTL)."""
         with self._lock:
-            self._entries[key] = (now_ms, stamp or {}, value)
-            self._entries.move_to_end(key)
+            self._read.pop(key, None)
+            self._unread[key] = (now_ms, stamp or {}, value)
+            self._unread.move_to_end(key)
             self._oldest_ms = min(self._oldest_ms, now_ms)
-            # Sweep TTL-dead entries first; only then apply the LRU cap.
+            # Sweep TTL-dead entries first; only then apply the caps.
             if now_ms - self._oldest_ms > self.ttl_ms:
-                expired = [
-                    k for k, (stored_ms, __, ___) in self._entries.items()
-                    if now_ms - stored_ms > self.ttl_ms
-                ]
-                for k in expired:
-                    del self._entries[k]
-                self._ttl_evictions += len(expired)
+                for segment in (self._unread, self._read):
+                    expired = [
+                        k for k, (stored_ms, __, ___) in segment.items()
+                        if now_ms - stored_ms > self.ttl_ms
+                    ]
+                    for k in expired:
+                        del segment[k]
+                    self._ttl_evictions += len(expired)
                 # Never empty: the entry just put has not expired.
                 self._oldest_ms = min(
-                    stored_ms for stored_ms, __, ___ in self._entries.values())
-            if len(self._entries) > self.max_entries:
-                self._drop_stale()
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._lru_evictions += 1
+                    stored_ms
+                    for segment in (self._unread, self._read)
+                    for stored_ms, __, ___ in segment.values())
+            self._fit()
+
+    def _fit(self) -> None:
+        """Hold both segments to ``max_entries``: *read* overflows into
+        *unread*, and *unread* evicts, dead entries first."""
+        while len(self._read) > self.max_entries:
+            key, entry = self._read.popitem(last=False)
+            self._unread[key] = entry
+        if len(self._unread) > self.max_entries:
+            self._drop_stale()
+        while len(self._unread) > self.max_entries:
+            self._unread.popitem(last=False)
+            self._lru_evictions += 1
 
     def _drop_stale(self) -> None:
         # A table that is re-ingested every few seconds would otherwise
@@ -135,11 +183,12 @@ class ResultCache:
         if bumps == self._swept_bumps:
             return
         self._swept_bumps = bumps
-        stale = [k for k, (__, stamp, ___) in self._entries.items()
-                 if not self._generations.valid(stamp)]
-        for k in stale:
-            del self._entries[k]
-        self._stale += len(stale)
+        for segment in (self._unread, self._read):
+            stale = [k for k, (__, stamp, ___) in segment.items()
+                     if not self._generations.valid(stamp)]
+            for k in stale:
+                del segment[k]
+            self._stale += len(stale)
 
     def stats(self) -> dict:
         """Lifetime cache statistics (feeds the metrics registry)."""
@@ -152,13 +201,14 @@ class ResultCache:
                 "stale_invalidations": self._stale,
                 "ttl_evictions": self._ttl_evictions,
                 "lru_evictions": self._lru_evictions,
-                "entries": len(self._entries),
+                "entries": len(self._unread) + len(self._read),
             }
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._unread.clear()
+            self._read.clear()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._unread) + len(self._read)

@@ -49,9 +49,9 @@ class AutocompleteIndex:
     def from_query_log(cls, log,
                        app_id: str | None = None) -> "AutocompleteIndex":
         index = cls()
-        for event in log.queries:
-            if app_id is not None and event.app_id != app_id:
-                continue
+        events = (log.queries if app_id is None
+                  else log.queries_for_app(app_id))
+        for event in events:
             index.add(event.query)
         return index
 

@@ -55,7 +55,13 @@ class QueryLog:
         self.clicks.append(event)
 
     def queries_for_app(self, app_id: str) -> list:
-        return [q for q in self.queries if q.app_id == app_id]
+        """The app's customer queries: the ``"app"`` events the runtime
+        logs once per answered query. The engine look-ups a query
+        drives are logged under the app too, but how many of them run
+        depends on what the result cache already holds, so they are
+        not the app's traffic."""
+        return [q for q in self.queries
+                if q.app_id == app_id and q.vertical == "app"]
 
     def clicks_for_app(self, app_id: str) -> list:
         return [c for c in self.clicks if c.app_id == app_id]

@@ -2,12 +2,13 @@
 exactly what a sweep of every entry on every ``put`` evicted.
 
 :class:`FullScanCache` is :class:`ResultCache` with the ``put`` it had
-before the cache kept a lower bound on its oldest entry: walk all
-entries for TTL-dead ones, then apply the LRU cap. It is the
-specification. Random sequences of put / get / generation bump / clock
-step — the clock also steps backwards — must leave both caches with the
-same ``stats()``, the same keys in the same LRU order and the same
-answers to every ``get``.
+before the cache kept a lower bound on its oldest entry, on the same two
+segments: walk all entries of both for TTL-dead ones, then cap the
+unread segment, generation-dead entries first. It is the specification.
+Random sequences of put / get / generation bump / clock step — the clock
+also steps backwards — must leave both caches with the same ``stats()``,
+the same keys in the same LRU order in each segment and the same answers
+to every ``get``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -23,19 +24,21 @@ GENERATION_KEYS = ("corpus", "tenant:t1:inventory")
 class FullScanCache(ResultCache):
     def put(self, key, value, now_ms: int, stamp=None) -> None:
         with self._lock:
-            self._entries[key] = (now_ms, stamp or {}, value)
-            self._entries.move_to_end(key)
-            expired = [
-                k for k, (stored_ms, __, ___) in self._entries.items()
-                if now_ms - stored_ms > self.ttl_ms
-            ]
-            for k in expired:
-                del self._entries[k]
-            self._ttl_evictions += len(expired)
-            if len(self._entries) > self.max_entries:
+            self._read.pop(key, None)
+            self._unread[key] = (now_ms, stamp or {}, value)
+            self._unread.move_to_end(key)
+            for segment in (self._unread, self._read):
+                expired = [
+                    k for k, (stored_ms, __, ___) in segment.items()
+                    if now_ms - stored_ms > self.ttl_ms
+                ]
+                for k in expired:
+                    del segment[k]
+                self._ttl_evictions += len(expired)
+            if len(self._unread) > self.max_entries:
                 self._drop_stale()
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            while len(self._unread) > self.max_entries:
+                self._unread.popitem(last=False)
                 self._lru_evictions += 1
 
 
@@ -68,4 +71,5 @@ def test_bounded_sweep_equals_full_scan(steps, capacity):
         else:
             now += step[1]
         assert cache.stats() == reference.stats(), (n, step)
-        assert list(cache._entries) == list(reference._entries), (n, step)
+        assert list(cache._unread) == list(reference._unread), (n, step)
+        assert list(cache._read) == list(reference._read), (n, step)

@@ -280,16 +280,23 @@ class TestCaching:
         assert len(primary.queries) == 2
 
     def test_lru_eviction(self):
+        # Evictions run LRU within the unread segment; an entry that
+        # was read sits in the read segment and outlives them.
         for stamp in CACHE_STAMPS:
             cache = ResultCache(max_entries=2)
             cache.put("a", 1, 0, cache.stamp(stamp))
             cache.put("b", 2, 0, cache.stamp(stamp))
-            cache.get("a", now_ms=0)   # refresh a
-            cache.put("c", 3, 0, cache.stamp(stamp))  # evicts b
+            cache.get("a", now_ms=0)   # a is read
+            cache.put("c", 3, 0, cache.stamp(stamp))
+            cache.put("d", 4, 0, cache.stamp(stamp))  # evicts b
+            assert list(cache._unread) == ["c", "d"]
+            assert list(cache._read) == ["a"]
+            cache.put("e", 5, 0, cache.stamp(stamp))  # evicts c
             assert cache.get("b", now_ms=0) is None
+            assert cache.get("c", now_ms=0) is None
             assert cache.get("a", now_ms=0) == 1
-            assert len(cache) == 2
-
+            assert cache.stats()["lru_evictions"] == 2
+            assert len(cache) == 3
     def test_put_sweeps_expired_entries(self):
         # Expired entries must not linger just because their keys are
         # never re-read: any put prunes them.
@@ -333,8 +340,9 @@ class TestCaching:
 
     def test_lru_cap_takes_stale_entries_before_live_ones(self):
         # A table re-ingested every few seconds must not fill the
-        # cache with dead entries that push live ones out — and the
-        # scan that finds them runs once per bump, not once per put.
+        # cache with dead entries that push live ones out — in either
+        # segment — and the scan that finds them runs once per bump,
+        # not once per put.
         class CountingRegistry(GenerationRegistry):
             validations = 0
 
@@ -343,15 +351,18 @@ class TestCaching:
                 return super().valid(stamp)
 
         registry = CountingRegistry()
-        cache = ResultCache(max_entries=3, generations=registry)
+        cache = ResultCache(max_entries=2, generations=registry)
+        table = ("tenant:t1:inventory",)
         cache.put("live", 1, 0, cache.stamp(("corpus",)))
-        cache.put("stale-1", 2, 0, cache.stamp(("tenant:t1:inventory",)))
-        cache.put("stale-2", 3, 0, cache.stamp(("tenant:t1:inventory",)))
+        cache.put("stale-read", 2, 0, cache.stamp(table))
+        assert cache.get("stale-read", now_ms=0) == 2
+        cache.put("stale-unread", 3, 0, cache.stamp(table))
         registry.bump("tenant:t1:inventory")
         cache.put("new", 4, 0, cache.stamp(("corpus",)))
         stats = cache.stats()
         assert stats["lru_evictions"] == 0
         assert stats["stale_invalidations"] == 2
+        assert len(cache) == 2
         assert cache.get("live", now_ms=0) == 1
         # Full of live entries and nothing bumped since: plain LRU.
         cache.put("newer", 5, 0, cache.stamp(("corpus",)))
@@ -359,6 +370,47 @@ class TestCaching:
         cache.put("newest", 6, 0, cache.stamp(("corpus",)))
         assert registry.validations == scanned
         assert cache.stats()["lru_evictions"] == 1
+        assert cache.get("new", now_ms=0) is None
+        assert cache.get("live", now_ms=0) == 1
+
+    def test_read_entry_outlives_any_scan_of_unread_puts(self):
+        # A look-up served on every query must survive the one-hit
+        # entries each query stores. It leaves by TTL, by a bump, or
+        # once max_entries more recently read entries push it back
+        # into the unread segment.
+        def warmed(capacity, puts):
+            registry = GenerationRegistry()
+            cache = ResultCache(max_entries=capacity, ttl_ms=100,
+                                generations=registry)
+            cache.put("franchise", "v", 0, cache.stamp(("corpus",)))
+            assert cache.get("franchise", now_ms=0) == "v"
+            for n in range(puts):
+                cache.put(("primary", n), n, 0, cache.stamp(("corpus",)))
+            return registry, cache
+
+        for capacity in (1, 2, 5):
+            for puts in (0, 1, capacity, 10 * capacity):
+                __, cache = warmed(capacity, puts)
+                assert cache.stats()["lru_evictions"] == max(
+                    0, puts - capacity)
+                assert cache.get("franchise", now_ms=100) == "v"
+
+            __, cache = warmed(capacity, 3 * capacity)
+            assert cache.get("franchise", now_ms=101) is None
+
+            registry, cache = warmed(capacity, 3 * capacity)
+            registry.bump("corpus")
+            assert cache.get("franchise", now_ms=0) is None
+
+            __, cache = warmed(capacity, 0)
+            for n in range(capacity):
+                assert "franchise" in cache._read
+                cache.put(("hot", n), n, 0)
+                assert cache.get(("hot", n), now_ms=0) == n
+            assert "franchise" in cache._unread
+            for n in range(capacity):
+                cache.put(("primary", n), n, 0)
+            assert cache.get("franchise", now_ms=0) is None
 
     def test_concurrent_put_get_bump_keeps_counts_consistent(self):
         registry = GenerationRegistry()
@@ -395,7 +447,7 @@ class TestCaching:
         # A lost update would drop a get from the hit/miss ledger or
         # let the cache outgrow its cap.
         assert stats["hits"] + stats["misses"] == rounds * workers
-        assert len(cache) <= 8
+        assert len(cache._unread) <= 8 and len(cache._read) <= 8
         assert stats["entries"] == len(cache)
 
 

@@ -814,6 +814,6 @@ class TestGenerationKeyAgreement:
             app_id = sym.host(session)
             sym.query(app_id, games[0])
             assert set(sym.gateway._generation_keys(app_id)) == keys
-            assert runtime_stamps[source.source_id] == keys
+            assert runtime_stamps[source.cache_identity] == keys
             assert set(SourceBackend(source).descriptor
                        .generation_keys) == keys

@@ -3,8 +3,8 @@
 from repro.searchengine.logs import ClickEvent, QueryEvent, QueryLog
 
 
-def q(query, app_id=None, session_id=None):
-    return QueryEvent(timestamp_ms=0, query=query, vertical="web",
+def q(query, app_id=None, session_id=None, vertical="web"):
+    return QueryEvent(timestamp_ms=0, query=query, vertical=vertical,
                       app_id=app_id, session_id=session_id)
 
 
@@ -15,11 +15,15 @@ def c(query, url, app_id=None, is_ad=False):
 
 class TestQueryLog:
     def test_append_and_slice_by_app(self):
+        # An app's queries are its customers' ("app" events), not the
+        # engine look-ups those queries drove under its id.
         log = QueryLog()
-        log.log_query(q("halo", app_id="a"))
-        log.log_query(q("zelda", app_id="b"))
+        log.log_query(q("halo", app_id="a", vertical="app"))
+        log.log_query(q('"halo" reviews', app_id="a"))
+        log.log_query(q("zelda", app_id="b", vertical="app"))
         log.log_click(c("halo", "http://x.example/1", app_id="a"))
-        assert len(log.queries_for_app("a")) == 1
+        assert [e.query for e in log.queries_for_app("a")] == ["halo"]
+        assert len(log.queries) == 3
         assert len(log.clicks_for_app("a")) == 1
         assert log.queries_for_app("c") == []
 

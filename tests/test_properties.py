@@ -224,6 +224,25 @@ class TestCacheProperties:
             cache.put(key, key.upper(), now, cache.stamp(stamp))
             assert len(cache) <= capacity
 
+    @given(st.lists(
+        st.tuples(st.sampled_from(("put", "get")),
+                  st.sampled_from("abcdefgh"), st.integers(0, 100)),
+        min_size=1, max_size=60,
+    ), st.integers(1, 4), st.sampled_from(CACHE_STAMPS))
+    def test_each_segment_stays_within_capacity(self, operations,
+                                                capacity, stamp):
+        # max_entries bounds the unread and the read segment each, so
+        # the cache holds at most twice that.
+        cache = ResultCache(max_entries=capacity, ttl_ms=10_000)
+        for kind, key, now in operations:
+            if kind == "put":
+                cache.put(key, key.upper(), now, cache.stamp(stamp))
+            else:
+                assert cache.get(key, now) in (None, key.upper())
+            assert len(cache._unread) <= capacity
+            assert len(cache._read) <= capacity
+            assert len(cache) == cache.stats()["entries"] <= 2 * capacity
+
     @given(st.sampled_from("abc"), st.integers(0, 100),
            st.integers(1, 200), st.sampled_from(CACHE_STAMPS))
     def test_ttl_monotone(self, key, stored_at, age, stamp):
