@@ -8,14 +8,14 @@ document-partitioned, replicated index cluster:
 * **Statistics:** BM25 on a shard must see corpus-wide document
   counts, field lengths and per-term document frequencies, or idf
   drifts from single-node scoring. The coordinator keeps one merged
-  :class:`CorpusStats` per vertical, keyed on (writes applied to that
-  vertical, route-map version). A query whose terms are all in the
+  :class:`CorpusStats` per vertical, keyed on (that vertical's corpus
+  generation, route-map version). A query whose terms are all in the
   entry skips straight to execution; otherwise it first runs one
   ``stats`` scatter round over all of its terms, and the entry takes
   the merged result only when every routed shard answered. Every write
   goes through :meth:`ClusteredSearchEngine.replicated_write`, which
-  bumps the vertical's counter, and every reshard cutover bumps the
-  route-map version, so a cached entry is never stale.
+  advances the vertical's corpus generation, and every reshard cutover
+  bumps the route-map version, so a cached entry is never stale.
 * **Execution scatter:** every shard runs the single-node engine's
   per-index search (:func:`~repro.searchengine.engine.execute_query`)
   on its own partition, handing the scorer the merged statistics in
@@ -38,11 +38,14 @@ the surviving shards reported when the shard was lost in the
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import islice
 
-from repro.gateway.generations import CORPUS_KEY, TOPOLOGY_KEY
+from repro.gateway.generations import (
+    TOPOLOGY_KEY,
+    GenerationRegistry,
+    corpus_key,
+)
 from repro.searchengine.engine import (
     SearchOptions,
     SearchResponse,
@@ -188,7 +191,7 @@ class ClusteredSearchEngine:
                  log: QueryLog | None = None,
                  config: ClusterConfig | None = None,
                  telemetry: Telemetry | None = None,
-                 hedge=None) -> None:
+                 hedge=None, generations=None) -> None:
         if len(groups) != router.num_shards:
             raise ValueError("one replica group per shard required")
         self.groups = list(groups)
@@ -217,16 +220,15 @@ class ClusteredSearchEngine:
         # health (identical to what every replica was built with).
         from repro.searchengine.engine import make_vertical_indexes
         self._reference = make_vertical_indexes(self.authority)
-        # Writes applied per vertical, bumped by every replicated write:
-        # whatever was merged from a vertical's shards (statistics,
-        # spelling vocabulary) is current only at the count it was
-        # merged at.
-        self._writes = dict.fromkeys(Vertical, 0)
-        self._writes_lock = threading.Lock()
-        # vertical -> ((writes, route-map version), merged CorpusStats,
-        # the terms its doc frequencies cover)
+        # Every replicated write advances its vertical's corpus
+        # generation: whatever was merged from a vertical's shards
+        # (statistics, spelling vocabulary) is current only at the
+        # generation it was merged at, and so is any cached answer.
+        self._generations = generations or GenerationRegistry()
+        # vertical -> ((generation, route-map version), merged
+        # CorpusStats, the terms its doc frequencies cover)
         self._stats: dict = {}
-        # (vertical, writes, route-map version) -> corrector
+        # (vertical, its statistics key) -> corrector
         self._correctors: dict = {}
         # (phase, shard id) -> its shard-task span name, built once: a
         # tracer keeps every finished span, and with it the name
@@ -357,10 +359,9 @@ class ClusteredSearchEngine:
         try:
             self.groups[shard_id].broadcast(write)
         finally:
-            # Counted even when a replica raised part-way: some may
+            # Advanced even when a replica raised part-way: some may
             # have applied the write.
-            with self._writes_lock:
-                self._writes[Vertical(vertical)] += 1
+            self._generations.advance(corpus_key(Vertical(vertical).value))
         if self.durability is not None:
             self.durability.after_write(shard_id)
 
@@ -416,10 +417,10 @@ class ClusteredSearchEngine:
                 return runner(fn)
         return task
 
-    def generation_keys(self) -> tuple:
-        """The corpus plus the shard layout: a reshard cutover changes
-        what every shard holds."""
-        return (CORPUS_KEY, TOPOLOGY_KEY)
+    def generation_keys(self, vertical) -> tuple:
+        """The vertical's corpus plus the shard layout: a reshard
+        cutover changes what every shard holds."""
+        return (corpus_key(Vertical(vertical).value), TOPOLOGY_KEY)
 
     def search(self, vertical, query_text: str,
                options: SearchOptions | None = None,
@@ -460,7 +461,8 @@ class ClusteredSearchEngine:
         # them (none for pure-filter queries, which BM25 never scores).
         stats = CorpusStats.empty()
         if terms:
-            key = (self._writes[vkey], route.version)
+            key = (self._generations.current(corpus_key(vkey.value)),
+                   route.version)
             entry = self._stats.get(vkey)
             if (entry is not None and entry[0] == key
                     and entry[2].issuperset(terms)):
@@ -580,24 +582,21 @@ class ClusteredSearchEngine:
         # handoff; the first (highest-ranked) copy wins. Only while that
         # window is open (fanout installed) does the total need a full
         # deduplicated count — the clean path keeps the lazy heap merge.
+        ranked = _unique_by_doc(merge_ranked(shard_lists))
         if dual_read:
-            unique = list(_unique_by_doc(merge_ranked(shard_lists)))
-            total_matches = len(unique)
-            window = unique[options.offset:
-                            options.offset + options.count]
+            ranked = list(ranked)
+            total_matches = len(ranked)
         else:
             total_matches = sum(candidate_counts.values())
-            window = list(islice(
-                _unique_by_doc(merge_ranked(shard_lists)),
-                options.offset, options.offset + options.count,
-            ))
+        window = list(islice(ranked, options.offset,
+                             options.offset + options.count))
         results = tuple(
             served[shard_id].materialize(vkey, doc_id, score, terms)
             for doc_id, score, shard_id in window
         )
         suggestion = None
         if total_matches == 0 and terms and not failed and not overrun:
-            suggestion = self._suggest(vkey, terms)
+            suggestion = self._suggest(vkey, terms, key)
         degraded = bool(failed) or overrun
         if degraded:
             if root:
@@ -680,11 +679,10 @@ class ClusteredSearchEngine:
         entry[1].doc_frequency.update(stats.doc_frequency)
         entry[2].update(terms)
 
-    def _suggest(self, vkey: Vertical, terms) -> str | None:
-        """'Did you mean' over the merged cross-shard vocabulary."""
-        cache_key = (vkey, self._writes[vkey],
-                     self.router.topology_version)
-        corrector = self._correctors.get(cache_key)
+    def _suggest(self, vkey: Vertical, terms, key: tuple) -> str | None:
+        """'Did you mean' over the merged cross-shard vocabulary, built
+        at most once per statistics ``key``."""
+        corrector = self._correctors.get((vkey, key))
         if corrector is None:
             frequencies: dict[str, int] = {}
             for group in self.active_groups():
@@ -696,7 +694,7 @@ class ClusteredSearchEngine:
                         frequencies.get(term, 0) + count
                     )
             corrector = SpellingCorrector(frequencies=frequencies)
-            self._correctors = {cache_key: corrector}
+            self._correctors = {(vkey, key): corrector}
         corrected = corrector.suggest_query(terms)
         if corrected is None:
             return None
@@ -708,7 +706,8 @@ def build_clustered_engine(web, config: ClusterConfig | None = None,
                            use_authority: bool = True,
                            log: QueryLog | None = None,
                            telemetry: Telemetry | None = None,
-                           hedge=None) -> ClusteredSearchEngine:
+                           hedge=None,
+                           generations=None) -> ClusteredSearchEngine:
     """Index a synthetic web into a ready-to-query cluster.
 
     Authority (PageRank) is computed once over the full link graph and
@@ -736,6 +735,7 @@ def build_clustered_engine(web, config: ClusterConfig | None = None,
     engine = ClusteredSearchEngine(
         groups, router, authority=authority, clock=clock, log=log,
         config=config, telemetry=telemetry, hedge=hedge,
+        generations=generations,
     )
     for vertical, document in iter_corpus_documents(web):
         shard_id = router.shard_of(document.doc_id)

@@ -360,7 +360,7 @@ class WebSearchSource(DataSource):
         return ["title", "url", "snippet", "site"]
 
     def generation_keys(self) -> tuple:
-        return self._engine.generation_keys()
+        return self._engine.generation_keys(self.vertical)
 
     def export_config(self) -> dict:
         return {

@@ -129,6 +129,12 @@ class Symphony:
                                          telemetry=self.telemetry)
         if self.slo.enabled:
             self.contracts.attach_slo(self.slo)
+        # Data generations: ingest/refresh bump a table's generation,
+        # an engine write its vertical's and reshard cutover the
+        # topology's; the runtime's per-source cache and the gateway's
+        # response cache both stamp entries with them and miss on the
+        # next read after a bump.
+        self.generations = GenerationRegistry(self.telemetry.events)
         self.web = web if web is not None else WebGenerator(
             web_spec or WebSpec()
         ).build()
@@ -146,6 +152,7 @@ class Symphony:
                 telemetry=self.telemetry,
                 hedge=(self.resilience.hedge
                        if self.resilience is not None else None),
+                generations=self.generations,
             )
         else:
             self.engine = build_engine(
@@ -161,11 +168,6 @@ class Symphony:
         self.sources = SourceRegistry()
         self.apps = ApplicationRegistry()
         self.renderer = HtmlRenderer(self.themes)
-        # Data generations: ingest/refresh bump a table's generation
-        # and reshard cutover the topology's; the runtime's per-source
-        # cache and the gateway's response cache both stamp entries
-        # with them and miss on the next read after a bump.
-        self.generations = GenerationRegistry(self.telemetry.events)
         self.runtime = SymphonyRuntime(
             registry=self.sources,
             apps=self.apps,

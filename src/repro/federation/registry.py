@@ -57,7 +57,7 @@ class EngineBackend(Backend):
 
     def __init__(self, backend_id: str, engine, vertical: str = "web",
                  sites: tuple = (), augment_terms: tuple = ()) -> None:
-        keys = engine.generation_keys()
+        keys = engine.generation_keys(vertical)
         super().__init__(BackendDescriptor(
             backend_id=backend_id,
             system="Symphony",

@@ -39,11 +39,7 @@ from repro.gateway.cache import ResultCache, normalize_query
 from repro.gateway.coalesce import FlightEntry, SingleFlightTable, Ticket
 from repro.gateway.fairqueue import DeficitRoundRobinQueue
 from repro.gateway.gateway import Gateway, GatewayConfig
-from repro.gateway.generations import (
-    CORPUS_KEY,
-    GenerationRegistry,
-    table_key,
-)
+from repro.gateway.generations import GenerationRegistry, table_key
 from repro.gateway.primitives import CircuitBreaker, RateLimiter
 
 __all__ = [
@@ -59,7 +55,6 @@ __all__ = [
     "normalize_query",
     "GenerationRegistry",
     "table_key",
-    "CORPUS_KEY",
     "ResultCache",
     "CircuitBreaker",
     "RateLimiter",

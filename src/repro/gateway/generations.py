@@ -4,10 +4,12 @@ Every cacheable computation in the serving path depends on some body of
 data — a designer's proprietary table, the crawled web corpus.  The
 :class:`GenerationRegistry` assigns each such dependency a monotonically
 increasing integer generation.  Ingest and refresh bump the generation of
-whatever they rewrote; caches stamp entries with the generations they
-were computed against and treat any mismatch as a miss, so a designer
+whatever they rewrote, and every engine write advances its vertical's
+corpus generation; caches stamp entries with the generations they were
+computed against and treat any mismatch as a miss, so a designer
 re-uploading her inventory can never be served results computed over the
-old rows.  Nothing is pushed on a bump: a cache finds out when it next
+old rows, nor an app the news it showed before a story was added or
+removed.  Nothing is pushed on a bump: a cache finds out when it next
 reads a stamped entry.  Which keys a source's results depend on is the
 source's own answer — :meth:`~repro.core.datasources.DataSource.
 generation_keys` — and, for anything an engine serves, the engine's
@@ -21,11 +23,8 @@ import threading
 
 from repro.telemetry import NULL_EVENTS
 
-__all__ = ["GenerationRegistry", "table_key", "CORPUS_KEY",
+__all__ = ["GenerationRegistry", "table_key", "corpus_key",
            "TOPOLOGY_KEY"]
-
-#: Generation key for the shared synthetic-web corpus.
-CORPUS_KEY = "corpus"
 
 #: Generation key for the cluster's shard layout. The control plane
 #: bumps it at every reshard cutover, so cached responses computed over
@@ -36,6 +35,11 @@ TOPOLOGY_KEY = "cluster-topology"
 def table_key(tenant_id: str, table_name: str) -> str:
     """The generation key of one tenant's table."""
     return f"tenant:{tenant_id}:{table_name}"
+
+
+def corpus_key(vertical: str) -> str:
+    """The generation key of one engine vertical's documents."""
+    return f"corpus:{vertical}"
 
 
 class GenerationRegistry:
@@ -72,12 +76,18 @@ class GenerationRegistry:
             return all(self._generations.get(key, 0) == generation
                        for key, generation in stamp.items())
 
-    def bump(self, key: str) -> int:
-        """Advance ``key`` to a new generation."""
+    def advance(self, key: str) -> int:
+        """Move ``key`` to a new generation, silently: an engine write
+        is too frequent to be an event."""
         with self._lock:
             generation = self._generations.get(key, 0) + 1
             self._generations[key] = generation
             self._bumps += 1
+        return generation
+
+    def bump(self, key: str) -> int:
+        """:meth:`advance` ``key`` and emit a ``generation.bump`` event."""
+        generation = self.advance(key)
         self._events.emit("generation.bump", key=key,
                           generation=generation)
         return generation

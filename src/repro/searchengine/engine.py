@@ -13,7 +13,7 @@ import copy
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.gateway.generations import CORPUS_KEY
+from repro.gateway.generations import corpus_key
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument, FieldMode
 from repro.searchengine.index import InvertedIndex
@@ -332,10 +332,11 @@ class SearchEngine:
         ))
         return response
 
-    def generation_keys(self) -> tuple:
+    def generation_keys(self, vertical: Vertical | str) -> tuple:
         """The data generations (see :mod:`repro.gateway.generations`)
-        anything this engine serves depends on: the corpus."""
-        return (CORPUS_KEY,)
+        anything this engine serves from ``vertical`` depends on: that
+        vertical's corpus."""
+        return (corpus_key(Vertical(vertical).value),)
 
     def facets(self, vertical: Vertical | str, query_text: str,
                facet_fields=("site", "topic")) -> dict:

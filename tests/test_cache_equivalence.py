@@ -4,11 +4,12 @@ exactly what a sweep of every entry on every ``put`` evicted.
 :class:`FullScanCache` is :class:`ResultCache` with the ``put`` it had
 before the cache kept a lower bound on its oldest entry, on the same two
 segments: walk all entries of both for TTL-dead ones, then cap the
-unread segment, generation-dead entries first. It is the specification.
-Random sequences of put / get / generation bump / clock step — the clock
-also steps backwards — must leave both caches with the same ``stats()``,
-the same keys in the same LRU order in each segment and the same answers
-to every ``get``.
+unread segment, generation-dead entries first — every one of them, not
+only after the registry's ``bumps()`` moved. It is the specification.
+Random sequences of put / get / generation bump / silent generation
+advance (an engine write) / clock step — the clock also steps backwards
+— must leave both caches with the same ``stats()``, the same keys in the
+same LRU order in each segment and the same answers to every ``get``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from repro.gateway.generations import GenerationRegistry
 
 TTL_MS = 50
 KEYS = ("a", "b", "c", "d", "e", "f", "g")
-GENERATION_KEYS = ("corpus", "tenant:t1:inventory")
+GENERATION_KEYS = ("corpus:web", "tenant:t1:inventory")
 
 
 class FullScanCache(ResultCache):
@@ -41,12 +42,21 @@ class FullScanCache(ResultCache):
                 self._unread.popitem(last=False)
                 self._lru_evictions += 1
 
+    def _drop_stale(self) -> None:
+        for segment in (self._unread, self._read):
+            stale = [k for k, (__, stamp, ___) in segment.items()
+                     if not self._generations.valid(stamp)]
+            for k in stale:
+                del segment[k]
+            self._stale += len(stale)
+
 
 operations = st.lists(st.one_of(
     st.tuples(st.just("put"), st.sampled_from(KEYS),
               st.sampled_from(((), GENERATION_KEYS[:1], GENERATION_KEYS))),
     st.tuples(st.just("get"), st.sampled_from(KEYS)),
-    st.tuples(st.just("bump"), st.sampled_from(GENERATION_KEYS)),
+    st.tuples(st.sampled_from(("bump", "advance")),
+              st.sampled_from(GENERATION_KEYS)),
     st.tuples(st.just("step"), st.integers(-2 * TTL_MS, 2 * TTL_MS)),
 ), max_size=80)
 
@@ -68,6 +78,8 @@ def test_bounded_sweep_equals_full_scan(steps, capacity):
             assert cache.get(step[1], now) == reference.get(step[1], now)
         elif kind == "bump":
             generations.bump(step[1])
+        elif kind == "advance":
+            generations.advance(step[1])
         else:
             now += step[1]
         assert cache.stats() == reference.stats(), (n, step)

@@ -17,8 +17,8 @@ from repro.resilience import Deadline
 from repro.searchengine.engine import SearchOptions, build_engine
 
 BUILDERS = {
-    "single_node": (build_engine, ("corpus",)),
-    "clustered": (build_clustered_engine, ("corpus", "cluster-topology")),
+    "single_node": (build_engine, ()),
+    "clustered": (build_clustered_engine, ("cluster-topology",)),
 }
 
 
@@ -41,12 +41,17 @@ def test_search_accepts_deadline_and_reports_degraded(engine_and_keys,
 
 
 def test_generation_keys_are_the_engines_answer(engine_and_keys, tiny_web):
-    engine, keys = engine_and_keys
-    assert engine.generation_keys() == keys
-    source = WebSearchSource("s1", "Web", engine)
-    assert source.generation_keys() == keys
-    assert EngineBackend("local", engine).descriptor.generation_keys == keys
+    engine, shared = engine_and_keys
+    # Each vertical's own corpus, plus what every vertical shares.
+    for vertical in ("web", "news"):
+        keys = (f"corpus:{vertical}", *shared)
+        assert engine.generation_keys(vertical) == keys
+        assert WebSearchSource("s1", "Web", engine, vertical=vertical) \
+            .generation_keys() == keys
+        assert EngineBackend("local", engine, vertical=vertical) \
+            .descriptor.generation_keys == keys
     # The source forwards the query's deadline to whichever engine.
+    source = WebSearchSource("s1", "Web", engine)
     result = source.search(SourceQuery(
         text=tiny_web.entities["video_games"][0], count=2,
         context={"deadline": Deadline(engine.clock, 10_000)},

@@ -33,7 +33,7 @@ from repro.federation import (
     baseline_backend,
     get_generator,
 )
-from repro.gateway.generations import CORPUS_KEY, TOPOLOGY_KEY
+from repro.gateway.generations import TOPOLOGY_KEY, corpus_key
 from repro.resilience.deadline import Deadline
 from repro.util import SimClock
 
@@ -112,7 +112,7 @@ class TestEngineAndSourceBackends:
         backend = EngineBackend("local", engine)
         d = backend.descriptor
         assert d.supports_fielded and d.supports_entity
-        assert d.generation_keys == (CORPUS_KEY,)
+        assert d.generation_keys == (corpus_key("web"),)
         items = backend.search("game review", count=5)
         assert items and items[0].rank == 1
         assert all(item.backend_id == "local" for item in items)
@@ -121,12 +121,12 @@ class TestEngineAndSourceBackends:
         sym = Symphony(web=tiny_web, use_authority=False, cluster=2)
         backend = EngineBackend("cluster", sym.engine)
         assert set(backend.descriptor.generation_keys) \
-            == {CORPUS_KEY, TOPOLOGY_KEY}
+            == {corpus_key("web"), TOPOLOGY_KEY}
 
     def test_source_backend_over_web_source(self, symphony):
         source = symphony.add_web_source("Reviews", "web")
         backend = SourceBackend(source)
-        assert backend.descriptor.generation_keys == (CORPUS_KEY,)
+        assert backend.descriptor.generation_keys == (corpus_key("web"),)
         assert backend.search("game", count=3)
 
     def test_source_backend_over_table_infers_table_key(self, symphony):

@@ -789,8 +789,8 @@ class TestGenerationKeyAgreement:
         federated = sym.add_federated_source("Meta")
 
         table = table_key(account.tenant.tenant_id, "inventory")
-        engine = {"corpus", "cluster-topology"} if cluster \
-            else {"corpus"}
+        engine = {"corpus:web", "cluster-topology"} if cluster \
+            else {"corpus:web"}
         expected = {
             proprietary: {table},
             web: engine,
