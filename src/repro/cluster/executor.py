@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from repro.errors import ReproError
 from repro.searchengine.ranking import by_score_then_id
 
 __all__ = ["ShardOutcome", "ScatterGatherExecutor", "merge_ranked"]
@@ -25,7 +26,7 @@ class ShardOutcome:
 
     shard_id: int
     value: object = None
-    error: Exception | None = None
+    error: ReproError | None = None
 
     @property
     def ok(self) -> bool:
@@ -38,16 +39,18 @@ class ScatterGatherExecutor:
     def scatter(self, tasks: dict) -> dict:
         """Run ``{shard_id: thunk}`` in dict order on the calling thread.
 
-        Returns ``{shard_id: ShardOutcome}``; a thunk that raises yields
-        a failed outcome instead of propagating, so one dead shard
-        cannot fail the query and later shards still run.  Spans opened
+        Returns ``{shard_id: ShardOutcome}``; a thunk that raises a
+        :class:`~repro.errors.ReproError` (every injected or simulated
+        fault is one) yields a failed outcome instead of propagating, so
+        one dead shard cannot fail the query and later shards still run.
+        Any other exception is a bug and propagates.  Spans opened
         inside a thunk parent under the caller's current span.
         """
         outcomes: dict[int, ShardOutcome] = {}
         for shard_id, thunk in tasks.items():
             try:
                 outcomes[shard_id] = ShardOutcome(shard_id, value=thunk())
-            except Exception as exc:  # noqa: BLE001 — isolated per shard
+            except ReproError as exc:
                 outcomes[shard_id] = ShardOutcome(shard_id, error=exc)
         return outcomes
 

@@ -21,7 +21,6 @@ indexes are wiped, subsequent writes are genuinely missed (counted as
 from __future__ import annotations
 
 import itertools
-import threading
 
 from repro.errors import (
     ReplicaFaultError,
@@ -64,7 +63,6 @@ class ShardReplica:
         self.reads_served = 0       # read attempts that reached us
         self._pending_faults: list[Exception] = []
         self._pending_delays: list[float] = []
-        self._fault_lock = threading.Lock()
 
     # -- health & fault injection -------------------------------------------
 
@@ -92,9 +90,8 @@ class ShardReplica:
 
     def clear_injections(self) -> None:
         """Drop any still-armed injected faults and delays."""
-        with self._fault_lock:
-            self._pending_faults.clear()
-            self._pending_delays.clear()
+        self._pending_faults.clear()
+        self._pending_delays.clear()
 
     # -- durability state machine (driven by repro.durability) ---------------
 
@@ -130,18 +127,16 @@ class ShardReplica:
     def inject_fault(self, count: int = 1,
                      exc: Exception | None = None) -> None:
         """Arrange for the next ``count`` reads on this replica to raise."""
-        with self._fault_lock:
-            for __ in range(count):
-                self._pending_faults.append(
-                    exc or ReplicaFaultError(
-                        f"injected fault on {self.replica_id}"
-                    )
+        for __ in range(count):
+            self._pending_faults.append(
+                exc or ReplicaFaultError(
+                    f"injected fault on {self.replica_id}"
                 )
+            )
 
     def _check_fault(self) -> None:
-        with self._fault_lock:
-            if self._pending_faults:
-                raise self._pending_faults.pop(0)
+        if self._pending_faults:
+            raise self._pending_faults.pop(0)
 
     def inject_latency(self, delay_ms: float, count: int = 1) -> None:
         """Make the next ``count`` reads appear ``delay_ms`` slow.
@@ -152,15 +147,13 @@ class ShardReplica:
         """
         if delay_ms < 0:
             raise ValueError("delay_ms must be non-negative")
-        with self._fault_lock:
-            self._pending_delays.extend([float(delay_ms)] * count)
+        self._pending_delays.extend([float(delay_ms)] * count)
 
     def take_latency_ms(self) -> float:
         """Consume the next injected read delay (0 when none pending)."""
-        with self._fault_lock:
-            if self._pending_delays:
-                return self._pending_delays.pop(0)
-            return 0.0
+        if self._pending_delays:
+            return self._pending_delays.pop(0)
+        return 0.0
 
     # -- data plane -----------------------------------------------------------
 
@@ -246,26 +239,23 @@ class ReplicaGroup:
         self.latency_histogram = None
         self._rotation = itertools.count()
         self._consecutive_failures = [0] * len(self.replicas)
-        self._lock = threading.Lock()
 
     # -- membership (driven by repro.controlplane) ----------------------------
 
     def add_replica(self, replica) -> None:
         """Add a fully built replica to the read rotation."""
-        with self._lock:
-            self.replicas.append(replica)
-            self._consecutive_failures.append(0)
+        self.replicas.append(replica)
+        self._consecutive_failures.append(0)
         self._reset_latency_learning()
 
     def remove_replica(self, replica_index: int):
         """Drop one replica from the group; returns it."""
-        with self._lock:
-            if len(self.replicas) <= 1:
-                raise ValueError(
-                    "cannot remove the last replica of a shard"
-                )
-            replica = self.replicas.pop(replica_index)
-            self._consecutive_failures.pop(replica_index)
+        if len(self.replicas) <= 1:
+            raise ValueError(
+                "cannot remove the last replica of a shard"
+            )
+        replica = self.replicas.pop(replica_index)
+        self._consecutive_failures.pop(replica_index)
         self._reset_latency_learning()
         return replica
 
@@ -300,8 +290,7 @@ class ReplicaGroup:
         long after it recovered.
         """
         self.replicas[replica_index].revive()
-        with self._lock:
-            self._consecutive_failures[replica_index] = 0
+        self._consecutive_failures[replica_index] = 0
         self._reset_latency_learning()
 
     def healthy_replicas(self) -> list:
@@ -383,13 +372,11 @@ class ReplicaGroup:
                 if span:
                     span.status = "error"
                     span.set("error", str(exc))
-                removed = False
-                with self._lock:
-                    self._consecutive_failures[index] += 1
-                    if (self._consecutive_failures[index]
-                            >= self.failure_threshold):
-                        replica.kill()
-                        removed = True
+                self._consecutive_failures[index] += 1
+                removed = (self._consecutive_failures[index]
+                           >= self.failure_threshold)
+                if removed:
+                    replica.kill()
                 self._emit(
                     "replica.failover",
                     replica=replica.replica_id,
@@ -397,8 +384,7 @@ class ReplicaGroup:
                     removed_from_rotation=removed,
                 )
                 return False, None, latency_ms
-            with self._lock:
-                self._consecutive_failures[index] = 0
+            self._consecutive_failures[index] = 0
             if self.latency_histogram is not None:
                 self.latency_histogram.observe(latency_ms)
             return True, result, latency_ms

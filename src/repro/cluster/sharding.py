@@ -17,7 +17,6 @@ and merging relabels a shard's ranges onto a survivor.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -172,7 +171,6 @@ class ShardRouter:
 
     def __init__(self, num_shards: int) -> None:
         self._route = RouteMap.initial(num_shards)
-        self._lock = threading.Lock()
 
     @property
     def num_shards(self) -> int:
@@ -187,16 +185,15 @@ class ShardRouter:
         return self._route
 
     def apply(self, route_map: RouteMap) -> RouteMap:
-        """Atomically flip to a successor map (version must advance by
-        exactly one, so concurrent planners cannot clobber each other)."""
-        with self._lock:
-            if route_map.version != self._route.version + 1:
-                raise ValueError(
-                    f"stale route map: version {route_map.version} "
-                    f"does not succeed {self._route.version}"
-                )
-            self._route = route_map
-            return route_map
+        """Flip to a successor map (version must advance by exactly one,
+        so a plan built on a stale snapshot cannot clobber a newer map)."""
+        if route_map.version != self._route.version + 1:
+            raise ValueError(
+                f"stale route map: version {route_map.version} "
+                f"does not succeed {self._route.version}"
+            )
+        self._route = route_map
+        return route_map
 
     def shard_of(self, doc_id: str) -> int:
         return self._route.shard_of(doc_id)

@@ -112,6 +112,11 @@ class AdmissionRejectedError(ReproError):
         super().__init__(message)
 
 
+class TicketPendingError(ReproError):
+    """A gateway ticket's result was read before any dispatch ran it;
+    ``Gateway.pump()`` (or ``Gateway.query``) dispatches queued work."""
+
+
 class ControlPlaneError(ReproError):
     """A topology-change request was invalid or conflicted with one in
     flight (only one migration runs at a time)."""

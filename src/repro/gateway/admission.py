@@ -11,7 +11,6 @@ tenant.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 __all__ = ["TenantPolicy", "TokenBucket", "AdmissionController"]
@@ -87,7 +86,6 @@ class AdmissionController:
         self._default = default_policy
         self._policies = dict(policies or {})
         self._buckets: dict[str, TokenBucket] = {}
-        self._lock = threading.Lock()
 
     def policy(self, principal: str) -> TenantPolicy:
         return self._policies.get(principal, self._default)
@@ -97,12 +95,11 @@ class AdmissionController:
         policy = self.policy(principal)
         if policy.rate_per_s <= 0:
             return True
-        with self._lock:
-            bucket = self._buckets.get(principal)
-            if bucket is None:
-                bucket = TokenBucket(
-                    self._clock, policy.rate_per_s,
-                    policy.effective_burst(),
-                )
-                self._buckets[principal] = bucket
-            return bucket.try_acquire(cost)
+        bucket = self._buckets.get(principal)
+        if bucket is None:
+            bucket = TokenBucket(
+                self._clock, policy.rate_per_s,
+                policy.effective_burst(),
+            )
+            self._buckets[principal] = bucket
+        return bucket.try_acquire(cost)

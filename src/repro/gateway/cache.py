@@ -29,7 +29,6 @@ key cost one execution.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 
 from repro.gateway.generations import GenerationRegistry
@@ -73,8 +72,8 @@ class ResultCache:
     cap, where the entries a bump killed go before any live one (one
     scan per bump at most). An entry keeps its store time as it moves
     between segments.
-    Thread-safe: gateway dispatchers and concurrent app queries share
-    these caches.
+    Not locked: it has one caller at a time, like everything below the
+    gateway.
 
     Without ``generations`` the cache owns a private registry nobody
     bumps, i.e. plain segmented LRU + TTL.
@@ -95,7 +94,6 @@ class ResultCache:
         self._read: OrderedDict = OrderedDict()
         #: At most the smallest ``stored_ms`` in either segment.
         self._oldest_ms = float("inf")
-        self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
         self._stale = 0
@@ -104,34 +102,33 @@ class ResultCache:
         self._lru_evictions = 0
 
     def get(self, key, now_ms: int):
-        with self._lock:
-            segment = self._read
+        segment = self._read
+        entry = segment.get(key)
+        if entry is None:
+            segment = self._unread
             entry = segment.get(key)
             if entry is None:
-                segment = self._unread
-                entry = segment.get(key)
-                if entry is None:
-                    self._misses += 1
-                    return None
-            stored_ms, stamp, value = entry
-            if now_ms - stored_ms > self.ttl_ms:
-                self._ttl_evictions += 1
-            elif not self._generations.valid(stamp):
-                # The data this value was computed from has been
-                # re-ingested; the entry is dead regardless of TTL.
-                self._stale += 1
+                self._misses += 1
+                return None
+        stored_ms, stamp, value = entry
+        if now_ms - stored_ms > self.ttl_ms:
+            self._ttl_evictions += 1
+        elif not self._generations.valid(stamp):
+            # The data this value was computed from has been
+            # re-ingested; the entry is dead regardless of TTL.
+            self._stale += 1
+        else:
+            self._hits += 1
+            if segment is self._read:
+                segment.move_to_end(key)
             else:
-                self._hits += 1
-                if segment is self._read:
-                    segment.move_to_end(key)
-                else:
-                    del segment[key]
-                    self._read[key] = entry
-                    self._fit()
-                return value
-            del segment[key]
-            self._misses += 1
-            return None
+                del segment[key]
+                self._read[key] = entry
+                self._fit()
+            return value
+        del segment[key]
+        self._misses += 1
+        return None
 
     def stamp(self, generation_keys) -> dict:
         """The current generation of each key. Take it *before* reading
@@ -142,27 +139,26 @@ class ResultCache:
 
     def put(self, key, value, now_ms: int, stamp=None) -> None:
         """Store ``value`` under a :meth:`stamp` (none: plain LRU+TTL)."""
-        with self._lock:
-            self._read.pop(key, None)
-            self._unread[key] = (now_ms, stamp or {}, value)
-            self._unread.move_to_end(key)
-            self._oldest_ms = min(self._oldest_ms, now_ms)
-            # Sweep TTL-dead entries first; only then apply the caps.
-            if now_ms - self._oldest_ms > self.ttl_ms:
-                for segment in (self._unread, self._read):
-                    expired = [
-                        k for k, (stored_ms, __, ___) in segment.items()
-                        if now_ms - stored_ms > self.ttl_ms
-                    ]
-                    for k in expired:
-                        del segment[k]
-                    self._ttl_evictions += len(expired)
-                # Never empty: the entry just put has not expired.
-                self._oldest_ms = min(
-                    stored_ms
-                    for segment in (self._unread, self._read)
-                    for stored_ms, __, ___ in segment.values())
-            self._fit()
+        self._read.pop(key, None)
+        self._unread[key] = (now_ms, stamp or {}, value)
+        self._unread.move_to_end(key)
+        self._oldest_ms = min(self._oldest_ms, now_ms)
+        # Sweep TTL-dead entries first; only then apply the caps.
+        if now_ms - self._oldest_ms > self.ttl_ms:
+            for segment in (self._unread, self._read):
+                expired = [
+                    k for k, (stored_ms, __, ___) in segment.items()
+                    if now_ms - stored_ms > self.ttl_ms
+                ]
+                for k in expired:
+                    del segment[k]
+                self._ttl_evictions += len(expired)
+            # Never empty: the entry just put has not expired.
+            self._oldest_ms = min(
+                stored_ms
+                for segment in (self._unread, self._read)
+                for stored_ms, __, ___ in segment.values())
+        self._fit()
 
     def _fit(self) -> None:
         """Hold both segments to ``max_entries``: *read* overflows into
@@ -192,23 +188,20 @@ class ResultCache:
 
     def stats(self) -> dict:
         """Lifetime cache statistics (feeds the metrics registry)."""
-        with self._lock:
-            total = self._hits + self._misses
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "hit_ratio": (self._hits / total) if total else 0.0,
-                "stale_invalidations": self._stale,
-                "ttl_evictions": self._ttl_evictions,
-                "lru_evictions": self._lru_evictions,
-                "entries": len(self._unread) + len(self._read),
-            }
+        total = self._hits + self._misses
+        return {
+            "hits": self._hits,
+            "misses": self._misses,
+            "hit_ratio": (self._hits / total) if total else 0.0,
+            "stale_invalidations": self._stale,
+            "ttl_evictions": self._ttl_evictions,
+            "lru_evictions": self._lru_evictions,
+            "entries": len(self._unread) + len(self._read),
+        }
 
     def clear(self) -> None:
-        with self._lock:
-            self._unread.clear()
-            self._read.clear()
+        self._unread.clear()
+        self._read.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._unread) + len(self._read)
+        return len(self._unread) + len(self._read)

@@ -12,16 +12,20 @@ key wait on the first instead of piling onto the backend.
 
 from __future__ import annotations
 
-import threading
+from repro.errors import TicketPendingError
 
 __all__ = ["Ticket", "FlightEntry", "SingleFlightTable"]
 
 
 class Ticket:
-    """One caller's handle to an admitted (possibly shared) request."""
+    """One caller's handle to an admitted (possibly shared) request.
+
+    A plain record: the gateway resolves it under its lock, and a
+    caller reads it once a dispatch has run.
+    """
 
     __slots__ = ("key", "principal", "coalesced", "submitted_ms",
-                 "_event", "_response", "_error")
+                 "done", "_response", "_error")
 
     def __init__(self, key, principal: str, submitted_ms: int,
                  coalesced: bool = False) -> None:
@@ -29,29 +33,27 @@ class Ticket:
         self.principal = principal
         self.coalesced = coalesced
         self.submitted_ms = submitted_ms
-        self._event = threading.Event()
+        self.done = False
         self._response = None
         self._error = None
 
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
     def resolve(self, response) -> None:
         self._response = response
-        self._event.set()
+        self.done = True
 
     def fail(self, error: BaseException) -> None:
         self._error = error
-        self._event.set()
-
-    def wait(self, timeout: float | None = None) -> bool:
-        return self._event.wait(timeout)
+        self.done = True
 
     def result(self):
-        """The response; raises what the execution raised. Blocks only
-        when another thread owns the dispatch."""
-        self._event.wait()
+        """The response; raises what the execution raised, or
+        :class:`~repro.errors.TicketPendingError` while the request is
+        still queued (``Gateway.pump()`` dispatches it)."""
+        if not self.done:
+            raise TicketPendingError(
+                "request is still queued; call Gateway.pump() to "
+                "dispatch it"
+            )
         if self._error is not None:
             raise self._error
         return self._response
@@ -83,10 +85,10 @@ class FlightEntry:
 class SingleFlightTable:
     """Key → in-flight :class:`FlightEntry`, while queued or executing.
 
-    Not internally locked: the gateway serializes all table mutations
-    under its admission lock, which also closes the attach-vs-resolve
-    race (an entry is removed from the table and its tickets snapshotted
-    under that same lock before anything resolves).
+    Not locked itself: every lookup, registration and completion runs
+    under the gateway's one lock, so a ticket attaches to an entry
+    either before its dispatch starts (and is resolved by it) or after
+    it finished and left the table.
     """
 
     def __init__(self) -> None:

@@ -16,10 +16,16 @@ multi-tenant deployment:
 4. **Caching** — whole responses, stamped with data generations
    (:mod:`repro.gateway.cache`), so re-ingest invalidates immediately.
 
-Dispatch runs in whichever thread asks for work (a synchronous
+The gateway is the platform's one concurrency boundary: everything
+below it (runtime, engines, caches, telemetry, the shared
+:class:`~repro.util.SimClock`) has one caller at a time and takes no
+lock. Concurrent hosts call ``submit``/``query``/``pump``, which share
+one lock; dispatch runs in whichever thread asks for work (a synchronous
 ``query()`` drains the queue until its own ticket resolves; benchmarks
-use ``pump()``), which keeps execution deterministic under
-:class:`~repro.util.SimClock` while remaining safe under real threads.
+use ``pump()``) and holds that lock from popping an entry until its
+tickets resolve, so exactly one entry executes at a time and a run is a
+function of its inputs.
+
 Deadlines and telemetry trace context propagate across the queue
 boundary: the deadline is minted at submit so queue wait burns budget
 (the runtime is handed that same object, and the measured wait), and
@@ -61,8 +67,9 @@ class GatewayConfig:
     """Knobs for the serving gateway (all judged on the sim clock)."""
 
     #: Modeled dispatch parallelism; scales the projected-wait estimate
-    #: used for deadline-aware shedding (execution itself is serialized
-    #: on the sim clock, so fairness and latency replay exactly).
+    #: used for deadline-aware shedding. Only the model: execution runs
+    #: one entry at a time under the gateway's lock, so fairness and
+    #: latency replay exactly.
     workers: int = 4
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
     #: Per-application policy overrides, by app id.
@@ -118,12 +125,11 @@ class Gateway:
     def submit(self, request) -> Ticket:
         """Admit ``request``; returns a ticket (resolved instantly on a
         cache hit) or raises :class:`AdmissionRejectedError`."""
-        app = self._apps.get(request.app_id)
-        principal = app.app_id
-        key = self._request_key(request)
-        now = self._clock.now_ms
-        budget_ms = request.deadline_ms or self._default_deadline_ms
         with self._lock:
+            principal = self._apps.get(request.app_id).app_id
+            key = self._request_key(request)
+            now = self._clock.now_ms
+            budget_ms = request.deadline_ms or self._default_deadline_ms
             self._submitted += 1
             if self.cache is not None:
                 cached = self.cache.get(key, now)
@@ -176,41 +182,30 @@ class Gateway:
 
     def query(self, request):
         """Synchronous front-door query: submit, then dispatch (helping
-        to drain whatever is queued ahead) until our ticket resolves."""
+        to drain whatever is queued ahead) until our ticket resolves.
+        A dispatch that finds the queue empty held the one lock, so
+        every admitted entry has run by then, ours included."""
         ticket = self.submit(request)
-        self._drain_for(ticket)
+        while not ticket.done and self.pump(1):
+            pass
         return ticket.result()
 
     # -- dispatch --------------------------------------------------------------
 
     def pump(self, max_dispatches: int | None = None) -> int:
-        """Dispatch queued requests in DRR order; returns how many ran."""
+        """Dispatch queued requests in DRR order; returns how many ran.
+        Each one runs start to finish under the gateway's lock."""
         dispatched = 0
         while max_dispatches is None or dispatched < max_dispatches:
-            entry = self._next_entry()
-            if entry is None:
-                break
-            self._execute(entry)
+            with self._lock:
+                entry = self._queue.pop()
+                if entry is None:
+                    break
+                entry.context.run(self._execute, entry)
             dispatched += 1
         return dispatched
 
-    def _drain_for(self, ticket: Ticket) -> None:
-        while not ticket.done:
-            entry = self._next_entry()
-            if entry is None:
-                # Our key is being executed by another thread.
-                ticket.wait(timeout=0.05)
-                continue
-            self._execute(entry)
-
-    def _next_entry(self):
-        with self._lock:
-            return self._queue.pop()
-
     def _execute(self, entry: FlightEntry) -> None:
-        entry.context.run(self._execute_in_context, entry)
-
-    def _execute_in_context(self, entry: FlightEntry) -> None:
         self._clock.advance(DISPATCH_MS)
         queue_wait_ms = self._clock.now_ms - entry.enqueued_ms
         self._metrics.histogram("gateway_queue_wait_ms").observe(
@@ -262,17 +257,13 @@ class Gateway:
 
     def _finish(self, entry: FlightEntry, response=None,
                 error=None) -> None:
-        with self._lock:
-            # Snapshot + unregister under the admission lock so a
-            # concurrent submit either attached before this point (and
-            # resolves below) or misses the flight table entirely.
-            self._flights.complete(entry.key)
-            waiters = list(entry.tickets)
-            self._dispatched += 1
-            if error is None:
-                self._completed[entry.principal] = \
-                    self._completed.get(entry.principal, 0) + 1
+        self._flights.complete(entry.key)
+        self._dispatched += 1
+        if error is None:
+            self._completed[entry.principal] = \
+                self._completed.get(entry.principal, 0) + 1
         self._metrics.counter("gateway_dispatch_total").inc()
+        waiters = entry.tickets
         if len(waiters) > 1:
             self._metrics.counter("gateway_fanout_total").inc(
                 len(waiters) - 1

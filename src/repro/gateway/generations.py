@@ -19,8 +19,6 @@ generation_keys``), built from the names here.
 
 from __future__ import annotations
 
-import threading
-
 from repro.telemetry import NULL_EVENTS
 
 __all__ = ["GenerationRegistry", "table_key", "corpus_key",
@@ -52,37 +50,31 @@ class GenerationRegistry:
     def __init__(self, events=NULL_EVENTS) -> None:
         self._generations: dict[str, int] = {}
         self._bumps = 0
-        self._lock = threading.Lock()
         self._events = events
 
     def bumps(self) -> int:
         """Bumps so far, over all keys: unchanged means every stamp
         that was valid still is."""
-        with self._lock:
-            return self._bumps
+        return self._bumps
 
     def current(self, key: str) -> int:
-        with self._lock:
-            return self._generations.get(key, 0)
+        return self._generations.get(key, 0)
 
     def snapshot(self, keys) -> dict:
         """Current generation of each key, as a cache stamp."""
-        with self._lock:
-            return {key: self._generations.get(key, 0) for key in keys}
+        return {key: self._generations.get(key, 0) for key in keys}
 
     def valid(self, stamp: dict) -> bool:
         """True while every stamped generation is still current."""
-        with self._lock:
-            return all(self._generations.get(key, 0) == generation
-                       for key, generation in stamp.items())
+        return all(self._generations.get(key, 0) == generation
+                   for key, generation in stamp.items())
 
     def advance(self, key: str) -> int:
         """Move ``key`` to a new generation, silently: an engine write
         is too frequent to be an event."""
-        with self._lock:
-            generation = self._generations.get(key, 0) + 1
-            self._generations[key] = generation
-            self._bumps += 1
+        generation = self._generations.get(key, 0) + 1
+        self._generations[key] = generation
+        self._bumps += 1
         return generation
 
     def bump(self, key: str) -> int:
@@ -93,5 +85,4 @@ class GenerationRegistry:
         return generation
 
     def keys(self) -> list[str]:
-        with self._lock:
-            return sorted(self._generations)
+        return sorted(self._generations)

@@ -5,14 +5,13 @@ cluster, and the runtime all use them, so they live here now.  The
 runtime re-exports them under their historical names
 (``repro.core.runtime.CircuitBreaker`` etc.) for backward compatibility.
 
-Everything is judged against :class:`repro.util.SimClock` and guarded by
-locks: gateway dispatchers and concurrent app queries share these
-objects.
+Everything is judged against :class:`repro.util.SimClock`. Like the
+rest of the platform below the gateway, these objects have one caller
+at a time (see ``docs/API.md``).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 
 from repro.errors import QuotaExceededError
@@ -45,65 +44,60 @@ class CircuitBreaker:
         self._consecutive_failures: dict[str, int] = {}
         self._opened_at_ms: dict[str, int] = {}
         self._half_open: set[str] = set()
-        self._lock = threading.RLock()
 
     def _emit(self, kind: str, source_id: str, **fields) -> None:
         self._events.emit(kind, source=source_id, **fields)
 
     def is_open(self, source_id: str) -> bool:
-        with self._lock:
-            opened_at = self._opened_at_ms.get(source_id)
-            if opened_at is None:
-                return False
-            if self._clock.now_ms - opened_at < self.cooldown_ms:
-                return True
-            # Half-open: admit exactly one probe; everyone else stays
-            # blocked until the probe reports success or failure.
-            if source_id in self._half_open:
-                return True
-            self._half_open.add(source_id)
-            self._emit("circuit.half_open", source_id)
+        opened_at = self._opened_at_ms.get(source_id)
+        if opened_at is None:
             return False
+        if self._clock.now_ms - opened_at < self.cooldown_ms:
+            return True
+        # Half-open: admit exactly one probe; everyone else stays
+        # blocked until the probe reports success or failure.
+        if source_id in self._half_open:
+            return True
+        self._half_open.add(source_id)
+        self._emit("circuit.half_open", source_id)
+        return False
 
     def record_failure(self, source_id: str) -> None:
-        with self._lock:
-            probing = source_id in self._half_open
-            self._half_open.discard(source_id)
-            if probing:
-                # Failed probe: re-open immediately with a fresh cooldown.
-                self._consecutive_failures[source_id] = \
-                    self.failure_threshold
-                self._opened_at_ms[source_id] = self._clock.now_ms
-                self._emit("circuit.reopen", source_id)
-                return
-            count = self._consecutive_failures.get(source_id, 0) + 1
-            self._consecutive_failures[source_id] = count
-            if count >= self.failure_threshold:
-                was_open = source_id in self._opened_at_ms
-                self._opened_at_ms[source_id] = self._clock.now_ms
-                if not was_open:
-                    self._emit("circuit.open", source_id,
-                               failures=count)
+        probing = source_id in self._half_open
+        self._half_open.discard(source_id)
+        if probing:
+            # Failed probe: re-open immediately with a fresh cooldown.
+            self._consecutive_failures[source_id] = \
+                self.failure_threshold
+            self._opened_at_ms[source_id] = self._clock.now_ms
+            self._emit("circuit.reopen", source_id)
+            return
+        count = self._consecutive_failures.get(source_id, 0) + 1
+        self._consecutive_failures[source_id] = count
+        if count >= self.failure_threshold:
+            was_open = source_id in self._opened_at_ms
+            self._opened_at_ms[source_id] = self._clock.now_ms
+            if not was_open:
+                self._emit("circuit.open", source_id,
+                           failures=count)
 
     def record_success(self, source_id: str) -> None:
-        with self._lock:
-            was_tripped = (source_id in self._half_open
-                           or source_id in self._opened_at_ms)
-            self._half_open.discard(source_id)
-            self._consecutive_failures.pop(source_id, None)
-            self._opened_at_ms.pop(source_id, None)
-            if was_tripped:
-                self._emit("circuit.closed", source_id)
+        was_tripped = (source_id in self._half_open
+                       or source_id in self._opened_at_ms)
+        self._half_open.discard(source_id)
+        self._consecutive_failures.pop(source_id, None)
+        self._opened_at_ms.pop(source_id, None)
+        if was_tripped:
+            self._emit("circuit.closed", source_id)
 
     def state(self, source_id: str) -> str:
-        with self._lock:
-            if source_id in self._half_open:
-                return "half_open"
-            if source_id in self._opened_at_ms:
-                return "open"
-            if self._consecutive_failures.get(source_id, 0) > 0:
-                return "degraded"
-            return "closed"
+        if source_id in self._half_open:
+            return "half_open"
+        if source_id in self._opened_at_ms:
+            return "open"
+        if self._consecutive_failures.get(source_id, 0) > 0:
+            return "degraded"
+        return "closed"
 
 
 class RateLimiter:
@@ -127,7 +121,6 @@ class RateLimiter:
         # list.pop(0) was O(n) at exactly the traffic the limiter exists
         # to police.
         self._events: dict[str, deque] = {}
-        self._lock = threading.Lock()
 
     def _evict(self, events: deque, horizon: int) -> None:
         while events and events[0] <= horizon:
@@ -135,27 +128,25 @@ class RateLimiter:
 
     def check(self, app_id: str) -> None:
         """Record one request; raise when the app exceeds its window."""
-        with self._lock:
-            now = self._clock.now_ms
-            horizon = now - self.window_ms
-            events = self._events.setdefault(app_id, deque())
-            self._evict(events, horizon)
-            if len(events) >= self.max_requests:
-                self._sink.emit(
-                    "ratelimit.rejected", app_id=app_id,
-                    limit=self.max_requests, window_ms=self.window_ms,
-                )
-                raise QuotaExceededError(
-                    f"application {app_id} exceeded "
-                    f"{self.max_requests} requests per "
-                    f"{self.window_ms} ms"
-                )
-            events.append(now)
+        now = self._clock.now_ms
+        horizon = now - self.window_ms
+        events = self._events.setdefault(app_id, deque())
+        self._evict(events, horizon)
+        if len(events) >= self.max_requests:
+            self._sink.emit(
+                "ratelimit.rejected", app_id=app_id,
+                limit=self.max_requests, window_ms=self.window_ms,
+            )
+            raise QuotaExceededError(
+                f"application {app_id} exceeded "
+                f"{self.max_requests} requests per "
+                f"{self.window_ms} ms"
+            )
+        events.append(now)
 
     def remaining(self, app_id: str) -> int:
-        with self._lock:
-            events = self._events.get(app_id)
-            if events is None:
-                return self.max_requests
-            self._evict(events, self._clock.now_ms - self.window_ms)
-            return max(0, self.max_requests - len(events))
+        events = self._events.get(app_id)
+        if events is None:
+            return self.max_requests
+        self._evict(events, self._clock.now_ms - self.window_ms)
+        return max(0, self.max_requests - len(events))

@@ -19,8 +19,6 @@ which is what keeps the layer inside its ≤5% overhead budget.
 
 from __future__ import annotations
 
-import threading
-
 from repro.slo.burnrate import BurnRateAlerter
 from repro.slo.explain import Attribution, explain_spans
 from repro.slo.objectives import ErrorBudget, SLOConfig
@@ -56,7 +54,6 @@ class SLOEngine:
             "slo_query_latency_ms")
         self._observed = 0
         self._slow_threshold: float | None = None
-        self._lock = threading.Lock()
 
     # -- the per-query hook ---------------------------------------------------
 
@@ -66,59 +63,58 @@ class SLOEngine:
                 start_ms: int = 0, end_ms: int = 0
                 ) -> FlightRecord | None:
         """Judge one finished query; returns its record if retained."""
-        with self._lock:
-            now = self.clock.now_ms
-            self._observed += 1
-            self._latency.observe(latency_ms)
-            # The slow-tail gate compares against a cached rolling
-            # quantile refreshed every 32 queries — recomputing (and
-            # re-sorting) per query would eat the overhead budget for
-            # a threshold that moves slowly anyway.
-            if (self._observed % 32 == 1
-                    and self._latency.count
-                    >= self.config.slow_min_samples):
-                self._slow_threshold = self._latency.quantile(
-                    self.config.slow_quantile)
-            reasons: list[str] = []
-            if errored:
-                reasons.append("error")
-            if degraded:
-                reasons.append("degraded")
-            if (self._slow_threshold is not None
-                    and latency_ms > self._slow_threshold):
-                reasons.append("slow")
-            for slo, budget, alerter in self._trackers:
-                if not slo.matches(tenant):
-                    continue
-                good = slo.judge(latency_ms, degraded, errored,
-                                 completeness)
-                budget.record(now, good)
-                alerter.check(now)
-                if not good:
-                    reasons.append(f"slo:{slo.name}")
-            anomalous = bool(reasons)
-            self.recorder.note_seen(anomalous)
-            if not anomalous:
-                every = self.config.clean_sample_every
-                if not (every
-                        and self.recorder.stats.clean_seen % every == 0):
-                    return None
-                reasons = ["sampled"]
-            record = FlightRecord(
-                query_id=trace_id,
-                tenant=tenant,
-                start_ms=start_ms,
-                end_ms=end_ms or now,
-                latency_ms=round(latency_ms, 3),
-                degraded=degraded,
-                errored=errored,
-                completeness=round(completeness, 4),
-                reasons=tuple(reasons),
-                spans=self._capture_spans(trace_id),
-                events=self._capture_events(start_ms, end_ms or now),
-            )
-            self.recorder.record(record)
-            return record
+        now = self.clock.now_ms
+        self._observed += 1
+        self._latency.observe(latency_ms)
+        # The slow-tail gate compares against a cached rolling
+        # quantile refreshed every 32 queries — recomputing (and
+        # re-sorting) per query would eat the overhead budget for
+        # a threshold that moves slowly anyway.
+        if (self._observed % 32 == 1
+                and self._latency.count
+                >= self.config.slow_min_samples):
+            self._slow_threshold = self._latency.quantile(
+                self.config.slow_quantile)
+        reasons: list[str] = []
+        if errored:
+            reasons.append("error")
+        if degraded:
+            reasons.append("degraded")
+        if (self._slow_threshold is not None
+                and latency_ms > self._slow_threshold):
+            reasons.append("slow")
+        for slo, budget, alerter in self._trackers:
+            if not slo.matches(tenant):
+                continue
+            good = slo.judge(latency_ms, degraded, errored,
+                             completeness)
+            budget.record(now, good)
+            alerter.check(now)
+            if not good:
+                reasons.append(f"slo:{slo.name}")
+        anomalous = bool(reasons)
+        self.recorder.note_seen(anomalous)
+        if not anomalous:
+            every = self.config.clean_sample_every
+            if not (every
+                    and self.recorder.stats.clean_seen % every == 0):
+                return None
+            reasons = ["sampled"]
+        record = FlightRecord(
+            query_id=trace_id,
+            tenant=tenant,
+            start_ms=start_ms,
+            end_ms=end_ms or now,
+            latency_ms=round(latency_ms, 3),
+            degraded=degraded,
+            errored=errored,
+            completeness=round(completeness, 4),
+            reasons=tuple(reasons),
+            spans=self._capture_spans(trace_id),
+            events=self._capture_events(start_ms, end_ms or now),
+        )
+        self.recorder.record(record)
+        return record
 
     def _capture_spans(self, trace_id: str) -> tuple:
         if not trace_id:

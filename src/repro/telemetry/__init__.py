@@ -4,7 +4,7 @@ Three coordinated instruments behind one :class:`Telemetry` bundle:
 
 * :class:`~repro.telemetry.trace.Tracer` — hierarchical spans (query →
   stage → per-source → per-shard → per-replica) with parent-child
-  context carried in a ``ContextVar``, timed off
+  context carried in a context variable, timed off
   :class:`~repro.util.SimClock` so span trees replay identically.
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — counters, gauges,
   and streaming histograms (p50/p95/p99) for cache behaviour, circuit

@@ -12,7 +12,6 @@ counter per emit, so dashboards get rates for free.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -36,7 +35,7 @@ class TelemetryEvent:
 
 
 class EventLog:
-    """Bounded, thread-safe event sink timed off the simulated clock."""
+    """Bounded event sink timed off the simulated clock."""
 
     enabled = True
 
@@ -46,19 +45,16 @@ class EventLog:
         self._metrics = metrics
         self._events: deque = deque(maxlen=max_events)
         self._dropped = 0
-        self._lock = threading.Lock()
 
     def emit(self, kind: str, **fields) -> TelemetryEvent:
         event = TelemetryEvent(self._clock.now_ms, kind, fields)
-        wrapped = False
-        with self._lock:
-            # A full deque(maxlen=...) silently evicts its oldest entry
-            # on append; count that so a saturated run is visibly
-            # lossy instead of quietly truncated.
-            if len(self._events) == self._events.maxlen:
-                self._dropped += 1
-                wrapped = True
-            self._events.append(event)
+        # A full deque(maxlen=...) silently evicts its oldest entry on
+        # append; count that so a saturated run is visibly lossy
+        # instead of quietly truncated.
+        wrapped = len(self._events) == self._events.maxlen
+        if wrapped:
+            self._dropped += 1
+        self._events.append(event)
         if self._metrics is not None:
             self._metrics.counter("events_total", kind=kind).inc()
             if wrapped:
@@ -68,13 +64,11 @@ class EventLog:
     @property
     def dropped(self) -> int:
         """Events evicted by the bounded deque since construction."""
-        with self._lock:
-            return self._dropped
+        return self._dropped
 
     @property
     def events(self) -> list:
-        with self._lock:
-            return list(self._events)
+        return list(self._events)
 
     def by_kind(self, kind: str) -> list:
         return [e for e in self.events if e.kind == kind]
@@ -86,12 +80,10 @@ class EventLog:
         return dict(sorted(out.items()))
 
     def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
+        self._events.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+        return len(self._events)
 
 
 class NullEventLog:

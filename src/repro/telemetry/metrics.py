@@ -1,12 +1,12 @@
 """Counters, gauges, and streaming histograms behind one registry.
 
 Instruments are created lazily (``registry.counter("cache_hits")``) and
-identified by (name, labels); the registry is thread-safe because
-gateway dispatchers and concurrent app queries record into the same
-instance. :class:`Histogram` keeps an exact sample list up to a cap and
-then compacts deterministically (sort, keep every other sample), so
-p50/p95/p99 stay accurate at small counts, bounded in memory at large
-ones, and identical across reruns — no RNG, no wall clock.
+identified by (name, labels); like everything below the gateway, the
+registry has one caller at a time. :class:`Histogram` keeps an exact
+sample list up to a cap and then compacts deterministically (sort, keep
+every other sample), so p50/p95/p99 stay accurate at small counts,
+bounded in memory at large ones, and identical across reruns — no RNG,
+no wall clock.
 
 A :class:`NullMetricsRegistry` mirrors the API with shared no-op
 instruments so uninstrumented deployments pay nothing.
@@ -15,7 +15,6 @@ instruments so uninstrumented deployments pay nothing.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left
 
 __all__ = [
@@ -42,19 +41,17 @@ DEFAULT_BUCKET_BOUNDS = (
 class Counter:
     """A monotonically increasing count."""
 
-    __slots__ = ("name", "labels", "_value", "_lock")
+    __slots__ = ("name", "labels", "_value")
 
     def __init__(self, name: str, labels: tuple = ()) -> None:
         self.name = name
         self.labels = labels
         self._value = 0.0
-        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self) -> float:
@@ -99,7 +96,7 @@ class Histogram:
 
     __slots__ = ("name", "labels", "sample_cap", "count", "total",
                  "min", "max", "bucket_bounds", "_bucket_counts",
-                 "_samples", "_stride", "_sorted", "_lock")
+                 "_samples", "_stride", "_sorted")
 
     def __init__(self, name: str, labels: tuple = (),
                  sample_cap: int = 2048,
@@ -123,48 +120,42 @@ class Histogram:
         self._samples: list[float] = []
         self._stride = 1       # keep every _stride-th observation
         self._sorted = True    # _samples currently in sorted order?
-        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         value = float(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            self.min = value if self.min is None else min(self.min,
-                                                          value)
-            self.max = value if self.max is None else max(self.max,
-                                                          value)
-            self._bucket_counts[
-                bisect_left(self.bucket_bounds, value)] += 1
-            if self.count % self._stride == 0:
-                self._samples.append(value)
-                self._sorted = False
-            if len(self._samples) > self.sample_cap:
-                self._samples.sort()
-                self._samples = self._samples[::2]
-                self._stride *= 2
-                self._sorted = True
+        self.count += 1
+        self.total += value
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
+        self._bucket_counts[
+            bisect_left(self.bucket_bounds, value)] += 1
+        if self.count % self._stride == 0:
+            self._samples.append(value)
+            self._sorted = False
+        if len(self._samples) > self.sample_cap:
+            self._samples.sort()
+            self._samples = self._samples[::2]
+            self._stride *= 2
+            self._sorted = True
 
     def quantile(self, q: float) -> float | None:
         """Nearest-rank quantile; ``None`` when nothing was observed."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be within [0, 1]")
-        with self._lock:
-            if not self._samples:
-                return None
-            # Sort lazily, once per batch of observations: a scrape
-            # reads three quantiles per histogram and used to pay a
-            # full re-sort for each.
-            if not self._sorted:
-                self._samples.sort()
-                self._sorted = True
-            index = max(0, math.ceil(q * len(self._samples)) - 1)
-            return self._samples[index]
+        if not self._samples:
+            return None
+        # Sort lazily, once per batch of observations: a scrape
+        # reads three quantiles per histogram and used to pay a
+        # full re-sort for each.
+        if not self._sorted:
+            self._samples.sort()
+            self._sorted = True
+        index = max(0, math.ceil(q * len(self._samples)) - 1)
+        return self._samples[index]
 
     def buckets(self) -> dict:
         """Cumulative ``{le: count}`` with string keys (JSON-stable)."""
-        with self._lock:
-            counts = list(self._bucket_counts)
+        counts = self._bucket_counts
         out: dict[str, int] = {}
         running = 0
         for bound, bucket_count in zip(self.bucket_bounds, counts):
@@ -223,16 +214,14 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[tuple, object] = {}
-        self._lock = threading.Lock()
 
     def _get(self, kind: str, name: str, labels: dict, factory):
         key = (kind, name, _label_key(labels))
-        with self._lock:
-            instrument = self._instruments.get(key)
-            if instrument is None:
-                instrument = factory(name, key[2])
-                self._instruments[key] = instrument
-            return instrument
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            instrument = factory(name, key[2])
+            self._instruments[key] = instrument
+        return instrument
 
     def counter(self, name: str, **labels) -> Counter:
         return self._get("counter", name, labels, Counter)
@@ -249,9 +238,8 @@ class MetricsRegistry:
     # -- export ---------------------------------------------------------------
 
     def _sorted_items(self) -> list[tuple[tuple, object]]:
-        with self._lock:
-            return sorted(self._instruments.items(),
-                          key=lambda pair: pair[0])
+        return sorted(self._instruments.items(),
+                      key=lambda pair: pair[0])
 
     def snapshot(self) -> dict:
         """``{kind: {exposed_name: value-or-summary}}``, fully sorted."""

@@ -4,17 +4,19 @@ A :class:`Tracer` produces a tree of :class:`Span` objects per query —
 query → stage → per-source → cluster phase → per-shard → per-replica —
 timed off :class:`~repro.util.SimClock` so the same seeded run always
 yields the same span tree. The *current* span lives in a
-:class:`contextvars.ContextVar`, so concurrent callers each see their
-own; :class:`~repro.cluster.executor.ScatterGatherExecutor` runs shard
-tasks on the scattering thread, so their spans parent under the span
-that scattered them with no hand-off at all.
+:class:`contextvars.ContextVar`, so the gateway can hand a submitter's
+span to whichever thread dispatches its request (the ``contextvars``
+snapshot each queued entry carries);
+:class:`~repro.cluster.executor.ScatterGatherExecutor` runs shard tasks
+on the scattering thread, so their spans parent under the span that
+scattered them with no hand-off at all.
 
 Span ids are content-derived (``stable_hash(parent, name, occurrence)``)
 rather than random, which is what makes traces reproducible: two runs
 that perform the same operations produce byte-identical span trees.
-Same-named siblings are therefore only deterministic when opened
-sequentially; siblings opened from different threads need distinct
-names.
+Same-named siblings are numbered in the order they open, which is
+deterministic because the tracer, like everything below the gateway,
+has one caller at a time.
 
 The default tracer is :data:`NULL_TRACER`, whose ``span()`` returns one
 shared no-op object — the uninstrumented hot path allocates nothing.
@@ -22,7 +24,6 @@ shared no-op object — the uninstrumented hot path allocates nothing.
 
 from __future__ import annotations
 
-import threading
 from contextvars import ContextVar
 from types import MappingProxyType
 
@@ -159,7 +160,6 @@ class Tracer:
         # trace id -> its finished spans, in completion order; a
         # trace's spans are read without touching any other trace's
         self._finished: dict[str, list[Span]] = {}
-        self._lock = threading.Lock()
         self._root_counts: dict[str, int] = {}
 
     # -- span lifecycle -------------------------------------------------------
@@ -167,22 +167,21 @@ class Tracer:
     def span(self, name: str) -> Span:
         """Open a child of the current span (or a new root)."""
         parent = _CURRENT_SPAN.get()
-        with self._lock:
-            if parent is None:
-                occurrence = self._root_counts.get(name, 0)
-                self._root_counts[name] = occurrence + 1
-                trace_id = _hex(stable_hash("trace", name, occurrence))
-                parent_id = None
-                span_id = _hex(stable_hash(trace_id, name, occurrence))
-            else:
-                counts = parent._child_counts
-                if counts is None:
-                    counts = parent._child_counts = {}
-                occurrence = counts.get(name, 0)
-                counts[name] = occurrence + 1
-                trace_id = parent.trace_id
-                parent_id = parent.span_id
-                span_id = _hex(stable_hash(parent_id, name, occurrence))
+        if parent is None:
+            occurrence = self._root_counts.get(name, 0)
+            self._root_counts[name] = occurrence + 1
+            trace_id = _hex(stable_hash("trace", name, occurrence))
+            parent_id = None
+            span_id = _hex(stable_hash(trace_id, name, occurrence))
+        else:
+            counts = parent._child_counts
+            if counts is None:
+                counts = parent._child_counts = {}
+            occurrence = counts.get(name, 0)
+            counts[name] = occurrence + 1
+            trace_id = parent.trace_id
+            parent_id = parent.span_id
+            span_id = _hex(stable_hash(parent_id, name, occurrence))
         return Span(self, trace_id, span_id, parent_id, name,
                     self.clock.now_ms)
 
@@ -191,35 +190,29 @@ class Tracer:
 
     def _finish(self, span: Span) -> None:
         span.end_ms = self.clock.now_ms
-        with self._lock:
-            self._finished.setdefault(span.trace_id, []).append(span)
+        self._finished.setdefault(span.trace_id, []).append(span)
 
     # -- accessors ------------------------------------------------------------
 
     @property
     def spans(self) -> list[Span]:
         """Finished spans in a deterministic order — by trace id, then
-        start, then span id — not completion order, which depends on
-        how concurrent callers interleave."""
-        with self._lock:
-            return [span for trace_id in sorted(self._finished)
-                    for span in sorted(self._finished[trace_id],
-                                       key=_start_then_id)]
+        start, then span id — not completion order."""
+        return [span for trace_id in sorted(self._finished)
+                for span in sorted(self._finished[trace_id],
+                                   key=_start_then_id)]
 
     def trace_spans(self, trace_id: str) -> list[Span]:
         """One trace's finished spans, by start then span id."""
-        with self._lock:
-            return sorted(self._finished.get(trace_id, ()),
-                          key=_start_then_id)
+        return sorted(self._finished.get(trace_id, ()),
+                      key=_start_then_id)
 
     def trace_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._finished)
+        return sorted(self._finished)
 
     def reset(self) -> None:
-        with self._lock:
-            self._finished.clear()
-            self._root_counts.clear()
+        self._finished.clear()
+        self._root_counts.clear()
 
 
 class NullTracer:
@@ -264,7 +257,7 @@ def build_span_forest(spans) -> list[dict]:
 
     Each returned node is the span dict plus a ``children`` list;
     children are ordered by (start, span_id) so the forest is stable
-    regardless of thread completion order.
+    regardless of completion order.
     """
     nodes = [dict(_as_dict(s), children=[]) for s in spans]
     by_id = {node["span_id"]: node for node in nodes}

@@ -12,7 +12,6 @@ import itertools
 import random
 import re
 import string
-import threading
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -109,9 +108,6 @@ class SimClock:
     def __init__(self, start_ms: int = 1_262_304_000_000) -> None:
         # Default epoch: 2010-01-01T00:00:00Z, the paper's era.
         self._now_ms = int(start_ms)
-        # Concurrent ``Gateway.query`` callers may share one clock;
-        # advancing must not lose increments.
-        self._lock = threading.Lock()
 
     @property
     def now_ms(self) -> int:
@@ -120,9 +116,8 @@ class SimClock:
     def advance(self, delta_ms: float) -> int:
         if delta_ms < 0:
             raise ValueError("cannot move the clock backwards")
-        with self._lock:
-            self._now_ms += int(round(delta_ms))
-            return self._now_ms
+        self._now_ms += int(round(delta_ms))
+        return self._now_ms
 
     def timestamp(self) -> float:
         """Seconds since the UNIX epoch, for interoperability."""

@@ -24,23 +24,22 @@ GENERATION_KEYS = ("corpus:web", "tenant:t1:inventory")
 
 class FullScanCache(ResultCache):
     def put(self, key, value, now_ms: int, stamp=None) -> None:
-        with self._lock:
-            self._read.pop(key, None)
-            self._unread[key] = (now_ms, stamp or {}, value)
-            self._unread.move_to_end(key)
-            for segment in (self._unread, self._read):
-                expired = [
-                    k for k, (stored_ms, __, ___) in segment.items()
-                    if now_ms - stored_ms > self.ttl_ms
-                ]
-                for k in expired:
-                    del segment[k]
-                self._ttl_evictions += len(expired)
-            if len(self._unread) > self.max_entries:
-                self._drop_stale()
-            while len(self._unread) > self.max_entries:
-                self._unread.popitem(last=False)
-                self._lru_evictions += 1
+        self._read.pop(key, None)
+        self._unread[key] = (now_ms, stamp or {}, value)
+        self._unread.move_to_end(key)
+        for segment in (self._unread, self._read):
+            expired = [
+                k for k, (stored_ms, __, ___) in segment.items()
+                if now_ms - stored_ms > self.ttl_ms
+            ]
+            for k in expired:
+                del segment[k]
+            self._ttl_evictions += len(expired)
+        if len(self._unread) > self.max_entries:
+            self._drop_stale()
+        while len(self._unread) > self.max_entries:
+            self._unread.popitem(last=False)
+            self._lru_evictions += 1
 
     def _drop_stale(self) -> None:
         for segment in (self._unread, self._read):
@@ -68,6 +67,7 @@ def test_bounded_sweep_equals_full_scan(steps, capacity):
     cache = ResultCache(capacity, TTL_MS, generations)
     reference = FullScanCache(capacity, TTL_MS, generations)
     now = 1_000
+    gets = 0
     for n, step in enumerate(steps):
         kind = step[0]
         if kind == "put":
@@ -75,6 +75,7 @@ def test_bounded_sweep_equals_full_scan(steps, capacity):
             cache.put(step[1], n, now, stamp)
             reference.put(step[1], n, now, stamp)
         elif kind == "get":
+            gets += 1
             assert cache.get(step[1], now) == reference.get(step[1], now)
         elif kind == "bump":
             generations.bump(step[1])
@@ -85,3 +86,10 @@ def test_bounded_sweep_equals_full_scan(steps, capacity):
         assert cache.stats() == reference.stats(), (n, step)
         assert list(cache._unread) == list(reference._unread), (n, step)
         assert list(cache._read) == list(reference._read), (n, step)
+        # Every get lands in the hit/miss ledger, and neither segment
+        # outgrows its cap.
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == gets, (n, step)
+        assert len(cache._unread) <= capacity, (n, step)
+        assert len(cache._read) <= capacity, (n, step)
+        assert stats["entries"] == len(cache), (n, step)

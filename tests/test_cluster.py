@@ -152,6 +152,13 @@ class TestScatterGatherExecutor:
         # The shard after the failed one still ran.
         assert outcomes[2].ok and outcomes[2].value == "fine"
 
+    def test_bug_in_a_thunk_propagates(self):
+        # Only platform faults degrade a shard; a TypeError is our bug.
+        def bug():
+            raise TypeError("not a fault")
+        with pytest.raises(TypeError):
+            ScatterGatherExecutor().scatter({0: lambda: "ok", 1: bug})
+
     def test_merge_ranked_orders_and_tags(self):
         merged = list(merge_ranked({
             0: [("a", 3.0), ("c", 1.0)],

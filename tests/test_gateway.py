@@ -8,12 +8,17 @@ and generation invalidation across ``DatasetIngestor`` + refresh.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.core.runtime import QueryRequest
-from repro.errors import AdmissionRejectedError, ConfigurationError
+from repro.errors import (
+    AdmissionRejectedError,
+    ConfigurationError,
+    TicketPendingError,
+)
 from repro.gateway import (
     DeficitRoundRobinQueue,
     GatewayConfig,
@@ -332,6 +337,18 @@ class TestCoalescing:
         responses = [t.result() for t in tickets]
         assert all(r is responses[0] for r in responses)
 
+    def test_pending_ticket_result_says_to_pump(self, gateway_app):
+        # A single-threaded host that forgets to pump gets an error
+        # naming the fix, not a result() that blocks forever.
+        sym, __, app_id, games = gateway_app
+        ticket = sym.gateway.submit(QueryRequest(app_id=app_id,
+                                                 query_text=games[0]))
+        assert not ticket.done
+        with pytest.raises(TicketPendingError, match=r"pump\(\)"):
+            ticket.result()
+        assert sym.gateway.pump() == 1
+        assert ticket.result().html
+
     def test_coalesced_across_threads(self, gateway_app):
         """Concurrent query() callers on one key: a single dispatch
         serves every thread."""
@@ -362,6 +379,53 @@ class TestCoalescing:
         assert stats["dispatched"] >= 1
         assert stats["dispatched"] + stats["coalesced"] \
             + stats["cache"]["hits"] == 4
+
+    def test_threaded_hosts_replay_a_serial_run(self, tiny_web):
+        """Four threads through ``query`` with distinct queries get the
+        responses and simulated stage timings of a serial run: the
+        gateway executes one entry at a time, so no two executions
+        advance the shared clock interleaved."""
+        from repro.core.platform import Symphony
+        sym = Symphony(web=tiny_web, use_authority=False,
+                       cache_enabled=False,
+                       gateway=GatewayConfig(cache=False))
+        account = sym.register_designer("Ann")
+        games = sym.web.entities["video_games"][:4]
+        app_id = build_app(sym, account, "GamerQueen", "inventory",
+                           games)
+
+        def observed(query):
+            response = sym.gateway.query(
+                QueryRequest(app_id=app_id, query_text=query))
+            return response.html, [(s.name, s.elapsed_ms)
+                                   for s in response.trace.stages]
+
+        serial = {query: observed(query) for query in games}
+        mismatches, errors = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for __ in range(40):
+                barrier = threading.Barrier(len(games))
+
+                def worker(query):
+                    barrier.wait()
+                    try:
+                        if observed(query) != serial[query]:
+                            mismatches.append(query)
+                    except Exception as exc:  # noqa: BLE001
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=worker, args=(q,))
+                           for q in games]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not mismatches
 
     def test_distinct_pages_do_not_coalesce(self, gateway_app):
         sym, __, app_id, games = gateway_app
