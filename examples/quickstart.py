@@ -65,7 +65,7 @@ def main() -> None:
 
     # Host it and get the copy-pasteable embed snippet.
     app_id = symphony.host(session)
-    snippet = symphony.publish_embed(app_id, "http://gamerqueen.example")
+    snippet = symphony.publish_embed(app_id)
     print()
     print("Hosted as", app_id, "— embed snippet:")
     print(snippet.html)

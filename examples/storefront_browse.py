@@ -9,10 +9,13 @@ structured data". This example drives that surface: typed predicates
 with ordering and paging over the proprietary inventory, range filters
 in the query language, facet counts, related-search suggestions, CTR-by-
 position analytics, and query trends — everything a storefront owner
-uses to run the shop.
+uses to run the shop. It closes with two more §IV features: customers'
+votes re-ranking the catalog (social search) and their clicks feeding
+relevance signals back to the general engine (the Conclusions).
 """
 
 from repro import Symphony
+from repro.analytics import LogAggregator, RelevanceSignalExporter
 from repro.analytics.ctr import ctr_by_position
 from repro.analytics.trends import compute_trends
 from repro.core.structured import StructuredQuery
@@ -124,6 +127,32 @@ def main() -> None:
     print(f"\nSearches related to {games[0]!r}:")
     for suggestion in related.related(games[0], count=3):
         print(f"  {suggestion.query}  (score {suggestion.score})")
+
+    # -- Social search: customers vote the catalog (§IV future work 3) -------
+    symphony.enable_social_search(vote_weight=2.0)
+    before = [view.item for view in symphony.query(app_id, "adventure").views]
+    favourite = before[-1]
+    for __ in range(10):
+        symphony.vote(app_id, favourite.url)
+    after = [view.item.url
+             for view in symphony.query(app_id, "adventure").views]
+    print(f"\nTen up-votes move {favourite.get('title')!r} from rank "
+          f"{len(before)} to {after.index(favourite.url) + 1}")
+
+    # -- Relevance signals back to the general engine (Conclusions) ----------
+    review_query = f"{games[0]} review"
+    review = symphony.engine.search("web", review_query).results[0]
+    for day in range(3):
+        symphony.record_click(app_id, review_query, review.url,
+                              session_id=f"day-{day}")
+    authority = symphony.engine.vertical("web").authority
+    prior = authority.get(review.url, 0.0)
+    profile = LogAggregator(symphony.engine.log).profile(app_id)
+    boosted = RelevanceSignalExporter().apply_to_engine(symphony.engine,
+                                                        [profile])
+    print(f"\nCustomers' clicks boost {boosted} web page(s): "
+          f"{review.url} authority {prior:.3f} -> "
+          f"{authority[review.url]:.3f}")
 
 
 if __name__ == "__main__":

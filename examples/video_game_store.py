@@ -108,8 +108,7 @@ def main() -> None:
 
     # -- Host, embed, publish to Facebook ----------------------------------
     app_id = symphony.host(session)
-    snippet = symphony.publish_embed(app_id,
-                                     "http://gamerqueen.example")
+    snippet = symphony.publish_embed(app_id)
     publication = symphony.publish_social(app_id, "facebook")
     print()
     print(f"Hosted: {app_id}")

@@ -97,7 +97,7 @@ def main() -> None:
     )
     session.attach_customer_source(customers.source_id)
     app_id = symphony.host(session)
-    symphony.publish_embed(app_id, "http://claires-cellar.example")
+    symphony.publish_embed(app_id)
     print(f"Hosted as {app_id}")
 
     # Visitors search; one has a stored preference profile.

@@ -28,12 +28,6 @@ class AppUsageProfile:
     url_clicks: dict              # url -> clicks
     sessions: int
 
-    def top_terms(self, count: int = 10) -> list[tuple]:
-        return sorted(
-            self.term_frequencies.items(),
-            key=lambda pair: (-pair[1], pair[0]),
-        )[:count]
-
     def top_sites(self, count: int = 10) -> list[tuple]:
         return sorted(
             self.site_clicks.items(),

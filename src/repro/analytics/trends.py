@@ -38,11 +38,6 @@ class TrendReport:
     daily: tuple        # DailyVolume, ascending by day
     rising: tuple       # RisingQuery, descending by score
 
-    def busiest_day(self) -> DailyVolume | None:
-        if not self.daily:
-            return None
-        return max(self.daily, key=lambda d: (d.queries, -d.day))
-
 
 def compute_trends(log, app_id: str, now_ms: int,
                    window_days: int = 7, epoch_ms: int = 0,

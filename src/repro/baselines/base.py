@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.capability import BackendDescriptor
 from repro.errors import UnsupportedCapabilityError
@@ -20,14 +20,13 @@ class CustomSearchEngine:
     The common denominator of Rollyo's "searchrolls", Eurekster's
     "swickis", and Google Custom Search engines: a named, site-restricted
     view of the underlying general engine, with optional query
-    augmentation and basic styling.
+    augmentation.
     """
 
     name: str
     engine: object
     sites: tuple = ()
     augment_terms: tuple = ()
-    styling: dict = field(default_factory=dict)  # colors/fonts only
 
     def search(self, query_text: str, count: int = 10):
         options = SearchOptions(
@@ -36,21 +35,6 @@ class CustomSearchEngine:
             augment_terms=self.augment_terms,
         )
         return self.engine.search("web", query_text, options)
-
-    def set_styling(self, **styling) -> None:
-        allowed = {"color", "background", "font-family", "font-size"}
-        for prop in styling:
-            css_prop = prop.replace("_", "-")
-            if css_prop not in allowed:
-                raise UnsupportedCapabilityError(
-                    "custom-ui",
-                    f"{self.name}: only basic styling "
-                    f"({sorted(allowed)}) is supported, not {css_prop!r}",
-                )
-        self.styling.update({
-            prop.replace("_", "-"): value
-            for prop, value in styling.items()
-        })
 
 
 class BaselinePlatform:

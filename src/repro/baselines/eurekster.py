@@ -2,45 +2,33 @@
 
 Table I: Yahoo search API; custom sites supported; no proprietary data;
 ads mandatory for for-profit entities; basic styling; search box on
-3rd-party sites only. Eurekster's distinguishing feature was community
-click feedback re-ranking results, which we also implement.
+3rd-party sites only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.baselines.base import BaselinePlatform, CustomSearchEngine
 from repro.core.capability import CapabilityProfile
-from repro.errors import NotFoundError
 
 __all__ = ["Swicki", "EureksterPlatform"]
 
 
 @dataclass
 class Swicki:
-    """A community search engine with click-boost re-ranking."""
+    """A community search engine."""
 
     custom: CustomSearchEngine
-    for_profit: bool = False
-    click_boosts: dict = field(default_factory=dict)  # url -> clicks
 
     @property
     def name(self) -> str:
         return self.custom.name
 
-    def record_community_click(self, url: str) -> None:
-        self.click_boosts[url] = self.click_boosts.get(url, 0) + 1
-
     def search(self, query_text: str, count: int = 10):
-        """Search, then re-rank by community click feedback."""
         response = self.custom.search(query_text, count=count * 2)
-        reranked = sorted(
-            response.results,
-            key=lambda r: (-self.click_boosts.get(r.url, 0), -r.score,
-                           r.url),
-        )
-        return reranked[:count]
+        return sorted(response.results,
+                      key=lambda r: (-r.score, r.url))[:count]
 
 
 class EureksterPlatform(BaselinePlatform):
@@ -49,39 +37,9 @@ class EureksterPlatform(BaselinePlatform):
     system_name = "Eurekster"
     api_name = "Yahoo (local substrate)"
 
-    def __init__(self, engine) -> None:
-        super().__init__(engine)
-        self._swickis: dict[str, Swicki] = {}
-
-    def create_swicki(self, name: str, sites,
-                      for_profit: bool = False) -> Swicki:
-        swicki = Swicki(
-            custom=CustomSearchEngine(
-                name=name, engine=self.engine, sites=tuple(sites)
-            ),
-            for_profit=for_profit,
-        )
-        self._swickis[name] = swicki
-        return swicki
-
-    def swicki(self, name: str) -> Swicki:
-        try:
-            return self._swickis[name]
-        except KeyError:
-            raise NotFoundError(f"no swicki {name!r}") from None
-
-    def ads_required_for(self, swicki_name: str) -> bool:
-        return self.swicki(swicki_name).for_profit
-
-    def search_box_snippet(self, swicki_name: str) -> str:
-        swicki = self.swicki(swicki_name)
-        return (
-            f'<form action="https://eurekster.example/s/{swicki.name}" '
-            f'method="get">\n'
-            f'  <input type="text" name="q"/>\n'
-            f"  <button>Search</button>\n"
-            f"</form>"
-        )
+    def create_swicki(self, name: str, sites) -> Swicki:
+        return Swicki(custom=CustomSearchEngine(
+            name=name, engine=self.engine, sites=tuple(sites)))
 
     # -- probe protocol ------------------------------------------------------------
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from repro.baselines.base import BaselinePlatform
 from repro.core.capability import CapabilityProfile
-from repro.errors import IngestError, UnsupportedCapabilityError
-from repro.ingest.readers import parse_delimited, parse_xml_records
-from repro.ingest.rss import parse_rss
+from repro.errors import UnsupportedCapabilityError
 from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.engine import (
     SearchOptions,
@@ -58,21 +56,6 @@ class GoogleBasePlatform(BaselinePlatform):
             inserted += 1
         self._items.text_fields = self._items.index.text_fields()
         return inserted
-
-    def upload_feed(self, data: bytes, fmt: str,
-                    table_name: str = "items") -> int:
-        """Upload via the supported feed formats (RSS, txt, xml)."""
-        if fmt == "rss":
-            rows = [item.to_row() for item in parse_rss(data)]
-        elif fmt == "txt":
-            rows = parse_delimited(data, delimiter="\t")
-        elif fmt == "xml":
-            rows = parse_xml_records(data)
-        else:
-            raise IngestError(
-                f"Google Base accepts rss/txt/xml, not {fmt!r}"
-            )
-        return self.upload_structured_data(rows, table_name)
 
     # -- surfacing inside Google's own results ------------------------------------------
 

@@ -9,11 +9,10 @@ mandatory for for-profit; basic styling; deployment to 3rd-party sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.baselines.base import BaselinePlatform, CustomSearchEngine
 from repro.core.capability import CapabilityProfile
-from repro.errors import NotFoundError
 
 __all__ = ["CustomEngine", "GoogleCustomSearchPlatform"]
 
@@ -24,8 +23,6 @@ class CustomEngine:
 
     custom: CustomSearchEngine
     preferred_urls: tuple = ()
-    for_profit: bool = False
-    styling: dict = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -49,37 +46,15 @@ class GoogleCustomSearchPlatform(BaselinePlatform):
     system_name = "Google Custom"
     api_name = "Google (local substrate)"
 
-    def __init__(self, engine) -> None:
-        super().__init__(engine)
-        self._engines: dict[str, CustomEngine] = {}
-
     def create_engine(self, name: str, sites=(),
-                      augment_terms=(), preferred_urls=(),
-                      for_profit: bool = False) -> CustomEngine:
-        custom_engine = CustomEngine(
+                      augment_terms=(), preferred_urls=()) -> CustomEngine:
+        return CustomEngine(
             custom=CustomSearchEngine(
                 name=name, engine=self.engine,
                 sites=tuple(sites),
                 augment_terms=tuple(augment_terms),
             ),
             preferred_urls=tuple(preferred_urls),
-            for_profit=for_profit,
-        )
-        self._engines[name] = custom_engine
-        return custom_engine
-
-    def custom_engine(self, name: str) -> CustomEngine:
-        try:
-            return self._engines[name]
-        except KeyError:
-            raise NotFoundError(f"no custom engine {name!r}") from None
-
-    def embed_snippet(self, name: str) -> str:
-        engine = self.custom_engine(name)
-        return (
-            f'<script src="https://cse.google.example/cse.js?cx='
-            f"{engine.name}\"></script>\n"
-            f'<div class="gcse-search"></div>'
         )
 
     # -- probe protocol ------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.baselines.base import BaselinePlatform, CustomSearchEngine
 from repro.core.capability import CapabilityProfile
-from repro.errors import NotFoundError
 
 __all__ = ["RollyoPlatform"]
 
@@ -22,34 +21,11 @@ class RollyoPlatform(BaselinePlatform):
 
     _MAX_SITES = 25  # Rollyo capped searchrolls at 25 sites
 
-    def __init__(self, engine) -> None:
-        super().__init__(engine)
-        self._searchrolls: dict[str, CustomSearchEngine] = {}
-
     def create_searchroll(self, name: str,
                           sites) -> CustomSearchEngine:
         sites = tuple(sites)[: self._MAX_SITES]
-        roll = CustomSearchEngine(name=name, engine=self.engine,
+        return CustomSearchEngine(name=name, engine=self.engine,
                                   sites=sites)
-        self._searchrolls[name] = roll
-        return roll
-
-    def searchroll(self, name: str) -> CustomSearchEngine:
-        try:
-            return self._searchrolls[name]
-        except KeyError:
-            raise NotFoundError(f"no searchroll {name!r}") from None
-
-    def search_box_snippet(self, roll_name: str) -> str:
-        """The only deployment aid: a search box pointing at Rollyo."""
-        roll = self.searchroll(roll_name)
-        return (
-            f'<form action="https://rollyo.example/search" method="get">\n'
-            f'  <input type="hidden" name="roll" value="{roll.name}"/>\n'
-            f'  <input type="text" name="q"/>\n'
-            f'  <button type="submit">Search {roll.name}</button>\n'
-            f"</form>"
-        )
 
     # -- probe protocol ------------------------------------------------------------
 

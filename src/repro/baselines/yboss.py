@@ -59,21 +59,6 @@ class YahooBossPlatform(BaselinePlatform):
             total_matches=response.total_matches,
         )
 
-    def mashup_merge(self, *result_lists) -> list:
-        """The client-side Python library: interleave result lists.
-
-        This is developer tooling — the user writes the code that calls
-        it, which is precisely the gap Symphony's no-code designer fills.
-        """
-        merged = []
-        longest = max((len(results) for results in result_lists),
-                      default=0)
-        for i in range(longest):
-            for results in result_lists:
-                if i < len(results):
-                    merged.append(results[i])
-        return merged
-
     # -- probe protocol ------------------------------------------------------------
 
     def upload_structured_data(self, rows, table_name: str = "data",

@@ -3,6 +3,7 @@
 Usage::
 
     python -m repro.cli demo                 # run the GamerQueen demo
+    python -m repro.cli dashboard            # the designer's summaries
     python -m repro.cli table1               # regenerate Table I
     python -m repro.cli search "halo review" # query the web vertical
     python -m repro.cli suggest gamespot.com ign.com
@@ -158,6 +159,27 @@ def _cmd_demo(args) -> int:
         for result in view.supplemental.values():
             for item in result.items:
                 print(f"    review: {item.title} ({item.get('site')})")
+    return 0
+
+
+def _cmd_dashboard(args) -> int:
+    from repro.analytics.report import designer_dashboard
+    symphony = _build_platform(args.seed)
+    app_id, games, _ = _build_demo_app(symphony)
+    # Three days of traffic: each day searches one more game and clicks
+    # its first review.
+    for day in range(3):
+        session_id = f"cli-dashboard-{day}"
+        for game in games[:day + 2]:
+            response = symphony.query(app_id, game, session_id=session_id)
+            reviews = [item for view in response.views
+                       for result in view.supplemental.values()
+                       for item in result.items]
+            if reviews:
+                symphony.record_click(app_id, game, reviews[0].url,
+                                      session_id=session_id)
+        symphony.clock.advance(86_400_000)
+    print(designer_dashboard(symphony, app_id))
     return 0
 
 
@@ -649,6 +671,10 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="run the GamerQueen demo")
     demo.add_argument("--query", default="")
 
+    sub.add_parser("dashboard",
+                   help="the designer dashboard after a seeded "
+                        "run of demo traffic (§II-A summaries)")
+
     telemetry = sub.add_parser(
         "telemetry",
         help="trace a demo query (or report an exported JSONL file)",
@@ -795,6 +821,7 @@ _COMMANDS = {
     "suggest": _cmd_suggest,
     "table1": _cmd_table1,
     "demo": _cmd_demo,
+    "dashboard": _cmd_dashboard,
     "telemetry": _cmd_telemetry,
     "chaos": _cmd_chaos,
     "gateway": _cmd_gateway,

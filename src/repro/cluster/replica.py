@@ -309,10 +309,6 @@ class ReplicaGroup:
                 return replica
         return self.replicas[0]
 
-    @property
-    def all_down(self) -> bool:
-        return not self.healthy_replicas()
-
     # -- write path: replicate everywhere -------------------------------------
 
     def broadcast(self, fn) -> None:

@@ -265,14 +265,6 @@ class DataContract:
                 out[name] = normalized(out[name])
         return out
 
-    def canonical_key(self, row: dict):
-        """The normalized key value identifying ``row``'s entity."""
-        if not self.key_field:
-            return None
-        return self.spec(self.key_field).normalized(
-            row.get(self.key_field)
-        )
-
     def to_dict(self) -> dict:
         data = {
             "table": self.table,

@@ -226,12 +226,7 @@ class ProprietaryTableSource(DataSource):
                            for record in table.all_records()]
             index = self._vertical.index
             for record_id in dict.fromkeys(changed):
-                try:
-                    current = table.get(record_id)
-                except NotFoundError:   # deleted since
-                    if record_id in index:
-                        index.remove(record_id)
-                    continue
+                current = table.get(record_id)
                 if (record_id in index
                         and index.document(record_id).payload is current):
                     continue

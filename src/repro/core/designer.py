@@ -58,7 +58,6 @@ class SlotHandle:
     query_strategy: str = ""
     elements: list = field(default_factory=list)
     children: list = field(default_factory=list)   # child SlotHandles
-    style: dict = field(default_factory=dict)
 
 
 class DesignSession:
@@ -78,7 +77,6 @@ class DesignSession:
         self.settings: dict = {}
         self._slots: list[SlotHandle] = []
         self._customer_source_id: str | None = None
-        self._element_styles: dict[str, dict] = {}
 
     # -- palette -----------------------------------------------------------------
 
@@ -211,43 +209,6 @@ class DesignSession:
         return {prop.replace("_", "-"): value
                 for prop, value in style.items()}
 
-    def set_slot_style(self, slot: SlotHandle, **style) -> None:
-        slot.style.update(self._css(style))
-
-    # -- editing gestures (rearranging the canvas) ------------------------------
-
-    def remove_element(self, slot: SlotHandle,
-                       element: LayoutElement) -> None:
-        """Drag an element off the result layout."""
-        try:
-            slot.elements.remove(element)
-        except ValueError:
-            raise ConfigurationError(
-                "element is not part of this result layout"
-            ) from None
-
-    def move_element(self, slot: SlotHandle, element: LayoutElement,
-                     position: int) -> None:
-        """Reorder an element within the result layout."""
-        if element not in slot.elements:
-            raise ConfigurationError(
-                "element is not part of this result layout"
-            )
-        slot.elements.remove(element)
-        position = max(0, min(position, len(slot.elements)))
-        slot.elements.insert(position, element)
-
-    def remove_slot(self, handle: SlotHandle) -> None:
-        """Drag a source off the application (top-level or nested)."""
-        if handle in self._slots:
-            self._slots.remove(handle)
-            return
-        for parent in self._slots:
-            if handle in parent.children:
-                parent.children.remove(handle)
-                return
-        raise ConfigurationError("slot is not on this canvas")
-
     # -- presentation ---------------------------------------------------------------
 
     def apply_template(self, theme_name: str) -> None:
@@ -354,7 +315,6 @@ class DesignSession:
             heading=handle.heading,
             result_layout=ResultLayout(tuple(handle.elements)),
             children=tuple(self._slot_of(c) for c in handle.children),
-            style=dict(handle.style),
         )
 
     # -- canvas rendering (Fig. 1) ---------------------------------------------------
@@ -426,64 +386,3 @@ class Designer:
             themes=self._themes,
             ids=self._ids,
         )
-
-    def edit_application(self, app) -> DesignSession:
-        """Reopen a compiled application on the canvas for editing.
-
-        The session reconstructs every slot handle, element, and
-        supplemental child from the definition; rebuilding and rehosting
-        under the same app id updates the deployed application in place.
-        """
-        session = DesignSession(
-            app_id=app.app_id,
-            name=app.name,
-            owner_tenant=app.owner_tenant,
-            registry=self._registry,
-            themes=self._themes,
-            ids=self._ids,
-        )
-        session.description = app.description
-        session.theme = app.theme
-        session.settings = dict(app.settings)
-        for slot in app.slots:
-            session._slots.append(self._handle_from(app, slot))
-        for binding in app.bindings_by_role(SourceRole.CUSTOMER):
-            session._customer_source_id = binding.source_id
-        return session
-
-    def clone_application(self, app, new_name: str,
-                          owner_tenant: str = "") -> DesignSession:
-        """Like :meth:`edit_application` but as a brand-new app id."""
-        session = self.edit_application(app)
-        session.app_id = self._ids.next_id("app")
-        session.name = new_name
-        if owner_tenant:
-            session.owner_tenant = owner_tenant
-        # Fresh binding ids so clone and original never collide.
-        for handle in session._slots:
-            self._remint_ids(handle)
-        return session
-
-    def _remint_ids(self, handle: SlotHandle) -> None:
-        handle.binding_id = self._ids.next_id("binding")
-        for child in handle.children:
-            self._remint_ids(child)
-
-    def _handle_from(self, app, slot) -> SlotHandle:
-        binding = app.binding(slot.binding_id)
-        handle = SlotHandle(
-            binding_id=binding.binding_id,
-            source_id=binding.source_id,
-            role=binding.role,
-            heading=slot.heading,
-            max_results=binding.max_results,
-            search_fields=binding.search_fields,
-            drive_fields=binding.drive_fields,
-            query_suffix=binding.query_suffix,
-            query_strategy=binding.query_strategy,
-            elements=list(slot.result_layout.elements),
-            style=dict(slot.style),
-        )
-        handle.children = [self._handle_from(app, child)
-                           for child in slot.children]
-        return handle

@@ -35,9 +35,6 @@ class EmbedSnippet:
     html: str
     javascript: str
 
-    def combined(self) -> str:
-        return f"{self.html}\n<script>\n{self.javascript}\n</script>"
-
 
 class SnippetGenerator:
     """Auto-generates the embed snippet for a hosted application."""
@@ -84,28 +81,6 @@ class SnippetGenerator:
         )
 
 
-def render_hosted_page(app, snippet: EmbedSnippet,
-                       canvas_title: str = "") -> str:
-    """A complete standalone HTML page hosting the application.
-
-    This is what a social-platform canvas URL (or Symphony's own
-    hosted URL) serves: the auto-generated embed wrapped in a minimal
-    page shell.
-    """
-    title = canvas_title or app.name
-    return (
-        "<!DOCTYPE html>\n"
-        "<html>\n<head>\n"
-        f"  <title>{title}</title>\n"
-        '  <meta charset="utf-8"/>\n'
-        "</head>\n<body>\n"
-        f"  <h1>{title}</h1>\n"
-        f"{snippet.html}\n"
-        f"<script>\n{snippet.javascript}\n</script>\n"
-        "</body>\n</html>"
-    )
-
-
 @dataclass(frozen=True)
 class Publication:
     """One deployment of an application to a target."""
@@ -113,7 +88,6 @@ class Publication:
     app_id: str
     target: str            # "web" | platform name (e.g. "facebook")
     location: str          # canvas URL or host page
-    embed_key: str = ""
 
 
 class SocialPlatform:
@@ -133,9 +107,6 @@ class SocialPlatform:
         self._canvas[slug] = app.app_id
         return f"{self.canvas_root}/{slug}"
 
-    def installed_apps(self) -> dict:
-        return dict(self._canvas)
-
 
 class Publisher:
     """Publishes hosted applications to web pages and social platforms."""
@@ -143,7 +114,6 @@ class Publisher:
     def __init__(self, snippets: SnippetGenerator | None = None) -> None:
         self.snippets = snippets or SnippetGenerator()
         self._platforms: dict[str, SocialPlatform] = {}
-        self._publications: list[Publication] = []
 
     def register_platform(self, platform: SocialPlatform) -> None:
         self._platforms[platform.name] = platform
@@ -156,25 +126,15 @@ class Publisher:
                 f"no social platform registered as {name!r}"
             ) from None
 
-    def embed_on_site(self, app, page_url: str) -> EmbedSnippet:
-        snippet = self.snippets.generate(app)
-        self._publications.append(Publication(
-            app_id=app.app_id, target="web", location=page_url,
-            embed_key=snippet.embed_key,
-        ))
-        return snippet
+    def embed_on_site(self, app) -> EmbedSnippet:
+        return self.snippets.generate(app)
 
     def publish_to_platform(self, app, platform_name: str) -> Publication:
         platform = self.platform(platform_name)
         canvas_url = platform.install_app(app)
-        publication = Publication(
+        return Publication(
             app_id=app.app_id, target=platform_name, location=canvas_url,
         )
-        self._publications.append(publication)
-        return publication
-
-    def publications_for(self, app_id: str) -> list[Publication]:
-        return [p for p in self._publications if p.app_id == app_id]
 
 
 class HostingRouter:
@@ -205,6 +165,3 @@ class HostingRouter:
                 f"embed key not authorized for {app_id!r}"
             )
         return app_id
-
-    def mounted_paths(self) -> list[str]:
-        return sorted(self._routes)

@@ -104,11 +104,6 @@ class InteractionRecorder:
             top_queries=top_queries,
         )
 
-    def ad_earnings(self, app_id: str) -> float:
-        if self._ads is None:
-            return 0.0
-        return self._ads.designer_earnings(app_id)
-
 
 class ReferralReport:
     """Downloadable click-traffic report for referral auditing."""

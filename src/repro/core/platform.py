@@ -275,7 +275,6 @@ class Symphony:
             )
         # Opt-in federation: built lazily by enable_federation().
         self.federation = None
-        self._designers: dict[str, DesignerAccount] = {}
 
     # -- federation (ROADMAP item 4) --------------------------------------------
 
@@ -332,17 +331,12 @@ class Symphony:
         token = self.catalog.authority.mint(
             tenant.tenant_id, scopes=(Scope.ADMIN,)
         )
-        account = DesignerAccount(
+        return DesignerAccount(
             designer_id=self.ids.next_id("designer"),
             display_name=display_name,
             tenant=tenant,
             token=token.value,
         )
-        self._designers[account.designer_id] = account
-        return account
-
-    def designer_account(self, designer_id: str) -> DesignerAccount:
-        return self._designers[designer_id]
 
     # -- proprietary data (§II-A Proprietary Data) ------------------------------
 
@@ -565,9 +559,9 @@ class Symphony:
         self.router.mount(app)
         return app.app_id
 
-    def publish_embed(self, app_id: str, page_url: str):
+    def publish_embed(self, app_id: str):
         app = self.apps.get(app_id)
-        snippet = self.publisher.embed_on_site(app, page_url)
+        snippet = self.publisher.embed_on_site(app)
         self.router.mount(app, embed_key=snippet.embed_key)
         return snippet
 
@@ -673,38 +667,6 @@ class Symphony:
         if up:
             return feedback.vote_up(app_id, url)
         return feedback.vote_down(app_id, url)
-
-    def recommend_supplemental(self, account: DesignerAccount,
-                               table_name: str, probe_field: str,
-                               count: int = 5, probe_suffix: str = ""
-                               ) -> list:
-        """Recommend supplemental sites for a table (§IV future work 1)."""
-        from repro.analytics.recommend import SupplementalRecommender
-        tenant = self.catalog.open(
-            account.token, account.tenant.tenant_id, Scope.READ
-        )
-        recommender = SupplementalRecommender(self.engine)
-        return recommender.recommend(
-            tenant.table(table_name), probe_field, count=count,
-            probe_suffix=probe_suffix,
-        )
-
-    def autocomplete(self, prefix: str, app_id: str | None = None,
-                     count: int = 5) -> list:
-        """Query completions mined from the (per-app) query log.
-
-        The completion index is rebuilt lazily whenever new queries have
-        been logged since the last call.
-        """
-        from repro.searchengine.autocomplete import AutocompleteIndex
-        cache_key = (app_id, len(self.engine.log.queries))
-        cached = getattr(self, "_autocomplete_cache", None)
-        if cached is None or cached[0] != cache_key:
-            index = AutocompleteIndex.from_query_log(
-                self.engine.log, app_id=app_id
-            )
-            self._autocomplete_cache = (cache_key, index)
-        return self._autocomplete_cache[1].complete(prefix, count)
 
     # -- Site Suggest (§II-A Built-in Services) ------------------------------------------
 

@@ -89,13 +89,6 @@ class StyleSheet:
 
     rules: dict = field(default_factory=dict)  # selector -> {prop: value}
 
-    def add_rule(self, selector: str, **properties) -> None:
-        rule = self.rules.setdefault(selector, {})
-        rule.update(
-            {prop.replace("_", "-"): value
-             for prop, value in properties.items()}
-        )
-
     def to_css(self) -> str:
         blocks = []
         for selector in sorted(self.rules):

@@ -204,19 +204,18 @@ class ApplicationRegistry:
     """Hosted applications by id (the paper's Hosting capability).
 
     Re-registering an id updates the deployed application in place and
-    appends the previous definition to its version history, so a
-    designer can inspect (or restore) earlier revisions.
+    bumps its revision number.
     """
 
     def __init__(self) -> None:
         self._apps: dict[str, object] = {}
-        self._history: dict[str, list] = {}
+        self._revisions: dict[str, int] = {}
 
     def register(self, app) -> None:
         app.validate()
         previous = self._apps.get(app.app_id)
         if previous is not None and previous != app:
-            self._history.setdefault(app.app_id, []).append(previous)
+            self._revisions[app.app_id] = self.version(app.app_id) + 1
         self._apps[app.app_id] = app
 
     def get(self, app_id: str):
@@ -230,29 +229,7 @@ class ApplicationRegistry:
     def version(self, app_id: str) -> int:
         """1-based revision number of the current definition."""
         self.get(app_id)
-        return len(self._history.get(app_id, ())) + 1
-
-    def history(self, app_id: str) -> list:
-        """Previous definitions, oldest first (excludes the current)."""
-        self.get(app_id)
-        return list(self._history.get(app_id, ()))
-
-    def rollback(self, app_id: str):
-        """Restore the previous revision; returns the now-current app."""
-        revisions = self._history.get(app_id)
-        if not revisions:
-            raise NotFoundError(
-                f"application {app_id!r} has no previous revision"
-            )
-        previous = revisions.pop()
-        self._apps[app_id] = previous
-        return previous
-
-    def unregister(self, app_id: str) -> None:
-        if app_id not in self._apps:
-            raise NotFoundError(f"no application {app_id!r}")
-        del self._apps[app_id]
-        self._history.pop(app_id, None)
+        return self._revisions.get(app_id, 1)
 
     def ids(self) -> list[str]:
         return sorted(self._apps)

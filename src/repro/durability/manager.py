@@ -44,7 +44,7 @@ class DurabilityConfig:
 
     ``storage`` selects the WAL backend: ``"memory"`` (default),
     ``"blob"`` (JSON records in a fresh BlobStore), or a ready storage
-    object implementing append/records/last_lsn/record_count/truncate.
+    object implementing append/records/last_lsn/record_count.
     ``checkpoint_every`` is the auto-checkpoint cadence in WAL records
     per shard (0 disables automatic checkpoints — recovery then replays
     from the attach-time baseline).

@@ -107,17 +107,6 @@ class MemoryWalStorage:
     def record_count(self, shard_id: int) -> int:
         return len(self._records.get(shard_id, []))
 
-    def truncate(self, shard_id: int, up_to_lsn: int) -> int:
-        """Drop records with ``lsn <= up_to_lsn``; returns the count.
-
-        Called after a checkpoint covers a prefix of the log — recovery
-        only ever needs the tail past the newest checkpoint.
-        """
-        records = self._records.get(shard_id, [])
-        kept = [record for record in records if record.lsn > up_to_lsn]
-        self._records[shard_id] = kept
-        return len(records) - len(kept)
-
 
 class BlobWalStorage:
     """Records JSON-encoded into a :class:`BlobStore`, one blob each.
@@ -168,15 +157,6 @@ class BlobWalStorage:
 
     def record_count(self, shard_id: int) -> int:
         return len(self._shard_keys(shard_id))
-
-    def truncate(self, shard_id: int, up_to_lsn: int) -> int:
-        dropped = 0
-        for key in self._shard_keys(shard_id):
-            lsn = int(key.rsplit("/", 1)[1])
-            if lsn <= up_to_lsn:
-                self.blobs.delete(key)
-                dropped += 1
-        return dropped
 
 
 class WriteAheadLog:
@@ -230,9 +210,6 @@ class WriteAheadLog:
 
     def record_count(self, shard_id: int) -> int:
         return self.storage.record_count(shard_id)
-
-    def truncate(self, shard_id: int, up_to_lsn: int) -> int:
-        return self.storage.truncate(shard_id, up_to_lsn)
 
 
 def replay(records, replica) -> int:

@@ -6,7 +6,9 @@ slice of the query's :class:`~repro.resilience.Deadline`, and retrying
 transient failures under the resilience layer's deterministic
 :class:`~repro.resilience.Retrier`. A backend that fails or runs out of
 budget is recorded in the ``degraded`` set and fusion proceeds over the
-survivors — a federated query degrades, it does not throw.
+survivors — a federated query degrades, it does not throw. Only a
+:class:`~repro.errors.ReproError` (every backend fault is one) degrades;
+any other exception is a bug and propagates.
 
 Telemetry: one ``federation`` span per query with a ``backend:<id>``
 child span per fan-out leg, plus ``federation_*`` counters/histograms.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ReproError
 from repro.federation.fusion import DEFAULT_RRF_K, fuse
 from repro.federation.querygen import QueryGeneratorLab, get_generator
 from repro.resilience.deadline import Deadline
@@ -83,10 +86,6 @@ class FederationResult:
     strategy: str
     total_cost: float
     total_matches: int
-
-    @property
-    def ok_backends(self) -> tuple:
-        return tuple(o.backend_id for o in self.outcomes if o.ok)
 
 
 class FederationExecutor:
@@ -193,7 +192,7 @@ class FederationExecutor:
                                                deadline=child)
                 else:
                     items = fn()
-            except Exception as exc:  # degrade, never escape
+            except ReproError as exc:  # degrade; anything else is a bug
                 if span:
                     span.status = "error"
                     span.set("error", str(exc))

@@ -220,13 +220,6 @@ class BackendRegistry:
             return [self._backends[i] for i in self.ids()]
         return [self.get(i) for i in sorted(ids)]
 
-    def descriptors(self) -> list:
-        return [b.descriptor for b in self.backends()]
-
-    def select(self, vertical: str) -> list:
-        return [b for b in self.backends()
-                if vertical in b.descriptor.verticals]
-
     def generation_keys(self, ids=None) -> tuple:
         """Sorted union of generation keys across ``ids`` (default all)."""
         keys = set()

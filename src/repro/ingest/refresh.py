@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.contracts import ContractManager
-from repro.errors import DuplicateError, NotFoundError
+from repro.errors import DuplicateError
 from repro.telemetry import Telemetry
 
 __all__ = ["RefreshOutcome", "ScheduledFeed", "RefreshScheduler"]
@@ -79,11 +79,6 @@ class RefreshScheduler:
             feed_id, interval_ms, action,
             generation_key=generation_key,
         )
-
-    def unregister(self, feed_id: str) -> None:
-        if feed_id not in self._feeds:
-            raise NotFoundError(f"no scheduled feed {feed_id!r}")
-        del self._feeds[feed_id]
 
     def due_feeds(self) -> list[str]:
         now = self._clock.now_ms

@@ -108,9 +108,6 @@ class FtpServer:
         )
         self._files[path] = stored
 
-    def listdir(self, prefix: str = "") -> list[str]:
-        return sorted(p for p in self._files if p.startswith(prefix))
-
     def retrieve(self, path: str,
                  content_type: str = "text/plain") -> UploadPayload:
         if path not in self._files:
@@ -126,8 +123,3 @@ class FtpServer:
             received_ms=self.clock.now_ms,
             transport="ftp",
         )
-
-    def delete(self, path: str) -> None:
-        if path not in self._files:
-            raise NotFoundError(f"no file on FTP server at {path!r}")
-        del self._files[path]

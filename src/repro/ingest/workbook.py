@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.errors import IngestError, NotFoundError
 from repro.ingest.readers import decode_text
 
-__all__ = ["Worksheet", "Workbook", "parse_workbook", "dump_workbook"]
+__all__ = ["Worksheet", "Workbook", "parse_workbook"]
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,6 @@ class Workbook:
             f"available: {[s.name for s in self.sheets]}"
         )
 
-    def sheet_names(self) -> list[str]:
-        return [s.name for s in self.sheets]
-
     def first_sheet(self) -> Worksheet:
         return self.sheets[0]
 
@@ -92,16 +89,3 @@ def parse_workbook(data) -> Workbook:
     if not sheets:
         raise IngestError("workbook contains no sheets")
     return Workbook(str(doc.get("workbook", "workbook")), tuple(sheets))
-
-
-def dump_workbook(workbook: Workbook) -> bytes:
-    """Serialize a :class:`Workbook` back to upload-ready bytes."""
-    doc = {
-        "workbook": workbook.name,
-        "sheets": [
-            {"name": s.name, "header": list(s.header),
-             "rows": [list(row) for row in s.rows]}
-            for s in workbook.sheets
-        ],
-    }
-    return json.dumps(doc, indent=2).encode("utf-8")

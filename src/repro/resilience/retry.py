@@ -47,11 +47,6 @@ class RetryPolicy:
         scale = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return raw * scale
 
-    def schedule(self, key: object) -> tuple[float, ...]:
-        """The full backoff schedule for ``key`` — reproducibility probe."""
-        return tuple(self.backoff_ms(key, attempt)
-                     for attempt in range(1, self.max_attempts))
-
 
 class Retrier:
     """Run callables under a :class:`RetryPolicy` against the sim clock."""

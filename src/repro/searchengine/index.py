@@ -231,9 +231,6 @@ class InvertedIndex:
         """Analyzed token count per doc id of one text field (live view)."""
         return self._field_lengths.get(name, {})
 
-    def field_length(self, name: str, doc_id: str) -> int:
-        return self.field_lengths(name).get(doc_id, 0)
-
     def average_field_length(self, name: str) -> float:
         lengths = self._field_lengths.get(name)
         if not lengths:
@@ -255,9 +252,6 @@ class InvertedIndex:
 
     def text_fields(self) -> list[str]:
         return sorted(self._postings)
-
-    def keyword_fields(self) -> list[str]:
-        return sorted(self._keyword)
 
     def vocabulary_size(self, name: str) -> int:
         return len(self._postings.get(name, {}))

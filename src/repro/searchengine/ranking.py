@@ -15,7 +15,7 @@ from operator import itemgetter, neg
 from repro.searchengine.stats import CorpusStats
 
 __all__ = ["BM25Parameters", "BM25Scorer", "by_score_then_id", "pagerank",
-           "recency_boost", "blend_scores"]
+           "recency_boost"]
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class BM25Scorer:
         one accumulator, fields outer and terms inner, so every document's
         sum is added in one fixed order. ``prior`` maps ``doc_id`` to a
         value in [0, 1] (absent ids read 0.0); with it the ranked score
-        is ``blend_scores(relevance, prior[doc_id], weight)``.
+        is ``relevance * (1.0 + weight * prior[doc_id])``.
         """
         acc = dict.fromkeys(candidates, self._base)
         size = len(acc)
@@ -194,13 +194,3 @@ def recency_boost(published_ms: int, now_ms: int,
         return 0.0
     age_days = max(0.0, (now_ms - published_ms) / 86_400_000.0)
     return 0.5 ** (age_days / half_life_days)
-
-
-def blend_scores(relevance: float, prior: float,
-                 prior_weight: float = 0.3) -> float:
-    """Combine text relevance with an authority/freshness prior.
-
-    The prior acts multiplicatively on a (1 + prior) basis so documents
-    with zero prior are demoted but never eliminated.
-    """
-    return relevance * (1.0 + prior_weight * prior)

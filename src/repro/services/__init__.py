@@ -7,23 +7,18 @@ other content source."
 
 * :mod:`bus` — in-process service bus with latency and fault injection;
 * :mod:`rest` — REST-style services (path templates, GET semantics);
-* :mod:`soap` — SOAP-style envelopes, operations, and WSDL-lite
-  descriptors;
-* :mod:`samples` — the pricing/in-stock, weather, and review services the
-  examples and benchmarks use;
+* :mod:`soap` — SOAP-style envelopes and operation contracts;
+* :mod:`samples` — the pricing/in-stock and review services the examples
+  and benchmarks use;
 * :mod:`ads` — the ad service: campaigns, a generalized-second-price
   auction, budgets, and a revenue-share ledger.
 """
 
 from repro.services.ads import AdCampaign, AdResult, AdService, Advertiser
 from repro.services.bus import ServiceBus, ServiceDescriptor
-from repro.services.rest import RestClient, RestService
-from repro.services.samples import (
-    PricingService,
-    ReviewArchiveService,
-    WeatherService,
-)
-from repro.services.soap import SoapClient, SoapEnvelope, SoapService
+from repro.services.rest import RestService
+from repro.services.samples import PricingService, ReviewArchiveService
+from repro.services.soap import SoapEnvelope, SoapService
 
 __all__ = [
     "AdCampaign",
@@ -32,12 +27,9 @@ __all__ = [
     "Advertiser",
     "ServiceBus",
     "ServiceDescriptor",
-    "RestClient",
     "RestService",
     "PricingService",
     "ReviewArchiveService",
-    "WeatherService",
-    "SoapClient",
     "SoapEnvelope",
     "SoapService",
 ]

@@ -86,11 +86,6 @@ class ServiceBus:
         self._stats.setdefault(descriptor.name, CallStats())
         return descriptor
 
-    def unregister(self, name: str) -> None:
-        if name not in self._services:
-            raise NotFoundError(f"no service registered as {name!r}")
-        del self._services[name]
-
     def service(self, name: str):
         try:
             return self._services[name]
@@ -98,26 +93,6 @@ class ServiceBus:
             raise NotFoundError(
                 f"no service registered as {name!r}"
             ) from None
-
-    def describe_service(self, name: str) -> dict:
-        """Directory entry for one service: descriptor, stats, and (for
-        SOAP services) the WSDL-lite contract — what the designer's
-        palette shows before a service source is added."""
-        service = self.service(name)
-        entry = {
-            "descriptor": service.describe(),
-            "stats": self.stats(name),
-        }
-        wsdl = getattr(service, "wsdl", None)
-        if callable(wsdl):
-            entry["wsdl"] = wsdl()
-        return entry
-
-    def descriptors(self) -> list[ServiceDescriptor]:
-        return sorted(
-            (s.describe() for s in self._services.values()),
-            key=lambda d: d.name,
-        )
 
     def stats(self, name: str) -> CallStats:
         return self._stats.setdefault(name, CallStats())

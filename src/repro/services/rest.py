@@ -3,19 +3,19 @@
 A :class:`RestService` subclass declares routes like ``GET /prices/{sku}``;
 the bus invokes them via the generic ``invoke(operation, params)`` contract
 where the operation is ``"GET /prices/{sku}"`` and ``params`` carries both
-path and query parameters. :class:`RestClient` gives callers a friendlier
-``get("/prices/halo-3")`` surface and does the template matching.
+path and query parameters; a concrete ``"GET /prices/halo-3"`` is
+matched against the templates.
 """
 
 from __future__ import annotations
 
 import re
 
-from repro.errors import NotFoundError, ServiceError, TransportError
+from repro.errors import NotFoundError
 from repro.services.bus import ServiceDescriptor
 from repro.telemetry.trace import NULL_TRACER
 
-__all__ = ["RestService", "RestClient"]
+__all__ = ["RestService"]
 
 _PARAM_RE = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)\}")
 
@@ -85,40 +85,3 @@ class RestService:
         raise NotFoundError(
             f"service {self.name!r} has no route for {operation!r}"
         )
-
-
-class RestClient:
-    """Convenience caller for REST services on a bus.
-
-    All provider-side failures surface as :class:`ServiceError`:
-    transport resets are normalized here (and at the bus), so callers
-    — and the runtime's ``except ReproError`` warning path — handle
-    every provider failure through one class instead of special-casing
-    :class:`TransportError`.
-    """
-
-    def __init__(self, bus, service_name: str) -> None:
-        self._bus = bus
-        self._service_name = service_name
-
-    def _invoke(self, operation: str, params: dict, deadline=None):
-        try:
-            return self._bus.invoke(self._service_name, operation,
-                                    params, deadline=deadline)
-        except TransportError as exc:
-            raise ServiceError(
-                f"transport failure calling {self._service_name}: {exc}"
-            ) from exc
-
-    def get(self, path: str, deadline=None, **params):
-        return self._invoke(f"GET {path}", params, deadline=deadline)
-
-    def post(self, path: str, deadline=None, **params):
-        return self._invoke(f"POST {path}", params, deadline=deadline)
-
-    def must_get(self, path: str, deadline=None, **params):
-        """Like :meth:`get` but wraps NotFound in :class:`ServiceError`."""
-        try:
-            return self.get(path, deadline=deadline, **params)
-        except NotFoundError as exc:
-            raise ServiceError(str(exc)) from exc

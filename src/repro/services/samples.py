@@ -3,8 +3,7 @@
 * :class:`PricingService` — the "real-time pricing and in-stock service"
   from the GamerQueen narrative (§II-B), REST-bound;
 * :class:`ReviewArchiveService` — a SOAP-bound archive of editorial
-  reviews per entity, exercising the envelope/fault path;
-* :class:`WeatherService` — a REST lookup used by the travel example.
+  reviews per entity, exercising the envelope/fault path.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from repro.services.rest import RestService
 from repro.services.soap import SoapOperation, SoapService
 from repro.util import deterministic_rng, slugify
 
-__all__ = ["PricingService", "ReviewArchiveService", "WeatherService"]
+__all__ = ["PricingService", "ReviewArchiveService"]
 
 
 class PricingService(RestService):
@@ -85,7 +84,6 @@ class ReviewArchiveService(SoapService):
                 name="GetReviews",
                 input_parts=("entity",),
                 output_parts=("entity", "reviews"),
-                documentation="All archived reviews for an entity",
             ),
             self._get_reviews,
         )
@@ -94,7 +92,6 @@ class ReviewArchiveService(SoapService):
                 name="GetAverageScore",
                 input_parts=("entity",),
                 output_parts=("entity", "average", "count"),
-                documentation="Mean editorial score for an entity",
             ),
             self._get_average,
         )
@@ -111,13 +108,6 @@ class ReviewArchiveService(SoapService):
                 "score": round(rng.uniform(3.0, 9.8), 1),
                 "excerpt": page.snippet,
             })
-
-    def add_review(self, entity: str, source: str, score: float,
-                   excerpt: str = "", url: str = "") -> None:
-        self._reviews.setdefault(entity.lower(), []).append({
-            "source": source, "url": url,
-            "score": round(float(score), 1), "excerpt": excerpt,
-        })
 
     def _lookup(self, entity: str) -> list[dict]:
         reviews = self._reviews.get(entity.strip().lower())
@@ -140,28 +130,4 @@ class ReviewArchiveService(SoapService):
             "entity": entity,
             "average": round(average, 2),
             "count": len(reviews),
-        }
-
-
-class WeatherService(RestService):
-    """Deterministic synthetic weather per destination."""
-
-    name = "weather"
-    description = "Current conditions by destination"
-
-    _CONDITIONS = ("sunny", "cloudy", "rain", "snow", "windy")
-
-    def __init__(self, seed: object = 0) -> None:
-        super().__init__()
-        self._seed = seed
-        self.route("GET /weather/{place}", self._get_weather)
-
-    def _get_weather(self, params: dict) -> dict:
-        place = slugify(params["place"])
-        rng = deterministic_rng((self._seed, "weather", place))
-        return {
-            "place": place,
-            "condition": rng.choice(self._CONDITIONS),
-            "temperature_c": round(rng.uniform(-10.0, 38.0), 1),
-            "humidity": rng.randint(20, 95),
         }

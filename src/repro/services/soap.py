@@ -1,4 +1,4 @@
-"""SOAP-style services: envelopes, typed operations, WSDL-lite contracts.
+"""SOAP-style services: envelopes and typed operations.
 
 A :class:`SoapService` declares operations with named input/output parts;
 invocations travel as :class:`SoapEnvelope` objects, and errors surface as
@@ -10,17 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import (
-    NotFoundError,
-    ServiceError,
-    ServiceFaultError,
-    TransportError,
-    ValidationError,
-)
+from repro.errors import NotFoundError, ServiceFaultError, ValidationError
 from repro.services.bus import ServiceDescriptor
 from repro.telemetry.trace import NULL_TRACER
 
-__all__ = ["SoapEnvelope", "SoapOperation", "SoapService", "SoapClient"]
+__all__ = ["SoapEnvelope", "SoapOperation", "SoapService"]
 
 
 @dataclass(frozen=True)
@@ -34,12 +28,11 @@ class SoapEnvelope:
 
 @dataclass(frozen=True)
 class SoapOperation:
-    """A WSDL-lite operation contract."""
+    """An operation contract: its required input and output parts."""
 
     name: str
     input_parts: tuple      # required body part names
     output_parts: tuple
-    documentation: str = ""
 
 
 class SoapService:
@@ -66,20 +59,6 @@ class SoapService:
             operations=tuple(sorted(self._operations)),
             description=self.description,
         )
-
-    def wsdl(self) -> dict:
-        """A WSDL-lite description: operation → input/output parts."""
-        return {
-            "service": self.name,
-            "operations": {
-                name: {
-                    "input": list(contract.input_parts),
-                    "output": list(contract.output_parts),
-                    "documentation": contract.documentation,
-                }
-                for name, (contract, __) in sorted(self._operations.items())
-            },
-        }
 
     def invoke(self, operation: str, params: dict):
         """Bus entry point: validate parts, call handler, wrap faults."""
@@ -132,29 +111,3 @@ class SoapService:
             body=body,
             headers=dict(envelope.headers),
         )
-
-
-class SoapClient:
-    """Caller that speaks envelopes to a SOAP service through the bus.
-
-    Transport resets are normalized to :class:`ServiceError`, matching
-    :class:`~repro.services.rest.RestClient` — provider failures reach
-    callers as one uniform class (faults stay :class:`ServiceFaultError`,
-    itself a :class:`ServiceError`).
-    """
-
-    def __init__(self, bus, service_name: str) -> None:
-        self._bus = bus
-        self._service_name = service_name
-
-    def _invoke(self, operation: str, parts: dict, deadline=None):
-        try:
-            return self._bus.invoke(self._service_name, operation,
-                                    parts, deadline=deadline)
-        except TransportError as exc:
-            raise ServiceError(
-                f"transport failure calling {self._service_name}: {exc}"
-            ) from exc
-
-    def call(self, operation: str, deadline=None, **parts) -> dict:
-        return self._invoke(operation, parts, deadline=deadline)

@@ -27,10 +27,6 @@ class RobotsRules:
         return not any(path.startswith(prefix)
                        for prefix in self.disallow if prefix)
 
-    @property
-    def blocks_everything(self) -> bool:
-        return "/" in self.disallow
-
 
 def parse_robots(text: str) -> RobotsRules:
     """Parse the ``User-agent: *`` section of a robots.txt document.

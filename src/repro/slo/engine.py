@@ -154,13 +154,6 @@ class SLOEngine:
         return any(alerter.active
                    for __, __, alerter in self._all_trackers())
 
-    def active_alerts(self) -> list[dict]:
-        return [
-            {"slo": slo.name, "tenant": slo.tenant}
-            for slo, __, alerter in self._all_trackers()
-            if alerter.active
-        ]
-
     def alerts(self) -> list[dict]:
         """Every alert transition, ordered by time then SLO name."""
         out = []
@@ -274,9 +267,6 @@ class NullSLOEngine:
 
     def burning(self) -> bool:
         return False
-
-    def active_alerts(self) -> list:
-        return []
 
     def alerts(self) -> list:
         return []

@@ -12,7 +12,7 @@ is what keeps the SLO layer's clean-path overhead within budget.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["FlightRecord", "FlightRecorder"]
 

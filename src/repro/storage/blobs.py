@@ -53,11 +53,6 @@ class BlobStore:
     def exists(self, key: str) -> bool:
         return key in self._blobs
 
-    def delete(self, key: str) -> None:
-        if key not in self._blobs:
-            raise NotFoundError(f"no blob under key {key!r}")
-        del self._blobs[key]
-
     def keys(self) -> list[str]:
         return sorted(self._blobs)
 

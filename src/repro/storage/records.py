@@ -346,11 +346,6 @@ class RecordTable:
         self._index_record(updated)
         return updated
 
-    def delete(self, record_id: str) -> None:
-        record = self.get(record_id)
-        self._unindex_record(record)
-        del self._records[record_id]
-
     def upsert_by(self, key_field: str, row: dict) -> Record:
         """Insert, or update the single record whose ``key_field`` matches."""
         return self._upsert_values(key_field,
@@ -440,26 +435,16 @@ class RecordTable:
             return self._key(value)
         return value
 
-    def scan(self, predicate=None, limit: int | None = None) -> list:
-        out = []
-        for record in self._records.values():
-            if predicate is None or predicate(record):
-                out.append(record)
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
-
     def all_records(self) -> list:
         return list(self._records.values())
 
     def changes_since(self, cursor: int) -> list | None:
         """Record ids mutated after ``mutations`` read ``cursor``, in order.
 
-        One id per mutation, so an updated record appears twice and a
-        deleted one may no longer be in the table. ``None`` when the
-        answer is unknown: the bounded tail (:data:`CHANGE_TAIL`) no
-        longer reaches back to ``cursor``, or ``cursor`` is not a value
-        this table's ``mutations`` has held.
+        One id per mutation, so an updated record appears twice.
+        ``None`` when the answer is unknown: the bounded tail
+        (:data:`CHANGE_TAIL`) no longer reaches back to ``cursor``, or
+        ``cursor`` is not a value this table's ``mutations`` has held.
         """
         behind = self.mutations - cursor
         held = len(self._change_tail)

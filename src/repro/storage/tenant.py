@@ -86,13 +86,6 @@ class Tenant:
                 f"tenant {self.tenant_id} has no table {name!r}"
             ) from None
 
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise NotFoundError(
-                f"tenant {self.tenant_id} has no table {name!r}"
-            )
-        del self._tables[name]
-
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 

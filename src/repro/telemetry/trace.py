@@ -207,9 +207,6 @@ class Tracer:
         return sorted(self._finished.get(trace_id, ()),
                       key=_start_then_id)
 
-    def trace_ids(self) -> list[str]:
-        return sorted(self._finished)
-
     def reset(self) -> None:
         self._finished.clear()
         self._root_counts.clear()
@@ -228,9 +225,6 @@ class NullTracer:
         return None
 
     def trace_spans(self, trace_id: str) -> tuple:
-        return ()
-
-    def trace_ids(self) -> tuple:
         return ()
 
     def reset(self) -> None:

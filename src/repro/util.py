@@ -20,7 +20,6 @@ __all__ = [
     "deterministic_rng",
     "slugify",
     "stable_hash",
-    "chunked",
 ]
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
@@ -50,24 +49,6 @@ def stable_hash(*parts: object) -> int:
 def deterministic_rng(seed: object) -> random.Random:
     """Return a ``random.Random`` seeded stably from any printable value."""
     return random.Random(stable_hash("rng", seed))
-
-
-def chunked(items, size):
-    """Yield successive lists of up to ``size`` elements from ``items``.
-
-    >>> list(chunked([1, 2, 3, 4, 5], 2))
-    [[1, 2], [3, 4], [5]]
-    """
-    if size <= 0:
-        raise ValueError("chunk size must be positive")
-    batch = []
-    for item in items:
-        batch.append(item)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
 
 
 @dataclass

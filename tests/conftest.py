@@ -7,6 +7,8 @@ built on a deliberately small web spec so the whole suite stays fast.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.platform import Symphony
@@ -91,6 +93,21 @@ def make_inventory_csv(entities, with_urls: bool = True) -> bytes:
         for i, name in enumerate(entities):
             lines.append(f"{name},Studio {i}")
     return "\n".join(lines).encode("utf-8")
+
+
+def dump_workbook(workbook) -> bytes:
+    """Serialize a :class:`~repro.ingest.workbook.Workbook` back to the
+    upload-ready bytes :func:`~repro.ingest.workbook.parse_workbook`
+    reads."""
+    doc = {
+        "workbook": workbook.name,
+        "sheets": [
+            {"name": s.name, "header": list(s.header),
+             "rows": [list(row) for row in s.rows]}
+            for s in workbook.sheets
+        ],
+    }
+    return json.dumps(doc, indent=2).encode("utf-8")
 
 
 def build_gamerqueen(sym, account):

@@ -1,88 +1,11 @@
-"""Tests for autocomplete, ad match types / negative keywords, the
-designer dashboard, and cross-instance determinism."""
+"""Tests for ad match types / negative keywords, the designer dashboard,
+and cross-instance determinism."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.analytics.report import designer_dashboard
 from repro.errors import ValidationError
-from repro.searchengine.autocomplete import AutocompleteIndex
-from repro.searchengine.logs import QueryEvent, QueryLog
 from repro.services.ads import AdService
-
-
-class TestAutocomplete:
-    def make(self):
-        index = AutocompleteIndex()
-        index.add("halo review", 5)
-        index.add("halo trailer", 3)
-        index.add("halo", 10)
-        index.add("zelda guide", 2)
-        return index
-
-    def test_prefix_completion_by_weight(self):
-        index = self.make()
-        completions = [c.text for c in index.complete("hal")]
-        assert completions == ["halo", "halo review", "halo trailer"]
-
-    def test_exact_entry_included(self):
-        index = self.make()
-        assert index.complete("halo review")[0].text == "halo review"
-
-    def test_no_match(self):
-        assert self.make().complete("wine") == []
-
-    def test_count_limits(self):
-        assert len(self.make().complete("hal", count=2)) == 2
-
-    def test_weights_accumulate(self):
-        index = AutocompleteIndex()
-        index.add("halo")
-        index.add("halo")
-        assert index.complete("ha")[0].weight == 2
-
-    def test_normalization(self):
-        index = AutocompleteIndex()
-        index.add("  Halo   Review ")
-        assert index.complete("halo r")[0].text == "halo review"
-
-    def test_empty_and_nonpositive_ignored(self):
-        index = AutocompleteIndex()
-        index.add("", 5)
-        index.add("x", 0)
-        assert len(index) == 0
-        assert index.complete("") == []
-
-    def test_from_query_log_scoped_by_app(self):
-        log = QueryLog()
-        for app_id, query in (("a", "halo"), ("a", "halo"),
-                              ("b", "zelda")):
-            log.log_query(QueryEvent(
-                timestamp_ms=0, query=query, vertical="app",
-                app_id=app_id,
-            ))
-        index = AutocompleteIndex.from_query_log(log, app_id="a")
-        assert index.complete("h")[0].weight == 2
-        assert index.complete("z") == []
-
-    def test_seed_from_vocabulary(self, engine):
-        index = AutocompleteIndex()
-        added = index.seed_from_vocabulary(
-            engine.vertical("web").index, "body", min_df=5
-        )
-        assert added > 0
-        assert index.complete("gam")  # 'game' stems present
-
-    @given(st.lists(st.sampled_from(
-        ["halo", "halo review", "hal", "zeld", "zelda guide"]
-    ), min_size=1, max_size=20))
-    def test_every_added_entry_is_completable(self, entries):
-        index = AutocompleteIndex()
-        for entry in entries:
-            index.add(entry)
-        for entry in set(entries):
-            texts = [c.text for c in index.complete(entry, count=50)]
-            assert entry in texts
 
 
 class TestAdMatchTypes:

@@ -99,7 +99,7 @@ class TestReplicaGroup:
         group = ReplicaGroup(0, [make_replica(), make_replica(0, 1)])
         group.kill(0)
         group.kill(1)
-        assert group.all_down
+        assert not group.healthy_replicas()
         with pytest.raises(ShardUnavailableError):
             group.run(lambda r: r.doc_count("web"))
 

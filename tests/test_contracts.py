@@ -106,7 +106,8 @@ class TestContractModel:
 
     def test_canonical_key_normalizes(self):
         contract = products_contract()
-        assert contract.canonical_key({"sku": "  abc-1 "}) == "ABC-1"
+        key = contract.spec(contract.key_field)
+        assert key.normalized("  abc-1 ") == "ABC-1"
 
     def test_schema_mirrors_fields(self):
         schema = products_contract().schema()

@@ -123,22 +123,6 @@ class TestProprietarySource:
                                             "producer": "Upserted"})
         assert source.search(SourceQuery("upserted")).total_matches == 1
 
-    def test_index_refreshes_after_delete_then_insert(self):
-        """Row count and version sum are both unchanged by a delete
-        followed by an insert; the index must be rebuilt all the same."""
-        table = RecordTable(
-            "games", Schema((FieldSpec("title", FieldType.STRING),)))
-        table.insert({"title": "alpha game"})
-        bravo = table.insert({"title": "bravo game"})
-        source = self.make(table, fields=("title",))
-        assert source.search(SourceQuery("game")).total_matches == 2
-        table.delete(bravo.record_id)
-        table.insert({"title": "charlie game"})
-        titles = {item.get("title")
-                  for item in source.search(SourceQuery("game")).items}
-        assert titles == {"alpha game", "charlie game"}
-        assert source.search(SourceQuery("charlie")).total_matches == 1
-
     def test_items_carry_full_record_fields(self, inventory_table):
         source = self.make(inventory_table)
         item = source.search(SourceQuery("braid")).items[0]

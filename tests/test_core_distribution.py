@@ -44,12 +44,6 @@ class TestSnippets:
         b = generator.generate(app())
         assert a.embed_key != b.embed_key
 
-    def test_combined_wraps_script(self):
-        snippet = SnippetGenerator().generate(app())
-        combined = snippet.combined()
-        assert combined.startswith("<div")
-        assert "<script>" in combined
-
     def test_container_id_from_app_name(self):
         snippet = SnippetGenerator().generate(app(name="Wine Cellar!"))
         assert 'id="symphony-wine-cellar"' in snippet.html
@@ -63,9 +57,8 @@ class TestSocialPlatform:
 
     def test_reinstall_same_app_idempotent(self):
         platform = SocialPlatform("facebook")
-        platform.install_app(app())
-        platform.install_app(app())  # same app id, fine
-        assert len(platform.installed_apps()) == 1
+        url = platform.install_app(app())
+        assert platform.install_app(app()) == url  # same app id, fine
 
     def test_slug_collision_rejected(self):
         platform = SocialPlatform("facebook")
@@ -75,15 +68,6 @@ class TestSocialPlatform:
 
 
 class TestPublisher:
-    def test_embed_records_publication(self):
-        publisher = Publisher()
-        snippet = publisher.embed_on_site(app(),
-                                          "http://gamerqueen.example")
-        pubs = publisher.publications_for("app-1")
-        assert len(pubs) == 1
-        assert pubs[0].target == "web"
-        assert pubs[0].embed_key == snippet.embed_key
-
     def test_publish_to_platform(self):
         publisher = Publisher()
         publisher.register_platform(SocialPlatform("facebook"))
@@ -117,11 +101,3 @@ class TestRouter:
         router = HostingRouter()
         path = router.mount(app())
         assert router.resolve(path, "anything") == "app-1"
-
-    def test_mounted_paths_listing(self):
-        router = HostingRouter()
-        router.mount(app(app_id="a1"))
-        router.mount(app(app_id="a2"))
-        assert router.mounted_paths() == [
-            "/apps/a1/query", "/apps/a2/query"
-        ]

@@ -37,12 +37,14 @@ class TestRecording:
         result = recorder.record_click("app-1", "game", ad.url,
                                        ad_id=ad.ad_id)
         assert result["charged"] == ad.price_per_click
-        assert recorder.ad_earnings("app-1") > 0
+        assert ads.designer_earnings("app-1") > 0
         assert log.clicks[-1].is_ad
 
     def test_no_ad_service_earnings_zero(self):
         recorder = InteractionRecorder(QueryLog(), SimClock())
-        assert recorder.ad_earnings("app-1") == 0.0
+        result = recorder.record_click("app-1", "game", "http://ad.example",
+                                       ad_id="ad-1")
+        assert result == {"logged": True}     # logged, nothing credited
 
 
 class TestSummaries:

@@ -143,8 +143,7 @@ class TestHostingAndExecution:
 
     def test_publish_embed_mounts_route(self, gamerqueen):
         symphony, app_id, __ = gamerqueen
-        snippet = symphony.publish_embed(app_id,
-                                         "http://gamerqueen.example")
+        snippet = symphony.publish_embed(app_id)
         resolved = symphony.router.resolve(
             f"/apps/{app_id}/query", snippet.embed_key
         )

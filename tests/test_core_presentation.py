@@ -79,19 +79,11 @@ class TestThemes:
 
 class TestStyleSheet:
     def test_css_generation_sorted(self):
-        sheet = StyleSheet()
-        sheet.add_rule(".b", color="red")
-        sheet.add_rule(".a", font_size="12px", color="blue")
+        sheet = StyleSheet({".b": {"color": "red"},
+                            ".a": {"font-size": "12px", "color": "blue"}})
         css = sheet.to_css()
         assert css.index(".a") < css.index(".b")
-        assert "font-size: 12px" in css
-
-    def test_rule_merging(self):
-        sheet = StyleSheet()
-        sheet.add_rule(".a", color="red")
-        sheet.add_rule(".a", background="white")
-        assert sheet.rules[".a"] == {"color": "red",
-                                     "background": "white"}
+        assert "color: blue; font-size: 12px" in css
 
 
 class TestElementRendering:
@@ -194,8 +186,7 @@ class TestAppRendering:
 
     def test_stylesheet_included(self):
         app = simple_app([LayoutElement(ElementKind.TEXT, "title")])
-        sheet = StyleSheet()
-        sheet.add_rule(".symphony-result", border="1px solid red")
+        sheet = StyleSheet({".symphony-result": {"border": "1px solid red"}})
         html = self.render(app, [self.view()], stylesheet=sheet)
         assert "<style>" in html and "1px solid red" in html
 

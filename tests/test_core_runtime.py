@@ -432,15 +432,6 @@ class TestApplicationRegistry:
         with pytest.raises(Exception):
             apps.register(bad)
 
-    def test_unregister(self):
-        apps = ApplicationRegistry()
-        apps.register(build_app())
-        apps.unregister("app-1")
-        with pytest.raises(NotFoundError):
-            apps.get("app-1")
-        with pytest.raises(NotFoundError):
-            apps.unregister("app-1")
-
     def test_trace_describe_readable(self):
         primary = StubSource("primary", {"halo": [make_item("Halo")]})
         runtime = make_runtime([primary], build_app())

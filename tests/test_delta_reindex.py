@@ -75,8 +75,6 @@ mutations = st.one_of(
     st.tuples(st.just("update"), picks,
               st.dictionaries(st.sampled_from(_FIELDS), phrases,
                               min_size=1, max_size=2)),
-    st.tuples(st.just("delete"), picks),
-    st.tuples(st.just("delete_then_insert_same_id"), picks, rows),
     st.tuples(st.just("add_fields"), phrases),
 )
 query_words = st.sampled_from(_WORDS + ("unseen",))
@@ -120,13 +118,6 @@ def apply(table, mutation, added_fields):
         return
     elif kind == "update":
         table.update(records[args[0] % len(records)].record_id, args[1])
-    elif kind == "delete":
-        table.delete(records[args[0] % len(records)].record_id)
-    elif kind == "delete_then_insert_same_id":
-        record_id = records[args[0] % len(records)].record_id
-        table.delete(record_id)
-        if not table.find("sku", args[1]["sku"]):
-            table.insert(args[1], record_id=record_id)
 
 
 class TestEquivalence:
@@ -157,7 +148,8 @@ class TestEquivalence:
         victim = table.all_records()[0].record_id
         for i in range(CHANGE_TAIL // 2 + 1):
             table.update(victim, {"description": _WORDS[i % 10]})
-        table.delete(table.all_records()[1].record_id)
+        table.update(table.all_records()[1].record_id,
+                     {"description": _WORDS[3]})
         assert table.changes_since(cursor) is None
         adds = count_calls(monkeypatch, "add")
         queries = [SourceQuery("halo"), SourceQuery('"halo odyssey"'),
@@ -241,7 +233,7 @@ class TestWorkCounts:
         assert source.search(SourceQuery("game")).total_matches == 245
         assert filed == []
 
-    def test_inserts_add_and_deletes_remove(self, monkeypatch):
+    def test_inserts_add_and_updates_refile(self, monkeypatch):
         table = make_table()
         records = [table.insert({"sku": f"S{i}", "title": "halo"})
                    for i in range(6)]
@@ -249,18 +241,16 @@ class TestWorkCounts:
         source.search(SourceQuery("halo"))
         for i in range(3):
             table.insert({"sku": f"NEW{i}", "title": "halo arena"})
-        for record in records[:2]:
-            table.delete(record.record_id)
         table.update(records[2].record_id, {"producer": "bungie"})
         adds = count_calls(monkeypatch, "add")
         removes = count_calls(monkeypatch, "remove")
         upserts = count_calls(monkeypatch, "upsert")
         filed = spy_filing(monkeypatch)
-        assert source.search(SourceQuery("halo")).total_matches == 7
+        assert source.search(SourceQuery("halo")).total_matches == 9
         # A new row is an upsert that adds; a changed one re-files in place.
-        assert (adds[0], removes[0], upserts[0]) == (3, 2, 4)
+        assert (adds[0], removes[0], upserts[0]) == (3, 0, 4)
         assert filed.count(("producer",)) == 2     # "" out, "bungie" in
-        assert len(filed) == 3 + 2 + 2
+        assert len(filed) == 3 + 2
 
     def test_a_row_changed_many_times_is_indexed_once(self, monkeypatch):
         table = make_table()
@@ -269,8 +259,6 @@ class TestWorkCounts:
         source.search(SourceQuery("halo"))
         for title in ("braid", "arena", "racing"):
             table.update(record.record_id, {"title": title})
-        gone = table.insert({"sku": "S2", "title": "racing"})
-        table.delete(gone.record_id)
         adds = count_calls(monkeypatch, "add")
         removes = count_calls(monkeypatch, "remove")
         upserts = count_calls(monkeypatch, "upsert")

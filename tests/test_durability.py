@@ -21,7 +21,6 @@ from repro.core.platform import Symphony
 from repro.durability import (
     BlobWalStorage,
     DurabilityConfig,
-    MemoryWalStorage,
     WriteAheadLog,
     content_digest,
     replay,
@@ -109,16 +108,6 @@ class TestWriteAheadLog:
         assert records[0].payload is None   # payloads don't serialize
         assert (records[1].op, records[1].vertical,
                 records[1].doc_id) == ("remove", "news", "gone")
-        assert wal.truncate(0, 1) == 1
-        assert [r.lsn for r in wal.tail(0)] == [2]
-
-    def test_memory_truncate_drops_covered_prefix(self):
-        wal = WriteAheadLog(storage=MemoryWalStorage())
-        for number in range(6):
-            wal.append(0, "add", Vertical.WEB, document=make_doc(number))
-        assert wal.truncate(0, 4) == 4
-        assert [r.lsn for r in wal.tail(0)] == [5, 6]
-        assert wal.last_lsn(0) == 6        # head survives truncation
 
 
 # -- replay idempotence -------------------------------------------------------

@@ -1,5 +1,7 @@
 """Edge-path coverage: small behaviours not exercised elsewhere."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.capability import CapabilityProfile, TABLE_I_ROWS
@@ -80,10 +82,8 @@ class TestThemeAndRendererEdges:
     def test_every_builtin_theme_renders_gamerqueen(self, gamerqueen):
         symphony, app_id, games = gamerqueen
         for theme_name in symphony.themes.names():
-            session = symphony.designer().edit_application(
-                symphony.apps.get(app_id))
-            session.apply_template(theme_name)
-            symphony.host(session)
+            symphony.host(dataclasses.replace(symphony.apps.get(app_id),
+                                              theme=theme_name))
             html = symphony.query(app_id, games[0]).html
             assert 'class="symphony-app"' in html
 
@@ -130,9 +130,12 @@ class TestDesignerSlotStyle:
         slot = session.drag_source_onto_app(
             inventory.source_id, search_fields=("title",))
         session.add_text(slot, "title")
-        session.set_slot_style(slot, border="2px solid gold",
-                               background_color="#111")
-        app_id = sym.host(session)
+        app = session.build()
+        # A slot's own style (kept in the stored definition) overrides
+        # the theme's.
+        styled = dataclasses.replace(app.slots[0], style={
+            "border": "2px solid gold", "background-color": "#111"})
+        app_id = sym.host(dataclasses.replace(app, slots=(styled,)))
         html = sym.query(app_id, games[0]).html
         assert "2px solid gold" in html
         assert "background-color: #111" in html
@@ -145,10 +148,6 @@ class TestBusDescriptorsAndFrontendEdges:
         response = symphony.frontend.handle(
             f"/apps/{app_id}/query", {"q": games[0], "key": "whatever"})
         assert response.ok
-
-    def test_describe_service_unknown(self):
-        with pytest.raises(NotFoundError):
-            ServiceBus().describe_service("ghost")
 
 
 class TestCliSuggestFailurePath:

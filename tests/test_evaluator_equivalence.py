@@ -89,7 +89,7 @@ class ReferenceEvaluator:
                                                 offsets)
             return matched
         if isinstance(node, FilterNode):
-            if node.field in index.keyword_fields():
+            if index.field_modes.get(node.field) == FieldMode.KEYWORD:
                 return set(index.keyword_matches(node.field, node.value))
             result = None
             for term in index.analyzer.analyze(node.value):
@@ -240,13 +240,14 @@ def table_source(specs, removed, readded):
         FieldSpec(name, FieldType.STRING) for name in columns)))
     rows = {f"d{n:02d}": {name: spec[name] for name in columns}
             for n, spec in enumerate(specs)}
+    # The removed rows stay out; the re-added ones arrive after the
+    # first build, so the delta path files them.
     for record_id, row in rows.items():
-        table.insert(row, record_id=record_id)
+        if record_id not in removed:
+            table.insert(row, record_id=record_id)
     source = ProprietaryTableSource("src", "Inventory", table,
                                     ("title", "body"))
     source.search(SourceQuery("halo"))  # indexed, then re-indexed by delta
-    for record_id in removed:
-        table.delete(record_id)
     for record_id in readded:
         table.insert(rows[record_id], record_id=record_id)
     return source

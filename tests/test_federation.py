@@ -98,14 +98,6 @@ class TestBackendRegistry:
         assert registry.generation_keys() == ("corpus", "tenant:t/x")
         assert registry.generation_keys(("a",)) == ("corpus",)
 
-    def test_select_by_vertical(self, engine):
-        registry = _registry(
-            EngineBackend("web-local", engine),
-            EngineBackend("news-local", engine, vertical="news"),
-        )
-        assert [b.backend_id for b in registry.select("news")] \
-            == ["news-local"]
-
 
 class TestEngineAndSourceBackends:
     def test_engine_backend_descriptor_and_search(self, engine):
@@ -278,10 +270,22 @@ class TestFederationExecutor:
         )
         result = executor.search("anything")
         assert result.degraded == ("down",)
-        assert result.ok_backends == ("ok",)
+        assert [o.backend_id for o in result.outcomes if o.ok] == ["ok"]
         assert [item.url for item in result.items] == ["u1", "u2"]
         failed = next(o for o in result.outcomes if not o.ok)
         assert "down" in failed.error
+
+    def test_a_backend_bug_propagates(self):
+        class Buggy(_StaticBackend):
+            def search(self, *args, **kwargs):
+                raise TypeError("a bug, not a backend fault")
+
+        executor = FederationExecutor(
+            _registry(_StaticBackend("ok", ["u1"]), Buggy("buggy", [])),
+            clock=SimClock(),
+        )
+        with pytest.raises(TypeError):
+            executor.search("anything")
 
     def test_retrier_retries_transients(self):
         clock = SimClock()

@@ -47,7 +47,7 @@ class TestLifecycle:
         index.remove("d1")
         assert "d1" not in index
         assert list(index.postings("title", "gamma")) == ["d2"]
-        assert index.field_length("title", "d1") == 0
+        assert index.field_lengths("title").get("d1", 0) == 0
         assert index.average_field_length("title") == 1.0
 
     def test_remove_missing(self):
@@ -168,7 +168,7 @@ class TestTextPostings:
         index = make_index(site=FieldMode.KEYWORD)
         index.add(doc("d1", title="x", site="a.example"))
         assert index.text_fields() == ["title"]
-        assert index.keyword_fields() == ["site"]
+        assert index.keyword_matches("site", "a.example") == {"d1"}
 
 
 class TestKeywordFields:

@@ -77,7 +77,7 @@ class TestGamerQueenFullScenario:
 
         # 4. Host and publish.
         app_id = sym.host(session)
-        snippet = sym.publish_embed(app_id, "http://gamerqueen.example")
+        snippet = sym.publish_embed(app_id)
         sym.publish_social(app_id)
         return sym, app_id, games, snippet
 

@@ -164,6 +164,16 @@ class TestCli:
         assert "Pipeline trace" in out
         assert "review:" in out
 
+    def test_dashboard(self, capsys):
+        assert self.run("dashboard") == 0
+        out = capsys.readouterr().out
+        assert out.startswith("=== Dashboard: GamerQueen")
+        # Three days of demo traffic: 2 + 3 + 4 queries, each clicked.
+        assert "queries: 9   clicks: 9" in out
+        for heading in ("[Top queries]", "[Rising queries",
+                        "[Clicked sites]", "[Monetization]"):
+            assert heading in out
+
     def test_suggest_without_history_uses_link_prior(self, capsys):
         code = self.run("suggest", "gamespot.com")
         out = capsys.readouterr().out

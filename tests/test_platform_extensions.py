@@ -1,14 +1,12 @@
-"""Tests for the platform extensions: paging, designer editing, token
-expiry, rate limiting, CTR-by-position, hosted pages."""
+"""Tests for the platform extensions: paging, token expiry, rate
+limiting, CTR-by-position."""
 
 import pytest
 
 from repro.analytics.ctr import ctr_by_position
-from repro.core.distribution import SnippetGenerator, render_hosted_page
 from repro.core.runtime import RateLimiter
 from repro.errors import (
     AuthorizationError,
-    ConfigurationError,
     QuotaExceededError,
 )
 from repro.searchengine.logs import ClickEvent, QueryEvent, QueryLog
@@ -64,78 +62,6 @@ class TestPaging:
         sym.query(app_id, "classic experience", page=0)
         response = sym.query(app_id, "classic experience", page=1)
         assert response.trace.cache_misses > 0  # page 1 not a hit of 0
-
-
-class TestDesignerEditing:
-    @pytest.fixture()
-    def editable(self, symphony, designer_account):
-        sym = symphony
-        games = sym.web.entities["video_games"][:3]
-        sym.upload_http(designer_account, "inv.csv",
-                        make_inventory_csv(games), "inventory",
-                        content_type="text/csv")
-        inventory = sym.add_proprietary_source(
-            designer_account, "inventory", ("title",))
-        reviews = sym.add_web_source("Reviews", "web")
-        session = sym.designer().new_application(
-            "Edit", designer_account.tenant.tenant_id)
-        slot = session.drag_source_onto_app(inventory.source_id,
-                                            search_fields=("title",))
-        return session, slot, reviews
-
-    def test_remove_element(self, editable):
-        session, slot, __ = editable
-        title = session.add_text(slot, "title")
-        description = session.add_text(slot, "description")
-        session.remove_element(slot, title)
-        assert slot.elements == [description]
-
-    def test_remove_foreign_element_rejected(self, editable):
-        session, slot, __ = editable
-        from repro.core.application import ElementKind, LayoutElement
-        stray = LayoutElement(ElementKind.TEXT, "title")
-        with pytest.raises(ConfigurationError):
-            session.remove_element(slot, stray)
-
-    def test_move_element(self, editable):
-        session, slot, __ = editable
-        a = session.add_text(slot, "title")
-        b = session.add_image(slot, "image_url")
-        c = session.add_text(slot, "description")
-        session.move_element(slot, c, 0)
-        assert slot.elements == [c, a, b]
-        session.move_element(slot, c, 99)  # clamps to end
-        assert slot.elements[-1] == c
-
-    def test_remove_top_level_slot(self, editable):
-        session, slot, __ = editable
-        session.remove_slot(slot)
-        assert "drag a data source" in session.describe_canvas()
-
-    def test_remove_nested_slot(self, editable):
-        session, slot, reviews = editable
-        child = session.drag_source_onto_result_layout(
-            slot, reviews.source_id, drive_fields=("title",))
-        session.remove_slot(child)
-        assert slot.children == []
-
-    def test_remove_unknown_slot_rejected(self, editable):
-        session, slot, __ = editable
-        session.remove_slot(slot)
-        with pytest.raises(ConfigurationError):
-            session.remove_slot(slot)
-
-    def test_edited_design_still_builds(self, editable):
-        session, slot, reviews = editable
-        a = session.add_text(slot, "title")
-        session.add_text(slot, "description")
-        session.remove_element(slot, a)
-        child = session.drag_source_onto_result_layout(
-            slot, reviews.source_id, drive_fields=("title",))
-        session.remove_slot(child)
-        app = session.build()
-        assert len(app.slots[0].result_layout.elements) == 1
-        assert app.slots[0].children == ()
 
 
 class TestTokenExpiry:
@@ -284,20 +210,3 @@ class TestCtrByPosition:
         assert stats
         assert stats[0].clicks >= 1
 
-
-class TestHostedPage:
-    def test_full_page_wraps_snippet(self):
-        from tests.test_core_distribution import app
-        snippet = SnippetGenerator().generate(app())
-        page = render_hosted_page(app(), snippet)
-        assert page.startswith("<!DOCTYPE html>")
-        assert "<title>GamerQueen</title>" in page
-        assert snippet.html in page
-        assert snippet.javascript in page
-
-    def test_custom_canvas_title(self):
-        from tests.test_core_distribution import app
-        snippet = SnippetGenerator().generate(app())
-        page = render_hosted_page(app(), snippet,
-                                  canvas_title="On Facebook")
-        assert "<title>On Facebook</title>" in page

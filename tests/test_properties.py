@@ -14,8 +14,7 @@ from repro.core.application import (
     SourceSlot,
 )
 from repro.core.runtime import ResultCache
-from repro.ingest.workbook import Workbook, Worksheet, dump_workbook, \
-    parse_workbook
+from repro.ingest.workbook import Workbook, Worksheet, parse_workbook
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.index import InvertedIndex
@@ -24,7 +23,7 @@ from repro.services.ads import AdService
 from repro.storage.records import RecordTable, infer_schema
 from repro.util import deterministic_rng
 
-from .conftest import CACHE_STAMPS
+from .conftest import CACHE_STAMPS, dump_workbook
 
 # -- strategies ----------------------------------------------------------------
 

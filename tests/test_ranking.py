@@ -9,10 +9,10 @@ from repro.searchengine.index import InvertedIndex
 from repro.searchengine.ranking import (
     BM25Parameters,
     BM25Scorer,
-    blend_scores,
     pagerank,
     recency_boost,
 )
+from tests.test_ranking_equivalence import blend_scores
 
 
 @pytest.fixture()

@@ -37,7 +37,6 @@ from repro.searchengine.query import extract_terms, parse_query
 from repro.searchengine.ranking import (
     BM25Parameters,
     BM25Scorer,
-    blend_scores,
     by_score_then_id,
     recency_boost,
 )
@@ -59,7 +58,7 @@ def reference_score(index, fields, params, doc_id, terms) -> float:
         avg_len = index.average_field_length(field_name)
         if avg_len == 0:
             continue
-        doc_len = index.field_length(field_name, doc_id)
+        doc_len = index.field_lengths(field_name).get(doc_id, 0)
         norm = params.k1 * (
             1.0 - params.b + params.b * doc_len / avg_len
         )
@@ -76,6 +75,14 @@ def reference_score(index, fields, params, doc_id, terms) -> float:
                 tf * (params.k1 + 1.0) / (tf + norm)
             )
     return total
+
+
+def blend_scores(relevance: float, prior: float,
+                 prior_weight: float = 0.3) -> float:
+    """Combine text relevance with an authority/freshness prior, the
+    way ``BM25Scorer.rank`` applies ``prior``: multiplicatively on a
+    (1 + prior) basis, so a zero prior demotes but never eliminates."""
+    return relevance * (1.0 + prior_weight * prior)
 
 
 def reference_rank(index, fields, params, terms, candidates,

@@ -89,30 +89,36 @@ class TestRetryableClassification:
         assert not retryable(ValidationError("bad"))
 
 
+def schedule(policy, key) -> tuple:
+    """Every backoff ``policy`` would wait for ``key``, in order."""
+    return tuple(policy.backoff_ms(key, attempt)
+                 for attempt in range(1, policy.max_attempts))
+
+
 class TestRetryPolicyDeterminism:
     def test_schedule_is_bit_for_bit_reproducible(self):
         policy = RetryPolicy(max_attempts=5, seed=42)
         again = RetryPolicy(max_attempts=5, seed=42)
-        assert policy.schedule("source-1") == again.schedule("source-1")
-        assert policy.schedule(("src", "query")) \
-            == again.schedule(("src", "query"))
+        assert schedule(policy, "source-1") == schedule(again, "source-1")
+        assert schedule(policy, ("src", "query")) \
+            == schedule(again, ("src", "query"))
 
     def test_seed_and_key_decorrelate(self):
         policy = RetryPolicy(max_attempts=4, seed=1)
-        assert policy.schedule("a") != policy.schedule("b")
-        assert policy.schedule("a") \
-            != RetryPolicy(max_attempts=4, seed=2).schedule("a")
+        assert schedule(policy, "a") != schedule(policy, "b")
+        assert schedule(policy, "a") \
+            != schedule(RetryPolicy(max_attempts=4, seed=2), "a")
 
     def test_no_jitter_is_pure_exponential(self):
         policy = RetryPolicy(max_attempts=4, base_backoff_ms=10,
                              multiplier=2.0, jitter=0.0)
-        assert policy.schedule("k") == (10.0, 20.0, 40.0)
+        assert schedule(policy, "k") == (10.0, 20.0, 40.0)
 
     def test_backoff_capped_and_jitter_bounded(self):
         policy = RetryPolicy(max_attempts=8, base_backoff_ms=50,
                              multiplier=3.0, max_backoff_ms=200,
                              jitter=0.5, seed=9)
-        for attempt, backoff in enumerate(policy.schedule("k"), start=1):
+        for attempt, backoff in enumerate(schedule(policy, "k"), start=1):
             raw = min(200.0, 50.0 * 3.0 ** (attempt - 1))
             assert 0.5 * raw <= backoff <= 1.5 * raw
 
@@ -276,25 +282,7 @@ class TestHedgedReplicaReads:
 
 
 class TestTransportNormalization:
-    """REST and SOAP callers see one uniform provider-failure class."""
-
-    class _RawBus:
-        def invoke(self, name, operation, params, deadline=None):
-            raise TransportError("connection reset by peer")
-
-    def test_rest_client_wraps_transport_errors(self):
-        from repro.services.rest import RestClient
-        client = RestClient(self._RawBus(), "pricing")
-        with pytest.raises(ServiceError) as excinfo:
-            client.get("/prices/halo")
-        assert "transport failure" in str(excinfo.value)
-
-    def test_soap_client_wraps_transport_errors(self):
-        from repro.services.soap import SoapClient
-        client = SoapClient(self._RawBus(), "reviews")
-        with pytest.raises(ServiceError) as excinfo:
-            client.call("GetReviews", title="halo")
-        assert "transport failure" in str(excinfo.value)
+    """Service callers see one uniform provider-failure class."""
 
     def test_bus_wraps_handler_transport_errors(self):
         from repro.services.bus import ServiceBus

@@ -10,18 +10,9 @@ from repro.errors import (
 )
 from repro.services.ads import AdService
 from repro.services.bus import ServiceBus
-from repro.services.rest import RestClient, RestService
-from repro.services.samples import (
-    PricingService,
-    ReviewArchiveService,
-    WeatherService,
-)
-from repro.services.soap import (
-    SoapClient,
-    SoapEnvelope,
-    SoapOperation,
-    SoapService,
-)
+from repro.services.rest import RestService
+from repro.services.samples import PricingService, ReviewArchiveService
+from repro.services.soap import SoapEnvelope, SoapOperation, SoapService
 from repro.util import SimClock
 
 
@@ -60,13 +51,6 @@ class TestBus:
         with pytest.raises(NotFoundError):
             ServiceBus().invoke("nope", "GET /x", {})
 
-    def test_unregister(self):
-        bus = ServiceBus()
-        bus.register(EchoRest())
-        bus.unregister("echo")
-        with pytest.raises(NotFoundError):
-            bus.invoke("echo", "GET /echo/x", {})
-
     def test_latency_charged(self):
         clock = SimClock(start_ms=0)
         bus = ServiceBus(clock=clock, base_latency_ms=25)
@@ -82,13 +66,6 @@ class TestBus:
         stats = bus.stats("echo")
         assert stats.calls == 1 and stats.failures == 1
 
-    def test_descriptors_sorted(self):
-        bus = ServiceBus()
-        bus.register(EchoRest())
-        bus.register(PricingService())
-        names = [d.name for d in bus.descriptors()]
-        assert names == sorted(names)
-
 
 class TestRest:
     def test_path_params_extracted(self):
@@ -101,14 +78,6 @@ class TestRest:
         service = EchoRest()
         with pytest.raises(NotFoundError):
             service.invoke("POST /echo/halo", {})
-
-    def test_client_helpers(self):
-        bus = ServiceBus()
-        bus.register(EchoRest())
-        client = RestClient(bus, "echo")
-        assert client.get("/echo/hi")["word"] == "hi"
-        with pytest.raises(ServiceError):
-            client.must_get("/nope")
 
     def test_describe(self):
         descriptor = EchoRest().describe()
@@ -137,16 +106,10 @@ class TestSoap:
         with pytest.raises(NotFoundError):
             AdderSoap().invoke("Nope", {})
 
-    def test_wsdl_lite(self):
-        wsdl = AdderSoap().wsdl()
-        assert wsdl["service"] == "adder"
-        assert wsdl["operations"]["Add"]["input"] == ["a", "b"]
-
     def test_client_over_bus(self):
         bus = ServiceBus()
         bus.register(AdderSoap())
-        client = SoapClient(bus, "adder")
-        assert client.call("Add", a=1, b=1) == {"sum": 2}
+        assert bus.invoke("adder", "Add", {"a": 1, "b": 1}) == {"sum": 2}
 
     def test_validation_error_becomes_fault(self):
         service = SoapService()
@@ -196,19 +159,6 @@ class TestSamples:
         service = ReviewArchiveService()
         with pytest.raises(ServiceFaultError):
             service.invoke("GetReviews", {"entity": "Nothing"})
-
-    def test_review_archive_manual_add(self):
-        service = ReviewArchiveService()
-        service.add_review("Halo", "gamespot.com", 9.5)
-        result = service.invoke("GetAverageScore", {"entity": "halo"})
-        assert result["average"] == 9.5
-
-    def test_weather_deterministic(self):
-        service = WeatherService(seed=2)
-        a = service.invoke("GET /weather/Kyoto", {})
-        assert a == service.invoke("GET /weather/Kyoto", {})
-        assert a["condition"] in ("sunny", "cloudy", "rain", "snow",
-                                  "windy")
 
 
 class TestAds:

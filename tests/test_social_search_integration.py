@@ -1,9 +1,7 @@
 """Integration tests for social search (future work item 3) wired into
-the runtime, plus the recommend-supplemental facade."""
+the runtime."""
 
 import pytest
-
-from tests.conftest import make_inventory_csv
 
 
 @pytest.fixture()
@@ -81,26 +79,3 @@ class TestSocialSearchIntegration:
         assert [v.item.url for v in first.views] == \
             [v.item.url for v in again.views]
 
-
-class TestRecommendFacade:
-    def test_recommend_supplemental_via_platform(self, symphony,
-                                                 designer_account):
-        sym = symphony
-        games = sym.web.entities["video_games"][:6]
-        sym.upload_http(designer_account, "inv.csv",
-                        make_inventory_csv(games), "inventory",
-                        content_type="text/csv")
-        recommendations = sym.recommend_supplemental(
-            designer_account, "inventory", "title",
-            probe_suffix="review",
-        )
-        assert recommendations
-        sites = {r.site for r in recommendations}
-        assert sites & {"gamespot.com", "ign.com", "teamxbox.com"}
-
-    def test_recommendation_requires_authorized_account(self, symphony):
-        sym = symphony
-        intruder = sym.register_designer("Intruder")
-        from repro.errors import NotFoundError
-        with pytest.raises(NotFoundError):
-            sym.recommend_supplemental(intruder, "inventory", "title")

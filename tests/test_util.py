@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.util import (
     IdGenerator,
     SimClock,
-    chunked,
     deterministic_rng,
     slugify,
     stable_hash,
@@ -62,28 +61,6 @@ class TestDeterministicRng:
         b = deterministic_rng("seed-2")
         assert [a.random() for _ in range(5)] != \
             [b.random() for _ in range(5)]
-
-
-class TestChunked:
-    def test_even_split(self):
-        assert list(chunked([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
-
-    def test_remainder(self):
-        assert list(chunked([1, 2, 3], 2)) == [[1, 2], [3]]
-
-    def test_empty(self):
-        assert list(chunked([], 3)) == []
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            list(chunked([1], 0))
-
-    @given(st.lists(st.integers(), max_size=50),
-           st.integers(min_value=1, max_value=10))
-    def test_roundtrip(self, items, size):
-        batches = list(chunked(items, size))
-        assert [x for batch in batches for x in batch] == items
-        assert all(len(batch) <= size for batch in batches)
 
 
 class TestIdGenerator:

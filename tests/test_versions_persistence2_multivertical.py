@@ -1,11 +1,12 @@
-"""Tests for application version history, marketplace persistence,
-the autocomplete facade, and a multi-vertical application scenario."""
+"""Tests for application versions, marketplace persistence, and a
+multi-vertical application scenario."""
+
+import dataclasses
 
 import pytest
 
 from repro.core.persistence import export_platform, import_platform
 from repro.core.platform import Symphony
-from repro.errors import NotFoundError
 
 from tests.conftest import make_inventory_csv
 
@@ -31,47 +32,17 @@ class TestVersionHistory:
     def test_initial_version_is_one(self, hosted):
         sym, app_id, __ = hosted
         assert sym.apps.version(app_id) == 1
-        assert sym.apps.history(app_id) == []
 
-    def test_update_bumps_version_and_keeps_history(self, hosted):
+    def test_update_bumps_version(self, hosted):
         sym, app_id, __ = hosted
-        session = sym.designer().edit_application(sym.apps.get(app_id))
-        session.apply_template("midnight")
-        sym.host(session)
+        sym.host(dataclasses.replace(sym.apps.get(app_id), theme="midnight"))
         assert sym.apps.version(app_id) == 2
-        history = sym.apps.history(app_id)
-        assert len(history) == 1
-        assert history[0].theme == "clean"
+        assert sym.apps.get(app_id).theme == "midnight"
 
     def test_identical_reregistration_not_versioned(self, hosted):
         sym, app_id, __ = hosted
         sym.apps.register(sym.apps.get(app_id))  # no change
         assert sym.apps.version(app_id) == 1
-
-    def test_rollback_restores_previous(self, hosted):
-        sym, app_id, games = hosted
-        session = sym.designer().edit_application(sym.apps.get(app_id))
-        session.apply_template("midnight")
-        sym.host(session)
-        restored = sym.apps.rollback(app_id)
-        assert restored.theme == "clean"
-        assert sym.apps.version(app_id) == 1
-        response = sym.query(app_id, games[0])
-        assert "#101418" not in response.html  # midnight gone
-
-    def test_rollback_without_history_rejected(self, hosted):
-        sym, app_id, __ = hosted
-        with pytest.raises(NotFoundError):
-            sym.apps.rollback(app_id)
-
-    def test_unregister_clears_history(self, hosted):
-        sym, app_id, __ = hosted
-        session = sym.designer().edit_application(sym.apps.get(app_id))
-        session.apply_template("midnight")
-        sym.host(session)
-        sym.apps.unregister(app_id)
-        with pytest.raises(NotFoundError):
-            sym.apps.history(app_id)
 
 
 class TestMarketplacePersistence:
@@ -115,27 +86,6 @@ class TestMarketplacePersistence:
             restored.ads.designer_earnings("app-1")
             + restored.ads.platform_revenue(), abs=1e-6,
         )
-
-
-class TestAutocompleteFacade:
-    def test_completions_from_app_usage(self, gamerqueen):
-        symphony, app_id, games = gamerqueen
-        symphony.query(app_id, games[0])
-        symphony.query(app_id, games[0])
-        symphony.query(app_id, games[1])
-        prefix = games[0].split()[0][:3].lower()
-        completions = symphony.autocomplete(prefix, app_id=app_id)
-        assert completions
-        assert completions[0].text == games[0].lower()
-
-    def test_cache_invalidates_on_new_queries(self, gamerqueen):
-        symphony, app_id, games = gamerqueen
-        symphony.query(app_id, games[0])
-        first = symphony.autocomplete("z", app_id=app_id)
-        symphony.query(app_id, "zzz special query")
-        second = symphony.autocomplete("zzz", app_id=app_id)
-        assert [c.text for c in second] == ["zzz special query"]
-        assert first == []
 
 
 class TestMultiVerticalScenario:
