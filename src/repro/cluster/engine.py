@@ -21,6 +21,11 @@ document-partitioned, replicated index cluster:
   on its own partition, handing the scorer the merged statistics in
   place of the shard's own; the gatherer heap-merges the sorted shard
   lists into the global top-k.
+* **Batches:** :meth:`ClusteredSearchEngine.search_many` answers several
+  queries on one vertical with one statistics check over all their
+  terms and one execution round, in which each shard runs every query
+  under a single replica attempt; :meth:`~ClusteredSearchEngine.search`
+  is a batch of one.
 
 Shard tasks run one after another on the calling thread; shards are
 parallel in the cost model only — simulated latency is the *max* over
@@ -427,28 +432,60 @@ class ClusteredSearchEngine:
                app_id: str | None = None,
                session_id: str | None = None,
                deadline=None) -> ClusterSearchResponse:
-        """Scatter ``query_text`` across shards and gather global top-k."""
+        """Scatter ``query_text`` across shards and gather global top-k:
+        a :meth:`search_many` of one."""
+        return self.search_many(vertical, [(query_text, options)],
+                                app_id, session_id, deadline)[0]
+
+    def search_many(self, vertical, requests,
+                    app_id: str | None = None,
+                    session_id: str | None = None,
+                    deadline=None) -> list:
+        """One :class:`ClusterSearchResponse` per ``(query_text,
+        options)`` of ``requests``, each what :meth:`search` answers at
+        the same instant.
+
+        The batch shares only the work: one ``now_ms``, one statistics
+        check over the union of its terms, and one ``exec`` round in
+        which every shard runs every request under a single attempt (one
+        read, fault check and latency sample per replica). A failed
+        shard degrades every request. Each request keeps its own
+        ``QueryEvent``, ``shard_latency_ms`` observations and gather
+        charge; the deadline is checked once, before the round and after
+        the charges.
+        """
+        if not requests:
+            return []
         with self._tracer.span("cluster.search") as root:
             if root:
-                root.set("query", query_text)
+                if len(requests) == 1:
+                    root.set("query", requests[0][0])
+                else:
+                    root.set("queries", len(requests))
                 root.set("vertical", Vertical(vertical).value)
-            return self._search_traced(
-                vertical, query_text, options, app_id, session_id,
-                root, deadline,
-            )
+            return self._search_traced(vertical, requests, app_id,
+                                       session_id, root, deadline)
 
-    def _search_traced(self, vertical, query_text: str, options,
-                       app_id, session_id, root,
-                       deadline=None) -> ClusterSearchResponse:
-        options = options or SearchOptions()
+    def _search_traced(self, vertical, requests, app_id, session_id, root,
+                       deadline=None) -> list:
         vkey = Vertical(vertical)
-        reference = self.reference_vertical(vkey)
-        node = parse_query(query_text)
-        node = apply_options_to_ast(node, options)
-        terms = extract_terms(node, reference.index.analyzer)
+        analyzer = self.reference_vertical(vkey).index.analyzer
+        # A shard ships only the page it can win, except in a
+        # migration's dual-read window (fanout installed), where the
+        # deduplicated total needs every id.
+        dual_read = self.write_fanout is not None
+        # (query_text, options, node, terms, per-shard limit)
+        plans = []
+        for query_text, options in requests:
+            options = options or SearchOptions()
+            node = apply_options_to_ast(parse_query(query_text), options)
+            plans.append((query_text, options, node,
+                          extract_terms(node, analyzer),
+                          None if dual_read
+                          else options.offset + options.count))
         now_ms = self.clock.now_ms
         failed: set[int] = set()
-        # Pin one topology for the whole query: every scatter round and
+        # Pin one topology for the whole batch: every scatter round and
         # the gather see the same route map even if the control plane
         # flips it mid-flight, so a query can never mix shard layouts.
         route = self.router.snapshot()
@@ -457,9 +494,13 @@ class ClusteredSearchEngine:
             root.set("topology_version", route.version)
 
         # Global statistics: from the vertical's entry when it is
-        # current and covers every term, else one round over all of
-        # them (none for pure-filter queries, which BM25 never scores).
+        # current and covers every term of the batch, else one round
+        # over all of them (none for pure-filter queries, which BM25
+        # never scores). A scorer reads only its own terms' frequencies.
+        terms = list(dict.fromkeys(term for plan in plans
+                                   for term in plan[3]))
         stats = CorpusStats.empty()
+        key = None
         if terms:
             key = (self._generations.current(corpus_key(vkey.value)),
                    route.version)
@@ -484,25 +525,20 @@ class ClusteredSearchEngine:
                 if not failed:
                     self._remember_stats(vkey, key, stats, terms)
 
-        # Execution: per-shard evaluate + rank under the global
-        # statistics; remember which replica served each shard so the
-        # gather phase can materialize results from it. Skipped
-        # entirely when the query's deadline already ran out — the
+        # Execution: per-shard evaluate + rank of every request under
+        # the global statistics; remember which replica served each
+        # shard so the gather phase can materialize results from it.
+        # Skipped entirely when the deadline already ran out — every
         # response degrades to whatever is free (nothing) rather than
         # starting work it cannot afford.
-        served: dict[int, ShardReplica] = {}
         overrun = deadline is not None and deadline.expired
-        # A shard ships only the page it can win, except in a
-        # migration's dual-read window (fanout installed), where the
-        # deduplicated total needs every id.
-        dual_read = self.write_fanout is not None
-        limit = None if dual_read else options.offset + options.count
+        shard_requests = [(node, options, plan_terms, limit)
+                          for __, options, node, plan_terms, limit
+                          in plans]
 
         def run_shard(replica):
-            top, count = replica.execute(
-                vkey, node, options, terms, stats, now_ms, limit
-            )
-            return replica, top, count
+            return replica, replica.execute_many(vkey, shard_requests,
+                                                 stats, now_ms)
 
         outcomes = {}
         if not overrun:
@@ -513,125 +549,140 @@ class ClusteredSearchEngine:
                     for group in groups
                     if group.shard_id not in failed
                 })
-        shard_lists: dict[int, list] = {}
-        candidate_counts: dict[int, int] = {}
+        served: dict[int, ShardReplica] = {}
+        answers: dict[int, list] = {}     # shard -> (top, count) per request
         extra_latency: dict[int, float] = {}
         hedges = wins = 0
         for sid, outcome in outcomes.items():
             if not outcome.ok:
                 failed.add(sid)
                 continue
-            (replica, top, count), meta = outcome.value
+            (replica, shard_answers), meta = outcome.value
             served[sid] = replica
-            shard_lists[sid] = top
-            candidate_counts[sid] = count
+            answers[sid] = shard_answers
             extra_latency[sid] = meta.get("latency_ms", 0.0)
             if meta.get("hedged"):
                 hedges += 1
                 wins += meta.get("hedge") == "win"
+        # Each request's cost on each answering shard, in shard order:
+        # its ranking latency plus the batch's replica attempt latency
+        # (injected spikes, bounded by hedging).
+        shard_ids = sorted(answers)
+        costs = [[simulated_latency_ms(answers[sid][i][1])
+                  + extra_latency[sid] for sid in shard_ids]
+                 for i in range(len(plans))]
 
         if self._metrics.enabled:
             latency = self._metrics.histogram("shard_latency_ms")
-            for sid in sorted(candidate_counts):
-                cost = (simulated_latency_ms(candidate_counts[sid])
-                        + extra_latency[sid])
-                latency.observe(cost)
-                # Per-shard series feed the control plane's autoscaler.
-                self._metrics.histogram(
-                    "shard_latency_ms", shard=str(sid)
-                ).observe(cost)
+            # Per-shard series feed the control plane's autoscaler.
+            per_shard = [self._metrics.histogram("shard_latency_ms",
+                                                 shard=str(sid))
+                         for sid in shard_ids]
+            for cost in costs:
+                for histogram, ms in zip(per_shard, cost):
+                    latency.observe(ms)
+                    histogram.observe(ms)
             if failed:
                 self._metrics.counter("shard_failures_total").inc(
-                    len(failed)
+                    len(failed) * len(plans)
                 )
                 for sid in failed:
                     self._metrics.counter(
                         "shard_failures_total", shard=str(sid)
-                    ).inc()
+                    ).inc(len(plans))
             if hedges:
                 self._metrics.counter("hedges_total").inc(hedges)
             if wins:
                 self._metrics.counter("hedge_wins_total").inc(wins)
 
-        # Gather: parallel shards cost max-over-shards, not the sum.
-        # Each shard's cost is its ranking latency plus any replica
-        # attempt latency (injected spikes, bounded by hedging).
-        if candidate_counts:
-            costs = {
-                sid: (simulated_latency_ms(candidate_counts[sid])
-                      + extra_latency[sid])
-                for sid in candidate_counts
-            }
-            # The slowest shard gates the whole scatter-gather, so the
-            # wall the clock pays here is *its* cost — record it under a
-            # span naming that shard so latency attribution (repro.slo)
-            # can blame the right place. Deterministic tie-break on id.
-            slowest = min(costs, key=lambda sid: (-costs[sid], sid))
-            elapsed = costs[slowest]
+        # Gather: parallel shards cost max-over-shards, not the sum, and
+        # each request is charged its own gather, one after another. The
+        # shard with the largest summed cost gates the batch, so the
+        # wall the clock pays here is recorded under a span naming it,
+        # so latency attribution (repro.slo) can blame the right place.
+        # Deterministic tie-break on id.
+        elapsed = [max(cost) if cost else simulated_latency_ms(0)
+                   for cost in costs]
+        if shard_ids:
+            totals = [sum(column) for column in zip(*costs)]
+            slowest = min(zip(totals, shard_ids),
+                          key=lambda pair: (-pair[0], pair[1]))[1]
             with self._tracer.span(f"gather:shard-{slowest}") as gspan:
                 if gspan:
-                    gspan.set("cost_ms", round(elapsed, 3))
-                self.clock.advance(elapsed)
+                    gspan.set("cost_ms", round(sum(elapsed), 3))
+                for ms in elapsed:
+                    self.clock.advance(ms)
         else:
-            self.clock.advance(simulated_latency_ms(0))
+            for ms in elapsed:
+                self.clock.advance(ms)
         if deadline is not None and deadline.expired:
             overrun = True
-
-        # Dedup on gather: during a migration's dual-read window a
-        # moving document legitimately exists on both sides of the
-        # handoff; the first (highest-ranked) copy wins. Only while that
-        # window is open (fanout installed) does the total need a full
-        # deduplicated count — the clean path keeps the lazy heap merge.
-        ranked = _unique_by_doc(merge_ranked(shard_lists))
-        if dual_read:
-            ranked = list(ranked)
-            total_matches = len(ranked)
-        else:
-            total_matches = sum(candidate_counts.values())
-        window = list(islice(ranked, options.offset,
-                             options.offset + options.count))
-        results = tuple(
-            served[shard_id].materialize(vkey, doc_id, score, terms)
-            for doc_id, score, shard_id in window
-        )
-        suggestion = None
-        if total_matches == 0 and terms and not failed and not overrun:
-            suggestion = self._suggest(vkey, terms, key)
         degraded = bool(failed) or overrun
-        if degraded:
-            if root:
-                root.set("degraded", True)
-                root.set("failed_shards", sorted(failed))
-                if overrun:
-                    root.set("deadline_overrun", True)
-            self._metrics.counter("degraded_queries_total").inc()
-            self.telemetry.events.emit(
-                "cluster.degraded", query=query_text,
-                failed_shards=sorted(failed),
+        if degraded and root:
+            root.set("degraded", True)
+            root.set("failed_shards", sorted(failed))
+            if overrun:
+                root.set("deadline_overrun", True)
+
+        responses = []
+        for i, (query_text, options, __, plan_terms, ___) in \
+                enumerate(plans):
+            # Dedup on gather: during a migration's dual-read window a
+            # moving document legitimately exists on both sides of the
+            # handoff; the first (highest-ranked) copy wins. Only while
+            # that window is open (fanout installed) does the total need
+            # a full deduplicated count — the clean path keeps the lazy
+            # heap merge.
+            ranked = _unique_by_doc(merge_ranked(
+                {sid: shard_answers[i][0]
+                 for sid, shard_answers in answers.items()}))
+            if dual_read:
+                ranked = list(ranked)
+                total_matches = len(ranked)
+            else:
+                total_matches = sum(shard_answers[i][1]
+                                    for shard_answers in answers.values())
+            window = list(islice(ranked, options.offset,
+                                 options.offset + options.count))
+            results = tuple(
+                served[shard_id].materialize(vkey, doc_id, score,
+                                             plan_terms)
+                for doc_id, score, shard_id in window
+            )
+            suggestion = None
+            if (total_matches == 0 and plan_terms and not failed
+                    and not overrun):
+                suggestion = self._suggest(vkey, plan_terms, key)
+            if degraded:
+                self._metrics.counter("degraded_queries_total").inc()
+                self.telemetry.events.emit(
+                    "cluster.degraded", query=query_text,
+                    failed_shards=sorted(failed),
+                    deadline_overrun=overrun,
+                )
+            response = ClusterSearchResponse(
+                query=query_text,
+                vertical=vkey.value,
+                results=results,
+                total_matches=total_matches,
+                elapsed_ms=elapsed[i],
+                suggestion=suggestion,
+                degraded=degraded,
+                shards_total=len(groups),
+                shards_ok=len(groups) - len(failed),
+                failed_shards=tuple(sorted(failed)),
                 deadline_overrun=overrun,
             )
-        response = ClusterSearchResponse(
-            query=query_text,
-            vertical=vkey.value,
-            results=results,
-            total_matches=total_matches,
-            elapsed_ms=elapsed,
-            suggestion=suggestion,
-            degraded=degraded,
-            shards_total=len(groups),
-            shards_ok=len(groups) - len(failed),
-            failed_shards=tuple(sorted(failed)),
-            deadline_overrun=overrun,
-        )
-        self.log.log_query(QueryEvent(
-            timestamp_ms=self.clock.now_ms,
-            query=query_text,
-            vertical=response.vertical,
-            app_id=app_id,
-            session_id=session_id,
-            result_urls=tuple(response.urls()),
-        ))
-        return response
+            self.log.log_query(QueryEvent(
+                timestamp_ms=self.clock.now_ms,
+                query=query_text,
+                vertical=response.vertical,
+                app_id=app_id,
+                session_id=session_id,
+                result_urls=tuple(response.urls()),
+            ))
+            responses.append(response)
+        return responses
 
     def facets(self, vertical, query_text: str,
                facet_fields=("site", "topic")) -> dict:

@@ -179,20 +179,23 @@ class ShardReplica:
         return CorpusStats.collect(vindex.index, vindex.text_fields,
                                    terms)
 
-    def execute(self, vertical, node, options, terms,
-                stats: CorpusStats, now_ms: int,
-                limit: int | None = None) -> tuple:
-        """Phase 2: evaluate + rank this shard under global statistics.
+    def execute_many(self, vertical, requests, stats: CorpusStats,
+                     now_ms: int) -> list:
+        """Phase 2: evaluate + rank this shard under global statistics,
+        for every ``(node, options, terms, limit)`` of one batch.
 
-        Returns ``(top, candidate_count)`` where ``top`` is the shard's
-        best ``limit`` (all when ``None``) ``(doc_id, score)`` pairs
-        ordered by score desc then id — ready for the gatherer's heap
-        merge.
+        The batch is one read: one fault check and one ``reads_served``.
+        Returns one ``(top, candidate_count)`` per request, where
+        ``top`` is the shard's best ``limit`` (all when ``None``)
+        ``(doc_id, score)`` pairs ordered by score desc then id — ready
+        for the gatherer's heap merge.
         """
         self.reads_served += 1
         self._check_fault()
-        return execute_query(self.vertical(vertical), node, options,
-                             terms, now_ms, stats, limit)
+        vindex = self.vertical(vertical)
+        return [execute_query(vindex, node, options, terms, now_ms, stats,
+                              limit)
+                for node, options, terms, limit in requests]
 
     def materialize(self, vertical, doc_id: str, score: float, terms):
         return materialize_result(self.vertical(vertical), doc_id,

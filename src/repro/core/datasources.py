@@ -121,6 +121,10 @@ class DataSource(ABC):
         #: on: two sources with equal identities answer every query
         #: alike and share entries. By default the source is its own.
         self.cache_identity = source_id
+        #: Sources with one (non-``None``) batch identity answer a list
+        #: of look-ups through one :meth:`search_many` call; with
+        #: ``None``, the default, each look-up is sent alone.
+        self.batch_identity = None
 
     @abstractmethod
     def fields(self) -> list[str]:
@@ -129,6 +133,13 @@ class DataSource(ABC):
     @abstractmethod
     def search(self, query: SourceQuery) -> SourceResult:
         """Execute ``query`` and return ranked items."""
+
+    def search_many(self, lookups) -> list[SourceResult]:
+        """One result per ``(source, query)`` of ``lookups``, each what
+        that source's :meth:`search` answers at the same instant; every
+        source shares this one's :attr:`batch_identity`. The default is
+        the loop over :meth:`search`."""
+        return [source.search(query) for source, query in lookups]
 
     def generation_keys(self) -> tuple:
         """The data generations (see :mod:`repro.gateway.generations`)
@@ -350,6 +361,9 @@ class WebSearchSource(DataSource):
         # sources are configured alike share one cached look-up.
         self.cache_identity = (engine, vertical, self.sites,
                                self.augment_terms, freshness_days)
+        # Every web source on one engine vertical answers its look-ups
+        # through one engine call, each with its own options.
+        self.batch_identity = (engine, vertical)
 
     def fields(self) -> list[str]:
         return ["title", "url", "snippet", "site"]
@@ -368,20 +382,16 @@ class WebSearchSource(DataSource):
             "freshness_days": self.freshness_days,
         }
 
-    def search(self, query: SourceQuery) -> SourceResult:
-        options = SearchOptions(
+    def _options(self, query: SourceQuery) -> SearchOptions:
+        return SearchOptions(
             count=query.count,
             offset=query.offset,
             sites=self.sites,
             augment_terms=self.augment_terms,
             freshness_days=self.freshness_days,
         )
-        response = self._engine.search(
-            self.vertical, query.text, options,
-            app_id=query.context.get("app_id"),
-            session_id=query.context.get("session_id"),
-            deadline=query.context.get("deadline"),
-        )
+
+    def _result(self, response) -> SourceResult:
         items = tuple(
             SourceItem(
                 item_id=result.url,
@@ -397,6 +407,34 @@ class WebSearchSource(DataSource):
             self.source_id, items, response.total_matches,
             response.elapsed_ms, degraded=response.degraded,
         )
+
+    def search(self, query: SourceQuery) -> SourceResult:
+        context = query.context
+        return self._result(self._engine.search(
+            self.vertical, query.text, self._options(query),
+            app_id=context.get("app_id"),
+            session_id=context.get("session_id"),
+            deadline=context.get("deadline"),
+        ))
+
+    def search_many(self, lookups) -> list[SourceResult]:
+        """Every look-up in one engine ``search_many``, each under its
+        own source's sites, augment terms and freshness. The look-ups
+        come from one customer query, so the first one's context (app,
+        session, deadline) is the call's."""
+        if not lookups:
+            return []
+        context = lookups[0][1].context
+        responses = self._engine.search_many(
+            self.vertical,
+            [(query.text, source._options(query))
+             for source, query in lookups],
+            app_id=context.get("app_id"),
+            session_id=context.get("session_id"),
+            deadline=context.get("deadline"),
+        )
+        return [source._result(response)
+                for (source, __), response in zip(lookups, responses)]
 
 
 class ServiceSource(DataSource):

@@ -8,7 +8,9 @@ the shim for injection into the host page. That sequence is an ordered
 tuple of stage methods, each handed the query's one :class:`QueryContext`.
 Every stage is timed into a :class:`PipelineTrace`, supplemental failures
 are isolated into warnings, and a per-(source, query) cache with TTL
-flattens repeat-query cost.
+flattens repeat-query cost. The supplemental look-ups of a query are
+known before the first is sent, so they go out as one planned call:
+cache hits served, each engine vertical's misses in one ``search_many``.
 """
 
 from __future__ import annotations
@@ -496,23 +498,25 @@ class SymphonyRuntime:
 
     def _supplemental_per_result(self, ctx: QueryContext) -> None:
         """Supplemental fan-out driven by primary-result fields: one
-        focused query per (primary result, supplemental binding)."""
+        focused look-up per (primary result, supplemental binding), all
+        of them one planned call, and the relaxed retries a second."""
         app, deadline, views = ctx.app, ctx.deadline, ctx.views
-        queries = 0
         with self._stage(ctx, "supplemental") as note:
-            for view_index, view in enumerate(views):
-                if deadline is not None and deadline.expired:
-                    # Out of budget: ship the remaining primary results
-                    # unenriched instead of fanning out further.
-                    self._note_deadline(
-                        ctx,
-                        f"supplemental fan-out stopped, "
-                        f"{len(views) - view_index} views unenriched",
-                    )
-                    break
-                slot = app.slot(view.slot_binding_id)
-                supplemental = view.supplemental
-                for child in slot.children:
+            if views and deadline is not None and deadline.expired:
+                # Out of budget: ship the primary results unenriched
+                # instead of fanning out.
+                self._note_deadline(
+                    ctx,
+                    f"supplemental fan-out stopped, "
+                    f"{len(views)} views unenriched",
+                )
+                note("0 focused queries", mode="per_result", queries=0)
+                return
+            # (view, child binding id, binding, index of its look-up or
+            # None when its drive fields are empty), in slot order.
+            plan, lookups, items = [], [], []
+            for view in views:
+                for child in app.slot(view.slot_binding_id).children:
                     child_binding = app.binding(child.binding_id)
                     derived = child_binding.derive_query(view.item)
                     if not derived:
@@ -521,21 +525,30 @@ class SymphonyRuntime:
                             f"{child_binding.drive_fields} empty on item "
                             f"{view.item.item_id!r}"
                         )
-                        supplemental[child.binding_id] = \
-                            SourceResult.empty(child_binding.source_id)
+                        plan.append((view, child.binding_id,
+                                     child_binding, None))
                         continue
-                    queries += 1
-                    result = self._query_source(ctx, child_binding,
-                                                derived)
-                    if not result.items and child_binding.query_suffix:
-                        # Focused query too narrow: retry on drive
-                        # values only.
-                        relaxed = child_binding.derive_query(
-                            view.item, with_suffix=False)
-                        queries += 1
-                        result = self._query_source(ctx, child_binding,
-                                                    relaxed)
-                    supplemental[child.binding_id] = result
+                    plan.append((view, child.binding_id, child_binding,
+                                 len(lookups)))
+                    lookups.append((child_binding, derived))
+                    items.append(view.item)
+            results = self._query_sources(ctx, lookups)
+            # Focused queries too narrow: retry on drive values only.
+            retries = [i for i, (binding, __) in enumerate(lookups)
+                       if not results[i].items and binding.query_suffix]
+            if retries:
+                relaxed = self._query_sources(ctx, [
+                    (lookups[i][0], lookups[i][0].derive_query(
+                        items[i], with_suffix=False))
+                    for i in retries
+                ])
+                for i, result in zip(retries, relaxed):
+                    results[i] = result
+            for view, binding_id, binding, index in plan:
+                view.supplemental[binding_id] = (
+                    SourceResult.empty(binding.source_id) if index is None
+                    else results[index])
+            queries = len(lookups) + len(retries)
             note(f"{queries} focused queries", mode="per_result",
                  queries=queries)
 
@@ -699,106 +712,179 @@ class SymphonyRuntime:
     def _query_source(self, ctx: QueryContext, binding, query_text,
                       search_fields=(), cacheable: bool = True,
                       offset: int = 0):
-        source = self._registry.get(binding.source_id)
-        trace, deadline = ctx.trace, ctx.deadline
+        """One look-up (a primary slot, the ads): a call of one, sent
+        through the source's ``search``."""
+        return self._query_sources(ctx, [(binding, query_text)],
+                                   search_fields, cacheable, offset,
+                                   planned=False)[0]
+
+    def _query_sources(self, ctx: QueryContext, lookups, search_fields=(),
+                       cacheable: bool = True, offset: int = 0,
+                       planned: bool = True) -> list:
+        """One :class:`SourceResult` per ``(binding, query_text)`` of
+        ``lookups``, answered as one planned call: cache hits first,
+        then the misses, those of sources sharing a ``batch_identity``
+        (one engine vertical) sent together, then the repeats — a
+        look-up already searched in this call reads the entry its first
+        copy put, as a later look-up in a sequence would."""
+        trace = ctx.trace
         cacheable = cacheable and self.cache_enabled
-        cache_key = (source.cache_identity, query_text,
-                     binding.max_results, offset, tuple(search_fields))
-        if cacheable:
-            cached = self.cache.get(cache_key, self.clock.now_ms)
-            if cached is not None:
-                trace.record_cache(True)
-                trace.sources_ok += 1
-                if cached.source_id != binding.source_id:
-                    # Stored by a source that searches alike.
-                    cached = dataclass_replace(cached,
-                                               source_id=binding.source_id)
-                return cached
-            trace.record_cache(False)
+        search_fields = tuple(search_fields)
+        results = [None] * len(lookups)
+        # batch identity -> [(index, source, binding, query_text, key)]
+        batches: dict = {}
+        repeats, keys = [], set()
+        for i, (binding, query_text) in enumerate(lookups):
+            source = self._registry.get(binding.source_id)
+            key = (source.cache_identity, query_text, binding.max_results,
+                   offset, search_fields)
+            if cacheable:
+                if key in keys:
+                    repeats.append(i)
+                    continue
+                keys.add(key)
+                cached = self.cache.get(key, self.clock.now_ms)
+                if cached is not None:
+                    trace.record_cache(True)
+                    trace.sources_ok += 1
+                    if cached.source_id != binding.source_id:
+                        # Stored by a source that searches alike.
+                        cached = dataclass_replace(
+                            cached, source_id=binding.source_id)
+                    results[i] = cached
+                    continue
+                trace.record_cache(False)
+            # A source without a batch identity is sent alone.
+            identity = source.batch_identity
+            batches.setdefault(i if identity is None else identity, []) \
+                .append((i, source, binding, query_text, key))
+        for batch in batches.values():
+            self._send(ctx, batch, results, search_fields, cacheable,
+                       offset, planned)
+        if repeats:
+            for i, result in zip(repeats, self._query_sources(
+                    ctx, [lookups[i] for i in repeats], search_fields,
+                    cacheable, offset, planned)):
+                results[i] = result
+        return results
+
+    def _send(self, ctx: QueryContext, batch, results, search_fields,
+              cacheable: bool, offset: int, planned: bool) -> None:
+        """Send ``batch`` — ``(index, source, binding, query_text, cache
+        key)`` misses whose sources share a batch identity — as one
+        source call under one ``source`` span, and file each answer in
+        ``results`` at its index: ``search_many`` when ``planned``, else
+        the one look-up's ``search``. Each look-up keeps its own
+        dispatch charge, breaker and cache bookkeeping; the deadline and
+        the retrier see the call."""
+        trace, deadline = ctx.trace, ctx.deadline
         with self._tracer.span("source") as span:
-            span.set("source_id", binding.source_id)
-            span.set("query", query_text)
-            skipped = ""
-            if deadline is not None and deadline.expired:
-                skipped = "deadline"
-                self._note_deadline(
-                    ctx, f"source {binding.source_id} skipped",
-                )
-            elif self.circuit_breaker.is_open(binding.source_id):
-                skipped = "circuit_open"
-                trace.degraded = True
-                trace.warnings.append(
-                    f"source {binding.source_id} skipped: circuit open "
-                    "after repeated failures"
-                )
-            if skipped:
-                span.set("skipped", skipped)
-                trace.sources_failed += 1
-                return SourceResult.empty(binding.source_id)
-            self.clock.advance(self._DISPATCH_MS)
-            source_query = SourceQuery(
-                text=query_text,
-                count=binding.max_results,
-                offset=offset,
-                context=self._source_context(ctx, search_fields),
-            )
-            # Stamped before the source reads its data: a re-ingest
-            # landing while it computes must leave the entry stale.
-            stamp = (self.cache.stamp(source.generation_keys())
-                     if cacheable else None)
-            try:
-                if self._retrier is not None:
-                    result = self._retrier.call(
-                        lambda: source.search(source_query),
-                        key=(binding.source_id, query_text),
-                        deadline=deadline,
-                        on_error=self._attempt_failed(binding.source_id),
+            span.set("source_id", batch[0][2].source_id)
+            if len(batch) == 1:
+                span.set("query", batch[0][3])
+            else:
+                span.set("lookups", len(batch))
+            expired = deadline is not None and deadline.expired
+            live = []
+            for entry in batch:
+                source_id = entry[2].source_id
+                if expired:
+                    skipped = "deadline"
+                    self._note_deadline(ctx, f"source {source_id} skipped")
+                elif self.circuit_breaker.is_open(source_id):
+                    skipped = "circuit_open"
+                    trace.degraded = True
+                    trace.warnings.append(
+                        f"source {source_id} skipped: circuit open after "
+                        "repeated failures"
                     )
                 else:
-                    result = source.search(source_query)
+                    live.append(entry)
+                    continue
+                span.set("skipped", skipped)
+                trace.sources_failed += 1
+                results[entry[0]] = SourceResult.empty(source_id)
+            if not live:
+                return
+            self.clock.advance(self._DISPATCH_MS * len(live))
+            context = self._source_context(ctx, search_fields)
+            pairs = [(source, SourceQuery(text=query_text,
+                                          count=binding.max_results,
+                                          offset=offset, context=context))
+                     for __, source, binding, query_text, ___ in live]
+            # Stamped before the source reads its data: a re-ingest
+            # landing while it computes must leave the entry stale.
+            stamps = [self.cache.stamp(source.generation_keys())
+                      if cacheable else None for source, __ in pairs]
+            source_ids = [entry[2].source_id for entry in live]
+            head, query = pairs[0]
+            if planned:
+                def call():
+                    return head.search_many(pairs)
+            else:
+                def call():
+                    return [head.search(query)]
+            try:
+                if self._retrier is not None:
+                    answers = self._retrier.call(
+                        call,
+                        key=(source_ids[0], query.text),
+                        deadline=deadline,
+                        on_error=self._attempt_failed(source_ids),
+                    )
+                else:
+                    answers = call()
             except ReproError as exc:
                 # Error isolation: a failing source must not take down
                 # the app.
                 if self._retrier is None:
                     # With a retrier, the per-attempt hook already
                     # recorded the breaker failures.
-                    self._attempt_failed(binding.source_id)(exc, 1)
-                trace.degraded = True
-                if (isinstance(exc, DeadlineExceededError)
-                        and deadline is not None):
-                    self._note_deadline(
-                        ctx,
-                        f"source {binding.source_id} abandoned "
-                        f"mid-flight",
-                    )
-                else:
-                    trace.warnings.append(
-                        f"source {binding.source_id} failed: {exc}"
-                    )
+                    self._attempt_failed(source_ids)(exc, 1)
+                for entry, source_id in zip(live, source_ids):
+                    trace.degraded = True
+                    if (isinstance(exc, DeadlineExceededError)
+                            and deadline is not None):
+                        self._note_deadline(
+                            ctx,
+                            f"source {source_id} abandoned mid-flight",
+                        )
+                    else:
+                        trace.warnings.append(
+                            f"source {source_id} failed: {exc}"
+                        )
+                    self._metrics.counter("source_failures_total").inc()
+                    trace.sources_failed += 1
+                    results[entry[0]] = SourceResult.empty(source_id)
                 span.set("error", str(exc))
-                self._metrics.counter("source_failures_total").inc()
-                trace.sources_failed += 1
-                return SourceResult.empty(binding.source_id)
-            self.circuit_breaker.record_success(binding.source_id)
-            trace.sources_ok += 1
-            if result.degraded:
-                trace.degraded = True
-                trace.warnings.append(
-                    f"source {binding.source_id} returned degraded "
-                    f"(partial) results"
-                )
-            span.set("items", len(result.items))
-        if cacheable and not result.degraded:
-            # Partial results must not satisfy repeat queries for a
-            # whole TTL after the incident clears.
-            self.cache.put(cache_key, result, self.clock.now_ms, stamp)
-        return result
+                return
+            items = 0
+            for entry, source_id, result in zip(live, source_ids, answers):
+                self.circuit_breaker.record_success(source_id)
+                trace.sources_ok += 1
+                if result.degraded:
+                    trace.degraded = True
+                    trace.warnings.append(
+                        f"source {source_id} returned degraded "
+                        f"(partial) results"
+                    )
+                results[entry[0]] = result
+                items += len(result.items)
+            span.set("items", items)
+        if cacheable:
+            for entry, stamp, result in zip(live, stamps, answers):
+                # Partial results must not satisfy repeat queries for a
+                # whole TTL after the incident clears.
+                if not result.degraded:
+                    self.cache.put(entry[4], result, self.clock.now_ms,
+                                   stamp)
 
-    def _attempt_failed(self, source_id: str):
-        """Per-attempt failure hook: feed the circuit breaker, except
-        for deadline expiry — running out of *our* budget says nothing
-        about the provider's health."""
+    def _attempt_failed(self, source_ids):
+        """Per-attempt failure hook: feed the circuit breaker of each
+        source the call was for, except for deadline expiry — running
+        out of *our* budget says nothing about the provider's health."""
         def hook(exc, attempt):
             if not isinstance(exc, DeadlineExceededError):
-                self.circuit_breaker.record_failure(source_id)
+                for source_id in source_ids:
+                    self.circuit_breaker.record_failure(source_id)
         return hook

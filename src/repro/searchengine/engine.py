@@ -332,6 +332,17 @@ class SearchEngine:
         ))
         return response
 
+    def search_many(self, vertical: Vertical | str, requests,
+                    app_id: str | None = None,
+                    session_id: str | None = None,
+                    deadline=None) -> list[SearchResponse]:
+        """:meth:`search` of each ``(query_text, options)`` in
+        ``requests``, in order. One node has no scatter round or
+        statistics check to share, so the batch is this loop."""
+        return [self.search(vertical, query_text, options, app_id,
+                            session_id, deadline)
+                for query_text, options in requests]
+
     def generation_keys(self, vertical: Vertical | str) -> tuple:
         """The data generations (see :mod:`repro.gateway.generations`)
         anything this engine serves from ``vertical`` depends on: that

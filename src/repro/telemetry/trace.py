@@ -16,7 +16,10 @@ rather than random, which is what makes traces reproducible: two runs
 that perform the same operations produce byte-identical span trees.
 Same-named siblings are numbered in the order they open, which is
 deterministic because the tracer, like everything below the gateway,
-has one caller at a time.
+has one caller at a time. A span stores only its parent, name and
+occurrence; its ids are hashed when first read (an export, a trace
+look-up) and kept, so a span nobody reads costs no hash, and filing a
+finished span costs its trace's one root hash.
 
 The default tracer is :data:`NULL_TRACER`, whose ``span()`` returns one
 shared no-op object — the uninstrumented hot path allocates nothing.
@@ -60,24 +63,51 @@ class Span:
     ``None`` until the first child opens.
     """
 
-    __slots__ = ("tracer", "trace_id", "span_id", "parent_id", "name",
-                 "start_ms", "end_ms", "status", "attrs",
+    __slots__ = ("tracer", "parent", "name", "occurrence", "start_ms",
+                 "end_ms", "status", "attrs", "_trace_id", "_span_id",
                  "_child_counts", "_token")
 
-    def __init__(self, tracer: "Tracer", trace_id: str, span_id: str,
-                 parent_id: str | None, name: str,
-                 start_ms: int) -> None:
+    def __init__(self, tracer: "Tracer", parent: "Span | None", name: str,
+                 occurrence: int, start_ms: int) -> None:
         self.tracer = tracer
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+        self.parent = parent
         self.name = name
+        self.occurrence = occurrence
         self.start_ms = start_ms
         self.end_ms: int | None = None
         self.status = "ok"
         self.attrs: dict | MappingProxyType = _NO_ATTRS
+        self._trace_id: str | None = None
+        self._span_id: str | None = None
         self._child_counts: dict[str, int] | None = None
         self._token = None
+
+    @property
+    def trace_id(self) -> str:
+        """``stable_hash("trace", name, occurrence)`` of the trace's
+        root span, shared by every span under it."""
+        if self._trace_id is None:
+            parent = self.parent
+            self._trace_id = (
+                _hex(stable_hash("trace", self.name, self.occurrence))
+                if parent is None else parent.trace_id)
+        return self._trace_id
+
+    @property
+    def span_id(self) -> str:
+        """``stable_hash(parent id, name, occurrence)``; a root's parent
+        id is its trace id."""
+        if self._span_id is None:
+            parent = self.parent
+            self._span_id = _hex(stable_hash(
+                self.trace_id if parent is None else parent.span_id,
+                self.name, self.occurrence))
+        return self._span_id
+
+    @property
+    def parent_id(self) -> str | None:
+        parent = self.parent
+        return None if parent is None else parent.span_id
 
     def __bool__(self) -> bool:
         return True
@@ -168,22 +198,14 @@ class Tracer:
         """Open a child of the current span (or a new root)."""
         parent = _CURRENT_SPAN.get()
         if parent is None:
-            occurrence = self._root_counts.get(name, 0)
-            self._root_counts[name] = occurrence + 1
-            trace_id = _hex(stable_hash("trace", name, occurrence))
-            parent_id = None
-            span_id = _hex(stable_hash(trace_id, name, occurrence))
+            counts = self._root_counts
         else:
             counts = parent._child_counts
             if counts is None:
                 counts = parent._child_counts = {}
-            occurrence = counts.get(name, 0)
-            counts[name] = occurrence + 1
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-            span_id = _hex(stable_hash(parent_id, name, occurrence))
-        return Span(self, trace_id, span_id, parent_id, name,
-                    self.clock.now_ms)
+        occurrence = counts.get(name, 0)
+        counts[name] = occurrence + 1
+        return Span(self, parent, name, occurrence, self.clock.now_ms)
 
     def current(self) -> Span | None:
         return _CURRENT_SPAN.get()

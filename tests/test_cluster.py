@@ -325,3 +325,75 @@ class TestSymphonyClusterIntegration:
         # The app keeps answering with a whole shard dark.
         symphony.engine.kill_replica(0, 0)
         assert symphony.query(app_id, games[1]).views
+
+
+def test_a_fanout_is_one_planned_cluster_call(tiny_web, monkeypatch):
+    """The work a supplemental fan-out sends a cluster: N distinct
+    cache-missing look-ups are one exec round, at most one stats round,
+    N logged searches, and exactly the analysis N searches make."""
+    from tests.conftest import make_inventory_csv
+
+    from repro.core.datasources import SourceQuery
+    from repro.core.platform import Symphony
+    from repro.searchengine.analysis import Analyzer
+
+    sym = Symphony(web=tiny_web, use_authority=False, telemetry=True,
+                   cluster=ClusterConfig(num_shards=4))
+    account = sym.register_designer("Ann")
+    games = tiny_web.entities["video_games"][:4]
+    sym.upload_http(account, "inventory.csv", make_inventory_csv(games),
+                    "inventory", content_type="text/csv")
+    inventory = sym.add_proprietary_source(
+        account, "inventory", search_fields=("title", "producer"))
+    reviews = sym.add_web_source("Reviews", "web",
+                                 sites=("gamespot.com", "ign.com"))
+    session = sym.designer().new_application(
+        "Store", account.tenant.tenant_id)
+    slot = session.drag_source_onto_app(
+        inventory.source_id, heading="Games", max_results=4,
+        search_fields=("title", "producer"))
+    session.add_text(slot, "title")
+    session.drag_source_onto_result_layout(
+        slot, reviews.source_id, drive_fields=("title",), max_results=2)
+    app_id = sym.host(session)
+
+    analyzed = []
+    counting = [False]
+    original = Analyzer.analyze
+
+    def analyze(self, text):
+        if counting[0]:
+            analyzed.append(text)
+        return original(self, text)
+
+    monkeypatch.setattr(Analyzer, "analyze", analyze)
+    search_many = sym.engine.search_many
+
+    def counted(*args, **kwargs):
+        counting[0] = True
+        try:
+            return search_many(*args, **kwargs)
+        finally:
+            counting[0] = False
+
+    monkeypatch.setattr(sym.engine, "search_many", counted)
+    sym.telemetry.tracer.reset()
+    response = sym.query(app_id, "studio")
+    lookups = [event.query for event in sym.engine.log.queries
+               if event.vertical != "app"]
+    assert len(response.views) == len(lookups) == 4
+    assert len(set(lookups)) == 4
+    names = [span.name for span in
+             sym.telemetry.tracer.trace_spans(response.trace.span.trace_id)]
+    assert names.count("phase:execute") == 1
+    assert names.count("phase:stats") <= 1
+    assert names.count("cluster.search") == 1
+    assert names.count("source") == 2          # the primary, the fan-out
+    batched = len(analyzed)
+
+    analyzed.clear()
+    counting[0] = True
+    for text in lookups:
+        reviews.search(SourceQuery(text=text, count=2))
+    counting[0] = False
+    assert batched == len(analyzed) > 0
