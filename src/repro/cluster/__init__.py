@@ -19,7 +19,7 @@ from repro.cluster.executor import (
     ShardOutcome,
     merge_ranked,
 )
-from repro.cluster.replica import ReplicaGroup, ShardReplica
+from repro.cluster.replica import IndexState, ReplicaGroup, ShardReplica
 from repro.cluster.sharding import (
     HASH_SPACE,
     RouteMap,
@@ -40,6 +40,7 @@ __all__ = [
     "ScatterGatherExecutor",
     "ShardOutcome",
     "merge_ranked",
+    "IndexState",
     "ReplicaGroup",
     "ShardReplica",
     "ShardRouter",

@@ -67,7 +67,7 @@ from repro.telemetry import Telemetry
 from repro.util import SimClock
 
 from repro.cluster.executor import ScatterGatherExecutor, merge_ranked
-from repro.cluster.replica import ReplicaGroup, ShardReplica
+from repro.cluster.replica import IndexState, ReplicaGroup, ShardReplica
 from repro.cluster.sharding import ShardRouter
 
 __all__ = [
@@ -761,9 +761,10 @@ def build_clustered_engine(web, config: ClusterConfig | None = None,
                            generations=None) -> ClusteredSearchEngine:
     """Index a synthetic web into a ready-to-query cluster.
 
-    Authority (PageRank) is computed once over the full link graph and
-    shared by every replica, exactly as the single-node engine blends
-    it, so clustered and single-node rankings agree.
+    A shard's replicas share one :class:`IndexState` (each document is
+    filed once per shard). Authority (PageRank) is computed once over
+    the full link graph, exactly as the single-node engine blends it,
+    so clustered and single-node rankings agree.
     """
     from repro.searchengine.engine import (
         compute_authority,
@@ -773,11 +774,12 @@ def build_clustered_engine(web, config: ClusterConfig | None = None,
     config = config or ClusterConfig()
     authority = compute_authority(web) if use_authority else {}
     router = ShardRouter(config.num_shards)
+    states = [IndexState(make_vertical_indexes(authority))
+              for __ in range(config.num_shards)]
     groups = [
         ReplicaGroup(
             shard_id,
-            [ShardReplica(shard_id, index,
-                          make_vertical_indexes(authority))
+            [ShardReplica(shard_id, index, states[shard_id])
              for index in range(config.replicas_per_shard)],
             failure_threshold=config.failure_threshold,
         )

@@ -1,21 +1,22 @@
 """Shard replicas: redundant copies of one document partition.
 
-A :class:`ShardReplica` holds a full set of vertical indexes over its
-shard's documents and runs the single-node engine's per-index search
-(:func:`~repro.searchengine.engine.execute_query`) on them.
-A :class:`ReplicaGroup` fronts the N replicas of one shard with health tracking, fault-injection hooks, and automatic
-failover: a request rotates across healthy replicas and falls through to
-the next one when a replica errors; a replica that keeps failing is
-taken out of rotation.
+A :class:`ShardReplica` is a node (health, faults, read counts) that
+runs :func:`~repro.searchengine.engine.execute_query` over an
+:class:`IndexState`: its shard's vertical indexes and the WAL LSN they
+reflect. A :class:`ReplicaGroup` fronts the N replicas of one shard
+with health tracking, fault injection and failover: a request rotates
+across healthy replicas and falls through to the next on error; a
+replica that keeps failing leaves rotation.
 
 Writes (add/remove) go to every replica *with intact index state*,
 including killed ones, so a revived replica is immediately consistent —
 ``kill`` models a node that stops serving reads, not one that loses its
-data. ``crash`` models the real failure: the replica's in-memory
-indexes are wiped, subsequent writes are genuinely missed (counted as
-``replica_writes_missed_total``), and the replica can only rejoin after
-:mod:`repro.durability` has caught it up from checkpoint + WAL replay
-— a recovering replica is never served from.
+data. Intact replicas are write-identical and share one state, so a
+write is filed once per shard. ``crash`` models the real failure: the
+replica detaches onto empty indexes, subsequent writes are genuinely
+missed (counted as ``replica_writes_missed_total``), and the replica
+can only rejoin after :mod:`repro.durability` has caught it up from
+checkpoint + WAL replay — a recovering replica is never served from.
 """
 
 from __future__ import annotations
@@ -38,31 +39,52 @@ from repro.telemetry.events import NULL_EVENTS
 from repro.telemetry.metrics import NULL_METRICS
 from repro.telemetry.trace import NULL_TRACER
 
-__all__ = ["ShardReplica", "ReplicaGroup"]
+__all__ = ["IndexState", "ShardReplica", "ReplicaGroup"]
+
+
+class IndexState:
+    """Vertical indexes and the WAL LSN they reflect, shared by a shard's
+    write-identical replicas; never cleared in place (see ``crash``)."""
+
+    def __init__(self, verticals: dict) -> None:
+        self.verticals = verticals
+        self.applied_lsn = 0        # highest WAL record applied here
 
 
 class ShardReplica:
-    """One replica of one shard: per-vertical indexes plus health state."""
+    """One replica of one shard: a node over a (shared) index state."""
 
     def __init__(self, shard_id: int, replica_index: int,
-                 verticals: dict) -> None:
+                 state: IndexState) -> None:
         self.shard_id = shard_id
         self.replica_index = replica_index
         self.replica_id = f"shard-{shard_id}/replica-{replica_index}"
         # The name of every read-attempt span on this replica, built
         # once: a tracer keeps every finished span, and with it the name
+        # string, so attempts share one string instead of one each.
         self.attempt_span = f"attempt:{self.replica_id}"
-        self.verticals = verticals
+        self.state = state
         self.healthy = True
         # Durability state (see repro.durability): a crashed replica has
         # lost its indexes and must be repaired before rejoining.
         self.crashed = False
         self.recovering = False
-        self.applied_lsn = 0        # highest WAL record applied here
         self.writes_missed = 0      # broadcasts skipped while crashed
         self.reads_served = 0       # read attempts that reached us
         self._pending_faults: list[Exception] = []
         self._pending_delays: list[float] = []
+
+    @property
+    def verticals(self) -> dict:
+        return self.state.verticals
+
+    @property
+    def applied_lsn(self) -> int:
+        return self.state.applied_lsn
+
+    @applied_lsn.setter
+    def applied_lsn(self, lsn: int) -> None:
+        self.state.applied_lsn = lsn
 
     # -- health & fault injection -------------------------------------------
 
@@ -96,22 +118,21 @@ class ShardReplica:
     # -- durability state machine (driven by repro.durability) ---------------
 
     def crash(self) -> None:
-        """Lose the node: wipe every vertical index and leave rotation.
+        """Lose the node: detach onto empty indexes and leave rotation.
 
-        Unlike :meth:`kill`, writes broadcast while crashed are *not*
-        applied — the replica genuinely misses them and must be caught
-        up from a checkpoint plus the shard's write-ahead log.
+        Peers keep the shared state. Unlike :meth:`kill`, writes broadcast
+        while crashed are *not* applied — the replica genuinely misses
+        them and must be caught up from a checkpoint plus the WAL.
         """
         from repro.searchengine.engine import make_vertical_indexes
         authority = next(
             (v.authority for v in self.verticals.values() if v.authority),
             {},
         )
-        self.verticals = make_vertical_indexes(authority)
+        self.state = IndexState(make_vertical_indexes(authority))
         self.healthy = False
         self.crashed = True
         self.recovering = False
-        self.applied_lsn = 0
         self.clear_injections()
 
     def begin_recovery(self) -> None:
@@ -158,7 +179,7 @@ class ShardReplica:
     # -- data plane -----------------------------------------------------------
 
     def vertical(self, vertical) -> object:
-        return self.verticals[Vertical(vertical)]
+        return self.state.verticals[Vertical(vertical)]
 
     def add(self, vertical, document) -> None:
         self.vertical(vertical).index.add(document)
@@ -315,13 +336,13 @@ class ReplicaGroup:
     # -- write path: replicate everywhere -------------------------------------
 
     def broadcast(self, fn) -> None:
-        """Apply a write to every replica with intact state.
+        """Apply a write once per intact index state, in replica order.
 
-        Killed replicas still receive writes (their indexes are intact —
-        ``kill`` only stops reads), but *crashed* replicas genuinely
-        miss them: the write is counted against the replica and must be
-        recovered from the shard's write-ahead log before it rejoins.
+        Killed replicas still receive writes (``kill`` only stops
+        reads), but *crashed* replicas genuinely miss them: the write is
+        counted against each one, to be replayed from the WAL.
         """
+        applied: set = set()        # ids of the states written
         for replica in self.replicas:
             if replica.crashed:
                 replica.writes_missed += 1
@@ -330,8 +351,9 @@ class ReplicaGroup:
                     shard=str(self.shard_id),
                     replica=replica.replica_id,
                 ).inc()
-                continue
-            fn(replica)
+            elif id(replica.state) not in applied:
+                applied.add(id(replica.state))
+                fn(replica)
 
     # -- read path: rotate + fail over + hedge --------------------------------
 

@@ -226,7 +226,8 @@ class Autoscaler:
         for shard_id in self._breached(self._hot_rounds, means):
             group = self.engine.groups[shard_id]
             mean = means[shard_id]
-            if mean is None:      # streak held over an idle window
+            # An idle window's held streak, or nothing intact to scale.
+            if mean is None or group.primary().crashed:
                 continue
             if len(group.replicas) < policy.max_replicas:
                 self.lifecycle.add_replica(shard_id)

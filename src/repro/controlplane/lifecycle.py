@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.replica import ShardReplica
+from repro.cluster.replica import IndexState, ShardReplica
 from repro.cluster.sharding import RouteMap, route_hash
-from repro.errors import ControlPlaneError
+from repro.errors import ConfigurationError, ControlPlaneError
 from repro.gateway.generations import TOPOLOGY_KEY
 from repro.telemetry import Telemetry
 
@@ -121,18 +121,16 @@ class ShardLifecycleManager:
     # -- replica membership ---------------------------------------------------
 
     def add_replica(self, shard_id: int) -> ShardReplica:
-        """Clone the shard's primary into a new replica and enroll it."""
-        from repro.searchengine.engine import make_vertical_indexes
+        """Enroll a new replica on the primary's index state; raises
+        :class:`ConfigurationError` when no replica is intact."""
         group = self.engine.groups[shard_id]
         primary = group.primary()
+        if primary.crashed:
+            raise ConfigurationError(
+                f"shard {shard_id} has no intact replica to add from"
+            )
         index = max(r.replica_index for r in group.replicas) + 1
-        replica = ShardReplica(
-            shard_id, index, make_vertical_indexes(self.engine.authority)
-        )
-        for vertical, vindex in primary.verticals.items():
-            for doc_id in sorted(vindex.index.all_doc_ids()):
-                replica.add(vertical, vindex.index.document(doc_id))
-        replica.applied_lsn = primary.applied_lsn
+        replica = ShardReplica(shard_id, index, primary.state)
         group.add_replica(replica)
         self.telemetry.metrics.counter(
             "controlplane_replicas_added_total").inc()
@@ -163,8 +161,8 @@ class ShardLifecycleManager:
         """Start splitting ``shard_id``'s widest range onto a new shard.
 
         The new shard's replica group is built empty (same redundancy
-        as the donor), registered unrouted, and only receives traffic
-        at cutover — after the copy stream has filled it.
+        as the donor, one index state), registered unrouted, and only
+        receives traffic at cutover — after the copy stream has filled it.
         """
         self._require_idle()
         from repro.searchengine.engine import make_vertical_indexes
@@ -172,11 +170,11 @@ class ShardLifecycleManager:
         donor = engine.groups[shard_id]
         new_id = len(engine.groups)
         route, moved = engine.router.snapshot().split(shard_id, new_id)
+        state = IndexState(make_vertical_indexes(engine.authority))
         group_cls = type(donor)
         group = group_cls(
             new_id,
-            [ShardReplica(new_id, index,
-                          make_vertical_indexes(engine.authority))
+            [ShardReplica(new_id, index, state)
              for index in range(len(donor.replicas))],
             failure_threshold=donor.failure_threshold,
         )

@@ -23,7 +23,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.searchengine.documents import FieldedDocument
 from repro.util import SimClock
 
 __all__ = [
@@ -46,7 +45,7 @@ class Checkpoint:
     shard_id: int
     applied_lsn: int
     taken_at_ms: int
-    # vertical value -> tuple of FieldedDocument, sorted by doc_id.
+    # vertical value -> tuple of the filed FieldedDocuments, by doc_id.
     documents: dict = field(default_factory=dict)
 
     @property
@@ -73,21 +72,19 @@ class CheckpointStore:
 def take_checkpoint(replica, clock: SimClock | None = None) -> Checkpoint:
     """Snapshot ``replica``'s per-vertical state at its applied LSN.
 
-    Documents are copied shallowly (id, fields, payload reference) —
-    the snapshot must not alias live index structures, since the donor
-    keeps mutating after the checkpoint is taken. No digest is computed
-    here: snapshots sit on the auto-checkpoint hot path, and the repair
-    path digests the *live* replicas at recovery time anyway.
+    A tuple per vertical holds the filed documents themselves: they are
+    frozen and never mutated (``upsert`` files a new object), so only
+    the index's own dicts, which keep changing, must not be aliased. No
+    digest is computed here: snapshots sit on the auto-checkpoint hot
+    path, and the repair path digests the *live* replicas anyway.
     """
     documents: dict = {}
     for vertical, vindex in sorted(replica.verticals.items(),
                                    key=lambda kv: kv[0].value):
-        docs = []
-        for doc_id in sorted(vindex.index.all_doc_ids()):
-            doc = vindex.index.document(doc_id)
-            docs.append(FieldedDocument(doc.doc_id, dict(doc.fields),
-                                        doc.payload))
-        documents[vertical.value] = tuple(docs)
+        index = vindex.index
+        documents[vertical.value] = tuple(
+            index.document(doc_id)
+            for doc_id in sorted(index.all_doc_ids()))
     return Checkpoint(
         shard_id=replica.shard_id,
         applied_lsn=replica.applied_lsn,

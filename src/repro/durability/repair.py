@@ -10,7 +10,8 @@ replica:
    (replay is idempotent, see :func:`repro.durability.wal.replay`);
 3. **verify** — compare the replica's per-vertical content digest with
    a healthy peer's; a mismatch keeps the replica out of rotation and
-   raises :class:`~repro.errors.DurabilityError`;
+   raises :class:`~repro.errors.DurabilityError`; a match re-attaches
+   the replica to the peer's index state (with no peer it keeps its own);
 4. **rejoin** — only now does the replica re-enter read rotation (the
    group also resets its failure streak and hedge-latency learning).
 
@@ -168,7 +169,8 @@ class RecoveryManager:
         return report
 
     def _verify(self, group, replica, report: RecoveryReport) -> bool | None:
-        """Digest-compare against a healthy peer; ``None`` if no peer."""
+        """Digest-compare against a healthy peer, re-attaching to its
+        state on a match; ``None`` if no peer."""
         peer = next(
             (candidate for candidate in group.replicas
              if candidate is not replica and candidate.healthy
@@ -189,4 +191,5 @@ class RecoveryManager:
                 f"{replica.replica_id} diverged from peer "
                 f"{peer.replica_id} after replay; kept out of rotation"
             )
+        replica.state = peer.state
         return True

@@ -11,7 +11,7 @@ from repro.cluster import (
     build_clustered_engine,
     merge_ranked,
 )
-from repro.cluster.replica import ReplicaGroup, ShardReplica
+from repro.cluster.replica import IndexState, ReplicaGroup, ShardReplica
 from repro.errors import (
     DuplicateError,
     NotFoundError,
@@ -68,7 +68,7 @@ class TestShardRouter:
 
 def make_replica(shard_id=0, replica_index=0):
     return ShardReplica(shard_id, replica_index,
-                        make_vertical_indexes())
+                        IndexState(make_vertical_indexes()))
 
 
 class TestReplicaGroup:
@@ -397,3 +397,58 @@ def test_a_fanout_is_one_planned_cluster_call(tiny_web, monkeypatch):
         reviews.search(SourceQuery(text=text, count=2))
     counting[0] = False
     assert batched == len(analyzed) > 0
+
+
+# -- shared replica state ------------------------------------------------------
+
+
+def test_replicas_analyze_each_document_once(tiny_web, monkeypatch):
+    """A 4x2 build and a later write make exactly the filing analysis
+    of a 4x1 one: the replicas of a shard share what is filed."""
+    from repro.searchengine.analysis import Analyzer
+
+    calls = [0]
+    original = Analyzer.analyze_with_positions
+
+    def counted(self, text):
+        calls[0] += 1
+        return original(self, text)
+
+    monkeypatch.setattr(Analyzer, "analyze_with_positions", counted)
+    counts = []
+    for replicas in (1, 2):
+        calls[0] = 0
+        engine = build_clustered_engine(
+            tiny_web, ClusterConfig(num_shards=4,
+                                    replicas_per_shard=replicas),
+            use_authority=False)
+        built = calls[0]
+        engine.add_document("web", FieldedDocument(
+            "http://shared.example/1",
+            {"title": "shared state", "body": "one analysis per shard",
+             "url": "http://shared.example/1"}))
+        counts.append((built, calls[0] - built))
+    assert counts[0] == counts[1]
+    assert counts[0][0] > 0 and counts[0][1] > 0
+
+
+def _one_state_per_shard(engine) -> None:
+    for group in engine.groups:
+        assert len({id(replica.state) for replica in group.replicas}) == 1
+
+
+def test_build_split_and_add_replica_share_one_state(small_web):
+    from repro.controlplane import ShardLifecycleManager
+
+    engine = build_clustered_engine(
+        small_web, ClusterConfig(num_shards=2, replicas_per_shard=2),
+        use_authority=False)
+    _one_state_per_shard(engine)
+    lifecycle = ShardLifecycleManager(engine)
+    lifecycle.begin_split(0)
+    lifecycle.run()
+    assert len(engine.groups) == 3
+    added = lifecycle.add_replica(2)
+    _one_state_per_shard(engine)
+    assert added.state is engine.groups[2].replicas[0].state
+    assert added.doc_count("web") > 0

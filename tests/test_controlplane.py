@@ -187,6 +187,24 @@ class TestReplicaScaling:
         assert len(engine.groups[0].replicas) == 1
         assert snap(engine) == baseline
 
+    def test_add_replica_refuses_a_shard_with_no_intact_replica(
+            self, make_cluster):
+        """A new replica of a wholly crashed shard would be an empty
+        copy served as healthy: the shard's lost documents would vanish
+        from answers that no longer say they are degraded."""
+        engine = make_cluster(num_shards=2, replicas=2)
+        lifecycle = ShardLifecycleManager(engine)
+        for replica in engine.groups[0].replicas:
+            replica.crash()
+        before = engine.search("web", "game")
+        assert before.degraded
+        with pytest.raises(ConfigurationError):
+            lifecycle.add_replica(0)
+        assert len(engine.groups[0].replicas) == 2
+        after = engine.search("web", "game")
+        assert after.degraded
+        assert after.total_matches == before.total_matches
+
     def test_membership_change_resets_hedge_learning(self, make_cluster):
         """Satellite: latency histograms reset when membership changes
         so stale observations cannot poison the hedge threshold."""
@@ -397,6 +415,23 @@ class TestAutoscaler:
         first = acted[0][0]
         assert all(not d.acted
                    for d in decisions[first + 1:first + 4])
+
+    def test_a_wholly_crashed_shard_is_not_scaled(self, make_cluster):
+        engine, autoscaler = self.make(make_cluster, AutoscalerPolicy(
+            latency_high_ms=50.0, latency_low_ms=0.1, breach_rounds=1,
+            cooldown_ticks=0, max_replicas=3,
+        ), replicas=2)
+        for replica in engine.groups[0].replicas:
+            replica.inject_latency(400.0, count=8)
+        for query in ("news", "game"):
+            engine.search("web", query)
+        # The hot window was observed; then every replica crashes.
+        for replica in engine.groups[0].replicas:
+            replica.crash()
+        decision = autoscaler.tick()
+        assert (decision.action, decision.shard_id) != ("add_replica", 0)
+        assert decision.action != "split"
+        assert len(engine.groups[0].replicas) == 2
 
     def test_ladder_escalates_to_a_split_at_max_replicas(
             self, make_cluster):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig
-from repro.cluster.replica import ReplicaGroup, ShardReplica
+from repro.cluster.replica import IndexState, ReplicaGroup, ShardReplica
 from repro.core.platform import Symphony
 from repro.durability import (
     BlobWalStorage,
@@ -43,7 +43,8 @@ def make_doc(number: int, token: str = "durable") -> FieldedDocument:
 
 
 def fresh_replica(shard_id: int = 0, index: int = 0) -> ShardReplica:
-    return ShardReplica(shard_id, index, make_vertical_indexes({}))
+    return ShardReplica(shard_id, index,
+                        IndexState(make_vertical_indexes({})))
 
 
 def doc_total(replica: ShardReplica) -> int:
@@ -195,11 +196,18 @@ class TestCheckpoints:
     def test_snapshot_does_not_alias_live_state(self):
         source = fresh_replica()
         source.vertical("web").index.upsert(make_doc(0))
+        source.vertical("web").index.upsert(make_doc(1))
         checkpoint = take_checkpoint(source)
         source.vertical("web").index.remove("durable-doc-0")
+        # A changed row after the snapshot replaces the filed object;
+        # the one the checkpoint holds keeps its fields.
+        source.vertical("web").index.upsert(
+            FieldedDocument("durable-doc-1", {"title": "rewritten"}))
         target = fresh_replica(index=1)
         restore_checkpoint(target, checkpoint)
         assert "durable-doc-0" in target.vertical("web").index
+        restored = target.vertical("web").index.document("durable-doc-1")
+        assert restored.fields == make_doc(1).fields
 
     def test_auto_checkpoint_cadence_bounds_replay(self, platform):
         durability = platform.durability
@@ -252,6 +260,17 @@ class TestCrashSemantics:
         replica.rejoin()
         assert replica.healthy and not replica.crashed
 
+    def test_crash_detaches_only_the_crashed_replica(self, platform):
+        group = platform.engine.groups[0]
+        peer, crashed = group.replicas
+        assert peer.state is crashed.state
+        docs = doc_total(peer)
+        digest = content_digest(peer)
+        platform.durability.crash_replica(0, 1)
+        assert crashed.state is not peer.state
+        assert doc_total(crashed) == 0 and crashed.applied_lsn == 0
+        assert doc_total(peer) == docs and content_digest(peer) == digest
+
     def test_primary_skips_crashed_replicas(self):
         group = ReplicaGroup(0, [fresh_replica(0, 0),
                                  fresh_replica(0, 1)])
@@ -287,6 +306,30 @@ class TestRecovery:
         assert replica.writes_missed == 0
         peer = platform.engine.groups[0].replicas[0]
         assert content_digest(peer) == content_digest(replica)
+
+    def test_verified_recovery_reattaches_to_the_peer_state(self,
+                                                          platform):
+        replica = self.crash_and_write(platform)
+        peer = platform.engine.groups[0].replicas[0]
+        restored = replica.state
+        report = platform.durability.recover_replica(0, 1)
+        assert report.digest_match is True
+        assert replica.state is peer.state and restored is not peer.state
+
+    def test_recovery_without_a_healthy_peer_keeps_its_own_state(
+            self, platform):
+        replica = self.crash_and_write(platform)
+        platform.engine.kill_replica(0, 0)
+        restored = replica.state
+        report = platform.durability.recover_replica(0, 1)
+        assert report.digest_match is None and report.converged
+        assert replica.state is restored
+        peer = platform.engine.groups[0].replicas[0]
+        assert content_digest(replica) == content_digest(peer)
+        # Two intact states now: each takes every write.
+        platform.engine.add_document(Vertical.WEB, make_doc(500, "both"))
+        assert content_digest(replica) == content_digest(peer)
+        assert replica.applied_lsn == peer.applied_lsn > 0
 
     def test_recovery_emits_events_and_metrics(self, platform):
         self.crash_and_write(platform)

@@ -228,8 +228,12 @@ class TestHedgePolicy:
 
 class TestHedgedReplicaReads:
     def _group(self, policy):
-        from repro.cluster.replica import ReplicaGroup, ShardReplica
-        replicas = [ShardReplica(0, index, verticals={})
+        from repro.cluster.replica import (
+            IndexState,
+            ReplicaGroup,
+            ShardReplica,
+        )
+        replicas = [ShardReplica(0, index, IndexState({}))
                     for index in range(2)]
         group = ReplicaGroup(0, replicas)
         group.enable_hedging(policy)
