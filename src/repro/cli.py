@@ -430,6 +430,7 @@ def _cmd_durability(args) -> int:
     after state printed at each stage."""
     from repro.cluster import ClusterConfig
     from repro.durability import DurabilityConfig, content_digest
+    from repro.errors import ConfigurationError
     from repro.searchengine.documents import FieldedDocument
     from repro.searchengine.engine import Vertical
 
@@ -446,10 +447,11 @@ def _cmd_durability(args) -> int:
     engine = symphony.engine
     durability = symphony.durability
     shard, replica_index = args.crash_shard, args.crash_replica
-    if replica_index >= len(engine.groups[shard].replicas):
-        print(f"shard {shard} has no replica {replica_index}")
+    try:
+        replica = durability.replica(shard, replica_index)
+    except ConfigurationError as exc:
+        print(exc)
         return 1
-    replica = engine.groups[shard].replicas[replica_index]
 
     def ingest(start: int, count: int) -> None:
         for number in range(start, start + count):

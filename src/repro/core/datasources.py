@@ -156,12 +156,6 @@ class DataSource(ABC):
             "fields": self.fields(),
         }
 
-    def export_config(self) -> dict:
-        """Serializable construction parameters (see core.persistence)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support export"
-        )
-
 
 _PLAIN = SearchOptions()    # no site, freshness or augment terms
 _URL_FIELDS = ("url", "detail_url", "link", "homepage")
@@ -254,16 +248,6 @@ class ProprietaryTableSource(DataSource):
         if fields == self.search_fields:
             return self._vertical
         return self._vertical.searching(fields, _boosting(fields))
-
-    def export_config(self) -> dict:
-        return {
-            "type": "proprietary",
-            "source_id": self.source_id,
-            "name": self.name,
-            "tenant_id": self.tenant_id,
-            "table_name": self._table.name,
-            "search_fields": list(self.search_fields),
-        }
 
     def structured_search(self, structured_query) -> SourceResult:
         """Richer querying of structured data (§IV future work item 2).
@@ -371,17 +355,6 @@ class WebSearchSource(DataSource):
     def generation_keys(self) -> tuple:
         return self._engine.generation_keys(self.vertical)
 
-    def export_config(self) -> dict:
-        return {
-            "type": "web",
-            "source_id": self.source_id,
-            "name": self.name,
-            "vertical": self.vertical,
-            "sites": list(self.sites),
-            "augment_terms": list(self.augment_terms),
-            "freshness_days": self.freshness_days,
-        }
-
     def _options(self, query: SourceQuery) -> SearchOptions:
         return SearchOptions(
             count=query.count,
@@ -462,19 +435,6 @@ class ServiceSource(DataSource):
     def fields(self) -> list[str]:
         return list(self.item_fields) if self.item_fields else ["value"]
 
-    def export_config(self) -> dict:
-        return {
-            "type": "service",
-            "source_id": self.source_id,
-            "name": self.name,
-            "service_name": self.service_name,
-            "operation": self.operation,
-            "query_param": self.query_param,
-            "item_fields": list(self.item_fields),
-            "title_field": self.title_field,
-            "extra_params": dict(self.extra_params),
-        }
-
     def _build_operation(self, text: str) -> tuple[str, dict]:
         params = dict(self.extra_params)
         placeholder = "{" + self.query_param + "}"
@@ -532,14 +492,6 @@ class AdSource(DataSource):
     def fields(self) -> list[str]:
         return ["headline", "url", "body", "ad_id", "price_per_click"]
 
-    def export_config(self) -> dict:
-        return {
-            "type": "ads",
-            "source_id": self.source_id,
-            "name": self.name,
-            "max_ads": self.max_ads,
-        }
-
     def search(self, query: SourceQuery) -> SourceResult:
         selected = self._ads.select_ads(
             query.text,
@@ -582,15 +534,6 @@ class CustomerProfileSource(DataSource):
 
     def fields(self) -> list[str]:
         return ["customer_id", "preference_terms"]
-
-    def export_config(self) -> dict:
-        return {
-            "type": "customer",
-            "source_id": self.source_id,
-            "name": self.name,
-            "profiles": {cid: list(terms)
-                         for cid, terms in self._profiles.items()},
-        }
 
     def set_profile(self, customer_id: str, preference_terms) -> None:
         self._profiles[customer_id] = tuple(preference_terms)

@@ -5,7 +5,9 @@ appended to a per-shard write-ahead log before it is applied, shard
 checkpoints bound how much log a repair must replay, and a recovery
 manager brings a crashed replica back — restore + idempotent replay +
 digest verification against a healthy peer — before it may serve reads
-again. See ``docs/API.md`` for the walkthrough.
+again. The log and the checkpoints are the platform's one persistence
+format: there is no separate export/import, and a future one would be a
+checkpoint plus log replay. See ``docs/API.md`` for the walkthrough.
 """
 
 from repro.durability.checkpoint import (

@@ -120,8 +120,7 @@ class DurabilityManager:
 
     def checkpoint_shard(self, shard_id: int):
         """Snapshot the shard from its first intact replica."""
-        group = self.engine.groups[shard_id]
-        donor = group.primary()
+        donor = self._group(shard_id).primary()
         if donor.crashed:
             raise ConfigurationError(
                 f"shard {shard_id} has no intact replica to checkpoint"
@@ -142,7 +141,7 @@ class DurabilityManager:
 
     def crash_replica(self, shard_id: int, replica_index: int) -> None:
         """Crash-faithfully lose one replica (index state wiped)."""
-        replica = self.engine.groups[shard_id].replicas[replica_index]
+        replica = self.replica(shard_id, replica_index)
         replica.crash()
         self.telemetry.metrics.counter(
             "durability_crashes_total", shard=str(shard_id)).inc()
@@ -154,7 +153,32 @@ class DurabilityManager:
 
     def recover_replica(self, shard_id: int,
                         replica_index: int) -> RecoveryReport:
+        self.replica(shard_id, replica_index)
         return self.recovery.recover(shard_id, replica_index)
+
+    # -- addressing ---------------------------------------------------------
+
+    def _group(self, shard_id: int):
+        groups = self.engine.groups
+        if shard_id not in range(len(groups)):
+            raise ConfigurationError(f"the cluster has no shard {shard_id}")
+        return groups[shard_id]
+
+    def replica(self, shard_id: int, replica_index: int):
+        """The replica ``shard_id`` and ``replica_index`` name.
+
+        Both come from outside input (``cli durability``, a chaos plan),
+        so one this cluster does not have raises
+        :class:`ConfigurationError` rather than being read as a list
+        index, where ``-1`` would name the last shard while the WAL is
+        read for shard ``-1``.
+        """
+        replicas = self._group(shard_id).replicas
+        if replica_index not in range(len(replicas)):
+            raise ConfigurationError(
+                f"shard {shard_id} has no replica {replica_index}"
+            )
+        return replicas[replica_index]
 
     # -- introspection ------------------------------------------------------
 

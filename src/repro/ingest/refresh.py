@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.contracts import ContractManager
-from repro.errors import DuplicateError
+from repro.errors import DuplicateError, ReproError
 from repro.telemetry import Telemetry
 
 __all__ = ["RefreshOutcome", "ScheduledFeed", "RefreshScheduler"]
@@ -88,10 +88,11 @@ class RefreshScheduler:
     def run_due(self) -> list[RefreshOutcome]:
         """Run every due feed; failures are isolated per feed.
 
-        *Any* exception from a feed action is contained — a feed
-        raising ``KeyError`` must not abort the whole pass any more
-        than an :class:`~repro.errors.IngestError` does. Success resets
-        the feed's ``failures`` streak; every run emits a
+        A :class:`~repro.errors.ReproError` from a feed action — the
+        readers turn malformed input into an
+        :class:`~repro.errors.IngestError` — fails that feed only. Any
+        other exception is a bug and propagates. Success resets the
+        feed's ``failures`` streak; every run emits a
         ``refresh.complete`` / ``refresh.failed`` event. After the
         pass, contracted feeds get their freshness SLAs re-judged.
         """
@@ -101,7 +102,7 @@ class RefreshScheduler:
             feed.last_run_ms = self._clock.now_ms
             try:
                 report = feed.action()
-            except Exception as exc:
+            except ReproError as exc:
                 feed.failures += 1
                 self._emit("refresh.failed", feed,
                            error=str(exc), failures=feed.failures)

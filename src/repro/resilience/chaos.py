@@ -14,7 +14,10 @@ resilience layer promises:
    work", not preemption);
 2. every query that overran its deadline is surfaced as degraded
    (``ApplicationResponse.degraded`` with a warning in the trace); and
-3. no exception escapes the query path — faults degrade, never crash.
+3. no fault escapes the query path — faults degrade, never crash. A
+   :class:`~repro.errors.ReproError` that reaches the harness is
+   recorded as escaped; any other exception is a bug in our own code
+   and propagates.
 
 All injection draws are seeded off the plan, so a given plan replays
 the exact same storm every run.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
+from repro.errors import ConfigurationError, DurabilityError, ReproError
 from repro.resilience import ResilienceConfig
 from repro.resilience.hedging import HedgePolicy
 from repro.resilience.retry import RetryPolicy
@@ -642,15 +646,13 @@ class _DurabilityStorm:
                     f"durability: crash at {index} expected a reshard "
                     f"in flight; none was"
                 )
-        group = self.symphony.engine.groups[shard]
-        if replica_index >= len(group.replicas):
+        try:
+            self.durability.crash_replica(shard, replica_index)
+        except ConfigurationError as exc:
             self.report.violations.append(
-                f"durability: crash step names replica {replica_index} "
-                f"of shard {shard}, which has {len(group.replicas)}"
-            )
+                f"durability: crash at {index}: {exc}")
             return
-        replica = group.replicas[replica_index]
-        self.durability.crash_replica(shard, replica_index)
+        replica = self.durability.replica(shard, replica_index)
         self.report.crashes_injected += 1
         self._down[(shard, replica_index)] = {
             "recover_at": int(step.get("recover_at", index + 6)),
@@ -658,7 +660,6 @@ class _DurabilityStorm:
         }
 
     def _recover(self, key, info: dict) -> None:
-        from repro.errors import DurabilityError
         shard, replica_index = key
         replica = self.symphony.engine.groups[shard] \
             .replicas[replica_index]
@@ -746,7 +747,7 @@ def run_chaos(plan: FaultPlan) -> ChaosReport:
                 app_id, query, session_id=f"chaos-{index}",
                 deadline_ms=plan.deadline_ms,
             )
-        except Exception as exc:  # noqa: BLE001 — the invariant itself
+        except ReproError as exc:
             report.escaped.append(
                 f"query {index} ({query!r}): "
                 f"{type(exc).__name__}: {exc}"

@@ -342,77 +342,3 @@ class AdService:
             entry.amount - entry.designer_credit for entry in self.ledger
             if entry.kind == "click"
         ), 4)
-
-    # -- persistence ---------------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Serializable marketplace state (accounts, campaigns, ledger)."""
-        return {
-            "designer_share": self.designer_share,
-            "advertisers": [
-                {"advertiser_id": a.advertiser_id, "name": a.name,
-                 "balance": a.balance}
-                for a in self._advertisers.values()
-            ],
-            "campaigns": [
-                {
-                    "campaign_id": c.campaign_id,
-                    "advertiser_id": c.advertiser_id,
-                    "keywords": list(c.keywords),
-                    "bid_per_click": c.bid_per_click,
-                    "headline": c.headline,
-                    "url": c.url,
-                    "body": c.body,
-                    "quality": c.quality,
-                    "daily_budget": c.daily_budget,
-                    "spent_today": c.spent_today,
-                    "match_type": c.match_type,
-                    "negative_keywords": list(c.negative_keywords),
-                }
-                for c in self._campaigns.values()
-            ],
-            "ledger": [
-                {"timestamp_ms": e.timestamp_ms, "kind": e.kind,
-                 "campaign_id": e.campaign_id, "app_id": e.app_id,
-                 "amount": e.amount,
-                 "designer_credit": e.designer_credit}
-                for e in self.ledger
-            ],
-        }
-
-    def restore_state(self, data: dict) -> None:
-        """Load a previously exported marketplace state."""
-        self.designer_share = data.get("designer_share",
-                                       self.designer_share)
-        for entry in data.get("advertisers", ()):
-            self._advertisers[entry["advertiser_id"]] = Advertiser(
-                entry["advertiser_id"], entry["name"],
-                float(entry["balance"]),
-            )
-        for entry in data.get("campaigns", ()):
-            campaign = AdCampaign(
-                campaign_id=entry["campaign_id"],
-                advertiser_id=entry["advertiser_id"],
-                keywords=tuple(entry["keywords"]),
-                bid_per_click=entry["bid_per_click"],
-                headline=entry["headline"],
-                url=entry["url"],
-                body=entry.get("body", ""),
-                quality=entry.get("quality", 1.0),
-                daily_budget=entry.get("daily_budget", 100.0),
-                spent_today=entry.get("spent_today", 0.0),
-                match_type=entry.get("match_type", "broad"),
-                negative_keywords=tuple(
-                    entry.get("negative_keywords", ())
-                ),
-            )
-            self._campaigns[campaign.campaign_id] = campaign
-        for entry in data.get("ledger", ()):
-            self.ledger.append(LedgerEntry(
-                timestamp_ms=entry["timestamp_ms"],
-                kind=entry["kind"],
-                campaign_id=entry["campaign_id"],
-                app_id=entry["app_id"],
-                amount=entry["amount"],
-                designer_credit=entry["designer_credit"],
-            ))

@@ -8,7 +8,6 @@ rejects stale updates via per-record version counters.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -152,23 +151,6 @@ class Schema:
             spec.name: spec.coerce(row.get(spec.name))
             for spec in self.fields
         }
-
-    def to_dict(self) -> dict:
-        return {
-            "fields": [
-                {"name": f.name, "type": f.type.value,
-                 "required": f.required}
-                for f in self.fields
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Schema":
-        return cls(tuple(
-            FieldSpec(f["name"], FieldType(f["type"]),
-                      f.get("required", False))
-            for f in data["fields"]
-        ))
 
 
 def _classify_value(value) -> FieldType:
@@ -451,36 +433,6 @@ class RecordTable:
         if not 0 <= behind <= held:
             return None
         return list(islice(self._change_tail, held - behind, None))
-
-    # -- persistence ----------------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "name": self.name,
-            "schema": self.schema.to_dict(),
-            "indexed_fields": list(self.indexed_fields),
-            "next_serial": self._next_serial,
-            "records": [
-                {"id": r.record_id, "version": r.version,
-                 "values": r.values}
-                for r in self._records.values()
-            ],
-        })
-
-    @classmethod
-    def from_json(cls, payload: str) -> "RecordTable":
-        data = json.loads(payload)
-        table = cls(
-            data["name"],
-            Schema.from_dict(data["schema"]),
-            tuple(data.get("indexed_fields", ())),
-        )
-        for entry in data["records"]:
-            record = Record(entry["id"], entry["values"], entry["version"])
-            table._records[record.record_id] = record
-            table._index_record(record)
-        table._next_serial = data.get("next_serial", len(table) + 1)
-        return table
 
     # -- index maintenance --------------------------------------------------------------
 

@@ -67,17 +67,6 @@ class Tenant:
         self._tables[name] = table
         return table
 
-    def restore_table(self, table: RecordTable) -> None:
-        """Attach an already-built table (platform import path)."""
-        if table.name in self._tables:
-            raise DuplicateError(
-                f"tenant {self.tenant_id} already has table "
-                f"{table.name!r}"
-            )
-        self.quota.check_tables(len(self._tables) + 1)
-        self.quota.check_records(len(table))
-        self._tables[table.name] = table
-
     def table(self, name: str) -> RecordTable:
         try:
             return self._tables[name]
@@ -85,9 +74,6 @@ class Tenant:
             raise NotFoundError(
                 f"tenant {self.tenant_id} has no table {name!r}"
             ) from None
-
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
@@ -136,23 +122,11 @@ class StorageCatalog:
         self._tenants[tenant_id] = tenant
         return tenant
 
-    def register_tenant(self, tenant: Tenant) -> Tenant:
-        """Attach an already-built tenant (platform import path)."""
-        if tenant.tenant_id in self._tenants:
-            raise DuplicateError(
-                f"tenant id already registered: {tenant.tenant_id}"
-            )
-        self._tenants[tenant.tenant_id] = tenant
-        return tenant
-
     def tenant(self, tenant_id: str) -> Tenant:
         try:
             return self._tenants[tenant_id]
         except KeyError:
             raise NotFoundError(f"no tenant {tenant_id!r}") from None
-
-    def tenant_ids(self) -> list[str]:
-        return sorted(self._tenants)
 
     def open(self, token_value: str, tenant_id: str,
              scope: Scope = Scope.READ, now_ms: int = 0) -> Tenant:

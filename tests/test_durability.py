@@ -545,3 +545,49 @@ class TestChaosPlan:
         assert len(plan.durability["crashes"]) == 2
         assert any(step.get("during_reshard")
                    for step in plan.durability["crashes"])
+
+    @pytest.mark.parametrize("shard", [9, -1])
+    def test_a_crash_of_a_shard_the_cluster_lacks_is_a_violation(
+            self, shard):
+        # Python indexing would read -1 as the last shard (and crash it
+        # while recovery read shard -1's empty log) and 9 as an
+        # IndexError out of run_chaos.
+        from repro.resilience.chaos import FaultPlan, run_chaos
+        plan = FaultPlan(
+            name="bad-crash", queries=3, hedge=None,
+            durability={"ingest_per_query": 1, "crashes": [
+                {"at": 1, "shard": shard, "replica": 1,
+                 "recover_at": 2}]},
+        )
+        report = run_chaos(plan)
+        assert report.crashes_injected == 0
+        assert report.violations == [
+            f"durability: crash at 1: the cluster has no shard {shard}"]
+        assert not report.escaped
+
+
+class TestOutsideIds:
+    """Shard ids and replica indexes arrive from the CLI and chaos
+    plans; one this cluster does not have is refused, not indexed."""
+
+    @pytest.mark.parametrize("shard, replica_index", [
+        (-1, 0), (2, 0), (0, -1), (0, 2)])
+    def test_a_crash_outside_the_cluster_raises_and_crashes_nothing(
+            self, platform, shard, replica_index):
+        with pytest.raises(ConfigurationError):
+            platform.durability.crash_replica(shard, replica_index)
+        assert not any(replica.crashed
+                       for group in platform.engine.groups
+                       for replica in group.replicas)
+        assert not platform.telemetry.events.by_kind("replica.crashed")
+
+    def test_a_recovery_outside_the_cluster_raises(self, platform):
+        platform.durability.crash_replica(1, 1)
+        with pytest.raises(ConfigurationError):
+            platform.durability.recover_replica(-1, 1)
+        assert not platform.telemetry.events.by_kind("recovery.started")
+
+    def test_the_cli_prints_one_error_line(self, capsys):
+        from repro.cli import main
+        assert main(["durability", "--crash-shard", "9"]) == 1
+        assert capsys.readouterr().out == "the cluster has no shard 9\n"

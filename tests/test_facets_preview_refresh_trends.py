@@ -159,9 +159,9 @@ class TestRefreshScheduler:
         assert outcomes["bad"].error == "feed gone"
         assert outcomes["good"].inserted == 1
 
-    def test_any_exception_isolated_not_just_repro_errors(self):
-        # A feed action raising KeyError (a bug, not an IngestError)
-        # must not abort the scheduler pass.
+    def test_a_bug_in_a_feed_action_propagates(self):
+        # Malformed input is an IngestError; a KeyError is a bug in our
+        # own code and must fail loudly, not become a failed outcome.
         clock = SimClock(start_ms=0)
         scheduler = RefreshScheduler(clock)
 
@@ -169,10 +169,32 @@ class TestRefreshScheduler:
             raise KeyError("missing column")
 
         scheduler.register("buggy", 100, buggy)
-        scheduler.register("good", 100, self.FakeReport)
+        with pytest.raises(KeyError, match="missing column"):
+            scheduler.run_due()
+
+    def test_a_malformed_rss_feed_is_a_failed_outcome(
+            self, symphony, designer_account, monkeypatch):
+        from repro.telemetry import Telemetry
+
+        sym = symphony
+        domain = next(iter(sym.web.sites))
+        monkeypatch.setattr(sym.feeds, "feed_xml",
+                            lambda domain: b"<rss><channel><item>")
+        telemetry = Telemetry(sym.clock)
+        scheduler = RefreshScheduler(sym.clock, telemetry=telemetry)
+        scheduler.register(
+            "news", 60_000,
+            lambda: sym.ingest_rss_feed(designer_account, domain,
+                                        "feed_items"),
+        )
+        scheduler.register("good", 60_000, self.FakeReport)
         outcomes = {o.feed_id: o for o in scheduler.run_due()}
-        assert "missing column" in outcomes["buggy"].error
+        assert outcomes["news"].ran
+        assert "invalid RSS XML" in outcomes["news"].error
         assert outcomes["good"].inserted == 1
+        failed = telemetry.events.by_kind("refresh.failed")
+        assert [e.fields["feed"] for e in failed] == ["news"]
+        assert failed[0].fields["failures"] == 1
 
     def test_failure_streak_resets_on_success(self):
         clock = SimClock(start_ms=0)

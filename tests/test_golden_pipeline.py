@@ -1,6 +1,6 @@
 """Golden text of one seeded Fig. 2 query on three configurations.
 
-The files under ``tests/golden/`` were captured at the commit *before*
+The three files it names under ``tests/golden/`` were captured *before*
 the runtime's Fig. 2 body became an ordered stage tuple (PR 14) and
 pin what that refactor promised to keep byte-identical: stage names and
 detail strings, warnings, span names/ids/attributes, events and metric

@@ -20,7 +20,6 @@ from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.index import InvertedIndex
 from repro.searchengine.query import QueryEvaluator, parse_query
 from repro.services.ads import AdService
-from repro.storage.records import RecordTable, infer_schema
 from repro.util import deterministic_rng
 
 from .conftest import CACHE_STAMPS, dump_workbook
@@ -187,26 +186,6 @@ class TestRoundTrips:
             tuple((name, value) for name, value in rows),
         ),))
         assert parse_workbook(dump_workbook(workbook)) == workbook
-
-    @given(st.lists(
-        st.fixed_dictionaries({
-            "title": st.sampled_from(_WORDS),
-            "price": st.floats(0, 100, allow_nan=False).map(
-                lambda v: round(v, 2)),
-            "stock": st.integers(0, 50),
-        }),
-        min_size=1, max_size=12,
-    ))
-    def test_table_json_roundtrip_preserves_queries(self, rows):
-        schema = infer_schema(rows)
-        table = RecordTable("t", schema, ("title",))
-        for row in rows:
-            table.insert(row)
-        restored = RecordTable.from_json(table.to_json())
-        assert len(restored) == len(table)
-        for word in set(r["title"] for r in rows):
-            assert len(restored.find("title", word)) == \
-                len(table.find("title", word))
 
 
 # -- cache and auction invariants ------------------------------------------------------

@@ -33,11 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 #: module -> why it may stay unreachable for now.
-ALLOWLIST = {
-    "repro.core.persistence":
-        "state export/import has no CLI command; whether it stays, "
-        "beside the durability WAL and checkpoints, is still open",
-}
+ALLOWLIST: dict[str, str] = {}
 
 
 #: qualified name -> why it may stay unreferenced for now.

@@ -468,6 +468,21 @@ class TestChaosHarness:
         assert first == second
         assert first.render() == second.render()
 
+    def test_a_bug_in_the_query_path_propagates(self, monkeypatch):
+        # A fault is a ReproError and is recorded; a TypeError is a bug
+        # in our own code and must not be reported as an escaped fault.
+        from repro.core.runtime import SymphonyRuntime
+        from repro.resilience.chaos import load_fault_plan, run_chaos
+
+        def broken(self, request, **kwargs):
+            raise TypeError("broken stage")
+
+        monkeypatch.setattr(SymphonyRuntime, "handle_query", broken)
+        plan = replace(load_fault_plan("examples/chaos_fault_plan.json"),
+                       queries=2)
+        with pytest.raises(TypeError, match="broken stage"):
+            run_chaos(plan)
+
     def test_plan_round_trips_from_json(self, tmp_path):
         from repro.resilience.chaos import FaultPlan, load_fault_plan
 

@@ -86,10 +86,6 @@ class TestSchema:
         with pytest.raises(ValidationError):
             game_schema().coerce_row({"title": "x", "mystery": 1})
 
-    def test_roundtrip_dict(self):
-        schema = game_schema()
-        assert Schema.from_dict(schema.to_dict()) == schema
-
     def test_spec_lookup(self):
         assert game_schema().spec("price").type == FieldType.FLOAT
         with pytest.raises(NotFoundError):
@@ -234,16 +230,6 @@ class TestRecordTable:
         with pytest.raises(DuplicateError):
             table.upsert_by("k", {"k": "same"})
 
-    def test_json_roundtrip(self):
-        table = self.make()
-        table.insert(self.row())
-        table.insert(self.row(title="Zelda"))
-        restored = RecordTable.from_json(table.to_json())
-        assert len(restored) == 2
-        assert len(restored.find("title", "Zelda")) == 1
-        new_record = restored.insert(self.row(title="Third"))
-        assert new_record.record_id == "games:3"  # serial preserved
-
     def test_index_on_unknown_field_rejected(self):
         with pytest.raises(ValidationError):
             RecordTable("t", game_schema(), ("nope",))
@@ -281,20 +267,6 @@ class TestRecordTable:
         table.update(record.record_id, {"stock": "0"})
         assert table.changes_since(cursor) is None
         assert len(table.changes_since(cursor + 2)) == CHANGE_TAIL
-
-    def test_changes_since_after_json_roundtrip(self):
-        table = self.make()
-        table.insert(self.row())
-        table.insert(self.row(title="Zelda"))
-        table.update("games:1", {"stock": "9"})
-        restored = RecordTable.from_json(table.to_json())
-        # A restored table starts its own count: one entry per record.
-        assert restored.mutations == 2
-        assert restored.changes_since(0) == ["games:1", "games:2"]
-        assert restored.changes_since(table.mutations) is None
-        cursor = restored.mutations
-        restored.update("games:2", {"stock": "1"})
-        assert restored.changes_since(cursor) == ["games:2", "games:2"]
 
 
 class TestBlobStore:
@@ -363,7 +335,6 @@ class TestTenantAndQuota:
         tenant = Tenant("t1", "Ann")
         tenant.create_table("games", game_schema())
         assert tenant.has_table("games")
-        assert tenant.table_names() == ["games"]
         assert not tenant.has_table("inventory")
 
     def test_duplicate_table(self):

@@ -1,12 +1,9 @@
-"""Tests for application versions, marketplace persistence, and a
-multi-vertical application scenario."""
+"""Tests for application versions and a multi-vertical application
+scenario."""
 
 import dataclasses
 
 import pytest
-
-from repro.core.persistence import export_platform, import_platform
-from repro.core.platform import Symphony
 
 from tests.conftest import make_inventory_csv
 
@@ -43,49 +40,6 @@ class TestVersionHistory:
         sym, app_id, __ = hosted
         sym.apps.register(sym.apps.get(app_id))  # no change
         assert sym.apps.version(app_id) == 1
-
-
-class TestMarketplacePersistence:
-    def test_ads_state_roundtrip(self, symphony, tiny_web):
-        sym = symphony
-        advertiser = sym.ads.create_advertiser("GameCo", 80.0)
-        sym.ads.create_campaign(
-            advertiser.advertiser_id, ["halo", "game"], 0.40,
-            "GameCo", "http://g.example",
-            match_type="phrase", negative_keywords=["free"],
-        )
-        ad = sym.ads.select_ads("halo game deals", "app-1")[0]
-        sym.ads.record_click(ad.ad_id, now_ms=5)
-        earnings = sym.ads.designer_earnings("app-1")
-        assert earnings > 0
-
-        restored = Symphony(web=tiny_web, use_authority=False)
-        import_platform(restored, export_platform(sym))
-        assert restored.ads.designer_earnings("app-1") == earnings
-        advertiser_restored = restored.ads.advertiser(
-            advertiser.advertiser_id)
-        assert advertiser_restored.balance == pytest.approx(
-            sym.ads.advertiser(advertiser.advertiser_id).balance)
-        # Campaign behaviour (phrase match + negative) survives.
-        again = restored.ads.select_ads("play halo game now", "app-2")
-        assert again
-        assert restored.ads.select_ads("free halo game", "app-2") == []
-
-    def test_ledger_identity_preserved(self, symphony, tiny_web):
-        sym = symphony
-        advertiser = sym.ads.create_advertiser("A", 50.0)
-        sym.ads.create_campaign(advertiser.advertiser_id, ["game"],
-                                0.30, "H", "http://a.example")
-        for i in range(4):
-            for ad in sym.ads.select_ads("game", "app-1", now_ms=i):
-                sym.ads.record_click(ad.ad_id, now_ms=i)
-        restored = Symphony(web=tiny_web, use_authority=False)
-        import_platform(restored, export_platform(sym))
-        spend = restored.ads.advertiser_spend(advertiser.advertiser_id)
-        assert spend == pytest.approx(
-            restored.ads.designer_earnings("app-1")
-            + restored.ads.platform_revenue(), abs=1e-6,
-        )
 
 
 class TestMultiVerticalScenario:
