@@ -82,6 +82,17 @@ def main() -> None:
             for item in result.items:
                 print(f"      review: {item.title}  ({item.get('site')})")
 
+    # The embed snippet's script sends the same search to the hosted
+    # endpoint with its embed key; the platform's web tier serves it.
+    http = symphony.frontend.handle(
+        f"/apps/{app_id}/query",
+        {"q": query, "key": snippet.embed_key, "session": "embed"},
+    )
+    print()
+    print(f"Embedded query {query!r}: HTTP {http.status} "
+          f"({'ok' if http.ok else 'error'}, {len(http.body)} bytes "
+          f"of {http.content_type})")
+
 
 if __name__ == "__main__":
     main()

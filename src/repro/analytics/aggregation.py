@@ -34,11 +34,6 @@ class AppUsageProfile:
             key=lambda pair: (-pair[1], pair[0]),
         )[:count]
 
-    @property
-    def click_through_rate(self) -> float:
-        return (self.click_count / self.query_count
-                if self.query_count else 0.0)
-
 
 @dataclass
 class LogAggregator:
@@ -47,11 +42,6 @@ class LogAggregator:
 
     log: object
     analyzer: Analyzer = field(default_factory=Analyzer)
-
-    def app_ids(self) -> list[str]:
-        seen = {q.app_id for q in self.log.queries if q.app_id}
-        seen.update(c.app_id for c in self.log.clicks if c.app_id)
-        return sorted(seen)
 
     def profile(self, app_id: str) -> AppUsageProfile:
         queries = self.log.queries_for_app(app_id)
@@ -82,7 +72,3 @@ class LogAggregator:
             url_clicks=url_clicks,
             sessions=len(sessions),
         )
-
-    def profiles(self) -> dict:
-        return {app_id: self.profile(app_id)
-                for app_id in self.app_ids()}

@@ -213,13 +213,18 @@ def _cmd_telemetry(args) -> int:
 def _cmd_chaos(args) -> int:
     from dataclasses import replace
 
+    from repro.errors import ConfigurationError
     from repro.resilience.chaos import (
         FaultPlan,
         load_fault_plan,
         run_chaos,
     )
 
-    plan = load_fault_plan(args.plan) if args.plan else FaultPlan()
+    try:
+        plan = load_fault_plan(args.plan) if args.plan else FaultPlan()
+    except ConfigurationError as exc:
+        print(exc)
+        return 1
     if args.queries:
         plan = replace(plan, queries=args.queries)
     report = run_chaos(plan)
@@ -301,6 +306,7 @@ def _cmd_gateway(args) -> int:
 def _cmd_controlplane(args) -> int:
     from repro.cluster import ClusterConfig
     from repro.controlplane import AutoscalerPolicy
+    from repro.errors import ConfigurationError
     from repro.resilience import ResilienceConfig
 
     symphony = _build_platform(
@@ -321,10 +327,14 @@ def _cmd_controlplane(args) -> int:
     lifecycle = symphony.controlplane
 
     if args.split is not None or args.merge:
-        if args.split is not None:
-            migration = lifecycle.begin_split(args.split)
-        else:
-            migration = lifecycle.begin_merge(*args.merge)
+        try:
+            if args.split is not None:
+                migration = lifecycle.begin_split(args.split)
+            else:
+                migration = lifecycle.begin_merge(*args.merge)
+        except ConfigurationError as exc:
+            print(exc)
+            return 1
         print(f"{migration.kind}: shard {migration.source_id} -> "
               f"{migration.target_id} "
               f"({len(migration.pending)} docs to move)")

@@ -1,9 +1,9 @@
 """The clustered search engine: shards × replicas behind one facade.
 
-:class:`ClusteredSearchEngine` exposes the exact
+:class:`ClusteredSearchEngine` exposes the
 :class:`~repro.searchengine.engine.SearchEngine` query contract —
-options, logging, spelling suggestion, facets — over a
-document-partitioned, replicated index cluster:
+options, logging, spelling suggestion (facets stay a single-node
+method) — over a document-partitioned, replicated index cluster:
 
 * **Statistics:** BM25 on a shard must see corpus-wide document
   counts, field lengths and per-term document frequencies, or idf
@@ -58,7 +58,6 @@ from repro.searchengine.engine import (
     apply_options_to_ast,
     simulated_latency_ms,
 )
-from repro.searchengine.facets import FacetResult
 from repro.searchengine.logs import QueryEvent, QueryLog
 from repro.searchengine.query import extract_terms, parse_query
 from repro.searchengine.spelling import SpellingCorrector
@@ -105,64 +104,6 @@ class ClusterSearchResponse(SearchResponse):
     shards_ok: int = 0
     failed_shards: tuple = ()
     deadline_overrun: bool = False
-
-
-class _ClusterIndexView:
-    """Read-only union view over one vertical's shard indexes.
-
-    Covers the surface other subsystems touch on ``engine.vertical(v)
-    .index`` (membership for relevance signals, document lookup,
-    corpus size); it is not a full :class:`InvertedIndex`.
-    """
-
-    def __init__(self, engine: "ClusteredSearchEngine",
-                 vertical: Vertical) -> None:
-        self._engine = engine
-        self._vertical = vertical
-
-    def _primary(self, doc_id: str):
-        group = self._engine.group_for(doc_id)
-        return group.primary().vertical(self._vertical).index
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._primary(doc_id)
-
-    def __len__(self) -> int:
-        return sum(
-            len(group.primary().vertical(self._vertical).index)
-            for group in self._engine.active_groups()
-        )
-
-    def document(self, doc_id: str):
-        return self._primary(doc_id).document(doc_id)
-
-    def all_doc_ids(self) -> set:
-        ids: set = set()
-        for group in self._engine.active_groups():
-            ids |= group.primary().vertical(
-                self._vertical).index.all_doc_ids()
-        return ids
-
-    @property
-    def analyzer(self):
-        return self._engine.reference_vertical(self._vertical).index \
-            .analyzer
-
-
-class _ClusterVerticalView:
-    """``engine.vertical(v)`` compatibility shim for cluster engines."""
-
-    def __init__(self, engine: "ClusteredSearchEngine",
-                 vertical: Vertical) -> None:
-        reference = engine.reference_vertical(vertical)
-        self.vertical = vertical
-        self.text_fields = list(reference.text_fields)
-        self.params = reference.params
-        self.authority = engine.authority  # shared across all shards
-        self.index = _ClusterIndexView(engine, vertical)
-
-    def __len__(self) -> int:
-        return len(self.index)
 
 
 def _unique_by_doc(merged):
@@ -255,9 +196,6 @@ class ClusteredSearchEngine:
         route = route if route is not None else self.router.snapshot()
         return [self.groups[shard_id] for shard_id in route.shard_ids]
 
-    def group_for(self, doc_id: str) -> ReplicaGroup:
-        return self.groups[self.router.shard_of(doc_id)]
-
     def _adopt(self, group: ReplicaGroup) -> None:
         """Hand a replica group this engine's instruments and hedging."""
         group.tracer = self._tracer
@@ -288,13 +226,6 @@ class ClusteredSearchEngine:
     def reference_vertical(self, vertical):
         return self._reference[Vertical(vertical)]
 
-    def vertical(self, vertical) -> _ClusterVerticalView:
-        return _ClusterVerticalView(self, Vertical(vertical))
-
-    def doc_count(self, vertical) -> int:
-        return sum(group.primary().doc_count(vertical)
-                   for group in self.active_groups())
-
     def shard_doc_count(self, shard_id: int) -> int:
         """Documents held by one shard, across all verticals."""
         replica = self.groups[shard_id].primary()
@@ -308,13 +239,6 @@ class ClusteredSearchEngine:
 
     def revive_replica(self, shard_id: int, replica_index: int) -> None:
         self.groups[shard_id].revive(replica_index)
-
-    def health(self) -> dict:
-        """Per-shard replica health: ``{shard_id: [True/False, ...]}``."""
-        return {
-            group.shard_id: [r.healthy for r in group.replicas]
-            for group in self.groups
-        }
 
     # -- incremental writes (replicated to every replica of the shard) --------
 
@@ -683,33 +607,6 @@ class ClusteredSearchEngine:
             ))
             responses.append(response)
         return responses
-
-    def facets(self, vertical, query_text: str,
-               facet_fields=("site", "topic")) -> dict:
-        """Facets over the union candidate set (degraded shards skipped)."""
-        vkey = Vertical(vertical)
-        self.clock.advance(simulated_latency_ms(0))
-        with self._tracer.span("cluster.facets"):
-            outcomes = self.executor.scatter({
-                group.shard_id: self._shard_task(
-                    group, "facets",
-                    lambda r: r.compute_facets(vkey, query_text,
-                                               facet_fields),
-                )
-                for group in self.active_groups()
-            })
-        merged: dict[str, dict[str, int]] = {
-            name: {} for name in facet_fields
-        }
-        for outcome in outcomes.values():
-            if not outcome.ok:
-                continue
-            for name, buckets in outcome.value.items():
-                target = merged[name]
-                for value, count in buckets.items():
-                    target[value] = target.get(value, 0) + count
-        return {name: FacetResult.of(name, buckets)
-                for name, buckets in merged.items()}
 
     # -- internals ------------------------------------------------------------
 

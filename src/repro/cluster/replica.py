@@ -222,17 +222,6 @@ class ShardReplica:
         return materialize_result(self.vertical(vertical), doc_id,
                                   score, terms)
 
-    def compute_facets(self, vertical, query_text: str,
-                       facet_fields) -> dict:
-        """Per-shard facet buckets: ``{field: {value: count}}``."""
-        from repro.searchengine.facets import compute_facets
-        self.reads_served += 1
-        self._check_fault()
-        results = compute_facets(self.vertical(vertical), query_text,
-                                 facet_fields)
-        return {name: result.as_dict()
-                for name, result in results.items()}
-
     def term_frequencies(self, vertical) -> dict:
         """This shard's vocabulary frequencies, for merged spelling."""
         vindex = self.vertical(vertical)

@@ -197,13 +197,3 @@ class ShardRouter:
 
     def shard_of(self, doc_id: str) -> int:
         return self._route.shard_of(doc_id)
-
-    def partition(self, doc_ids) -> dict:
-        """Group ``doc_ids`` by owning shard: ``{shard_id: [doc_id]}``."""
-        route = self.snapshot()
-        by_shard: dict[int, list] = {
-            shard: [] for shard in route.shard_ids
-        }
-        for doc_id in doc_ids:
-            by_shard[route.shard_of(doc_id)].append(doc_id)
-        return by_shard

@@ -139,38 +139,6 @@ class FieldContract:
         """The canonical spelling of ``value`` under this field's rules."""
         return normalize_value(value, self.normalize, self.units)
 
-    def to_dict(self) -> dict:
-        data = {"name": self.name, "type": self.type.value}
-        if self.required:
-            data["required"] = True
-        if not self.nullable:
-            data["nullable"] = False
-        if self.min_value is not None:
-            data["min_value"] = self.min_value
-        if self.max_value is not None:
-            data["max_value"] = self.max_value
-        if self.allowed:
-            data["allowed"] = list(self.allowed)
-        if self.normalize:
-            data["normalize"] = list(self.normalize)
-        if self.units:
-            data["units"] = dict(self.units)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FieldContract":
-        return cls(
-            name=data["name"],
-            type=FieldType(data.get("type", "string")),
-            required=data.get("required", False),
-            nullable=data.get("nullable", True),
-            min_value=data.get("min_value"),
-            max_value=data.get("max_value"),
-            allowed=tuple(data.get("allowed", ())),
-            normalize=tuple(data.get("normalize", ())),
-            units=dict(data.get("units", {})),
-        )
-
 
 @dataclass(frozen=True)
 class FreshnessSLA:
@@ -190,14 +158,6 @@ class FreshnessSLA:
             raise ValidationError("max_staleness_ms must be positive")
         if not 0.0 < self.objective < 1.0:
             raise ValidationError("objective must be within (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {"max_staleness_ms": self.max_staleness_ms,
-                "objective": self.objective}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FreshnessSLA":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -232,9 +192,6 @@ class DataContract:
                 f"key_field {self.key_field!r} is not a contract field"
             )
 
-    def field_names(self) -> list[str]:
-        return [f.name for f in self.fields]
-
     def spec(self, name: str) -> FieldContract:
         for spec in self.fields:
             if spec.name == name:
@@ -264,33 +221,3 @@ class DataContract:
             if name in out:
                 out[name] = normalized(out[name])
         return out
-
-    def to_dict(self) -> dict:
-        data = {
-            "table": self.table,
-            "version": self.version,
-            "policy": self.policy,
-            "fields": [f.to_dict() for f in self.fields],
-        }
-        if self.key_field:
-            data["key_field"] = self.key_field
-        if self.freshness is not None:
-            data["freshness"] = self.freshness.to_dict()
-        if self.allow_extra_fields:
-            data["allow_extra_fields"] = True
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DataContract":
-        freshness = data.get("freshness")
-        return cls(
-            table=data["table"],
-            fields=tuple(FieldContract.from_dict(f)
-                         for f in data["fields"]),
-            version=data.get("version", 1),
-            key_field=data.get("key_field", ""),
-            policy=data.get("policy", "quarantine"),
-            freshness=(FreshnessSLA.from_dict(freshness)
-                       if freshness else None),
-            allow_extra_fields=data.get("allow_extra_fields", False),
-        )

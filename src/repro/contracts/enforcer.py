@@ -55,15 +55,6 @@ class Violation:
     message: str
     value: object = None
 
-    def to_dict(self) -> dict:
-        return {
-            "row_index": self.row_index,
-            "field": self.field,
-            "rule": self.rule,
-            "message": self.message,
-            "value": self.value,
-        }
-
 
 @dataclass(frozen=True)
 class DriftReport:
@@ -88,18 +79,6 @@ class DriftReport:
             ],
         }
 
-    def describe(self) -> str:
-        parts = []
-        if self.added:
-            parts.append(f"added={list(self.added)}")
-        if self.missing:
-            parts.append(f"missing={list(self.missing)}")
-        if self.retyped:
-            parts.append("retyped=" + str([
-                f"{n}:{d.value}->{o.value}" for n, d, o in self.retyped
-            ]))
-        return "; ".join(parts) if parts else "no drift"
-
 
 @dataclass
 class EnforcementResult:
@@ -110,10 +89,6 @@ class EnforcementResult:
     quarantined: list = field(default_factory=list)  # (raw_row, violations)
     coerced: int = 0
     drift: DriftReport = field(default_factory=DriftReport)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.drift.drifted
 
 
 class ContractEnforcer:

@@ -124,10 +124,6 @@ class FreshnessTracker:
             self.alerter.check(now)
         return stale_feeds
 
-    def is_stale(self, tenant_id: str, table: str) -> bool:
-        feed = self._feeds.get((tenant_id, table))
-        return bool(feed and feed.stale)
-
     def _emit(self, kind: str, feed: FeedFreshness,
               now_ms: int) -> None:
         self.telemetry.events.emit(

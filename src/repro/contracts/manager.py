@@ -193,9 +193,6 @@ class ContractManager:
         """Judge every tracked feed now; returns the stale ones."""
         return self.freshness.check()
 
-    def is_stale(self, tenant_id: str, table: str) -> bool:
-        return self.freshness.is_stale(tenant_id, table)
-
     def source_status(self, tenant_id: str, table: str) -> dict:
         """Query-time metadata for one table's governed source."""
         feed = self.freshness.feed(tenant_id, table)

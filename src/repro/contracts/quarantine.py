@@ -26,15 +26,6 @@ class QuarantinedRow:
     quarantined_ms: int
     source: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "row": dict(self.row),
-            "violations": [v.to_dict() for v in self.violations],
-            "quarantined_ms": self.quarantined_ms,
-            "source": self.source,
-        }
-
 
 @dataclass
 class _TableQuarantine:

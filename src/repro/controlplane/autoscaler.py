@@ -160,10 +160,6 @@ class Autoscaler:
         self.decisions.append(decision)
         return decision
 
-    def run(self, ticks: int) -> list:
-        """Run ``ticks`` iterations; returns the decisions made."""
-        return [self.tick() for __ in range(ticks)]
-
     # -- internals ------------------------------------------------------------
 
     def _update_streaks(self, means: dict) -> None:

@@ -165,6 +165,7 @@ class ShardLifecycleManager:
         receives traffic at cutover — after the copy stream has filled it.
         """
         self._require_idle()
+        self._require_routed(shard_id)
         from repro.searchengine.engine import make_vertical_indexes
         engine = self.engine
         donor = engine.groups[shard_id]
@@ -188,6 +189,7 @@ class ShardLifecycleManager:
         ``engine.groups`` but no route points at it).
         """
         self._require_idle()
+        self._require_routed(source_id, target_id)
         route, moved = self.engine.router.snapshot().merge(
             source_id, target_id)
         return self._begin("merge", source_id, target_id, route, moved)
@@ -206,15 +208,6 @@ class ShardLifecycleManager:
             self._step_cleanup(migration)
         return migration.state
 
-    def run(self) -> Migration:
-        """Drive the active migration to completion."""
-        migration = self._migration
-        if migration is None:
-            raise ControlPlaneError("no migration in progress")
-        while migration.state != COMPLETE:
-            self.step()
-        return migration
-
     # -- internals ------------------------------------------------------------
 
     def _require_idle(self) -> None:
@@ -223,6 +216,19 @@ class ShardLifecycleManager:
                 f"migration already in progress: "
                 f"{self._migration.status()}"
             )
+
+    def _require_routed(self, *shard_ids: int) -> None:
+        """Raise :class:`ConfigurationError`, before any state changes,
+        unless each id is a distinct shard of the current route map."""
+        routed = self.engine.router.snapshot().shard_ids
+        for shard_id in shard_ids:
+            if shard_id not in routed:
+                raise ConfigurationError(
+                    f"no routed shard {shard_id}; "
+                    f"the shards are {list(routed)}")
+        if len(set(shard_ids)) < len(shard_ids):
+            raise ConfigurationError(
+                f"cannot merge shard {shard_ids[0]} into itself")
 
     def _begin(self, kind: str, source_id: int, target_id: int,
                route: RouteMap, moved_ranges: tuple) -> Migration:

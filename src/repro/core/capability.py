@@ -55,12 +55,6 @@ class CapabilityProfile:
             self.deployment,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            **dict(zip(TABLE_I_ROWS, self.cells())),
-        }
-
 
 @dataclass(frozen=True)
 class BackendDescriptor:
@@ -90,17 +84,3 @@ class BackendDescriptor:
     cost_per_query: float = 1.0
     generation_keys: tuple = ()
     notes: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "backend_id": self.backend_id,
-            "system": self.system,
-            "search_api": self.search_api,
-            "verticals": list(self.verticals),
-            "supports_sites": self.supports_sites,
-            "supports_fielded": self.supports_fielded,
-            "supports_entity": self.supports_entity,
-            "cost_per_query": self.cost_per_query,
-            "generation_keys": list(self.generation_keys),
-            "notes": dict(self.notes),
-        }

@@ -589,13 +589,5 @@ class SourceRegistry:
                 f"no data source {source_id!r}"
             ) from None
 
-    def remove(self, source_id: str) -> None:
-        if source_id not in self._sources:
-            raise NotFoundError(f"no data source {source_id!r}")
-        del self._sources[source_id]
-
     def ids(self) -> list[str]:
         return sorted(self._sources)
-
-    def by_kind(self, kind: SourceKind) -> list[DataSource]:
-        return [s for s in self._sources.values() if s.kind == kind]

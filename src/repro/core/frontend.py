@@ -4,7 +4,7 @@
 resolves the request path through the router, validates the embed key,
 executes the query, and wraps the outcome in an HTTP-shaped response —
 including the error statuses a real deployment needs (404 unknown app,
-403 bad embed key, 429 rate limited, 400 bad query).
+403 bad embed key, 400 bad query).
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.runtime import QueryRequest
-from repro.errors import (
-    NotFoundError,
-    PublicationError,
-    QueryError,
-    QuotaExceededError,
-)
+from repro.errors import NotFoundError, PublicationError, QueryError
 
 __all__ = ["HttpResponse", "HostingFrontend"]
 
@@ -67,8 +62,6 @@ class HostingFrontend:
                 customer_id=params.get("customer", ""),
                 page=page,
             ))
-        except QuotaExceededError as exc:
-            return HttpResponse(429, str(exc), "text/plain")
         except QueryError as exc:
             return HttpResponse(400, f"bad query: {exc}", "text/plain")
         return HttpResponse(200, response.html)

@@ -705,7 +705,6 @@ class Symphony:
             "mode": "drag-n-drop",
             "coding_required": False,
             "templates": self.themes.names(),
-            "stylesheets": True,
         }
 
     def deployment_options(self) -> list[str]:

@@ -1,4 +1,4 @@
-"""Presentation: themes, templates, stylesheets, and the HTML renderer.
+"""Presentation: themes, templates, and the HTML renderer.
 
 §II-A Presentation: "further customization of the application's look-and-
 feel is supported via templates, wizard-style assistance from Symphony, or
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.core.application import ElementKind
 from repro.errors import NotFoundError, RenderError
 
-__all__ = ["Theme", "ThemeRegistry", "StyleSheet", "HtmlRenderer",
+__all__ = ["Theme", "ThemeRegistry", "HtmlRenderer",
            "PresentationWizard"]
 
 
@@ -76,28 +76,8 @@ class ThemeRegistry:
                 f"no theme {name!r}; available: {sorted(self._themes)}"
             ) from None
 
-    def register(self, theme: Theme) -> None:
-        self._themes[theme.name] = theme
-
     def names(self) -> list[str]:
         return sorted(self._themes)
-
-
-@dataclass
-class StyleSheet:
-    """Designer-supplied CSS rules, for the web-savvy path."""
-
-    rules: dict = field(default_factory=dict)  # selector -> {prop: value}
-
-    def to_css(self) -> str:
-        blocks = []
-        for selector in sorted(self.rules):
-            body = "; ".join(
-                f"{prop}: {value}"
-                for prop, value in sorted(self.rules[selector].items())
-            )
-            blocks.append(f"{selector} {{ {body} }}")
-        return "\n".join(blocks)
 
 
 def _inline_style(style: dict) -> str:
@@ -140,8 +120,7 @@ class HtmlRenderer:
 
     # -- application level ---------------------------------------------------------
 
-    def render_app(self, app, views, ad_items=(),
-                   stylesheet: StyleSheet | None = None) -> str:
+    def render_app(self, app, views, ad_items=()) -> str:
         """Render primary result views (plus ads) per the app's layout.
 
         ``views`` is a list of ``PrimaryResultView`` from the runtime; each
@@ -151,8 +130,6 @@ class HtmlRenderer:
         parts = [f'<div class="symphony-app" data-app="'
                  f'{html.escape(app.app_id, quote=True)}"'
                  f"{_inline_style(theme.style_for('app'))}>"]
-        if stylesheet is not None and stylesheet.rules:
-            parts.append(f"<style>{stylesheet.to_css()}</style>")
         for slot in app.slots:
             binding = app.binding(slot.binding_id)
             if binding.role.value == "ads":

@@ -30,11 +30,11 @@ from repro.errors import (
     NotFoundError,
     ReproError,
 )
-# ResultCache, CircuitBreaker, and RateLimiter grew up in this module;
-# they now live with the serving tier but keep their historical import
-# path (``repro.core.runtime.ResultCache`` etc.) through this re-export.
+# ResultCache and CircuitBreaker grew up in this module; they now live
+# with the serving tier but keep their historical import path
+# (``repro.core.runtime.ResultCache`` etc.) through this re-export.
 from repro.gateway.cache import ResultCache
-from repro.gateway.primitives import CircuitBreaker, RateLimiter
+from repro.gateway.primitives import CircuitBreaker
 from repro.resilience import Deadline, Retrier
 from repro.searchengine.logs import QueryEvent
 from repro.slo import NULL_SLO
@@ -50,7 +50,6 @@ __all__ = [
     "QueryContext",
     "ResultCache",
     "CircuitBreaker",
-    "RateLimiter",
     "ApplicationRegistry",
     "SymphonyRuntime",
 ]
@@ -251,7 +250,6 @@ class SymphonyRuntime:
                  cache: ResultCache | None = None,
                  cache_enabled: bool = True,
                  supplemental_mode: str = "per_result",
-                 rate_limiter: "RateLimiter | None" = None,
                  circuit_breaker: "CircuitBreaker | None" = None,
                  community_feedback=None,
                  telemetry: Telemetry | None = None,
@@ -294,7 +292,6 @@ class SymphonyRuntime:
         self.cache = cache if cache is not None else ResultCache()
         self.cache_enabled = cache_enabled
         self.telemetry.bind_result_cache(self.cache)
-        self.rate_limiter = rate_limiter
         self.circuit_breaker = circuit_breaker or CircuitBreaker(
             self.clock, events=self.telemetry.events,
         )
@@ -441,8 +438,6 @@ class SymphonyRuntime:
         request = ctx.request
         ctx.app = app = self._apps.get(request.app_id)
         ctx.query_text = request.query_text
-        if self.rate_limiter is not None:
-            self.rate_limiter.check(app.app_id)
         if ctx.trace.span and ctx.deadline is not None:
             # What is left now: gateway queueing is already charged.
             ctx.trace.span.set("deadline_budget_ms",

@@ -65,9 +65,6 @@ class CheckpointStore:
     def latest(self, shard_id: int) -> Checkpoint | None:
         return self._latest.get(shard_id)
 
-    def shard_ids(self) -> list:
-        return sorted(self._latest)
-
 
 def take_checkpoint(replica, clock: SimClock | None = None) -> Checkpoint:
     """Snapshot ``replica``'s per-vertical state at its applied LSN.

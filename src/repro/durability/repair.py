@@ -63,20 +63,6 @@ class RecoveryReport:
     catch_up_ms: float = 0.0        # simulated repair duration
     converged: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "replica_id": self.replica_id,
-            "lag_records": self.lag_records,
-            "checkpoint_lsn": self.checkpoint_lsn,
-            "docs_restored": self.docs_restored,
-            "records_replayed": self.records_replayed,
-            "writes_missed": self.writes_missed,
-            "digest_match": self.digest_match,
-            "catch_up_ms": round(self.catch_up_ms, 3),
-            "converged": self.converged,
-        }
-
 
 class RecoveryManager:
     """Repairs crashed replicas from checkpoint + WAL replay."""

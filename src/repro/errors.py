@@ -161,14 +161,6 @@ class ContractViolationError(IngestError):
         )
 
 
-class StorageError(ReproError):
-    """A storage-layer invariant was violated."""
-
-
-class VersionConflictError(StorageError):
-    """Optimistic concurrency check failed on a record update."""
-
-
 class RenderError(ReproError):
     """Layout rendering failed."""
 

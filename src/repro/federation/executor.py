@@ -63,16 +63,6 @@ class BackendOutcome:
     cost: float = 0.0
     error: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "backend_id": self.backend_id,
-            "query": self.query,
-            "ok": self.ok,
-            "item_count": self.item_count,
-            "cost": self.cost,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class FederationResult:

@@ -24,7 +24,7 @@ Enable it with ``Symphony(gateway=True)`` (or a tuned
 :meth:`Symphony.query_via_gateway`.
 
 :mod:`repro.gateway.primitives` additionally hosts the serving
-primitives (:class:`CircuitBreaker`, :class:`RateLimiter`) that
+primitive :class:`CircuitBreaker` that
 historically lived in ``core.runtime`` and are still re-exported there.
 """
 
@@ -40,7 +40,7 @@ from repro.gateway.coalesce import FlightEntry, SingleFlightTable, Ticket
 from repro.gateway.fairqueue import DeficitRoundRobinQueue
 from repro.gateway.gateway import Gateway, GatewayConfig
 from repro.gateway.generations import GenerationRegistry, table_key
-from repro.gateway.primitives import CircuitBreaker, RateLimiter
+from repro.gateway.primitives import CircuitBreaker
 
 __all__ = [
     "Gateway",
@@ -57,5 +57,4 @@ __all__ = [
     "table_key",
     "ResultCache",
     "CircuitBreaker",
-    "RateLimiter",
 ]

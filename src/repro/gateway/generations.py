@@ -83,6 +83,3 @@ class GenerationRegistry:
         self._events.emit("generation.bump", key=key,
                           generation=generation)
         return generation
-
-    def keys(self) -> list[str]:
-        return sorted(self._generations)

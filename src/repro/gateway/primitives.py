@@ -1,23 +1,19 @@
-"""Shared serving primitives: circuit breaker and rate limiter.
+"""Shared serving primitive: the circuit breaker.
 
-These classes grew up inside :mod:`repro.core.runtime`; the gateway, the
-cluster, and the runtime all use them, so they live here now.  The
-runtime re-exports them under their historical names
-(``repro.core.runtime.CircuitBreaker`` etc.) for backward compatibility.
+It grew up inside :mod:`repro.core.runtime`; the gateway, the cluster,
+and the runtime all use it, so it lives here now. The runtime re-exports
+it under its historical name (``repro.core.runtime.CircuitBreaker``).
 
 Everything is judged against :class:`repro.util.SimClock`. Like the
-rest of the platform below the gateway, these objects have one caller
-at a time (see ``docs/API.md``).
+rest of the platform below the gateway, it has one caller at a time
+(see ``docs/API.md``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from repro.errors import QuotaExceededError
 from repro.telemetry import NULL_EVENTS
 
-__all__ = ["CircuitBreaker", "RateLimiter"]
+__all__ = ["CircuitBreaker"]
 
 
 class CircuitBreaker:
@@ -89,64 +85,3 @@ class CircuitBreaker:
         self._opened_at_ms.pop(source_id, None)
         if was_tripped:
             self._emit("circuit.closed", source_id)
-
-    def state(self, source_id: str) -> str:
-        if source_id in self._half_open:
-            return "half_open"
-        if source_id in self._opened_at_ms:
-            return "open"
-        if self._consecutive_failures.get(source_id, 0) > 0:
-            return "degraded"
-        return "closed"
-
-
-class RateLimiter:
-    """Sliding-window per-application request limiter.
-
-    Hosting shoulders every application's execution cost (§II-A
-    Hosting), so a runaway embed must not starve the platform. Judged
-    against the simulated clock; disabled unless attached to a runtime.
-    """
-
-    def __init__(self, clock, max_requests: int = 600,
-                 window_ms: int = 60_000, events=NULL_EVENTS) -> None:
-        if max_requests <= 0 or window_ms <= 0:
-            raise ValueError("rate limit parameters must be positive")
-        self._clock = clock
-        self.max_requests = max_requests
-        self.window_ms = window_ms
-        self._sink = events
-        # Timestamps are appended in clock order, so eviction is always
-        # from the left: a deque makes that O(1) per expired event where
-        # list.pop(0) was O(n) at exactly the traffic the limiter exists
-        # to police.
-        self._events: dict[str, deque] = {}
-
-    def _evict(self, events: deque, horizon: int) -> None:
-        while events and events[0] <= horizon:
-            events.popleft()
-
-    def check(self, app_id: str) -> None:
-        """Record one request; raise when the app exceeds its window."""
-        now = self._clock.now_ms
-        horizon = now - self.window_ms
-        events = self._events.setdefault(app_id, deque())
-        self._evict(events, horizon)
-        if len(events) >= self.max_requests:
-            self._sink.emit(
-                "ratelimit.rejected", app_id=app_id,
-                limit=self.max_requests, window_ms=self.window_ms,
-            )
-            raise QuotaExceededError(
-                f"application {app_id} exceeded "
-                f"{self.max_requests} requests per "
-                f"{self.window_ms} ms"
-            )
-        events.append(now)
-
-    def remaining(self, app_id: str) -> int:
-        events = self._events.get(app_id)
-        if events is None:
-            return self.max_requests
-        self._evict(events, self._clock.now_ms - self.window_ms)
-        return max(0, self.max_requests - len(events))

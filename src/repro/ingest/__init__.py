@@ -20,7 +20,6 @@ from repro.ingest.pipeline import DatasetIngestor, IngestReport
 from repro.ingest.readers import (
     parse_delimited,
     parse_json_array,
-    parse_json_lines,
     parse_xml_records,
     sniff_delimiter,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "IngestReport",
     "parse_delimited",
     "parse_json_array",
-    "parse_json_lines",
     "parse_xml_records",
     "sniff_delimiter",
     "FeedPublisher",

@@ -16,7 +16,6 @@ from repro.errors import IngestError
 from repro.ingest.readers import (
     parse_delimited,
     parse_json_array,
-    parse_json_lines,
     parse_xml_records,
 )
 from repro.ingest.rss import parse_rss
@@ -51,7 +50,6 @@ _EXTENSION_FORMATS = {
     ".txt": "delimited",
     ".xml": "xml",
     ".json": "json",
-    ".jsonl": "jsonlines",
     ".xlsw": "workbook",
     ".rss": "rss",
 }
@@ -63,7 +61,6 @@ _CONTENT_TYPE_FORMATS = {
     "application/xml": "xml",
     "text/xml": "xml",
     "application/json": "json",
-    "application/x-jsonlines": "jsonlines",
     "application/x-workbook": "workbook",
     "application/rss+xml": "rss",
 }
@@ -100,8 +97,6 @@ def rows_from_payload(payload, fmt: str | None = None,
         return parse_xml_records(payload.data), fmt
     if fmt == "json":
         return parse_json_array(payload.data), fmt
-    if fmt == "jsonlines":
-        return parse_json_lines(payload.data), fmt
     if fmt == "workbook":
         workbook = parse_workbook(payload.data)
         worksheet = (workbook.sheet(sheet) if sheet

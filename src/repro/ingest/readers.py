@@ -1,4 +1,4 @@
-"""Structured-format readers: delimited text, XML, JSON and JSON lines.
+"""Structured-format readers: delimited text, XML and JSON arrays.
 
 Every reader returns a list of flat ``dict`` rows with string keys; type
 coercion happens later against the table schema (declared or inferred), so
@@ -19,7 +19,6 @@ __all__ = [
     "sniff_delimiter",
     "parse_delimited",
     "parse_xml_records",
-    "parse_json_lines",
     "parse_json_array",
     "decode_text",
 ]
@@ -147,28 +146,6 @@ def parse_xml_records(data, record_element: str | None = None) -> list[dict]:
         if not row and (element.text or "").strip():
             row["value"] = element.text.strip()
         rows.append(row)
-    return rows
-
-
-def parse_json_lines(data) -> list[dict]:
-    """One JSON object per line."""
-    text = decode_text(data)
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"line {line_no}: invalid JSON: {exc}") from exc
-        if not isinstance(value, dict):
-            raise IngestError(
-                f"line {line_no}: expected a JSON object, "
-                f"got {type(value).__name__}"
-            )
-        rows.append(value)
-    if not rows:
-        raise IngestError("JSON-lines upload contains no rows")
     return rows
 
 

@@ -26,7 +26,7 @@ the exact same storm every run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import ConfigurationError, DurabilityError, ReproError
 from repro.resilience import ResilienceConfig
@@ -94,6 +94,10 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
+        """Build a plan from its JSON form; raises
+        :class:`ConfigurationError` naming the key path of any key the
+        harness would not read, or of a missing one it needs."""
+        _check_plan(data)
         _missing = object()
         data = dict(data)
         retry = data.pop("retry", None)
@@ -130,6 +134,75 @@ class FaultPlan:
             retry=self.retry,
             hedge=self.hedge,
         )
+
+
+#: reshard step op -> the keys it needs.
+_RESHARD_OPS = {"split": {"shard"}, "merge": {"source", "target"}}
+
+
+def _check_keys(block, allowed, path: str, required=()) -> None:
+    if not isinstance(block, dict):
+        raise ConfigurationError(
+            f"fault plan: {path or 'the plan'} is not an object")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ConfigurationError(
+            f"fault plan: unknown key {path + '.' if path else ''}"
+            f"{unknown[0]}")
+    missing = sorted(set(required) - set(block))
+    if missing:
+        raise ConfigurationError(f"fault plan: {path} has no {missing[0]}")
+
+
+def _check_plan(data) -> None:
+    """Check every key of a plan's JSON form against the keys the
+    harness reads (see :class:`FaultPlan`)."""
+    from repro.simweb.generator import WebSpec
+    from repro.slo import SLOConfig, SLODefinition
+
+    def names(cls) -> set:
+        return {item.name for item in fields(cls)}
+
+    _check_keys(data, names(FaultPlan) | {"replicas", "cluster"}, "")
+    blocks = {
+        "replicas": {"fault_rate", "latency_spike_ms",
+                     "latency_spike_rate", "flap_period"},
+        "cluster": {"num_shards", "replicas_per_shard"},
+        "retry": names(RetryPolicy),
+        "hedge": names(HedgePolicy),
+        "web": names(WebSpec) - {"seed"},
+        "slo": names(SLOConfig) | {"expect_burn", "expect_dominant"},
+        "reshard": {"steps", "batch_size", "probe_docs", "probe_queries",
+                    "cache_probe_query"},
+        "durability": {"storage", "checkpoint_every", "ingest_per_query",
+                       "crashes", "expect_recovered",
+                       "expect_digest_match", "expect_missed_writes"},
+    }
+    for name, allowed in blocks.items():
+        if data.get(name) is not None:
+            _check_keys(data[name], allowed, name)
+    for name, profile in (data.get("services") or {}).items():
+        _check_keys(profile, {"failure_probability", "latency_spike_ms",
+                              "latency_spike_probability"},
+                    f"services.{name}")
+    for index, slo in enumerate((data.get("slo") or {}).get("slos", ())):
+        _check_keys(slo, names(SLODefinition), f"slo.slos[{index}]")
+    reshard = data.get("reshard") or {}
+    for index, step in enumerate(reshard.get("steps", ())):
+        path = f"reshard.steps[{index}]"
+        _check_keys(step, {"at", "op", "shard", "source", "target"}, path,
+                    required={"op"})
+        needs = _RESHARD_OPS.get(step["op"])
+        if needs is None:
+            raise ConfigurationError(
+                f"fault plan: {path}.op is {step['op']!r}, "
+                f"not split or merge")
+        _check_keys(step, {"at", "op", *needs}, path, required=needs)
+    durability = data.get("durability") or {}
+    for index, crash in enumerate(durability.get("crashes", ())):
+        _check_keys(crash, {"at", "shard", "replica", "recover_at",
+                            "during_reshard"},
+                    f"durability.crashes[{index}]", required={"shard"})
 
 
 def load_fault_plan(path) -> FaultPlan:
@@ -448,7 +521,7 @@ class _ReshardStorm:
         controlplane = self.controlplane
         if (not controlplane.active and self.ops
                 and index >= self.ops[0].get("at", 0)):
-            self._start(self.ops.pop(0))
+            self._start(self.ops.pop(0), index)
         elif controlplane.active:
             from repro.controlplane import CUTOVER
             if controlplane.migration.state == CUTOVER:
@@ -471,14 +544,17 @@ class _ReshardStorm:
 
     # -- internals ------------------------------------------------------------
 
-    def _start(self, op: dict) -> None:
-        if op["op"] == "split":
-            migration = self.controlplane.begin_split(op["shard"])
-        elif op["op"] == "merge":
-            migration = self.controlplane.begin_merge(
-                op["source"], op["target"])
-        else:
-            raise ValueError(f"unknown reshard op {op['op']!r}")
+    def _start(self, op: dict, index: int) -> None:
+        try:
+            if op["op"] == "split":
+                migration = self.controlplane.begin_split(op["shard"])
+            else:
+                migration = self.controlplane.begin_merge(
+                    op["source"], op["target"])
+        except ConfigurationError as exc:
+            self.report.violations.append(
+                f"reshard: {op['op']} at {index}: {exc}")
+            return
         self.doc_probes.extend(migration.pending[:self.probe_limit])
         self.started += 1
 

@@ -76,9 +76,6 @@ class SearchOptions:
     freshness_days: int | None = None    # news-only recency window
     augment_terms: tuple[str, ...] = ()  # terms silently ANDed in
 
-    def restricted(self) -> bool:
-        return bool(self.sites)
-
 
 @dataclass(frozen=True)
 class SearchResult:

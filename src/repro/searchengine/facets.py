@@ -32,9 +32,6 @@ class FacetResult:
     def top(self, n: int = 5) -> list:
         return list(self.counts[:n])
 
-    def as_dict(self) -> dict:
-        return {fc.value: fc.count for fc in self.counts}
-
     @classmethod
     def of(cls, field_name: str, buckets: dict) -> "FacetResult":
         """The result for ``{value: count}`` buckets."""

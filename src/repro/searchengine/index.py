@@ -231,12 +231,6 @@ class InvertedIndex:
         """Analyzed token count per doc id of one text field (live view)."""
         return self._field_lengths.get(name, {})
 
-    def average_field_length(self, name: str) -> float:
-        lengths = self._field_lengths.get(name)
-        if not lengths:
-            return 0.0
-        return self._total_field_length.get(name, 0) / len(lengths)
-
     def total_field_length(self, name: str) -> int:
         """Sum of analyzed token counts across all docs with the field."""
         return self._total_field_length.get(name, 0)

@@ -80,7 +80,3 @@ class QueryLog:
                 click.site
             )
         return by_query
-
-    def clear(self) -> None:
-        self.queries.clear()
-        self.clicks.clear()

@@ -79,6 +79,6 @@ class CorpusStats:
         stats = self.fields.get(name)
         if stats is None or stats.doc_count == 0:
             return 0.0
-        # Same integer operands as InvertedIndex.average_field_length on
-        # the union index, hence bit-identical float results.
+        # The union index's own integer operands (total length over
+        # documents with the field), hence bit-identical float results.
         return stats.total_length / stats.doc_count

@@ -18,7 +18,7 @@ from repro.services.ads import AdCampaign, AdResult, AdService, Advertiser
 from repro.services.bus import ServiceBus, ServiceDescriptor
 from repro.services.rest import RestService
 from repro.services.samples import PricingService, ReviewArchiveService
-from repro.services.soap import SoapEnvelope, SoapService
+from repro.services.soap import SoapService
 
 __all__ = [
     "AdCampaign",
@@ -30,6 +30,5 @@ __all__ = [
     "RestService",
     "PricingService",
     "ReviewArchiveService",
-    "SoapEnvelope",
     "SoapService",
 ]

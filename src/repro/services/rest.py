@@ -13,7 +13,6 @@ import re
 
 from repro.errors import NotFoundError
 from repro.services.bus import ServiceDescriptor
-from repro.telemetry.trace import NULL_TRACER
 
 __all__ = ["RestService"]
 
@@ -35,15 +34,10 @@ class RestService:
 
     name = "rest-service"
     description = ""
-    tracer = NULL_TRACER
 
     def __init__(self) -> None:
         self.routes: dict[str, object] = {}
         self._compiled: list[tuple[str, re.Pattern, object]] = []
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Trace invocations under the caller's current span."""
-        self.tracer = telemetry.tracer
 
     def route(self, operation: str, handler) -> None:
         self.routes[operation] = handler
@@ -63,13 +57,6 @@ class RestService:
     def invoke(self, operation: str, params: dict):
         """Bus entry point. ``operation`` may be a declared route key or a
         concrete ``"GET /prices/halo-3"`` that matches a template."""
-        if not self.tracer.enabled:
-            return self._dispatch(operation, params)
-        with self.tracer.span(f"rest:{self.name}") as span:
-            span.set("operation", operation)
-            return self._dispatch(operation, params)
-
-    def _dispatch(self, operation: str, params: dict):
         handler = self.routes.get(operation)
         if handler is not None:
             return handler(dict(params))

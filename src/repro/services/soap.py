@@ -1,29 +1,19 @@
 """SOAP-style services: envelopes and typed operations.
 
 A :class:`SoapService` declares operations with named input/output parts;
-invocations travel as :class:`SoapEnvelope` objects, and errors surface as
+an invocation's body is a dict of those parts, and errors surface as
 faults (:class:`~repro.errors.ServiceFaultError`) with a code and reason —
 the shape real SOAP integrations give Symphony.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import NotFoundError, ServiceFaultError, ValidationError
 from repro.services.bus import ServiceDescriptor
-from repro.telemetry.trace import NULL_TRACER
 
-__all__ = ["SoapEnvelope", "SoapOperation", "SoapService"]
-
-
-@dataclass(frozen=True)
-class SoapEnvelope:
-    """A SOAP message: headers plus a body of named parts."""
-
-    operation: str
-    body: dict
-    headers: dict = field(default_factory=dict)
+__all__ = ["SoapOperation", "SoapService"]
 
 
 @dataclass(frozen=True)
@@ -40,14 +30,9 @@ class SoapService:
 
     name = "soap-service"
     description = ""
-    tracer = NULL_TRACER
 
     def __init__(self) -> None:
         self._operations: dict[str, tuple[SoapOperation, object]] = {}
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Trace invocations under the caller's current span."""
-        self.tracer = telemetry.tracer
 
     def operation(self, contract: SoapOperation, handler) -> None:
         self._operations[contract.name] = (contract, handler)
@@ -62,13 +47,6 @@ class SoapService:
 
     def invoke(self, operation: str, params: dict):
         """Bus entry point: validate parts, call handler, wrap faults."""
-        if not self.tracer.enabled:
-            return self._dispatch(operation, params)
-        with self.tracer.span(f"soap:{self.name}") as span:
-            span.set("operation", operation)
-            return self._dispatch(operation, params)
-
-    def _dispatch(self, operation: str, params: dict):
         entry = self._operations.get(operation)
         if entry is None:
             raise NotFoundError(
@@ -102,12 +80,3 @@ class SoapService:
                 f"{missing_out}",
             )
         return result
-
-    def call(self, envelope: SoapEnvelope) -> SoapEnvelope:
-        """Direct envelope-in / envelope-out calling convention."""
-        body = self.invoke(envelope.operation, envelope.body)
-        return SoapEnvelope(
-            operation=f"{envelope.operation}Response",
-            body=body,
-            headers=dict(envelope.headers),
-        )

@@ -54,14 +54,8 @@ class SiteCooccurrenceGraph:
     def sites(self) -> list[str]:
         return sorted(self.weights)
 
-    def neighbors(self, site: str) -> dict:
-        return dict(self.weights.get(site, {}))
-
     def edge_weight(self, a: str, b: str) -> float:
         return self.weights.get(a, {}).get(b, 0.0)
-
-    def degree(self, site: str) -> float:
-        return sum(self.weights.get(site, {}).values())
 
     def pmi(self, a: str, b: str) -> float:
         """Pointwise mutual information between two sites' occurrences."""

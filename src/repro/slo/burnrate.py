@@ -74,7 +74,3 @@ class BurnRateAlerter:
         if kind == "fire":
             self._metrics.counter("slo_burn_alerts_total",
                                   slo=self.slo.name).inc()
-
-    def fired(self) -> list[dict]:
-        """The ``fire`` transitions only, oldest first."""
-        return [a for a in self.alerts if a["kind"] == "fire"]

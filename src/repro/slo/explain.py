@@ -58,11 +58,6 @@ class Attribution:
         name, fraction = self.dominant
         return f"{name} {fraction * 100:.0f}%" if name else "(no spans)"
 
-    def share(self, prefix: str) -> float:
-        """Combined fraction of all components starting with ``prefix``."""
-        return sum(fraction for name, fraction in self.fractions()
-                   if name.startswith(prefix))
-
     def render(self) -> str:
         lines = [f"explain {self.query_id}: "
                  f"{self.total_ms:.1f} simulated ms total"]
@@ -95,11 +90,9 @@ def _component(name: str, attrs: dict) -> str:
         return name
     if name == "source":
         return f"source:{attrs.get('source_id', '?')}"
-    if name in ("cluster.search", "cluster.facets") \
-            or name.startswith("phase:"):
+    if name == "cluster.search" or name.startswith("phase:"):
         return "cluster"
-    if name.startswith(("stats:shard-", "exec:shard-",
-                        "gather:shard-", "facets:shard-")):
+    if name.startswith(("stats:shard-", "exec:shard-", "gather:shard-")):
         return f"shard:{name.split('shard-', 1)[1]}"
     if name.startswith("attempt:"):
         # attempt:shard-2/replica-1 -> "shard:2 replica:1"

@@ -40,21 +40,6 @@ class FlightRecord:
     def anomalous(self) -> bool:
         return self.reasons != ("sampled",)
 
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "tenant": self.tenant,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "latency_ms": self.latency_ms,
-            "degraded": self.degraded,
-            "errored": self.errored,
-            "completeness": self.completeness,
-            "reasons": list(self.reasons),
-            "spans": [dict(s) for s in self.spans],
-            "events": [dict(e) for e in self.events],
-        }
-
 
 @dataclass
 class RecorderStats:

@@ -3,7 +3,7 @@
 The paper: "Symphony provides private and secure space to store and index
 proprietary data belonging to the application designer." This package
 implements that space: a multi-tenant catalog (:mod:`tenant`), typed record
-tables with schema inference and optimistic versioning (:mod:`records`), a
+tables with schema inference and versioned rows (:mod:`records`), a
 blob store for raw uploads (:mod:`blobs`), and scoped access tokens
 (:mod:`tokens`). Quotas bound each tenant's footprint.
 """

@@ -1,4 +1,4 @@
-"""Typed record tables with schema inference and optimistic versioning.
+"""Typed record tables with schema inference and versioned rows.
 
 Proprietary uploads land here after normalization. A table owns a
 :class:`Schema` (either declared or inferred from data), validates and
@@ -18,7 +18,6 @@ from repro.errors import (
     DuplicateError,
     NotFoundError,
     ValidationError,
-    VersionConflictError,
 )
 
 __all__ = [
@@ -229,9 +228,6 @@ class Record:
     values: dict
     version: int = 1
 
-    def get(self, name: str, default=None):
-        return self.values.get(name, default)
-
 
 class RecordTable:
     """A named table of records under one schema.
@@ -310,24 +306,6 @@ class RecordTable:
                 f"no record {record_id!r} in table {self.name!r}"
             ) from None
 
-    def update(self, record_id: str, changes: dict,
-               expected_version: int | None = None) -> Record:
-        current = self.get(record_id)
-        if expected_version is not None \
-                and current.version != expected_version:
-            raise VersionConflictError(
-                f"record {record_id}: expected version "
-                f"{expected_version}, found {current.version}"
-            )
-        merged = dict(current.values)
-        merged.update(changes)
-        values = self.schema.coerce_row(merged)
-        self._unindex_record(current)
-        updated = Record(record_id, values, version=current.version + 1)
-        self._records[record_id] = updated
-        self._index_record(updated)
-        return updated
-
     def upsert_by(self, key_field: str, row: dict) -> Record:
         """Insert, or update the single record whose ``key_field`` matches."""
         return self._upsert_values(key_field,
@@ -350,8 +328,7 @@ class RecordTable:
                 f"upsert key {key_field}={key!r} matches "
                 f"{len(existing)} records"
             )
-        # Full-row replacement: ``values`` carries every schema field,
-        # so this matches update()'s merge without re-coercing.
+        # Full-row replacement: ``values`` carries every schema field.
         current = existing[0]
         self._unindex_record(current)
         updated = Record(current.record_id, values,

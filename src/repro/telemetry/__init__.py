@@ -8,7 +8,7 @@ Three coordinated instruments behind one :class:`Telemetry` bundle:
   :class:`~repro.util.SimClock` so span trees replay identically.
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — counters, gauges,
   and streaming histograms (p50/p95/p99) for cache behaviour, circuit
-  breakers, rate limits, per-shard latency, and degradation.
+  breakers, gateway sheds, per-shard latency, and degradation.
 * :class:`~repro.telemetry.events.EventLog` — structured, timestamped
   facts (state transitions, rejections, failovers) with a JSONL
   exporter and a Prometheus-style text exposition.

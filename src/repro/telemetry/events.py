@@ -1,7 +1,7 @@
 """The structured event log: discrete facts, not samples.
 
 Where metrics aggregate and spans time, events record *that something
-happened*: a circuit opened, a rate limit rejected an app, a replica
+happened*: a circuit opened, the gateway shed a request, a replica
 fell out of rotation, an ingest completed. Each event is a timestamped
 kind plus a flat field dict, cheap enough to keep for a whole benchmark
 run and structured enough to export as JSONL.
@@ -73,15 +73,6 @@ class EventLog:
     def by_kind(self, kind: str) -> list:
         return [e for e in self.events if e.kind == kind]
 
-    def counts(self) -> dict:
-        out: dict[str, int] = {}
-        for event in self.events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return dict(sorted(out.items()))
-
-    def clear(self) -> None:
-        self._events.clear()
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -98,12 +89,6 @@ class NullEventLog:
 
     def by_kind(self, kind: str) -> tuple:
         return ()
-
-    def counts(self) -> dict:
-        return {}
-
-    def clear(self) -> None:
-        pass
 
     def __len__(self) -> int:
         return 0

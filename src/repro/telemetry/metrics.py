@@ -69,11 +69,6 @@ class Gauge:
         self._value = 0.0
         self._fn = fn
 
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise ValueError(f"gauge {self.name!r} is callback-backed")
-        self._value = float(value)
-
     @property
     def value(self) -> float:
         if self._fn is not None:
@@ -185,9 +180,6 @@ class _NullInstrument:
     count = 0
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
         pass
 
     def observe(self, value: float) -> None:

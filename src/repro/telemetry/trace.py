@@ -117,12 +117,6 @@ class Span:
             self.attrs = {}
         self.attrs[key] = value
 
-    @property
-    def duration_ms(self) -> float:
-        end = self.end_ms if self.end_ms is not None \
-            else self.tracer.clock.now_ms
-        return float(end - self.start_ms)
-
     def __enter__(self) -> "Span":
         self._token = _CURRENT_SPAN.set(self)
         return self
@@ -207,9 +201,6 @@ class Tracer:
         counts[name] = occurrence + 1
         return Span(self, parent, name, occurrence, self.clock.now_ms)
 
-    def current(self) -> Span | None:
-        return _CURRENT_SPAN.get()
-
     def _finish(self, span: Span) -> None:
         span.end_ms = self.clock.now_ms
         self._finished.setdefault(span.trace_id, []).append(span)
@@ -229,10 +220,6 @@ class Tracer:
         return sorted(self._finished.get(trace_id, ()),
                       key=_start_then_id)
 
-    def reset(self) -> None:
-        self._finished.clear()
-        self._root_counts.clear()
-
 
 class NullTracer:
     """The default: every ``span()`` is the same shared no-op object."""
@@ -243,14 +230,8 @@ class NullTracer:
     def span(self, name: str | None = None) -> _NullSpan:
         return _NULL_SPAN
 
-    def current(self) -> None:
-        return None
-
     def trace_spans(self, trace_id: str) -> tuple:
         return ()
-
-    def reset(self) -> None:
-        pass
 
 
 NULL_TRACER = NullTracer()

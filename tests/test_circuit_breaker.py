@@ -1,10 +1,23 @@
-"""Tests for the supplemental-source circuit breaker and rate limiter."""
+"""Tests for the supplemental-source circuit breaker and the gateway's
+token bucket."""
 
 import pytest
 
-from repro.core.runtime import CircuitBreaker, RateLimiter
-from repro.errors import QuotaExceededError
+from repro.core.runtime import CircuitBreaker
+from repro.gateway import TokenBucket
 from repro.util import SimClock
+
+
+def state(breaker, source_id: str) -> str:
+    """The breaker's state for ``source_id``, read without probing
+    (``is_open`` admits a half-open probe)."""
+    if source_id in breaker._half_open:
+        return "half_open"
+    if source_id in breaker._opened_at_ms:
+        return "open"
+    if breaker._consecutive_failures.get(source_id, 0) > 0:
+        return "degraded"
+    return "closed"
 
 
 class TestCircuitBreakerUnit:
@@ -17,7 +30,7 @@ class TestCircuitBreakerUnit:
             assert not breaker.is_open("s")
         breaker.record_failure("s")
         assert breaker.is_open("s")
-        assert breaker.state("s") == "open"
+        assert state(breaker, "s") == "open"
 
     def test_success_resets_counter(self):
         breaker = CircuitBreaker(SimClock(), failure_threshold=2)
@@ -25,7 +38,7 @@ class TestCircuitBreakerUnit:
         breaker.record_success("s")
         breaker.record_failure("s")
         assert not breaker.is_open("s")
-        assert breaker.state("s") == "degraded"
+        assert state(breaker, "s") == "degraded"
 
     def test_half_open_after_cooldown(self):
         clock = SimClock(start_ms=0)
@@ -47,7 +60,7 @@ class TestCircuitBreakerUnit:
         clock.advance(1000)
         assert not breaker.is_open("s")
         breaker.record_success("s")
-        assert breaker.state("s") == "closed"
+        assert state(breaker, "s") == "closed"
 
     def test_sources_independent(self):
         breaker = CircuitBreaker(SimClock(), failure_threshold=1)
@@ -71,12 +84,12 @@ class TestCircuitBreakerUnit:
         breaker.record_failure("s")
         clock.advance(1000)
         assert not breaker.is_open("s")       # the single probe
-        assert breaker.state("s") == "half_open"
+        assert state(breaker, "s") == "half_open"
         assert breaker.is_open("s")           # second caller: blocked
         assert breaker.is_open("s")           # and the third
         breaker.record_success("s")
         assert not breaker.is_open("s")       # verdict in: closed
-        assert breaker.state("s") == "closed"
+        assert state(breaker, "s") == "closed"
 
     def test_concurrent_half_open_probes_admit_exactly_one(self):
         # A burst of callers arriving together after cooldown gets
@@ -90,10 +103,10 @@ class TestCircuitBreakerUnit:
         clock.advance(1000)
         admitted = [n for n in range(16) if not breaker.is_open("s")]
         assert admitted == [0]
-        assert breaker.state("s") == "half_open"
+        assert state(breaker, "s") == "half_open"
         # The winning probe reports back; the circuit closes for all.
         breaker.record_success("s")
-        assert breaker.state("s") == "closed"
+        assert state(breaker, "s") == "closed"
 
     def test_failed_probe_restarts_cooldown(self):
         clock = SimClock(start_ms=0)
@@ -111,47 +124,45 @@ class TestCircuitBreakerUnit:
 
 
 class TestRateLimiterWindowBoundaries:
-    """Sliding-window eviction judged at exact SimClock boundaries."""
+    """The gateway's per-app token bucket, the one throttle, judged at
+    exact SimClock boundaries."""
 
     def test_evicts_exactly_at_window_edge(self):
         clock = SimClock(start_ms=0)
-        limiter = RateLimiter(clock, max_requests=2, window_ms=1000)
-        limiter.check("app")          # t=0
-        limiter.check("app")          # t=0, window now full
+        bucket = TokenBucket(clock, rate_per_s=1.0, capacity=2.0)
+        assert bucket.try_acquire()   # t=0
+        assert bucket.try_acquire()   # t=0, bucket now empty
         clock.advance(999)
-        with pytest.raises(QuotaExceededError):
-            limiter.check("app")      # t=999: both t=0 events live
+        assert not bucket.try_acquire()   # t=999: 0.999 of a token
         clock.advance(1)
-        # t=1000: the horizon is now-window = 0 and events at t <= 0
-        # leave the window — capacity is back at the exact boundary.
-        limiter.check("app")
-        assert limiter.remaining("app") == 1
+        # t=1000: exactly one token has refilled.
+        assert bucket.try_acquire()
+        assert bucket.available() == 0.0
 
     def test_rejected_requests_do_not_consume_capacity(self):
         clock = SimClock(start_ms=0)
-        limiter = RateLimiter(clock, max_requests=1, window_ms=1000)
-        limiter.check("app")
+        bucket = TokenBucket(clock, rate_per_s=1.0, capacity=1.0)
+        assert bucket.try_acquire()
         for __ in range(3):
-            with pytest.raises(QuotaExceededError):
-                limiter.check("app")
+            assert not bucket.try_acquire()
         clock.advance(1000)
-        # Only the single admitted request occupied the window; the
-        # rejected ones must not have extended it.
-        limiter.check("app")
+        # Only the admitted request drew a token; the rejected ones
+        # must not have pushed the refill back.
+        assert bucket.try_acquire()
 
     def test_window_slides_per_event_not_per_batch(self):
         clock = SimClock(start_ms=0)
-        limiter = RateLimiter(clock, max_requests=2, window_ms=1000)
-        limiter.check("app")          # t=0
+        bucket = TokenBucket(clock, rate_per_s=2.0, capacity=2.0)
+        assert bucket.try_acquire()   # t=0
+        assert bucket.try_acquire()   # t=0
         clock.advance(500)
-        limiter.check("app")          # t=500
-        clock.advance(500)
-        limiter.check("app")          # t=1000: t=0 evicted, t=500 live
-        with pytest.raises(QuotaExceededError):
-            limiter.check("app")      # t=500 + t=1000 still in window
-        clock.advance(500)
-        limiter.check("app")          # t=1500: t=500 evicted
-        assert limiter.remaining("app") == 0
+        assert bucket.try_acquire()   # t=500: one token refilled
+        assert not bucket.try_acquire()
+        clock.advance(250)
+        assert bucket.available() == 0.5   # refill is continuous
+        clock.advance(250)
+        assert bucket.try_acquire()   # t=1000
+        assert bucket.available() == 0.0
 
 
 class TestCircuitBreakerIntegration:
@@ -206,8 +217,8 @@ class TestCircuitBreakerIntegration:
         symphony, app_id, games, pricing = flaky_platform
         symphony.query(app_id, games[0])
         symphony.query(app_id, games[1])
-        assert symphony.runtime.circuit_breaker.state(
-            pricing.source_id) == "open"
+        assert state(symphony.runtime.circuit_breaker,
+                     pricing.source_id) == "open"
         # Service recovers; cooldown elapses; probe succeeds.
         from repro.services.bus import ServiceBus
         from repro.services.samples import PricingService
@@ -219,5 +230,5 @@ class TestCircuitBreakerIntegration:
         supplemental = list(
             response.views[0].supplemental.values())[0]
         assert supplemental.items
-        assert symphony.runtime.circuit_breaker.state(
-            pricing.source_id) == "closed"
+        assert state(symphony.runtime.circuit_breaker,
+                     pricing.source_id) == "closed"

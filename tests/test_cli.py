@@ -55,3 +55,19 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             self.run("frobnicate")
+
+    @pytest.mark.parametrize("argv", [
+        ("--split", "9"), ("--split", "-1"), ("--merge", "0", "9"),
+        ("--merge", "1", "-1"), ("--merge", "0", "0")])
+    def test_controlplane_refuses_an_unrouted_shard(self, capsys, argv):
+        assert self.run("controlplane", *argv) == 1
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert "shard" in out
+
+    def test_chaos_refuses_a_misspelled_plan(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"queries": 2, "durability": {"crash": []}}')
+        assert self.run("chaos", "--plan", str(plan)) == 1
+        assert capsys.readouterr().out == \
+            "fault plan: unknown key durability.crash\n"

@@ -56,7 +56,9 @@ class TestShardRouter:
     def test_partition_covers_everything(self):
         router = ShardRouter(3)
         ids = [f"doc-{i}" for i in range(50)]
-        parts = router.partition(ids)
+        parts: dict = {}
+        for doc_id in ids:
+            parts.setdefault(router.shard_of(doc_id), []).append(doc_id)
         assert sorted(parts) == [0, 1, 2]
         regathered = [d for shard in parts.values() for d in shard]
         assert sorted(regathered) == sorted(ids)
@@ -170,8 +172,12 @@ class TestScatterGatherExecutor:
 
 class TestClusteredSearch:
     def test_document_partitioning_is_complete(self, cluster, single):
+        def doc_count(vertical):
+            return sum(group.primary().doc_count(vertical)
+                       for group in cluster.active_groups())
+
         for vertical in ("web", "image", "video", "news"):
-            assert cluster.doc_count(vertical) == \
+            assert doc_count(vertical) == \
                 len(single.vertical(vertical).index)
         # No shard holds everything: the corpus is actually split.
         web_counts = [
@@ -179,7 +185,7 @@ class TestClusteredSearch:
             for group in cluster.groups
         ]
         assert all(count > 0 for count in web_counts)
-        assert max(web_counts) < cluster.doc_count("web")
+        assert max(web_counts) < doc_count("web")
 
     def test_search_logs_query_event(self, cluster):
         cluster.search("web", "wine", app_id="app-x",
@@ -230,9 +236,10 @@ class TestClusteredSearch:
 
     def test_health_snapshot(self, cluster):
         cluster.kill_replica(3, 1)
-        health = cluster.health()
-        assert health[3] == [True, False]
-        assert health[0] == [True, True]
+        assert [r.healthy for r in cluster.groups[3].replicas] == \
+            [True, False]
+        assert [r.healthy for r in cluster.groups[0].replicas] == \
+            [True, True]
 
     def test_incremental_add_remove(self, cluster):
         doc = FieldedDocument(
@@ -266,15 +273,16 @@ class TestClusteredSearch:
         assert response.urls() == [doc.doc_id]
 
     def test_vertical_view_supports_signals_surface(self, cluster):
-        view = cluster.vertical("web")
+        """What relevance signals read of a corpus, membership and the
+        stored document by URL, comes from the owning shard."""
         some_url = cluster.search("web", "wine").urls()[0]
-        assert some_url in view.index
-        assert view.index.document(some_url).get("url") == some_url
-        assert len(view.index) == cluster.doc_count("web")
-        assert "http://nowhere.example/" not in view.index
-        # Authority is the single shared dict all shards blend from.
-        view.authority["boosted"] = 0.5
-        assert cluster.authority["boosted"] == 0.5
+        owner = cluster.groups[cluster.router.shard_of(some_url)]
+        index = owner.primary().vertical("web").index
+        assert some_url in index
+        assert index.document(some_url).get("url") == some_url
+        assert all("http://nowhere.example/" not in
+                   group.primary().vertical("web").index
+                   for group in cluster.active_groups())
 
     def test_pagination_matches_single_node(self, cluster, single):
         for offset in (0, 3, 10):
@@ -377,7 +385,6 @@ def test_a_fanout_is_one_planned_cluster_call(tiny_web, monkeypatch):
             counting[0] = False
 
     monkeypatch.setattr(sym.engine, "search_many", counted)
-    sym.telemetry.tracer.reset()
     response = sym.query(app_id, "studio")
     lookups = [event.query for event in sym.engine.log.queries
                if event.vertical != "app"]
@@ -446,7 +453,8 @@ def test_build_split_and_add_replica_share_one_state(small_web):
     _one_state_per_shard(engine)
     lifecycle = ShardLifecycleManager(engine)
     lifecycle.begin_split(0)
-    lifecycle.run()
+    while lifecycle.active:
+        lifecycle.step()
     assert len(engine.groups) == 3
     added = lifecycle.add_replica(2)
     _one_state_per_shard(engine)

@@ -140,7 +140,8 @@ def test_a_cutover_invalidates_the_entry():
         again, taken = rounds_of(cluster, rounds, "web", "wine review")
         assert taken == 1, kind
         assert page(again) == page(after)
-        lifecycle.run()
+        while lifecycle.active:
+            lifecycle.step()
         assert lifecycle.migration is None
 
 
@@ -217,7 +218,10 @@ def reshard(cluster, kind: str) -> None:
         lifecycle.begin_merge(active[-1], active[0])
     else:
         return
-    assert lifecycle.run().state == COMPLETE
+    migration = lifecycle.migration
+    while lifecycle.active:
+        lifecycle.step()
+    assert migration.state == COMPLETE
 
 
 def assert_same(single, cluster, rounds, vertical, query) -> None:

@@ -266,9 +266,11 @@ class TestLiveResharding:
         baseline = snap(engine)
 
         lifecycle.begin_split(0)
-        lifecycle.run()
+        while lifecycle.active:
+            lifecycle.step()
         lifecycle.begin_merge(2, 0)
-        lifecycle.run()
+        while lifecycle.active:
+            lifecycle.step()
 
         assert engine.topology_version == 3
         assert engine.router.snapshot().shard_ids == (0, 1)
@@ -300,7 +302,9 @@ class TestLiveResharding:
                 .vertical("web").index
             assert moving in index
 
-        lifecycle.run()
+        while lifecycle.active:
+
+            lifecycle.step()
         response = engine.search("web", "zzfresh")
         assert response.urls() == [moving]
         assert engine.router.snapshot().shard_of(moving) == 2
@@ -321,7 +325,8 @@ class TestLiveResharding:
         while lifecycle.step() != CLEANUP:
             pass
         in_window = corrector_frequencies(engine)
-        lifecycle.run()
+        while lifecycle.active:
+            lifecycle.step()
 
         fresh = corrector_frequencies(make_cluster(num_shards=2))
         assert in_window != fresh       # the window double-counts
@@ -335,10 +340,27 @@ class TestLiveResharding:
             lifecycle.begin_split(1)
         with pytest.raises(ControlPlaneError):
             lifecycle.begin_merge(1, 0)
-        lifecycle.run()
+        while lifecycle.active:
+            lifecycle.step()
         assert lifecycle.step() is None     # idle manager is a no-op
-        with pytest.raises(ControlPlaneError):
-            lifecycle.run()
+
+    @pytest.mark.parametrize("begin", [
+        ("split", 9), ("split", -1), ("merge", 0, 9), ("merge", 1, -1),
+        ("merge", 0, 0), ("merge", 9, 0)])
+    def test_an_unrouted_shard_id_is_refused_before_any_change(
+            self, make_cluster, begin):
+        engine = make_cluster(num_shards=2)
+        lifecycle = ShardLifecycleManager(engine)
+        route = engine.router.snapshot()
+        groups = list(engine.groups)
+        start = (lifecycle.begin_split if begin[0] == "split"
+                 else lifecycle.begin_merge)
+        with pytest.raises(ConfigurationError):
+            start(*begin[1:])
+        assert not lifecycle.active
+        assert engine.write_fanout is None
+        assert engine.groups == groups
+        assert engine.router.snapshot() is route
 
 
 def drive(engine, autoscaler, ticks, queries=("news", "game"),
@@ -496,7 +518,8 @@ class TestPlatformIntegration:
         assert symphony.generations.valid(stamp)
 
         symphony.controlplane.begin_split(0)
-        symphony.controlplane.run()
+        while symphony.controlplane.active:
+            symphony.controlplane.step()
 
         # Cached results stamped under the old topology are now stale.
         assert symphony.generations.current(TOPOLOGY_KEY) == before + 1
@@ -528,7 +551,8 @@ class TestPlatformIntegration:
         assert symphony.query(app_id, query).trace.cache_hits == 1
 
         symphony.controlplane.begin_split(0)
-        symphony.controlplane.run()
+        while symphony.controlplane.active:
+            symphony.controlplane.step()
 
         after = symphony.query(app_id, query)
         assert after.trace.cache_hits == 0

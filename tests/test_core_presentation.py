@@ -1,4 +1,4 @@
-"""Tests for themes, stylesheets, and the HTML renderer."""
+"""Tests for themes and the HTML renderer."""
 
 import pytest
 
@@ -15,8 +15,6 @@ from repro.core.datasources import SourceItem, SourceResult
 from repro.core.presentation import (
     HtmlRenderer,
     PresentationWizard,
-    StyleSheet,
-    Theme,
     ThemeRegistry,
 )
 from repro.core.runtime import PrimaryResultView
@@ -68,22 +66,8 @@ class TestThemes:
         with pytest.raises(NotFoundError):
             ThemeRegistry().get("sparkly")
 
-    def test_register_custom(self):
-        registry = ThemeRegistry()
-        registry.register(Theme("brand", {"app": {"color": "red"}}))
-        assert registry.get("brand").style_for("app") == {"color": "red"}
-
     def test_style_for_unknown_role_empty(self):
         assert ThemeRegistry().get("clean").style_for("nothing") == {}
-
-
-class TestStyleSheet:
-    def test_css_generation_sorted(self):
-        sheet = StyleSheet({".b": {"color": "red"},
-                            ".a": {"font-size": "12px", "color": "blue"}})
-        css = sheet.to_css()
-        assert css.index(".a") < css.index(".b")
-        assert "color: blue; font-size: 12px" in css
 
 
 class TestElementRendering:
@@ -137,8 +121,8 @@ class TestElementRendering:
 
 
 class TestAppRendering:
-    def render(self, app, views, ads=(), stylesheet=None):
-        return HtmlRenderer().render_app(app, views, ads, stylesheet)
+    def render(self, app, views, ads=()):
+        return HtmlRenderer().render_app(app, views, ads)
 
     def view(self, supplemental=None):
         return PrimaryResultView(
@@ -183,12 +167,6 @@ class TestAppRendering:
                          theme="midnight")
         html = self.render(app, [self.view()])
         assert "#101418" in html  # midnight background
-
-    def test_stylesheet_included(self):
-        app = simple_app([LayoutElement(ElementKind.TEXT, "title")])
-        sheet = StyleSheet({".symphony-result": {"border": "1px solid red"}})
-        html = self.render(app, [self.view()], stylesheet=sheet)
-        assert "<style>" in html and "1px solid red" in html
 
     def test_views_filtered_by_slot(self):
         app = simple_app([LayoutElement(ElementKind.TEXT, "title")])

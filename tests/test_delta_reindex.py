@@ -18,6 +18,8 @@ from repro.storage.records import (
     Schema,
 )
 
+from tests.conftest import update_record
+
 _WORDS = ("halo", "odyssey", "arena", "braid", "combat", "evolved",
           "puzzle", "island", "racing", "deluxe")
 _FIELDS = ("title", "producer", "description")
@@ -117,7 +119,8 @@ def apply(table, mutation, added_fields):
     elif not records:
         return
     elif kind == "update":
-        table.update(records[args[0] % len(records)].record_id, args[1])
+        update_record(table, records[args[0] % len(records)].record_id,
+                      args[1])
 
 
 class TestEquivalence:
@@ -147,9 +150,9 @@ class TestEquivalence:
         assert source.search(SourceQuery("halo")).total_matches == 6
         victim = table.all_records()[0].record_id
         for i in range(CHANGE_TAIL // 2 + 1):
-            table.update(victim, {"description": _WORDS[i % 10]})
-        table.update(table.all_records()[1].record_id,
-                     {"description": _WORDS[3]})
+            update_record(table, victim, {"description": _WORDS[i % 10]})
+        update_record(table, table.all_records()[1].record_id,
+                      {"description": _WORDS[3]})
         assert table.changes_since(cursor) is None
         adds = count_calls(monkeypatch, "add")
         queries = [SourceQuery("halo"), SourceQuery('"halo odyssey"'),
@@ -165,13 +168,14 @@ class TestEquivalence:
         second = table.insert({"sku": "S2", "title": "braid"})
         source = make_source(table)
         source.search(SourceQuery("halo"))
-        table.update(first.record_id, {"title": "arena"})
+        update_record(table, first.record_id, {"title": "arena"})
         real_get, landed = table.get, []
 
         def get(record_id):
             if not landed:      # an upload lands mid-apply, once
                 landed.append(record_id)
-                table.update(second.record_id, {"title": "racing"})
+                update_record(table, second.record_id,
+                              {"title": "racing"})
             return real_get(record_id)
 
         monkeypatch.setattr(table, "get", get)
@@ -241,7 +245,8 @@ class TestWorkCounts:
         source.search(SourceQuery("halo"))
         for i in range(3):
             table.insert({"sku": f"NEW{i}", "title": "halo arena"})
-        table.update(records[2].record_id, {"producer": "bungie"})
+        update_record(table, records[2].record_id,
+                      {"producer": "bungie"})
         adds = count_calls(monkeypatch, "add")
         removes = count_calls(monkeypatch, "remove")
         upserts = count_calls(monkeypatch, "upsert")
@@ -258,7 +263,7 @@ class TestWorkCounts:
         source = make_source(table)
         source.search(SourceQuery("halo"))
         for title in ("braid", "arena", "racing"):
-            table.update(record.record_id, {"title": title})
+            update_record(table, record.record_id, {"title": title})
         adds = count_calls(monkeypatch, "add")
         removes = count_calls(monkeypatch, "remove")
         upserts = count_calls(monkeypatch, "upsert")

@@ -495,7 +495,8 @@ class TestReshardCrashInterplay:
         migration = platform.controlplane.begin_split(0)
         platform.controlplane.step()            # first COPY batch
         platform.durability.crash_replica(0, 0)  # donor primary dies
-        platform.controlplane.run()
+        while platform.controlplane.active:
+            platform.controlplane.step()
         assert migration.state == "complete"
         report = platform.durability.recover_replica(0, 0)
         assert report.converged

@@ -6,8 +6,7 @@ import pytest
 
 from repro.core.capability import CapabilityProfile, TABLE_I_ROWS
 from repro.core.datasources import ServiceSource, SourceItem, SourceQuery
-from repro.core.presentation import Theme, ThemeRegistry
-from repro.errors import NotFoundError, RenderError
+from repro.errors import RenderError
 from repro.services.bus import ServiceBus
 from repro.services.rest import RestService
 
@@ -23,12 +22,6 @@ class TestCapabilityProfile:
     def test_cells_follow_row_order(self):
         assert self.make().cells() == ("A", "B", "C", "D", "E", "F")
         assert len(TABLE_I_ROWS) == 6
-
-    def test_to_dict_keys_are_row_names(self):
-        data = self.make().to_dict()
-        assert data["system"] == "X"
-        for row in TABLE_I_ROWS:
-            assert row in data
 
 
 class TestSourceItemLookup:
@@ -87,12 +80,6 @@ class TestThemeAndRendererEdges:
             html = symphony.query(app_id, games[0]).html
             assert 'class="symphony-app"' in html
 
-    def test_custom_theme_overrides(self, symphony):
-        symphony.themes.register(Theme("brand", {
-            "app": {"color": "#bada55"},
-        }))
-        assert "brand" in symphony.themes.names()
-
     def test_render_unknown_element_kind_raises(self):
         from repro.core.presentation import HtmlRenderer
 
@@ -105,13 +92,6 @@ class TestThemeAndRendererEdges:
         item = SourceItem(item_id="i", title="T")
         with pytest.raises(RenderError):
             HtmlRenderer().render_element(FakeElement(), item)
-
-    def test_theme_registry_isolated_per_instance(self):
-        a = ThemeRegistry()
-        b = ThemeRegistry()
-        a.register(Theme("only-in-a", {}))
-        with pytest.raises(NotFoundError):
-            b.get("only-in-a")
 
 
 class TestDesignerSlotStyle:

@@ -35,16 +35,14 @@ class TestFacets:
 
     def test_topic_facet(self, engine):
         facets = engine.facets("web", "game OR wine", ("topic",))
-        topics = facets["topic"].as_dict()
+        topics = {fc.value: fc.count for fc in facets["topic"].counts}
         assert "video_games" in topics and "wine" in topics
 
     def test_missing_field_buckets_none(self, engine):
         facets = engine.facets("web", "game", ("no_such_field",))
-        assert facets["no_such_field"].as_dict() == {
-            "(none)": sum(
-                fc.count for fc in facets["no_such_field"].counts
-            )
-        }
+        counts = facets["no_such_field"].counts
+        assert [fc.value for fc in counts] == ["(none)"]
+        assert counts[0].count > 0
 
     def test_no_fields_rejected(self, engine):
         with pytest.raises(QueryError):

@@ -12,7 +12,6 @@ from repro.ingest.pipeline import DatasetIngestor, detect_format
 from repro.ingest.readers import (
     parse_delimited,
     parse_json_array,
-    parse_json_lines,
     parse_xml_records,
     sniff_delimiter,
 )
@@ -141,17 +140,22 @@ class TestParseXml:
 
 
 class TestParseJson:
+    """JSON uploads are one array of objects; JSON lines (one object per
+    line) is not an upload format."""
+
     def test_json_lines(self):
-        rows = parse_json_lines(b'{"a": 1}\n\n{"a": 2}\n')
-        assert rows == [{"a": 1}, {"a": 2}]
+        with pytest.raises(IngestError, match="invalid JSON"):
+            parse_json_array(b'{"a": 1}\n\n{"a": 2}\n')
 
     def test_json_lines_bad_line(self):
-        with pytest.raises(IngestError, match="line 2"):
-            parse_json_lines('{"a": 1}\nnot json\n')
+        with pytest.raises(IngestError, match="cannot determine format"):
+            detect_format("rows.jsonl")
+        with pytest.raises(IngestError, match="cannot determine format"):
+            detect_format("rows.bin", "application/x-jsonlines")
 
     def test_json_lines_non_object(self):
-        with pytest.raises(IngestError):
-            parse_json_lines("[1, 2]\n")
+        with pytest.raises(IngestError, match="JSON array"):
+            parse_json_array('{"a": 1}\n')
 
     def test_json_array(self):
         rows = parse_json_array('[{"a": 1}, {"a": 2}]')
@@ -369,7 +373,6 @@ class TestPipeline:
     def test_detect_format(self):
         assert detect_format("a.csv") == "delimited"
         assert detect_format("a.xml") == "xml"
-        assert detect_format("a.jsonl") == "jsonlines"
         assert detect_format("a.xlsw") == "workbook"
         assert detect_format("feed.rss") == "rss"
         assert detect_format("x.bin", "application/json") == "json"

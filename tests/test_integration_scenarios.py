@@ -244,7 +244,7 @@ class TestLogFeedbackLoop:
         for i in range(8):
             sym.record_click("app-x", entity, target,
                              session_id=f"s{i}")
-        profiles = LogAggregator(sym.engine.log).profiles().values()
+        profiles = [LogAggregator(sym.engine.log).profile("app-x")]
         RelevanceSignalExporter(max_boost=3.0).apply_to_engine(
             sym.engine, profiles
         )

@@ -45,9 +45,3 @@ class TestQueryLog:
         log.log_click(c("halo", "http://ads.example/1", is_ad=True))
         assert log.clicked_sites_by_query() == {}
 
-    def test_clear(self):
-        log = QueryLog()
-        log.log_query(q("halo"))
-        log.log_click(c("halo", "http://a.example/1"))
-        log.clear()
-        assert not log.queries and not log.clicks

@@ -1,19 +1,22 @@
 """Tests for the platform extensions: paging, token expiry, rate
-limiting, CTR-by-position."""
+limiting (the gateway's token bucket), CTR-by-position."""
 
 import pytest
 
 from repro.analytics.ctr import ctr_by_position
-from repro.core.runtime import RateLimiter
-from repro.errors import (
-    AuthorizationError,
-    QuotaExceededError,
+from repro.errors import AdmissionRejectedError, AuthorizationError
+from repro.core.platform import Symphony
+from repro.gateway import (
+    AdmissionController,
+    GatewayConfig,
+    TenantPolicy,
+    TokenBucket,
 )
 from repro.searchengine.logs import ClickEvent, QueryEvent, QueryLog
 from repro.storage.tokens import Scope, TokenAuthority
 from repro.util import SimClock
 
-from tests.conftest import make_inventory_csv
+from tests.conftest import build_gamerqueen, make_inventory_csv
 
 
 class TestPaging:
@@ -89,68 +92,51 @@ class TestTokenExpiry:
 
 
 class TestRateLimiter:
+    """The gateway's per-app token bucket is the one throttle."""
+
     def test_limits_within_window(self):
         clock = SimClock(start_ms=0)
-        limiter = RateLimiter(clock, max_requests=3, window_ms=1000)
+        bucket = TokenBucket(clock, rate_per_s=3.0, capacity=3.0)
         for __ in range(3):
-            limiter.check("app")
-        with pytest.raises(QuotaExceededError):
-            limiter.check("app")
+            assert bucket.try_acquire()
+        assert not bucket.try_acquire()
 
     def test_window_slides(self):
         clock = SimClock(start_ms=0)
-        limiter = RateLimiter(clock, max_requests=2, window_ms=1000)
-        limiter.check("app")
-        limiter.check("app")
+        bucket = TokenBucket(clock, rate_per_s=2.0, capacity=2.0)
+        assert bucket.try_acquire()
+        assert bucket.try_acquire()
         clock.advance(1001)
-        limiter.check("app")  # old events expired
+        assert bucket.try_acquire()   # refilled
 
     def test_apps_limited_independently(self):
         clock = SimClock(start_ms=0)
-        limiter = RateLimiter(clock, max_requests=1, window_ms=1000)
-        limiter.check("a")
-        limiter.check("b")
-        with pytest.raises(QuotaExceededError):
-            limiter.check("a")
+        admission = AdmissionController(
+            clock, TenantPolicy(rate_per_s=1.0, burst=1.0))
+        assert admission.admit("a")
+        assert admission.admit("b")
+        assert not admission.admit("a")
 
     def test_remaining(self):
         clock = SimClock(start_ms=0)
-        limiter = RateLimiter(clock, max_requests=5, window_ms=1000)
-        limiter.check("app")
-        assert limiter.remaining("app") == 4
-        assert limiter.remaining("other") == 5
+        bucket = TokenBucket(clock, rate_per_s=5.0, capacity=5.0)
+        assert bucket.try_acquire()
+        assert bucket.available() == 4.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            RateLimiter(SimClock(), max_requests=0)
+            TokenBucket(SimClock(), rate_per_s=0.0, capacity=1.0)
 
-    def test_remaining_evicts_in_place_without_copying(self):
-        clock = SimClock(start_ms=0)
-        limiter = RateLimiter(clock, max_requests=3, window_ms=1000)
-        for __ in range(3):
-            limiter.check("app")
-        clock.advance(1001)
-        # remaining() drops the expired events from the deque itself
-        # rather than counting against a filtered copy.
-        assert limiter.remaining("app") == 3
-        assert len(limiter._events["app"]) == 0
-
-    def test_event_store_is_a_deque(self):
-        from collections import deque
-        clock = SimClock(start_ms=0)
-        limiter = RateLimiter(clock, max_requests=2, window_ms=1000)
-        limiter.check("app")
-        assert isinstance(limiter._events["app"], deque)
-
-    def test_runtime_integration(self, gamerqueen):
-        symphony, app_id, games = gamerqueen
-        symphony.runtime.rate_limiter = RateLimiter(
-            symphony.clock, max_requests=2, window_ms=3_600_000
-        )
-        symphony.query(app_id, games[0])
-        symphony.query(app_id, games[1])
-        with pytest.raises(QuotaExceededError):
-            symphony.query(app_id, games[2])
+    def test_runtime_integration(self, tiny_web):
+        symphony = Symphony(web=tiny_web, gateway=GatewayConfig(
+            default_policy=TenantPolicy(rate_per_s=1 / 3600, burst=2.0)))
+        app_id, games = build_gamerqueen(
+            symphony, symphony.register_designer("Ann"))
+        symphony.query_via_gateway(app_id, games[0])
+        symphony.query_via_gateway(app_id, games[1])
+        with pytest.raises(AdmissionRejectedError) as rejected:
+            symphony.query_via_gateway(app_id, games[2])
+        assert rejected.value.reason == "throttle"
 
 
 class TestCtrByPosition:

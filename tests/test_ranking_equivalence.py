@@ -55,10 +55,12 @@ def reference_score(index, fields, params, doc_id, terms) -> float:
     statistic read from the index per (document, field, term)."""
     total = 0.0
     for field_name in fields:
-        avg_len = index.average_field_length(field_name)
+        lengths = index.field_lengths(field_name)
+        avg_len = (index.total_field_length(field_name) / len(lengths)
+                   if lengths else 0.0)
         if avg_len == 0:
             continue
-        doc_len = index.field_lengths(field_name).get(doc_id, 0)
+        doc_len = lengths.get(doc_id, 0)
         norm = params.k1 * (
             1.0 - params.b + params.b * doc_len / avg_len
         )

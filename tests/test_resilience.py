@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import (
+    ConfigurationError,
     DeadlineExceededError,
     NotFoundError,
     ReplicaFaultError,
@@ -500,6 +501,71 @@ class TestChaosHarness:
         assert loaded.retry == plan.retry
         assert loaded.hedge is None
         assert loaded.name == "x"
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"durability": {"crash": [{"at": 2, "shard": 0}],
+                         "expect_recoverd": True},
+          "reshard": {"step": [{"at": 2, "op": "split", "shard": 0}]}},
+         "unknown key reshard.step"),
+        ({"durability": {"crash": [{"at": 2, "shard": 0}]}},
+         "unknown key durability.crash"),
+        ({"durability": {"expect_recoverd": True}},
+         "unknown key durability.expect_recoverd"),
+        ({"reshard": {"step": []}}, "unknown key reshard.step"),
+        ({"deadline": 100.0}, "unknown key deadline"),
+        ({"reshard": {"steps": [{"at": 2, "op": "splitt", "shard": 0}]}},
+         "reshard.steps[0].op is 'splitt', not split or merge"),
+        ({"reshard": {"steps": [{"op": "merge", "source": 1}]}},
+         "reshard.steps[0] has no target"),
+        ({"durability": {"crashes": [{"at": 3, "replica": 1}]}},
+         "durability.crashes[0] has no shard"),
+        ({"durability": {"crashes": [{"at": 3, "shard": 0,
+                                      "recover": 9}]}},
+         "unknown key durability.crashes[0].recover"),
+        ({"retry": {"max_attempt": 2}}, "unknown key retry.max_attempt"),
+        ({"hedge": {"quantile": 0.9}}, "unknown key hedge.quantile"),
+        ({"slo": {"fast_window": 10}}, "unknown key slo.fast_window"),
+        ({"slo": {"slos": [{"name": "x", "kind": "latency",
+                            "thresold_ms": 1}]}},
+         "unknown key slo.slos[0].thresold_ms"),
+        ({"replicas": {"fault": 0.5}}, "unknown key replicas.fault"),
+        ({"services": {"pricing": {"failure": 0.5}}},
+         "unknown key services.pricing.failure"),
+        ({"web": {"seed": 3}}, "unknown key web.seed"),
+    ])
+    def test_a_key_the_harness_does_not_read_is_refused(self, raw,
+                                                        message):
+        from repro.resilience.chaos import FaultPlan
+
+        with pytest.raises(ConfigurationError) as caught:
+            FaultPlan.from_dict(raw)
+        assert str(caught.value) == f"fault plan: {message}"
+
+    def test_the_committed_plans_load(self):
+        from pathlib import Path
+
+        from repro.resilience.chaos import load_fault_plan
+
+        for path in sorted(Path("examples").glob("*_plan.json")):
+            load_fault_plan(path)
+
+    def test_a_reshard_step_on_an_unrouted_shard_is_a_violation(self):
+        from repro.resilience.chaos import FaultPlan, run_chaos
+
+        plan = FaultPlan.from_dict({
+            "queries": 3, "hedge": None,
+            "cluster": {"num_shards": 2, "replicas_per_shard": 1},
+            "reshard": {"steps": [{"at": 1, "op": "split", "shard": 9},
+                                  {"at": 2, "op": "merge", "source": 1,
+                                   "target": 1}]},
+        })
+        report = run_chaos(plan)
+        assert report.violations == [
+            "reshard: split at 1: no routed shard 9; the shards are "
+            "[0, 1]",
+            "reshard: merge at 2: cannot merge shard 1 into itself",
+        ]
+        assert not report.ok
 
 
 class TestResilienceConfig:

@@ -4,7 +4,6 @@ frontend."""
 import pytest
 
 from repro.core.frontend import HostingFrontend
-from repro.core.runtime import RateLimiter
 from repro.ingest.crawler import CrawlPolicy, Crawler
 from repro.searchengine.logs import QueryEvent, QueryLog
 from repro.searchengine.related import RelatedSearches
@@ -181,18 +180,6 @@ class TestHostingFrontend:
              "page": "one"},
         )
         assert response.status == 400
-
-    def test_rate_limited_429(self, frontend_ctx):
-        symphony, app_id, games, snippet = frontend_ctx
-        symphony.runtime.rate_limiter = RateLimiter(
-            symphony.clock, max_requests=1, window_ms=3_600_000)
-        params = {"q": games[0], "key": snippet.embed_key}
-        first = symphony.frontend.handle(
-            f"/apps/{app_id}/query", params)
-        assert first.ok
-        second = symphony.frontend.handle(
-            f"/apps/{app_id}/query", params)
-        assert second.status == 429
 
     def test_standalone_frontend(self, gamerqueen):
         symphony, app_id, games = gamerqueen

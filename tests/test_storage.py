@@ -10,7 +10,6 @@ from repro.errors import (
     NotFoundError,
     QuotaExceededError,
     ValidationError,
-    VersionConflictError,
 )
 from repro.storage.blobs import BlobStore
 from repro.storage.records import (
@@ -185,17 +184,10 @@ class TestRecordTable:
     def test_update_bumps_version(self):
         table = self.make()
         record = table.insert(self.row())
-        updated = table.update(record.record_id, {"price": "39.99"})
+        updated = table.upsert_by("title", self.row(price="39.99"))
+        assert updated.record_id == record.record_id
         assert updated.version == 2
         assert updated.values["price"] == 39.99
-
-    def test_optimistic_conflict(self):
-        table = self.make()
-        record = table.insert(self.row())
-        table.update(record.record_id, {"price": "10"})
-        with pytest.raises(VersionConflictError):
-            table.update(record.record_id, {"price": "20"},
-                         expected_version=1)
 
     def test_find_via_index_case_insensitive(self):
         table = self.make()
@@ -209,8 +201,8 @@ class TestRecordTable:
 
     def test_index_updates_on_update(self):
         table = self.make()
-        record = table.insert(self.row(title="Old"))
-        table.update(record.record_id, {"title": "New"})
+        table.insert(self.row(title="Old"))
+        table.upsert_by("homepage", self.row(title="New"))
         assert table.find("title", "Old") == []
         assert len(table.find("title", "New")) == 1
 
@@ -245,7 +237,7 @@ class TestRecordTable:
         halo = table.insert(self.row()).record_id
         cursor = table.mutations
         zelda = table.insert(self.row(title="Zelda")).record_id
-        table.update(halo, {"stock": "9"})
+        table.upsert_by("title", self.row(stock="9"))
         table.upsert_by("title", self.row(title="Zelda", stock="1"))
         table.upsert_by("title", self.row(title="Myst"))
         assert table.mutations == cursor + 6
@@ -261,10 +253,10 @@ class TestRecordTable:
         assert table.changes_since(-1) is None
         cursor = table.mutations
         for stock in range(CHANGE_TAIL // 2):
-            table.update(record.record_id, {"stock": str(stock)})
+            table.upsert_by("title", self.row(stock=str(stock)))
         assert table.changes_since(cursor) == \
             [record.record_id] * CHANGE_TAIL
-        table.update(record.record_id, {"stock": "0"})
+        table.upsert_by("title", self.row(stock="0"))
         assert table.changes_since(cursor) is None
         assert len(table.changes_since(cursor + 2)) == CHANGE_TAIL
 

@@ -28,6 +28,8 @@ from repro.core.structured import (
 from repro.errors import ValidationError
 from repro.storage.records import FieldSpec, FieldType, RecordTable, Schema
 
+from tests.conftest import update_record
+
 _OPS = ("eq", "ne", "lt", "le", "gt", "ge")
 
 
@@ -172,7 +174,7 @@ def make_source(row_list, churn):
         records = table.all_records()
         if not records:
             break
-        table.update(records[n % len(records)].record_id, row)
+        update_record(table, records[n % len(records)].record_id, row)
     return source
 
 
@@ -204,7 +206,7 @@ def small_source():
             ("r-zelda", "zelda", 10.0, None)):
         table.insert({"title": title, "price": price, "url": url},
                      record_id=key)
-    table.update("r-odyssey", {"genre": "shooter"})  # moves nothing
+    update_record(table, "r-odyssey", {"genre": "shooter"})  # moves none
     return ProprietaryTableSource("src", "Inventory", table, ("title",))
 
 
@@ -243,7 +245,7 @@ def test_filter_only_pages_follow_upload_order_past_nine_rows():
     table = RecordTable("inv", Schema(COLUMNS))
     ids = [table.insert({"title": f"game {n}", "stock": n}).record_id
            for n in range(12)]
-    table.update(ids[3], {"title": "repriced"})     # keeps its place
+    update_record(table, ids[3], {"title": "repriced"})     # keeps its place
     source = ProprietaryTableSource("src", "Inventory", table, ("title",))
     pages = [execute_structured(source, StructuredQuery(
         limit=5, offset=offset).where("stock", "ge", 1))

@@ -3,7 +3,7 @@
 Covers the determinism contract (identical seeded runs produce
 identical span trees, across both scatter-gather phases),
 histogram quantile edge cases, instrument wiring (cache stats, breaker
-and limiter events), and the JSONL round-trip through the exporter.
+and throttle events), and the JSONL round-trip through the exporter.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from repro.core.platform import Symphony
 from repro.core.runtime import (
     CircuitBreaker,
     PipelineTrace,
-    RateLimiter,
     ResultCache,
 )
-from repro.errors import QuotaExceededError
 from repro.telemetry import (
     NULL_TRACER,
     EventLog,
@@ -424,8 +422,7 @@ class TestClusterTracing:
                    if s.parent_id == errored[0].parent_id
                    and s.status == "ok"]
         assert retries
-        kinds = telemetry.events.counts()
-        assert kinds.get("replica.failover") == 1
+        assert len(telemetry.events.by_kind("replica.failover")) == 1
 
     def test_degraded_query_emits_event_and_counter(self,
                                                     traced_cluster):
@@ -434,7 +431,7 @@ class TestClusterTracing:
         engine.kill_replica(0, 1)
         response = engine.search("web", "video game")
         assert response.degraded
-        assert telemetry.events.counts().get("shard.unavailable")
+        assert telemetry.events.by_kind("shard.unavailable")
         snapshot = telemetry.metrics.snapshot()
         assert snapshot["counter"]["degraded_queries_total"] == 1.0
 
@@ -566,7 +563,7 @@ class TestInstrumentWiring:
                                  cooldown_ms=50, events=events)
         breaker.record_failure("src")
         breaker.record_failure("src")          # trips open
-        assert breaker.state("src") == "open"
+        assert breaker.is_open("src")
         clock.advance(50)
         assert not breaker.is_open("src")      # admits the probe
         breaker.record_failure("src")          # failed probe reopens
@@ -579,17 +576,24 @@ class TestInstrumentWiring:
             "circuit.half_open", "circuit.closed",
         ]
 
-    def test_rate_limiter_emits_rejections(self):
-        clock = SimClock()
-        events = EventLog(clock=clock)
-        limiter = RateLimiter(clock, max_requests=1, window_ms=1000,
-                              events=events)
-        limiter.check("app-1")
-        with pytest.raises(QuotaExceededError):
-            limiter.check("app-1")
-        (event,) = events.events
-        assert event.kind == "ratelimit.rejected"
-        assert event.fields["app_id"] == "app-1"
+    def test_rate_limiter_emits_rejections(self, tiny_web):
+        from repro.errors import AdmissionRejectedError
+        from repro.gateway import GatewayConfig, TenantPolicy
+
+        from tests.conftest import build_gamerqueen
+
+        symphony = Symphony(web=tiny_web, telemetry=True,
+                            gateway=GatewayConfig(
+                                default_policy=TenantPolicy(
+                                    rate_per_s=1 / 3600, burst=1.0)))
+        app_id, games = build_gamerqueen(
+            symphony, symphony.register_designer("Ann"))
+        symphony.query_via_gateway(app_id, games[0])
+        with pytest.raises(AdmissionRejectedError):
+            symphony.query_via_gateway(app_id, games[1])
+        (event,) = symphony.telemetry.events.by_kind("gateway.shed")
+        assert event.fields["reason"] == "throttle"
+        assert event.fields["principal"] == app_id
 
     def test_event_log_counts_dropped_on_wrap(self):
         registry = MetricsRegistry()

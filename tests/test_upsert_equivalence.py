@@ -25,6 +25,8 @@ from repro.searchengine.documents import FieldedDocument, FieldMode
 from repro.searchengine.index import InvertedIndex
 from repro.storage.records import FieldSpec, FieldType, RecordTable, Schema
 
+from tests.conftest import update_record
+
 
 # -- the index -----------------------------------------------------------------
 
@@ -208,8 +210,8 @@ class TestExactFind:
                 table.add_fields((FieldSpec(f"extra{len(table.schema.fields)}",
                                             FieldType.STRING),))
             elif records and kind == "update":
-                table.update(records[args[0] % len(records)].record_id,
-                             args[1])
+                update_record(table, records[args[0] % len(records)].record_id,
+                              args[1])
             for field_name in table.schema.field_names():
                 if field_name in table.indexed_fields:
                     continue
@@ -226,8 +228,8 @@ class TestExactFind:
             table.insert({"sku": sku, "qty": qty, "price": qty})
         assert [r.values["sku"] for r in table.find("qty", 1)] == \
             ["S1", "S2"]
-        table.update("items:1", {"qty": 2})     # S1 leaves the bucket...
-        table.update("items:1", {"qty": 1})     # ...and comes back last
+        update_record(table, "items:1", {"qty": 2})  # S1 leaves the bucket...
+        update_record(table, "items:1", {"qty": 1})  # ...and comes back last
         for probe in (1, 1.0, True):
             for field_name in ("qty", "price"):
                 assert [r.values["sku"] for r in

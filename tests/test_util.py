@@ -104,6 +104,3 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1)
 
-    def test_timestamp_seconds(self):
-        clock = SimClock(start_ms=5000)
-        assert clock.timestamp() == 5.0
