@@ -2,6 +2,7 @@
 pipeline."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -258,6 +259,51 @@ class TestRss:
                b"<description>only</description></item></channel></rss>")
         with pytest.raises(IngestError):
             parse_rss(xml)
+
+    def test_feed_bytes_escape_markup_but_not_quotes(self):
+        class StubWeb:
+            def site(self, domain):
+                return SimpleNamespace(title='Tom & Jerry\'s <"Best"> Games',
+                                       topic="games & <toys>")
+
+            def news_on(self, domain):
+                return [
+                    SimpleNamespace(
+                        headline='A < B & "C" > \'D\'',
+                        url="http://x.example/a?p=1&q=<2>",
+                        snippet='5 > 3 & "quotes" stay \'as is\'',
+                        published_ms=1262304000000),
+                    SimpleNamespace(
+                        headline="Second", url="http://x.example/b",
+                        snippet="plain", published_ms=1262390400500),
+                ]
+
+        assert FeedPublisher(StubWeb()).feed_xml("x.example") == (
+            b'<?xml version="1.0" encoding="UTF-8"?>\n'
+            b'<rss version="2.0">\n'
+            b"<channel>\n"
+            b"<title>Tom &amp; Jerry's &lt;\"Best\"&gt; Games</title>\n"
+            b"<link>http://x.example/</link>\n"
+            b"<description>games &amp; &lt;toys&gt; news from x.example"
+            b"</description>\n"
+            b"<item>\n"
+            b"<title>Second</title>\n"
+            b"<link>http://x.example/b</link>\n"
+            b"<description>plain</description>\n"
+            b"<pubDate>Sat, 02 Jan 2010 00:00:00 -0000</pubDate>\n"
+            b"<guid>http://x.example/b</guid>\n"
+            b"</item>\n"
+            b"<item>\n"
+            b"<title>A &lt; B &amp; \"C\" &gt; 'D'</title>\n"
+            b"<link>http://x.example/a?p=1&amp;q=&lt;2&gt;</link>\n"
+            b"<description>5 &gt; 3 &amp; \"quotes\" stay 'as is'"
+            b"</description>\n"
+            b"<pubDate>Fri, 01 Jan 2010 00:00:00 -0000</pubDate>\n"
+            b"<guid>http://x.example/a?p=1&amp;q=&lt;2&gt;</guid>\n"
+            b"</item>\n"
+            b"</channel>\n"
+            b"</rss>"
+        )
 
 
 class TestTransports:
