@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import xml.etree.ElementTree as ET
 from collections import Counter
 
 from repro.errors import IngestError
@@ -115,8 +114,11 @@ def parse_xml_records(data, record_element: str | None = None) -> list[dict]:
 
     When ``record_element`` is omitted, the most common child tag of the
     root is used. Each record's child elements become fields; attributes
-    are merged in with an ``@`` prefix when they would collide.
+    are merged in with an ``@`` prefix when they would collide. A record
+    that repeats a child element raises :class:`IngestError`, as a ragged
+    delimited row does. ``xml.etree`` is imported on first use.
     """
+    import xml.etree.ElementTree as ET
     text = decode_text(data)
     try:
         root = ET.fromstring(text)
@@ -134,11 +136,15 @@ def parse_xml_records(data, record_element: str | None = None) -> list[dict]:
             f"no <{record_element}> elements under the XML root"
         )
     rows = []
-    for element in records:
-        row: dict[str, str] = {}
-        for name, value in element.attrib.items():
-            row[name] = value
+    for index, element in enumerate(records):
+        row: dict[str, str] = dict(element.attrib)
+        fields: set[str] = set()
         for child in element:
+            if child.tag in fields:
+                raise IngestError(
+                    f"record {index} has more than one <{child.tag}> element"
+                )
+            fields.add(child.tag)
             value = (child.text or "").strip()
             if child.tag in row:
                 row[f"@{child.tag}"] = row.pop(child.tag)

@@ -3,15 +3,16 @@
 Parsing turns ``<item>`` elements into rows for ingestion; the publisher
 renders a site's news articles as RSS XML so the "RSS feed" upload method
 exercises a real parse of real markup rather than shortcutting through
-Python objects.
+Python objects. ``xml.etree`` and ``email.utils`` are imported on first
+use, so a process that never parses or publishes a feed does not load
+them.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from email.utils import formatdate, parsedate_to_datetime
-from xml.sax.saxutils import escape
+from datetime import timezone
+from html import escape
 
 from repro.errors import IngestError
 
@@ -45,16 +46,22 @@ def _text(element, tag: str) -> str:
 
 
 def _parse_pub_date(value: str) -> int | None:
+    """Epoch ms of an RFC 2822 date; a ``-0000`` zone reads as UTC."""
     if not value:
         return None
+    from email.utils import parsedate_to_datetime
     try:
-        return int(parsedate_to_datetime(value).timestamp() * 1000)
+        moment = parsedate_to_datetime(value)
     except (TypeError, ValueError):
         return None
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    return int(moment.timestamp() * 1000)
 
 
 def parse_rss(data) -> list[RssItem]:
     """Parse RSS 2.0 XML into :class:`RssItem` objects."""
+    import xml.etree.ElementTree as ET
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8-sig")
@@ -94,6 +101,7 @@ class FeedPublisher:
         self._web = web
 
     def feed_xml(self, domain: str, max_items: int = 20) -> bytes:
+        from email.utils import formatdate
         site = self._web.site(domain)
         articles = sorted(
             self._web.news_on(domain),
@@ -103,20 +111,22 @@ class FeedPublisher:
             '<?xml version="1.0" encoding="UTF-8"?>',
             '<rss version="2.0">',
             "<channel>",
-            f"<title>{escape(site.title)}</title>",
-            f"<link>http://{escape(domain)}/</link>",
-            f"<description>{escape(site.topic)} news from "
-            f"{escape(domain)}</description>",
+            f"<title>{escape(site.title, quote=False)}</title>",
+            f"<link>http://{escape(domain, quote=False)}/</link>",
+            f"<description>{escape(site.topic, quote=False)} news from "
+            f"{escape(domain, quote=False)}</description>",
         ]
         for article in articles:
+            url = escape(article.url, quote=False)
             parts.extend([
                 "<item>",
-                f"<title>{escape(article.headline)}</title>",
-                f"<link>{escape(article.url)}</link>",
-                f"<description>{escape(article.snippet)}</description>",
+                f"<title>{escape(article.headline, quote=False)}</title>",
+                f"<link>{url}</link>",
+                f"<description>{escape(article.snippet, quote=False)}"
+                f"</description>",
                 f"<pubDate>{formatdate(article.published_ms / 1000.0)}"
                 f"</pubDate>",
-                f"<guid>{escape(article.url)}</guid>",
+                f"<guid>{url}</guid>",
                 "</item>",
             ])
         parts.extend(["</channel>", "</rss>"])

@@ -2,6 +2,7 @@
 pipeline."""
 
 import json
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -139,6 +140,12 @@ class TestParseXml:
         assert rows[0]["title"] == "child"
         assert rows[0]["@title"] == "attr"
 
+    def test_repeated_child_rejected(self):
+        xml = (b"<rows><row><tag>x</tag></row>"
+               b"<row><tag>a</tag><tag>b</tag><tag>c</tag></row></rows>")
+        with pytest.raises(IngestError, match=r"record 1 .*<tag>"):
+            parse_xml_records(xml)
+
 
 class TestParseJson:
     """JSON uploads are one array of objects; JSON lines (one object per
@@ -232,6 +239,21 @@ class TestRss:
         items = parse_rss(FeedPublisher(small_web).feed_xml(domain))
         dates = [item.pub_date_ms for item in items]
         assert dates == sorted(dates, reverse=True)
+
+    @pytest.mark.parametrize("zone", ["America/New_York", "Asia/Tokyo"])
+    def test_pub_dates_read_as_utc_in_any_zone(self, small_web,
+                                               monkeypatch, zone):
+        domain = next(iter(small_web.sites))
+        published = {article.url: article.published_ms
+                     for article in small_web.news_on(domain)}
+        monkeypatch.setenv("TZ", zone)
+        time.tzset()
+        try:
+            items = parse_rss(FeedPublisher(small_web).feed_xml(domain))
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert {item.link: item.pub_date_ms for item in items} == published
 
     def test_to_row(self):
         xml = (b'<rss version="2.0"><channel><item>'
