@@ -8,24 +8,25 @@ method) — over a document-partitioned, replicated index cluster:
 * **Statistics:** BM25 on a shard must see corpus-wide document
   counts, field lengths and per-term document frequencies, or idf
   drifts from single-node scoring. The coordinator keeps one merged
-  :class:`CorpusStats` per vertical, keyed on (that vertical's corpus
-  generation, route-map version). A query whose terms are all in the
-  entry skips straight to execution; otherwise it first runs one
-  ``stats`` scatter round over all of its terms, and the entry takes
-  the merged result only when every routed shard answered. Every write
-  goes through :meth:`ClusteredSearchEngine.replicated_write`, which
-  advances the vertical's corpus generation, and every reshard cutover
-  bumps the route-map version, so a cached entry is never stale.
+  :class:`CorpusStats` over each vertical's whole vocabulary, keyed on
+  (that vertical's corpus generation, route-map version). A query
+  under a current entry skips straight to execution; otherwise it
+  first runs one ``stats`` scatter round in which every routed shard
+  returns all of its terms, and the merged result becomes the entry
+  only when every routed shard answered. The entry also builds the
+  "did you mean" corrector, on first use. Every write goes through
+  :meth:`ClusteredSearchEngine.replicated_write`, which advances the
+  vertical's corpus generation, and every reshard cutover bumps the
+  route-map version, so a cached entry is never stale.
 * **Execution scatter:** every shard runs the single-node engine's
   per-index search (:func:`~repro.searchengine.engine.execute_query`)
   on its own partition, handing the scorer the merged statistics in
   place of the shard's own; the gatherer heap-merges the sorted shard
   lists into the global top-k.
 * **Batches:** :meth:`ClusteredSearchEngine.search_many` answers several
-  queries on one vertical with one statistics check over all their
-  terms and one execution round, in which each shard runs every query
-  under a single replica attempt; :meth:`~ClusteredSearchEngine.search`
-  is a batch of one.
+  queries on one vertical with one statistics check and one execution
+  round, in which each shard runs every query under a single replica
+  attempt; :meth:`~ClusteredSearchEngine.search` is a batch of one.
 
 Shard tasks run one after another on the calling thread; shards are
 parallel in the cost model only — simulated latency is the *max* over
@@ -76,11 +77,6 @@ __all__ = [
     "build_clustered_engine",
 ]
 
-#: Most distinct terms one vertical's cached statistics hold; a cold
-#: round that would pass it starts the entry over.
-STATS_CACHE_TERMS = 2048
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """Opt-in cluster shape: shard count, redundancy, failover limit."""
@@ -106,6 +102,17 @@ class ClusterSearchResponse(SearchResponse):
     deadline_overrun: bool = False
 
 
+@dataclass
+class _StatsEntry:
+    """A vertical's merged whole-vocabulary statistics under one
+    (corpus generation, route-map version) key, and the "did you mean"
+    corrector built from them on first use."""
+
+    key: tuple
+    stats: CorpusStats
+    corrector: SpellingCorrector | None = None
+
+
 def _unique_by_doc(merged):
     """Drop repeated doc_ids from an already globally ranked stream."""
     seen: set = set()
@@ -126,6 +133,18 @@ def _discard(replica, vertical, doc_id: str) -> None:
     """Dual-write remove that tolerates the document not having copied yet."""
     if doc_id in replica.vertical(vertical).index:
         replica.remove(vertical, doc_id)
+
+
+def _suggest(entry: _StatsEntry, terms) -> str | None:
+    """'Did you mean' over the entry's merged vocabulary: the
+    frequencies a single node's corrector counts, summed over shards."""
+    if entry.corrector is None:
+        entry.corrector = SpellingCorrector(
+            frequencies=entry.stats.term_frequencies())
+    corrected = entry.corrector.suggest_query(terms)
+    if corrected is None:
+        return None
+    return " ".join(corrected)
 
 
 class ClusteredSearchEngine:
@@ -171,11 +190,8 @@ class ClusteredSearchEngine:
         # (statistics, spelling vocabulary) is current only at the
         # generation it was merged at, and so is any cached answer.
         self._generations = generations or GenerationRegistry()
-        # vertical -> ((generation, route-map version), merged
-        # CorpusStats, the terms its doc frequencies cover)
+        # vertical -> its _StatsEntry
         self._stats: dict = {}
-        # (vertical, its statistics key) -> corrector
-        self._correctors: dict = {}
         # (phase, shard id) -> its shard-task span name, built once: a
         # tracer keeps every finished span, and with it the name
         self._task_spans: dict[tuple, str] = {}
@@ -370,13 +386,13 @@ class ClusteredSearchEngine:
         the same instant.
 
         The batch shares only the work: one ``now_ms``, one statistics
-        check over the union of its terms, and one ``exec`` round in
-        which every shard runs every request under a single attempt (one
-        read, fault check and latency sample per replica). A failed
-        shard degrades every request. Each request keeps its own
-        ``QueryEvent``, ``shard_latency_ms`` observations and gather
-        charge; the deadline is checked once, before the round and after
-        the charges.
+        check, and one ``exec`` round in which every shard runs every
+        request under a single attempt (one read, fault check and
+        latency sample per replica). A failed shard degrades every
+        request. Each request keeps its own ``QueryEvent``,
+        ``shard_latency_ms`` observations and gather charge; the
+        deadline is checked once, before any round and after the
+        charges.
         """
         if not requests:
             return []
@@ -417,45 +433,38 @@ class ClusteredSearchEngine:
         if root:
             root.set("topology_version", route.version)
 
-        # Global statistics: from the vertical's entry when it is
-        # current and covers every term of the batch, else one round
-        # over all of them (none for pure-filter queries, which BM25
-        # never scores). A scorer reads only its own terms' frequencies.
-        terms = list(dict.fromkeys(term for plan in plans
-                                   for term in plan[3]))
+        # Once the deadline has run out, no round runs: every response
+        # degrades to whatever is free (nothing) rather than starting
+        # work it cannot afford.
+        overrun = deadline is not None and deadline.expired
+        # Global statistics: the vertical's entry when it is current,
+        # else one round over every routed shard's whole vocabulary
+        # (none for pure-filter queries, which BM25 never scores).
         stats = CorpusStats.empty()
-        key = None
-        if terms:
+        entry = None
+        if not overrun and any(plan[3] for plan in plans):
             key = (self._generations.current(corpus_key(vkey.value)),
                    route.version)
             entry = self._stats.get(vkey)
-            if (entry is not None and entry[0] == key
-                    and entry[2].issuperset(terms)):
-                stats = entry[1]
-            else:
+            if entry is None or entry.key != key:
                 with self._tracer.span("phase:stats"):
                     outcomes = self.executor.scatter({
                         group.shard_id: self._shard_task(
                             group, "stats",
-                            lambda r: r.collect_stats(vkey, terms),
-                        )
+                            lambda r: r.collect_stats(vkey))
                         for group in groups
                     })
                 failed |= {sid for sid, out in outcomes.items()
                            if not out.ok}
-                stats = CorpusStats.merge(
-                    out.value for out in outcomes.values() if out.ok
-                )
+                entry = _StatsEntry(key, CorpusStats.merge(
+                    out.value for out in outcomes.values() if out.ok))
                 if not failed:
-                    self._remember_stats(vkey, key, stats, terms)
+                    self._stats[vkey] = entry
+            stats = entry.stats
 
         # Execution: per-shard evaluate + rank of every request under
         # the global statistics; remember which replica served each
         # shard so the gather phase can materialize results from it.
-        # Skipped entirely when the deadline already ran out — every
-        # response degrades to whatever is free (nothing) rather than
-        # starting work it cannot afford.
-        overrun = deadline is not None and deadline.expired
         shard_requests = [(node, options, plan_terms, limit)
                           for __, options, node, plan_terms, limit
                           in plans]
@@ -576,7 +585,7 @@ class ClusteredSearchEngine:
             suggestion = None
             if (total_matches == 0 and plan_terms and not failed
                     and not overrun):
-                suggestion = self._suggest(vkey, plan_terms, key)
+                suggestion = _suggest(entry, plan_terms)
             if degraded:
                 self._metrics.counter("degraded_queries_total").inc()
                 self.telemetry.events.emit(
@@ -607,46 +616,6 @@ class ClusteredSearchEngine:
             ))
             responses.append(response)
         return responses
-
-    # -- internals ------------------------------------------------------------
-
-    def _remember_stats(self, vkey: Vertical, key: tuple,
-                        stats: CorpusStats, terms) -> None:
-        """Fold a complete round's statistics into the vertical's entry.
-
-        Under the same key the corpus is the same, so document count
-        and field lengths already agree and only the new document
-        frequencies are added; a new key, or passing
-        :data:`STATS_CACHE_TERMS`, starts the entry over from ``stats``.
-        """
-        entry = self._stats.get(vkey)
-        if (entry is None or entry[0] != key
-                or len(entry[2]) + len(terms) > STATS_CACHE_TERMS):
-            self._stats[vkey] = (key, stats, set(terms))
-            return
-        entry[1].doc_frequency.update(stats.doc_frequency)
-        entry[2].update(terms)
-
-    def _suggest(self, vkey: Vertical, terms, key: tuple) -> str | None:
-        """'Did you mean' over the merged cross-shard vocabulary, built
-        at most once per statistics ``key``."""
-        corrector = self._correctors.get((vkey, key))
-        if corrector is None:
-            frequencies: dict[str, int] = {}
-            for group in self.active_groups():
-                replica = (group.healthy_replicas()
-                           or [group.primary()])[0]
-                for term, count in replica.term_frequencies(
-                        vkey).items():
-                    frequencies[term] = (
-                        frequencies.get(term, 0) + count
-                    )
-            corrector = SpellingCorrector(frequencies=frequencies)
-            self._correctors = {(vkey, key): corrector}
-        corrected = corrector.suggest_query(terms)
-        if corrected is None:
-            return None
-        return " ".join(corrected)
 
 
 def build_clustered_engine(web, config: ClusterConfig | None = None,

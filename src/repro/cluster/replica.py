@@ -33,7 +33,6 @@ from repro.searchengine.engine import (
     execute_query,
     materialize_result,
 )
-from repro.searchengine.spelling import collect_term_frequencies
 from repro.searchengine.stats import CorpusStats
 from repro.telemetry.events import NULL_EVENTS
 from repro.telemetry.metrics import NULL_METRICS
@@ -192,13 +191,13 @@ class ShardReplica:
 
     # -- query plane (runs inside scatter-gather shard tasks) -----------------
 
-    def collect_stats(self, vertical, terms) -> CorpusStats:
-        """Phase 1: this shard's contribution to the global statistics."""
+    def collect_stats(self, vertical) -> CorpusStats:
+        """Phase 1: this shard's contribution to the global statistics,
+        over every term its text fields hold."""
         self.reads_served += 1
         self._check_fault()
         vindex = self.vertical(vertical)
-        return CorpusStats.collect(vindex.index, vindex.text_fields,
-                                   terms)
+        return CorpusStats.collect(vindex.index, vindex.text_fields)
 
     def execute_many(self, vertical, requests, stats: CorpusStats,
                      now_ms: int) -> list:
@@ -221,12 +220,6 @@ class ShardReplica:
     def materialize(self, vertical, doc_id: str, score: float, terms):
         return materialize_result(self.vertical(vertical), doc_id,
                                   score, terms)
-
-    def term_frequencies(self, vertical) -> dict:
-        """This shard's vocabulary frequencies, for merged spelling."""
-        vindex = self.vertical(vertical)
-        return collect_term_frequencies(vindex.index,
-                                        vindex.text_fields)
 
 
 class ReplicaGroup:
@@ -305,9 +298,6 @@ class ReplicaGroup:
         self.replicas[replica_index].revive()
         self._consecutive_failures[replica_index] = 0
         self._reset_latency_learning()
-
-    def healthy_replicas(self) -> list:
-        return [r for r in self.replicas if r.healthy]
 
     def primary(self):
         """The first replica with intact index state.

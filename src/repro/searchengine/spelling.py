@@ -7,8 +7,9 @@ most frequent vocabulary term within small edit distance.
 
 from __future__ import annotations
 
-__all__ = ["edit_distance", "collect_term_frequencies",
-           "SpellingCorrector"]
+from repro.searchengine.stats import CorpusStats
+
+__all__ = ["edit_distance", "SpellingCorrector"]
 
 
 def edit_distance(a: str, b: str, cap: int = 3) -> int:
@@ -33,19 +34,6 @@ def edit_distance(a: str, b: str, cap: int = 3) -> int:
     return min(previous[-1], cap)
 
 
-def collect_term_frequencies(index, fields=None) -> dict[str, int]:
-    """Unfiltered per-term document frequencies over ``fields``.
-
-    Collectable per shard and mergeable by summation, so a clustered
-    engine can build one corrector over its union vocabulary.
-    """
-    frequencies: dict[str, int] = {}
-    for field_name in fields or index.text_fields():
-        for term, count in index.term_frequencies(field_name).items():
-            frequencies[term] = frequencies.get(term, 0) + count
-    return frequencies
-
-
 class SpellingCorrector:
     """Suggests corrections from term frequencies in one or more fields.
 
@@ -60,7 +48,8 @@ class SpellingCorrector:
         if frequencies is None:
             if index is None:
                 raise ValueError("need an index or a frequencies dict")
-            frequencies = collect_term_frequencies(index, fields)
+            frequencies = CorpusStats.collect(
+                index, fields or index.text_fields()).term_frequencies()
         self._frequencies = {
             term: count for term, count in frequencies.items()
             if count >= min_frequency

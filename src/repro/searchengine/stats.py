@@ -43,18 +43,26 @@ class CorpusStats:
         return cls(0, {}, {})
 
     @classmethod
-    def collect(cls, index, fields, terms) -> "CorpusStats":
-        """Gather statistics for ``terms`` over ``fields`` of one index."""
+    def collect(cls, index, fields, terms=None) -> "CorpusStats":
+        """Gather statistics for ``terms`` over ``fields`` of one index;
+        ``None`` gathers every term the fields hold, with no zeros."""
         field_stats = {
             name: FieldStats(index.total_field_length(name),
                              index.field_doc_count(name))
             for name in fields
         }
-        doc_frequency = {
-            (name, term): index.document_frequency(name, term)
-            for name in fields
-            for term in terms
-        }
+        if terms is None:
+            doc_frequency = {
+                (name, term): df
+                for name in fields
+                for term, df in index.term_frequencies(name).items()
+            }
+        else:
+            doc_frequency = {
+                (name, term): index.document_frequency(name, term)
+                for name in fields
+                for term in terms
+            }
         return cls(len(index), field_stats, doc_frequency)
 
     @staticmethod
@@ -74,6 +82,15 @@ class CorpusStats:
             for key, df in part.doc_frequency.items():
                 doc_frequency[key] = doc_frequency.get(key, 0) + df
         return CorpusStats(doc_count, fields, doc_frequency)
+
+    def term_frequencies(self) -> dict[str, int]:
+        """Document frequency per term, summed over fields: the
+        vocabulary a :class:`~repro.searchengine.spelling.SpellingCorrector`
+        counts, on statistics collected (or merged) over every term."""
+        frequencies: dict[str, int] = {}
+        for (__, term), df in self.doc_frequency.items():
+            frequencies[term] = frequencies.get(term, 0) + df
+        return frequencies
 
     def average_field_length(self, name: str) -> float:
         stats = self.fields.get(name)

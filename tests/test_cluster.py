@@ -84,8 +84,8 @@ class TestReplicaGroup:
         # exhausts the group. The faults are consumed doing so, and the
         # next call succeeds.
         with pytest.raises(ShardUnavailableError):
-            group.run(lambda r: r.collect_stats("web", ["x"]))
-        stats = group.run(lambda r: r.collect_stats("web", ["x"]))
+            group.run(lambda r: r.collect_stats("web"))
+        stats = group.run(lambda r: r.collect_stats("web"))
         assert stats.doc_count == 0
 
     def test_repeated_failures_remove_replica_from_rotation(self):
@@ -93,7 +93,7 @@ class TestReplicaGroup:
         group = ReplicaGroup(0, [flaky, stable], failure_threshold=2)
         flaky.inject_fault(count=10)
         for __ in range(4):
-            group.run(lambda r: r.collect_stats("web", ["x"]))
+            group.run(lambda r: r.collect_stats("web"))
         assert not flaky.healthy
         assert stable.healthy
 
@@ -101,7 +101,7 @@ class TestReplicaGroup:
         group = ReplicaGroup(0, [make_replica(), make_replica(0, 1)])
         group.kill(0)
         group.kill(1)
-        assert not group.healthy_replicas()
+        assert not any(r.healthy for r in group.replicas)
         with pytest.raises(ShardUnavailableError):
             group.run(lambda r: r.doc_count("web"))
 

@@ -2,13 +2,14 @@
 stale.
 
 A clustered query needs corpus-wide statistics before its shards can
-score. The coordinator keeps one merged entry per vertical, keyed on
-(writes applied to that vertical, route-map version): a query whose
-terms are all in the entry is one execution round; any other runs one
-``stats`` round first, and only a round every routed shard answered is
-kept. These tests count scatter rounds per search and check that a
-warm entry answers exactly as a single node does, whatever writes,
-splits and merges came in between.
+score. The coordinator keeps one merged entry per vertical over its
+whole vocabulary, keyed on (that vertical's corpus generation,
+route-map version): a query under a current entry is one execution
+round, whatever its terms; the first query after a write or a cutover
+runs one ``stats`` round first, and only a round every routed shard
+answered is kept. These tests count scatter rounds per search and
+check that a warm entry answers, "did you mean" included, exactly as a
+single node does, whatever writes, splits and merges came in between.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from functools import cache
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterConfig, build_clustered_engine
-from repro.cluster import engine as cluster_engine
 from repro.controlplane import COMPLETE, CUTOVER, ShardLifecycleManager
+from repro.resilience.deadline import Deadline
 from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.engine import SearchOptions, build_engine
 from repro.simweb.generator import WebGenerator, WebSpec
@@ -94,10 +95,11 @@ def test_a_warm_query_is_one_round():
     warm, warm_rounds = rounds_of(cluster, rounds, "web", "wine review")
     assert (cold_rounds, warm_rounds) == (2, 1)
     assert page(warm) == page(cold)
-    # Known terms in another combination are warm too; a new one is not.
+    # The entry holds the whole vocabulary: terms no earlier query
+    # asked about are warm too, and so is a word the corpus lacks.
     assert rounds_of(cluster, rounds, "web", "review")[1] == 1
-    assert rounds_of(cluster, rounds, "web", "review tasting")[1] == 2
-    assert rounds_of(cluster, rounds, "web", "tasting wine")[1] == 1
+    assert rounds_of(cluster, rounds, "web", "review tasting")[1] == 1
+    assert rounds_of(cluster, rounds, "web", "zzunknown")[1] == 1
 
 
 def test_a_write_invalidates_only_its_vertical():
@@ -177,17 +179,17 @@ def test_a_degraded_warm_query_scores_survivors_under_full_statistics():
     assert [(r.url, r.score) for r in degraded.results] == on_shard_0
 
 
-def test_the_entry_starts_over_at_its_bound(monkeypatch):
-    monkeypatch.setattr(cluster_engine, "STATS_CACHE_TERMS", 2)
+def test_an_expired_deadline_runs_no_round():
     cluster = make_cluster()
     rounds = count_rounds(cluster)
-    assert rounds_of(cluster, rounds, "web", "wine")[1] == 2
-    assert rounds_of(cluster, rounds, "web", "review")[1] == 2
-    assert rounds_of(cluster, rounds, "web", "wine review")[1] == 1
-    # A third term passes the bound: the entry holds only it now.
-    assert rounds_of(cluster, rounds, "web", "tasting")[1] == 2
-    assert rounds_of(cluster, rounds, "web", "tasting")[1] == 1
-    assert rounds_of(cluster, rounds, "web", "wine")[1] == 2
+    deadline = Deadline(cluster.clock, 1)
+    cluster.clock.advance(5)
+    response = cluster.search("web", "wine review", deadline=deadline)
+    assert response.deadline_overrun and response.degraded
+    assert not response.results
+    assert rounds == []
+    assert sum(replica.reads_served for group in cluster.groups
+               for replica in group.replicas) == 0
 
 
 # -- interleaved writes, reshards and queries ----------------------------------
@@ -224,21 +226,30 @@ def reshard(cluster, kind: str) -> None:
     assert migration.state == COMPLETE
 
 
+def misspell(query: str) -> str:
+    """Swap each word's second and third letters."""
+    return " ".join(word[0] + word[2] + word[1] + word[3:]
+                    for word in query.split())
+
+
 def assert_same(single, cluster, rounds, vertical, query) -> None:
-    """The cluster answers ``query`` as the single node does, and a
-    second time from a warm entry in one round."""
+    """The cluster answers ``query`` as the single node does, a second
+    time from a warm entry in one round, and then a misspelled form of
+    it with the same "did you mean", in one round too."""
     options = SearchOptions(count=20)
-    for warm in (False, True):
+    for text, warm in ((query, False), (query, True),
+                       (misspell(query), True)):
         align_clocks(single, cluster)
-        expected = single.search(vertical, query, options)
-        got, taken = rounds_of(cluster, rounds, vertical, query, options)
+        expected = single.search(vertical, text, options)
+        got, taken = rounds_of(cluster, rounds, vertical, text, options)
         if warm:
-            assert taken == 1, query
+            assert taken == 1, text
         assert not got.degraded
-        assert got.urls() == expected.urls(), query
+        assert got.urls() == expected.urls(), text
         assert [r.score for r in got.results] == \
-            [r.score for r in expected.results], query
-        assert got.total_matches == expected.total_matches, query
+            [r.score for r in expected.results], text
+        assert got.total_matches == expected.total_matches, text
+        assert got.suggestion == expected.suggestion, text
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -316,8 +316,7 @@ class TestLiveResharding:
         COMPLETE."""
         def corrector_frequencies(engine):
             assert engine.search("web", "zzmissing").total_matches == 0
-            [corrector] = engine._correctors.values()
-            return corrector._frequencies
+            return engine._stats["web"].corrector._frequencies
 
         engine = make_cluster(num_shards=2)
         lifecycle = ShardLifecycleManager(engine)
