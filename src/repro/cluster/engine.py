@@ -23,6 +23,9 @@ method) — over a document-partitioned, replicated index cluster:
   on its own partition, handing the scorer the merged statistics in
   place of the shard's own; the gatherer heap-merges the sorted shard
   lists into the global top-k.
+* **Migrations:** while the control plane's write fanout is installed,
+  each shard counts, in both rounds, only the documents the query's
+  pinned route map gives it, so copies on both sides count once.
 * **Batches:** :meth:`ClusteredSearchEngine.search_many` answers several
   queries on one vertical with one statistics check and one execution
   round, in which each shard runs every query under a single replica
@@ -111,16 +114,6 @@ class _StatsEntry:
     key: tuple
     stats: CorpusStats
     corrector: SpellingCorrector | None = None
-
-
-def _unique_by_doc(merged):
-    """Drop repeated doc_ids from an already globally ranked stream."""
-    seen: set = set()
-    for doc_id, score, shard_id in merged:
-        if doc_id in seen:
-            continue
-        seen.add(doc_id)
-        yield doc_id, score, shard_id
 
 
 def _upsert(replica, vertical, document) -> None:
@@ -410,19 +403,12 @@ class ClusteredSearchEngine:
                        deadline=None) -> list:
         vkey = Vertical(vertical)
         analyzer = self.reference_vertical(vkey).index.analyzer
-        # A shard ships only the page it can win, except in a
-        # migration's dual-read window (fanout installed), where the
-        # deduplicated total needs every id.
-        dual_read = self.write_fanout is not None
-        # (query_text, options, node, terms, per-shard limit)
-        plans = []
+        plans = []      # (query_text, options, node, terms)
         for query_text, options in requests:
             options = options or SearchOptions()
             node = apply_options_to_ast(parse_query(query_text), options)
             plans.append((query_text, options, node,
-                          extract_terms(node, analyzer),
-                          None if dual_read
-                          else options.offset + options.count))
+                          extract_terms(node, analyzer)))
         now_ms = self.clock.now_ms
         failed: set[int] = set()
         # Pin one topology for the whole batch: every scatter round and
@@ -430,6 +416,8 @@ class ClusteredSearchEngine:
         # flips it mid-flight, so a query can never mix shard layouts.
         route = self.router.snapshot()
         groups = self.active_groups(route)
+        # mid-migration a shard may hold copies it does not own
+        owner = route if self.write_fanout is not None else None
         if root:
             root.set("topology_version", route.version)
 
@@ -451,7 +439,7 @@ class ClusteredSearchEngine:
                     outcomes = self.executor.scatter({
                         group.shard_id: self._shard_task(
                             group, "stats",
-                            lambda r: r.collect_stats(vkey))
+                            lambda r: r.collect_stats(vkey, owner))
                         for group in groups
                     })
                 failed |= {sid for sid, out in outcomes.items()
@@ -463,15 +451,15 @@ class ClusteredSearchEngine:
             stats = entry.stats
 
         # Execution: per-shard evaluate + rank of every request under
-        # the global statistics; remember which replica served each
-        # shard so the gather phase can materialize results from it.
-        shard_requests = [(node, options, plan_terms, limit)
-                          for __, options, node, plan_terms, limit
-                          in plans]
+        # the global statistics, shipping the page it can win; remember
+        # which replica served each shard for the gather to materialize.
+        shard_requests = [(node, options, plan_terms,
+                           options.offset + options.count)
+                          for __, options, node, plan_terms in plans]
 
         def run_shard(replica):
             return replica, replica.execute_many(vkey, shard_requests,
-                                                 stats, now_ms)
+                                                 stats, now_ms, owner)
 
         outcomes = {}
         if not overrun:
@@ -558,23 +546,11 @@ class ClusteredSearchEngine:
                 root.set("deadline_overrun", True)
 
         responses = []
-        for i, (query_text, options, __, plan_terms, ___) in \
-                enumerate(plans):
-            # Dedup on gather: during a migration's dual-read window a
-            # moving document legitimately exists on both sides of the
-            # handoff; the first (highest-ranked) copy wins. Only while
-            # that window is open (fanout installed) does the total need
-            # a full deduplicated count — the clean path keeps the lazy
-            # heap merge.
-            ranked = _unique_by_doc(merge_ranked(
-                {sid: shard_answers[i][0]
-                 for sid, shard_answers in answers.items()}))
-            if dual_read:
-                ranked = list(ranked)
-                total_matches = len(ranked)
-            else:
-                total_matches = sum(shard_answers[i][1]
-                                    for shard_answers in answers.values())
+        for i, (query_text, options, __, plan_terms) in enumerate(plans):
+            ranked = merge_ranked({sid: shard_answers[i][0]
+                                   for sid, shard_answers in answers.items()})
+            total_matches = sum(shard_answers[i][1]
+                                for shard_answers in answers.values())
             window = list(islice(ranked, options.offset,
                                  options.offset + options.count))
             results = tuple(

@@ -191,18 +191,28 @@ class ShardReplica:
 
     # -- query plane (runs inside scatter-gather shard tasks) -----------------
 
-    def collect_stats(self, vertical) -> CorpusStats:
+    def _owned(self, route, ids) -> set:
+        """The ids of ``ids`` that ``route`` gives this shard."""
+        return {doc_id for doc_id in ids
+                if route.shard_of(doc_id) == self.shard_id}
+
+    def collect_stats(self, vertical, route=None) -> CorpusStats:
         """Phase 1: this shard's contribution to the global statistics,
-        over every term its text fields hold."""
+        over every term its text fields hold; with a ``route``, over
+        only the documents it routes here."""
         self.reads_served += 1
         self._check_fault()
         vindex = self.vertical(vertical)
-        return CorpusStats.collect(vindex.index, vindex.text_fields)
+        owned = None if route is None else self._owned(
+            route, vindex.index.all_doc_ids())
+        return CorpusStats.collect(vindex.index, vindex.text_fields,
+                                   owned=owned)
 
     def execute_many(self, vertical, requests, stats: CorpusStats,
-                     now_ms: int) -> list:
+                     now_ms: int, route=None) -> list:
         """Phase 2: evaluate + rank this shard under global statistics,
-        for every ``(node, options, terms, limit)`` of one batch.
+        for every ``(node, options, terms, limit)`` of one batch; with a
+        ``route``, over only the documents it routes here.
 
         The batch is one read: one fault check and one ``reads_served``.
         Returns one ``(top, candidate_count)`` per request, where
@@ -213,8 +223,10 @@ class ShardReplica:
         self.reads_served += 1
         self._check_fault()
         vindex = self.vertical(vertical)
+        keep = None if route is None else (
+            lambda ids: self._owned(route, ids))
         return [execute_query(vindex, node, options, terms, now_ms, stats,
-                              limit)
+                              limit, keep)
                 for node, options, terms, limit in requests]
 
     def materialize(self, vertical, doc_id: str, score: float, terms):

@@ -18,11 +18,11 @@ state machine, one batch of work per :meth:`~ShardLifecycleManager.step`:
     cached response computed over the old layout dies immediately.
 ``CLEANUP``
     The moved documents are deleted from the donor. Until cleanup
-    finishes both sides hold the moved documents (the *dual-read
-    window*); the gather phase deduplicates by doc id, so queries see
-    each document exactly once throughout. Cleanup recomputes the
-    remaining set every step, which also sweeps up documents that
-    dual-writes landed on the donor mid-cleanup.
+    finishes both sides hold them (the merge target did before cutover
+    too); while the fanout is installed a shard reads only documents
+    the query's pinned route map gives it, so each counts once.
+    Cleanup recomputes the remaining set every step, which also sweeps
+    up documents that dual-writes landed on the donor mid-cleanup.
 ``COMPLETE``
     The fanout uninstalls and the cluster is back on the clean path.
 

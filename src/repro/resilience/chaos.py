@@ -475,9 +475,9 @@ class _ReshardStorm:
     """Drives scheduled topology changes through the workload and
     checks the migration invariants after every step:
 
-    * **no dropped or duplicated results** — probe queries must return
-      exactly the pre-storm result set (urls and totals) at every
-      migration state, including the dual-read window;
+    * **no dropped, duplicated or rescored results** — probe queries
+      must return the pre-storm page (urls, totals, and ranked scores
+      unless a durability storm's ingest moves them) at every state;
     * **no wrong-shard documents** — every sampled moving document is
       present on the shard its current route map says owns it;
     * **cache coherence at cutover** — a gateway-cached response primed
@@ -503,7 +503,8 @@ class _ReshardStorm:
         self.cache_query = str(
             reshard.get("cache_probe_query", "storm cache probe")
         )
-        self.baselines: dict = {}    # query -> (urls, total_matches)
+        self.baselines: dict = {}    # query -> ((url, score)s, total)
+        self.pin_scores = not plan.durability.get("ingest_per_query")
         self.doc_probes: list = []   # (vertical, doc_id) samples
         self.started = 0
 
@@ -512,7 +513,7 @@ class _ReshardStorm:
         for query in self.probe_queries:
             response = self.symphony.engine.search("web", query)
             self.baselines[query] = (
-                tuple(r.url for r in response.results),
+                tuple((r.url, r.score) for r in response.results),
                 response.total_matches,
             )
 
@@ -596,13 +597,20 @@ class _ReshardStorm:
         where = f"iteration {index} ({state})"
         for query in self.probe_queries:
             response = engine.search("web", query)
-            urls = tuple(r.url for r in response.results)
-            base_urls, base_total = self.baselines[query]
-            if urls != base_urls:
+            hits = tuple((r.url, r.score) for r in response.results)
+            base_hits, base_total = self.baselines[query]
+            urls, base_urls = dict(hits).keys(), dict(base_hits).keys()
+            if urls != base_urls or len(hits) != len(base_hits):
                 self.report.violations.append(
                     f"probe {query!r} diverged at {where}: "
-                    f"{len(set(base_urls) - set(urls))} dropped, "
-                    f"{len(set(urls) - set(base_urls))} unexpected"
+                    f"{len(base_urls - urls)} dropped, "
+                    f"{len(urls - base_urls)} unexpected"
+                )
+            elif self.pin_scores and hits != base_hits:
+                rescored = sum(a != b for a, b in zip(hits, base_hits))
+                self.report.violations.append(
+                    f"probe {query!r} ranked {rescored} of {len(hits)} "
+                    f"results differently at {where}"
                 )
             elif response.total_matches != base_total:
                 self.report.violations.append(

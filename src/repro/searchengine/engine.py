@@ -214,18 +214,20 @@ def rank_candidates(vindex: VerticalIndex, candidates,
 
 def execute_query(vindex: VerticalIndex, node, options: SearchOptions,
                   terms, now_ms: int, stats=None,
-                  limit: int | None = None) -> tuple:
+                  limit: int | None = None, keep=None) -> tuple:
     """The whole per-index search: evaluate, score, select.
 
     :class:`SearchEngine` runs it on its one index, every cluster
     shard replica on its partition, the latter passing the merged
-    corpus-wide ``stats`` (see :mod:`repro.searchengine.stats`), and a
-    tenant table or the Google Base item store on its own vertical.
-    Returns ``(top, candidate_count)``: the best ``limit`` (all when
-    ``None``) ``(doc_id, score)`` pairs, score desc then id, and how
-    many documents matched.
+    corpus-wide ``stats`` (see :mod:`repro.searchengine.stats`) and,
+    mid-migration, ``keep``, which narrows the matches to those it
+    owns; a tenant table or the Google Base item store runs it on its
+    own vertical. Returns ``(top, candidate_count)``: the best ``limit``
+    (all when ``None``) pairs, score desc then id, and how many matched.
     """
     candidates = evaluate_candidates(vindex, node, options, now_ms)
+    if keep is not None:
+        candidates = keep(candidates)
     if not candidates:      # nothing to score: skip the scorer's set-up
         return [], 0
     scorer = BM25Scorer(vindex.index, vindex.text_fields, vindex.params,

@@ -43,9 +43,23 @@ class CorpusStats:
         return cls(0, {}, {})
 
     @classmethod
-    def collect(cls, index, fields, terms=None) -> "CorpusStats":
+    def collect(cls, index, fields, terms=None,
+                owned=None) -> "CorpusStats":
         """Gather statistics for ``terms`` over ``fields`` of one index;
-        ``None`` gathers every term the fields hold, with no zeros."""
+        ``None`` gathers every term the fields hold, with no zeros, as
+        does a set of ``owned`` doc ids, counting those documents only."""
+        if owned is not None:
+            field_stats, doc_frequency = {}, {}
+            for name in fields:
+                lengths = [length for doc_id, length
+                           in index.field_lengths(name).items()
+                           if doc_id in owned]
+                field_stats[name] = FieldStats(sum(lengths), len(lengths))
+                for term in index.term_frequencies(name):
+                    if df := len(owned.intersection(
+                            index.postings(name, term))):
+                        doc_frequency[name, term] = df
+            return cls(len(owned), field_stats, doc_frequency)
         field_stats = {
             name: FieldStats(index.total_field_length(name),
                              index.field_doc_count(name))

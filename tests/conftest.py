@@ -10,11 +10,18 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import settings
 
 from repro.core.platform import Symphony
 from repro.simweb.generator import WebGenerator, WebSpec
 from repro.searchengine.engine import build_engine
 from repro.storage.records import Record
+
+# One profile for every property test: the same examples on every run
+# (a failure replays anywhere) and no per-example time limit (a slow
+# example on a loaded machine is not a bug).
+settings.register_profile("repro", derandomize=True, deadline=None)
+settings.load_profile("repro")
 
 SMALL_SPEC = WebSpec(
     seed=7,

@@ -60,7 +60,7 @@ operations = st.lists(st.one_of(
 ), max_size=80)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=400)
 @given(operations, st.integers(1, 6))
 def test_bounded_sweep_equals_full_scan(steps, capacity):
     generations = GenerationRegistry()

@@ -193,7 +193,7 @@ tenants = st.lists(
 streams = st.lists(st.integers(0, 5), min_size=1, max_size=8)
 
 
-@settings(max_examples=12, derandomize=True, deadline=None)
+@settings(max_examples=12)
 @given(tenants, streams)
 def test_cached_answers_equal_uncached_ones(tiny_web, variants, stream):
     """Tenant 0 has the base reviews source; each later tenant's is

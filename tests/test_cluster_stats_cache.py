@@ -9,17 +9,25 @@ round, whatever its terms; the first query after a write or a cutover
 runs one ``stats`` round first, and only a round every routed shard
 answered is kept. These tests count scatter rounds per search and
 check that a warm entry answers, "did you mean" included, exactly as a
-single node does, whatever writes, splits and merges came in between.
+single node does, whatever writes came in between, in every state of a
+split or a merge.
 """
 
 from __future__ import annotations
 
+import pickle
 from functools import cache
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+)
 
 from repro.cluster import ClusterConfig, build_clustered_engine
-from repro.controlplane import COMPLETE, CUTOVER, ShardLifecycleManager
+from repro.controlplane import CUTOVER, ShardLifecycleManager
 from repro.resilience.deadline import Deadline
 from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.engine import SearchOptions, build_engine
@@ -44,6 +52,13 @@ def web():
 def make_cluster(num_shards=2):
     return build_clustered_engine(
         web(), ClusterConfig(num_shards=num_shards, replicas_per_shard=1))
+
+
+@cache
+def pristine() -> bytes:
+    """A new single node and 2-shard cluster, pickled: each machine
+    run unpickles its own copy in a tenth of the time a build takes."""
+    return pickle.dumps((build_engine(web()), make_cluster(num_shards=2)))
 
 
 def count_rounds(engine) -> list:
@@ -192,38 +207,10 @@ def test_an_expired_deadline_runs_no_round():
                for replica in group.replicas) == 0
 
 
-# -- interleaved writes, reshards and queries ----------------------------------
+# -- interleaved writes, reshard steps and queries -----------------------------
 
 WORDS = ("wine", "review", "tasting", "game", "vintage")
 VERTICALS = ("web", "news")
-
-queries = st.tuples(
-    st.just("query"), st.sampled_from(VERTICALS),
-    st.lists(st.sampled_from(WORDS), min_size=1, max_size=2).map(" ".join))
-adds = st.tuples(
-    st.just("add"), st.sampled_from(VERTICALS),
-    st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join))
-removes = st.tuples(st.just("remove"), st.sampled_from(VERTICALS),
-                    st.integers(0, 10_000))
-reshards = st.tuples(st.sampled_from(("split", "merge")))
-operations = st.lists(
-    st.one_of(queries, queries, adds, adds, removes, reshards),
-    min_size=1, max_size=14)
-
-
-def reshard(cluster, kind: str) -> None:
-    active = cluster.router.snapshot().shard_ids
-    lifecycle = ShardLifecycleManager(cluster, batch_size=64)
-    if kind == "split":
-        lifecycle.begin_split(active[0])
-    elif len(active) > 1:
-        lifecycle.begin_merge(active[-1], active[0])
-    else:
-        return
-    migration = lifecycle.migration
-    while lifecycle.active:
-        lifecycle.step()
-    assert migration.state == COMPLETE
 
 
 def misspell(query: str) -> str:
@@ -252,29 +239,65 @@ def assert_same(single, cluster, rounds, vertical, query) -> None:
         assert got.suggestion == expected.suggestion, text
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(operations)
-def test_interleaved_writes_and_reshards_match_single_node(ops):
-    single = build_engine(web())
-    cluster = make_cluster(num_shards=2)
-    rounds = count_rounds(cluster)
-    # Warm every vertical on every word, so each later write or
-    # reshard meets a populated entry.
-    for vertical in VERTICALS:
-        assert_same(single, cluster, rounds, vertical, " ".join(WORDS))
-    for n, op in enumerate(ops):
-        if op[0] == "query":
-            assert_same(single, cluster, rounds, op[1], op[2])
-        elif op[0] == "add":
-            document = doc(n, op[2], op[1])
-            cluster.add_document(op[1], document)
-            single.vertical(op[1]).add(document)
-        elif op[0] == "remove":
-            ids = sorted(single.vertical(op[1]).index.all_doc_ids())
-            doc_id = ids[op[2] % len(ids)]
-            cluster.remove_document(op[1], doc_id)
-            single.vertical(op[1]).index.remove(doc_id)
-        else:
-            reshard(cluster, op[0])
-    for vertical in VERTICALS:
-        assert_same(single, cluster, rounds, vertical, " ".join(WORDS))
+class ReshardMachine(RuleBasedStateMachine):
+    """Writes, lifecycle steps and queries in any order, against a
+    single node that sees the same writes: every query, in every state
+    of a split or a merge, answers as the single node does."""
+
+    @initialize()
+    def warm(self):
+        self.single, self.cluster = pickle.loads(pristine())
+        self.rounds = count_rounds(self.cluster)
+        self.lifecycle = ShardLifecycleManager(self.cluster, batch_size=8)
+        self.added = 0
+        # Warm every vertical on every word, so each later write or
+        # step meets a populated entry.
+        for vertical in VERTICALS:
+            assert_same(self.single, self.cluster, self.rounds, vertical,
+                        " ".join(WORDS))
+
+    def shard_ids(self) -> tuple:
+        return self.cluster.router.snapshot().shard_ids
+
+    @rule(vertical=st.sampled_from(VERTICALS),
+          words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
+    def add(self, vertical, words):
+        document = doc(self.added, " ".join(words), vertical)
+        self.added += 1
+        self.cluster.add_document(vertical, document)
+        self.single.vertical(vertical).add(document)
+
+    @rule(vertical=st.sampled_from(VERTICALS), pick=st.integers(0, 10_000))
+    def remove(self, vertical, pick):
+        ids = sorted(self.single.vertical(vertical).index.all_doc_ids())
+        doc_id = ids[pick % len(ids)]
+        self.cluster.remove_document(vertical, doc_id)
+        self.single.vertical(vertical).index.remove(doc_id)
+
+    @precondition(lambda self: not self.lifecycle.active)
+    @rule()
+    def begin_split(self):
+        self.lifecycle.begin_split(self.shard_ids()[0])
+
+    @precondition(lambda self: not self.lifecycle.active
+                  and len(self.shard_ids()) > 1)
+    @rule()
+    def begin_merge(self):
+        active = self.shard_ids()
+        self.lifecycle.begin_merge(active[-1], active[0])
+
+    @precondition(lambda self: self.lifecycle.active)
+    @rule()
+    def step(self):
+        self.lifecycle.step()
+
+    @rule(vertical=st.sampled_from(VERTICALS),
+          words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=2))
+    def query(self, vertical, words):
+        assert_same(self.single, self.cluster, self.rounds, vertical,
+                    " ".join(words))
+
+
+ReshardMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=20)
+TestReshardMachine = ReshardMachine.TestCase

@@ -370,7 +370,7 @@ def contracts_and_rows(draw):
 
 
 class TestEnforcerAgainstReference:
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(contracts_and_rows())
     def test_enforce_agrees_with_reference(self, case):
         contract, rows = case

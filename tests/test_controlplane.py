@@ -311,9 +311,9 @@ class TestLiveResharding:
 
     def test_did_you_mean_does_not_outlive_a_reshard(self, make_cluster):
         """Handoff and cleanup write through ``replicated_write``, not
-        ``add_document``: a corrector cached in the dual-read window
-        (moved documents counted on both sides) must not survive to
-        COMPLETE."""
+        ``add_document``: a corrector cached mid-migration must not
+        survive to COMPLETE. In the window, with moved documents on
+        both sides, each still counts once, on its owner."""
         def corrector_frequencies(engine):
             assert engine.search("web", "zzmissing").total_matches == 0
             return engine._stats["web"].corrector._frequencies
@@ -328,7 +328,7 @@ class TestLiveResharding:
             lifecycle.step()
 
         fresh = corrector_frequencies(make_cluster(num_shards=2))
-        assert in_window != fresh       # the window double-counts
+        assert in_window == fresh
         assert corrector_frequencies(engine) == fresh
 
     def test_only_one_migration_at_a_time(self, make_cluster):

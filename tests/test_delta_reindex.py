@@ -125,7 +125,7 @@ def apply(table, mutation, added_fields):
 
 class TestEquivalence:
     @given(steps)
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     def test_long_lived_source_equals_fresh_after_every_step(self, steps):
         table = make_table()
         for sku, title in (("S1", "halo odyssey"), ("S2", "braid arena"),

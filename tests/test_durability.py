@@ -134,7 +134,7 @@ class TestReplayIdempotence:
                            doc_id=f"durable-doc-{number}")
         return wal
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(ops=ops_strategy,
            split=st.integers(min_value=0, max_value=40))
     def test_double_and_overlapping_replay_converge(self, ops, split):
@@ -153,7 +153,7 @@ class TestReplayIdempotence:
         assert content_digest(once) == content_digest(twice)
         assert once.applied_lsn == twice.applied_lsn == len(records)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(ops=ops_strategy)
     def test_replay_matches_direct_application(self, ops):
         """The WAL is a faithful account: replaying it reproduces the

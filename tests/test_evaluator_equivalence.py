@@ -199,7 +199,7 @@ phrases = st.builds(PhraseNode, st.lists(
     st.sampled_from(WORDS), min_size=2, max_size=4).map(" ".join))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(churned(), st.lists(trees, min_size=1, max_size=5),
        st.lists(phrases, max_size=5))
 def test_narrowing_evaluator_equals_set_algebra(corpus, queries, bare):
@@ -253,7 +253,7 @@ def table_source(specs, removed, readded):
     return source
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(churned(), trees)
 def test_every_caller_answers_as_with_the_reference(corpus, node):
     text = render(node)
@@ -320,7 +320,7 @@ narrowers = st.one_of(
 )
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(keyword_docs, min_size=1, max_size=25), narrowers,
        st.one_of(keyword_or("site", KEYWORD_VALUES),
                  keyword_or("topic", TOPICS + ("WINE", "none")),

@@ -50,7 +50,7 @@ backend_lists = st.dictionaries(
 class TestPermutationInvariance:
     @given(lists=backend_lists,
            method=st.sampled_from(FUSION_METHODS))
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_backend_insertion_order_is_irrelevant(self, lists,
                                                    method):
         forward = fuse(lists, method=method)
@@ -60,7 +60,7 @@ class TestPermutationInvariance:
         assert forward == reversed_insertion
 
     @given(lists=backend_lists)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_rrf_fusion_is_pure(self, lists):
         assert fuse(lists) == fuse(lists)
 
@@ -68,7 +68,7 @@ class TestPermutationInvariance:
 class TestDeterministicTieBreaking:
     @given(lists=backend_lists,
            method=st.sampled_from(FUSION_METHODS))
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_equal_scores_order_by_url(self, lists, method):
         fused = fuse(lists, method=method)
         for first, second in zip(fused, fused[1:]):
@@ -79,7 +79,7 @@ class TestDeterministicTieBreaking:
 
 class TestDedup:
     @given(lists=backend_lists)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_each_url_appears_once(self, lists):
         fused = fuse(lists)
         fused_urls = [item.url for item in fused]
@@ -89,7 +89,7 @@ class TestDedup:
         assert set(fused_urls) == all_urls
 
     @given(lists=backend_lists)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_kept_copy_is_best_ranked(self, lists):
         fused = fuse(lists)
         for item in fused:
@@ -113,7 +113,7 @@ class TestDedup:
 
 class TestSingleBackendEquivalence:
     @given(items=pairs)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_rrf_preserves_the_lone_backend_order(self, items):
         lists = {"solo": _items("solo", items)}
         fused = fuse(lists, method="rrf")
@@ -128,7 +128,7 @@ class TestSingleBackendEquivalence:
         assert [item.url for item in fused] == expected
 
     @given(items=pairs)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_every_method_returns_the_same_url_set(self, items):
         lists = {"solo": _items("solo", items)}
         by_method = {method: {i.url for i in fuse(lists, method=method)}
@@ -139,7 +139,7 @@ class TestSingleBackendEquivalence:
 
 class TestCombMethods:
     @given(lists=backend_lists)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_combmnz_is_combsum_scaled_by_occurrences(self, lists):
         sums = comb_sum(lists)
         mnz = comb_mnz(lists)

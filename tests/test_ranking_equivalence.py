@@ -146,7 +146,7 @@ def index_of(docs):
     return index
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(corpora, scored_fields, parameters, term_lists)
 def test_scores_equal_the_per_call_reference(corpus, fields, params, terms):
     docs = documents(corpus)
@@ -157,7 +157,7 @@ def test_scores_equal_the_per_call_reference(corpus, fields, params, terms):
                                               terms, ids)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(corpora, scored_fields, parameters, term_lists)
 def test_a_shard_under_merged_stats_scores_like_the_union(
         corpus, fields, params, terms):
@@ -181,7 +181,7 @@ prior_values = st.one_of(st.sampled_from((0.0, 0.25, 1.0)),
                          st.floats(0.0, 1.0))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(corpora, corpora, scored_fields, parameters, term_lists,
        st.sampled_from(sorted(PRIOR_WEIGHTS)), st.data())
 def test_bounded_rank_is_the_reference_prefix(

@@ -208,7 +208,7 @@ steps = st.lists(
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(replicas=st.sampled_from((2, 3)), sequence=steps)
 # Every replica of shard 0 crashed: degraded reads, add_replica refused,
 # then a recovery with no peer to verify against and one with a peer.

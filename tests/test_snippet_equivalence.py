@@ -193,7 +193,7 @@ def single_node(docs):
     return engine
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(any_body, min_size=1, max_size=4),
        st.sampled_from(QUERIES))
 def test_materialized_snippet_equals_per_word_reference(texts, query):
@@ -207,7 +207,6 @@ def test_materialized_snippet_equals_per_word_reference(texts, query):
                                        WIDTH), (query, doc.get("body"))
 
 
-@settings(derandomize=True, deadline=None)
 @given(bodies_and_positions(), st.sampled_from((1, 2, 5, WIDTH, 30)))
 def test_best_window_equals_reference_walk_cold_and_warm(body, width):
     text, positions = body
@@ -217,7 +216,7 @@ def test_best_window_equals_reference_walk_cold_and_warm(body, width):
     assert best_window(text, iter(positions), width) == expected
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(bodies(), min_size=1, max_size=8),
        st.sampled_from(QUERIES))
 def test_cluster_snippets_equal_single_node_and_reference(texts, query):

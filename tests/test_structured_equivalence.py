@@ -183,7 +183,7 @@ def seen(items):
             for item in items]
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(rows, max_size=14),
        st.lists(st.tuples(st.integers(0, 20), rows), max_size=4),
        st.lists(queries, min_size=1, max_size=4))

@@ -170,7 +170,7 @@ queries = st.lists(
     min_size=1, max_size=3)
 
 
-@settings(max_examples=20, derandomize=True, deadline=None)
+@settings(max_examples=20)
 @given(st.booleans(), st.booleans(), st.integers(1, 4), bindings, queries)
 # Repeated look-ups in one call, shared across tenants, cache on.
 @example(True, True, 4, [("reviews", "genre", ""), ("twin", "title", "zzqx")],

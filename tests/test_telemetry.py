@@ -284,7 +284,7 @@ class TestTracer:
         assert span.status == "error"
         assert span.attrs["error"] == "kaput"
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(span_trees, max_size=6))
     def test_a_trace_reads_as_the_filter_of_every_sorted_span(self, forest):
         """``trace_spans`` sorts one trace; it must list exactly what

@@ -80,7 +80,7 @@ def filed(value):
 
 class TestFieldLevelUpsert:
     @given(index_steps)
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     def test_equals_remove_then_add_after_every_step(self, steps):
         fast, reference = make_index(), make_index()
         entries = fast._entries
@@ -188,7 +188,7 @@ PROBES = ("S1", "S2", "1", "True", "", None, 0, 1, 1.0, True, False, 0.0,
 
 class TestExactFind:
     @given(table_steps)
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     def test_find_equals_the_scan_after_every_step(self, steps):
         table = make_table()
         for step in steps:
