@@ -191,10 +191,13 @@ class ShardReplica:
 
     # -- query plane (runs inside scatter-gather shard tasks) -----------------
 
-    def _owned(self, route, ids) -> set:
-        """The ids of ``ids`` that ``route`` gives this shard."""
-        return {doc_id for doc_id in ids
-                if route.shard_of(doc_id) == self.shard_id}
+    def _keep(self, route):
+        """The doc-id filter both phases apply under ``route``: the ids
+        it gives this shard (``None``, keeping every id, without one)."""
+        if route is None:
+            return None
+        return lambda ids: {doc_id for doc_id in ids
+                            if route.shard_of(doc_id) == self.shard_id}
 
     def collect_stats(self, vertical, route=None) -> CorpusStats:
         """Phase 1: this shard's contribution to the global statistics,
@@ -203,10 +206,8 @@ class ShardReplica:
         self.reads_served += 1
         self._check_fault()
         vindex = self.vertical(vertical)
-        owned = None if route is None else self._owned(
-            route, vindex.index.all_doc_ids())
         return CorpusStats.collect(vindex.index, vindex.text_fields,
-                                   owned=owned)
+                                   keep=self._keep(route))
 
     def execute_many(self, vertical, requests, stats: CorpusStats,
                      now_ms: int, route=None) -> list:
@@ -223,8 +224,7 @@ class ShardReplica:
         self.reads_served += 1
         self._check_fault()
         vindex = self.vertical(vertical)
-        keep = None if route is None else (
-            lambda ids: self._owned(route, ids))
+        keep = self._keep(route)
         return [execute_query(vindex, node, options, terms, now_ms, stats,
                               limit, keep)
                 for node, options, terms, limit in requests]

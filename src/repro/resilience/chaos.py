@@ -475,9 +475,10 @@ class _ReshardStorm:
     """Drives scheduled topology changes through the workload and
     checks the migration invariants after every step:
 
-    * **no dropped, duplicated or rescored results** — probe queries
-      must return the pre-storm page (urls, totals, and ranked scores
-      unless a durability storm's ingest moves them) at every state;
+    * **no dropped, duplicated, reordered or rescored results** — probe
+      queries must return the pre-storm page (urls in order, totals,
+      and scores unless a durability storm's ingest moves them) at
+      every state;
     * **no wrong-shard documents** — every sampled moving document is
       present on the shard its current route map says owns it;
     * **cache coherence at cutover** — a gateway-cached response primed
@@ -599,12 +600,17 @@ class _ReshardStorm:
             response = engine.search("web", query)
             hits = tuple((r.url, r.score) for r in response.results)
             base_hits, base_total = self.baselines[query]
-            urls, base_urls = dict(hits).keys(), dict(base_hits).keys()
-            if urls != base_urls or len(hits) != len(base_hits):
+            urls = tuple(url for url, __ in hits)
+            base_urls = tuple(url for url, __ in base_hits)
+            if sorted(urls) != sorted(base_urls):
                 self.report.violations.append(
                     f"probe {query!r} diverged at {where}: "
-                    f"{len(base_urls - urls)} dropped, "
-                    f"{len(urls - base_urls)} unexpected"
+                    f"{len(set(base_urls) - set(urls))} dropped, "
+                    f"{len(set(urls) - set(base_urls))} unexpected"
+                )
+            elif urls != base_urls:
+                self.report.violations.append(
+                    f"probe {query!r} reordered its results at {where}"
                 )
             elif self.pin_scores and hits != base_hits:
                 rescored = sum(a != b for a, b in zip(hits, base_hits))

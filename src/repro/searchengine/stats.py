@@ -43,41 +43,35 @@ class CorpusStats:
         return cls(0, {}, {})
 
     @classmethod
-    def collect(cls, index, fields, terms=None,
-                owned=None) -> "CorpusStats":
+    def collect(cls, index, fields, terms=None, keep=None) -> "CorpusStats":
         """Gather statistics for ``terms`` over ``fields`` of one index;
-        ``None`` gathers every term the fields hold, with no zeros, as
-        does a set of ``owned`` doc ids, counting those documents only."""
-        if owned is not None:
-            field_stats, doc_frequency = {}, {}
-            for name in fields:
+        ``None`` gathers every term the fields hold, with no zeros.
+        ``keep``, the doc-id filter
+        :func:`~repro.searchengine.engine.execute_query` takes, narrows
+        the documents counted to those it keeps of the index's ids."""
+        owned = None if keep is None else keep(index.all_doc_ids())
+        field_stats, doc_frequency = {}, {}
+        for name in fields:
+            if owned is None:
+                field_stats[name] = FieldStats(index.total_field_length(name),
+                                               index.field_doc_count(name))
+            else:
                 lengths = [length for doc_id, length
                            in index.field_lengths(name).items()
                            if doc_id in owned]
                 field_stats[name] = FieldStats(sum(lengths), len(lengths))
-                for term in index.term_frequencies(name):
-                    if df := len(owned.intersection(
-                            index.postings(name, term))):
-                        doc_frequency[name, term] = df
-            return cls(len(owned), field_stats, doc_frequency)
-        field_stats = {
-            name: FieldStats(index.total_field_length(name),
-                             index.field_doc_count(name))
-            for name in fields
-        }
-        if terms is None:
-            doc_frequency = {
-                (name, term): df
-                for name in fields
-                for term, df in index.term_frequencies(name).items()
-            }
-        else:
-            doc_frequency = {
-                (name, term): index.document_frequency(name, term)
-                for name in fields
-                for term in terms
-            }
-        return cls(len(index), field_stats, doc_frequency)
+            if terms is None:
+                vocabulary = index.term_frequencies(name).items()
+            else:
+                vocabulary = ((term, index.document_frequency(name, term))
+                              for term in terms)
+            for term, df in vocabulary:
+                if owned is not None:
+                    df = len(owned.intersection(index.postings(name, term)))
+                if df or terms is not None:
+                    doc_frequency[name, term] = df
+        return cls(len(index) if owned is None else len(owned),
+                   field_stats, doc_frequency)
 
     @staticmethod
     def merge(parts) -> "CorpusStats":

@@ -568,6 +568,44 @@ class TestChaosHarness:
         assert not report.ok
 
 
+    @pytest.mark.parametrize("pin_scores, hits, total, violation", [
+        (True, (("a", 2.0), ("b", 1.0)), 5, None),
+        (False, (("b", 2.0), ("a", 1.0)), 5,
+         "probe 'q' reordered its results at iteration 3 (idle)"),
+        (True, (("a", 2.0), ("a", 1.0)), 5,
+         "probe 'q' diverged at iteration 3 (idle): 1 dropped, "
+         "0 unexpected"),
+        (True, (("a", 2.0), ("b", 0.5)), 5,
+         "probe 'q' ranked 1 of 2 results differently at iteration 3 "
+         "(idle)"),
+        (False, (("a", 2.0), ("b", 0.5)), 5, None),
+        (True, (("a", 2.0), ("b", 1.0)), 6,
+         "probe 'q' total_matches 6 != 5 at iteration 3 (idle)"),
+    ])
+    def test_a_reshard_probe_checks_urls_in_order_scores_and_totals(
+            self, pin_scores, hits, total, violation):
+        from types import SimpleNamespace
+
+        from repro.resilience.chaos import ChaosReport, _ReshardStorm
+
+        response = SimpleNamespace(
+            results=[SimpleNamespace(url=url, score=score)
+                     for url, score in hits],
+            total_matches=total)
+        storm = _ReshardStorm.__new__(_ReshardStorm)
+        storm.symphony = SimpleNamespace(engine=SimpleNamespace(
+            search=lambda vertical, query: response,
+            router=SimpleNamespace(snapshot=lambda: None)))
+        storm.controlplane = SimpleNamespace(active=False)
+        storm.probe_queries, storm.doc_probes = ["q"], []
+        storm.baselines = {"q": ((("a", 2.0), ("b", 1.0)), 5)}
+        storm.pin_scores = pin_scores
+        storm.report = ChaosReport("storm")
+        storm._verify(3)
+        assert storm.report.violations == ([violation] if violation
+                                           else [])
+
+
 class TestResilienceConfig:
     def test_defaults(self):
         config = ResilienceConfig()
