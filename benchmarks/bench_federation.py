@@ -15,10 +15,10 @@ the generator's own entity labels. The ISSUE's acceptance bars:
   survivors: no exception escapes, the backend lands in ``degraded``.
 
 Recall, precision and the lab's cost units are counts, so the
-``x12_federation`` artifact is deterministic. ``enable_federation()``
-builds an executor that ``core/runtime.py`` never consults, so an app
-without a federated source pays what ``fig2_bare`` measures
-(``query_p50_ms``, ``benchmarks/e2e/``) whether the layer is on or not.
+``x12_federation`` artifact is deterministic.
+``FederationExecutor.for_platform`` builds an executor the platform
+does not hold, and nothing under ``repro.core`` imports
+``repro.federation``, so no app's query can reach the lab.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ def build_federation(web):
         RollyoPlatform,
     )
     from repro.core.platform import Symphony
-    from repro.federation import baseline_backend
+    from repro.federation import FederationExecutor, baseline_backend
 
     symphony = Symphony(web=web, use_authority=False)
-    executor = symphony.enable_federation()
+    executor = FederationExecutor.for_platform(symphony)
     # The seeded "local" backend would trivially win (it sees every
     # site); the experiment federates the three restricted slices.
     executor.registry.remove("local")

@@ -1,129 +1,87 @@
-"""Experiment X6 — supplemental query derivation ablation (DESIGN.md §6).
+"""Experiment X6 — supplemental query derivation (DESIGN.md §6).
 
-The paper's flow issues one focused supplemental query per primary
-result. The alternative batches all primary results of a binding into a
-single disjunctive query and fans the pooled results back out. The
-ablation measures the trade-off: batched mode saves engine round-trips
-(queries, simulated latency) but can misattribute or lose results in the
-fan-back-out step.
+The paper's flow derives one focused supplemental query per primary
+result, from that result's drive fields. The runtime derives every
+look-up of a query first and sends them as one planned call: each
+engine vertical's look-ups go out in one ``search_many``. The artifact
+reports that flow on counts, Endrullis, Thor & Rahm's two axes: cost
+(look-ups derived, source calls sent) and precision (returned items
+whose text holds their own primary result's drive value).
 """
 
 import pytest
 
 from repro.core.platform import Symphony
-from repro.core.runtime import SymphonyRuntime
 
 from benchmarks.conftest import build_gamerqueen, record_artifact
 
 
-def make_platform(bench_web, mode):
-    symphony = Symphony(web=bench_web, cache_enabled=False)
-    symphony.runtime = SymphonyRuntime(
-        registry=symphony.sources,
-        apps=symphony.apps,
-        renderer=symphony.renderer,
-        clock=symphony.clock,
-        log=symphony.engine.log,
-        cache_enabled=False,
-        supplemental_mode=mode,
+@pytest.fixture(scope="module")
+def platform(bench_web):
+    symphony = Symphony(web=bench_web, cache_enabled=False,
+                        telemetry=True)
+    app_id, __ = build_gamerqueen(
+        symphony, designer_name="Derive", table_name="derive_inventory",
+        n_supplemental=1,
     )
-    app_id, games = build_gamerqueen(
-        symphony, designer_name=f"Derive-{mode}",
-        table_name=f"derive_inventory_{mode}", n_supplemental=1,
-    )
-    return symphony, app_id, games
+    return symphony, app_id
 
 
 def run_workload(symphony, app_id, query):
     response = symphony.query(app_id, query)
-    trace = response.trace
-    coverage = sum(
-        1 for view in response.views
-        if any(result.items for result in view.supplemental.values())
-    )
+    spans = symphony.telemetry.tracer.trace_spans(
+        response.trace.span.trace_id)
+    calls = sum(1 for span in spans if span.name == "source"
+                and span.parent.name == "stage:supplemental")
+    items = own = covered = 0
+    for view in response.views:
+        drive = view.item.get("title").lower()
+        returned = [item for result in view.supplemental.values()
+                    for item in result.items]
+        covered += bool(returned)
+        items += len(returned)
+        own += sum(
+            1 for item in returned
+            if drive in " ".join([item.title, item.snippet] + [
+                str(value) for value in item.fields.values()]).lower()
+        )
     return {
         "views": len(response.views),
-        "covered": coverage,
-        "supplemental_ms": trace.stage("supplemental").elapsed_ms,
-        "total_ms": trace.total_ms(),
-        "detail": trace.stage("supplemental").detail,
+        "lookups": int(response.trace.stage("supplemental")
+                       .detail.split()[0]),
+        "calls": calls,
+        "items": items,
+        "own": own,
+        "covered": covered,
     }
 
 
-@pytest.fixture(scope="module")
-def platforms(bench_web):
-    return {mode: make_platform(bench_web, mode)
-            for mode in ("per_result", "batched")}
-
-
-def test_supplemental_derivation_ablation(benchmark, platforms):
+def test_supplemental_derivation(benchmark, platform):
     # A broad query that matches several inventory titles, so the
-    # batched mode has something to batch.
-    query = "classic experience"
+    # supplemental stage has several look-ups to plan.
+    symphony, app_id = platform
+    counts = benchmark.pedantic(
+        run_workload, args=(symphony, app_id, "classic experience"),
+        rounds=3, iterations=1,
+    )
 
-    def measure(mode):
-        symphony, app_id, __ = platforms[mode]
-        return run_workload(symphony, app_id, query)
-
-    per_result = benchmark.pedantic(measure, args=("per_result",),
-                                    rounds=3, iterations=1)
-    batched = measure("batched")
-
+    own = f"{counts['own']}/{counts['items']}"
+    coverage = f"{counts['covered']}/{counts['views']}"
     lines = [
-        "Supplemental derivation: per-result focused queries vs one "
-        "batched disjunction",
-        f"{'mode':<12} {'queries':>18} {'supp_ms':>9} {'total_ms':>9} "
-        f"{'coverage':>9}",
+        "Supplemental derivation: one focused look-up per primary "
+        "result, sent as one planned call",
+        f"{'lookups':>7} {'source_calls':>12} {'items':>5} "
+        f"{'own_drive_value':>15} {'coverage':>8}",
+        f"{counts['lookups']:>7} {counts['calls']:>12} "
+        f"{counts['items']:>5} {own:>15} {coverage:>8}",
     ]
-    for mode, cost in (("per_result", per_result),
-                       ("batched", batched)):
-        queries = cost["detail"].split()[0]
-        coverage = f"{cost['covered']}/{cost['views']}"
-        lines.append(
-            f"{mode:<12} {queries:>18} {cost['supplemental_ms']:>9.1f} "
-            f"{cost['total_ms']:>9.1f} {coverage:>9}"
-        )
     record_artifact("x6_supplemental_derivation", "\n".join(lines))
 
-    # Batched mode issues exactly one supplemental query; per-result
-    # issues one per primary view.
-    assert int(batched["detail"].split()[0]) == 1
-    assert int(per_result["detail"].split()[0]) >= \
-        per_result["views"]
-    # The round-trip saving shows up as lower supplemental latency.
-    assert batched["supplemental_ms"] < \
-        per_result["supplemental_ms"]
-    # The paper's per-result flow pays more but covers every result.
-    assert per_result["covered"] == per_result["views"]
-    # Batched coverage may trail but must not collapse.
-    assert batched["covered"] >= per_result["views"] // 2
-
-
-def test_batched_mode_preserves_assignment_quality(benchmark,
-                                                   platforms):
-    """For precise (single-title) queries both modes find the same
-    review sites for the same title."""
-    symphony_a, app_a, games = platforms["per_result"]
-    symphony_b, app_b, __ = platforms["batched"]
-    query = games[0]
-
-    response_b = benchmark.pedantic(
-        lambda: symphony_b.query(app_b, query), rounds=3, iterations=1
-    )
-    response_a = symphony_a.query(app_a, query)
-
-    def supplemental_titles(response):
-        out = set()
-        for view in response.views:
-            for result in view.supplemental.values():
-                out.update(item.title for item in result.items)
-        return out
-
-    titles_a = supplemental_titles(response_a)
-    titles_b = supplemental_titles(response_b)
-    assert titles_b  # batched found reviews
-    # Batched results are a subset of (or equal to) the focused ones
-    # for a single-result query, never spurious extras from other
-    # titles.
-    head = games[0].split()[0].lower()
-    assert all(head in title.lower() for title in titles_b)
+    # One look-up per primary view, all of them one engine call.
+    assert counts["views"] == 4
+    assert counts["lookups"] == 4
+    assert counts["calls"] == 1
+    # Every view is covered, and every item belongs to its own view.
+    assert counts["covered"] == 4
+    assert counts["items"] == 8
+    assert counts["own"] == counts["items"]

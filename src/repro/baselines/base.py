@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from repro.core.capability import BackendDescriptor
 from repro.errors import UnsupportedCapabilityError
-from repro.gateway.generations import corpus_key
 from repro.searchengine.engine import SearchOptions
 from repro.util import slugify
 
@@ -67,7 +66,7 @@ class BaselinePlatform:
         Derived from :meth:`capability_profile` — the same object Table I
         prints — so the federation registry and the probe machinery share
         one source of truth. All baselines sit over the shared local
-        substrate's web vertical, hence its corpus generation dependency.
+        substrate's web vertical.
         """
         profile = self.capability_profile()
         return BackendDescriptor(
@@ -79,7 +78,6 @@ class BaselinePlatform:
             supports_fielded=self.fielded_queries,
             supports_entity=self.entity_queries,
             cost_per_query=self.query_cost,
-            generation_keys=(corpus_key("web"),),
         )
 
     def supports_custom_sites(self) -> bool:

@@ -520,11 +520,12 @@ def _cmd_federation(args) -> int:
     from repro.federation import (
         FUSION_METHODS,
         STRATEGY_NAMES,
+        FederationExecutor,
         baseline_backend,
     )
 
     symphony = _build_platform(args.seed)
-    executor = symphony.enable_federation()
+    executor = FederationExecutor.for_platform(symphony)
     sites = sorted({page.site for page in symphony.web.pages.values()})
     executor.registry.add(baseline_backend(
         RollyoPlatform(symphony.engine), sites=tuple(sites[:3]),

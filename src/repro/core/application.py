@@ -162,9 +162,6 @@ class SourceBinding:
     search_fields: tuple = ()
     drive_fields: tuple = ()
     query_suffix: str = ""
-    #: Query-generator strategy applied when deriving this binding's
-    #: query ("" = verbatim; see repro.federation.querygen).
-    query_strategy: str = ""
 
     def __post_init__(self):
         if self.max_results <= 0:
@@ -179,25 +176,12 @@ class SourceBinding:
         """Build this supplemental binding's query from the drive
         fields of one parent-slot ``item``; "" when they are all empty."""
         parts = []
-        raw_values = []
         for field_name in self.drive_fields:
             value = item.get(field_name)
             if value:
-                raw_values.append(value)
                 parts.append(f'"{value}"' if " " in value else value)
         if not parts:
             return ""
-        if self.query_strategy:
-            # Lazy import: bindings without a strategy (the default)
-            # never pay for loading the federation lab.
-            from repro.federation.querygen import get_generator
-            suffix_terms = tuple(self.query_suffix.split()) \
-                if with_suffix and self.query_suffix else ()
-            return get_generator(self.query_strategy).generate(
-                " ".join(raw_values),
-                context={"entity": raw_values[0],
-                         "context_terms": suffix_terms},
-            )
         query = " ".join(parts)
         if with_suffix and self.query_suffix:
             query = f"{query} {self.query_suffix}"
@@ -212,7 +196,6 @@ class SourceBinding:
             "search_fields": list(self.search_fields),
             "drive_fields": list(self.drive_fields),
             "query_suffix": self.query_suffix,
-            "query_strategy": self.query_strategy,
         }
 
     @classmethod
@@ -225,7 +208,6 @@ class SourceBinding:
             search_fields=tuple(data.get("search_fields", ())),
             drive_fields=tuple(data.get("drive_fields", ())),
             query_suffix=data.get("query_suffix", ""),
-            query_strategy=data.get("query_strategy", ""),
         )
 
 

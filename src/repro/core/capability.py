@@ -63,9 +63,7 @@ class BackendDescriptor:
     The query-facing subset of the Table I vocabulary: which verticals a
     backend serves, whether it honours site restriction, whether its
     query language accepts fielded (``field:value``) predicates, and what
-    a query there costs.  ``generation_keys`` names the data dependencies
-    (see :mod:`repro.gateway.generations`) a cached result computed over
-    this backend must be stamped with.
+    a query there costs.
     """
 
     backend_id: str
@@ -82,5 +80,4 @@ class BackendDescriptor:
     #: Relative per-query cost (local substrate = 1.0; metered external
     #: APIs cost more). The query-generator lab charges this per call.
     cost_per_query: float = 1.0
-    generation_keys: tuple = ()
     notes: dict = field(default_factory=dict)

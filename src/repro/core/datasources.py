@@ -57,7 +57,6 @@ class SourceKind(str, Enum):
     SERVICE = "service"
     ADS = "ads"
     CUSTOMER = "customer"
-    FEDERATED = "federated"
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ class SlotHandle:
     search_fields: tuple = ()
     drive_fields: tuple = ()
     query_suffix: str = ""
-    query_strategy: str = ""
     elements: list = field(default_factory=list)
     children: list = field(default_factory=list)   # child SlotHandles
 
@@ -123,15 +122,12 @@ class DesignSession:
                                        drive_fields,
                                        heading: str = "",
                                        max_results: int = 3,
-                                       query_suffix: str = "",
-                                       query_strategy: str = "") \
+                                       query_suffix: str = "") \
             -> SlotHandle:
         """Drop a source onto a result layout as supplemental content.
 
         ``drive_fields`` selects "which fields from the first data source
-        to use when querying that secondary data" (§II-A);
-        ``query_strategy`` optionally picks a query-generator phrasing
-        (keyword/fielded/entity) for the derived query.
+        to use when querying that secondary data" (§II-A).
         """
         self._registry.get(source_id)  # existence check
         parent_source = self._registry.get(parent.source_id)
@@ -153,7 +149,6 @@ class DesignSession:
             max_results=max_results,
             drive_fields=tuple(drive_fields),
             query_suffix=query_suffix,
-            query_strategy=query_strategy,
         )
         parent.children.append(handle)
         return handle
@@ -306,7 +301,6 @@ class DesignSession:
             search_fields=handle.search_fields,
             drive_fields=handle.drive_fields,
             query_suffix=handle.query_suffix,
-            query_strategy=handle.query_strategy,
         )
 
     def _slot_of(self, handle: SlotHandle) -> SourceSlot:

@@ -273,56 +273,6 @@ class Symphony:
                 self.engine, config=config, clock=self.clock,
                 telemetry=self.telemetry,
             )
-        # Opt-in federation: built lazily by enable_federation().
-        self.federation = None
-
-    # -- federation (ROADMAP item 4) --------------------------------------------
-
-    def enable_federation(self, policy=None):
-        """Build the federation layer: a backend registry seeded with
-        this platform's own engine (backend id ``"local"``) plus a
-        scatter-gather executor sharing the platform clock, telemetry,
-        and resilience retry policy. Idempotent; returns the executor.
-        """
-        if self.federation is None:
-            from repro.federation import (
-                BackendRegistry,
-                EngineBackend,
-                FederationExecutor,
-                FederationPolicy,
-                QueryGeneratorLab,
-            )
-            if policy is None:
-                policy = (
-                    FederationPolicy(retry=self.resilience.retry)
-                    if self.resilience is not None else FederationPolicy()
-                )
-            registry = BackendRegistry()
-            registry.add(EngineBackend("local", self.engine))
-            self.federation = FederationExecutor(
-                registry,
-                clock=self.clock,
-                telemetry=self.telemetry,
-                policy=policy,
-                lab=QueryGeneratorLab(),
-            )
-        return self.federation
-
-    def add_federated_source(self, name: str, backend_ids=(),
-                             fusion: str = "",
-                             query_strategy: str = ""):
-        """Register a federated meta-search as a drag-onto-app source."""
-        from repro.federation import FederatedSearchSource
-        executor = self.enable_federation()
-        source = FederatedSearchSource(
-            source_id=self.ids.next_id("source"),
-            name=name,
-            executor=executor,
-            backend_ids=tuple(backend_ids),
-            fusion=fusion,
-            query_strategy=query_strategy,
-        )
-        return self.sources.add(source)
 
     # -- accounts ------------------------------------------------------------
 

@@ -249,29 +249,18 @@ class SymphonyRuntime:
                  log=None,
                  cache: ResultCache | None = None,
                  cache_enabled: bool = True,
-                 supplemental_mode: str = "per_result",
                  circuit_breaker: "CircuitBreaker | None" = None,
                  community_feedback=None,
                  telemetry: Telemetry | None = None,
                  resilience=None,
                  slo=None) -> None:
-        # DESIGN.md §6 ablation: derive one focused query per primary
-        # result (the paper's flow) vs one disjunctive query per
-        # supplemental binding, fanned back out to the results.
-        supplemental = {"per_result": self._supplemental_per_result,
-                        "batched": self._supplemental_batched}
-        if supplemental_mode not in supplemental:
-            raise ValueError(
-                f"unknown supplemental mode {supplemental_mode!r}"
-            )
-        self.supplemental_mode = supplemental_mode
         #: Fig. 2 as data: every query runs these in order, each taking
         #: the query's :class:`QueryContext`.
         self._stages = (
             self._receive,
             self._customer_rewrite,
             self._primary,
-            supplemental[supplemental_mode],
+            self._supplemental_per_result,
             self._ads,
             self._merge_render,
             self._respond,
@@ -547,74 +536,6 @@ class SymphonyRuntime:
             note(f"{queries} focused queries", mode="per_result",
                  queries=queries)
 
-    def _supplemental_batched(self, ctx: QueryContext) -> None:
-        """One disjunctive query per supplemental binding.
-
-        Saves queries when many primary results share a supplemental
-        source, at the cost of a fan-back-out assignment step that can
-        misattribute results — exactly the trade-off the ablation
-        measures.
-        """
-        app, deadline, views = ctx.app, ctx.deadline, ctx.views
-        derived_by_view: dict[int, dict[str, str]] = {}
-        batch: dict[str, list[tuple[int, str]]] = {}
-        results_by_binding: dict[str, object] = {}
-        with self._stage(ctx, "supplemental") as note:
-            for i, view in enumerate(views):
-                slot = app.slot(view.slot_binding_id)
-                derived_by_view[i] = {}
-                for child in slot.children:
-                    child_binding = app.binding(child.binding_id)
-                    derived = child_binding.derive_query(
-                        view.item, with_suffix=False)
-                    if not derived:
-                        continue
-                    derived_by_view[i][child.binding_id] = derived
-                    batch.setdefault(child.binding_id, []).append(
-                        (i, derived)
-                    )
-
-            for binding_id, pairs in batch.items():
-                if deadline is not None and deadline.expired:
-                    # Remaining bindings fan back out as empty results.
-                    self._note_deadline(
-                        ctx,
-                        f"batched supplemental stopped, "
-                        f"{len(batch) - len(results_by_binding)} "
-                        f"bindings unqueried",
-                    )
-                    break
-                child_binding = app.binding(binding_id)
-                unique_terms = list(dict.fromkeys(q for __, q in pairs))
-                disjunction = " OR ".join(f"({q})" for q in unique_terms)
-                if child_binding.query_suffix:
-                    disjunction = (f"({disjunction}) "
-                                   f"{child_binding.query_suffix}")
-                big_binding_count = child_binding.max_results * max(
-                    1, len(unique_terms)
-                )
-                request_binding = dataclass_replace(
-                    child_binding, max_results=big_binding_count
-                )
-                results_by_binding[binding_id] = self._query_source(
-                    ctx, request_binding, disjunction,
-                )
-
-            for i, view in enumerate(views):
-                for binding_id, derived in derived_by_view[i].items():
-                    child_binding = app.binding(binding_id)
-                    pooled = results_by_binding.get(binding_id)
-                    assigned = self._assign_batched(
-                        pooled, derived, child_binding.max_results
-                    ) if pooled is not None else ()
-                    view.supplemental[binding_id] = SourceResult(
-                        source_id=child_binding.source_id,
-                        items=tuple(assigned),
-                        total_matches=len(assigned),
-                    )
-            note(f"{len(results_by_binding)} batched queries",
-                 mode="batched", queries=len(results_by_binding))
-
     def _ads(self, ctx: QueryContext) -> None:
         """Ads, when the designer opted in (voluntary, per Table I)."""
         bindings = ctx.app.bindings_by_role(SourceRole.ADS)
@@ -680,27 +601,6 @@ class SymphonyRuntime:
             trace=trace,
             degraded=trace.degraded,
         )
-
-    @staticmethod
-    def _assign_batched(pooled, derived_query: str, max_results: int):
-        """Fan pooled results back out to the view they belong to.
-
-        A pooled item belongs to a view when the view's drive value
-        (the quoted phrase of its derived query) appears in the item's
-        title, snippet, or field values.
-        """
-        needle = derived_query.replace('"', "").strip().lower()
-        assigned = []
-        for item in pooled.items:
-            haystack = " ".join(
-                [item.title, item.snippet]
-                + [str(v) for v in item.fields.values()]
-            ).lower()
-            if needle in haystack:
-                assigned.append(item)
-                if len(assigned) >= max_results:
-                    break
-        return assigned
 
     # -- helpers ------------------------------------------------------------------
 

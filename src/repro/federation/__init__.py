@@ -1,15 +1,17 @@
 """repro.federation — federated meta-search with rank fusion.
 
-The federation layer answers ROADMAP item 4: one query fanned across
-heterogeneous backends — the local (clustered) engine, the Table I
-baseline platforms through their own facades, per-vertical indices, any
-core data source — with the results normalized into one schema,
-URL-deduplicated, and rank-fused (RRF / CombSUM / CombMNZ). Fan-out
-runs under the resilience layer's deadlines and retries, degrading to
-partial fusion when a backend fails. The query-generator lab
+A lab beside the platform, which the platform itself does not know: one
+query fanned across heterogeneous backends — the local (clustered)
+engine and the Table I baseline platforms through their own facades —
+with the results normalized into one schema, URL-deduplicated, and
+rank-fused (RRF / CombSUM / CombMNZ). Fan-out runs under the resilience
+layer's deadlines and retries, degrading to partial fusion when a
+backend fails. The query-generator lab
 (:mod:`repro.federation.querygen`) phrases the query per backend —
 keyword, fielded, entity-expanded — and keeps per-strategy
 precision/cost ledgers, after Endrullis et al.'s generator evaluation.
+:meth:`FederationExecutor.for_platform` builds the executor over a
+platform's engine; ``repro federation`` and bench X12 drive it.
 """
 
 from repro.federation.executor import (
@@ -41,10 +43,8 @@ from repro.federation.registry import (
     Backend,
     BackendRegistry,
     EngineBackend,
-    SourceBackend,
     baseline_backend,
 )
-from repro.federation.source import FederatedSearchSource
 
 __all__ = [
     "FUSION_METHODS",
@@ -55,7 +55,6 @@ __all__ = [
     "EngineBackend",
     "EntityExpandedGenerator",
     "FederatedItem",
-    "FederatedSearchSource",
     "FederationExecutor",
     "FederationPolicy",
     "FederationResult",
@@ -64,7 +63,6 @@ __all__ = [
     "KeywordGenerator",
     "QueryGenerator",
     "QueryGeneratorLab",
-    "SourceBackend",
     "StrategyStats",
     "baseline_backend",
     "comb_mnz",

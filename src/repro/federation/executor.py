@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 from repro.federation.fusion import DEFAULT_RRF_K, fuse
 from repro.federation.querygen import QueryGeneratorLab, get_generator
+from repro.federation.registry import BackendRegistry, EngineBackend
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import Retrier, RetryPolicy
 from repro.telemetry import Telemetry
@@ -96,6 +97,25 @@ class FederationExecutor:
                 metrics=self.telemetry.metrics,
             )
             if clock is not None else None
+        )
+
+    @classmethod
+    def for_platform(cls, platform) -> "FederationExecutor":
+        """An executor over ``platform``'s own engine (backend id
+        ``"local"``), sharing its clock, telemetry and resilience retry
+        policy, with a :class:`QueryGeneratorLab` ledger. The platform
+        does not hold it: the caller registers further backends on
+        ``registry`` and searches through the executor."""
+        registry = BackendRegistry()
+        registry.add(EngineBackend("local", platform.engine))
+        resilience = platform.resilience
+        return cls(
+            registry,
+            clock=platform.clock,
+            telemetry=platform.telemetry,
+            policy=(FederationPolicy(retry=resilience.retry)
+                    if resilience is not None else None),
+            lab=QueryGeneratorLab(),
         )
 
     def search(self, text: str, backend_ids=None, count: int = 10,
@@ -174,7 +194,7 @@ class FederationExecutor:
             child = self._child_deadline(deadline, policy)
             fn = lambda: backend.search(
                 text=rewritten, count=policy.per_backend_count,
-                deadline=child, context=context,
+                deadline=child,
             )
             try:
                 if self._retrier is not None:

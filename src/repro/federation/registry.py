@@ -1,20 +1,17 @@
 """Backend registry: capability-described search backends for federation.
 
 A federation *backend* is anything that answers a text query with a
-ranked list — the local (possibly clustered) engine, one of the five
-Table I baseline platforms via its own search facade, a per-vertical
-index, or any core :class:`~repro.core.datasources.DataSource`. Each
-backend carries a :class:`~repro.core.capability.BackendDescriptor`
-(baselines derive theirs from their Table I profile, one source of
-truth) so the executor can route by vertical, pick a query-generator
-phrasing the backend's language accepts, budget its cost, and stamp
-cached results with every generation key the backend depends on.
+ranked list — the local (possibly clustered) engine, or one of the five
+Table I baseline platforms via its own search facade. Each backend
+carries a :class:`~repro.core.capability.BackendDescriptor` (baselines
+derive theirs from their Table I profile, one source of truth) so the
+executor can pick a query-generator phrasing the backend's language
+accepts and budget its cost.
 """
 
 from __future__ import annotations
 
 from repro.core.capability import BackendDescriptor
-from repro.core.datasources import SourceQuery
 from repro.errors import ConfigurationError, DuplicateError, NotFoundError
 from repro.federation.fusion import FederatedItem, normalize_item
 from repro.gateway.generations import TOPOLOGY_KEY
@@ -23,7 +20,6 @@ from repro.searchengine.engine import SearchOptions
 __all__ = [
     "Backend",
     "EngineBackend",
-    "SourceBackend",
     "baseline_backend",
     "BackendRegistry",
 ]
@@ -39,8 +35,7 @@ class Backend:
     def backend_id(self) -> str:
         return self.descriptor.backend_id
 
-    def search(self, text: str, count: int = 10, deadline=None,
-               context: dict | None = None) -> list:
+    def search(self, text: str, count: int = 10, deadline=None) -> list:
         """Ranked :class:`FederatedItem` list for ``text``."""
         raise NotImplementedError
 
@@ -70,48 +65,18 @@ class EngineBackend(Backend):
             supports_fielded=True,
             supports_entity=True,
             cost_per_query=1.0,
-            generation_keys=keys,
         ))
         self._engine = engine
         self.vertical = vertical
         self.sites = tuple(sites)
         self.augment_terms = tuple(augment_terms)
 
-    def search(self, text: str, count: int = 10, deadline=None,
-               context: dict | None = None) -> list:
+    def search(self, text: str, count: int = 10, deadline=None) -> list:
         options = SearchOptions(count=count, sites=self.sites,
                                 augment_terms=self.augment_terms)
         response = self._engine.search(self.vertical, text, options,
                                        deadline=deadline)
         return self._normalize(response.results)
-
-
-class SourceBackend(Backend):
-    """Any core :class:`DataSource` exposed as a federation backend,
-    depending on whatever the source's ``generation_keys()`` names."""
-
-    def __init__(self, source, backend_id: str = "",
-                 cost_per_query: float = 1.0) -> None:
-        super().__init__(BackendDescriptor(
-            backend_id=backend_id or source.source_id,
-            system="Symphony",
-            search_api=f"source:{source.kind.value}",
-            verticals=(source.kind.value,),
-            supports_sites=False,
-            cost_per_query=cost_per_query,
-            generation_keys=source.generation_keys(),
-        ))
-        self._source = source
-
-    def search(self, text: str, count: int = 10, deadline=None,
-               context: dict | None = None) -> list:
-        query_context = dict(context or {})
-        if deadline is not None:
-            query_context["deadline"] = deadline
-        result = self._source.search(SourceQuery(
-            text=text, count=count, context=query_context,
-        ))
-        return self._normalize(result.items)
 
 
 class _BaselineBackend(Backend):
@@ -121,15 +86,13 @@ class _BaselineBackend(Backend):
         super().__init__(descriptor)
         self._search_fn = search_fn
 
-    def search(self, text: str, count: int = 10, deadline=None,
-               context: dict | None = None) -> list:
+    def search(self, text: str, count: int = 10, deadline=None) -> list:
         # External platforms accept no deadline; the executor's
         # per-backend budget still bounds the call from outside.
         return self._normalize(self._search_fn(text, count))
 
 
-def baseline_backend(platform, sites: tuple = (),
-                     backend_id: str = "") -> Backend:
+def baseline_backend(platform, sites: tuple = ()) -> Backend:
     """Adapt one :class:`BaselinePlatform` through its public facade.
 
     Each platform is driven exactly the way its real counterpart was:
@@ -139,13 +102,6 @@ def baseline_backend(platform, sites: tuple = (),
     oneboxes are uploads, not the web ranking).
     """
     descriptor = platform.capability_descriptor()
-    if backend_id:
-        descriptor = BackendDescriptor(**{
-            **descriptor.to_dict(),
-            "backend_id": backend_id,
-            "verticals": tuple(descriptor.verticals),
-            "generation_keys": tuple(descriptor.generation_keys),
-        })
     handle = f"federation-{descriptor.backend_id}"
     sites = tuple(sites)
 
@@ -219,10 +175,3 @@ class BackendRegistry:
         if ids is None:
             return [self._backends[i] for i in self.ids()]
         return [self.get(i) for i in sorted(ids)]
-
-    def generation_keys(self, ids=None) -> tuple:
-        """Sorted union of generation keys across ``ids`` (default all)."""
-        keys = set()
-        for backend in self.backends(ids):
-            keys.update(backend.descriptor.generation_keys)
-        return tuple(sorted(keys))

@@ -15,7 +15,7 @@ what it emitted, the way an operated service must:
   queries (errored, degraded, slowest-tail, SLO-breaching);
 * :func:`~repro.slo.explain.explain_spans` — per-query latency
   attribution across queue wait, pipeline stages, sources, shard and
-  replica fan-out, services, and federation backends.
+  replica fan-out, and services.
 
 Construct ``Symphony(slo=True)`` (or pass an
 :class:`~repro.slo.objectives.SLOConfig`) to wire the engine into the

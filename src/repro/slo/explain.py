@@ -15,8 +15,8 @@ times are bucketed into operator-meaningful components:
 * ``cluster`` / ``shard:<n>`` / ``shard:<n> replica:<r>`` — fan-out
   coordination, per-shard work, and individual replica attempts
   (hedged retries show up as extra attempts on the same shard);
-* ``service:<name>``, ``backend:<id>``, ``federation``, ``ads`` — bus
-  calls, federated backends, and the ad auction.
+* ``service:<name>``, ``ads`` — bus calls and the ad auction; any other
+  span is its own component, under its name.
 
 The result names the dominant contributor (``shard:2 replica:1 78%``),
 which is what the flight recorder's ``explain()`` surfaces per
@@ -102,10 +102,6 @@ def _component(name: str, attrs: dict) -> str:
                 f"replica:{replica.removeprefix('replica-')}")
     if name.startswith(("rest:", "soap:")):
         return f"service:{name.split(':', 1)[1]}"
-    if name.startswith("backend:"):
-        return name
-    if name == "federation":
-        return "federation"
     if name.startswith("ads:"):
         return "ads"
     return name

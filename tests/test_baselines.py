@@ -225,7 +225,6 @@ class TestCapabilityDescriptors:
             assert descriptor.search_api == profile.search_api
             assert descriptor.supports_sites \
                 == platform.supports_custom_sites()
-            assert descriptor.generation_keys == ("corpus:web",)
             assert descriptor.cost_per_query > 0
 
     def test_backend_ids_are_slugs(self, engine):

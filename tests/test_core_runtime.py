@@ -105,14 +105,32 @@ class TestPipelineStages:
     def test_stage_sequence_matches_fig2(self):
         primary = StubSource("primary",
                              {"halo": [make_item("Halo")]})
-        for mode in ("per_result", "batched"):
-            runtime = make_runtime([primary], build_app(),
-                                   supplemental_mode=mode)
-            response = runtime.handle_query(
-                QueryRequest("app-1", "halo"))
-            names = [stage.name for stage in response.trace.stages]
-            assert names == ["receive", "primary", "supplemental",
-                             "merge+render", "respond"]
+        runtime = make_runtime([primary], build_app())
+        response = runtime.handle_query(QueryRequest("app-1", "halo"))
+        names = [stage.name for stage in response.trace.stages]
+        assert names == ["receive", "primary", "supplemental",
+                         "merge+render", "respond"]
+
+    def _three_titles(self):
+        titles = ["Halo Odyssey", "Zelda Legends", "Braid Arena"]
+        primary = StubSource("primary",
+                             {"x": [make_item(t) for t in titles]})
+        supp = StubSource("reviews")
+        binding = SourceBinding("bs", "reviews",
+                                SourceRole.SUPPLEMENTAL,
+                                drive_fields=("title",), max_results=2)
+        runtime = make_runtime([primary, supp], build_app((binding,)),
+                               cache_enabled=False)
+        return titles, supp, runtime.handle_query(
+            QueryRequest("app-1", "x"))
+
+    def test_one_lookup_per_view(self):
+        titles, supp, __ = self._three_titles()
+        assert supp.queries == [f'"{title}"' for title in titles]
+
+    def test_supplemental_keeps_primary_results(self):
+        titles, __, response = self._three_titles()
+        assert [v.item.title for v in response.views] == titles
 
     def test_primary_results_become_views(self):
         primary = StubSource("primary", {

@@ -12,7 +12,6 @@ import pytest
 
 from repro.cluster import build_clustered_engine
 from repro.core.datasources import SourceQuery, WebSearchSource
-from repro.federation import EngineBackend
 from repro.resilience import Deadline
 from repro.searchengine.engine import SearchOptions, build_engine
 from repro.util import SimClock
@@ -49,8 +48,6 @@ def test_generation_keys_are_the_engines_answer(engine_and_keys, tiny_web):
         assert engine.generation_keys(vertical) == keys
         assert WebSearchSource("s1", "Web", engine, vertical=vertical) \
             .generation_keys() == keys
-        assert EngineBackend("local", engine, vertical=vertical) \
-            .descriptor.generation_keys == keys
     # The source forwards the query's deadline to whichever engine.
     source = WebSearchSource("s1", "Web", engine)
     result = source.search(SourceQuery(

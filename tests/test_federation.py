@@ -1,19 +1,16 @@
-"""repro.federation: registry, executor, query lab, source, wiring.
+"""repro.federation: registry, executor, query lab, wiring.
 
-Covers the federation subsystem end to end — capability-described
-backends over the engine, the baselines, and core data sources; the
-scatter-gather executor's budgets, degradation, and telemetry; the
-query-generator strategies; the FederatedSearchSource in the runtime;
-and the platform/designer/CLI integration points.
+Covers the federation lab end to end — capability-described backends
+over the engine and the baselines; the scatter-gather executor's
+budgets, degradation, and telemetry; the query-generator strategies;
+and the executor built over a platform that the CLI drives.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.application import SourceBinding, SourceRole
 from repro.core.capability import BackendDescriptor
-from repro.core.datasources import SourceKind, SourceQuery
 from repro.core.platform import Symphony
 from repro.errors import (
     ConfigurationError,
@@ -25,15 +22,12 @@ from repro.federation import (
     BackendRegistry,
     EngineBackend,
     FederatedItem,
-    FederatedSearchSource,
     FederationExecutor,
     FederationPolicy,
     QueryGeneratorLab,
-    SourceBackend,
     baseline_backend,
     get_generator,
 )
-from repro.gateway.generations import TOPOLOGY_KEY, corpus_key
 from repro.resilience.deadline import Deadline
 from repro.util import SimClock
 
@@ -41,18 +35,17 @@ from repro.util import SimClock
 class _StaticBackend:
     """A hand-fed backend for executor tests."""
 
-    def __init__(self, backend_id, urls, cost=1.0, fail=False,
-                 generation_keys=()):
+    def __init__(self, backend_id, urls, cost=1.0, fail=False):
         self.descriptor = BackendDescriptor(
             backend_id=backend_id, system="test", search_api="static",
-            cost_per_query=cost, generation_keys=generation_keys,
+            cost_per_query=cost,
         )
         self.backend_id = backend_id
         self.urls = urls
         self.fail = fail
         self.calls = 0
 
-    def search(self, text, count=10, deadline=None, context=None):
+    def search(self, text, count=10, deadline=None):
         self.calls += 1
         if self.fail:
             raise TransportError(f"{self.backend_id} down")
@@ -89,53 +82,21 @@ class TestBackendRegistry:
         assert [b.backend_id for b in registry.backends()] \
             == ["alpha", "zeta"]
 
-    def test_generation_keys_union(self):
-        registry = _registry(
-            _StaticBackend("a", [], generation_keys=("corpus",)),
-            _StaticBackend("b", [],
-                           generation_keys=("corpus", "tenant:t/x")),
-        )
-        assert registry.generation_keys() == ("corpus", "tenant:t/x")
-        assert registry.generation_keys(("a",)) == ("corpus",)
 
-
-class TestEngineAndSourceBackends:
+class TestEngineBackend:
     def test_engine_backend_descriptor_and_search(self, engine):
         backend = EngineBackend("local", engine)
         d = backend.descriptor
         assert d.supports_fielded and d.supports_entity
-        assert d.generation_keys == (corpus_key("web"),)
+        assert d.search_api == "local engine"
         items = backend.search("game review", count=5)
         assert items and items[0].rank == 1
         assert all(item.backend_id == "local" for item in items)
 
-    def test_clustered_engine_backend_stamps_topology(self, tiny_web):
+    def test_clustered_engine_backend_names_its_topology(self, tiny_web):
         sym = Symphony(web=tiny_web, use_authority=False, cluster=2)
         backend = EngineBackend("cluster", sym.engine)
-        assert set(backend.descriptor.generation_keys) \
-            == {corpus_key("web"), TOPOLOGY_KEY}
-
-    def test_source_backend_over_web_source(self, symphony):
-        source = symphony.add_web_source("Reviews", "web")
-        backend = SourceBackend(source)
-        assert backend.descriptor.generation_keys == (corpus_key("web"),)
-        assert backend.search("game", count=3)
-
-    def test_source_backend_over_table_infers_table_key(self, symphony):
-        account = symphony.register_designer("Ann")
-        games = symphony.web.entities["video_games"][:3]
-        rows = "title,producer\n" + "\n".join(
-            f"{g},Studio {i}" for i, g in enumerate(games)
-        )
-        symphony.upload_http(account, "inv.csv", rows.encode(),
-                             "inventory", content_type="text/csv")
-        source = symphony.add_proprietary_source(
-            account, "inventory", ("title",))
-        backend = SourceBackend(source, backend_id="inventory")
-        (key,) = backend.descriptor.generation_keys
-        assert key.startswith("tenant:") and key.endswith(":inventory")
-        items = backend.search(games[0])
-        assert items and items[0].title == games[0]
+        assert backend.descriptor.search_api == "local engine (clustered)"
 
 
 class TestBaselineBackends:
@@ -319,8 +280,7 @@ class TestFederationExecutor:
         seen = {}
 
         class Probe(_StaticBackend):
-            def search(self, text, count=10, deadline=None,
-                       context=None):
+            def search(self, text, count=10, deadline=None):
                 seen["budget"] = deadline.budget_ms
                 return []
 
@@ -368,163 +328,21 @@ class TestFederationExecutor:
             executor.search("q", fusion="borda")
 
 
-class TestFederatedSearchSource:
-    def _executor(self):
-        return FederationExecutor(_registry(
-            _StaticBackend("a", [f"uA{i}" for i in range(8)]),
-            _StaticBackend("b", [f"uB{i}" for i in range(8)]),
-            _StaticBackend("down", ["x"], fail=True,
-                           generation_keys=("tenant:t/inv",)),
-        ))
-
-    def test_kind_fields_and_describe(self):
-        source = FederatedSearchSource("fed", "Meta", self._executor())
-        assert source.kind == SourceKind.FEDERATED
-        assert "backends" in source.fields()
-        assert source.describe()["backends"] == ["a", "b", "down"]
-
-    def test_degraded_flag_propagates(self):
-        source = FederatedSearchSource("fed", "Meta", self._executor())
-        result = source.search(SourceQuery("q"))
-        assert result.degraded is True
-        assert result.items
-
-    def test_offset_windowing(self):
-        source = FederatedSearchSource("fed", "Meta", self._executor(),
-                                       backend_ids=("a",))
-        page1 = source.search(SourceQuery("q", count=3))
-        page2 = source.search(SourceQuery("q", count=3, offset=3))
-        urls1 = [item.url for item in page1.items]
-        urls2 = [item.url for item in page2.items]
-        assert len(urls1) == len(urls2) == 3
-        assert not set(urls1) & set(urls2)
-
-    def test_generation_keys_union_of_selected_backends(self):
-        executor = self._executor()
-        everything = FederatedSearchSource("f1", "All", executor)
-        assert everything.generation_keys() == ("tenant:t/inv",)
-        subset = FederatedSearchSource("f2", "Some", executor,
-                                       backend_ids=("a", "b"))
-        assert subset.generation_keys() == ()
-
-
 class TestPlatformIntegration:
-    def test_enable_federation_is_idempotent(self, symphony):
-        executor = symphony.enable_federation()
-        assert symphony.enable_federation() is executor
+    def test_for_platform_federates_the_local_engine(self, symphony):
+        executor = FederationExecutor.for_platform(symphony)
         assert executor.registry.ids() == ["local"]
-
-    def test_federated_primary_app_end_to_end(self, symphony):
-        from repro.baselines import YahooBossPlatform
-        executor = symphony.enable_federation()
-        executor.registry.add(
-            baseline_backend(YahooBossPlatform(symphony.engine)))
-        fed = symphony.add_federated_source("Meta search")
-        session = symphony.designer().new_application(
-            "FedApp", "tenant-1")
-        slot = session.drag_source_onto_app(fed.source_id,
-                                            heading="Everywhere")
-        session.add_text(slot, "title")
-        app_id = symphony.host(session)
-        game = symphony.web.entities["video_games"][0]
-        response = symphony.query(app_id, game)
-        assert response.views
-        fields = response.views[0].item.fields
-        assert "local" in fields["backends"]
+        assert isinstance(executor.lab, QueryGeneratorLab)
+        assert executor.search("game review").items
+        assert not hasattr(symphony, "federation")
 
     def test_resilience_retry_policy_is_shared(self, tiny_web):
         from repro.resilience import ResilienceConfig, RetryPolicy
         config = ResilienceConfig(retry=RetryPolicy(max_attempts=7))
         sym = Symphony(web=tiny_web, use_authority=False,
                        resilience=config)
-        executor = sym.enable_federation()
+        executor = FederationExecutor.for_platform(sym)
         assert executor.policy.retry.max_attempts == 7
-
-    def test_generation_bump_invalidates_federated_runtime_cache(
-            self, symphony):
-        """Re-ingest on a federated table backend drops the runtime's
-        cached fused results for the federated source."""
-        sym = symphony
-        account = sym.register_designer("Ann")
-        games = sym.web.entities["video_games"][:3]
-        rows = "title,producer\n" + "\n".join(
-            f"{g},Studio {i}" for i, g in enumerate(games))
-        sym.upload_http(account, "inv.csv", rows.encode(), "inventory",
-                        content_type="text/csv")
-        table_source = sym.add_proprietary_source(
-            account, "inventory", ("title",))
-        executor = sym.enable_federation()
-        executor.registry.add(
-            SourceBackend(table_source, backend_id="inventory"))
-        fed = sym.add_federated_source("Meta")
-        session = sym.designer().new_application(
-            "FedApp", account.tenant.tenant_id)
-        slot = session.drag_source_onto_app(fed.source_id)
-        session.add_text(slot, "title")
-        app_id = sym.host(session)
-
-        sym.query(app_id, games[0])
-        cached = sym.query(app_id, games[0])
-        assert cached.trace.cache_hits >= 1
-        fresh = rows.replace("Studio", "Reissue")
-        sym.upload_http(account, "inv2.csv", fresh.encode(),
-                        "inventory", content_type="text/csv",
-                        key_field="title")
-        after = sym.query(app_id, games[0])
-        assert after.trace.cache_hits == 0
-
-
-class TestRuntimeQueryStrategy:
-    def test_binding_round_trips_query_strategy(self):
-        binding = SourceBinding(
-            binding_id="b1", source_id="s1",
-            role=SourceRole.SUPPLEMENTAL, drive_fields=("title",),
-            query_strategy="entity",
-        )
-        assert SourceBinding.from_dict(binding.to_dict()) == binding
-
-    def test_designer_threads_strategy_into_supplemental(
-            self, symphony):
-        games = symphony.web.entities["video_games"][:1]
-        reviews = symphony.add_web_source("Reviews", "web")
-        account = symphony.register_designer("Ann")
-        rows = f"title,producer\n{games[0]},Studio 0"
-        symphony.upload_http(account, "inv.csv", rows.encode(),
-                             "inventory", content_type="text/csv")
-        inventory = symphony.add_proprietary_source(
-            account, "inventory", ("title",))
-        session = symphony.designer().new_application(
-            "App", account.tenant.tenant_id)
-        slot = session.drag_source_onto_app(inventory.source_id)
-        session.add_text(slot, "title")
-        child = session.drag_source_onto_result_layout(
-            slot, reviews.source_id, drive_fields=("title",),
-            query_suffix="review", query_strategy="entity",
-        )
-        app = session.build()
-        assert app.binding(child.binding_id).query_strategy == "entity"
-        app_id = symphony.host(app)
-        response = symphony.query(app_id, games[0])
-        assert response.views
-
-    def test_derive_query_applies_strategy(self):
-        from repro.core.datasources import SourceItem
-        item = SourceItem(item_id="1", title="Halo Odyssey",
-                          fields={"title": "Halo Odyssey"})
-        plain = SourceBinding(
-            binding_id="b", source_id="s",
-            role=SourceRole.SUPPLEMENTAL, drive_fields=("title",),
-            query_suffix="review",
-        )
-        assert plain.derive_query(item) == '"Halo Odyssey" review'
-        entity = SourceBinding(
-            binding_id="b", source_id="s",
-            role=SourceRole.SUPPLEMENTAL, drive_fields=("title",),
-            query_suffix="review", query_strategy="entity",
-        )
-        assert entity.derive_query(item) == '"halo odyssey" review'
-        assert entity.derive_query(item, with_suffix=False) \
-            == '"halo odyssey"'
 
 
 class TestCli:

@@ -763,72 +763,16 @@ class TestPrimitivesExtraction:
         assert runtime.CircuitBreaker is primitives.CircuitBreaker
 
 
-class TestFederatedSourceInvalidation:
-    """Regression: the gateway cache must stamp EVERY backend a
-    federated source touches, so re-ingesting any one of them
-    invalidates cached fused responses mid-TTL."""
-
-    def test_reingest_of_one_backend_invalidates_cached_fusion(
-            self, gateway_symphony):
-        from repro.federation import SourceBackend
-        sym = gateway_symphony
-        account = sym.register_designer("Ann")
-        games = sym.web.entities["video_games"][:4]
-        sym.upload_http(account, "inventory.csv",
-                        make_inventory_csv(games), "inventory",
-                        content_type="text/csv")
-        inventory = sym.add_proprietary_source(
-            account, "inventory",
-            search_fields=("title", "producer", "description"),
-        )
-        executor = sym.enable_federation()
-        executor.registry.add(
-            SourceBackend(inventory, backend_id="inventory")
-        )
-        fed = sym.add_federated_source(
-            "meta search", backend_ids=("inventory", "local")
-        )
-        session = sym.designer().new_application(
-            "Meta", account.tenant.tenant_id
-        )
-        slot = session.drag_source_onto_app(
-            fed.source_id, heading="Everywhere", max_results=5
-        )
-        session.add_text(slot, "title")
-        app_id = sym.host(session)
-
-        # The cache key derivation sees through the federated source
-        # to the tenant table it queries.
-        keys = sym.gateway._generation_keys(app_id)
-        assert any(key.endswith(":inventory") for key in keys)
-
-        first = sym.query_via_gateway(app_id, games[0])
-        again = sym.query_via_gateway(app_id, games[0])
-        assert again.html == first.html
-        assert sym.gateway.cache.stats()["hits"] == 1
-
-        # Mid-TTL re-ingest of just ONE backend (the table) must
-        # evict the cached fused response.
-        fresh = make_inventory_csv(games).replace(b"Studio",
-                                                  b"Reissue")
-        sym.upload_http(account, "inventory2.csv", fresh, "inventory",
-                        content_type="text/csv", key_field="title")
-        sym.query_via_gateway(app_id, games[0])
-        assert sym.gateway.cache.stats()["stale_invalidations"] == 1
-        assert sym.gateway.stats()["dispatched"] == 2
-
-
 class TestGenerationKeyAgreement:
     """One derivation: for every kind of source, the keys the gateway
-    stamps on a response of an app bound to it, the keys the runtime
-    stamps on its cached result, and the federation descriptor over it
-    are ``source.generation_keys()`` — the same set."""
+    stamps on a response of an app bound to it and the keys the runtime
+    stamps on its cached result are ``source.generation_keys()`` — the
+    same set."""
 
     @pytest.mark.parametrize("cluster", [None, 2])
-    def test_gateway_runtime_and_federation_agree(
-            self, tiny_web, cluster, monkeypatch):
+    def test_gateway_and_runtime_agree(self, tiny_web, cluster,
+                                       monkeypatch):
         from repro.core.platform import Symphony
-        from repro.federation import SourceBackend
         from repro.services.samples import PricingService
 
         sym = Symphony(web=tiny_web, use_authority=False,
@@ -845,9 +789,6 @@ class TestGenerationKeyAgreement:
         service = sym.add_service_source(
             "Pricing", "pricing", "GET /prices/{sku}", "sku",
             item_fields=("sku", "price"))
-        sym.enable_federation().registry.add(
-            SourceBackend(proprietary, backend_id="inventory"))
-        federated = sym.add_federated_source("Meta")
 
         table = table_key(account.tenant.tenant_id, "inventory")
         engine = {"corpus:web", "cluster-topology"} if cluster \
@@ -856,7 +797,6 @@ class TestGenerationKeyAgreement:
             proprietary: {table},
             web: engine,
             service: {f"source:{service.source_id}"},
-            federated: engine | {table},
         }
 
         runtime_stamps = {}
@@ -876,5 +816,3 @@ class TestGenerationKeyAgreement:
             sym.query(app_id, games[0])
             assert set(sym.gateway._generation_keys(app_id)) == keys
             assert runtime_stamps[source.cache_identity] == keys
-            assert set(SourceBackend(source).descriptor
-                       .generation_keys) == keys

@@ -310,7 +310,6 @@ class TestSourceKindCoverage:
                                "sku")
         sym.add_ad_source()
         sym.add_customer_source()
-        sym.add_federated_source("meta search")
         kinds = {sym.sources.get(sid).kind
                  for sid in sym.sources.ids()}
         assert kinds == set(SourceKind)

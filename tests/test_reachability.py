@@ -50,10 +50,6 @@ ALLOWLIST: dict[str, str] = {}
 
 #: qualified name -> why it may stay unreferenced for now.
 NAME_ALLOWLIST = {
-    "repro.core.platform.Symphony.add_federated_source":
-        "the federated_lab end-to-end workload is to be its caller",
-    "repro.federation.registry.SourceBackend":
-        "the federated_lab end-to-end workload is to be its caller",
     "repro.storage.tokens.TokenAuthority.revoke":
         "safety code: a leaked token must be revocable",
 }
@@ -402,26 +398,6 @@ EXEC_ALLOWLIST: dict[str, str] = {
         "roadmap: item 4's oracle removes documents",
     "repro.contracts.quarantine.QuarantineStore.evicted":
         "roadmap: item 10(a) deletes it",
-    "repro.core.platform.Symphony.add_federated_source":
-        "roadmap: item 6(d)'s federated_lab workload",
-    "repro.federation.registry.BackendRegistry.generation_keys":
-        "roadmap: item 6(d)'s federated_lab workload",
-    "repro.federation.registry.SourceBackend.__init__":
-        "roadmap: item 6(d)'s federated_lab workload",
-    "repro.federation.registry.SourceBackend.search":
-        "roadmap: item 6(d)'s federated_lab workload",
-    "repro.federation.source.FederatedSearchSource.__init__":
-        "roadmap: item 6(d)'s federated_lab workload",
-    "repro.federation.source.FederatedSearchSource.describe":
-        "roadmap: item 6(d)'s federated_lab workload",
-    "repro.federation.source.FederatedSearchSource.executor":
-        "roadmap: item 6(d)'s federated_lab workload",
-    "repro.federation.source.FederatedSearchSource.fields":
-        "roadmap: item 6(d)'s federated_lab workload",
-    "repro.federation.source.FederatedSearchSource.generation_keys":
-        "roadmap: item 6(d)'s federated_lab workload",
-    "repro.federation.source.FederatedSearchSource.search":
-        "roadmap: item 6(d)'s federated_lab workload",
     "repro.gateway.admission.TenantPolicy.effective_burst":
         "roadmap: item 6(e)'s throttled multi-tenant arrivals",
     "repro.gateway.admission.TokenBucket.__init__":
