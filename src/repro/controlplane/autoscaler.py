@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.slo import NULL_SLO
 from repro.telemetry import Telemetry
 
 __all__ = ["AutoscalerPolicy", "AutoscaleDecision", "Autoscaler"]
@@ -84,7 +83,7 @@ class Autoscaler:
     def __init__(self, engine, lifecycle,
                  telemetry: Telemetry | None = None,
                  policy: AutoscalerPolicy | None = None,
-                 slo=NULL_SLO) -> None:
+                 slo=None) -> None:
         self.engine = engine
         self.lifecycle = lifecycle
         self.telemetry = telemetry or Telemetry.disabled()
@@ -195,7 +194,7 @@ class Autoscaler:
         (deterministic tie-break by shard id), so the escalation ladder
         engages sooner without bypassing the persistence bar entirely.
         """
-        if not self.slo.burning():
+        if self.slo is None or not self.slo.burning():
             return
         candidates = [(mean, shard_id)
                       for shard_id, mean in means.items()

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cluster import ClusterConfig, build_clustered_engine
 from repro.contracts import ContractManager
+from repro.controlplane import (
+    Autoscaler,
+    AutoscalerPolicy,
+    ShardLifecycleManager,
+)
 from repro.core.capability import CapabilityProfile
 from repro.errors import ConfigurationError, ContractViolationError
 from repro.core.datasources import (
@@ -41,23 +47,40 @@ from repro.core.runtime import (
     ResultCache,
     SymphonyRuntime,
 )
+from repro.durability import (
+    NULL_DURABILITY,
+    DurabilityConfig,
+    DurabilityManager,
+)
+from repro.gateway import Gateway, GatewayConfig
 from repro.gateway.generations import GenerationRegistry
 from repro.ingest.crawler import Crawler, CrawlPolicy
 from repro.ingest.pipeline import DatasetIngestor, IngestReport
 from repro.ingest.refresh import RefreshScheduler
 from repro.ingest.rss import FeedPublisher
 from repro.ingest.transports import FtpServer, HttpUploadChannel
+from repro.resilience import ResilienceConfig
 from repro.searchengine.engine import build_engine
 from repro.services.ads import AdService
 from repro.services.bus import ServiceBus
 from repro.simweb.generator import WebGenerator, WebSpec
 from repro.sitesuggest import SiteCooccurrenceGraph, SiteSuggest
+from repro.slo import SLOConfig, SLOEngine
 from repro.storage.tenant import StorageCatalog, Tenant
 from repro.storage.tokens import Scope
 from repro.telemetry import Telemetry
 from repro.util import IdGenerator, SimClock
 
 __all__ = ["DesignerAccount", "Symphony"]
+
+
+def _layer(value, default):
+    """The one rule of a layer keyword: a falsy value is off (``None``),
+    ``True`` is the layer's defaults (``default()``), and any other
+    value is the layer's own config."""
+    if not value:
+        return None
+    return default() if value is True else value
 
 
 @dataclass(frozen=True)
@@ -78,6 +101,11 @@ class Symphony:
     ads, data contracts, designer tooling, runtime, distribution, and
     monetization.
 
+    Each layer keyword follows one rule: a falsy value is off, ``True``
+    is the layer's defaults, and a config object is that config
+    (``cluster`` also takes a shard count). ``slo`` turns ``telemetry``
+    on; ``controlplane`` and ``durability`` need a ``cluster``. A layer
+    that is off is ``None`` (``durability`` is ``NULL_DURABILITY``).
     Every platform governs its uploads (:mod:`repro.contracts`), so
     ``contracts`` is accepted for older callers and ignored.
     """
@@ -95,39 +123,39 @@ class Symphony:
                  durability=None,
                  contracts=None) -> None:
         self.clock = clock or SimClock()
-        # Opt-in observability: pass an existing Telemetry or True to
-        # build one on the platform clock; None/False disables it with
-        # the allocation-free null instruments.
-        if telemetry is True:
-            telemetry = Telemetry(clock=self.clock)
-        # The SLO judgment layer consumes spans/metrics/events, so
-        # enabling it implies telemetry even when not asked for.
-        if slo is True:
-            from repro.slo import SLOConfig
-            slo = SLOConfig()
-        if slo is not None and not (telemetry and telemetry.enabled):
+        # Every layer keyword follows _layer's one rule; cluster may also
+        # be a shard count.
+        telemetry = _layer(telemetry, lambda: Telemetry(clock=self.clock))
+        resilience = _layer(resilience, ResilienceConfig)
+        slo = _layer(slo, SLOConfig)
+        cluster = _layer(cluster, ClusterConfig)
+        if isinstance(cluster, int):
+            cluster = ClusterConfig(num_shards=cluster)
+        gateway = _layer(gateway, GatewayConfig)
+        controlplane = _layer(controlplane, AutoscalerPolicy)
+        durability = _layer(durability, DurabilityConfig)
+        for name, layer in (("controlplane", controlplane),
+                            ("durability", durability)):
+            if layer and not cluster:
+                raise ConfigurationError(
+                    f"{name} requires a clustered engine; "
+                    f"construct Symphony(cluster=..., {name}=True)"
+                )
+        # SLO judges what telemetry records, so it turns telemetry on.
+        if slo and not (telemetry and telemetry.enabled):
             telemetry = Telemetry(clock=self.clock)
         self.telemetry = telemetry or Telemetry.disabled()
-        # Opt-in resilience: pass a ResilienceConfig or True for the
-        # defaults — per-query deadlines, deterministic retries, and
+        # Resilience: per-query deadlines, deterministic retries, and
         # (with a cluster) hedged replica reads.
-        if resilience is True:
-            from repro.resilience import ResilienceConfig
-            resilience = ResilienceConfig()
-        self.resilience = resilience or None
-        # Opt-in SLO layer: error budgets, multi-window burn-rate
-        # alerting, tail-sampled flight recorder, per-query explain.
-        if slo is not None:
-            from repro.slo import SLOEngine
-            self.slo = SLOEngine(self.telemetry, config=slo)
-        else:
-            from repro.slo import NULL_SLO
-            self.slo = NULL_SLO
+        self.resilience = resilience
+        # SLO: error budgets, multi-window burn-rate alerting, a
+        # tail-sampled flight recorder, per-query explain.
+        self.slo = SLOEngine(self.telemetry, config=slo) if slo else None
         # Data contracts: governed ingest with typed validation, drift
         # detection, quarantine, and freshness SLAs.
         self.contracts = ContractManager(self.clock,
                                          telemetry=self.telemetry)
-        if self.slo.enabled:
+        if self.slo is not None:
             self.contracts.attach_slo(self.slo)
         # Data generations: ingest/refresh bump a table's generation,
         # an engine write its vertical's and reshard cutover the
@@ -138,14 +166,9 @@ class Symphony:
         self.web = web if web is not None else WebGenerator(
             web_spec or WebSpec()
         ).build()
-        if cluster is not None:
-            # Opt-in horizontal scaling: the same search contract served
-            # by a sharded, replicated cluster (see repro.cluster).
-            # Accepts a ClusterConfig or a plain shard count.
-            from repro.cluster import ClusterConfig, \
-                build_clustered_engine
-            if isinstance(cluster, int):
-                cluster = ClusterConfig(num_shards=cluster)
+        if cluster:
+            # Horizontal scaling: the same search contract served by a
+            # sharded, replicated cluster (see repro.cluster).
             self.engine = build_clustered_engine(
                 self.web, config=cluster, clock=self.clock,
                 use_authority=use_authority,
@@ -200,47 +223,25 @@ class Symphony:
             telemetry=self.telemetry,
             contracts=self.contracts,
         )
-        # Opt-in serving gateway: pass a GatewayConfig or True for the
-        # defaults — admission control, weighted fair queueing, request
-        # coalescing, and a generation-stamped response cache.
-        if gateway is True:
-            from repro.gateway import GatewayConfig
-            gateway = GatewayConfig()
-        self.gateway = None
-        if gateway is not None:
-            from repro.gateway import Gateway
-            self.gateway = Gateway(
-                runtime=self.runtime,
-                apps=self.apps,
-                sources=self.sources,
-                clock=self.clock,
-                generations=self.generations,
-                telemetry=self.telemetry,
-                config=gateway,
-                default_deadline_ms=(
-                    self.resilience.deadline_ms
-                    if self.resilience is not None else 0.0
-                ),
-            )
-        # Opt-in control plane: online resharding and telemetry-driven
-        # autoscaling over a clustered engine. Pass True for default
-        # policy or an AutoscalerPolicy to tune the thresholds.
-        self.controlplane = None
-        self.autoscaler = None
+        # Serving gateway: admission control, weighted fair queueing,
+        # request coalescing, and a generation-stamped response cache.
+        self.gateway = Gateway(
+            runtime=self.runtime,
+            apps=self.apps,
+            sources=self.sources,
+            clock=self.clock,
+            generations=self.generations,
+            telemetry=self.telemetry,
+            config=gateway,
+            default_deadline_ms=(
+                self.resilience.deadline_ms
+                if self.resilience is not None else 0.0
+            ),
+        ) if gateway else None
+        # Control plane: online resharding and telemetry-driven
+        # autoscaling over the clustered engine.
+        self.controlplane = self.autoscaler = None
         if controlplane:
-            if cluster is None:
-                raise ConfigurationError(
-                    "controlplane requires a clustered engine; "
-                    "construct Symphony(cluster=..., controlplane=True)"
-                )
-            from repro.controlplane import (
-                Autoscaler,
-                AutoscalerPolicy,
-                ShardLifecycleManager,
-            )
-            policy = (controlplane
-                      if isinstance(controlplane, AutoscalerPolicy)
-                      else None)
             self.controlplane = ShardLifecycleManager(
                 self.engine,
                 generations=self.generations,
@@ -248,31 +249,15 @@ class Symphony:
             )
             self.autoscaler = Autoscaler(
                 self.engine, self.controlplane,
-                telemetry=self.telemetry, policy=policy,
+                telemetry=self.telemetry, policy=controlplane,
                 slo=self.slo,
             )
-        # Opt-in durability: per-shard write-ahead log, checkpoints, and
-        # crash/recovery for the clustered engine. Pass True for the
-        # defaults or a DurabilityConfig to pick WAL storage/cadence.
-        from repro.durability import NULL_DURABILITY
-        self.durability = NULL_DURABILITY
-        if durability:
-            if cluster is None:
-                raise ConfigurationError(
-                    "durability requires a clustered engine; "
-                    "construct Symphony(cluster=..., durability=True)"
-                )
-            from repro.durability import (
-                DurabilityConfig,
-                DurabilityManager,
-            )
-            config = (durability
-                      if isinstance(durability, DurabilityConfig)
-                      else None)
-            self.durability = DurabilityManager(
-                self.engine, config=config, clock=self.clock,
-                telemetry=self.telemetry,
-            )
+        # Durability: per-shard write-ahead log, checkpoints, and
+        # crash/recovery for the clustered engine.
+        self.durability = DurabilityManager(
+            self.engine, config=durability, clock=self.clock,
+            telemetry=self.telemetry,
+        ) if durability else NULL_DURABILITY
 
     # -- accounts ------------------------------------------------------------
 
@@ -571,11 +556,16 @@ class Symphony:
 
     def slo_report(self) -> str:
         """Error budgets, burn alerts, and flight-recorder state."""
+        if self.slo is None:
+            return "SLO layer disabled (construct Symphony(slo=True))"
         return self.slo.report()
 
     def explain_query(self, query_id: str):
         """Latency attribution for one query id (see ``repro.slo``);
-        returns ``None`` when no spans were retained for it."""
+        returns ``None`` when no spans were retained for it, or when
+        the SLO layer is off."""
+        if self.slo is None:
+            return None
         return self.slo.explain(query_id)
 
     # -- monetization (§II-A Monetization) --------------------------------------------

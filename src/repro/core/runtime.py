@@ -37,7 +37,6 @@ from repro.gateway.cache import ResultCache
 from repro.gateway.primitives import CircuitBreaker
 from repro.resilience import Deadline, Retrier
 from repro.searchengine.logs import QueryEvent
-from repro.slo import NULL_SLO
 from repro.telemetry import Telemetry, render_span_tree
 from repro.util import SimClock
 
@@ -274,9 +273,8 @@ class SymphonyRuntime:
         self._tracer = self.telemetry.tracer
         self._metrics = self.telemetry.metrics
         # Opt-in SLO judgment (see repro.slo): every finished query is
-        # reported to the engine; the null object keeps this one
-        # attribute read on the unjudged path.
-        self._slo = slo or NULL_SLO
+        # reported to the engine.
+        self._slo = slo
         # Identity, not truth: an empty cache has length 0.
         self.cache = cache if cache is not None else ResultCache()
         self.cache_enabled = cache_enabled
@@ -345,7 +343,7 @@ class SymphonyRuntime:
     def _observe(self, ctx: QueryContext) -> None:
         """Report the finished query — or, with no response, the failed
         one — to the SLO layer."""
-        if not self._slo.enabled:
+        if self._slo is None:
             return
         response, now_ms = ctx.response, self.clock.now_ms
         self._slo.observe(

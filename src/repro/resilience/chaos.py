@@ -26,13 +26,21 @@ the exact same storm every run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
-from repro.errors import ConfigurationError, DurabilityError, ReproError
+from repro.controlplane import CUTOVER
+from repro.errors import (
+    AdmissionRejectedError,
+    ConfigurationError,
+    DurabilityError,
+    ReproError,
+)
 from repro.resilience import ResilienceConfig
 from repro.resilience.hedging import HedgePolicy
 from repro.resilience.retry import RetryPolicy
-from repro.util import deterministic_rng
+from repro.searchengine.documents import FieldedDocument
+from repro.searchengine.engine import Vertical, build_engine
+from repro.util import SimClock, deterministic_rng
 
 __all__ = ["FaultPlan", "ChaosReport", "load_fault_plan", "run_chaos"]
 
@@ -72,14 +80,14 @@ class FaultPlan:
     # Resilience configuration under test.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     hedge: HedgePolicy | None = field(default_factory=HedgePolicy)
-    # Online-resharding storm (see ``_ReshardStorm``): topology changes
-    # driven mid-workload, with per-iteration result/ownership probes.
+    # Online-resharding storm (see ``_Storm``): topology changes driven
+    # mid-workload, with per-iteration result/ownership probes.
     #   {"steps": [{"at": 4, "op": "split", "shard": 0},
     #              {"at": 20, "op": "merge", "source": 2, "target": 0}],
     #    "batch_size": 24, "probe_docs": 8,
     #    "probe_queries": ["news", "game"]}
     reshard: dict = field(default_factory=dict)
-    # Crash/recovery storm (see ``_DurabilityStorm``): replicas crashed
+    # Crash/recovery storm (see ``_Storm``): replicas crashed
     # mid-workload — index state wiped, not merely unhealthy — while a
     # document stream keeps writing, then repaired via checkpoint + WAL
     # replay. ``"during_reshard": true`` on a crash asserts a migration
@@ -98,35 +106,15 @@ class FaultPlan:
         :class:`ConfigurationError` naming the key path of any key the
         harness would not read, or of a missing one it needs."""
         _check_plan(data)
-        _missing = object()
         data = dict(data)
         retry = data.pop("retry", None)
+        if retry is not None:
+            data["retry"] = RetryPolicy(**retry)
         # An explicit ``"hedge": null`` disables hedging; an absent key
         # keeps the default policy.
-        hedge = data.pop("hedge", _missing)
-        replicas = data.pop("replicas", None)
-        if replicas:
-            data.setdefault("replica_fault_rate",
-                            replicas.get("fault_rate", 0.0))
-            data.setdefault("replica_latency_spike_ms",
-                            replicas.get("latency_spike_ms", 0.0))
-            data.setdefault("replica_latency_spike_rate",
-                            replicas.get("latency_spike_rate", 0.0))
-            data.setdefault("replica_flap_period",
-                            replicas.get("flap_period", 0))
-        cluster = data.pop("cluster", None)
-        if cluster:
-            data.setdefault("num_shards", cluster.get("num_shards", 2))
-            data.setdefault("replicas_per_shard",
-                            cluster.get("replicas_per_shard", 1))
-        plan = cls(**data)
-        if retry is not None:
-            plan = replace(plan, retry=RetryPolicy(**retry))
-        if hedge is not _missing:
-            plan = replace(
-                plan, hedge=HedgePolicy(**hedge) if hedge else None
-            )
-        return plan
+        if data.get("hedge") is not None:
+            data["hedge"] = HedgePolicy(**data["hedge"])
+        return cls(**data)
 
     def resilience(self) -> ResilienceConfig:
         return ResilienceConfig(
@@ -163,11 +151,8 @@ def _check_plan(data) -> None:
     def names(cls) -> set:
         return {item.name for item in fields(cls)}
 
-    _check_keys(data, names(FaultPlan) | {"replicas", "cluster"}, "")
+    _check_keys(data, names(FaultPlan), "")
     blocks = {
-        "replicas": {"fault_rate", "latency_spike_ms",
-                     "latency_spike_rate", "flap_period"},
-        "cluster": {"num_shards", "replicas_per_shard"},
         "retry": names(RetryPolicy),
         "hedge": names(HedgePolicy),
         "web": names(WebSpec) - {"seed"},
@@ -301,23 +286,16 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _slo_config(plan: FaultPlan):
-    """The plan's SLO layer, or ``None``. ``expect_*`` keys are harness
-    assertions, not :class:`~repro.slo.SLOConfig` fields."""
-    if not plan.slo:
-        return None
-    from repro.slo import SLOConfig
-    options = {key: value for key, value in plan.slo.items()
-               if not key.startswith("expect_")}
-    return SLOConfig.from_dict(options)
 
 
 def _build_platform(plan: FaultPlan):
     """A clustered, telemetry-on, resilience-on Symphony for the plan."""
     from repro.cluster import ClusterConfig
     from repro.core.platform import Symphony
+    from repro.durability import DurabilityConfig
     from repro.services.bus import ServiceBus
     from repro.simweb.generator import WebSpec
+    from repro.slo import SLOConfig
 
     web = dict(plan.web)
     web.setdefault("extra_sites_per_topic", 1)
@@ -325,14 +303,7 @@ def _build_platform(plan: FaultPlan):
     web.setdefault("images_per_site", 2)
     web.setdefault("videos_per_site", 2)
     web.setdefault("news_per_site", 3)
-    durability = None
-    if plan.durability:
-        from repro.durability import DurabilityConfig
-        durability = DurabilityConfig(
-            storage=plan.durability.get("storage", "memory"),
-            checkpoint_every=int(
-                plan.durability.get("checkpoint_every", 64)),
-        )
+    durability = plan.durability
     symphony = Symphony(
         web_spec=WebSpec(seed=plan.seed, **web),
         cluster=ClusterConfig(
@@ -347,10 +318,16 @@ def _build_platform(plan: FaultPlan):
         cache_enabled=False,
         # A reshard storm needs the control plane, and the gateway so
         # the cutover cache-invalidation invariant can be probed.
-        controlplane=bool(plan.reshard) or None,
-        gateway=bool(plan.reshard) or None,
-        slo=_slo_config(plan),
-        durability=durability,
+        controlplane=bool(plan.reshard),
+        gateway=bool(plan.reshard),
+        # ``expect_*`` keys are harness assertions, not SLOConfig fields.
+        slo=plan.slo and SLOConfig.from_dict(
+            {key: value for key, value in plan.slo.items()
+             if not key.startswith("expect_")}),
+        durability=durability and DurabilityConfig(
+            storage=durability.get("storage", "memory"),
+            checkpoint_every=int(durability.get("checkpoint_every", 64)),
+        ),
     )
     # Swap in a bus seeded by the plan so fault draws replay, then apply
     # the per-service profiles. Must happen before add_service_source:
@@ -427,124 +404,267 @@ def _build_workload(symphony, plan: FaultPlan):
     return symphony.host(session), games
 
 
-def _inject_replica_chaos(engine, plan: FaultPlan, index: int) -> None:
-    """Seeded per-query replica faults, slowness, and flapping."""
-    groups = getattr(engine, "groups", None)
-    if not groups:
-        return
-    period = plan.replica_flap_period
-    if period and index and index % period == 0:
-        # Flap: bring everything back, then take one replica down so
-        # failover and (with >1 replica) hedging stay exercised without
-        # ever blacking out a whole shard. Runs *before* this
-        # iteration's injections — kill/revive disarm a replica's
-        # pending faults and delays, so injecting first would waste the
-        # storm on flap iterations. (Crashed replicas ignore the
-        # revive: only the recovery manager can bring those back.)
-        for group in groups:
-            for replica_index in range(len(group.replicas)):
-                group.revive(replica_index)
-        flip = index // period
-        group = groups[flip % len(groups)]
-        if len(group.replicas) > 1:
-            group.kill(flip % len(group.replicas))
-    if (plan.slow_shard_ms > 0
-            and 0 <= plan.slow_shard < len(groups)):
-        # Deterministic hot shard: slow every replica so hedging cannot
-        # route around it — the whole shard is degraded, and the SLO
-        # layer should both alert on the burn and name this shard.
-        for replica in groups[plan.slow_shard].replicas:
-            replica.inject_latency(plan.slow_shard_ms, 4)
-    rng = deterministic_rng((plan.seed, "chaos", index))
-    for group in groups:
-        for replica in group.replicas:
-            if (plan.replica_fault_rate
-                    and rng.random() < plan.replica_fault_rate):
-                replica.inject_fault()
-            if (plan.replica_latency_spike_rate
-                    and rng.random() < plan.replica_latency_spike_rate):
-                # Vary the magnitude so the latency distribution has a
-                # tail — hedging triggers on the quantile, and a
-                # constant spike would sit exactly at it.
-                replica.inject_latency(
-                    plan.replica_latency_spike_ms * (0.5 + rng.random())
-                )
+def _at(step: dict) -> int:
+    return step.get("at", 0)
 
 
-class _ReshardStorm:
-    """Drives scheduled topology changes through the workload and
-    checks the migration invariants after every step:
+class _Storm:
+    """One chaos run: the plan's storm as one ordered schedule of steps.
 
-    * **no dropped, duplicated, reordered or rescored results** — probe
-      queries must return the pre-storm page (urls in order, totals,
-      and scores unless a durability storm's ingest moves them) at
-      every state;
-    * **no wrong-shard documents** — every sampled moving document is
-      present on the shard its current route map says owns it;
-    * **cache coherence at cutover** — a gateway-cached response primed
-      before the route flip must be generation-invalidated by it.
+    Each iteration runs the schedule once, in this order: the replica
+    injections, the durability stream's ingest, the crashes and the
+    recoveries that are due, the query, and the reshard step (start or
+    advance a migration, then probe). After the last query, the drain
+    runs the steps that finish open work — crashes, recoveries and the
+    reshard step, with every scheduled crash and recovery due at once —
+    until none is open. What it checks:
+
+    * every query returns within ``deadline_ms + grace_ms`` and shows an
+      overrun as degraded; a :class:`~repro.errors.ReproError` out of it
+      is recorded as escaped;
+    * each probe query answers as a single node that takes the same
+      writes (urls in order, scores and totals), every sampled moving
+      document is on the shard the current route gives it, and a
+      cutover invalidates a gateway entry primed before the flip;
+    * a crashed replica misses the writes broadcast while it is down,
+      serves no read until it rejoins, and after checkpoint-restore and
+      WAL replay its content digest matches a healthy peer's.
+
+    The durability stream writes nonsense tokens, so it never moves the
+    workload's answers.
     """
 
     def __init__(self, symphony, plan: FaultPlan, app_id: str,
-                 report: ChaosReport) -> None:
+                 games) -> None:
         self.symphony = symphony
         self.plan = plan
         self.app_id = app_id
-        self.report = report
+        self.games = games
+        self.report = ChaosReport(plan_name=plan.name)
         self.controlplane = symphony.controlplane
-        reshard = plan.reshard
-        if reshard.get("batch_size"):
-            self.controlplane.batch_size = int(reshard["batch_size"])
-        self.ops = sorted(reshard.get("steps", []),
-                          key=lambda op: op.get("at", 0))
+        durability, reshard = plan.durability, plan.reshard
+        self.crashes = sorted(durability.get("crashes", []), key=_at)
+        self.scheduled = len(self.crashes)
+        self.ingest_per_query = int(durability.get("ingest_per_query", 0))
+        self.ingested = 0
+        self.down: dict = {}      # (shard, replica_idx) -> crash info
+        self.ops = sorted(reshard.get("steps", []), key=_at)
+        self.started = 0          # migrations begun
         self.probe_limit = int(reshard.get("probe_docs", 8))
         self.probe_queries = list(
-            reshard.get("probe_queries", ("news", "game"))
-        )
+            reshard.get("probe_queries", ("news", "game")))
         self.cache_query = str(
-            reshard.get("cache_probe_query", "storm cache probe")
-        )
-        self.baselines: dict = {}    # query -> ((url, score)s, total)
-        self.pin_scores = not plan.durability.get("ingest_per_query")
+            reshard.get("cache_probe_query", "storm cache probe"))
         self.doc_probes: list = []   # (vertical, doc_id) samples
-        self.started = 0
+        self.reference = None
+        # (step, runs in the drain)
+        self.schedule = [(self._inject, False)]
+        if durability:
+            self.schedule += [(self._ingest, False), (self._crash, True),
+                              (self._recover, True)]
+        self.schedule.append((self._query, False))
+        if reshard:
+            if reshard.get("batch_size"):
+                self.controlplane.batch_size = int(reshard["batch_size"])
+            self.reference = build_engine(symphony.web, clock=SimClock())
+            self.schedule.append((self._reshard, True))
 
-    def capture_baseline(self) -> None:
-        """Record the pre-storm truth the probes are checked against."""
-        for query in self.probe_queries:
-            response = self.symphony.engine.search("web", query)
-            self.baselines[query] = (
-                tuple((r.url, r.score) for r in response.results),
-                response.total_matches,
+    def run(self) -> ChaosReport:
+        if self.reference is not None:
+            # A first probe round, before any fault: the platform starts
+            # equal to the reference. The report counts the storm's.
+            self._compare_pages("the start")
+        self.workload_started_ms = self.symphony.clock.now_ms
+        queries = self.plan.queries
+        for index in range(queries):
+            for step, __ in self.schedule:
+                step(index)
+        drain = [step for step, drains in self.schedule if drains]
+        for index in range(queries, queries + 1000):
+            if not (self.crashes or self.down or self._resharding()):
+                break
+            for step in drain:
+                step(index)
+        self._finish()
+        return self.report
+
+    def _due(self, at: int, index: int) -> bool:
+        """Is a step scheduled ``at`` due now? In the drain, all are."""
+        return index >= min(at, self.plan.queries)
+
+    def _resharding(self) -> bool:
+        return bool(self.ops) or (self.controlplane is not None
+                                  and self.controlplane.active)
+
+    # -- the steps ------------------------------------------------------------
+
+    def _inject(self, index: int) -> None:
+        """Seeded per-query replica faults, slowness, and flapping."""
+        plan = self.plan
+        groups = self.symphony.engine.groups
+        period = plan.replica_flap_period
+        if period and index and index % period == 0:
+            # Flap: bring everything back, then take one replica down so
+            # failover and (with >1 replica) hedging stay exercised
+            # without ever blacking out a whole shard. Runs *before* this
+            # iteration's injections — kill/revive disarm a replica's
+            # pending faults and delays, so injecting first would waste
+            # the storm on flap iterations. (Crashed replicas ignore the
+            # revive: only the recovery manager can bring those back.)
+            for group in groups:
+                for replica_index in range(len(group.replicas)):
+                    group.revive(replica_index)
+            flip = index // period
+            group = groups[flip % len(groups)]
+            if len(group.replicas) > 1:
+                group.kill(flip % len(group.replicas))
+        if (plan.slow_shard_ms > 0
+                and 0 <= plan.slow_shard < len(groups)):
+            # Deterministic hot shard: slow every replica so hedging
+            # cannot route around it — the whole shard is degraded, and
+            # the SLO layer should both alert on the burn and name it.
+            for replica in groups[plan.slow_shard].replicas:
+                replica.inject_latency(plan.slow_shard_ms, 4)
+        rng = deterministic_rng((plan.seed, "chaos", index))
+        for group in groups:
+            for replica in group.replicas:
+                if (plan.replica_fault_rate
+                        and rng.random() < plan.replica_fault_rate):
+                    replica.inject_fault()
+                if (plan.replica_latency_spike_rate
+                        and rng.random() < plan.replica_latency_spike_rate):
+                    # Vary the magnitude so the latency distribution has
+                    # a tail — hedging triggers on the quantile, and a
+                    # constant spike would sit exactly at it.
+                    replica.inject_latency(
+                        plan.replica_latency_spike_ms
+                        * (0.5 + rng.random())
+                    )
+
+    def _ingest(self, index: int) -> None:
+        """Stream documents through the replicated write path, and into
+        the reference the probes compare with."""
+        for _ in range(self.ingest_per_query):
+            number = self.ingested
+            self.ingested += 1
+            document = FieldedDocument(
+                f"zz-durability-{number}",
+                {"title": f"zzdurability chunk{number}",
+                 "url": f"http://durability.example/{number}"},
+                None,
+            )
+            self.symphony.engine.add_document(Vertical.WEB, document)
+            if self.reference is not None:
+                self.reference.vertical(Vertical.WEB).add(document)
+
+    def _crash(self, index: int) -> None:
+        durability = self.symphony.durability
+        while self.crashes and self._due(_at(self.crashes[0]), index):
+            step = self.crashes.pop(0)
+            shard = int(step["shard"])
+            replica_index = int(step.get("replica", 1))
+            if step.get("during_reshard") and not (
+                    self.controlplane is not None
+                    and self.controlplane.active):
+                self.report.violations.append(
+                    f"durability: crash at {index} expected a reshard "
+                    f"in flight; none was"
+                )
+            try:
+                durability.crash_replica(shard, replica_index)
+            except ConfigurationError as exc:
+                self.report.violations.append(
+                    f"durability: crash at {index}: {exc}")
+                continue
+            replica = durability.replica(shard, replica_index)
+            self.report.crashes_injected += 1
+            self.down[(shard, replica_index)] = {
+                "recover_at": int(step.get("recover_at", index + 6)),
+                "reads_before": replica.reads_served,
+            }
+
+    def _recover(self, index: int) -> None:
+        report = self.report
+        for key, info in list(self.down.items()):
+            if not self._due(info["recover_at"], index):
+                continue
+            del self.down[key]
+            shard, replica_index = key
+            replica = self.symphony.engine.groups[shard] \
+                .replicas[replica_index]
+            reads_while_down = replica.reads_served - info["reads_before"]
+            report.reads_while_down += reads_while_down
+            if reads_while_down:
+                report.violations.append(
+                    f"durability: {replica.replica_id} served "
+                    f"{reads_while_down} reads while crashed/recovering"
+                )
+            try:
+                recovery = self.symphony.durability.recover_replica(
+                    shard, replica_index)
+            except DurabilityError as exc:
+                report.violations.append(
+                    f"durability: recovery of {replica.replica_id} "
+                    f"failed: {exc}"
+                )
+                continue
+            report.crashes_recovered += 1
+            report.writes_missed += recovery.writes_missed
+            report.records_replayed += recovery.records_replayed
+            if recovery.digest_match is not False:
+                # True, or None on a single-replica shard (no peer to
+                # compare — convergence is reaching the WAL head).
+                report.digest_matches += 1
+
+    def _query(self, index: int) -> None:
+        plan, report, clock = self.plan, self.report, self.symphony.clock
+        query = self.games[index % len(self.games)]
+        started = clock.now_ms
+        try:
+            response = self.symphony.query(
+                self.app_id, query, session_id=f"chaos-{index}",
+                deadline_ms=plan.deadline_ms,
+            )
+        except ReproError as exc:
+            report.escaped.append(
+                f"query {index} ({query!r}): "
+                f"{type(exc).__name__}: {exc}"
+            )
+            return
+        report.queries_run += 1
+        elapsed = clock.now_ms - started
+        report.max_elapsed_ms = max(report.max_elapsed_ms, elapsed)
+        if response.degraded:
+            report.degraded += 1
+        if elapsed > plan.deadline_ms + plan.grace_ms:
+            report.violations.append(
+                f"query {index} ({query!r}) took {elapsed:.0f}ms "
+                f"(> {plan.deadline_ms:.0f}ms deadline "
+                f"+ {plan.grace_ms:.0f}ms grace)"
+            )
+        elif elapsed > plan.deadline_ms and not response.degraded:
+            report.violations.append(
+                f"query {index} ({query!r}) overran its deadline "
+                f"({elapsed:.0f}ms) without surfacing degradation"
             )
 
-    def on_query(self, index: int) -> None:
-        """One storm iteration: start/advance the migration, then probe."""
+    def _reshard(self, index: int) -> None:
+        """Start the next due migration or advance the open one, then
+        probe. The drain runs it only while a migration is open."""
         controlplane = self.controlplane
+        if index >= self.plan.queries and not self._resharding():
+            return
         if (not controlplane.active and self.ops
-                and index >= self.ops[0].get("at", 0)):
+                and index >= _at(self.ops[0])):
             self._start(self.ops.pop(0), index)
         elif controlplane.active:
-            from repro.controlplane import CUTOVER
             if controlplane.migration.state == CUTOVER:
                 self._cutover_with_cache_probe()
             else:
                 controlplane.step()
-        self._verify(index)
+        self._probe(index)
 
-    def finish(self) -> None:
-        """Drive any still-open migration to completion, probing each
-        step, so the run never ends with a half-moved shard."""
-        extra = 0
-        while (self.controlplane.active or self.ops) and extra < 1000:
-            self.on_query(self.plan.queries + extra)
-            extra += 1
-        if self.controlplane.active or self.ops:
-            self.report.violations.append(
-                "reshard storm did not run to completion"
-            )
-
-    # -- internals ------------------------------------------------------------
+    # -- reshard internals ----------------------------------------------------
 
     def _start(self, op: dict, index: int) -> None:
         try:
@@ -563,7 +683,6 @@ class _ReshardStorm:
     def _cutover_with_cache_probe(self) -> None:
         """Flip the route with a primed gateway cache entry in place and
         insist the flip invalidates it."""
-        from repro.errors import AdmissionRejectedError
         gateway = self.symphony.gateway
         stepped = False
         try:
@@ -591,39 +710,13 @@ class _ReshardStorm:
             if not stepped:
                 self.controlplane.step()
 
-    def _verify(self, index: int) -> None:
-        engine = self.symphony.engine
-        state = (self.controlplane.migration.state
-                 if self.controlplane.active else "idle")
+    def _probe(self, index: int) -> None:
+        controlplane = self.controlplane
+        state = (controlplane.migration.state if controlplane.active
+                 else "idle")
         where = f"iteration {index} ({state})"
-        for query in self.probe_queries:
-            response = engine.search("web", query)
-            hits = tuple((r.url, r.score) for r in response.results)
-            base_hits, base_total = self.baselines[query]
-            urls = tuple(url for url, __ in hits)
-            base_urls = tuple(url for url, __ in base_hits)
-            if sorted(urls) != sorted(base_urls):
-                self.report.violations.append(
-                    f"probe {query!r} diverged at {where}: "
-                    f"{len(set(base_urls) - set(urls))} dropped, "
-                    f"{len(set(urls) - set(base_urls))} unexpected"
-                )
-            elif urls != base_urls:
-                self.report.violations.append(
-                    f"probe {query!r} reordered its results at {where}"
-                )
-            elif self.pin_scores and hits != base_hits:
-                rescored = sum(a != b for a, b in zip(hits, base_hits))
-                self.report.violations.append(
-                    f"probe {query!r} ranked {rescored} of {len(hits)} "
-                    f"results differently at {where}"
-                )
-            elif response.total_matches != base_total:
-                self.report.violations.append(
-                    f"probe {query!r} total_matches "
-                    f"{response.total_matches} != {base_total} at {where}"
-                )
-            self.report.reshard_probes += 1
+        self._compare_pages(where)
+        engine = self.symphony.engine
         route = engine.router.snapshot()
         for vertical, doc_id in self.doc_probes:
             owner = route.shard_of(doc_id)
@@ -637,256 +730,127 @@ class _ReshardStorm:
                     f"doc {doc_id} missing from owning shard {owner} "
                     f"at {where} (held by {holders})"
                 )
-            self.report.reshard_probes += 1
+        self.report.reshard_probes += (len(self.probe_queries)
+                                       + len(self.doc_probes))
 
+    def _compare_pages(self, where: str) -> None:
+        """Each probe query's page must be the reference's: the same
+        urls in the same order, the same scores and the same total."""
+        for query in self.probe_queries:
+            response = self.symphony.engine.search("web", query)
+            expected = self.reference.search("web", query)
+            hits = [(r.url, r.score) for r in response.results]
+            want = [(r.url, r.score) for r in expected.results]
+            urls = [url for url, __ in hits]
+            want_urls = [url for url, __ in want]
+            if sorted(urls) != sorted(want_urls):
+                self.report.violations.append(
+                    f"probe {query!r} diverged at {where}: "
+                    f"{len(set(want_urls) - set(urls))} dropped, "
+                    f"{len(set(urls) - set(want_urls))} unexpected"
+                )
+            elif urls != want_urls:
+                self.report.violations.append(
+                    f"probe {query!r} reordered its results at {where}"
+                )
+            elif hits != want:
+                rescored = sum(a != b for a, b in zip(hits, want))
+                self.report.violations.append(
+                    f"probe {query!r} ranked {rescored} of {len(hits)} "
+                    f"results differently at {where}"
+                )
+            elif response.total_matches != expected.total_matches:
+                self.report.violations.append(
+                    f"probe {query!r} total_matches "
+                    f"{response.total_matches} != "
+                    f"{expected.total_matches} at {where}"
+                )
 
-class _DurabilityStorm:
-    """Crashes replicas mid-workload and checks the durability contract:
+    # -- after the drain ------------------------------------------------------
 
-    * a crashed replica **misses** the writes broadcast while it is
-      down (its state is gone, not merely unrouted);
-    * **zero reads** reach it between crash and rejoin — failover and
-      hedging route around it, and recovery never puts a half-rebuilt
-      replica in rotation;
-    * after checkpoint-restore + WAL replay its per-vertical content
-      digest **matches a healthy peer**, and it rejoins read rotation.
-
-    A steady document stream (``ingest_per_query``) runs alongside the
-    query storm so there genuinely are writes to miss; the stream uses
-    nonsense tokens so it never perturbs the workload or the reshard
-    storm's probe baselines.
-    """
-
-    def __init__(self, symphony, plan: FaultPlan,
-                 report: ChaosReport) -> None:
-        self.symphony = symphony
-        self.plan = plan
-        self.report = report
-        self.durability = symphony.durability
-        config = plan.durability
-        self.crashes = sorted(config.get("crashes", []),
-                              key=lambda step: step.get("at", 0))
-        self.scheduled = len(self.crashes)
-        self.ingest_per_query = int(config.get("ingest_per_query", 0))
-        self._down: dict = {}     # (shard, replica_idx) -> crash info
-        self._ingested = 0
-
-    def on_query(self, index: int) -> None:
-        """One storm iteration: ingest, crash what is due, recover what
-        is due. Runs before the query so the read path sees the crash."""
-        self._ingest()
-        while self.crashes and index >= self.crashes[0].get("at", 0):
-            self._crash(self.crashes.pop(0), index)
-        for key, info in list(self._down.items()):
-            if index >= info["recover_at"]:
-                self._recover(key, info)
-
-    def finish(self) -> None:
-        """Recover anything still down, then check the plan's
-        ``expect_*`` assertions."""
-        for step in self.crashes:      # scheduled past the last query
-            self._crash(step, self.plan.queries)
-        for key, info in list(self._down.items()):
-            self._recover(key, info)
-        report, config = self.report, self.plan.durability
-        if (config.get("expect_recovered")
+    def _finish(self) -> None:
+        """Check the plan's expectations and read the counters."""
+        report, symphony = self.report, self.symphony
+        durability = self.plan.durability
+        if (durability.get("expect_recovered")
                 and report.crashes_recovered < self.scheduled):
             report.violations.append(
                 f"durability: only {report.crashes_recovered} of "
                 f"{self.scheduled} crashed replicas recovered"
             )
-        if (config.get("expect_digest_match")
+        if (durability.get("expect_digest_match")
                 and report.digest_matches < report.crashes_recovered):
             report.violations.append(
                 f"durability: {report.digest_matches} digest matches "
                 f"for {report.crashes_recovered} recoveries"
             )
-        if config.get("expect_missed_writes") and not report.writes_missed:
+        if (durability.get("expect_missed_writes")
+                and not report.writes_missed):
             report.violations.append(
                 "durability: expected crashed replicas to miss writes; "
                 "none were missed"
             )
-
-    # -- internals ------------------------------------------------------------
-
-    def _ingest(self) -> None:
-        """Stream documents through the replicated write path."""
-        from repro.searchengine.documents import FieldedDocument
-        from repro.searchengine.engine import Vertical
-        for _ in range(self.ingest_per_query):
-            number = self._ingested
-            self._ingested += 1
-            self.symphony.engine.add_document(
-                Vertical.WEB,
-                FieldedDocument(
-                    f"zz-durability-{number}",
-                    {"title": f"zzdurability chunk{number}",
-                     "url": f"http://durability.example/{number}"},
-                    None,
-                ),
-            )
-
-    def _crash(self, step: dict, index: int) -> None:
-        shard = int(step["shard"])
-        replica_index = int(step.get("replica", 1))
-        if step.get("during_reshard"):
-            controlplane = self.symphony.controlplane
-            if controlplane is None or not controlplane.active:
-                self.report.violations.append(
-                    f"durability: crash at {index} expected a reshard "
-                    f"in flight; none was"
+        metrics = symphony.telemetry.metrics
+        if self.reference is not None:
+            if self._resharding():
+                report.violations.append(
+                    "reshard storm did not run to completion")
+            events = symphony.telemetry.events
+            report.reshards_completed = len(events.by_kind(
+                "reshard.complete"))
+            report.handoff_batches = len(events.by_kind(
+                "reshard.handoff"))
+            report.topology_version = symphony.engine.topology_version
+            report.docs_moved = int(metrics.counter(
+                "controlplane_docs_moved_total").value)
+            if report.reshards_completed < self.started:
+                report.violations.append(
+                    f"only {report.reshards_completed} of "
+                    f"{self.started} reshards completed"
                 )
-        try:
-            self.durability.crash_replica(shard, replica_index)
-        except ConfigurationError as exc:
-            self.report.violations.append(
-                f"durability: crash at {index}: {exc}")
-            return
-        replica = self.durability.replica(shard, replica_index)
-        self.report.crashes_injected += 1
-        self._down[(shard, replica_index)] = {
-            "recover_at": int(step.get("recover_at", index + 6)),
-            "reads_before": replica.reads_served,
-        }
+        if symphony.slo is not None:
+            self._check_slo()
+        report.retries = int(metrics.counter("retries_total").value)
+        report.retry_exhaustions = int(
+            metrics.counter("retry_exhausted_total").value)
+        report.hedges = int(metrics.counter("hedges_total").value)
+        report.hedge_wins = int(metrics.counter("hedge_wins_total").value)
+        report.deadline_events = int(
+            metrics.counter("deadline_exceeded_total").value)
 
-    def _recover(self, key, info: dict) -> None:
-        shard, replica_index = key
-        replica = self.symphony.engine.groups[shard] \
-            .replicas[replica_index]
-        reads_while_down = replica.reads_served - info["reads_before"]
-        self.report.reads_while_down += reads_while_down
-        if reads_while_down:
-            self.report.violations.append(
-                f"durability: {replica.replica_id} served "
-                f"{reads_while_down} reads while crashed/recovering"
+    def _check_slo(self) -> None:
+        """Fill the report's SLO fields and check the plan's ``expect_*``
+        assertions: did the burn alert fire, and does the explain()
+        attribution name the fault the plan injected?"""
+        report, slo, plan = self.report, self.symphony.slo, self.plan
+        fired = [a for a in slo.alerts() if a.get("kind") == "fire"]
+        report.slo_burn_alerts = len(fired)
+        report.slo_first_alert_ms = (slo.first_burn_ms() or 0)
+        if fired and self.workload_started_ms:
+            report.slo_detection_ms = (report.slo_first_alert_ms
+                                       - self.workload_started_ms)
+        report.slo_breaching_retained = len(slo.recorder.breaching())
+        report.slo_recorder = slo.recorder.stats.as_dict()
+        worst = slo.worst_record()
+        if worst is not None:
+            attribution = slo.explain(worst.query_id)
+            if attribution is not None:
+                report.slo_dominant = attribution.dominant_label
+                report.slo_worst_attribution = attribution.to_dict()
+        if plan.slo.get("expect_burn") and not fired:
+            report.violations.append(
+                "slo: expected a burn-rate alert to fire; none did"
             )
-        try:
-            recovery = self.durability.recover_replica(
-                shard, replica_index)
-        except DurabilityError as exc:
-            self.report.violations.append(
-                f"durability: recovery of {replica.replica_id} "
-                f"failed: {exc}"
+        expected = plan.slo.get("expect_dominant", "")
+        if expected and not report.slo_dominant.startswith(expected):
+            report.violations.append(
+                f"slo: expected dominant cause {expected!r}, "
+                f"explain() said {report.slo_dominant!r}"
             )
-            del self._down[key]
-            return
-        self.report.crashes_recovered += 1
-        self.report.writes_missed += recovery.writes_missed
-        self.report.records_replayed += recovery.records_replayed
-        if recovery.digest_match is not False:
-            # True, or None on a single-replica shard (no peer to
-            # compare — convergence is reaching the WAL head).
-            self.report.digest_matches += 1
-        del self._down[key]
-
-
-def _check_slo(symphony, plan: FaultPlan, report: ChaosReport,
-               workload_started_ms: int = 0) -> None:
-    """Fill the report's SLO fields and check the plan's ``expect_*``
-    assertions: did the burn alert fire, and does the explain()
-    attribution name the fault the plan injected?"""
-    slo = symphony.slo
-    fired = [a for a in slo.alerts() if a.get("kind") == "fire"]
-    report.slo_burn_alerts = len(fired)
-    report.slo_first_alert_ms = (slo.first_burn_ms() or 0)
-    if fired and workload_started_ms:
-        report.slo_detection_ms = (report.slo_first_alert_ms
-                                   - workload_started_ms)
-    report.slo_breaching_retained = len(slo.recorder.breaching())
-    report.slo_recorder = slo.recorder.stats.as_dict()
-    worst = slo.worst_record()
-    if worst is not None:
-        attribution = slo.explain(worst.query_id)
-        if attribution is not None:
-            report.slo_dominant = attribution.dominant_label
-            report.slo_worst_attribution = attribution.to_dict()
-    if plan.slo.get("expect_burn") and not fired:
-        report.violations.append(
-            "slo: expected a burn-rate alert to fire; none did"
-        )
-    expected = plan.slo.get("expect_dominant", "")
-    if expected and not report.slo_dominant.startswith(expected):
-        report.violations.append(
-            f"slo: expected dominant cause {expected!r}, "
-            f"explain() said {report.slo_dominant!r}"
-        )
 
 
 def run_chaos(plan: FaultPlan) -> ChaosReport:
     """Run the plan's fault storm and check the resilience invariants."""
     symphony = _build_platform(plan)
     app_id, games = _build_workload(symphony, plan)
-    report = ChaosReport(plan_name=plan.name)
-    storm = (_ReshardStorm(symphony, plan, app_id, report)
-             if plan.reshard else None)
-    durability_storm = (_DurabilityStorm(symphony, plan, report)
-                        if plan.durability else None)
-    if storm is not None:
-        storm.capture_baseline()
-    budget = plan.deadline_ms + plan.grace_ms
-    clock = symphony.clock
-    workload_started_ms = clock.now_ms
-    for index in range(plan.queries):
-        _inject_replica_chaos(symphony.engine, plan, index)
-        if durability_storm is not None:
-            durability_storm.on_query(index)
-        query = games[index % len(games)]
-        started = clock.now_ms
-        try:
-            response = symphony.query(
-                app_id, query, session_id=f"chaos-{index}",
-                deadline_ms=plan.deadline_ms,
-            )
-        except ReproError as exc:
-            report.escaped.append(
-                f"query {index} ({query!r}): "
-                f"{type(exc).__name__}: {exc}"
-            )
-            continue
-        report.queries_run += 1
-        elapsed = clock.now_ms - started
-        report.max_elapsed_ms = max(report.max_elapsed_ms, elapsed)
-        if response.degraded:
-            report.degraded += 1
-        if elapsed > budget:
-            report.violations.append(
-                f"query {index} ({query!r}) took {elapsed:.0f}ms "
-                f"(> {plan.deadline_ms:.0f}ms deadline "
-                f"+ {plan.grace_ms:.0f}ms grace)"
-            )
-        elif elapsed > plan.deadline_ms and not response.degraded:
-            report.violations.append(
-                f"query {index} ({query!r}) overran its deadline "
-                f"({elapsed:.0f}ms) without surfacing degradation"
-            )
-        if storm is not None:
-            storm.on_query(index)
-    if durability_storm is not None:
-        durability_storm.finish()
-    if storm is not None:
-        storm.finish()
-        events = symphony.telemetry.events
-        report.reshards_completed = len(events.by_kind(
-            "reshard.complete"))
-        report.handoff_batches = len(events.by_kind("reshard.handoff"))
-        report.topology_version = symphony.engine.topology_version
-        report.docs_moved = int(symphony.telemetry.metrics.counter(
-            "controlplane_docs_moved_total").value)
-        if report.reshards_completed < storm.started:
-            report.violations.append(
-                f"only {report.reshards_completed} of {storm.started} "
-                f"reshards completed"
-            )
-    if symphony.slo.enabled:
-        _check_slo(symphony, plan, report, workload_started_ms)
-    metrics = symphony.telemetry.metrics
-    report.retries = int(metrics.counter("retries_total").value)
-    report.retry_exhaustions = int(
-        metrics.counter("retry_exhausted_total").value
-    )
-    report.hedges = int(metrics.counter("hedges_total").value)
-    report.hedge_wins = int(metrics.counter("hedge_wins_total").value)
-    report.deadline_events = int(
-        metrics.counter("deadline_exceeded_total").value
-    )
-    return report
+    return _Storm(symphony, plan, app_id, games).run()

@@ -19,14 +19,14 @@ what it emitted, the way an operated service must:
 
 Construct ``Symphony(slo=True)`` (or pass an
 :class:`~repro.slo.objectives.SLOConfig`) to wire the engine into the
-runtime and autoscaler; the default is :data:`NULL_SLO`, which keeps
-the unjudged hot path allocation-free.
+runtime and autoscaler; without it ``Symphony.slo`` is ``None`` and no
+query is judged.
 """
 
 from __future__ import annotations
 
 from repro.slo.burnrate import BurnRateAlerter
-from repro.slo.engine import NULL_SLO, NullSLOEngine, SLOEngine
+from repro.slo.engine import SLOEngine
 from repro.slo.explain import Attribution, explain_spans
 from repro.slo.objectives import ErrorBudget, SLOConfig, SLODefinition
 from repro.slo.recorder import FlightRecord, FlightRecorder
@@ -41,6 +41,4 @@ __all__ = [
     "Attribution",
     "explain_spans",
     "SLOEngine",
-    "NullSLOEngine",
-    "NULL_SLO",
 ]

@@ -13,8 +13,8 @@ histogram observation, a few deque appends, and the edge-triggered
 alert checks. That is the whole per-query cost when nothing is wrong,
 which is what keeps the layer inside its ≤5% overhead budget.
 
-``NULL_SLO`` mirrors the API with no-ops so ``Symphony()`` without
-``slo=`` keeps the allocation-free hot path.
+A platform without ``slo=`` has no engine: ``Symphony.slo`` is ``None``
+and the runtime skips the hook.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from repro.slo.explain import Attribution, explain_spans
 from repro.slo.objectives import ErrorBudget, SLOConfig
 from repro.slo.recorder import FlightRecord, FlightRecorder
 
-__all__ = ["SLOEngine", "NullSLOEngine", "NULL_SLO"]
+__all__ = ["SLOEngine"]
 
 
 class SLOEngine:
     """Judgment layer over one telemetry bundle."""
-
-    enabled = True
 
     def __init__(self, telemetry, config: SLOConfig | None = None
                  ) -> None:
@@ -251,41 +249,3 @@ class SLOEngine:
                     f"  [{', '.join(record.reasons)}]"
                 )
         return "\n".join(lines)
-
-
-class NullSLOEngine:
-    """No-op twin: ``Symphony()`` without ``slo=`` pays nothing."""
-
-    enabled = False
-    slos: tuple = ()
-
-    def observe(self, **kwargs) -> None:
-        return None
-
-    def adopt_tracker(self, slo, budget, alerter) -> None:
-        return None
-
-    def burning(self) -> bool:
-        return False
-
-    def alerts(self) -> list:
-        return []
-
-    def first_burn_ms(self) -> None:
-        return None
-
-    def explain(self, query_id: str) -> None:
-        return None
-
-    def worst_record(self) -> None:
-        return None
-
-    def status(self) -> dict:
-        return {"objectives": [], "alerts": [],
-                "recorder": {}, "observed": 0}
-
-    def report(self) -> str:
-        return "SLO layer disabled (construct Symphony(slo=True))"
-
-
-NULL_SLO = NullSLOEngine()

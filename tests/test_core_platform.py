@@ -249,3 +249,35 @@ class TestCapabilityProbes:
             "probe_data",
         )
         assert report.inserted == 1
+
+
+#: The eight layer keywords of ``Symphony``.
+LAYER_KEYWORDS = ("cluster", "telemetry", "resilience", "gateway",
+                  "controlplane", "slo", "durability", "contracts")
+
+
+def layer_shape(symphony) -> tuple:
+    """What a layer keyword can change on a platform."""
+    return (type(symphony.engine), symphony.telemetry.enabled,
+            symphony.resilience, symphony.slo, symphony.gateway,
+            symphony.controlplane, symphony.autoscaler,
+            symphony.durability, symphony.runtime._slo,
+            symphony.runtime.resilience)
+
+
+class TestLayerKeywords:
+    """Every layer keyword follows one rule: a falsy value is off."""
+
+    @pytest.fixture(scope="class")
+    def bare(self, tiny_web):
+        from repro.core.platform import Symphony
+
+        return layer_shape(Symphony(web=tiny_web, use_authority=False))
+
+    @pytest.mark.parametrize("keyword", LAYER_KEYWORDS)
+    def test_false_is_the_keyword_omitted(self, tiny_web, bare, keyword):
+        from repro.core.platform import Symphony
+
+        off = Symphony(web=tiny_web, use_authority=False,
+                       **{keyword: False})
+        assert layer_shape(off) == bare

@@ -322,14 +322,6 @@ EXEC_ALLOWLIST: dict[str, str] = {
     "repro.durability.manager._NullDurability.__repr__": "null: durability",
     "repro.durability.manager._NullDurability._refuse": "null: durability",
     "repro.durability.manager._NullDurability.status": "null: durability",
-    "repro.slo.engine.NullSLOEngine.adopt_tracker": "null: slo",
-    "repro.slo.engine.NullSLOEngine.alerts": "null: slo",
-    "repro.slo.engine.NullSLOEngine.explain": "null: slo",
-    "repro.slo.engine.NullSLOEngine.first_burn_ms": "null: slo",
-    "repro.slo.engine.NullSLOEngine.observe": "null: slo",
-    "repro.slo.engine.NullSLOEngine.report": "null: slo",
-    "repro.slo.engine.NullSLOEngine.status": "null: slo",
-    "repro.slo.engine.NullSLOEngine.worst_record": "null: slo",
     "repro.telemetry.events.NullEventLog.__len__": "null: events",
     "repro.telemetry.events.NullEventLog.by_kind": "null: events",
     "repro.telemetry.metrics.NullMetricsRegistry.render_prometheus":

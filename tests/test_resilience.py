@@ -528,10 +528,15 @@ class TestChaosHarness:
         ({"slo": {"slos": [{"name": "x", "kind": "latency",
                             "thresold_ms": 1}]}},
          "unknown key slo.slos[0].thresold_ms"),
-        ({"replicas": {"fault": 0.5}}, "unknown key replicas.fault"),
+        ({"replicas": {"fault": 0.5}}, "unknown key replicas"),
         ({"services": {"pricing": {"failure": 0.5}}},
          "unknown key services.pricing.failure"),
         ({"web": {"seed": 3}}, "unknown key web.seed"),
+        # One spelling per value: a nested block would shadow a flat
+        # field, or give it a different default.
+        ({"cluster": {"num_shards": 2}}, "unknown key cluster"),
+        ({"replica_fault_rate": 0.1, "replicas": {"fault_rate": 0.5}},
+         "unknown key replicas"),
     ])
     def test_a_key_the_harness_does_not_read_is_refused(self, raw,
                                                         message):
@@ -554,7 +559,7 @@ class TestChaosHarness:
 
         plan = FaultPlan.from_dict({
             "queries": 3, "hedge": None,
-            "cluster": {"num_shards": 2, "replicas_per_shard": 1},
+            "num_shards": 2, "replicas_per_shard": 1,
             "reshard": {"steps": [{"at": 1, "op": "split", "shard": 9},
                                   {"at": 2, "op": "merge", "source": 1,
                                    "target": 1}]},
@@ -568,42 +573,56 @@ class TestChaosHarness:
         assert not report.ok
 
 
-    @pytest.mark.parametrize("pin_scores, hits, total, violation", [
-        (True, (("a", 2.0), ("b", 1.0)), 5, None),
-        (False, (("b", 2.0), ("a", 1.0)), 5,
+    @pytest.mark.parametrize("ingest, hits, total, violation", [
+        (0, (("a", 2.0), ("b", 1.0)), 5, None),
+        (2, (("b", 2.0), ("a", 1.0)), 5,
          "probe 'q' reordered its results at iteration 3 (idle)"),
-        (True, (("a", 2.0), ("a", 1.0)), 5,
+        (0, (("a", 2.0), ("a", 1.0)), 5,
          "probe 'q' diverged at iteration 3 (idle): 1 dropped, "
          "0 unexpected"),
-        (True, (("a", 2.0), ("b", 0.5)), 5,
+        (0, (("a", 2.0), ("b", 0.5)), 5,
          "probe 'q' ranked 1 of 2 results differently at iteration 3 "
          "(idle)"),
-        (False, (("a", 2.0), ("b", 0.5)), 5, None),
-        (True, (("a", 2.0), ("b", 1.0)), 6,
+        # A plan that ingests is held to scores too: the reference
+        # takes the same writes.
+        (2, (("a", 2.0), ("b", 0.5)), 5,
+         "probe 'q' ranked 1 of 2 results differently at iteration 3 "
+         "(idle)"),
+        (0, (("a", 2.0), ("b", 1.0)), 6,
          "probe 'q' total_matches 6 != 5 at iteration 3 (idle)"),
     ])
     def test_a_reshard_probe_checks_urls_in_order_scores_and_totals(
-            self, pin_scores, hits, total, violation):
+            self, ingest, hits, total, violation):
         from types import SimpleNamespace
 
-        from repro.resilience.chaos import ChaosReport, _ReshardStorm
+        from repro.resilience.chaos import ChaosReport, _Storm
 
-        response = SimpleNamespace(
-            results=[SimpleNamespace(url=url, score=score)
-                     for url, score in hits],
-            total_matches=total)
-        storm = _ReshardStorm.__new__(_ReshardStorm)
+        def page(pairs, total):
+            return SimpleNamespace(
+                results=[SimpleNamespace(url=url, score=score)
+                         for url, score in pairs],
+                total_matches=total)
+
+        written, copied = [], []
+        storm = _Storm.__new__(_Storm)
         storm.symphony = SimpleNamespace(engine=SimpleNamespace(
-            search=lambda vertical, query: response,
+            search=lambda vertical, query: page(hits, total),
+            add_document=lambda vertical, doc: written.append(doc),
             router=SimpleNamespace(snapshot=lambda: None)))
+        storm.reference = SimpleNamespace(
+            search=lambda vertical, query: page(
+                (("a", 2.0), ("b", 1.0)), 5),
+            vertical=lambda vertical: SimpleNamespace(add=copied.append))
         storm.controlplane = SimpleNamespace(active=False)
         storm.probe_queries, storm.doc_probes = ["q"], []
-        storm.baselines = {"q": ((("a", 2.0), ("b", 1.0)), 5)}
-        storm.pin_scores = pin_scores
+        storm.ingest_per_query, storm.ingested = ingest, 0
         storm.report = ChaosReport("storm")
-        storm._verify(3)
+        storm._ingest(3)
+        storm._probe(3)
         assert storm.report.violations == ([violation] if violation
                                            else [])
+        assert storm.report.reshard_probes == 1
+        assert copied == written and len(written) == ingest
 
 
 class TestResilienceConfig:

@@ -17,7 +17,6 @@ from repro.controlplane import Autoscaler
 from repro.core.platform import Symphony
 from repro.errors import NotFoundError
 from repro.slo import (
-    NULL_SLO,
     BurnRateAlerter,
     ErrorBudget,
     FlightRecord,
@@ -328,7 +327,7 @@ class TestSLOEngineIntegration:
     def test_slo_implies_telemetry(self, tiny_web):
         sym = Symphony(web=tiny_web, use_authority=False, slo=True)
         assert sym.telemetry.enabled
-        assert sym.slo.enabled
+        assert isinstance(sym.slo, SLOEngine)
         assert sym.runtime._slo is sym.slo
 
     def test_burn_fires_and_recorder_retains(self, tiny_web):
@@ -384,20 +383,16 @@ class TestSLOEngineIntegration:
         assert sym.explain_query("no-such-trace") is None
 
 
-class TestNullPath:
-    def test_default_platform_uses_null_slo(self, symphony):
-        assert symphony.slo is NULL_SLO
-        assert not symphony.slo.enabled
-        assert symphony.runtime._slo is NULL_SLO
-        assert symphony.slo.observe(tenant="x", latency_ms=1.0) is None
-        assert "disabled" in symphony.slo_report()
+class TestSLOOff:
+    def test_a_default_platform_has_no_slo_engine(self, gamerqueen):
+        symphony, app_id, games = gamerqueen
+        assert symphony.slo is None
+        assert symphony.runtime._slo is None
+        # The unjudged path still answers.
+        assert symphony.query(app_id, games[0]).views
+        assert symphony.slo_report() == (
+            "SLO layer disabled (construct Symphony(slo=True))")
         assert symphony.explain_query("anything") is None
-
-    def test_null_slo_status_shape(self):
-        status = NULL_SLO.status()
-        assert status["observed"] == 0
-        assert NULL_SLO.alerts() == []
-        assert not NULL_SLO.burning()
 
 
 # -- autoscaler hookup --------------------------------------------------------
