@@ -6,9 +6,18 @@ the same table at that moment, and to the work a delta should cost.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.datasources import ProprietaryTableSource, SourceQuery
+from repro.core.structured import StructuredQuery
+from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.index import InvertedIndex
 from repro.storage.records import (
     CHANGE_TAIL,
@@ -28,7 +37,8 @@ _FIELDS = ("title", "producer", "description")
 def make_table():
     schema = Schema((FieldSpec("sku", FieldType.STRING),)
                     + tuple(FieldSpec(name, FieldType.STRING)
-                            for name in _FIELDS))
+                            for name in _FIELDS)
+                    + (FieldSpec("price", FieldType.INTEGER),))
     return RecordTable("games", schema, indexed_fields=("sku",))
 
 
@@ -36,8 +46,7 @@ def make_source(table):
     return ProprietaryTableSource("inv", "Inventory", table, _FIELDS)
 
 
-def index_state(source):
-    index = source.vertical().index
+def index_state(index):
     return {
         "docs": {doc_id: index.document(doc_id).payload
                  for doc_id in index.all_doc_ids()},
@@ -60,86 +69,150 @@ def assert_same_as_fresh(source, table, queries):
     fresh = make_source(table)
     for query in queries:
         assert answers(source, query) == answers(fresh, query), query
-    assert index_state(source) == index_state(fresh)
+    assert index_state(source.vertical().index) == \
+        index_state(fresh.vertical().index)
 
 
 phrases = st.lists(st.sampled_from(_WORDS), min_size=0, max_size=4) \
     .map(" ".join)
-rows = st.fixed_dictionaries({
-    "sku": st.sampled_from(["S1", "S2", "S3", "S4", "S5", "S6"]),
-    "title": phrases, "producer": phrases, "description": phrases,
-})
-# Which existing record a mutation hits: an index into the table, wrapped.
-picks = st.integers(0, 50)
-mutations = st.one_of(
-    st.tuples(st.just("insert"), rows),
-    st.tuples(st.just("upsert_by"), rows),
-    st.tuples(st.just("update"), picks,
-              st.dictionaries(st.sampled_from(_FIELDS), phrases,
-                              min_size=1, max_size=2)),
-    st.tuples(st.just("add_fields"), phrases),
-)
+prices = st.one_of(st.none(), st.integers(0, 60))
 query_words = st.sampled_from(_WORDS + ("unseen",))
 query_texts = st.one_of(
     query_words,                                                # term
     st.tuples(query_words, query_words).map('"{0[0]} {0[1]}"'.format),
     st.lists(query_words, min_size=2, max_size=3).map(" ".join),  # AND / OR
 )
-queries = st.builds(
-    lambda text, fields: SourceQuery(
-        text, count=5,
-        context={"search_fields": fields} if fields else {}),
-    query_texts,
-    st.lists(st.sampled_from(_FIELDS), max_size=2, unique=True)
-    .map(tuple),
-)
-steps = st.lists(
-    st.tuples(st.lists(mutations, min_size=1, max_size=4),
-              st.lists(queries, min_size=1, max_size=3)),
-    min_size=1, max_size=8,
-)
+PROBES = (SourceQuery("halo"), SourceQuery("halo odyssey", count=3),
+          SourceQuery("combat", offset=1, count=2))
 
 
-def apply(table, mutation, added_fields):
-    kind, *args = mutation
-    records = table.all_records()
-    if kind == "insert":
-        row = dict(args[0])
-        # A second row with the sku would make a later upsert ambiguous.
-        if table.find("sku", row["sku"]):
-            row["sku"] = f"N{table.mutations}"
-        table.insert({**row, **{name: row["title"]
-                                for name in added_fields}})
-    elif kind == "upsert_by":
-        table.upsert_by("sku", args[0])
-    elif kind == "add_fields":
-        name = f"extra{len(added_fields)}"
-        table.add_fields((FieldSpec(name, FieldType.STRING),))
-        added_fields.append(name)
-    elif not records:
-        return
-    elif kind == "update":
-        update_record(table, records[args[0] % len(records)].record_id,
-                      args[1])
+def fresh_index(table):
+    """The table's rows filed into a new index, the reference the
+    table's own index must equal after any sequence of writes."""
+    index = InvertedIndex()
+    for record in table.all_records():
+        index.add(FieldedDocument(record.record_id, {
+            name: "" if value is None else value
+            for name, value in record.values.items()}, record))
+    return index
+
+
+def reference(source):
+    """``source`` over a copy of its table made from scratch: every row
+    inserted afresh, so nothing it answers from was updated in place."""
+    table = source.table
+    copy = RecordTable(table.name, table.schema, table.indexed_fields)
+    for record in table.all_records():
+        copy.insert_validated(dict(record.values), record.record_id)
+    return ProprietaryTableSource(source.source_id, source.name, copy,
+                                  source.search_fields)
+
+
+class TenantMachine(RuleBasedStateMachine):
+    """Tenant writes, schema evolution, new sources and reads in any
+    order: after every step each source's index equals one built afresh
+    from the table, and each source answers as a source built from
+    scratch over a copy of the table does."""
+
+    @initialize()
+    def start(self):
+        self.table = make_table()
+        for sku, title in (("S1", "halo odyssey"), ("S2", "braid arena"),
+                           ("S3", "halo combat evolved")):
+            self.table.insert({"sku": sku, "title": title,
+                               "producer": "bungie", "price": 20,
+                               "description": "combat puzzle"})
+        self.sources = [make_source(self.table)]
+        self.added: list = []
+        self.serial = 0
+
+    def text_fields(self) -> tuple:
+        return _FIELDS + tuple(self.added)
+
+    @rule(row=st.fixed_dictionaries({
+              "title": phrases, "producer": phrases,
+              "description": phrases, "price": prices}),
+          keyed=st.booleans())
+    def insert(self, row, keyed):
+        """A new row, through an insert or a keyed upsert of a new key;
+        every column added so far is carried."""
+        self.serial += 1
+        row = {**row, "sku": f"N{self.serial}",
+               **{name: row["title"] for name in self.added}}
+        if keyed:
+            self.table.upsert_by("sku", row)
+        else:
+            self.table.insert(row)
+
+    @rule(pick=st.integers(0, 50), data=st.data())
+    def upsert_delta(self, pick, data):
+        """A keyed delta of one stored row changing one field or several."""
+        records = self.table.all_records()
+        current = records[pick % len(records)]
+        names = data.draw(st.lists(
+            st.sampled_from(self.text_fields() + ("price",)),
+            min_size=1, max_size=3, unique=True))
+        changes = {name: data.draw(prices if name == "price" else phrases)
+                   for name in names}
+        self.table.upsert_by("sku", {**current.values, **changes})
+
+    @rule()
+    def add_column(self):
+        name = f"extra{len(self.added)}"
+        self.table.add_fields((FieldSpec(name, FieldType.STRING),))
+        self.added.append(name)
+
+    @precondition(lambda self: len(self.sources) < 3)
+    @rule(data=st.data())
+    def add_source(self, data):
+        fields = data.draw(st.lists(st.sampled_from(self.text_fields()),
+                                    min_size=1, max_size=3, unique=True))
+        self.sources.append(ProprietaryTableSource(
+            f"inv{len(self.sources)}", "Inventory", self.table,
+            tuple(fields)))
+
+    @rule(pick=st.integers(0, 2), text=query_texts,
+          fields=st.lists(st.sampled_from(_FIELDS), max_size=2,
+                          unique=True))
+    def search(self, pick, text, fields):
+        source = self.sources[pick % len(self.sources)]
+        query = SourceQuery(
+            text, count=5,
+            context={"search_fields": tuple(fields)} if fields else {})
+        assert answers(source, query) == answers(reference(source), query)
+
+    @rule(pick=st.integers(0, 2), text=st.one_of(st.just(""), query_texts),
+          op=st.sampled_from(("lt", "ge", "ne")), bound=st.integers(0, 60),
+          descending=st.booleans())
+    def structured(self, pick, text, op, bound, descending):
+        source = self.sources[pick % len(self.sources)]
+        query = StructuredQuery(text, order_by="price",
+                                descending=descending,
+                                limit=4).where("price", op, bound)
+
+        def page(source):
+            result = source.structured_search(query)
+            return ([(item.item_id, item.score) for item in result.items],
+                    result.total_matches)
+
+        assert page(source) == page(reference(source))
+
+    @invariant()
+    def every_source_is_current(self):
+        expected = index_state(fresh_index(self.table))
+        for source in self.sources:
+            assert index_state(source.vertical().index) == expected
+            fresh = reference(source)
+            for query in PROBES:
+                assert answers(source, query) == answers(fresh, query)
+
+
+TenantMachine.TestCase.settings = settings(max_examples=40,
+                                           stateful_step_count=12)
+TestTenantMachine = TenantMachine.TestCase
 
 
 class TestEquivalence:
-    @given(steps)
-    @settings(max_examples=60)
-    def test_long_lived_source_equals_fresh_after_every_step(self, steps):
-        table = make_table()
-        for sku, title in (("S1", "halo odyssey"), ("S2", "braid arena"),
-                           ("S3", "halo combat evolved")):
-            table.insert({"sku": sku, "title": title, "producer": "bungie",
-                          "description": "combat puzzle"})
-        source = make_source(table)
-        source.search(SourceQuery("halo"))
-        added_fields: list = []
-        for batch, searches in steps:
-            for mutation in batch:
-                apply(table, mutation, added_fields)
-            assert_same_as_fresh(source, table, searches)
-
     def test_source_rebuilds_when_the_tail_is_overrun(self, monkeypatch):
         table = make_table()
         for i in range(6):
