@@ -15,7 +15,6 @@ from enum import Enum
 
 from repro.errors import ConfigurationError, DuplicateError, NotFoundError
 from repro.gateway.generations import table_key
-from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.engine import (
     SearchOptions,
     VerticalIndex,
@@ -169,16 +168,13 @@ def _boosting(search_fields) -> BM25Parameters:
 class ProprietaryTableSource(DataSource):
     """Searchable proprietary data: a tenant table as a search vertical.
 
-    A search is the engine's :func:`execute_query` over the table's
-    :class:`VerticalIndex`, then a tenant materializer. ``search_fields``
-    are the fields queries run against ("search by title, producer, and
-    description" in §II-B), the first boosted; all schema fields remain
-    available for layout binding and filters. The index is brought up to
-    date at the next search after the table changed, at the cost of the
-    fields that changed: the table's change tail names the rows, and a
-    changed row's index upsert re-files only its changed fields. Every
-    row is indexed only on first use, or when more changed between two
-    searches than the tail holds.
+    A search is the engine's :func:`execute_query` over a
+    :class:`VerticalIndex` view of the table's one index
+    (:attr:`RecordTable.search_index`, filed as each write applies and
+    shared by every source over the table), then a tenant materializer.
+    ``search_fields`` are the fields queries run against ("search by
+    title, producer, and description" in §II-B), the first boosted; all
+    schema fields remain available for layout binding and filters.
     """
 
     def __init__(self, source_id: str, name: str, table,
@@ -193,10 +189,10 @@ class ProprietaryTableSource(DataSource):
                     f"{table.name!r}"
                 )
         self.search_fields = tuple(search_fields)
-        self._vertical: VerticalIndex | None = None
-        # table.mutations the index is current with: the cursor into
-        # the table's change tail (-1, which no table holds: not built).
-        self._indexed_mutations = -1
+        self._vertical = VerticalIndex(f"table:{table.name}",
+                                       self.search_fields,
+                                       _boosting(self.search_fields))
+        self._vertical.index = table.search_index
         #: Zero-arg callable returning contract metadata for this
         #: table ({} when ungoverned); set by the platform so stale
         #: feeds are flagged on every result served from them.
@@ -213,36 +209,8 @@ class ProprietaryTableSource(DataSource):
         return (table_key(self.tenant_id, self._table.name),)
 
     def vertical(self, search_fields=()) -> VerticalIndex:
-        """The table's vertical, current with the table, searched by
-        ``search_fields`` (default: the source's), the first boosted."""
-        table = self._table
-        # Read before the tail: a change landing while this applies
-        # lies past the cursor, so the next call applies it (applying
-        # a change twice is a no-op).
-        mutations = table.mutations
-        if self._indexed_mutations != mutations:
-            changed = table.changes_since(self._indexed_mutations)
-            if changed is None:     # first use, or the tail fell short
-                self._vertical = VerticalIndex(
-                    f"table:{table.name}", self.search_fields,
-                    _boosting(self.search_fields))
-                changed = [record.record_id
-                           for record in table.all_records()]
-            index = self._vertical.index
-            for record_id in dict.fromkeys(changed):
-                current = table.get(record_id)
-                if (record_id in index
-                        and index.document(record_id).payload is current):
-                    continue
-                # Typed values, so predicates compare numbers as numbers
-                # (the index files ``str(value)``); "" is a missing
-                # value, which coercion never stores. An upsert re-files
-                # only the fields that changed.
-                index.upsert(FieldedDocument(record_id, {
-                    name: "" if value is None else value
-                    for name, value in current.values.items()},
-                    current))
-            self._indexed_mutations = mutations
+        """The table's vertical searched by ``search_fields`` (default:
+        the source's), the first boosted."""
         fields = tuple(search_fields) or self.search_fields
         if fields == self.search_fields:
             return self._vertical

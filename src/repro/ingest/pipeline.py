@@ -264,8 +264,17 @@ class DatasetIngestor:
         if key_field is not None and not created:
             upsert = (table.upsert_validated_by if validated
                       else table.upsert_by)
+            quota = self._tenant.quota
             for row in rows:
                 before = len(table)
+                if before >= quota.max_records_per_table:
+                    # A new key at the limit raises, as an append past
+                    # it does; the rows before it are kept.
+                    key = row.get(key_field)
+                    if not validated:
+                        key = table.schema.spec(key_field).coerce(key)
+                    if not table.find(key_field, key):
+                        quota.check_records(before + 1)
                 upsert(key_field, row)
                 if len(table) > before:
                     report.inserted += 1

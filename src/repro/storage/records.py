@@ -2,23 +2,24 @@
 
 Proprietary uploads land here after normalization. A table owns a
 :class:`Schema` (either declared or inferred from data), validates and
-coerces incoming values, maintains hash indexes on selected fields, and
-rejects stale updates via per-record version counters.
+coerces incoming values, maintains hash indexes on selected fields and
+one full-text index that every write files into, and rejects stale
+updates via per-record version counters.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
 from repro.errors import (
     DuplicateError,
     NotFoundError,
     ValidationError,
 )
+from repro.searchengine.documents import FieldedDocument
+from repro.searchengine.index import InvertedIndex
 
 __all__ = [
     "FieldType",
@@ -27,14 +28,7 @@ __all__ = [
     "infer_schema",
     "Record",
     "RecordTable",
-    "CHANGE_TAIL",
 ]
-
-#: How many of a table's latest mutations :meth:`RecordTable.changes_since`
-#: can still name. An upsert of an existing row is two (out, then in), so
-#: this covers a 512-row delta upload between two readers; a reader that
-#: falls further behind rebuilds from the table.
-CHANGE_TAIL = 1024
 
 _INT_RE = re.compile(r"[+-]?\d+$")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
@@ -233,8 +227,8 @@ class RecordTable:
     """A named table of records under one schema.
 
     ``indexed_fields`` get exact-match hash indexes (used by service lookups
-    and supplemental joins); search-style retrieval is layered on top by
-    :mod:`repro.core.datasources`.
+    and supplemental joins). Search-style retrieval reads
+    :attr:`search_index`, which :mod:`repro.core.datasources` ranks over.
     """
 
     def __init__(self, name: str, schema: Schema,
@@ -253,13 +247,7 @@ class RecordTable:
         # about: field -> {value: {record id, ...}}, built on first use.
         self._exact: dict[str, dict] = {}
         self._next_serial = 1
-        #: Bumped whenever a record enters or leaves the table (an
-        #: update does both), so derived indexes can tell cheaply and
-        #: exactly whether they are current; the cursor of
-        #: :meth:`changes_since`.
-        self.mutations = 0
-        # Record id of each of the last CHANGE_TAIL mutations, oldest first.
-        self._change_tail: deque = deque(maxlen=CHANGE_TAIL)
+        self._search_index: InvertedIndex | None = None
 
     # -- CRUD ------------------------------------------------------------------
 
@@ -397,19 +385,20 @@ class RecordTable:
     def all_records(self) -> list:
         return list(self._records.values())
 
-    def changes_since(self, cursor: int) -> list | None:
-        """Record ids mutated after ``mutations`` read ``cursor``, in order.
+    @property
+    def search_index(self) -> InvertedIndex:
+        """The table's one full-text index, every field of every row.
 
-        One id per mutation, so an updated record appears twice.
-        ``None`` when the answer is unknown: the bounded tail
-        (:data:`CHANGE_TAIL`) no longer reaches back to ``cursor``, or
-        ``cursor`` is not a value this table's ``mutations`` has held.
+        Built from the rows on first use, so a table nothing searches
+        never pays for it; from then on every write files its row as it
+        applies, an update re-filing only the fields that changed.
         """
-        behind = self.mutations - cursor
-        held = len(self._change_tail)
-        if not 0 <= behind <= held:
-            return None
-        return list(islice(self._change_tail, held - behind, None))
+        if self._search_index is None:
+            index = InvertedIndex()
+            for record in self._records.values():
+                index.add(_document(record))
+            self._search_index = index
+        return self._search_index
 
     # -- index maintenance --------------------------------------------------------------
 
@@ -418,8 +407,8 @@ class RecordTable:
         return str(value).lower() if value is not None else None
 
     def _index_record(self, record: Record) -> None:
-        self.mutations += 1
-        self._change_tail.append(record.record_id)
+        if self._search_index is not None:
+            self._search_index.upsert(_document(record))
         for field_name, index in self._indexes.items():
             key = self._key(record.values.get(field_name))
             index.setdefault(key, set()).add(record.record_id)
@@ -428,14 +417,22 @@ class RecordTable:
                              set()).add(record.record_id)
 
     def _unindex_record(self, record: Record) -> None:
-        self.mutations += 1
-        self._change_tail.append(record.record_id)
         for field_name, index in self._indexes.items():
             _discard(index, self._key(record.values.get(field_name)),
                      record.record_id)
         for field_name, exact in self._exact.items():
             _discard(exact, record.values.get(field_name),
                      record.record_id)
+
+
+def _document(record: Record) -> FieldedDocument:
+    """``record`` as the search index files it: typed values, so
+    predicates compare numbers as numbers (the index files
+    ``str(value)``), and "" for a missing value, which coercion never
+    stores."""
+    return FieldedDocument(record.record_id, {
+        name: "" if value is None else value
+        for name, value in record.values.items()}, record)
 
 
 def _discard(index: dict, key, record_id: str) -> None:

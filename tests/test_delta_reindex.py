@@ -1,11 +1,12 @@
-"""A long-lived ProprietaryTableSource equals a freshly built one.
+"""A tenant table's one index equals one built afresh from its rows.
 
-The source applies the table's change tail instead of rebuilding; these
-tests hold it to the answers and the index of a source constructed over
-the same table at that moment, and to the work a delta should cost.
+Every write files its row into the table's index as it applies, and
+every source over the table reads that index. These tests hold it to an
+index and to sources built from scratch after any sequence of steps, to
+the work a delta should cost at the upload, and to a search that files
+nothing.
 """
 
-import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -19,15 +20,17 @@ from repro.core.datasources import ProprietaryTableSource, SourceQuery
 from repro.core.structured import StructuredQuery
 from repro.searchengine.documents import FieldedDocument
 from repro.searchengine.index import InvertedIndex
+from repro.ingest.pipeline import DatasetIngestor
 from repro.storage.records import (
-    CHANGE_TAIL,
     FieldSpec,
     FieldType,
     RecordTable,
     Schema,
 )
 
-from tests.conftest import update_record
+from repro.storage.tenant import Tenant
+
+from tests.conftest import make_inventory_csv
 
 _WORDS = ("halo", "odyssey", "arena", "braid", "combat", "evolved",
           "puzzle", "island", "racing", "deluxe")
@@ -63,14 +66,6 @@ def answers(source, query):
     result = source.search(query)
     return ([(item.item_id, item.score) for item in result.items],
             result.total_matches)
-
-
-def assert_same_as_fresh(source, table, queries):
-    fresh = make_source(table)
-    for query in queries:
-        assert answers(source, query) == answers(fresh, query), query
-    assert index_state(source.vertical().index) == \
-        index_state(fresh.vertical().index)
 
 
 phrases = st.lists(st.sampled_from(_WORDS), min_size=0, max_size=4) \
@@ -110,9 +105,9 @@ def reference(source):
 
 class TenantMachine(RuleBasedStateMachine):
     """Tenant writes, schema evolution, new sources and reads in any
-    order: after every step each source's index equals one built afresh
-    from the table, and each source answers as a source built from
-    scratch over a copy of the table does."""
+    order: after every step the table's index equals one built afresh
+    from its rows, every source reads it, and each source answers as a
+    source built from scratch over a copy of the table does."""
 
     @initialize()
     def start(self):
@@ -199,9 +194,10 @@ class TenantMachine(RuleBasedStateMachine):
 
     @invariant()
     def every_source_is_current(self):
-        expected = index_state(fresh_index(self.table))
+        index = self.table.search_index
+        assert index_state(index) == index_state(fresh_index(self.table))
         for source in self.sources:
-            assert index_state(source.vertical().index) == expected
+            assert source.vertical().index is index
             fresh = reference(source)
             for query in PROBES:
                 assert answers(source, query) == answers(fresh, query)
@@ -210,55 +206,6 @@ class TenantMachine(RuleBasedStateMachine):
 TenantMachine.TestCase.settings = settings(max_examples=40,
                                            stateful_step_count=12)
 TestTenantMachine = TenantMachine.TestCase
-
-
-class TestEquivalence:
-    def test_source_rebuilds_when_the_tail_is_overrun(self, monkeypatch):
-        table = make_table()
-        for i in range(6):
-            table.insert({"sku": f"S{i}", "title": f"halo {_WORDS[i]}",
-                          "producer": "bungie", "description": ""})
-        source = make_source(table)
-        cursor = table.mutations
-        assert source.search(SourceQuery("halo")).total_matches == 6
-        victim = table.all_records()[0].record_id
-        for i in range(CHANGE_TAIL // 2 + 1):
-            update_record(table, victim, {"description": _WORDS[i % 10]})
-        update_record(table, table.all_records()[1].record_id,
-                      {"description": _WORDS[3]})
-        assert table.changes_since(cursor) is None
-        adds = count_calls(monkeypatch, "add")
-        queries = [SourceQuery("halo"), SourceQuery('"halo odyssey"'),
-                   SourceQuery("halo unseen"), SourceQuery(_WORDS[2])]
-        assert_same_as_fresh(source, table, queries[:1])
-        assert adds[0] == 2 * len(table)    # the source's and the fresh one's
-        assert_same_as_fresh(source, table, queries)
-
-    def test_a_change_landing_while_the_tail_is_applied_is_not_lost(
-            self, monkeypatch):
-        table = make_table()
-        first = table.insert({"sku": "S1", "title": "halo"})
-        second = table.insert({"sku": "S2", "title": "braid"})
-        source = make_source(table)
-        source.search(SourceQuery("halo"))
-        update_record(table, first.record_id, {"title": "arena"})
-        real_get, landed = table.get, []
-
-        def get(record_id):
-            if not landed:      # an upload lands mid-apply, once
-                landed.append(record_id)
-                update_record(table, second.record_id,
-                              {"title": "racing"})
-            return real_get(record_id)
-
-        monkeypatch.setattr(table, "get", get)
-        assert source.search(SourceQuery("arena")).total_matches == 1
-        assert landed == [first.record_id]
-        assert [item.item_id for item in
-                source.search(SourceQuery("racing")).items] == \
-            [second.record_id]
-        assert_same_as_fresh(source, table, [SourceQuery("braid"),
-                                             SourceQuery("racing")])
 
 
 def count_calls(monkeypatch, method):
@@ -289,8 +236,9 @@ def spy_filing(monkeypatch):
 
 
 class TestWorkCounts:
-    """A delta costs the field values it changed: each changed value is
-    analyzed twice (the old one out, the new one in), and nothing else."""
+    """A delta costs the field values it changed, at the upload: each
+    changed value is analyzed twice (the old one out, the new one in),
+    and a search files nothing."""
 
     def test_a_delta_costs_the_fields_it_changed(self, monkeypatch):
         table = make_table()
@@ -298,50 +246,64 @@ class TestWorkCounts:
             table.insert({"sku": f"S{i}", "title": f"game {_WORDS[i % 10]}",
                           "producer": "studio", "description": f"row{i}"})
         source = make_source(table)
-        assert source.search(SourceQuery("game")).total_matches == 250
+        filed = spy_filing(monkeypatch)
         for i in range(5):
             table.upsert_by("sku", {"sku": f"S{i}", "title": "repriced",
                                     "producer": "studio",
                                     "description": f"row{i}"})
-        filed = spy_filing(monkeypatch)
-        assert source.search(SourceQuery("repriced")).total_matches == 5
         assert [name for call in filed for name in call] == ["title"] * 10
         filed.clear()
+        assert source.search(SourceQuery("repriced")).total_matches == 5
         assert source.search(SourceQuery("game")).total_matches == 245
         assert filed == []
 
     def test_inserts_add_and_updates_refile(self, monkeypatch):
         table = make_table()
-        records = [table.insert({"sku": f"S{i}", "title": "halo"})
-                   for i in range(6)]
+        for i in range(6):
+            table.insert({"sku": f"S{i}", "title": "halo"})
         source = make_source(table)
-        source.search(SourceQuery("halo"))
-        for i in range(3):
-            table.insert({"sku": f"NEW{i}", "title": "halo arena"})
-        update_record(table, records[2].record_id,
-                      {"producer": "bungie"})
         adds = count_calls(monkeypatch, "add")
         removes = count_calls(monkeypatch, "remove")
         upserts = count_calls(monkeypatch, "upsert")
         filed = spy_filing(monkeypatch)
-        assert source.search(SourceQuery("halo")).total_matches == 9
+        for i in range(3):
+            table.insert({"sku": f"NEW{i}", "title": "halo arena"})
+        table.upsert_by("sku", {"sku": "S2", "title": "halo",
+                                "producer": "bungie"})
         # A new row is an upsert that adds; a changed one re-files in place.
         assert (adds[0], removes[0], upserts[0]) == (3, 0, 4)
         assert filed.count(("producer",)) == 2     # "" out, "bungie" in
         assert len(filed) == 3 + 2
+        assert source.search(SourceQuery("halo")).total_matches == 9
 
-    def test_a_row_changed_many_times_is_indexed_once(self, monkeypatch):
-        table = make_table()
-        record = table.insert({"sku": "S1", "title": "halo"})
-        source = make_source(table)
-        source.search(SourceQuery("halo"))
-        for title in ("braid", "arena", "racing"):
-            update_record(table, record.record_id, {"title": title})
-        adds = count_calls(monkeypatch, "add")
-        removes = count_calls(monkeypatch, "remove")
-        upserts = count_calls(monkeypatch, "upsert")
-        filed = spy_filing(monkeypatch)
-        result = source.search(SourceQuery("racing"))
-        assert [item.item_id for item in result.items] == [record.record_id]
-        assert (adds[0], removes[0], upserts[0]) == (0, 0, 1)
-        assert filed == [("title",), ("title",)]
+    def test_a_search_after_a_delta_upload_files_nothing(self, monkeypatch):
+        tenant = Tenant("t1", "Ann")
+        ingestor = DatasetIngestor(tenant)
+        ingestor.ingest_rows([{"sku": f"S{i}", "title": f"halo {word}"}
+                              for i, word in enumerate(_WORDS)], "games",
+                             schema=make_table().schema, key_field="sku")
+        source = make_source(tenant.table("games"))
+        report = ingestor.ingest_rows(
+            [{"sku": "S1", "title": "sequel"}, {"sku": "N1", "title": "halo"}],
+            "games", key_field="sku")
+        assert (report.inserted, report.updated) == (1, 1)
+        calls = [count_calls(monkeypatch, method)
+                 for method in ("add", "upsert", "_file")]
+        assert source.search(SourceQuery("halo")).total_matches == 10
+        assert source.search(SourceQuery("sequel")).total_matches == 1
+        assert calls == [[0], [0], [0]]
+
+
+def test_sources_over_one_table_share_its_index(symphony,
+                                                designer_account):
+    symphony.upload_http(designer_account, "inventory.csv",
+                         make_inventory_csv(["Halo", "Braid"]),
+                         "inventory", content_type="text/csv")
+    by_title, by_producer = (
+        symphony.add_proprietary_source(designer_account, "inventory",
+                                        search_fields=fields)
+        for fields in (("title",), ("producer", "title")))
+    index = by_title.vertical().index
+    assert by_producer.vertical().index is index
+    assert index is by_title.table.search_index
+    assert by_producer.vertical().text_fields == ["producer", "title"]

@@ -11,9 +11,9 @@ from repro.errors import (
     QuotaExceededError,
     ValidationError,
 )
+from repro.ingest.pipeline import DatasetIngestor
 from repro.storage.blobs import BlobStore
 from repro.storage.records import (
-    CHANGE_TAIL,
     FieldSpec,
     FieldType,
     RecordTable,
@@ -226,40 +226,6 @@ class TestRecordTable:
         with pytest.raises(ValidationError):
             RecordTable("t", game_schema(), ("nope",))
 
-    def test_changes_since_is_empty_at_the_current_cursor(self):
-        table = self.make()
-        assert table.changes_since(table.mutations) == []
-        table.insert(self.row())
-        assert table.changes_since(table.mutations) == []
-
-    def test_changes_since_lists_one_id_per_mutation_in_order(self):
-        table = self.make()
-        halo = table.insert(self.row()).record_id
-        cursor = table.mutations
-        zelda = table.insert(self.row(title="Zelda")).record_id
-        table.upsert_by("title", self.row(stock="9"))
-        table.upsert_by("title", self.row(title="Zelda", stock="1"))
-        table.upsert_by("title", self.row(title="Myst"))
-        assert table.mutations == cursor + 6
-        assert table.changes_since(cursor) == [
-            zelda, halo, halo, zelda, zelda, "games:3"]
-        assert table.changes_since(cursor + 5) == ["games:3"]
-        assert table.changes_since(0) == [halo] + table.changes_since(1)
-
-    def test_changes_since_unknown_for_trimmed_or_future_cursor(self):
-        table = self.make()
-        record = table.insert(self.row())
-        assert table.changes_since(table.mutations + 1) is None
-        assert table.changes_since(-1) is None
-        cursor = table.mutations
-        for stock in range(CHANGE_TAIL // 2):
-            table.upsert_by("title", self.row(stock=str(stock)))
-        assert table.changes_since(cursor) == \
-            [record.record_id] * CHANGE_TAIL
-        table.upsert_by("title", self.row(stock="0"))
-        assert table.changes_since(cursor) is None
-        assert len(table.changes_since(cursor + 2)) == CHANGE_TAIL
-
 
 class TestBlobStore:
     def test_put_get(self):
@@ -349,6 +315,44 @@ class TestTenantAndQuota:
             tenant.insert_rows("g", rows)
         # Partial inserts up to quota are kept.
         assert len(tenant.table("g")) == 2
+
+    def keyed_table(self, limit):
+        """A tenant whose table "g" holds G0..G2, loaded keyed on title."""
+        tenant = Tenant("t1", "Ann", Quota(max_records_per_table=limit))
+        ingestor = DatasetIngestor(tenant)
+        ingestor.ingest_rows([{"title": f"G{i}", "stock": "1"}
+                              for i in range(3)], "g",
+                             schema=game_schema(), key_field="title")
+        return tenant, ingestor
+
+    def test_keyed_upload_of_new_keys_past_the_record_quota_raises(self):
+        tenant, ingestor = self.keyed_table(3)
+        with pytest.raises(QuotaExceededError,
+                           match=r"record quota exceeded \(4 > 3\)"):
+            ingestor.ingest_rows([{"title": f"N{i}"} for i in range(3)],
+                                 "g", key_field="title")
+        assert len(tenant.table("g")) == 3
+
+    def test_keyed_upload_keeps_the_rows_before_the_record_quota(self):
+        tenant, ingestor = self.keyed_table(4)
+        with pytest.raises(QuotaExceededError):
+            ingestor.ingest_rows([{"title": "G0", "stock": "7"},
+                                  {"title": "N0"}, {"title": "N1"}],
+                                 "g", key_field="title")
+        table = tenant.table("g")
+        assert len(table) == 4
+        assert table.find("title", "G0")[0].values["stock"] == 7
+        assert table.find("title", "N0")
+        assert not table.find("title", "N1")
+
+    def test_keyed_update_at_the_record_quota_succeeds(self):
+        tenant, ingestor = self.keyed_table(3)
+        report = ingestor.ingest_rows([{"title": "G1", "stock": "5"}],
+                                      "g", key_field="title")
+        assert (report.inserted, report.updated) == (0, 1)
+        table = tenant.table("g")
+        assert len(table) == 3
+        assert table.find("title", "G1")[0].values["stock"] == 5
 
     def test_blob_quota(self):
         tenant = Tenant("t1", "Ann", Quota(max_blob_bytes=10))
