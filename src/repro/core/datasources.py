@@ -254,13 +254,14 @@ class ProprietaryTableSource(DataSource):
         return top, total
 
     def materialize(self, ranked, scored: bool) -> tuple:
-        """One item per ``(record id, score)``; without ``scored`` terms
-        a match has no relevance to report, so its score is 0.0."""
-        document = self._vertical.index.document
+        """One item per ``(record id, score)``, the row read from the
+        table; without ``scored`` terms a match has no relevance to
+        report, so its score is 0.0."""
+        row = self._table.get
         title_field = self.fields()[0]
         items = []
         for doc_id, score in ranked:
-            values = document(doc_id).payload.values
+            values = row(doc_id).values
             items.append(SourceItem(
                 item_id=doc_id,
                 title=str(values.get(title_field, doc_id)),
