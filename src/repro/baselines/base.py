@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.capability import BackendDescriptor
 from repro.errors import UnsupportedCapabilityError
 from repro.searchengine.engine import SearchOptions
-from repro.util import slugify
 
 __all__ = ["CustomSearchEngine", "BaselinePlatform"]
 
@@ -46,11 +44,6 @@ class BaselinePlatform:
 
     system_name = "baseline"
     api_name = "unknown"
-    #: Descriptor overrides for the query-language capabilities Table I
-    #: does not differentiate (subclasses flip these where warranted).
-    fielded_queries = False
-    entity_queries = False
-    query_cost = 2.0  # external metered API vs the 1.0 local substrate
 
     def __init__(self, engine) -> None:
         self.engine = engine
@@ -59,29 +52,6 @@ class BaselinePlatform:
 
     def search_api_name(self) -> str:
         return self.api_name
-
-    def capability_descriptor(self) -> BackendDescriptor:
-        """The machine-readable capability card of this platform.
-
-        Derived from :meth:`capability_profile` — the same object Table I
-        prints — so the federation registry and the probe machinery share
-        one source of truth. All baselines sit over the shared local
-        substrate's web vertical.
-        """
-        profile = self.capability_profile()
-        return BackendDescriptor(
-            backend_id=slugify(self.system_name),
-            system=profile.system,
-            search_api=profile.search_api,
-            verticals=("web",),
-            supports_sites=self.supports_custom_sites(),
-            supports_fielded=self.fielded_queries,
-            supports_entity=self.entity_queries,
-            cost_per_query=self.query_cost,
-        )
-
-    def supports_custom_sites(self) -> bool:
-        return True
 
     def upload_structured_data(self, rows, table_name: str = "data"):
         raise UnsupportedCapabilityError(

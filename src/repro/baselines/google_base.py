@@ -29,9 +29,6 @@ class GoogleBasePlatform(BaselinePlatform):
 
     system_name = "Google Base"
     api_name = "Google (local substrate)"
-    # Base items are structured records: attribute (fielded) querying is
-    # the one query-language capability this platform has over the rest.
-    fielded_queries = True
 
     def __init__(self, engine) -> None:
         super().__init__(engine)
@@ -74,9 +71,6 @@ class GoogleBasePlatform(BaselinePlatform):
         return {"web_results": web.results, "base_items": base_items}
 
     # -- probe protocol ------------------------------------------------------------------
-
-    def supports_custom_sites(self) -> bool:
-        return False
 
     def create_custom_search(self, *args, **kwargs):
         raise UnsupportedCapabilityError(

@@ -513,110 +513,6 @@ def _gateway_request(app_id: str, query: str, round_no: int):
                         session_id=f"cli-gateway-{round_no}")
 
 
-def _cmd_federation(args) -> int:
-    """Compare fusion methods and query-generator strategies on a
-    golden set of entity queries over a mixed backend registry."""
-    from repro.baselines import RollyoPlatform, YahooBossPlatform
-    from repro.federation import (
-        FUSION_METHODS,
-        STRATEGY_NAMES,
-        FederationExecutor,
-        baseline_backend,
-    )
-
-    symphony = _build_platform(args.seed)
-    executor = FederationExecutor.for_platform(symphony)
-    sites = sorted({page.site for page in symphony.web.pages.values()})
-    executor.registry.add(baseline_backend(
-        RollyoPlatform(symphony.engine), sites=tuple(sites[:3]),
-    ))
-    executor.registry.add(baseline_backend(
-        YahooBossPlatform(symphony.engine, ad_service=symphony.ads),
-    ))
-    backend_ids = executor.registry.ids()
-    print("federated meta-search over backends: "
-          + ", ".join(backend_ids))
-
-    golden = _golden_entity_queries(symphony.web, args.queries)
-    print(f"golden queries: {len(golden)} entities, "
-          f"judged on entity-page URLs\n")
-
-    count = args.count
-
-    def recall(urls, relevant):
-        return (len(set(urls[:count]) & relevant) / len(relevant)
-                if relevant else 0.0)
-
-    single = {}
-    for backend_id in backend_ids:
-        scores = [
-            recall([i.url for i in executor.search(
-                text, backend_ids=(backend_id,), count=count,
-            ).items], relevant)
-            for text, __, relevant in golden
-        ]
-        single[backend_id] = sum(scores) / len(scores)
-    best_id = max(sorted(single), key=lambda b: single[b])
-
-    print(f"fusion methods (recall@{count}, fused vs single backends)")
-    for backend_id in backend_ids:
-        marker = "  <- best single" if backend_id == best_id else ""
-        print(f"  single:{backend_id:<14} {single[backend_id]:.3f}"
-              f"{marker}")
-    for method in FUSION_METHODS:
-        scores = [
-            recall([i.url for i in executor.search(
-                text, count=count, fusion=method,
-            ).items], relevant)
-            for text, __, relevant in golden
-        ]
-        fused = sum(scores) / len(scores)
-        delta = fused - single[best_id]
-        print(f"  fused:{method:<15} {fused:.3f}  ({delta:+.3f} "
-              f"vs best single)")
-
-    print(f"\nquery-generator strategies (precision@{count} / cost)")
-    lab = executor.lab
-    # The fusion comparison above already charged the default strategy's
-    # ledger; start the strategy shoot-out from a clean slate.
-    lab.stats.clear()
-    for strategy in STRATEGY_NAMES:
-        for text, entity, relevant in golden:
-            result = executor.search(
-                text, count=count, strategy=strategy,
-                context={"entity": entity},
-            )
-            lab.account(strategy,
-                        [i.url for i in result.items], relevant)
-    header = (f"  {'strategy':<10} {'queries':>7} {'cost':>8} "
-              f"{'precision':>9} {'cost/relevant':>13}")
-    print(header)
-    for row in lab.report():
-        cpr = row["cost_per_relevant"]
-        cpr_text = "inf" if cpr == float("inf") else f"{cpr:.2f}"
-        print(f"  {row['strategy']:<10} {row['queries']:>7} "
-              f"{row['cost']:>8.1f} {row['precision']:>9.3f} "
-              f"{cpr_text:>13}")
-    return 0
-
-
-def _golden_entity_queries(web, limit: int) -> list:
-    """(query_text, entity, relevant-URL set) per entity, judged by the
-    synthetic web's own entity field."""
-    by_entity: dict = {}
-    for page in web.pages.values():
-        if page.entity:
-            by_entity.setdefault(page.entity, set()).add(page.url)
-    golden = []
-    for entity in sorted(by_entity):
-        if len(by_entity[entity]) < 2:
-            continue
-        golden.append((entity, entity, by_entity[entity]))
-        if len(golden) >= limit:
-            break
-    return golden
-
-
 def _cmd_contracts(args) -> int:
     """Govern a drifting feed live: the committed drifted-feed
     scenario (clean refreshes, silent producer drift, feed outage,
@@ -807,16 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="auto-checkpoint cadence in WAL "
                                  "records (default 24)")
 
-    federation = sub.add_parser(
-        "federation",
-        help="compare rank-fusion methods and query-generator "
-             "strategies on a golden entity query set",
-    )
-    federation.add_argument("--queries", type=int, default=8,
-                            help="golden entity queries (default 8)")
-    federation.add_argument("--count", type=int, default=10,
-                            help="fused results judged per query")
-
     contracts = sub.add_parser(
         "contracts",
         help="run the drifted-feed governance scenario: drift "
@@ -841,7 +727,6 @@ _COMMANDS = {
     "controlplane": _cmd_controlplane,
     "slo": _cmd_slo,
     "durability": _cmd_durability,
-    "federation": _cmd_federation,
     "contracts": _cmd_contracts,
 }
 

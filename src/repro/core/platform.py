@@ -623,9 +623,6 @@ class Symphony:
     def search_api_name(self) -> str:
         return "Bing (local substrate)"
 
-    def supports_custom_sites(self) -> bool:
-        return True
-
     def upload_structured_data(self, account: DesignerAccount,
                                rows: list[dict],
                                table_name: str) -> IngestReport:

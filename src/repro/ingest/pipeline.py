@@ -9,6 +9,7 @@ supports incremental refresh keyed on a chosen field.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.contracts import ContractManager
@@ -165,6 +166,23 @@ class DatasetIngestor:
             table_key(self._tenant.tenant_id, report.table_name)
         )
 
+    @contextmanager
+    def _committing(self, report: IngestReport, source: str):
+        """The one post-load step: bump the table's generation, emit
+        ``ingest.complete`` and mark the contract refreshed. It runs
+        after every load, and after one that raised once it had applied
+        a row, whose rows before the error stay; the error then
+        propagates."""
+        loaded = False
+        try:
+            yield
+            loaded = True
+        finally:
+            if loaded or report.inserted or report.updated:
+                self._bump_generation(report)
+                self._record(report, source)
+                self._mark_refreshed(report.table_name)
+
     def _record(self, report: IngestReport, source: str) -> None:
         """Emit completion telemetry for one ingestion run."""
         telemetry = self._telemetry
@@ -198,47 +216,43 @@ class DatasetIngestor:
         * Identical payload bytes (by blob hash): short-circuits as
           ``unchanged``.
         """
-        with self._telemetry.tracer.span("ingest") as span:
+        report = IngestReport(table_name=table_name)
+        with self._committing(report, "upload"), \
+                self._telemetry.tracer.span("ingest") as span:
             span.set("table", table_name)
             span.set("filename", payload.filename)
-            report = self._ingest_payload(
-                payload, table_name, schema, fmt, sheet, key_field,
-                indexed_fields,
-            )
+            self._ingest_payload(payload, report, schema, fmt, sheet,
+                                 key_field, indexed_fields)
             span.set("format", report.format or "unchanged")
             span.set("inserted", report.inserted)
-        self._bump_generation(report)
-        self._record(report, source="upload")
-        self._mark_refreshed(table_name)
         return report
 
-    def _ingest_payload(self, payload, table_name: str,
+    def _ingest_payload(self, payload, report: IngestReport,
                         schema: Schema | None,
                         fmt: str | None, sheet: str | None,
                         key_field: str | None,
-                        indexed_fields: tuple) -> IngestReport:
-        blob_key = f"uploads/{table_name}/{payload.filename}"
+                        indexed_fields: tuple) -> None:
+        blob_key = f"uploads/{report.table_name}/{payload.filename}"
         if self._tenant.blobs.exists(blob_key) \
                 and self._tenant.blobs.unchanged(blob_key, payload.data):
-            return IngestReport(table_name=table_name, unchanged=True)
+            report.unchanged = True
+            return
 
-        rows, detected = rows_from_payload(payload, fmt=fmt, sheet=sheet)
-        report = IngestReport(table_name=table_name, format=detected)
-
+        rows, report.format = rows_from_payload(payload, fmt, sheet)
         self._load(rows, report, "upload", schema, key_field,
                    indexed_fields)
         self._tenant.put_blob(
             blob_key, payload.data, payload.content_type,
             created_ms=payload.received_ms,
         )
-        return report
 
     def _load(self, rows: list[dict], report: IngestReport,
               source: str, schema: Schema | None,
               key_field: str | None, indexed_fields: tuple) -> None:
         """Enforce the table's contract on ``rows`` (adopting its schema
         and key), then create, upsert into, or append to the table;
-        the counts land on ``report``."""
+        the counts land on ``report``, also when a row raises: the
+        inserts are the table's growth."""
         table_name = report.table_name
         # ``None`` from the manager means the table is ungoverned.
         enforcement = self._contracts.apply(
@@ -261,40 +275,42 @@ class DatasetIngestor:
                 table_name, schema or infer_schema(rows), indexed_fields
             )
         table = self._tenant.table(table_name)
-        if key_field is not None and not created:
-            upsert = (table.upsert_validated_by if validated
-                      else table.upsert_by)
-            quota = self._tenant.quota
-            for row in rows:
-                before = len(table)
-                if before >= quota.max_records_per_table:
-                    # A new key at the limit raises, as an append past
-                    # it does; the rows before it are kept.
-                    key = row.get(key_field)
+        start = len(table)
+        try:
+            if key_field is not None and not created:
+                upsert = (table.upsert_validated_by if validated
+                          else table.upsert_by)
+                quota = self._tenant.quota
+                for row in rows:
+                    before = len(table)
+                    if before >= quota.max_records_per_table:
+                        # A new key at the limit raises, as an append past
+                        # it does; the rows before it are kept.
+                        key = row.get(key_field)
+                        if not validated:
+                            key = table.schema.spec(key_field).coerce(key)
+                        if not table.find(key_field, key):
+                            quota.check_records(before + 1)
+                    upsert(key_field, row)
+                    if len(table) == before:
+                        report.updated += 1
+            else:
+                if key_field is not None:
+                    # A first load converges on one row per key, the last
+                    # one winning, exactly as the upserts above would -- but
+                    # the table is empty, so one pass over the batch finds
+                    # the repeats without a ``find`` per row.
                     if not validated:
-                        key = table.schema.spec(key_field).coerce(key)
-                    if not table.find(key_field, key):
-                        quota.check_records(before + 1)
-                upsert(key_field, row)
-                if len(table) > before:
-                    report.inserted += 1
-                else:
-                    report.updated += 1
-        else:
-            if key_field is not None:
-                # A first load converges on one row per key, the last
-                # one winning, exactly as the upserts above would -- but
-                # the table is empty, so one pass over the batch finds
-                # the repeats without a ``find`` per row.
-                if not validated:
-                    rows = [table.schema.coerce_row(row) for row in rows]
-                    validated = True
-                latest = {table.match_key(key_field, row.get(key_field)): row
-                          for row in rows}
-                report.updated = len(rows) - len(latest)
-                rows = latest.values()
-            report.inserted = self._tenant.insert_rows(
-                table_name, rows, validated=validated)
+                        rows = [table.schema.coerce_row(row) for row in rows]
+                        validated = True
+                    latest = {table.match_key(key_field, r.get(key_field)): r
+                              for r in rows}
+                    report.updated = len(rows) - len(latest)
+                    rows = latest.values()
+                self._tenant.insert_rows(table_name, rows,
+                                         validated=validated)
+        finally:
+            report.inserted = len(table) - start
 
     def ingest_rows(self, rows: list[dict], table_name: str,
                     schema: Schema | None = None,
@@ -309,10 +325,7 @@ class DatasetIngestor:
         if not rows:
             raise IngestError("no rows to ingest")
         report = IngestReport(table_name=table_name, format="rows")
-
-        self._load(rows, report, "rows", schema, key_field,
-                   indexed_fields)
-        self._bump_generation(report)
-        self._record(report, source="rows")
-        self._mark_refreshed(table_name)
+        with self._committing(report, "rows"):
+            self._load(rows, report, "rows", schema, key_field,
+                       indexed_fields)
         return report

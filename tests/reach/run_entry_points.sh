@@ -48,7 +48,6 @@ cli slo slo
 cli slo_explain_worst slo --explain worst
 cli durability durability
 cli durability_blob durability --storage blob
-cli federation federation
 cli contracts contracts
 cli contracts_events contracts --events
 for example in examples/*.py; do

@@ -127,7 +127,6 @@ class TestGoogleBase:
 
     def test_no_custom_sites(self, engine):
         base = GoogleBasePlatform(engine)
-        assert not base.supports_custom_sites()
         with pytest.raises(UnsupportedCapabilityError):
             base.create_custom_search("x", ())
 
@@ -207,42 +206,3 @@ class TestTableOne:
         assert "Symphony" in text and "Google Base" in text
         assert "Custom Sites" in text
 
-
-class TestCapabilityDescriptors:
-    """The machine-readable capability card each platform hands the
-    federation registry must agree with its Table I profile."""
-
-    PLATFORMS = (RollyoPlatform, EureksterPlatform,
-                 GoogleCustomSearchPlatform, YahooBossPlatform,
-                 GoogleBasePlatform)
-
-    def test_descriptor_agrees_with_profile(self, engine):
-        for platform_cls in self.PLATFORMS:
-            platform = platform_cls(engine)
-            profile = platform.capability_profile()
-            descriptor = platform.capability_descriptor()
-            assert descriptor.system == profile.system
-            assert descriptor.search_api == profile.search_api
-            assert descriptor.supports_sites \
-                == platform.supports_custom_sites()
-            assert descriptor.cost_per_query > 0
-
-    def test_backend_ids_are_slugs(self, engine):
-        ids = {platform_cls(engine).capability_descriptor().backend_id
-               for platform_cls in self.PLATFORMS}
-        assert ids == {"rollyo", "eurekster", "google-custom",
-                       "y-boss", "google-base"}
-        for backend_id in ids:
-            assert backend_id == backend_id.lower()
-            assert " " not in backend_id
-
-    def test_google_base_supports_fielded_queries(self, engine):
-        assert GoogleBasePlatform(engine) \
-            .capability_descriptor().supports_fielded
-        assert not RollyoPlatform(engine) \
-            .capability_descriptor().supports_fielded
-
-    def test_descriptor_round_trips_to_dict(self, engine):
-        descriptor = RollyoPlatform(engine).capability_descriptor()
-        assert descriptor.backend_id == "rollyo"
-        assert descriptor.supports_sites is True

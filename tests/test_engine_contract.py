@@ -1,9 +1,9 @@
 """The one search contract both engines implement.
 
-``WebSearchSource`` and federation's ``EngineBackend`` call either
-engine the same way — no ``getattr`` probe decides what to pass — so the
-single-node and the clustered engine must agree on the signature, the
-response shape, and how they name their data dependencies.
+``WebSearchSource`` calls either engine the same way — no ``getattr``
+probe decides what to pass — so the single-node and the clustered
+engine must agree on the signature, the response shape, and how they
+name their data dependencies.
 """
 
 from __future__ import annotations

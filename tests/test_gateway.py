@@ -17,6 +17,7 @@ from repro.core.runtime import QueryRequest
 from repro.errors import (
     AdmissionRejectedError,
     ConfigurationError,
+    QuotaExceededError,
     TicketPendingError,
 )
 from repro.gateway import (
@@ -29,6 +30,7 @@ from repro.gateway import (
     table_key,
 )
 from repro.gateway.coalesce import FlightEntry
+from repro.storage.tenant import Quota
 from repro.util import SimClock
 
 from .conftest import make_inventory_csv
@@ -543,6 +545,34 @@ class TestGenerationInvalidation:
         after = sym.query(app_id, games[0])
         assert after.trace.cache_hits == 0
         assert after.views[0].item.get("producer") == "Reissue 0"
+
+    @pytest.mark.parametrize("key_field", [None, "title"])
+    def test_an_upload_that_raises_part_way_invalidates_what_it_kept(
+            self, symphony, key_field):
+        """The rows an upload applied before a quota stopped it are
+        served: the load still bumps the table's generation, so an
+        answer cached before it is recomputed."""
+        sym = symphony
+        account = sym.register_designer("Ann")
+        games = sym.web.entities["video_games"][:6]
+        app_id = build_app(sym, account, "GamerQueen", "inventory",
+                           games[:4])
+        key = table_key(account.tenant.tenant_id, "inventory")
+        generation = sym.generations.current(key)
+        before = sym.query(app_id, games[4])
+        assert sym.query(app_id, games[4]).trace.cache_hits >= 1
+        assert all(view.item.get("title") != games[4]
+                   for view in before.views)
+        account.tenant.quota = Quota(max_records_per_table=5)
+        with pytest.raises(QuotaExceededError):
+            sym.upload_http(account, "more.csv",
+                            make_inventory_csv(games[4:]), "inventory",
+                            content_type="text/csv", key_field=key_field)
+        assert len(account.tenant.table("inventory")) == 5
+        assert sym.generations.current(key) == generation + 1
+        after = sym.query(app_id, games[4])
+        assert after.trace.cache_hits == 0
+        assert after.views[0].item.get("title") == games[4]
 
     @staticmethod
     def _reingest_mid_read(sym, account, app_id, games, monkeypatch):

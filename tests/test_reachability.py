@@ -306,6 +306,8 @@ EXEC_ALLOWLIST: dict[str, str] = {
         "error: a request the gateway sheds",
     "repro.errors.ContractViolationError.__init__":
         "error: a strict contract refusing an upload",
+    "repro.errors.RetryExhaustedError.__init__":
+        "error: a transient fault outlasting the retry budget",
     "repro.gateway.coalesce.Ticket.fail":
         "error: a coalesced query whose leader raised",
     "repro.gateway.gateway.Gateway._record_shed":
@@ -338,13 +340,9 @@ EXEC_ALLOWLIST: dict[str, str] = {
         "protocol: a Table I baseline's probe surface",
     "repro.baselines.google_base.GoogleBasePlatform.search":
         "protocol: a Table I baseline's probe surface",
-    "repro.baselines.google_base.GoogleBasePlatform.supports_custom_sites":
-        "protocol: a Table I baseline's probe surface",
     "repro.baselines.google_custom.CustomEngine.name":
         "protocol: a Table I baseline's probe surface",
     "repro.baselines.probe.SymphonyProbeAdapter.search_api_name":
-        "protocol: a Table I baseline's probe surface",
-    "repro.core.platform.Symphony.supports_custom_sites":
         "protocol: a Table I baseline's probe surface",
     "repro.core.datasources.DataSource.fields": "protocol: abstract",
     "repro.core.datasources.DataSource.search": "protocol: abstract",
@@ -352,9 +350,6 @@ EXEC_ALLOWLIST: dict[str, str] = {
         "protocol: DataSource's abstract method",
     "repro.core.datasources.CustomerProfileSource.search":
         "protocol: DataSource's abstract method",
-    "repro.federation.querygen.QueryGenerator.generate":
-        "protocol: abstract",
-    "repro.federation.registry.Backend.search": "protocol: abstract",
     "repro.searchengine.query.ValueNode.accepts": "protocol: abstract",
     "repro.services.ads.AdService.invoke":
         "protocol: the service bus's entry point",

@@ -11,6 +11,7 @@ from repro.errors import (
     QuotaExceededError,
     ValidationError,
 )
+from repro.gateway.generations import GenerationRegistry, table_key
 from repro.ingest.pipeline import DatasetIngestor
 from repro.storage.blobs import BlobStore
 from repro.storage.records import (
@@ -353,6 +354,22 @@ class TestTenantAndQuota:
         table = tenant.table("g")
         assert len(table) == 3
         assert table.find("title", "G1")[0].values["stock"] == 5
+
+    @pytest.mark.parametrize("key_field", [None, "title"])
+    def test_rows_that_raise_part_way_bump_the_table_generation(
+            self, key_field):
+        tenant = Tenant("t1", "Ann", Quota(max_records_per_table=3))
+        generations = GenerationRegistry()
+        ingestor = DatasetIngestor(tenant, generations=generations)
+        ingestor.ingest_rows([{"title": "G0"}], "g", schema=game_schema(),
+                             key_field=key_field)
+        key = table_key("t1", "g")
+        assert generations.current(key) == 1
+        with pytest.raises(QuotaExceededError):
+            ingestor.ingest_rows([{"title": f"N{i}"} for i in range(3)],
+                                 "g", key_field=key_field)
+        assert len(tenant.table("g")) == 3
+        assert generations.current(key) == 2
 
     def test_blob_quota(self):
         tenant = Tenant("t1", "Ann", Quota(max_blob_bytes=10))
