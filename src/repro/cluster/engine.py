@@ -611,12 +611,12 @@ def build_clustered_engine(web, config: ClusterConfig | None = None,
     from repro.searchengine.engine import (
         compute_authority,
         iter_corpus_documents,
-        make_vertical_indexes,
+        load_corpus,
     )
     config = config or ClusterConfig()
     authority = compute_authority(web) if use_authority else {}
     router = ShardRouter(config.num_shards)
-    states = [IndexState(make_vertical_indexes(authority))
+    states = [IndexState.empty(authority)
               for __ in range(config.num_shards)]
     groups = [
         ReplicaGroup(
@@ -632,9 +632,10 @@ def build_clustered_engine(web, config: ClusterConfig | None = None,
         config=config, telemetry=telemetry, hedge=hedge,
         generations=generations,
     )
+    by_shard: list = [[] for __ in states]
     for vertical, document in iter_corpus_documents(web):
-        shard_id = router.shard_of(document.doc_id)
-        groups[shard_id].broadcast(
-            lambda replica, v=vertical, d=document: replica.add(v, d)
-        )
+        by_shard[router.shard_of(document.doc_id)].append(
+            (vertical, document))
+    for state, documents in zip(states, by_shard):
+        load_corpus(state.verticals, documents)
     return engine

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.cluster.sharding import route_hash
 from repro.errors import (
     ReplicaFaultError,
     ReproError,
@@ -31,6 +32,7 @@ from repro.errors import (
 from repro.searchengine.engine import (
     Vertical,
     execute_query,
+    make_vertical_indexes,
     materialize_result,
 )
 from repro.searchengine.stats import CorpusStats
@@ -48,6 +50,12 @@ class IndexState:
     def __init__(self, verticals: dict) -> None:
         self.verticals = verticals
         self.applied_lsn = 0        # highest WAL record applied here
+
+    @classmethod
+    def empty(cls, authority: dict) -> "IndexState":
+        """Empty shard indexes, each keeping its documents' route hashes
+        (see :meth:`ShardReplica.collect_stats`)."""
+        return cls(make_vertical_indexes(authority, route_key=route_hash))
 
 
 class ShardReplica:
@@ -123,12 +131,11 @@ class ShardReplica:
         while crashed are *not* applied — the replica genuinely misses
         them and must be caught up from a checkpoint plus the WAL.
         """
-        from repro.searchengine.engine import make_vertical_indexes
         authority = next(
             (v.authority for v in self.verticals.values() if v.authority),
             {},
         )
-        self.state = IndexState(make_vertical_indexes(authority))
+        self.state = IndexState.empty(authority)
         self.healthy = False
         self.crashed = True
         self.recovering = False
@@ -191,13 +198,15 @@ class ShardReplica:
 
     # -- query plane (runs inside scatter-gather shard tasks) -----------------
 
-    def _keep(self, route):
-        """The doc-id filter both phases apply under ``route``: the ids
-        it gives this shard (``None``, keeping every id, without one)."""
+    def _keep(self, route, index):
+        """The ordinal filter both phases apply to ``index`` under
+        ``route``: the documents whose stored route hash it gives this
+        shard (``None``, keeping every one, without a route)."""
         if route is None:
             return None
-        return lambda ids: {doc_id for doc_id in ids
-                            if route.shard_of(doc_id) == self.shard_id}
+        ranges = [(entry.low, entry.high) for entry in route.ranges
+                  if entry.shard_id == self.shard_id]
+        return lambda ordinals: index.routed(ordinals, ranges)
 
     def collect_stats(self, vertical, route=None) -> CorpusStats:
         """Phase 1: this shard's contribution to the global statistics,
@@ -207,7 +216,7 @@ class ShardReplica:
         self._check_fault()
         vindex = self.vertical(vertical)
         return CorpusStats.collect(vindex.index, vindex.text_fields,
-                                   keep=self._keep(route))
+                                   keep=self._keep(route, vindex.index))
 
     def execute_many(self, vertical, requests, stats: CorpusStats,
                      now_ms: int, route=None) -> list:
@@ -224,7 +233,7 @@ class ShardReplica:
         self.reads_served += 1
         self._check_fault()
         vindex = self.vertical(vertical)
-        keep = self._keep(route)
+        keep = self._keep(route, vindex.index)
         return [execute_query(vindex, node, options, terms, now_ms, stats,
                               limit, keep)
                 for node, options, terms, limit in requests]

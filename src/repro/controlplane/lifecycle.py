@@ -166,12 +166,11 @@ class ShardLifecycleManager:
         """
         self._require_idle()
         self._require_routed(shard_id)
-        from repro.searchengine.engine import make_vertical_indexes
         engine = self.engine
         donor = engine.groups[shard_id]
         new_id = len(engine.groups)
         route, moved = engine.router.snapshot().split(shard_id, new_id)
-        state = IndexState(make_vertical_indexes(engine.authority))
+        state = IndexState.empty(engine.authority)
         group_cls = type(donor)
         group = group_cls(
             new_id,

@@ -236,9 +236,12 @@ class ProprietaryTableSource(DataSource):
         vertical = self.vertical(search_fields)
         filters = tuple(filters)
         if node is None:
-            accepted = (evaluate_candidates(vertical, AndNode(filters),
-                                            _PLAIN, 0)
-                        if filters else vertical.index)
+            index = vertical.index
+            accepted = (set(map(index.doc_ids().__getitem__,
+                                evaluate_candidates(vertical,
+                                                    AndNode(filters),
+                                                    _PLAIN, 0)))
+                        if filters else index)
             rows = [(record.record_id, 0.0)
                     for record in self._table.all_records()
                     if record.record_id in accepted]

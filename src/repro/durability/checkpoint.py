@@ -93,16 +93,15 @@ def take_checkpoint(replica, clock: SimClock | None = None) -> Checkpoint:
 def restore_checkpoint(replica, checkpoint: Checkpoint) -> int:
     """Load ``checkpoint`` into a wiped replica; returns docs loaded.
 
-    The replica's indexes must be empty (a crash wipes them); loading
-    upserts anyway so a re-restore after an interrupted recovery is
-    harmless. The replica's ``applied_lsn`` jumps to the snapshot's.
+    The replica's indexes must be empty (a crash wipes them); a bulk
+    load upserts a stored id anyway, so a re-restore after an
+    interrupted recovery is harmless. The replica's ``applied_lsn``
+    jumps to the snapshot's.
     """
     loaded = 0
     for vertical_value, docs in checkpoint.documents.items():
-        index = replica.vertical(vertical_value).index
-        for doc in docs:
-            index.upsert(doc)
-            loaded += 1
+        replica.vertical(vertical_value).index.load(docs)
+        loaded += len(docs)
     replica.applied_lsn = checkpoint.applied_lsn
     return loaded
 

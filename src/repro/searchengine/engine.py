@@ -53,6 +53,7 @@ __all__ = [
     "compute_authority",
     "make_vertical_indexes",
     "iter_corpus_documents",
+    "load_corpus",
 ]
 
 
@@ -114,12 +115,13 @@ class VerticalIndex:
     def __init__(self, vertical: Vertical | str, text_fields: list[str],
                  params: BM25Parameters,
                  authority: dict | None = None,
-                 field_modes: dict | None = None) -> None:
+                 field_modes: dict | None = None, route_key=None) -> None:
         self.vertical = vertical
         self.text_fields = list(text_fields)
         self.params = params
         self.authority = authority or {}
-        self.index = InvertedIndex(Analyzer(), field_modes=field_modes)
+        self.index = InvertedIndex(Analyzer(), field_modes=field_modes,
+                                   route_key=route_key)
 
     def add(self, document: FieldedDocument) -> None:
         self.index.add(document)
@@ -172,19 +174,19 @@ def apply_options_to_ast(node, options: SearchOptions):
 
 def evaluate_candidates(vindex: VerticalIndex, node,
                         options: SearchOptions, now_ms: int) -> set:
-    """Candidate doc ids of one index after all option constraints."""
-    evaluator = QueryEvaluator(vindex.index, vindex.text_fields)
+    """Candidate ordinals of one index after all option constraints."""
+    index = vindex.index
+    evaluator = QueryEvaluator(index, vindex.text_fields)
     candidates = evaluator.candidates(node)
     for site in options.exclude_sites:
-        candidates -= vindex.index.keyword_matches("site", site)
+        candidates -= index.keyword_matches("site", site)
     if options.freshness_days is not None:
         horizon = now_ms - options.freshness_days * 86_400_000
         fresh = set()
-        for doc_id in candidates:
-            doc = vindex.index.document(doc_id)
-            published = doc.fields.get("_published_ms", 0)
+        for ordinal in candidates:
+            published = index.stored(ordinal).fields.get("_published_ms", 0)
             if published and int(published) >= horizon:
-                fresh.add(doc_id)
+                fresh.add(ordinal)
         candidates = fresh
     return candidates
 
@@ -201,13 +203,9 @@ def rank_candidates(vindex: VerticalIndex, candidates,
     if vindex.vertical == Vertical.WEB:
         return scorer.rank(candidates, vindex.authority, 0.3, limit)
     if vindex.vertical == Vertical.NEWS:
-        document = vindex.index.document
-        recency = {
-            doc_id: recency_boost(
-                int(document(doc_id).fields.get("_published_ms", 0)),
-                now_ms)
-            for doc_id in candidates
-        }
+        recency = {doc.doc_id: recency_boost(
+            int(doc.fields.get("_published_ms", 0)), now_ms)
+            for doc in map(vindex.index.stored, candidates)}
         return scorer.rank(candidates, recency, 0.5, limit)
     return scorer.rank(candidates, limit=limit)
 
@@ -221,9 +219,10 @@ def execute_query(vindex: VerticalIndex, node, options: SearchOptions,
     shard replica on its partition, the latter passing the merged
     corpus-wide ``stats`` (see :mod:`repro.searchengine.stats`) and,
     mid-migration, ``keep``, which narrows the matches to those it
-    owns; a tenant table or the Google Base item store runs it on its
-    own vertical. Returns ``(top, candidate_count)``: the best ``limit``
-    (all when ``None``) pairs, score desc then id, and how many matched.
+    owns (a filter of ordinals); a tenant table or the Google Base item
+    store runs it on its own vertical. Returns ``(top,
+    candidate_count)``: the best ``limit`` (all when ``None``) ``(doc_id,
+    score)`` pairs, score desc then id, and how many matched.
     """
     candidates = evaluate_candidates(vindex, node, options, now_ms)
     if keep is not None:
@@ -243,11 +242,12 @@ def materialize_result(vindex: VerticalIndex, doc_id: str, score: float,
     The caption window is picked from where the index already recorded
     the query terms in the body, so nothing is analyzed per result.
     """
-    doc = vindex.index.document(doc_id)
-    postings = vindex.index.postings
+    index = vindex.index
+    ordinal = index.ordinal(doc_id)
+    doc = index.stored(ordinal)
     hit_positions = []
     for term in terms:
-        hit_positions.extend(postings("body", term).get(doc_id, ()))
+        hit_positions.extend(index.positions("body", term, ordinal))
     extras = {
         k: v for k, v in doc.fields.items()
         if not k.startswith("_") and k not in
@@ -386,32 +386,28 @@ def compute_authority(web) -> dict:
     return {url: value / top for url, value in ranks.items()}
 
 
-def make_vertical_indexes(authority: dict | None = None) -> dict:
+def make_vertical_indexes(authority: dict | None = None,
+                          route_key=None) -> dict:
     """Fresh empty per-vertical indexes with the standard ranking config.
 
     Shared by the single-node engine and every cluster shard replica so
-    analyzers, field modes, and BM25 parameters never diverge.
+    analyzers, field modes, and BM25 parameters never diverge; a shard
+    passes its ``route_key`` (see :class:`InvertedIndex`).
     """
     web_params = BM25Parameters(field_boosts={"title": 2.0, "body": 1.0})
     media_params = BM25Parameters(field_boosts={"title": 2.0,
                                                 "caption": 2.0,
                                                 "body": 1.0})
     modes = {"site": FieldMode.KEYWORD, "topic": FieldMode.KEYWORD}
-    return {
-        Vertical.WEB: VerticalIndex(
-            Vertical.WEB, ["title", "body"], web_params, authority, modes
-        ),
-        Vertical.IMAGE: VerticalIndex(
-            Vertical.IMAGE, ["caption"], media_params, field_modes=modes
-        ),
-        Vertical.VIDEO: VerticalIndex(
-            Vertical.VIDEO, ["title", "body"], media_params,
-            field_modes=modes
-        ),
-        Vertical.NEWS: VerticalIndex(
-            Vertical.NEWS, ["title", "body"], web_params, field_modes=modes
-        ),
-    }
+    text = ["title", "body"]
+    # vertical -> (text fields, parameters, authority)
+    configs = {Vertical.WEB: (text, web_params, authority),
+               Vertical.IMAGE: (["caption"], media_params, None),
+               Vertical.VIDEO: (text, media_params, None),
+               Vertical.NEWS: (text, web_params, None)}
+    return {vertical: VerticalIndex(vertical, fields, params, prior, modes,
+                                    route_key)
+            for vertical, (fields, params, prior) in configs.items()}
 
 
 def iter_corpus_documents(web):
@@ -469,6 +465,15 @@ def build_engine(web, clock: SimClock | None = None,
     """Index a synthetic web into a ready-to-query :class:`SearchEngine`."""
     authority = compute_authority(web) if use_authority else {}
     verticals = make_vertical_indexes(authority)
-    for vertical, document in iter_corpus_documents(web):
-        verticals[vertical].add(document)
+    load_corpus(verticals, iter_corpus_documents(web))
     return SearchEngine(verticals, clock=clock)
+
+
+def load_corpus(verticals: dict, documents) -> None:
+    """Bulk-load ``(vertical, document)`` pairs into ``verticals``: one
+    sealed :meth:`~InvertedIndex.load` per vertical."""
+    batches: dict = {}
+    for vertical, document in documents:
+        batches.setdefault(vertical, []).append(document)
+    for vertical, batch in batches.items():
+        verticals[vertical].index.load(batch)

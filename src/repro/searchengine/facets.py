@@ -54,12 +54,12 @@ def compute_facets(vindex, query_text: str, facet_fields) -> dict:
         raise QueryError("no facet fields requested")
     candidates = evaluate_candidates(vindex, parse_query(query_text),
                                      SearchOptions(), 0)
-    document = vindex.index.document
+    stored = vindex.index.stored
     results = {}
     for field_name in facet_fields:
         buckets: dict[str, int] = {}
-        for doc_id in candidates:
-            raw = document(doc_id).fields.get(field_name)
+        for ordinal in candidates:
+            raw = stored(ordinal).fields.get(field_name)
             value = (str(raw).lower() if raw not in (None, "")
                      else "(none)")
             buckets[value] = buckets.get(value, 0) + 1

@@ -289,11 +289,11 @@ class QueryEvaluator:
         self._text_fields = list(text_fields)
 
     def candidates(self, node: QueryNode) -> set:
-        """The matching doc ids, as a new set the caller owns."""
+        """The matching ordinals, as a new set the caller owns."""
         return self._eval(node, None)
 
     def _eval(self, node: QueryNode, within: set | None) -> set:
-        """Doc ids matching ``node`` among ``within`` (``None``: all)."""
+        """Ordinals matching ``node`` among ``within`` (``None``: all)."""
         if isinstance(node, TermNode):
             return self._eval_term(node.text, within)
         if isinstance(node, PhraseNode):
@@ -321,7 +321,7 @@ class QueryEvaluator:
             return result
         if isinstance(node, NotNode):
             if within is None:
-                within = self._index.all_doc_ids()
+                within = self._index.ordinals()
             return within - self._eval(node.child, within)
         raise QueryError(f"unknown query node: {node!r}")
 
@@ -329,8 +329,7 @@ class QueryEvaluator:
         matched: set = set()
         for term in self._index.analyzer.analyze(text):
             for field_name in self._text_fields:
-                matched |= _narrow(self._index.postings(field_name, term),
-                                   within)
+                matched |= self._index.matching(field_name, term, within)
         return matched
 
     def _eval_phrase(self, text: str, within) -> set:
@@ -340,19 +339,20 @@ class QueryEvaluator:
         terms, offsets = zip(*analyzed)
         matched: set = set()
         for field_name in self._text_fields:
-            matched |= self._index.phrase_matches(field_name, terms, offsets)
-        return _narrow(matched, within)
+            matched |= self._index.phrase_matches(field_name, terms, offsets,
+                                                  within)
+        return matched
 
     def _scan_values(self, node: ValueNode, within) -> set:
         """The documents of ``within`` whose stored ``node.field`` the
         node accepts: raw document fields, not analyzed postings, which
         is what makes ranges and predicates work for numeric and date
         columns of proprietary data."""
-        document = self._index.document
+        stored = self._index.stored
         name, accepts = node.field, node.accepts
-        return {doc_id for doc_id in (self._index.all_doc_ids()
-                                      if within is None else within)
-                if accepts(document(doc_id).fields.get(name))}
+        return {ordinal for ordinal in (self._index.ordinals()
+                                        if within is None else within)
+                if accepts(stored(ordinal).fields.get(name))}
 
     def _keyword_or(self, children) -> tuple | None:
         """``(field, lowered values)`` when every child is a filter on
@@ -373,12 +373,12 @@ class QueryEvaluator:
         """The documents of ``within`` whose keyword field ``field_name``
         is one of ``values``: one pass over what is left, comparing the
         value as the index files it (``str(value).lower()``)."""
-        document = self._index.document
+        stored = self._index.stored
         matched = set()
-        for doc_id in within:
-            value = document(doc_id).fields.get(field_name)
+        for ordinal in within:
+            value = stored(ordinal).fields.get(field_name)
             if value is not None and str(value).lower() in values:
-                matched.add(doc_id)
+                matched.add(ordinal)
         return matched
 
     def _eval_filter(self, field_name: str, value: str, within) -> set:
@@ -389,17 +389,17 @@ class QueryEvaluator:
         if not terms:
             return set()
         for term in terms:
-            within = _narrow(self._index.postings(field_name, term), within)
+            within = self._index.matching(field_name, term, within)
             if not within:
                 break
         return within
 
 
-def _narrow(docs, within) -> set:
-    """``docs`` (a set, or a dict keyed by doc id) among ``within``
-    (``None``: all), as a new set; walks the smaller of the two."""
+def _narrow(docs: set, within) -> set:
+    """``docs`` among ``within`` (``None``: all), as a new set; walks
+    the smaller of the two."""
     if within is None:
         return set(docs)
     if len(docs) < len(within):
-        return {doc_id for doc_id in docs if doc_id in within}
-    return {doc_id for doc_id in within if doc_id in docs}
+        return {ordinal for ordinal in docs if ordinal in within}
+    return {ordinal for ordinal in within if ordinal in docs}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from bisect import bisect_left
 from heapq import heapify, heappop
 from operator import itemgetter, neg
 
@@ -41,6 +42,10 @@ def by_score_then_id(entry) -> tuple:
 
 _SCORE = itemgetter(1)
 
+#: A term's postings are walked while they are fewer than this many
+#: times the candidates; past it each candidate is found by bisection.
+_WALK = 4
+
 
 class BM25Scorer:
     """Scores documents of one index for one query's bag of terms.
@@ -64,9 +69,11 @@ class BM25Scorer:
         # A query with nothing to score (filters only) gives every
         # candidate relevance 1.0, so a blend ranks on the prior alone.
         self._base = 0.0 if terms else 1.0
-        # Per scored field: (doc -> length, average length,
-        # [(boost * idf, doc -> positions)] per query term it holds).
+        # Per scored field: (length by ordinal, average length,
+        # [(boost * idf, ordinals, frequencies, lo, hi)] per query term it
+        # holds, its postings the [lo, hi) items of the two).
         self._plan = []
+        self._ids = index.doc_ids()
         n = stats.doc_count
         for field_name in fields:
             avg_len = stats.average_field_length(field_name)
@@ -75,13 +82,13 @@ class BM25Scorer:
             boost = params.boost(field_name)
             weighted = []
             for term in terms:
-                by_doc = index.postings(field_name, term)
-                if not by_doc:
+                ords, tfs, lo, hi = index.postings(field_name, term)
+                if lo == hi:
                     continue
                 df = stats.doc_frequency.get((field_name, term), 0)
                 # BM25+ style floor keeps idf positive for common terms.
                 idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-                weighted.append((boost * idf, by_doc))
+                weighted.append((boost * idf, ords, tfs, lo, hi))
             if weighted:
                 self._plan.append(
                     (index.field_lengths(field_name), avg_len, weighted)
@@ -89,8 +96,9 @@ class BM25Scorer:
 
     def rank(self, candidates, prior=None, weight: float = 0.0,
              limit: int | None = None) -> list:
-        """The best ``limit`` (all when ``None``) of ``candidates`` as
-        ``[(doc_id, score)]``, score desc then doc id.
+        """The best ``limit`` (all when ``None``) of ``candidates``, a
+        set of ordinals, as ``[(doc_id, score)]``, score desc then doc
+        id.
 
         Term-at-a-time: each (field, term) adds its BM25 contribution to
         one accumulator, fields outer and terms inner, so every document's
@@ -106,47 +114,54 @@ class BM25Scorer:
         k1_plus = k1 + 1.0
         one_minus_b = 1.0 - b
         for lengths, avg_len, weighted in self._plan:
-            for term_weight, by_doc in weighted:
-                # Walk the smaller side; a shared iterator would cost
-                # more than a three-candidate call spends in total.
-                if len(by_doc) < size:
-                    for doc_id, positions in by_doc.items():
-                        if doc_id in acc:
-                            tf = len(positions)
+            for term_weight, ords, tfs, lo, hi in weighted:
+                # Walk the postings unless they are several times the
+                # candidates; then find each candidate by bisection.
+                if hi - lo < _WALK * size:
+                    for ordinal, tf in zip(ords[lo:hi], tfs[lo:hi]):
+                        if ordinal in acc:
                             norm = k1 * (one_minus_b
-                                         + b * lengths[doc_id] / avg_len)
-                            acc[doc_id] += term_weight * (
+                                         + b * lengths[ordinal] / avg_len)
+                            acc[ordinal] += term_weight * (
                                 tf * k1_plus / (tf + norm))
                 else:
-                    for doc_id in acc:
-                        if doc_id in by_doc:
-                            tf = len(by_doc[doc_id])
+                    for ordinal in acc:
+                        i = bisect_left(ords, ordinal, lo, hi)
+                        if i < hi and ords[i] == ordinal:
+                            tf = tfs[i]
                             norm = k1 * (one_minus_b
-                                         + b * lengths[doc_id] / avg_len)
-                            acc[doc_id] += term_weight * (
+                                         + b * lengths[ordinal] / avg_len)
+                            acc[ordinal] += term_weight * (
                                 tf * k1_plus / (tf + norm))
+        ids = self._ids
         if limit is None or limit >= size:
             if prior is not None:
                 get = prior.get
-                for doc_id, relevance in acc.items():
-                    acc[doc_id] = relevance * (
-                        1.0 + weight * get(doc_id, 0.0))
+                for ordinal, relevance in acc.items():
+                    acc[ordinal] = relevance * (
+                        1.0 + weight * get(ids[ordinal], 0.0))
             # Stable sorts by id, then by score desc: by_score_then_id.
-            ranked = sorted(acc.items())
+            ranked = sorted(zip(map(ids.__getitem__, acc), acc.values()))
             ranked.sort(key=_SCORE, reverse=True)
             return ranked
-        # Bounded: heapify (-score, doc_id), whose tuple order is
-        # by_score_then_id's, and pop ``limit``. Negation is exact, so
-        # the blend folds in bit for bit.
+        # Bounded: heapify (-score, ordinal) and pop ``limit``, then every
+        # entry tied with the last; only those are ordered by
+        # (-score, doc id), by_score_then_id's order. Negation is exact,
+        # so the blend folds in bit for bit.
         if prior is None:
             keyed = list(zip(map(neg, acc.values()), acc))
         else:
             get = prior.get
-            keyed = [(-relevance * (1.0 + weight * get(doc_id, 0.0)), doc_id)
-                     for doc_id, relevance in acc.items()]
+            keyed = [(-relevance * (1.0 + weight * get(ids[ordinal], 0.0)),
+                      ordinal)
+                     for ordinal, relevance in acc.items()]
         heapify(keyed)
-        return [(doc_id, -negated)
-                for negated, doc_id in map(heappop, [keyed] * limit)]
+        top = list(map(heappop, [keyed] * limit))
+        while top and keyed and keyed[0][0] == top[-1][0]:
+            top.append(heappop(keyed))
+        selected = sorted([(negated, ids[ordinal])
+                           for negated, ordinal in top])
+        return [(doc_id, -negated) for negated, doc_id in selected[:limit]]
 
 
 def pagerank(graph: dict, damping: float = 0.85,

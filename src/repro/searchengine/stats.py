@@ -46,19 +46,20 @@ class CorpusStats:
     def collect(cls, index, fields, terms=None, keep=None) -> "CorpusStats":
         """Gather statistics for ``terms`` over ``fields`` of one index;
         ``None`` gathers every term the fields hold, with no zeros.
-        ``keep``, the doc-id filter
+        ``keep``, the ordinal filter
         :func:`~repro.searchengine.engine.execute_query` takes, narrows
-        the documents counted to those it keeps of the index's ids."""
-        owned = None if keep is None else keep(index.all_doc_ids())
+        the documents counted to those it keeps of the index's ordinals."""
+        owned = None if keep is None else keep(index.ordinals())
         field_stats, doc_frequency = {}, {}
         for name in fields:
             if owned is None:
                 field_stats[name] = FieldStats(index.total_field_length(name),
                                                index.field_doc_count(name))
             else:
-                lengths = [length for doc_id, length
-                           in index.field_lengths(name).items()
-                           if doc_id in owned]
+                by_ordinal = index.field_lengths(name)
+                lengths = [length for length in map(by_ordinal.__getitem__,
+                                                    owned)
+                           if length is not None] if by_ordinal else []
                 field_stats[name] = FieldStats(sum(lengths), len(lengths))
             if terms is None:
                 vocabulary = index.term_frequencies(name).items()
@@ -67,7 +68,7 @@ class CorpusStats:
                               for term in terms)
             for term, df in vocabulary:
                 if owned is not None:
-                    df = len(owned.intersection(index.postings(name, term)))
+                    df = len(index.matching(name, term, owned))
                 if df or terms is not None:
                     doc_frequency[name, term] = df
         return cls(len(index) if owned is None else len(owned),

@@ -395,8 +395,7 @@ class RecordTable:
         """
         if self._search_index is None:
             index = InvertedIndex()
-            for record in self._records.values():
-                index.add(_document(record))
+            index.load(map(_document, self._records.values()))
             self._search_index = index
         return self._search_index
 

@@ -16,7 +16,9 @@ split or a merge.
 from __future__ import annotations
 
 import pickle
+from contextlib import contextmanager
 from functools import cache
+from unittest import mock
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -26,7 +28,8 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.cluster import ClusterConfig, build_clustered_engine
+from repro.cluster import ClusterConfig, build_clustered_engine, sharding
+from repro.cluster.replica import ShardReplica
 from repro.controlplane import CUTOVER, ShardLifecycleManager
 from repro.resilience.deadline import Deadline
 from repro.searchengine.documents import FieldedDocument
@@ -207,6 +210,69 @@ def test_an_expired_deadline_runs_no_round():
                for replica in group.replicas) == 0
 
 
+# -- a pinned route filters by stored hash --------------------------------------
+
+
+@contextmanager
+def hashing_in_shard_reads():
+    """Count ``route_hash`` calls made inside a replica's two read
+    phases, ``collect_stats`` and ``execute_many``, and the filters
+    those reads built under a pinned route:
+    ``{"hashes": n, "routed": n}``."""
+    counts = {"hashes": 0, "routed": 0}
+    depth = [0]
+    real_hash, real_keep = sharding.route_hash, ShardReplica._keep
+
+    def counted(doc_id):
+        counts["hashes"] += depth[0] > 0
+        return real_hash(doc_id)
+
+    def keep(self, route, index):
+        counts["routed"] += route is not None
+        return real_keep(self, route, index)
+
+    def reading(method):
+        real = getattr(ShardReplica, method)
+
+        def read(self, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return real(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return read
+
+    with mock.patch.object(sharding, "route_hash", counted), \
+            mock.patch.object(ShardReplica, "_keep", keep), \
+            mock.patch.object(ShardReplica, "collect_stats",
+                              reading("collect_stats")), \
+            mock.patch.object(ShardReplica, "execute_many",
+                              reading("execute_many")):
+        yield counts
+
+
+def test_a_mid_migration_read_hashes_nothing():
+    """Both phases filter by the hash each shard index stored at add."""
+    for kind in ("split", "merge"):
+        cluster = make_cluster()
+        single = build_engine(web())
+        lifecycle = ShardLifecycleManager(cluster, batch_size=8)
+        if kind == "split":
+            lifecycle.begin_split(0)
+        else:
+            lifecycle.begin_merge(1, 0)
+        while lifecycle.step() != CUTOVER:
+            pass
+        for __ in range(2):     # before the cutover, then after it
+            assert cluster.write_fanout is not None
+            with hashing_in_shard_reads() as counts:
+                got = cluster.search("web", "wine review")
+            assert counts["routed"] >= 2 and counts["hashes"] == 0, kind
+            align_clocks(single, cluster)
+            assert page(got) == page(single.search("web", "wine review"))
+            lifecycle.step()
+
+
 # -- interleaved writes, reshard steps and queries -----------------------------
 
 WORDS = ("wine", "review", "tasting", "game", "vintage")
@@ -294,8 +360,10 @@ class ReshardMachine(RuleBasedStateMachine):
     @rule(vertical=st.sampled_from(VERTICALS),
           words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=2))
     def query(self, vertical, words):
-        assert_same(self.single, self.cluster, self.rounds, vertical,
-                    " ".join(words))
+        with hashing_in_shard_reads() as counts:
+            assert_same(self.single, self.cluster, self.rounds, vertical,
+                        " ".join(words))
+        assert counts["hashes"] == 0
 
 
 ReshardMachine.TestCase.settings = settings(

@@ -31,6 +31,7 @@ from repro.storage.records import (
 from repro.storage.tenant import Tenant
 
 from tests.conftest import make_inventory_csv
+from tests.reference_index import reads
 
 _WORDS = ("halo", "odyssey", "arena", "braid", "combat", "evolved",
           "puzzle", "island", "racing", "deluxe")
@@ -50,14 +51,13 @@ def make_source(table):
 
 
 def index_state(index):
+    """Every read of ``index`` (see :func:`tests.reference_index.reads`),
+    with the rows each document carries."""
     return {
-        "docs": {doc_id: index.document(doc_id).payload
-                 for doc_id in index.all_doc_ids()},
-        "postings": index._postings,
-        "keyword": index._keyword,
-        "field_lengths": index._field_lengths,
-        "totals": index._total_field_length,
-        "vocabulary": {name: index.vocabulary_size(name)
+        **reads(index),
+        "payloads": {doc_id: index.document(doc_id).payload
+                     for doc_id in index.all_doc_ids()},
+        "vocabulary": {name: len(index.term_frequencies(name))
                        for name in index.text_fields()},
     }
 
@@ -82,8 +82,9 @@ PROBES = (SourceQuery("halo"), SourceQuery("halo odyssey", count=3),
 
 
 def fresh_index(table):
-    """The table's rows filed into a new index, the reference the
-    table's own index must equal after any sequence of writes."""
+    """The table's rows filed into a new index, the reference whose
+    every read the table's own index must equal after any sequence of
+    writes."""
     index = InvertedIndex()
     for record in table.all_records():
         index.add(FieldedDocument(record.record_id, {
@@ -222,16 +223,17 @@ def count_calls(monkeypatch, method):
 
 
 def spy_filing(monkeypatch):
-    """The field names each ``InvertedIndex._entries`` call reads from
-    here on: what filing and unfiling analyze."""
+    """The field names each ``InvertedIndex._file`` / ``_unfile`` call
+    reads from here on: what filing and unfiling analyze."""
     calls = []
-    original = InvertedIndex._entries
+    for method in ("_file", "_unfile"):
+        original = getattr(InvertedIndex, method)
 
-    def spied(self, fields):
-        calls.append(tuple(fields))
-        return original(self, fields)
+        def spied(self, ordinal, fields, *args, original=original):
+            calls.append(tuple(fields))
+            return original(self, ordinal, fields, *args)
 
-    monkeypatch.setattr(InvertedIndex, "_entries", spied)
+        monkeypatch.setattr(InvertedIndex, method, spied)
     return calls
 
 

@@ -37,6 +37,8 @@ from repro.searchengine.ranking import BM25Parameters
 from repro.simweb.model import SyntheticWeb
 from repro.storage.records import FieldSpec, FieldType, RecordTable, Schema
 
+from tests.reference_index import DictIndex, doc_ids, reference_of
+
 
 def reference_phrase(index, field_name, terms, offsets) -> set:
     by_docs = [index.postings(field_name, term) for term in terms]
@@ -63,6 +65,8 @@ def reference_phrase(index, field_name, terms, offsets) -> set:
 
 
 class ReferenceEvaluator:
+    """Set algebra over the dict reference index, in doc ids."""
+
     def __init__(self, index, text_fields) -> None:
         self._index = index
         self._text_fields = list(text_fields)
@@ -195,6 +199,36 @@ def churned_index(specs, removed, readded):
     return churned_vertical(specs, removed, readded).index
 
 
+def churned_reference(specs, removed, readded):
+    """The dict reference after the same adds, removes and re-adds."""
+    index = DictIndex(field_modes={"site": FieldMode.KEYWORD,
+                                   "topic": FieldMode.KEYWORD})
+    docs = {f"d{n:02d}": FieldedDocument(f"d{n:02d}", fields)
+            for n, fields in enumerate(specs)}
+    for doc in docs.values():
+        index.add(doc)
+    for doc_id in removed:
+        index.remove(doc_id)
+    for doc_id in readded:
+        index.add(docs[doc_id])
+    return index
+
+
+class ReferenceOverIndex:
+    """:class:`ReferenceEvaluator` where the engine builds its evaluator:
+    over the dict reference holding the index's documents, answering in
+    the index's ordinals."""
+
+    def __init__(self, index, text_fields) -> None:
+        self._index = index
+        self._reference = ReferenceEvaluator(reference_of(index),
+                                             text_fields)
+
+    def candidates(self, node) -> set:
+        return {self._index.ordinal(doc_id)
+                for doc_id in self._reference.candidates(node)}
+
+
 phrases = st.builds(PhraseNode, st.lists(
     st.sampled_from(WORDS), min_size=2, max_size=4).map(" ".join))
 
@@ -204,11 +238,12 @@ phrases = st.builds(PhraseNode, st.lists(
        st.lists(phrases, max_size=5))
 def test_narrowing_evaluator_equals_set_algebra(corpus, queries, bare):
     index = churned_index(*corpus)
+    reference = churned_reference(*corpus)
     fields = ["title", "body"]
     for node in queries + bare:
-        got = QueryEvaluator(index, fields).candidates(node)
-        assert got == ReferenceEvaluator(index, fields).candidates(node), \
-            node
+        got = doc_ids(index, QueryEvaluator(index, fields).candidates(node))
+        assert got == ReferenceEvaluator(reference, fields).candidates(
+            node), node
 
 
 def render(node) -> str:
@@ -231,7 +266,7 @@ def render(node) -> str:
 
 
 def with_reference(module: str):
-    return mock.patch(f"{module}.QueryEvaluator", ReferenceEvaluator)
+    return mock.patch(f"{module}.QueryEvaluator", ReferenceOverIndex)
 
 
 def table_source(specs, removed, readded):
@@ -327,12 +362,13 @@ narrowers = st.one_of(
                  general_ors))
 def test_keyword_or_pass_equals_set_algebra(specs, narrower, or_node):
     index = churned_index(specs, [], [])
+    reference = churned_reference(specs, [], [])
     fields = ["title", "body"]
     for node in (AndNode((narrower, or_node)), or_node,
                  AndNode((narrower, NotNode(or_node)))):
-        got = QueryEvaluator(index, fields).candidates(node)
-        assert got == ReferenceEvaluator(index, fields).candidates(node), \
-            node
+        got = doc_ids(index, QueryEvaluator(index, fields).candidates(node))
+        assert got == ReferenceEvaluator(reference, fields).candidates(
+            node), node
 
 
 def test_keyword_or_pass_runs_only_below_the_threshold():
@@ -353,8 +389,11 @@ def test_keyword_or_pass_runs_only_below_the_threshold():
     evaluator._scan_keyword = spy
     sites = ("s1.example", "s2.example", "S2.EXAMPLE", "nowhere.example")
     restricted = OrNode(tuple(FilterNode("site", s) for s in sites))
+    def candidates(node):
+        return doc_ids(index, evaluator.candidates(node))
+
     # Three halo documents, four values: one pass.
-    assert evaluator.candidates(AndNode((TermNode("halo"), restricted))) \
+    assert candidates(AndNode((TermNode("halo"), restricted))) \
         == {"d00", "d01"}
     assert scanned == [("site", {"s1.example", "s2.example",
                                  "nowhere.example"})]
@@ -363,9 +402,8 @@ def test_keyword_or_pass_runs_only_below_the_threshold():
     three = OrNode(restricted.children[:3])
     mixed = OrNode((FilterNode("site", "s3.example"),
                     FilterNode("topic", "wine"), TermNode("halo")))
-    assert evaluator.candidates(AndNode((TermNode("halo"), three))) == \
+    assert candidates(AndNode((TermNode("halo"), three))) == \
         {"d00", "d01"}
-    assert evaluator.candidates(restricted) == {"d00", "d01"}
-    assert evaluator.candidates(AndNode((TermNode("zelda"), mixed))) == \
-        {"d03"}
+    assert candidates(restricted) == {"d00", "d01"}
+    assert candidates(AndNode((TermNode("zelda"), mixed))) == {"d03"}
     assert len(scanned) == 1

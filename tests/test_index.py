@@ -1,16 +1,19 @@
 """Tests for the positional inverted index."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cluster import ClusterConfig, build_clustered_engine
 from repro.errors import DuplicateError, NotFoundError
-from repro.searchengine import index as index_module
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument, FieldMode
-from repro.searchengine.engine import Vertical, build_engine
+from repro.searchengine.engine import Vertical
 from repro.searchengine.index import InvertedIndex
 from repro.searchengine.stats import CorpusStats
+
+from tests.reference_index import doc_ids, reads
 
 
 def average_field_length(index, name: str) -> float:
@@ -44,8 +47,8 @@ class TestLifecycle:
         index = make_index()
         index.add(doc("d1", title="alpha"))
         index.upsert(doc("d1", title="beta"))
-        assert not index.postings("title", "alpha")
-        assert "d1" in index.postings("title", "beta")
+        assert not index.matching("title", "alpha")
+        assert doc_ids(index, index.matching("title", "beta")) == {"d1"}
 
     def test_remove_clears_postings_and_lengths(self):
         index = make_index()
@@ -53,8 +56,8 @@ class TestLifecycle:
         index.add(doc("d2", title="gamma"))
         index.remove("d1")
         assert "d1" not in index
-        assert list(index.postings("title", "gamma")) == ["d2"]
-        assert index.field_lengths("title").get("d1", 0) == 0
+        assert doc_ids(index, index.matching("title", "gamma")) == {"d2"}
+        assert reads(index)["text"]["title"]["lengths"] == {"d2": 1}
         assert average_field_length(index, "title") == 1.0
 
     def test_remove_missing(self):
@@ -70,14 +73,13 @@ class TestLifecycle:
     def test_none_fields_skipped(self):
         index = make_index()
         index.add(FieldedDocument("d1", {"title": None, "body": "real"}))
-        assert index.vocabulary_size("title") == 0
-        assert index.postings("body", "real")
+        assert not index.term_frequencies("title")
+        assert index.matching("body", "real")
 
 
 def structures(index):
-    """Everything an index derives from its documents."""
-    return (index._postings, index._keyword, index._field_lengths,
-            index._total_field_length)
+    """Everything a reader can ask an index."""
+    return reads(index)
 
 
 class _NoWalk(dict):
@@ -99,9 +101,11 @@ class TestRemoveTouchesOnlyTheDocument:
             topic="wine", extra="only here"),
     )
 
-    def build(self, docs=DOCS):
+    def build(self, docs=DOCS, sealed=False):
         index = make_index(site=FieldMode.KEYWORD, topic=FieldMode.KEYWORD)
-        for document in docs:
+        if sealed:
+            index.load(docs)
+        for document in () if sealed else docs:
             index.add(document)
         return index
 
@@ -109,35 +113,57 @@ class TestRemoveTouchesOnlyTheDocument:
         index = self.build()
         index.remove("d3")
         assert "wine" not in index._keyword["topic"]
-        assert index._keyword["site"] == {"a.example": {"d1"},
-                                          "b.example": {"d2"}}
+        assert {value: doc_ids(index, docs) for value, docs
+                in index._keyword["site"].items()} == \
+            {"a.example": {"d1"}, "b.example": {"d2"}}
 
     @pytest.mark.parametrize("victim", ["d1", "d2", "d3"])
-    def test_remove_equals_never_added(self, victim):
-        index = self.build()
+    def test_remove_equals_never_added(self, victim, sealed=False):
+        index = self.build(sealed=sealed)
         index.remove(victim)
         never = self.build([d for d in self.DOCS if d.doc_id != victim])
         assert structures(index) == structures(never)
 
     @pytest.mark.parametrize("victim", ["d1", "d2", "d3"])
-    def test_remove_then_readd_equals_never_removed(self, victim):
-        index = self.build()
+    def test_sealed_remove_equals_never_added(self, victim):
+        self.test_remove_equals_never_added(victim, sealed=True)
+
+    @pytest.mark.parametrize("victim", ["d1", "d2", "d3"])
+    def test_remove_then_readd_equals_never_removed(self, victim,
+                                                     sealed=False):
+        index = self.build(sealed=sealed)
         index.remove(victim)
         index.add(next(d for d in self.DOCS if d.doc_id == victim))
         assert structures(index) == structures(self.build())
 
-    def test_remove_does_not_walk_a_field_map(self):
-        index = self.build()
-        for maps in (index._postings, index._keyword):
-            for name in maps:
-                maps[name] = _NoWalk(maps[name])
+    @pytest.mark.parametrize("victim", ["d1", "d2", "d3"])
+    def test_sealed_remove_then_readd_equals_never_removed(self, victim):
+        self.test_remove_then_readd_equals_never_removed(victim, sealed=True)
+
+    def test_remove_does_not_walk_a_field_map(self, sealed=False):
+        """Neither a tail's term map, a segment's term -> slot map nor a
+        keyword field's value map is walked: a remove costs the terms
+        of the document removed."""
+        index = self.build(sealed=sealed)
+        for field_state in index._fields.values():
+            field_state.tail = _NoWalk(field_state.tail)
+            segment = field_state.segment
+            field_state.segment = type(segment)(
+                _NoWalk(segment.slots), segment.bounds, segment.ords,
+                segment.tfs, segment.starts, segment.positions)
+        for name, value_map in index._keyword.items():
+            index._keyword[name] = _NoWalk(value_map)
         index.remove("d1")
         assert "d1" not in index
-        assert list(index.postings("title", "halo")) == ["d2"]
-        assert not index.postings("title", "odyssey")
-        assert index.keyword_matches("site", "a.example") == {"d3"}
+        assert doc_ids(index, index.matching("title", "halo")) == {"d2"}
+        assert not index.matching("title", "odyssey")
+        assert doc_ids(index, index.keyword_matches("site", "a.example")) \
+            == {"d3"}
         with pytest.raises(NotFoundError):
             index.remove("d1")
+
+    def test_sealed_remove_does_not_walk_a_field_map(self):
+        self.test_remove_does_not_walk_a_field_map(sealed=True)
 
     def test_docstring_states_the_precondition(self):
         text = " ".join(InvertedIndex.__doc__.split())
@@ -148,15 +174,21 @@ class TestTextPostings:
     def test_positions_recorded(self):
         index = make_index()
         index.add(doc("d1", body="alpha beta alpha"))
-        positions = index.postings("body", "alpha")["d1"]
-        assert positions == (0, 2)
-        assert len(positions) == 2
+        ordinal = index.ordinal("d1")
+        assert index.positions("body", "alpha", ordinal) == (0, 2)
+        ords, tfs, lo, hi = index.postings("body", "alpha")
+        assert (tuple(ords[lo:hi]), list(tfs[lo:hi])) == ((ordinal,), [2])
+        index.seal()
+        ordinal = index.ordinal("d1")
+        assert tuple(index.positions("body", "alpha", ordinal)) == (0, 2)
+        ords, tfs, lo, hi = index.postings("body", "alpha")
+        assert (tuple(ords[lo:hi]), list(tfs[lo:hi])) == ((ordinal,), [2])
 
     def test_analysis_applied(self):
         index = make_index()
         index.add(doc("d1", body="The Reviews"))
-        assert "d1" in index.postings("body", "review")
-        assert not index.postings("body", "the")
+        assert doc_ids(index, index.matching("body", "review")) == {"d1"}
+        assert not index.matching("body", "the")
 
     def test_document_frequency(self):
         index = make_index()
@@ -175,14 +207,16 @@ class TestTextPostings:
         index = make_index(site=FieldMode.KEYWORD)
         index.add(doc("d1", title="x", site="a.example"))
         assert index.text_fields() == ["title"]
-        assert index.keyword_matches("site", "a.example") == {"d1"}
+        assert doc_ids(index, index.keyword_matches("site", "a.example")) \
+            == {"d1"}
 
 
 class TestKeywordFields:
     def test_exact_match_case_insensitive(self):
         index = make_index(site=FieldMode.KEYWORD)
         index.add(doc("d1", site="GameSpot.com"))
-        assert index.keyword_matches("site", "gamespot.com") == {"d1"}
+        assert doc_ids(index, index.keyword_matches("site", "gamespot.com")) \
+            == {"d1"}
 
     def test_no_tokenization(self):
         index = make_index(site=FieldMode.KEYWORD)
@@ -204,7 +238,7 @@ class TestPhrases:
         matched = index.phrase_matches(
             "body", index.analyzer.analyze("combat evolved")
         )
-        assert matched == {"d1"}
+        assert doc_ids(index, matched) == {"d1"}
 
     def test_phrase_tolerates_stopword_gap(self):
         index = make_index()
@@ -212,12 +246,13 @@ class TestPhrases:
         matched = index.phrase_matches(
             "body", index.analyzer.analyze("lord rings")
         )
-        assert matched == {"d1"}
+        assert doc_ids(index, matched) == {"d1"}
 
     def test_single_term_phrase(self):
         index = make_index()
         index.add(doc("d1", body="halo"))
-        assert index.phrase_matches("body", ["halo"]) == {"d1"}
+        assert doc_ids(index, index.phrase_matches("body", ["halo"])) == \
+            {"d1"}
 
     def test_empty_terms(self):
         assert make_index().phrase_matches("body", []) == set()
@@ -266,70 +301,52 @@ class TestPropertyBased:
         assert average_field_length(index, "body") == 0.0
 
 
-# -- shared position tuples ---------------------------------------------------
 
 
-def postings_entries(index):
-    """Every ``(field, term, doc_id, positions)`` postings entry."""
-    return [(name, term, doc_id, positions)
-            for name, term_map in index._postings.items()
-            for term, by_doc in term_map.items()
-            for doc_id, positions in by_doc.items()]
+# -- the sealed layout ----------------------------------------------------------
+
+#: Most bytes a sealed posting costs on the 2-shard TINY_SPEC cluster:
+#: ordinal, frequency, offset and positions, plus its share of the term
+#: map (28.6 there; the dict layout's postings and position tuples
+#: cost 98).
+SEALED_BYTES_PER_POSTING = 32
 
 
-def vertical_indexes(engine):
-    return [engine.vertical(vertical).index for vertical in Vertical]
+def segment_bytes(segment) -> int:
+    return sum(sys.getsizeof(part) for part in (
+        segment.slots, segment.bounds, segment.ords, segment.tfs,
+        segment.starts, segment.positions))
 
 
 @pytest.fixture(scope="module")
 def replicated(tiny_web):
-    """A 2-shard x 2-replica cluster built against an empty memo."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(index_module, "_POSITIONS_MEMO", {})
-        yield build_clustered_engine(
-            tiny_web,
-            ClusterConfig(num_shards=2, replicas_per_shard=2),
-            use_authority=False,
-        )
+    """A 2-shard x 2-replica cluster, bulk-loaded into sealed segments."""
+    return build_clustered_engine(
+        tiny_web, ClusterConfig(num_shards=2, replicas_per_shard=2),
+        use_authority=False)
 
 
-class TestSharedPositions:
-    def test_replicas_of_a_shard_hold_the_same_objects(self, replicated):
+class TestSealedLayout:
+    def test_replicas_of_a_shard_share_one_segment(self, replicated):
         for group in replicated.groups:
             first, second = group.replicas
             for vertical in Vertical:
-                mine = postings_entries(first.vertical(vertical).index)
-                theirs = postings_entries(second.vertical(vertical).index)
-                assert [entry[:3] for entry in mine] == \
-                    [entry[:3] for entry in theirs]
-                assert all(a[3] is b[3] for a, b in zip(mine, theirs))
+                mine = first.vertical(vertical).index._fields
+                theirs = second.vertical(vertical).index._fields
+                assert mine and mine.keys() == theirs.keys()
+                for name, field_state in mine.items():
+                    assert field_state.segment is theirs[name].segment
+                    assert not field_state.tail and not field_state.dead
 
-    def test_distinct_position_objects_are_few(self, replicated):
-        """A deterministic stand-in for peak RSS: unshared, every entry
-        would be its own object."""
-        every = [entry[3] for group in replicated.groups
-                 for replica in group.replicas
-                 for vertical in Vertical
-                 for entry in postings_entries(
-                     replica.vertical(vertical).index)]
-        assert len({id(positions) for positions in every}) \
-            <= 0.15 * len(every)
-
-    def test_a_full_memo_stops_growing_and_changes_nothing(
-            self, tiny_web, monkeypatch):
-        monkeypatch.setattr(index_module, "_shared",
-                            lambda positions: positions)
-        reference = build_engine(tiny_web, use_authority=False)
-        monkeypatch.undo()
-        memo = {}
-        monkeypatch.setattr(index_module, "_POSITIONS_MEMO", memo)
-        monkeypatch.setattr(index_module, "POSITIONS_MEMO_SIZE", 64)
-        shared = build_engine(tiny_web, use_authority=False)
-        assert len(memo) == 64
-        for mine, plain in zip(vertical_indexes(shared),
-                               vertical_indexes(reference)):
-            assert mine._postings == plain._postings
-            # nothing filed is ever evicted or replaced
-            for *_, positions in postings_entries(mine):
-                if positions in memo:
-                    assert memo[positions] is positions
+    def test_a_sealed_posting_costs_a_few_bytes(self, replicated):
+        """A deterministic stand-in for peak RSS: ``sys.getsizeof`` over
+        every segment, no clock and no process memory."""
+        size = postings = 0
+        for group in replicated.groups:
+            for vertical in Vertical:
+                index = group.replicas[0].vertical(vertical).index
+                for field_state in index._fields.values():
+                    size += segment_bytes(field_state.segment)
+                    postings += len(field_state.segment.ords)
+        assert postings > 10_000
+        assert size <= SEALED_BYTES_PER_POSTING * postings

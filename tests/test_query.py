@@ -21,6 +21,8 @@ from repro.searchengine.query import (
     parse_query,
 )
 
+from tests.reference_index import doc_ids
+
 
 class TestParser:
     def test_single_term(self):
@@ -143,9 +145,8 @@ def search_index():
 
 class TestEvaluator:
     def evaluate(self, index, text):
-        return QueryEvaluator(index, ["title", "body"]).candidates(
-            parse_query(text)
-        )
+        return doc_ids(index, QueryEvaluator(index, ["title", "body"])
+                       .candidates(parse_query(text)))
 
     def test_term_across_fields(self, search_index):
         assert self.evaluate(search_index, "halo") == {"d1", "d3"}
@@ -198,7 +199,8 @@ class TestPhraseStopWords:
     def evaluate(self, body, text):
         index = InvertedIndex(Analyzer())
         index.add(FieldedDocument("d1", {"body": body}))
-        return QueryEvaluator(index, ["body"]).candidates(parse_query(text))
+        return doc_ids(index, QueryEvaluator(index, ["body"]).candidates(
+            parse_query(text)))
 
     def test_phrase_with_internal_stop_words_matches_verbatim(self):
         body = "The Lord of the Rings returns"

@@ -33,7 +33,7 @@ def index():
 def score(index, doc_id, terms, params=None):
     """BM25 of one ``body`` for one query (the scorer is per query)."""
     [(__, value)] = BM25Scorer(index, ["body"], params,
-                               terms).rank({doc_id})
+                               terms).rank({index.ordinal(doc_id)})
     return value
 
 

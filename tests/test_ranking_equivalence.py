@@ -11,7 +11,10 @@ selection; the doc-at-a-time loop it replaced — per-document score, a
 blend closure, a full sort — is kept here as :func:`reference_rank`,
 and every bounded request must be its prefix, float for float. The
 last test pins the ``(-score, doc_id)`` order for the three kinds of
-index that rank through :meth:`BM25Scorer.rank`.
+index that rank through :meth:`BM25Scorer.rank`. Both references read
+the dict reference index (``tests/reference_index.py``) holding the same
+documents, in doc ids; the scorer reads the product's index in
+ordinals.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from repro.searchengine.ranking import (
 from repro.searchengine.stats import CorpusStats
 from repro.simweb.model import SyntheticWeb
 from repro.storage.records import FieldSpec, FieldType, RecordTable, Schema
+from tests.reference_index import DictIndex, doc_ids, reference_of
 from tests.test_cluster_equivalence import (
     align_clocks,
     make_web,
@@ -139,8 +143,8 @@ def documents(corpus):
             for n, fields in enumerate(corpus)]
 
 
-def index_of(docs):
-    index = InvertedIndex(Analyzer())
+def index_of(docs, kind=InvertedIndex):
+    index = kind(Analyzer())
     for doc in docs:
         index.add(doc)
     return index
@@ -153,8 +157,8 @@ def test_scores_equal_the_per_call_reference(corpus, fields, params, terms):
     index = index_of(docs)
     scorer = BM25Scorer(index, fields, params, terms)
     ids = {doc.doc_id for doc in docs}
-    assert scorer.rank(ids) == reference_rank(index, fields, params,
-                                              terms, ids)
+    assert scorer.rank(index.ordinals()) == reference_rank(
+        index_of(docs, DictIndex), fields, params, terms, ids)
 
 
 @settings(max_examples=100)
@@ -162,15 +166,15 @@ def test_scores_equal_the_per_call_reference(corpus, fields, params, terms):
 def test_a_shard_under_merged_stats_scores_like_the_union(
         corpus, fields, params, terms):
     docs = documents(corpus)
-    union = index_of(docs)
+    union = index_of(docs, DictIndex)
     shards = [index_of(docs[n::4]) for n in range(4)]
     stats = CorpusStats.merge(
         CorpusStats.collect(shard, fields, terms) for shard in shards)
     for n, shard in enumerate(shards):
         ids = {doc.doc_id for doc in docs[n::4]}
         scorer = BM25Scorer(shard, fields, params, terms, stats)
-        assert scorer.rank(ids) == reference_rank(union, fields, params,
-                                                  terms, ids)
+        assert scorer.rank(shard.ordinals()) == reference_rank(
+            union, fields, params, terms, ids)
 
 
 # (weight, prior values) per vertical kind: web blends link authority
@@ -186,20 +190,22 @@ prior_values = st.one_of(st.sampled_from((0.0, 0.25, 1.0)),
        st.sampled_from(sorted(PRIOR_WEIGHTS)), st.data())
 def test_bounded_rank_is_the_reference_prefix(
         corpus, added, fields, params, terms, kind, data):
-    # Churn: index, remove some, add more (and copies, for ties).
+    # Churn: index, remove some, add more (and copies, for ties, and
+    # ghosts, documents in no posting at all), in both indexes.
     docs = documents(corpus)
-    index = index_of(docs)
+    index, reference = index_of(docs), index_of(docs, DictIndex)
     removed = data.draw(st.sets(st.sampled_from(
         [doc.doc_id for doc in docs])), "removed")
     for doc_id in sorted(removed):
         index.remove(doc_id)
-    for n, fields_of in enumerate(added + corpus[:3]):
+        reference.remove(doc_id)
+    for n, fields_of in enumerate(added + corpus[:3] + [{}, {}]):
         index.add(FieldedDocument(f"e{n:02d}", fields_of))
+        reference.add(FieldedDocument(f"e{n:02d}", fields_of))
     live = sorted(index.all_doc_ids())
-    # Candidates: any live subset, plus ids in no posting at all.
-    candidates = data.draw(st.sets(st.sampled_from(live)), "live") | \
-        data.draw(st.sets(st.sampled_from(
-            sorted(removed) + ["ghost"])), "ghosts")
+    # Candidates: any live subset, the ghosts among them.
+    candidates = data.draw(st.sets(st.sampled_from(live)), "live")
+    ordinals = {index.ordinal(doc_id) for doc_id in candidates}
 
     weight = PRIOR_WEIGHTS[kind]
     prior = None
@@ -214,18 +220,18 @@ def test_bounded_rank_is_the_reference_prefix(
     def adjust(doc_id, relevance):
         return blend_scores(relevance, prior.get(doc_id, 0.0), weight)
 
-    expected = reference_rank(index, fields, params, terms, candidates,
+    expected = reference_rank(reference, fields, params, terms, candidates,
                               adjust if prior is not None else None)
     scorer = BM25Scorer(index, fields, params, terms)
     n = len(candidates)
     k = data.draw(st.integers(0, n + 2), "k")
     for limit in sorted({0, 1, k, n, n + 3}):
-        assert scorer.rank(candidates, prior, weight, limit) == \
+        assert scorer.rank(ordinals, prior, weight, limit) == \
             expected[:limit]
-    full = scorer.rank(candidates, prior, weight)
+    full = scorer.rank(ordinals, prior, weight)
     assert full == expected
     for doc_id, score in full:
-        relevance = (reference_score(index, fields, params, doc_id,
+        relevance = (reference_score(reference, fields, params, doc_id,
                                      terms) if terms else 1.0)
         if prior is not None:
             relevance = blend_scores(relevance, prior.get(doc_id, 0.0),
@@ -249,8 +255,9 @@ def reference_rank_candidates(vindex, candidates, terms, now_ms):
             return blend_scores(relevance,
                                 recency_boost(published, now_ms),
                                 prior_weight=0.5)
-    return reference_rank(vindex.index, vindex.text_fields, vindex.params,
-                          terms, candidates, adjust)
+    return reference_rank(reference_of(vindex.index), vindex.text_fields,
+                          vindex.params, terms,
+                          doc_ids(vindex.index, candidates), adjust)
 
 
 def test_every_vertical_ranks_like_the_blend_closures():

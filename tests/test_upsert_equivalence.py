@@ -22,10 +22,12 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import DuplicateError
 from repro.searchengine.analysis import Analyzer
 from repro.searchengine.documents import FieldedDocument, FieldMode
+from repro.searchengine import index as index_module
 from repro.searchengine.index import InvertedIndex
 from repro.storage.records import FieldSpec, FieldType, RecordTable, Schema
 
 from tests.conftest import update_record
+from tests.reference_index import doc_ids, reads
 
 
 # -- the index -----------------------------------------------------------------
@@ -42,14 +44,22 @@ def make_index():
 
 
 def state(index):
-    return {
-        "docs": {doc_id: index.document(doc_id).fields
-                 for doc_id in index.all_doc_ids()},
-        "postings": index._postings,
-        "keyword": index._keyword,
-        "field_lengths": index._field_lengths,
-        "totals": index._total_field_length,
-    }
+    """Every read of ``index``: stored fields, postings with positions,
+    keyword entries, field lengths and totals."""
+    return reads(index)
+
+
+def spy_filing(index, calls: list) -> None:
+    """Append the fields each ``_unfile`` / ``_file`` of ``index``
+    takes out or files, in call order."""
+    for method in ("_unfile", "_file"):
+        original = getattr(index, method)
+
+        def spied(ordinal, fields, *args, original=original):
+            calls.append(dict(fields))
+            return original(ordinal, fields, *args)
+
+        setattr(index, method, spied)
 
 
 _WORDS = ("halo", "odyssey", "the", "arena", "braid", "arenas", "1")
@@ -83,14 +93,8 @@ class TestFieldLevelUpsert:
     @settings(max_examples=150)
     def test_equals_remove_then_add_after_every_step(self, steps):
         fast, reference = make_index(), make_index()
-        entries = fast._entries
         unfiled_and_filed = []
-
-        def spied(fields):
-            unfiled_and_filed.append(dict(fields))
-            return entries(fields)
-
-        fast._entries = spied
+        spy_filing(fast, unfiled_and_filed)
         for kind, doc_id, *rest in steps:
             before = fast.mutations, reference.mutations
             unfiled_and_filed.clear()
@@ -127,21 +131,64 @@ class TestFieldLevelUpsert:
                              Analyzer().analyze_with_positions(
                                  f"{first} {second}")]
                     for name in ("title", "body"):
-                        assert fast.phrase_matches(name, terms) == \
-                            reference.phrase_matches(name, terms)
+                        assert doc_ids(
+                            fast, fast.phrase_matches(name, terms)) == \
+                            doc_ids(reference,
+                                    reference.phrase_matches(name, terms))
 
     def test_equal_values_that_file_differently_are_changed(self):
         index = make_index()
         index.add(FieldedDocument("d", {"title": "halo", "body": 1,
                                         "tag": True}))
-        entries, seen = index._entries, []
-        index._entries = lambda fields: seen.append(dict(fields)) or \
-            entries(fields)
+        seen = []
+        spy_filing(index, seen)
         index.upsert(FieldedDocument("d", {"title": "halo", "body": 1.0,
                                            "tag": "True"}))
         assert seen == [{"body": 1}, {"body": 1.0}]
-        assert "d" in index.postings("body", "0")
-        assert index.keyword_matches("tag", "true") == {"d"}
+        assert doc_ids(index, index.matching("body", "0")) == {"d"}
+        assert doc_ids(index, index.keyword_matches("tag", "true")) == {"d"}
+
+
+    @staticmethod
+    def copied(value):
+        """An equal value in a new object (``bool`` has two)."""
+        if isinstance(value, str):
+            return value.encode().decode()
+        return value if isinstance(value, bool) else int(str(value))
+
+    def test_a_one_field_delta_analyzes_and_files_that_field_only(
+            self, monkeypatch):
+        """On a sealed index: the changed value is analyzed twice (out,
+        then in), ``str`` filing is compared for it alone, and only its
+        field is tombstoned; every read then equals a fresh build."""
+        rows = [{"title": f"halo {n}", "body": "arena braid",
+                 "qty": 1000 + n, "tag": "t", "flag": n % 2 == 0}
+                for n in range(20)]
+        index = make_index()
+        index.load(FieldedDocument(f"d{n}", row) for n, row in
+                   enumerate(rows))
+        analyzed, filed_values = [], []
+        analyze = index.analyzer.analyze_with_positions
+        monkeypatch.setattr(index.analyzer, "analyze_with_positions",
+                            lambda text: analyzed.append(text) or
+                            analyze(text))
+        real_filed = index_module._filed
+        monkeypatch.setattr(index_module, "_filed", lambda value:
+                            filed_values.append(value) or real_filed(value))
+        for n in range(5):
+            # Equal values in new objects: only ``body`` changed.
+            row = {name: self.copied(value) for name, value in rows[n].items()}
+            row["body"] = "odyssey"
+            index.upsert(FieldedDocument(f"d{n}", row))
+            rows[n] = row
+        assert analyzed == ["arena braid", "odyssey"] * 5
+        assert filed_values == ["arena braid", "odyssey"] * 5
+        assert {name for name, field_state in index._fields.items()
+                if field_state.dead} == {"body"}
+        fresh = make_index()
+        fresh.load(FieldedDocument(f"d{n}", row) for n, row in
+                   enumerate(rows))
+        assert state(index) == state(fresh)
 
 
 # -- the table -----------------------------------------------------------------
